@@ -23,8 +23,10 @@ if cythonize is not None:
                 ["src/genspectra/kernels/_cykernels.pyx"],
                 include_dirs=[numpy.get_include()],
                 # -O2 without fast-math: keep IEEE semantics identical to
-                # the pure-Python backend.
-                extra_compile_args=["-O2"],
+                # the pure-Python backend. -ffp-contract=off because gcc
+                # fuses multiply-adds into FMA on aarch64, which breaks
+                # bit parity between the backends.
+                extra_compile_args=["-O2", "-ffp-contract=off"],
             )
         ],
         compiler_directives={"language_level": "3"},

@@ -22,21 +22,28 @@ import numpy as np
 from . import kernels
 from .errors import DimensionMismatch, InputError, MissingLabels, SingleClass
 from .eigen import eig_sym
-from .linalg import Matrix, SymMatrix, Vector, centering_matrix
-from .pencil import Pencil, solve_rigorous
+from .linalg import Matrix, SymMatrix, Vector
+from .pencil import Pencil, _diagnostics, solve_rigorous
 
 _KERNEL_KINDS = ("linear", "rbf", "polynomial", "delta")
 
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """A d x n data matrix with one sample per column, plus optional labels."""
+    """A d x n data matrix with one sample per column, plus optional labels.
+
+    Labels are integer class ids; a value with a fractional part raises
+    ``InputError`` rather than being truncated.
+    """
 
     x: Matrix
     labels: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.labels is not None:
+            bad = [v for v in self.labels if v != int(v)]
+            if bad:
+                raise InputError(f"labels must be integer class ids, got {bad[0]!r}")
             object.__setattr__(self, "labels", tuple(int(v) for v in self.labels))
             if len(self.labels) != self.x.cols:
                 raise DimensionMismatch(
@@ -94,7 +101,10 @@ class EmbeddingModel:
     """A fitted projection.
 
     ``projection`` holds d x p directions for pca/fda or n x p dual
-    coefficients for kspca; ``eigenvalues`` match its columns. The
+    coefficients for kspca; ``eigenvalues`` match its columns.
+    ``residual`` and ``b_orthonormality`` measure that block against the
+    pencil the fit solved, as ``GenEigenSolution`` defines them: (S, I)
+    for pca, (S_B, S_W) for fda, (K_x H K_y H K_x, K_x) for kspca. The
     remaining fields carry whatever the transform step needs: the training
     mean for pca, kernel specs and training data for kspca.
     """
@@ -102,6 +112,8 @@ class EmbeddingModel:
     method: str
     projection: Matrix
     eigenvalues: tuple[float, ...]
+    residual: float
+    b_orthonormality: float
     mean: Vector | None = None
     kernel_x: KernelSpec | None = None
     kernel_y: KernelSpec | None = None
@@ -119,7 +131,7 @@ class EmbeddingModel:
 
 def covariance(x: Matrix) -> SymMatrix:
     """Centered second-moment matrix S = Xc Xc' (no 1/n normalization)."""
-    xc, _ = _center_columns(x)
+    xc = x.array - x.array.mean(axis=1).reshape(-1, 1)
     prod = kernels.matmul(xc, np.ascontiguousarray(xc.T))
     return SymMatrix((prod + prod.T) / 2.0)
 
@@ -133,15 +145,11 @@ def pca_fit(x: Matrix, p: int) -> EmbeddingModel:
     """
     if not 1 <= p <= x.rows:
         raise DimensionMismatch(f"p must lie in [1, {x.rows}], got {p}")
-    xc, mean = _center_columns(x)
-    prod = kernels.matmul(xc, np.ascontiguousarray(xc.T))
-    s = SymMatrix((prod + prod.T) / 2.0)
+    s = covariance(x)
     dec = eig_sym(s, order="descending")
-    return EmbeddingModel(
-        method="pca",
-        projection=Matrix(dec.phi.array[:, :p]),
-        eigenvalues=dec.eigenvalues[:p],
-        mean=Vector(mean),
+    return _leading_pairs(
+        "pca", s.array, None, dec.phi.array, dec.eigenvalues, p,
+        mean=Vector(x.array.mean(axis=1)),
     )
 
 
@@ -217,10 +225,8 @@ def fda_fit(ds: LabeledDataset, p: int, epsilon: float | None = None) -> Embeddi
         )
     pair = scatter_matrices(ds)
     sol, _ = solve_rigorous(Pencil(pair.s_b, pair.s_w), epsilon=epsilon)
-    return EmbeddingModel(
-        method="fda",
-        projection=Matrix(sol.phi.array[:, :p]),
-        eigenvalues=sol.eigenvalues[:p],
+    return _leading_pairs(
+        "fda", pair.s_b.array, pair.s_w.array, sol.phi.array, sol.eigenvalues, p,
         epsilon_used=sol.epsilon_used,
     )
 
@@ -249,12 +255,10 @@ def kernel_matrix(x1: Matrix, x2: Matrix, spec: KernelSpec) -> Matrix:
         sq2 = np.sum(a2 * a2, axis=0).reshape(1, -1)
         dist_sq = np.maximum(sq1 + sq2 - 2.0 * gram, 0.0)
         return Matrix(np.exp(-gamma * dist_sq))
-    # delta: exact column equality
-    eq = np.ones((x1.cols, x2.cols))
+    # delta: exact column equality, one row at a time so memory stays O(d n)
+    eq = np.empty((x1.cols, x2.cols))
     for i in range(x1.cols):
-        for j in range(x2.cols):
-            if not np.array_equal(a1[:, i], a2[:, j]):
-                eq[i, j] = 0.0
+        eq[i] = np.all(a2 == a1[:, i : i + 1], axis=0)
     return Matrix(eq)
 
 
@@ -274,7 +278,7 @@ def kspca_fit(
     and ``ky`` to the delta kernel on the labels.
     """
     if ds.labels is None:
-        raise MissingLabels("kernel supervised PCA needs labels (or numeric targets)")
+        raise MissingLabels("kernel supervised PCA needs class labels")
     n = ds.n
     if not 1 <= p <= n:
         raise DimensionMismatch(f"p must lie in [1, {n}], got {p}")
@@ -284,16 +288,11 @@ def kspca_fit(
     labels_row = Matrix(np.array(ds.labels, dtype=np.float64).reshape(1, -1))
     k_x = kernel_matrix(ds.x, ds.x, kx).array
     k_y = kernel_matrix(labels_row, labels_row, ky).array
-    h = centering_matrix(n).array
-
-    hkh = kernels.matmul(h, kernels.matmul(k_y, h))
-    m = kernels.matmul(k_x, kernels.matmul(hkh, k_x))
+    m = kernels.matmul(k_x, kernels.matmul(_double_center(k_y), k_x))
     pencil = Pencil(SymMatrix((m + m.T) / 2.0), SymMatrix((k_x + k_x.T) / 2.0))
     sol, _ = solve_rigorous(pencil, epsilon=epsilon)
-    return EmbeddingModel(
-        method="kspca",
-        projection=Matrix(sol.phi.array[:, :p]),
-        eigenvalues=sol.eigenvalues[:p],
+    return _leading_pairs(
+        "kspca", pencil.a.array, pencil.b.array, sol.phi.array, sol.eigenvalues, p,
         kernel_x=kx,
         kernel_y=ky,
         training_x=ds.x,
@@ -317,6 +316,22 @@ def kspca_transform(model: EmbeddingModel, x_new: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _center_columns(x: Matrix) -> tuple[np.ndarray, np.ndarray]:
-    mean = x.array.mean(axis=1)
-    return x.array - mean.reshape(-1, 1), mean
+def _double_center(k: np.ndarray) -> np.ndarray:
+    """H K H with H = I - 11'/n, in O(n^2): subtract column means, then row means."""
+    hk = k - k.mean(axis=0)
+    return hk - hk.mean(axis=1).reshape(-1, 1)
+
+
+def _leading_pairs(method, a, b, phi, eigenvalues, p, **fields) -> EmbeddingModel:
+    """Model of the leading p pairs, with diagnostics against the solved pencil (a, b)."""
+    projection = Matrix(phi[:, :p])
+    eigenvalues = tuple(eigenvalues[:p])
+    residual, b_orth = _diagnostics(a, b, projection.array, eigenvalues)
+    return EmbeddingModel(
+        method=method,
+        projection=projection,
+        eigenvalues=eigenvalues,
+        residual=residual,
+        b_orthonormality=b_orth,
+        **fields,
+    )

@@ -2,7 +2,9 @@
 
 Reads matrices and datasets from CSV, runs a solver or application, and
 emits a machine-readable result document (JSON by default, CSV on
-request) with residual diagnostics.
+request) with residual diagnostics. The diagnostics come from the solve
+or fit itself, measured against the pencil it solved; this module only
+gates and formats them.
 
 Commands: eig, geig, pca, fda, kspca, rayleigh. Exit codes: 0 on
 success, 1 for input or configuration problems, 2 when the numerics fail
@@ -21,16 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .apps import (
-    KernelSpec,
-    LabeledDataset,
-    fda_fit,
-    kernel_matrix,
-    kspca_fit,
-    pca_fit,
-    scatter_matrices,
-)
+from .apps import KernelSpec, LabeledDataset, fda_fit, kspca_fit, pca_fit
 from .eigen import eig_sym
 from .errors import (
     ConvergenceFailure,
@@ -43,8 +36,8 @@ from .errors import (
     NumericalError,
     RaggedRows,
 )
-from .linalg import SYM_TOL, Matrix, SymMatrix, Vector, centering_matrix
-from .pencil import Pencil, _residual_arrays, solve_quick_dirty, solve_rigorous
+from .linalg import SYM_TOL, Matrix, SymMatrix, Vector
+from .pencil import Pencil, _diagnostics, solve_quick_dirty, solve_rigorous
 from .rayleigh import check_stationarity
 
 _ORDER_MAP = {"desc": "descending", "asc": "ascending"}
@@ -241,13 +234,12 @@ def _columns(phi: np.ndarray) -> list[list[float]]:
     return [[float(v) for v in phi[:, j]] for j in range(phi.shape[1])]
 
 
-def _orthonormality_dev(phi: np.ndarray, b: np.ndarray | None) -> float:
-    bphi = phi if b is None else kernels.matmul(b, phi)
-    gram = kernels.matmul(np.ascontiguousarray(phi.T), bphi)
-    return float(np.max(np.abs(gram - np.eye(phi.shape[1]))))
-
-
-def _eigen_doc(command, lams, phi, residual, b_orth, method, eps_used, dims):
+def _eigen_doc(cfg, command, lams, phi, residual, b_orth, method, eps_used, dims):
+    """Result document; fails when ``residual`` exceeds ``--resid-tol``."""
+    if cfg.resid_tol is not None and residual > cfg.resid_tol:
+        raise ConvergenceFailure(
+            f"residual {residual:.6e} exceeds --resid-tol {cfg.resid_tol:.6e}"
+        )
     return {
         "command": command,
         "eigenvalues": [float(v) for v in lams],
@@ -262,11 +254,15 @@ def _eigen_doc(command, lams, phi, residual, b_orth, method, eps_used, dims):
     }
 
 
-def _gate_residual(residual: float, cfg: RunConfig):
-    if cfg.resid_tol is not None and residual > cfg.resid_tol:
-        raise ConvergenceFailure(
-            f"residual {residual:.6e} exceeds --resid-tol {cfg.resid_tol:.6e}"
-        )
+def _fit_doc(cfg, command, model, method, dims):
+    """Document of a fitted model, its columns in the ``--order`` requested."""
+    phi, lams = model.projection.array, model.eigenvalues
+    if cfg.order == "asc":
+        phi, lams = phi[:, ::-1], lams[::-1]
+    return _eigen_doc(
+        cfg, command, lams, phi, model.residual, model.b_orthonormality,
+        method, model.epsilon_used, dims,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +273,9 @@ def _run_eig(cfg: RunConfig) -> dict:
     a = SymMatrix(parse_matrix_csv(cfg.matrix_path).array, sym_tol=cfg.sym_tol)
     dec = eig_sym(a, order=_ORDER_MAP[cfg.order])
     phi = dec.phi.array
-    eye = np.eye(a.dim)
-    residual = _residual_arrays(a.array, eye, phi, list(dec.eigenvalues))
-    _gate_residual(residual, cfg)
+    residual, b_orth = _diagnostics(a.array, None, phi, dec.eigenvalues)
     return _eigen_doc(
-        "eig", dec.eigenvalues, phi, residual,
-        _orthonormality_dev(phi, None), "jacobi", 0.0, [a.dim],
+        cfg, "eig", dec.eigenvalues, phi, residual, b_orth, "jacobi", 0.0, [a.dim]
     )
 
 
@@ -295,49 +288,21 @@ def _run_geig(cfg: RunConfig) -> dict:
         sol = solve_quick_dirty(pencil, epsilon=cfg.epsilon, order=order)
     else:
         sol, _ = solve_rigorous(pencil, epsilon=cfg.epsilon, order=order)
-    _gate_residual(sol.residual, cfg)
-    phi = sol.phi.array
     return _eigen_doc(
-        "geig", sol.eigenvalues, phi, sol.residual,
-        _orthonormality_dev(phi, b.array), sol.method, sol.epsilon_used,
-        [pencil.dim],
+        cfg, "geig", sol.eigenvalues, sol.phi.array, sol.residual,
+        sol.b_orthonormality, sol.method, sol.epsilon_used, [pencil.dim],
     )
 
 
 def _run_pca(cfg: RunConfig) -> dict:
-    samples = parse_matrix_csv(cfg.data_path)
-    x = Matrix(samples.array.T)
-    model = pca_fit(x, cfg.p)
-    u = model.projection.array
-    # Residual of the truncated decomposition against the covariance.
-    xc = x.array - model.mean.array.reshape(-1, 1)
-    s = kernels.matmul(xc, np.ascontiguousarray(xc.T))
-    residual = _residual_arrays(s, np.eye(x.rows), u, list(model.eigenvalues))
-    _gate_residual(residual, cfg)
-    if cfg.order == "asc":
-        model = _flip_model(model)
-        u = model.projection.array
-    return _eigen_doc(
-        "pca", model.eigenvalues, u, residual,
-        _orthonormality_dev(u, None), "jacobi", 0.0, [x.rows, x.cols],
-    )
+    x = Matrix(parse_matrix_csv(cfg.data_path).array.T)
+    return _fit_doc(cfg, "pca", pca_fit(x, cfg.p), "jacobi", [x.rows, x.cols])
 
 
 def _run_fda(cfg: RunConfig) -> dict:
     ds = parse_labeled_csv(cfg.data_path, cfg.label_column)
     model = fda_fit(ds, cfg.p, epsilon=cfg.epsilon)
-    pair = scatter_matrices(ds)
-    w = model.projection.array
-    residual = _residual_arrays(pair.s_b.array, pair.s_w.array, w, list(model.eigenvalues))
-    _gate_residual(residual, cfg)
-    if cfg.order == "asc":
-        model = _flip_model(model)
-        w = model.projection.array
-    return _eigen_doc(
-        "fda", model.eigenvalues, w, residual,
-        _orthonormality_dev(w, pair.s_w.array), "rigorous", model.epsilon_used,
-        [ds.d, ds.n],
-    )
+    return _fit_doc(cfg, "fda", model, "rigorous", [ds.d, ds.n])
 
 
 def _run_kspca(cfg: RunConfig) -> dict:
@@ -345,23 +310,7 @@ def _run_kspca(cfg: RunConfig) -> dict:
     kx = KernelSpec(kind=cfg.kernel, gamma=cfg.gamma, degree=cfg.degree, coef0=cfg.coef0)
     ky = KernelSpec(kind=cfg.kernel_y, gamma=cfg.gamma, degree=cfg.degree, coef0=cfg.coef0)
     model = kspca_fit(ds, cfg.p, kx=kx, ky=ky, epsilon=cfg.epsilon)
-    theta = model.projection.array
-
-    k_x = kernel_matrix(ds.x, ds.x, kx).array
-    labels_row = np.array(ds.labels, dtype=np.float64).reshape(1, -1)
-    k_y = kernel_matrix(Matrix(labels_row), Matrix(labels_row), ky).array
-    h = centering_matrix(ds.n).array
-    m = kernels.matmul(k_x, kernels.matmul(h, kernels.matmul(k_y, kernels.matmul(h, k_x))))
-    residual = _residual_arrays(m, k_x, theta, list(model.eigenvalues))
-    _gate_residual(residual, cfg)
-    if cfg.order == "asc":
-        model = _flip_model(model)
-        theta = model.projection.array
-    return _eigen_doc(
-        "kspca", model.eigenvalues, theta, residual,
-        _orthonormality_dev(theta, k_x), "rigorous", model.epsilon_used,
-        [ds.d, ds.n],
-    )
+    return _fit_doc(cfg, "kspca", model, "rigorous", [ds.d, ds.n])
 
 
 def _run_rayleigh(cfg: RunConfig) -> dict:
@@ -391,17 +340,6 @@ def _parse_vector_csv(path: str) -> Vector:
         return Vector(m.array[:, 0])
     raise DimensionMismatch(
         f"vector file must be a single row or column, got {m.rows}x{m.cols}"
-    )
-
-
-def _flip_model(model):
-    from dataclasses import replace
-
-    proj = model.projection.array[:, ::-1]
-    return replace(
-        model,
-        projection=Matrix(np.ascontiguousarray(proj)),
-        eigenvalues=tuple(reversed(model.eigenvalues)),
     )
 
 

@@ -12,7 +12,8 @@ Two routes are provided and kept deliberately separate:
   The result is B-orthonormal (Phi' B Phi = I, Phi' A Phi = diag(lambda))
   and every intermediate is returned for inspection.
 
-Both report their residual against the original, unregularized pencil.
+Both report their residual and B-orthonormality against the original,
+unregularized pencil.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class GenEigenSolution:
     ``strategy`` records how the eigenpairs were actually computed.
     ``epsilon_used`` is 0.0 unless a singular B forced regularization.
     ``residual`` is ||A Phi - B Phi diag(lambda)||_F / max(1, ||A||_F)
-    against the original pencil. ``deflated`` flags a null direction
+    and ``b_orthonormality`` is max|Phi' B Phi - I|, both against the
+    original pencil. ``deflated`` flags a null direction
     shared by A and B, where the pencil does not constrain the spectrum.
     """
 
@@ -86,6 +88,7 @@ class GenEigenSolution:
     method: str
     epsilon_used: float
     residual: float
+    b_orthonormality: float
     strategy: str
     deflated: bool
 
@@ -147,7 +150,7 @@ def solve_rigorous(
     the slightly perturbed metric from ``effective_b`` rather than B.
     """
     phi_arr, lams, eps_used, inter = _whiten_core(p.a, p.b, epsilon, order)
-    residual = _residual_arrays(p.a.array, p.b.array, phi_arr, lams)
+    residual, b_orth = _diagnostics(p.a.array, p.b.array, phi_arr, lams)
     deflated = _shares_null_direction(p.a.array, p.b.array) if eps_used > 0.0 else False
     sol = GenEigenSolution(
         phi=Matrix(phi_arr),
@@ -155,6 +158,7 @@ def solve_rigorous(
         method="rigorous",
         epsilon_used=eps_used,
         residual=residual,
+        b_orthonormality=b_orth,
         strategy="whitening",
         deflated=deflated,
     )
@@ -275,7 +279,7 @@ def solve_quick_dirty(
         phi_arr, lams, eps_inner, _ = _whiten_core(p.a, b_reg, None, order)
         eps_used = max(eps_used, eps_inner)
 
-    residual = _residual_arrays(a_arr, b_arr, phi_arr, lams)
+    residual, b_orth = _diagnostics(a_arr, b_arr, phi_arr, lams)
     deflated = _shares_null_direction(a_arr, b_arr) if eps_used > 0.0 else False
     return GenEigenSolution(
         phi=Matrix(phi_arr),
@@ -283,6 +287,7 @@ def solve_quick_dirty(
         method="quick_dirty",
         epsilon_used=eps_used,
         residual=residual,
+        b_orthonormality=b_orth,
         strategy=strategy,
         deflated=deflated,
     )
@@ -298,19 +303,26 @@ def pencil_residual(p: Pencil, sol: GenEigenSolution) -> float:
         raise DimensionMismatch(
             f"{sol.phi.cols} vectors for {len(sol.eigenvalues)} eigenvalues"
         )
-    return _residual_arrays(p.a.array, p.b.array, sol.phi.array, list(sol.eigenvalues))
+    return _diagnostics(p.a.array, p.b.array, sol.phi.array, sol.eigenvalues)[0]
 
 
 # ---------------------------------------------------------------------------
 # internals
 
 
-def _residual_arrays(a, b, phi, lams) -> float:
-    ap = kernels.matmul(a, phi)
-    bp = kernels.matmul(b, phi)
-    resid = ap - bp * np.asarray(lams, dtype=np.float64)
+def _diagnostics(a, b, phi, lams) -> tuple[float, float]:
+    """Residual and B-orthonormality of the pairs (lams, columns of phi).
+
+    Returns ||A Phi - B Phi diag(lams)||_F / max(1, ||A||_F) and
+    max|Phi' B Phi - I|. ``b=None`` stands for the identity. B Phi is
+    formed once and serves both numbers.
+    """
+    bphi = phi if b is None else kernels.matmul(b, phi)
+    resid = kernels.matmul(a, phi) - bphi * np.asarray(lams, dtype=np.float64)
     fro_a = math.sqrt(float(np.sum(a * a)))
-    return math.sqrt(float(np.sum(resid * resid))) / max(1.0, fro_a)
+    residual = math.sqrt(float(np.sum(resid * resid))) / max(1.0, fro_a)
+    gram = kernels.matmul(np.ascontiguousarray(phi.T), bphi)
+    return residual, float(np.max(np.abs(gram - np.eye(phi.shape[1]))))
 
 
 def _shares_null_direction(a, b) -> bool:

@@ -108,6 +108,20 @@ def gram_schmidt(cols: np.ndarray, metric: np.ndarray | None = None) -> np.ndarr
     return out
 
 
+def assert_diagnostics(residual, b_orth, a, b, phi, lams):
+    """Check reported diagnostics against a numpy recomputation.
+
+    ``residual`` must equal ||A Phi - B Phi diag(lams)||_F / max(1, ||A||_F)
+    and ``b_orth`` must equal max|Phi' B Phi - I|; ``b=None`` is the identity.
+    """
+    b = np.eye(a.shape[0]) if b is None else b
+    resid = a @ phi - (b @ phi) * np.asarray(lams)
+    expect_resid = np.linalg.norm(resid) / max(1.0, np.linalg.norm(a))
+    expect_orth = np.abs(phi.T @ b @ phi - np.eye(phi.shape[1])).max()
+    assert residual == pytest.approx(expect_resid, rel=1e-6, abs=1e-12)
+    assert b_orth == pytest.approx(expect_orth, rel=1e-6, abs=1e-12)
+
+
 def as_matrix(rows) -> Matrix:
     return Matrix(rows)
 

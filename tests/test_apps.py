@@ -29,8 +29,10 @@ from genspectra import (
     scatter_matrices,
     solve_rigorous,
 )
+from genspectra.apps import _double_center
+from genspectra.linalg import centering_matrix
 
-from conftest import gram_schmidt, random_unit
+from conftest import assert_diagnostics, gram_schmidt, random_unit
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +90,11 @@ def test_pca_projected_variance_equals_eigenvalue():
     for k, lam in enumerate(model.eigenvalues):
         u = model.projection.array[:, k]
         assert u @ s @ u == pytest.approx(lam, rel=1e-9, abs=1e-9)
+    block = pca_fit(x, p=2)
+    assert_diagnostics(
+        block.residual, block.b_orthonormality, s, None,
+        block.projection.array, block.eigenvalues,
+    )
 
 
 def test_pca_eigenvalue_sum_equals_total_variance():
@@ -232,6 +239,14 @@ def test_labeled_dataset_validates_label_count():
         LabeledDataset(Matrix(np.eye(2)), labels=(1, 2, 3))
 
 
+def test_labeled_dataset_rejects_non_integer_labels():
+    for labels in ((0.5, 1.7), (0, 1.5), (np.float64(2.25), 1)):
+        with pytest.raises(InputError):
+            LabeledDataset(Matrix(np.eye(2)), labels=labels)
+    ds = LabeledDataset(Matrix(np.eye(2)), labels=(0.0, np.float64(3.0)))
+    assert ds.labels == (0, 3)
+
+
 # ---------------------------------------------------------------------------
 # FDA
 # ---------------------------------------------------------------------------
@@ -268,6 +283,10 @@ def test_fda_eigenvalue_is_the_fisher_quotient():
     w = Vector(model.projection.array[:, 0])
     quot = rayleigh_quotient(w, pair.s_b, pair.s_w)
     assert quot == pytest.approx(model.eigenvalues[0], rel=1e-8)
+    assert_diagnostics(
+        model.residual, model.b_orthonormality, pair.s_b.array, pair.s_w.array,
+        model.projection.array, model.eigenvalues,
+    )
 
 
 def test_fda_beats_random_directions():
@@ -297,6 +316,11 @@ def test_fda_singular_within_class_scatter_regularizes():
     assert abs(w[0]) / np.linalg.norm(w) > 0.999
     # the achieved quotient dwarfs any direction with an e2 component
     pair = scatter_matrices(ds)
+    # diagnostics are honest about the original, unregularized pencil
+    assert_diagnostics(
+        model.residual, model.b_orthonormality, pair.s_b.array, pair.s_w.array,
+        model.projection.array, model.eigenvalues,
+    )
     rng = np.random.RandomState(83)
     for _ in range(200):
         u = Vector(random_unit(rng, 2))
@@ -420,6 +444,22 @@ def test_delta_kernel_flags_exact_column_matches():
     k = kernel_matrix(x, x, KernelSpec(kind="delta")).array
     assert np.array_equal(k, [[1, 0, 1], [0, 1, 0], [1, 0, 1]])
 
+    # duplicate columns, signed zeros and near misses against the
+    # elementwise definition
+    rng = np.random.RandomState(89)
+    base = rng.standard_normal((3, 4))
+    base[:, 1] = 0.0
+    x1 = np.hstack([base, base[:, [0, 2]], -base[:, [1]], base[:, [3]] + 1e-15])
+    x2 = np.hstack([base[:, [1, 3, 0]], np.nextafter(base[:, [2]], np.inf)])
+    k = kernel_matrix(Matrix(x1), Matrix(x2), KernelSpec(kind="delta")).array
+    expect = [
+        [float(all(x1[r, i] == x2[r, j] for r in range(3))) for j in range(x2.shape[1])]
+        for i in range(x1.shape[1])
+    ]
+    assert np.array_equal(k, expect)
+    assert k[1, 0] == 1.0 and k[6, 0] == 1.0  # 0.0 and -0.0 columns match
+    assert k.sum() == 5.0
+
 
 def test_kernel_matrices_are_psd():
     rng = np.random.RandomState(90)
@@ -453,6 +493,20 @@ def test_kernel_spec_validation():
 # ---------------------------------------------------------------------------
 # kernel supervised PCA
 # ---------------------------------------------------------------------------
+
+
+def test_double_center_matches_centering_matrix():
+    rng = np.random.RandomState(96)
+    labels = Matrix(rng.randint(0, 3, size=(1, 9)).astype(float))
+    for k in (
+        kernel_matrix(labels, labels, KernelSpec(kind="delta")).array,
+        rng.standard_normal((9, 9)) * 1e3,
+        np.ones((1, 1)),
+    ):
+        n = k.shape[0]
+        h = centering_matrix(n).array
+        expect = h @ k @ h
+        assert np.abs(_double_center(k) - expect).max() <= 1e-12 * np.abs(k).max()
 
 
 def test_kspca_two_point_linear_closed_form():
@@ -503,6 +557,13 @@ def test_kspca_constraint_on_well_conditioned_kernel():
     model = kspca_fit(ds, p=3, kx=kx)
     k_x = kernel_matrix(x, x, kx).array
     theta = model.projection.array
+    labels_row = Matrix(np.array(ds.labels, dtype=float).reshape(1, -1))
+    k_y = kernel_matrix(labels_row, labels_row, KernelSpec(kind="delta")).array
+    h = centering_matrix(8).array
+    m = k_x @ h @ k_y @ h @ k_x
+    assert_diagnostics(
+        model.residual, model.b_orthonormality, m, k_x, theta, model.eigenvalues
+    )
     dev = np.abs(theta.T @ k_x @ theta - np.eye(3)).max()
     if model.epsilon_used == 0.0:
         assert dev < 1e-6

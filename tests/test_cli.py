@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -390,6 +391,27 @@ def test_kspca_document(kspca_csv, capsys):
     assert len(doc["vectors"][0]) == 8  # dual coefficients, one per sample
     assert doc["meta"]["dims"] == [2, 8]
     assert doc["diagnostics"]["method"] == "rigorous"
+
+
+def test_kspca_builds_each_kernel_matrix_once(kspca_csv, capsys, monkeypatch):
+    from genspectra.apps import kernel_matrix as original
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].kind)
+        return original(*args, **kwargs)
+
+    # count calls from every package module that holds the function
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("genspectra") and (
+            getattr(mod, "kernel_matrix", None) is original
+        ):
+            monkeypatch.setattr(mod, "kernel_matrix", counting)
+    assert main(["kspca", "-p", "2", "--gamma", "1.0", kspca_csv]) == 0
+    assert sorted(calls) == ["delta", "rbf"]  # K_x and K_y, no rebuilds
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["diagnostics"]["residual"] < 1e-10
 
 
 def test_kspca_linear_kernel_flag(kspca_csv, capsys):

@@ -23,7 +23,7 @@ from genspectra import (
     solve_rigorous,
 )
 
-from conftest import random_spd, random_sym
+from conftest import assert_diagnostics, random_spd, random_sym
 
 
 def _diag(*entries) -> SymMatrix:
@@ -289,6 +289,10 @@ def test_quick_large_dimension_spd_matches_rigorous():
     quick = solve_quick_dirty(Pencil(a, b))
     from_rig, _ = solve_rigorous(Pencil(a, b))
     assert quick.strategy == "whitening"
+    assert_diagnostics(
+        quick.residual, quick.b_orthonormality, a.array, b.array,
+        quick.phi.array, quick.eigenvalues,
+    )
     scale = max(1.0, max(abs(x) for x in from_rig.eigenvalues))
     diffs = [abs(q - r) for q, r in zip(quick.eigenvalues, from_rig.eigenvalues)]
     assert max(diffs) <= 1e-6 * scale
@@ -307,6 +311,12 @@ def test_methods_agree_on_well_conditioned_pencils():
             b = random_spd(rng, d)  # eigenvalues in [1, 100]: condition <= 100
             quick = solve_quick_dirty(Pencil(a, b))
             rig, _ = solve_rigorous(Pencil(a, b))
+            assert quick.strategy == "charpoly-inertia"
+            for sol in (quick, rig):
+                assert_diagnostics(
+                    sol.residual, sol.b_orthonormality, a.array, b.array,
+                    sol.phi.array, sol.eigenvalues,
+                )
             scale = max(1.0, max(abs(x) for x in rig.eigenvalues))
             diffs = [abs(q - r) for q, r in zip(quick.eigenvalues, rig.eigenvalues)]
             assert max(diffs) <= 1e-6 * scale
@@ -352,6 +362,10 @@ def test_residual_small_for_random_spd_pencil():
     sol, _ = solve_rigorous(p)
     assert pencil_residual(p, sol) < 1e-7
     assert sol.residual == pytest.approx(pencil_residual(p, sol), abs=1e-15)
+    assert_diagnostics(
+        sol.residual, sol.b_orthonormality, p.a.array, p.b.array,
+        sol.phi.array, sol.eigenvalues,
+    )
 
 
 def test_residual_validates_shapes():
