@@ -132,7 +132,7 @@ class EmbeddingModel:
 def covariance(x: Matrix) -> SymMatrix:
     """Centered second-moment matrix S = Xc Xc' (no 1/n normalization)."""
     xc = x.array - x.array.mean(axis=1).reshape(-1, 1)
-    prod = kernels.matmul(xc, np.ascontiguousarray(xc.T))
+    prod = kernels.matmul(xc, xc.T)
     return SymMatrix((prod + prod.T) / 2.0)
 
 
@@ -162,8 +162,7 @@ def pca_transform(model: EmbeddingModel, x_new: Matrix) -> Matrix:
             f"data has {x_new.rows} features, model was fit on {model.projection.rows}"
         )
     centered = x_new.array - model.mean.array.reshape(-1, 1)
-    u_t = np.ascontiguousarray(model.projection.array.T)
-    return Matrix(kernels.matmul(u_t, centered))
+    return Matrix(kernels.matmul(model.projection.array.T, centered))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +194,7 @@ def scatter_matrices(ds: LabeledDataset) -> ScatterPair:
         dmu = mu_j - mu_t
         s_b += dmu.reshape(-1, 1) * dmu.reshape(1, -1)
         dev = block - mu_j.reshape(-1, 1)
-        s_w += kernels.matmul(dev, np.ascontiguousarray(dev.T))
+        s_w += kernels.matmul(dev, dev.T)
     return ScatterPair(
         s_b=SymMatrix((s_b + s_b.T) / 2.0),
         s_w=SymMatrix((s_w + s_w.T) / 2.0),
@@ -244,13 +243,13 @@ def kernel_matrix(x1: Matrix, x2: Matrix, spec: KernelSpec) -> Matrix:
     a1 = x1.array
     a2 = x2.array
     if spec.kind == "linear":
-        return Matrix(kernels.matmul(np.ascontiguousarray(a1.T), a2))
+        return Matrix(kernels.matmul(a1.T, a2))
     if spec.kind == "polynomial":
-        gram = kernels.matmul(np.ascontiguousarray(a1.T), a2)
+        gram = kernels.matmul(a1.T, a2)
         return Matrix((gram + spec.coef0) ** spec.degree)
     if spec.kind == "rbf":
         gamma = spec.gamma if spec.gamma is not None else 1.0 / x1.rows
-        gram = kernels.matmul(np.ascontiguousarray(a1.T), a2)
+        gram = kernels.matmul(a1.T, a2)
         sq1 = np.sum(a1 * a1, axis=0).reshape(-1, 1)
         sq2 = np.sum(a2 * a2, axis=0).reshape(1, -1)
         dist_sq = np.maximum(sq1 + sq2 - 2.0 * gram, 0.0)
@@ -309,8 +308,7 @@ def kspca_transform(model: EmbeddingModel, x_new: Matrix) -> Matrix:
             f"data has {x_new.rows} features, model was fit on {model.training_x.rows}"
         )
     k_new = kernel_matrix(model.training_x, x_new, model.kernel_x)
-    theta_t = np.ascontiguousarray(model.projection.array.T)
-    return Matrix(kernels.matmul(theta_t, k_new.array))
+    return Matrix(kernels.matmul(model.projection.array.T, k_new.array))
 
 
 # ---------------------------------------------------------------------------

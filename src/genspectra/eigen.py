@@ -80,7 +80,7 @@ def spectral_reconstruct(dec: EigenDecomposition) -> SymMatrix:
     """Rebuild ``Phi diag(lambda) Phi'`` from a decomposition."""
     phi = dec.phi.array
     scaled = phi * np.asarray(dec.eigenvalues, dtype=np.float64)
-    rec = kernels.matmul(scaled, np.ascontiguousarray(phi.T))
+    rec = kernels.matmul(scaled, phi.T)
     return SymMatrix((rec + rec.T) / 2.0)
 
 

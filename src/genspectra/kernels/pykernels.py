@@ -7,9 +7,11 @@ compiled Cython twins when they are available; both backends perform the
 same operations in the same order, so results agree to the last bit on
 IEEE-754 hardware.
 
-The functions deliberately work on plain Python lists internally. Element
-access on nested lists is several times faster than scalar indexing into
-numpy arrays, which matters for O(n^3) loops.
+``matmul`` evaluates its products and sums with numpy, one block of the
+inner dimension at a time, but adds the terms of each entry strictly in
+the order of the compiled loop. ``jacobi_eigh`` works on plain Python
+lists: element access on nested lists is several times faster than scalar
+indexing into numpy arrays, which matters for its rotation loops.
 """
 
 from __future__ import annotations
@@ -19,26 +21,51 @@ import math
 import numpy as np
 
 
+# Products a[i, k] * b[k, j] that ``matmul`` holds at once: 2**16 doubles
+# (512 KiB), or one k's m * n products when those are more.
+_BLOCK_TERMS = 1 << 16
+
+
+# Overflow gives inf and 0.0 * inf gives nan silently, as in C. (As a
+# decorator the errstate is built once, not on every call.)
+@np.errstate(over="ignore", invalid="ignore")
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Multiply two 2-D float arrays with an explicit triple loop.
+    """Multiply two 2-D float arrays, adding each entry's terms in k order.
+
+    ``out[i, j]`` is ``0.0 + a[i, 0] * b[0, j] + a[i, 1] * b[1, j] + ...``
+    added left to right, with the terms where ``a[i, k] == 0.0`` left out:
+    the operations of the compiled triple loop, in its order. A block of k
+    forms its terms as one (K, m, n) array and ``np.add.accumulate`` adds
+    them along k onto the running sums, which is sequential; ``@``,
+    ``np.dot`` and ``np.sum`` would add in another order.
 
     Shapes must already be compatible; the caller validates them.
     """
-    m, inner = a.shape
+    at = np.asarray(a, dtype=np.float64).T
+    b = np.asarray(b, dtype=np.float64)
+    inner, m = at.shape
     n = b.shape[1]
-    al = a.tolist()
-    bl = b.tolist()
-    out = [[0.0] * n for _ in range(m)]
-    for i in range(m):
-        ai = al[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik != 0.0:
-                bk = bl[k]
-                for j in range(n):
-                    oi[j] += aik * bk[j]
-    return np.array(out, dtype=np.float64).reshape(m, n)
+    if m * n == 0 or inner == 0:
+        return np.zeros((m, n))
+    step = max(1, _BLOCK_TERMS // (m * n))
+    carry = None
+    for k0 in range(0, inner, step):
+        ak = at[k0:k0 + step]
+        terms = ak[:, :, None] * b[k0:k0 + step, None, :]
+        if np.count_nonzero(ak) < ak.size:
+            # The loop skips these terms; 0.0 * inf or 0.0 * nan would
+            # turn its sum into nan.
+            terms[ak == 0.0] = 0.0
+        if carry is not None:
+            np.add(carry, terms[0], out=terms[0])
+        np.add.accumulate(terms, axis=0, out=terms)
+        # The loop's sums start at +0.0, so they are never -0.0; the
+        # accumulation starts at the first term and can be. Adding 0.0
+        # changes only that case, and copies the sums out of the block,
+        # which is freed before the next one is formed.
+        carry = terms[-1] + 0.0
+        del terms
+    return carry
 
 
 def jacobi_eigh(a: np.ndarray, rel_tol: float, max_sweeps: int):

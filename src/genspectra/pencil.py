@@ -121,7 +121,7 @@ class WhiteningIntermediates:
         factors = np.array(
             [(math.sqrt(max(lb, 0.0)) + self.epsilon_used) ** 2 for lb in self.lambda_b]
         )
-        rec = kernels.matmul(phi_b * factors, np.ascontiguousarray(phi_b.T))
+        rec = kernels.matmul(phi_b * factors, phi_b.T)
         return SymMatrix((rec + rec.T) / 2.0)
 
 
@@ -190,7 +190,7 @@ def _whiten_core(
     phi_b = eig_b.phi.array
     breve = phi_b * inv_factors
     tmp = kernels.matmul(a.array, breve)
-    a_breve_raw = kernels.matmul(np.ascontiguousarray(breve.T), tmp)
+    a_breve_raw = kernels.matmul(breve.T, tmp)
     a_breve = SymMatrix((a_breve_raw + a_breve_raw.T) / 2.0)
 
     eig_a = eig_sym(a_breve, order=order)
@@ -321,7 +321,7 @@ def _diagnostics(a, b, phi, lams) -> tuple[float, float]:
     resid = kernels.matmul(a, phi) - bphi * np.asarray(lams, dtype=np.float64)
     fro_a = math.sqrt(float(np.sum(a * a)))
     residual = math.sqrt(float(np.sum(resid * resid))) / max(1.0, fro_a)
-    gram = kernels.matmul(np.ascontiguousarray(phi.T), bphi)
+    gram = kernels.matmul(phi.T, bphi)
     return residual, float(np.max(np.abs(gram - np.eye(phi.shape[1]))))
 
 

@@ -134,13 +134,13 @@ def reconstruction_objective(x: Matrix, phi: Matrix | Vector) -> float:
             f"basis has {phi.rows} rows but the data has {x.rows}"
         )
     parr = phi.array
-    gram = kernels.matmul(np.ascontiguousarray(parr.T), parr)
+    gram = kernels.matmul(parr.T, parr)
     dev = float(np.max(np.abs(gram - np.eye(phi.cols))))
     if dev > ORTHO_TOL:
         raise NonOrthonormalBasis(
             f"basis columns deviate from orthonormality by {dev:.3e}"
         )
-    coords = kernels.matmul(np.ascontiguousarray(parr.T), x.array)
+    coords = kernels.matmul(parr.T, x.array)
     resid = x.array - kernels.matmul(parr, coords)
     return float(np.sum(resid * resid))
 
@@ -155,7 +155,7 @@ def solve_form3_4(x: Matrix, p: int, b: SymMatrix | None = None) -> tuple[Matrix
     if not 1 <= p <= x.rows:
         raise DimensionMismatch(f"p must lie in [1, {x.rows}], got {p}")
     xa = x.array
-    prod = kernels.matmul(xa, np.ascontiguousarray(xa.T))
+    prod = kernels.matmul(xa, xa.T)
     a = SymMatrix((prod + prod.T) / 2.0)
     return _extremal_pairs(a, b, p, "maximize")
 

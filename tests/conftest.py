@@ -7,10 +7,20 @@ Brute-force oracles inside the tests use plain loops and, where an
 independent cross-check is wanted, numpy.
 """
 
+import importlib.util
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from genspectra import Matrix, SymMatrix, eig_sym
+
+CYKERNELS_C = Path(__file__).resolve().parent.parent / "src/genspectra/kernels/_cykernels.c"
+CYKERNELS_MODULE = "genspectra.kernels._cykernels"
 
 # ---------------------------------------------------------------------------
 # acceptance reporting
@@ -50,6 +60,42 @@ def acceptance():
         assert ok, line
 
     return record
+
+
+# ---------------------------------------------------------------------------
+# compiled backend
+#
+# The parity tests build the shipped _cykernels.c themselves, with the flags
+# setup.py uses, and load the module by path. It is never put on the import
+# path, so the package under test keeps its pure-Python backend.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="session")
+def cykernels(tmp_path_factory):
+    """The compiled kernel module, built from the shipped C source."""
+    cc = shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0]) or shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    py_include = sysconfig.get_paths()["include"]
+    if not (Path(py_include) / "Python.h").exists():
+        pytest.skip("no Python.h")
+    so = tmp_path_factory.mktemp("cykernels") / ("_cykernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    build = subprocess.run(
+        [cc, "-shared", "-fPIC", "-O2", "-ffp-contract=off",
+         "-I", py_include, "-I", np.get_include(), str(CYKERNELS_C), "-o", str(so)],
+        capture_output=True, text=True,
+    )
+    if build.returncode != 0:
+        pytest.fail(f"compiling {CYKERNELS_C.name} failed:\n{build.stderr}")
+    spec = importlib.util.spec_from_file_location("_cykernels", so)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # The module's init registers it under its package name; drop that, or
+    # a later import of genspectra.kernels._cykernels would find it.
+    if sys.modules.get(CYKERNELS_MODULE) is module:
+        del sys.modules[CYKERNELS_MODULE]
+    return module
 
 
 # ---------------------------------------------------------------------------
