@@ -235,13 +235,15 @@ def _bisect_pencil_eigs(
     The k-th eigenvalue is located by bisection on the counting function:
     the count of eigenvalues below x reaches k exactly when x passes the
     k-th root. Multiplicities fall out naturally since the count jumps by
-    the multiplicity there.
+    the multiplicity there. Bisection stops at a width of 1e-14 times the
+    largest of |left|, |right| and min(1, hi - lo), so a bracket in small
+    units is still resolved relative to its own width.
     """
     roots = []
     for k in range(1, n + 1):
         left, right = lo, hi
         for _ in range(max_iter):
-            stop = 1e-14 * max(1.0, abs(left), abs(right))
+            stop = 1e-14 * max(min(1.0, hi - lo), abs(left), abs(right))
             if right - left <= stop:
                 break
             mid = 0.5 * (left + right)

@@ -31,8 +31,15 @@ from .errors import (
 # sym_tol * max(1, max |entry|).
 SYM_TOL = 1e-9
 
-# |det| <= SINGULAR_TOL * max|entry| means "numerically singular".
+# Singularity and definiteness are decided relative to the scale of the
+# matrix, so that s*M gets the same verdict as M for every s > 0. A
+# symmetric matrix is numerically singular when an eigenvalue lies in
+# [-INDEFINITE_TOL, SINGULAR_TOL] * max|eigenvalue|, and indefinite when its
+# smallest eigenvalue lies below -INDEFINITE_TOL * max|eigenvalue|.
+# ``inverse`` rejects an elimination pivot of magnitude at or below
+# SINGULAR_TOL * max|entry|.
 SINGULAR_TOL = 1e-12
+INDEFINITE_TOL = 1e-9
 
 
 def _as_2d(entries) -> np.ndarray:
@@ -210,26 +217,18 @@ def determinant(a: Matrix) -> float:
     return _lu_det(m)
 
 
-def inverse(a: Matrix, singular_tol: float | None = None) -> Matrix:
+def inverse(a: Matrix) -> Matrix:
     """Inverse by Gauss-Jordan elimination with partial pivoting.
 
-    Raises ``SingularMatrix`` when ``|det|`` is at or below
-    ``singular_tol`` (default ``SINGULAR_TOL * max|entry|``). A symmetric
-    input yields a ``SymMatrix`` result.
+    Raises ``SingularMatrix`` when a pivot has magnitude at or below
+    ``SINGULAR_TOL * max|entry|``, a test that gives the same verdict for
+    ``s * a`` at every scale s. A symmetric input yields a ``SymMatrix``
+    result.
     """
     if a.rows != a.cols:
         raise DimensionMismatch(f"inverse needs a square matrix, got {a.shape}")
-    if singular_tol is None:
-        singular_tol = SINGULAR_TOL * float(np.max(np.abs(a.array)))
-    det = determinant(a)
-    if abs(det) <= singular_tol:
-        raise SingularMatrix(
-            f"|det| = {abs(det):.3e} is within tolerance {singular_tol:.3e} of zero"
-        )
-    inv = _gauss_jordan(a.array.tolist())
-    if inv is None:
-        raise SingularMatrix("elimination hit an exactly zero pivot")
-    arr = np.array(inv, dtype=np.float64)
+    tol = SINGULAR_TOL * float(np.max(np.abs(a.array)))
+    arr = np.array(_gauss_jordan(a.array.tolist(), tol), dtype=np.float64)
     if isinstance(a, SymMatrix):
         return SymMatrix((arr + arr.T) / 2.0)
     return Matrix(arr)
@@ -248,12 +247,31 @@ def centering_matrix(n: int) -> SymMatrix:
     return SymMatrix(np.eye(n) - 1.0 / n)
 
 
-def is_psd(a: SymMatrix, tol: float = 1e-9) -> bool:
-    """True when the smallest eigenvalue is at least ``-tol``."""
+def is_psd(a: SymMatrix, tol: float = INDEFINITE_TOL) -> bool:
+    """True when the smallest eigenvalue is at least ``-tol * max|eigenvalue|``.
+
+    ``tol`` is relative to the largest eigenvalue magnitude, so ``s * a``
+    gets the same answer as ``a`` for every s > 0.
+    """
     from .eigen import eig_sym  # deferred to avoid an import cycle
 
-    dec = eig_sym(a)
-    return min(dec.eigenvalues) >= -tol
+    lams = eig_sym(a).eigenvalues
+    return min(lams) >= -tol * max(abs(x) for x in lams)
+
+
+def definiteness(eigenvalues) -> tuple[bool, bool]:
+    """``(indefinite, singular)`` for a symmetric matrix with these eigenvalues.
+
+    With ``top = max|eigenvalue|``: indefinite when the smallest eigenvalue
+    is below ``-INDEFINITE_TOL * top``; singular when some eigenvalue lies
+    in ``[-INDEFINITE_TOL * top, SINGULAR_TOL * top]``. A matrix can be
+    both, e.g. diag(1, -1, 0).
+    """
+    top = max(abs(x) for x in eigenvalues)
+    low = -INDEFINITE_TOL * top
+    indefinite = min(eigenvalues) < low
+    singular = any(low <= x <= SINGULAR_TOL * top for x in eigenvalues)
+    return indefinite, singular
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +319,16 @@ def _lu_det(m: list) -> float:
     return det
 
 
-def _gauss_jordan(m: list):
-    """Invert via row reduction of [M | I]; None on an exact zero pivot."""
+def _gauss_jordan(m: list, tol: float) -> list:
+    """Invert via row reduction of [M | I]; a pivot of magnitude <= tol raises."""
     n = len(m)
     aug = [m[i][:] + [1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
     for c in range(n):
         piv = max(range(c, n), key=lambda r: abs(aug[r][c]))
-        if aug[piv][c] == 0.0:
-            return None
+        if abs(aug[piv][c]) <= tol:
+            raise SingularMatrix(
+                f"pivot {abs(aug[piv][c]):.3e} is within tolerance {tol:.3e} of zero"
+            )
         if piv != c:
             aug[c], aug[piv] = aug[piv], aug[c]
         inv_p = 1.0 / aug[c][c]

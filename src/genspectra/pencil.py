@@ -1,19 +1,24 @@
 """Generalized symmetric eigenproblem A phi = lambda B phi.
 
-Two routes are provided and kept deliberately separate:
+Two routes are provided:
 
 * ``solve_quick_dirty`` follows the reduction to an ordinary eigenproblem
   for B^-1 A. For d <= 4 the eigenvalues are taken straight from the
   roots of det(A - lambda B) and eigenvectors from null spaces; for larger
-  d the same answer is reached through a congruence with B^-1/2. When B is
-  singular it falls back to B + eps*I and reports the eps it used.
+  d the same answer is reached through a congruence with B^-1/2, computed
+  by the same whitening core as ``solve_rigorous``. When B is singular it
+  falls back to B + eps*I and reports the eps it used.
 * ``solve_rigorous`` whitens the metric: decompose B, scale its
   eigenvectors to unit metric, decompose the transformed A, and combine.
   The result is B-orthonormal (Phi' B Phi = I, Phi' A Phi = diag(lambda))
   and every intermediate is returned for inspection.
 
-Both report their residual and B-orthonormality against the original,
-unregularized pencil.
+The routes share code for d > 4, so they check each other only at d <= 4.
+Both eigendecompose B once and read off it whether B is singular or
+indefinite, relative to its largest eigenvalue magnitude
+(``linalg.definiteness``), so B and s*B get the same verdict for every
+s > 0. Both report their residual and B-orthonormality against the
+original, unregularized pencil.
 """
 
 from __future__ import annotations
@@ -32,19 +37,17 @@ from .errors import (
     SingularAfterRegularization,
 )
 from .eigen import (
+    EigenDecomposition,
     _bisect_pencil_eigs,
     _fix_column_signs,
     _null_basis,
     eig_sym,
 )
-from .linalg import SINGULAR_TOL, Matrix, SymMatrix, determinant
+from .linalg import Matrix, SymMatrix, definiteness
 
 # Regularization strength when B is singular, before scaling by the
 # largest entry of B.
 DEFAULT_EPSILON = 1e-5
-
-# B is rejected as indefinite when an eigenvalue sits below -INDEFINITE_TOL.
-INDEFINITE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -144,12 +147,22 @@ def solve_rigorous(
     comfortably nonsingular; decompose A_breve = Phi_B_breve' A
     Phi_B_breve; return lambda = Lambda_A and Phi = Phi_B_breve Phi_A.
 
-    Raises ``IndefiniteB`` when B has an eigenvalue below -1e-9. With a
-    singular (PSD) B the small eps keeps the scaling finite, exactly the
-    trade recorded in ``epsilon_used``: the constraint is then enforced in
-    the slightly perturbed metric from ``effective_b`` rather than B.
+    Raises ``IndefiniteB`` when B has an eigenvalue below
+    ``-INDEFINITE_TOL * max|lambda_B|``. With a singular (PSD) B, one with
+    an eigenvalue at or below ``SINGULAR_TOL * max|lambda_B|``, the small
+    eps keeps the scaling finite, exactly the trade recorded in
+    ``epsilon_used``: the constraint is then enforced in the slightly
+    perturbed metric from ``effective_b`` rather than B.
     """
-    phi_arr, lams, eps_used, inter = _whiten_core(p.a, p.b, epsilon, order)
+    eig_b = eig_sym(p.b, order="descending")
+    indefinite, singular = definiteness(eig_b.eigenvalues)
+    if indefinite:
+        raise IndefiniteB(
+            f"B has eigenvalue {min(eig_b.eigenvalues):.6e}; "
+            "the metric must be positive semidefinite"
+        )
+    eps_used = _regularization(p.b, epsilon) if singular else 0.0
+    phi_arr, lams, inter = _whiten_core(p.a, eig_b, eps_used, order)
     residual, b_orth = _diagnostics(p.a.array, p.b.array, phi_arr, lams)
     deflated = _shares_null_direction(p.a.array, p.b.array) if eps_used > 0.0 else False
     sol = GenEigenSolution(
@@ -165,24 +178,21 @@ def solve_rigorous(
     return sol, inter
 
 
-def _whiten_core(
-    a: SymMatrix, b: SymMatrix, epsilon: float | None, order: str
-) -> tuple[np.ndarray, list[float], float, WhiteningIntermediates]:
-    eig_b = eig_sym(b, order="descending")
-    lb = eig_b.eigenvalues
-    if min(lb) < -INDEFINITE_TOL:
-        raise IndefiniteB(
-            f"B has eigenvalue {min(lb):.6e}; the metric must be positive semidefinite"
+def _regularization(b: SymMatrix, epsilon: float | None) -> float:
+    """The eps that regularizes a singular B: ``epsilon``, else the default."""
+    eps = epsilon if epsilon is not None else default_epsilon(b)
+    if eps <= 0.0:
+        raise SingularAfterRegularization(
+            "B is singular and the regularization strength is not positive"
         )
-    lam_scale = max(1.0, max(lb))
-    singular = min(lb) <= SINGULAR_TOL * lam_scale
-    eps_used = 0.0
-    if singular:
-        eps_used = epsilon if epsilon is not None else default_epsilon(b)
-        if eps_used <= 0.0:
-            raise SingularAfterRegularization(
-                "B is singular and the regularization strength is not positive"
-            )
+    return eps
+
+
+def _whiten_core(
+    a: SymMatrix, eig_b: EigenDecomposition, eps_used: float, order: str
+) -> tuple[np.ndarray, list[float], WhiteningIntermediates]:
+    """Whiten with a descending decomposition of B and the eps already chosen."""
+    lb = eig_b.eigenvalues
     inv_factors = np.array(
         [1.0 / (math.sqrt(max(x, 0.0)) + eps_used) for x in lb], dtype=np.float64
     )
@@ -215,7 +225,7 @@ def _whiten_core(
         lambda_a=eig_a.eigenvalues,
         epsilon_used=eps_used,
     )
-    return phi, list(eig_a.eigenvalues), eps_used, inter
+    return phi, list(eig_a.eigenvalues), inter
 
 
 # ---------------------------------------------------------------------------
@@ -227,57 +237,59 @@ def solve_quick_dirty(
 ) -> GenEigenSolution:
     """Solve the pencil through the reduction to B^-1 A.
 
-    When B is singular the inverse is taken of B + eps*I instead and
+    B is decomposed once. When it is singular (an eigenvalue within
+    ``[-INDEFINITE_TOL, SINGULAR_TOL] * max|lambda_B|``) the inverse is
+    taken of B + eps*I instead, which is decomposed in turn, and
     ``epsilon_used`` records eps. Eigenvectors are unit length but not
     B-orthonormal in general; that is the price of the quick route.
 
     For d <= 4 the eigenvalues are the real roots of det(A - lambda B),
     found by counting-function bisection when the (regularized) B is
-    positive definite and by a Sturm-chain search otherwise. For d > 4 a
-    positive definite B is required and the reduction runs as a congruence
-    with B^-1/2, which shares the spectrum of B^-1 A.
+    positive definite and by a Sturm-chain search when it is indefinite.
+    For d > 4 a positive definite B is required and the reduction runs as
+    a congruence with B^-1/2, which shares the spectrum of B^-1 A; it is
+    the whitening core of ``solve_rigorous``, fed the decomposition above.
     """
     d = p.dim
     a_arr = p.a.array
     b_arr = p.b.array
 
-    eps_used = 0.0
-    b_reg = p.b
-    det_b = determinant(p.b)
-    if abs(det_b) <= SINGULAR_TOL * float(np.max(np.abs(b_arr))):
-        eps_used = epsilon if epsilon is not None else default_epsilon(p.b)
+    b_reg, eps_used = p.b, 0.0
+    eig_breg = eig_sym(b_reg, order="descending")
+    indefinite, singular = definiteness(eig_breg.eigenvalues)
+    if singular:
+        eps_used = _regularization(p.b, epsilon)
         b_reg = SymMatrix(b_arr + eps_used * np.eye(d))
-        det_reg = determinant(b_reg)
-        if abs(det_reg) <= SINGULAR_TOL * float(np.max(np.abs(b_reg.array))):
+        eig_breg = eig_sym(b_reg, order="descending")
+        indefinite, singular = definiteness(eig_breg.eigenvalues)
+        if singular:
             raise SingularAfterRegularization(
                 f"B + eps*I is still singular with eps = {eps_used:.3e}"
             )
 
-    eig_breg = eig_sym(b_reg, order="ascending")
-    min_eig_b = eig_breg.eigenvalues[0]
-
     if d <= 4:
         a_list = a_arr.tolist()
         breg_list = b_reg.array.tolist()
-        if min_eig_b > 0.0:
+        if not indefinite:
             strategy = "charpoly-inertia"
             fro_a = math.sqrt(float(np.sum(a_arr * a_arr)))
-            bound = fro_a / min_eig_b
-            pad = 1e-6 * max(1.0, bound) + 1.0
+            bound = fro_a / eig_breg.eigenvalues[-1]
+            # below 1 the pad shrinks with the bound, and so does the bisection's
+            # stopping floor: s*B is solved to the same relative accuracy at every s
+            pad = 1e-6 * max(1.0, bound) + min(1.0, bound)
             roots = _bisect_pencil_eigs(a_list, breg_list, d, -bound - pad, bound + pad)
         else:
             strategy = "charpoly-sturm"
             roots = _real_pencil_roots_sturm(a_list, breg_list, d)
         phi_arr, lams = _vectors_from_roots(a_list, breg_list, roots, d, order)
     else:
-        if min_eig_b <= 0.0:
+        if indefinite:
             raise IndefiniteB(
-                "the quick and dirty route needs a positive definite B "
-                f"(after regularization) for d > 4; smallest eigenvalue is {min_eig_b:.6e}"
+                "the quick and dirty route needs a positive definite B (after regularization) "
+                f"for d > 4; smallest eigenvalue is {eig_breg.eigenvalues[-1]:.6e}"
             )
         strategy = "whitening"
-        phi_arr, lams, eps_inner, _ = _whiten_core(p.a, b_reg, None, order)
-        eps_used = max(eps_used, eps_inner)
+        phi_arr, lams, _ = _whiten_core(p.a, eig_breg, 0.0, order)
 
     residual, b_orth = _diagnostics(a_arr, b_arr, phi_arr, lams)
     deflated = _shares_null_direction(a_arr, b_arr) if eps_used > 0.0 else False

@@ -22,6 +22,9 @@ from genspectra import Matrix, SymMatrix, eig_sym
 CYKERNELS_C = Path(__file__).resolve().parent.parent / "src/genspectra/kernels/_cykernels.c"
 CYKERNELS_MODULE = "genspectra.kernels._cykernels"
 
+# Units of B (or of a matrix to invert) that the scale-invariance tests sweep.
+SCALES = [1e-6, 1e-3, 1e-2, 1.0, 1e3, 1e6]
+
 # ---------------------------------------------------------------------------
 # acceptance reporting
 #

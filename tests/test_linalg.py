@@ -24,9 +24,9 @@ from genspectra import (
     trace,
     transpose,
 )
-from genspectra.linalg import _cofactor_det, _lu_det, dot, frobenius_norm_sq
+from genspectra.linalg import _cofactor_det, _lu_det, definiteness, dot, frobenius_norm_sq
 
-from conftest import random_spd, random_sym
+from conftest import SCALES, random_spd, random_sym
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +207,20 @@ def test_inverse_of_singular_matrix_raises():
         inverse(Matrix([[1.0, 2.0], [2.0, 4.0]]))
 
 
+@pytest.mark.parametrize("d", [2, 10, 50])
+@pytest.mark.parametrize("s", SCALES)
+def test_inverse_of_scaled_spd_matrix(s, d):
+    b0 = random_spd(np.random.RandomState(90 + d), d)
+    inv = inverse(SymMatrix(s * b0.array))
+    assert np.abs((s * b0.array) @ inv.array - np.eye(d)).max() < 1e-8
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_inverse_of_scaled_singular_matrix_raises(s):
+    with pytest.raises(SingularMatrix):
+        inverse(Matrix(s * np.array([[1.0, 2.0], [2.0, 4.0]])))
+
+
 def test_inverse_of_sym_matrix_stays_symmetric():
     rng = np.random.RandomState(4)
     a = random_spd(rng, 4)
@@ -255,6 +269,31 @@ def test_is_psd_cases():
     gram = SymMatrix(x @ x.T)
     assert is_psd(gram)
     assert is_psd(SymMatrix(np.zeros((3, 3))))
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_is_psd_tolerance_is_relative(s):
+    assert is_psd(SymMatrix(s * np.diag([1.0, -1e-11])))
+    assert not is_psd(SymMatrix(s * np.diag([1.0, -1.0])))
+
+
+# ---------------------------------------------------------------------------
+# definiteness
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_definiteness_reads_eigenvalues_relative_to_the_largest(s):
+    def verdict(*lams):
+        return definiteness([s * x for x in lams])
+
+    assert verdict(3.0, 1.0) == (False, False)
+    assert verdict(1.0, 1e-13) == (False, True)
+    assert verdict(1.0, -1e-11) == (False, True)  # roundoff below zero
+    assert verdict(1.0, -1e-6) == (True, False)
+    assert verdict(1.0, -1.0, 0.0) == (True, True)
+    assert verdict(-1.0, -2.0) == (True, False)
+    assert definiteness([0.0, 0.0]) == (False, True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Generalized eigenproblem: whitening route, quick route, residuals."""
 
 import dataclasses
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from genspectra import (
     SymMatrix,
     Matrix,
     default_epsilon,
+    determinant,
     eig_sym,
     identity,
     pencil_residual,
@@ -23,7 +26,7 @@ from genspectra import (
     solve_rigorous,
 )
 
-from conftest import assert_diagnostics, random_spd, random_sym
+from conftest import SCALES, assert_diagnostics, random_spd, random_sym
 
 
 def _diag(*entries) -> SymMatrix:
@@ -296,6 +299,98 @@ def test_quick_large_dimension_spd_matches_rigorous():
     scale = max(1.0, max(abs(x) for x in from_rig.eigenvalues))
     diffs = [abs(q - r) for q, r in zip(quick.eigenvalues, from_rig.eigenvalues)]
     assert max(diffs) <= 1e-6 * scale
+
+
+# ---------------------------------------------------------------------------
+# scale invariance: B and s*B get the same verdict
+# ---------------------------------------------------------------------------
+
+ROUTES = {
+    "quick_dirty": solve_quick_dirty,
+    "rigorous": lambda p: solve_rigorous(p)[0],
+}
+
+
+def _sweep_pencil(d: int, kind: str) -> tuple[SymMatrix, np.ndarray]:
+    rng = np.random.RandomState(90 + d)
+    a = random_sym(rng, d)
+    b0 = random_spd(rng, d) if kind == "spd" else identity(d)
+    return a, b0.array
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_scale_eigenvalues(route: str, d: int, kind: str) -> tuple[float, ...]:
+    a, b0 = _sweep_pencil(d, kind)
+    return ROUTES[route](Pencil(a, SymMatrix(b0))).eigenvalues
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("kind", ["spd", "identity"])
+@pytest.mark.parametrize("d", [2, 10, 50])
+@pytest.mark.parametrize("s", SCALES)
+def test_scaled_definite_b_is_not_regularized(s, d, kind, route):
+    a, b0 = _sweep_pencil(d, kind)
+    sol = ROUTES[route](Pencil(a, SymMatrix(s * b0)))
+    assert sol.epsilon_used == 0.0
+    expected = np.array(_unit_scale_eigenvalues(route, d, kind)) / s
+    gap = np.max(np.abs(np.array(sol.eigenvalues) - expected))
+    assert gap <= 1e-10 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("s", SCALES)
+def test_scaled_rank_deficient_b_is_regularized(s, route):
+    rng = np.random.RandomState(96)
+    a = random_sym(rng, 6)
+    g = rng.standard_normal((6, 3))
+    b = SymMatrix(s * (g @ g.T))
+    sol = ROUTES[route](Pencil(a, b))
+    assert sol.epsilon_used == default_epsilon(b)
+
+
+def test_quick_singular_indefinite_b_regularizes_on_sturm_route():
+    # diag(1, -1, 0) is singular and indefinite; B + eps*I is indefinite
+    # and invertible, so the d <= 4 charpoly route runs the Sturm search.
+    sol = solve_quick_dirty(Pencil(_diag(2, -3, 1), _diag(1, -1, 0)))
+    assert sol.strategy == "charpoly-sturm"
+    assert sol.epsilon_used == pytest.approx(1e-5)
+    assert sol.eigenvalues == pytest.approx([1e5, 3.0, 2.0], rel=1e-4)
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_rigorous_roundoff_negative_eigenvalue_is_singular_at_every_scale(s):
+    b = SymMatrix(s * np.diag([1.0, -1e-11]))
+    sol, _ = solve_rigorous(Pencil(identity(2), b))
+    assert sol.epsilon_used == default_epsilon(b)
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_rigorous_indefinite_b_rejected_at_every_scale(s):
+    with pytest.raises(IndefiniteB):
+        solve_rigorous(Pencil(identity(2), SymMatrix(s * np.diag([1.0, -1.0]))))
+
+
+def test_quick_route_decomposes_b_once(monkeypatch):
+    rng = np.random.RandomState(44)
+    p = Pencil(random_sym(rng, 7), random_spd(rng, 7))
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    # count calls from every package module that holds either function
+    for name, original in (("eig_sym", eig_sym), ("determinant", determinant)):
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("genspectra") and (
+                getattr(mod, name, None) is original
+            ):
+                monkeypatch.setattr(mod, name, counting(name, original))
+    sol = solve_quick_dirty(p)
+    assert sol.strategy == "whitening"
+    assert calls == ["eig_sym", "eig_sym"]  # B, then the whitened A
 
 
 # ---------------------------------------------------------------------------
