@@ -2,34 +2,25 @@
 
 The package is fully functional without the extension: genspectra.kernels
 falls back to the pure-Python implementations whenever the compiled module
-is missing. Building with Cython simply makes the inner loops (Jacobi
-sweeps, matrix products) much faster on larger inputs.
+is missing, and the extension is marked optional, so an install without a
+C compiler still succeeds. The extension is one hand-written C file with
+the matrix product and the round-robin Jacobi sweeps; it needs neither
+Cython nor the numpy headers.
 """
 
 from setuptools import Extension, setup
 
-try:
-    import numpy
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-ext_modules = []
-if cythonize is not None:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "genspectra.kernels._cykernels",
-                ["src/genspectra/kernels/_cykernels.pyx"],
-                include_dirs=[numpy.get_include()],
-                # -O2 without fast-math: keep IEEE semantics identical to
-                # the pure-Python backend. -ffp-contract=off because gcc
-                # fuses multiply-adds into FMA on aarch64, which breaks
-                # bit parity between the backends.
-                extra_compile_args=["-O2", "-ffp-contract=off"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "genspectra.kernels._cykernels",
+            ["src/genspectra/kernels/_cykernels.c"],
+            # -O2 without fast-math: keep IEEE semantics identical to the
+            # pure-Python backend. -ffp-contract=off because gcc fuses
+            # multiply-adds into FMA on aarch64, which breaks bit parity
+            # between the backends.
+            extra_compile_args=["-O2", "-ffp-contract=off"],
+            optional=True,
+        )
+    ],
+)

@@ -1,9 +1,12 @@
 """Symmetric eigendecomposition.
 
-The production path is a cyclic Jacobi iteration (through
+The production path is a round-robin Jacobi iteration (through
 :mod:`genspectra.kernels`), which is simple, dependably accurate for the
 dense symmetric matrices this package targets, and returns the full
-eigenvector matrix as the accumulated product of rotations.
+eigenvector matrix as the accumulated product of rotations. Each round
+rotates disjoint index pairs with angles taken from the matrix as it was
+before the round, so a round is elementwise work: vectorised in the
+pure-Python kernels and a plain loop in the hand-written C ones.
 
 For d <= 4 the module also solves the characteristic polynomial
 det(A - lambda I) = 0 directly: closed forms for d <= 3 and a bisection on
@@ -49,7 +52,7 @@ def eig_sym(
     rel_tol: float = JACOBI_REL_TOL,
     max_sweeps: int = MAX_SWEEPS,
 ) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+    """Full eigendecomposition of a symmetric matrix by round-robin Jacobi.
 
     Eigenvectors come back orthonormal with a deterministic sign: the
     largest-magnitude entry of each column is positive (first such entry

@@ -1,7 +1,7 @@
 """Backend selection for the compute kernels.
 
-The compiled Cython extension is used when it imports cleanly; otherwise
-the pure-Python implementations take over. Set the environment variable
+The compiled extension (hand-written C, ``_cykernels.c``) is used when it
+imports cleanly; otherwise the pure-Python implementations take over. Set the environment variable
 ``GENSPECTRA_KERNELS`` to ``python`` or ``compiled`` to force a backend
 (``compiled`` raises if the extension was never built).
 """
@@ -26,7 +26,7 @@ def _select_backend():
         if _cykernels is None:
             raise ImportError(
                 "GENSPECTRA_KERNELS=compiled, but the compiled extension is not "
-                "available; reinstall the package with Cython and a C compiler"
+                "available; reinstall the package where a C compiler is available"
             )
         return "compiled", _cykernels
     if choice == "auto":

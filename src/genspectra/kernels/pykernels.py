@@ -1,17 +1,19 @@
 """Pure-Python compute kernels.
 
 These are the reference implementations of the two hot loops in the
-package: dense matrix multiplication and the cyclic Jacobi eigenvalue
+package: dense matrix multiplication and the round-robin Jacobi eigenvalue
 iteration for symmetric matrices. ``genspectra.kernels`` swaps in the
-compiled Cython twins when they are available; both backends perform the
-same operations in the same order, so results agree to the last bit on
-IEEE-754 hardware.
+compiled twins, written by hand in C, when they are available; both
+backends perform the same operations in the same order, so results agree
+to the last bit on IEEE-754 hardware.
 
 ``matmul`` evaluates its products and sums with numpy, one block of the
 inner dimension at a time, but adds the terms of each entry strictly in
-the order of the compiled loop. ``jacobi_eigh`` works on plain Python
-lists: element access on nested lists is several times faster than scalar
-indexing into numpy arrays, which matters for its rotation loops.
+the order of the compiled loop. ``jacobi_eigh`` runs each round of
+rotations on disjoint index pairs, which makes a round elementwise: from
+``_NUMPY_ROUNDS_MIN_DIM`` up it is a few dozen numpy operations on the pair
+columns and rows, and below that the same operations on Python lists,
+whose element access costs less than numpy's fixed cost per call.
 """
 
 from __future__ import annotations
@@ -68,78 +70,201 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return carry
 
 
-def jacobi_eigh(a: np.ndarray, rel_tol: float, max_sweeps: int):
-    """Cyclic Jacobi iteration on a symmetric matrix.
+# Below this dimension a round of rotations runs faster on Python lists
+# than as numpy operations, whose fixed cost per call dominates small
+# rounds. Both forms compute the same bits; the choice changes only speed.
+_NUMPY_ROUNDS_MIN_DIM = 16
 
-    Rotations visit the strict upper triangle in row-major order and zero
-    one off-diagonal pair at a time. The sweep loop stops once the
-    off-diagonal Frobenius norm drops below ``rel_tol`` times the Frobenius
-    norm of the input.
+
+def round_robin(d: int) -> list[list[tuple[int, int]]]:
+    """The rounds of one Jacobi sweep over a d x d matrix, as pairs (p, q), p < q.
+
+    Circle method: with n = d rounded up to even (index d is a dummy when d
+    is odd), round r pairs n - 1 with r, and (r + k) mod (n - 1) with
+    (r - k) mod (n - 1) for k = 1 .. n/2 - 1. The pairs within a round are
+    disjoint, and each unordered pair of indices falls in exactly one of
+    the n - 1 rounds; pairs with the dummy are left out.
+    """
+    n = d + d % 2
+    rounds = []
+    for r in range(n - 1):
+        pairs = [(r, n - 1)] if n == d else []
+        for k in range(1, n // 2):
+            i, j = (r + k) % (n - 1), (r - k) % (n - 1)
+            pairs.append((min(i, j), max(i, j)))
+        rounds.append(pairs)
+    return rounds
+
+
+def jacobi_eigh(a: np.ndarray, rel_tol: float, max_sweeps: int):
+    """Round-robin Jacobi iteration on a symmetric matrix.
+
+    A sweep visits every off-diagonal pair once, in the rounds of
+    :func:`round_robin` (Brent & Luk 1985; Golub & Van Loan, section 8.5).
+    Each round takes all its rotation angles from the matrix as it was
+    before the round, applies the column-pair updates, then the row-pair
+    updates, then sets each rotated 2x2 block exactly; V gets the same
+    column-pair updates. After a sweep the upper triangle is copied onto
+    the lower one. The sweep loop stops once the off-diagonal Frobenius
+    norm drops below ``rel_tol`` times the Frobenius norm of the input.
 
     Returns ``(w, v, sweeps, converged)`` where ``w`` holds the (unsorted)
     diagonal after the final sweep and the columns of ``v`` are the
     accumulated rotations, i.e. the eigenvectors in the same order.
     """
+    a = np.asarray(a, dtype=np.float64)
     d = a.shape[0]
-    m = [row[:] for row in a.tolist()]
-    v = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
-
     acc = 0.0
-    for row in m:
-        for x in row:
-            acc += x * x
+    for x in a.ravel().tolist():
+        acc += x * x
     thresh = rel_tol * math.sqrt(acc)
-
-    sweeps = 0
-    converged = _offdiag_norm(m, d) <= thresh
-    while not converged and sweeps < max_sweeps:
-        sweeps += 1
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = m[p][q]
-                if apq == 0.0:
-                    continue
-                app = m[p][p]
-                aqq = m[q][q]
-                tau = (aqq - app) / (2.0 * apq)
-                if math.isinf(tau):
-                    # apq is denormal-tiny next to the diagonal gap; the
-                    # rotation degenerates to the identity.
-                    t = 0.0
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                m[p][p] = app - t * apq
-                m[q][q] = aqq + t * apq
-                m[p][q] = 0.0
-                m[q][p] = 0.0
-                for i in range(d):
-                    if i != p and i != q:
-                        aip = m[i][p]
-                        aiq = m[i][q]
-                        m[i][p] = c * aip - s * aiq
-                        m[p][i] = m[i][p]
-                        m[i][q] = s * aip + c * aiq
-                        m[q][i] = m[i][q]
-                for i in range(d):
-                    vip = v[i][p]
-                    viq = v[i][q]
-                    v[i][p] = c * vip - s * viq
-                    v[i][q] = s * vip + c * viq
-        converged = _offdiag_norm(m, d) <= thresh
-
-    w = np.array([m[i][i] for i in range(d)], dtype=np.float64)
-    vecs = np.array(v, dtype=np.float64).reshape(d, d)
-    return w, vecs, sweeps, converged
+    iterate = _iterate_lists if d < _NUMPY_ROUNDS_MIN_DIM else _iterate_numpy
+    return iterate(a, thresh, max_sweeps)
 
 
-def _offdiag_norm(m, d: int) -> float:
+def _offdiag_norm(m: list, d: int) -> float:
     acc = 0.0
     for i in range(d - 1):
         row = m[i]
         for j in range(i + 1, d):
             acc += row[j] * row[j]
     return math.sqrt(2.0 * acc)
+
+
+def _tangent(app: float, aqq: float, apq: float) -> float:
+    """tan of the angle that zeroes apq: the smaller root of t^2 + 2 tau t - 1."""
+    if apq == 0.0:
+        return 0.0
+    tau = (aqq - app) / (2.0 * apq)
+    if math.isinf(tau):
+        # apq is denormal-tiny next to the diagonal gap; the rotation
+        # degenerates to the identity.
+        return 0.0
+    if tau >= 0.0:
+        return 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+    return -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+
+
+def _iterate_lists(a: np.ndarray, thresh: float, max_sweeps: int):
+    """The sweeps of :func:`jacobi_eigh` on lists: M by rows, V by columns."""
+    d = a.shape[0]
+    rounds = round_robin(d)
+    m = a.tolist()
+    # Rows of V transposed, so that V's column-pair updates run along rows
+    # in the same loop as the row-pair updates of M.
+    vt = np.eye(d).tolist()
+    cols = range(d)
+    sweeps = 0
+    converged = _offdiag_norm(m, d) <= thresh
+    while not converged and sweeps < max_sweeps:
+        sweeps += 1
+        for pairs in rounds:
+            rots = []
+            blocks = []
+            for p, q in pairs:
+                app, aqq, apq = m[p][p], m[q][q], m[p][q]
+                t = _tangent(app, aqq, apq)
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                rots.append((p, q, c, t * c))
+                blocks.append((p, q, app - t * apq, aqq + t * apq))
+            for row in m:
+                for p, q, c, s in rots:
+                    x = row[p]
+                    y = row[q]
+                    row[p] = c * x - s * y
+                    row[q] = s * x + c * y
+            for p, q, c, s in rots:
+                mp, mq, vp, vq = m[p], m[q], vt[p], vt[q]
+                for j in cols:
+                    x = mp[j]
+                    y = mq[j]
+                    mp[j] = c * x - s * y
+                    mq[j] = s * x + c * y
+                    x = vp[j]
+                    y = vq[j]
+                    vp[j] = c * x - s * y
+                    vq[j] = s * x + c * y
+            for p, q, new_pp, new_qq in blocks:
+                m[p][p] = new_pp
+                m[q][q] = new_qq
+                m[p][q] = 0.0
+                m[q][p] = 0.0
+        # Column then row updates leave the two triangles apart in the last
+        # bits; the angles read only the upper one.
+        for i in range(1, d):
+            row = m[i]
+            for j in range(i):
+                row[j] = m[j][i]
+        converged = _offdiag_norm(m, d) <= thresh
+    w = np.array([m[i][i] for i in range(d)], dtype=np.float64)
+    return w, np.array(vt, dtype=np.float64).reshape(d, d).T.copy(), sweeps, converged
+
+
+# Where apq == 0.0, tau is inf or nan and the tangent is overwritten.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _iterate_numpy(a: np.ndarray, thresh: float, max_sweeps: int):
+    """The sweeps of :func:`_iterate_lists` as elementwise numpy operations.
+
+    ``cc * x + ss * y`` with ``cc = (c, c)`` and ``ss = (-s, s)`` updates the
+    p and q halves at once. It rounds exactly like ``c * x - s * y`` and
+    ``s * x + c * y``, since a - b is a + (-b) and (-s) * y is -(s * y).
+    Likewise ``1 / (|tau| + r)``, negated where tau < 0, is the list form's
+    tangent, and ``np.add.accumulate`` adds the squares of the off-diagonal
+    norm one after another, as the list form does.
+    """
+    d = a.shape[0]
+    mv = np.vstack((a, np.eye(d)))  # rows of M, then rows of V
+    m = mv[:d]
+    flat = m.reshape(-1)
+    # Every round has h = d // 2 pairs; p and q get one row per round.
+    rounds = round_robin(d)
+    h = d // 2
+    pairs = np.array(rounds, dtype=np.intp).reshape(len(rounds), h, 2)
+    p, q = pairs[..., 0], pairs[..., 1]
+    # Flat indices of app, aqq, apq and aqp of every pair.
+    blocks = np.concatenate((p * (d + 1), q * (d + 1), p * d + q, q * d + p), axis=1)
+    plan = list(zip(np.concatenate((p, q), axis=1), np.concatenate((q, p), axis=1), blocks))
+    del rounds  # the tuples are not needed while sweeping
+    lower = np.tri(d, k=-1, dtype=bool)
+    upper = lower.T
+
+    def offdiag_norm():
+        squares = m[upper]  # row by row, as in _offdiag_norm
+        squares *= squares
+        return math.sqrt(2.0 * np.add.accumulate(squares)[-1]) if d > 1 else 0.0
+
+    sweeps = 0
+    converged = offdiag_norm() <= thresh
+    while not converged and sweeps < max_sweeps:
+        sweeps += 1
+        for pq, qp, block in plan:
+            g = flat.take(block)
+            app, aqq, apq = g[:h], g[h:2 * h], g[2 * h:3 * h]
+            tau = (aqq - app) / (2.0 * apq)
+            t = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            np.negative(t, out=t, where=tau < 0.0)
+            t[(apq == 0.0) | np.isinf(tau)] = 0.0
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            cc = np.concatenate((c, c))
+            ss = np.concatenate((-s, s))
+            x = mv[:, pq]
+            x *= cc
+            y = mv[:, qp]
+            y *= ss
+            x += y
+            mv[:, pq] = x
+            cc = cc[:, None]
+            ss = ss[:, None]
+            x = m[pq]
+            x *= cc
+            y = m[qp]
+            y *= ss
+            x += y
+            m[pq] = x
+            t_apq = t * apq
+            flat[block[:2 * h]] = g[:2 * h] + np.concatenate((-t_apq, t_apq))
+            flat[block[2 * h:]] = 0.0
+        np.copyto(m, m.T.copy(), where=lower)
+        converged = offdiag_norm() <= thresh
+    return m.diagonal().copy(), mv[d:].copy(), sweeps, converged

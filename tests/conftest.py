@@ -10,7 +10,6 @@ independent cross-check is wanted, numpy.
 import importlib.util
 import shutil
 import subprocess
-import sys
 import sysconfig
 from pathlib import Path
 
@@ -70,7 +69,8 @@ def acceptance():
 #
 # The parity tests build the shipped _cykernels.c themselves, with the flags
 # setup.py uses, and load the module by path. It is never put on the import
-# path, so the package under test keeps its pure-Python backend.
+# path (its multi-phase init leaves sys.modules alone), so the package under
+# test keeps its pure-Python backend.
 # ---------------------------------------------------------------------------
 
 
@@ -86,7 +86,7 @@ def cykernels(tmp_path_factory):
     so = tmp_path_factory.mktemp("cykernels") / ("_cykernels" + sysconfig.get_config_var("EXT_SUFFIX"))
     build = subprocess.run(
         [cc, "-shared", "-fPIC", "-O2", "-ffp-contract=off",
-         "-I", py_include, "-I", np.get_include(), str(CYKERNELS_C), "-o", str(so)],
+         "-I", py_include, str(CYKERNELS_C), "-o", str(so)],
         capture_output=True, text=True,
     )
     if build.returncode != 0:
@@ -94,10 +94,6 @@ def cykernels(tmp_path_factory):
     spec = importlib.util.spec_from_file_location("_cykernels", so)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    # The module's init registers it under its package name; drop that, or
-    # a later import of genspectra.kernels._cykernels would find it.
-    if sys.modules.get(CYKERNELS_MODULE) is module:
-        del sys.modules[CYKERNELS_MODULE]
     return module
 
 

@@ -1,7 +1,6 @@
 """Backend selection and bit-level parity between compiled and pure-Python kernels."""
 
 import importlib
-import re
 import sys
 import tracemalloc
 import warnings
@@ -10,9 +9,10 @@ import numpy as np
 import pytest
 
 from genspectra import kernels
+from genspectra.eigen import JACOBI_REL_TOL
 from genspectra.kernels import pykernels
 
-from conftest import CYKERNELS_C, CYKERNELS_MODULE, random_sym
+from conftest import CYKERNELS_MODULE, random_sym
 
 
 def _same_bits(x, y) -> bool:
@@ -253,16 +253,93 @@ def test_jacobi_unconverged_flag_when_sweeps_exhausted():
     assert not converged
 
 
+def test_round_robin_schedule_covers_every_pair_once():
+    for d in range(1, 41):
+        rounds = pykernels.round_robin(d)
+        assert len(rounds) == (d - 1 if d % 2 == 0 else d)
+        seen = []
+        for pairs in rounds:
+            flat = [i for pair in pairs for i in pair]
+            assert len(flat) == len(set(flat)), (d, pairs)
+            assert all(0 <= p < q < d for p, q in pairs)
+            seen += pairs
+        assert sorted(seen) == [(p, q) for p in range(d) for q in range(p + 1, d)]
+
+
+# Sizes on both sides of the list/numpy switch, and those of the benchmark.
+_JACOBI_DIMS = list(range(1, 41)) + [48, 72]
+
+
+def _jacobi_inputs(d):
+    """Symmetric test matrices that reach every branch of a rotation."""
+    rng = np.random.RandomState(1000 + d)
+    a = random_sym(rng, d, scale=3.0).array
+    zero_row = a.copy()
+    zero_row[d // 2] = 0.0
+    zero_row[:, d // 2] = 0.0
+    neg_zero = a.copy()
+    mask = np.triu(rng.random_sample((d, d)) < 0.2)
+    neg_zero[mask | mask.T] = -0.0
+    # apq = 5e-324 next to a diagonal gap of 1 makes tau infinite; the other
+    # block keeps the sweeps going, and its pairs with the first block have
+    # apq == 0.0.
+    denormal = np.zeros((d + 2, d + 2))
+    denormal[:2, :2] = [[1.0, 5e-324], [5e-324, 2.0]]
+    denormal[2:, 2:] = a
+    denormal = denormal[:d, :d]
+    # aqq == app gives tau = +0.0 or -0.0, by the sign of apq; both take t = 1.
+    equal_diagonal = a - np.diag(np.diag(a)) + np.eye(d)
+    return {
+        "random": a, "1e100": a * 1e100, "1e-100": a * 1e-100,
+        "zero row": zero_row, "-0.0": neg_zero,
+        "diagonal": np.diag(rng.standard_normal(d)), "denormal apq": denormal,
+        "equal diagonal": equal_diagonal,
+    }
+
+
+def _same_eigh(x, y) -> bool:
+    (wx, vx, sx, cx), (wy, vy, sy, cy) = x, y
+    return sx == sy and cx == cy and _same_bits(wx, wy) and _same_bits(vx, vy)
+
+
+@pytest.mark.parametrize("d", _JACOBI_DIMS)
+def test_jacobi_list_and_numpy_rounds_bit_identical(d, monkeypatch):
+    for name, a in _jacobi_inputs(d).items():
+        monkeypatch.setattr(pykernels, "_NUMPY_ROUNDS_MIN_DIM", d + 1)
+        lists = pykernels.jacobi_eigh(a, JACOBI_REL_TOL, 100)
+        monkeypatch.setattr(pykernels, "_NUMPY_ROUNDS_MIN_DIM", d)
+        vectorised = pykernels.jacobi_eigh(a, JACOBI_REL_TOL, 100)
+        assert lists[3] and _same_eigh(lists, vectorised), (d, name)
+
+
 def test_jacobi_backends_bit_identical(cykernels):
-    rng = np.random.RandomState(13)
-    for d in (2, 3, 8, 17):
-        a = random_sym(rng, d, scale=3.0).array
-        wp, vp, sp, cp = pykernels.jacobi_eigh(a, 1e-12, 100)
-        wc, vc, sc, cc = cykernels.jacobi_eigh(a, 1e-12, 100)
-        assert sp == sc
-        assert cp == cc
-        assert _same_bits(wp, wc)
-        assert _same_bits(vp, vc)
+    switch = pykernels._NUMPY_ROUNDS_MIN_DIM
+    for d in sorted({2, 3, 8, 17, switch - 2, switch - 1, switch, switch + 1, 33, 48, 72}):
+        for name, a in _jacobi_inputs(d).items():
+            got_py = pykernels.jacobi_eigh(a, 1e-12, 100)
+            got_c = cykernels.jacobi_eigh(a, 1e-12, 100)
+            assert _same_eigh(got_py, got_c), (d, name)
+
+
+@pytest.mark.parametrize("d", list(range(2, 13)) + [19, 20, 21, 33, 48, 64])
+def test_jacobi_convergence_claim_holds(d):
+    # When the kernel reports convergence, the off-diagonal norm of V'AV,
+    # recomputed in numpy, is below rel_tol * ||A||_F up to a roundoff slack
+    # of d * eps * ||A||_F.
+    rng = np.random.RandomState(2000 + d)
+    a = random_sym(rng, d).array
+    norm_a = np.linalg.norm(a)
+    for rel_tol, max_sweeps in [(1e-4, 100), (1e-8, 100), (JACOBI_REL_TOL, 100), (JACOBI_REL_TOL, 2)]:
+        w, v, sweeps, converged = pykernels.jacobi_eigh(a, rel_tol, max_sweeps)
+        if not converged:
+            assert sweeps == max_sweeps
+            continue
+        b = v.T @ a @ v
+        off = np.linalg.norm(b - np.diag(np.diag(b)))
+        assert off <= rel_tol * norm_a + d * np.finfo(float).eps * norm_a, (rel_tol, off)
+        if rel_tol == JACOBI_REL_TOL:
+            lam = np.linalg.eigvalsh(a)
+            assert np.abs(np.sort(w) - lam).max() <= 1e-13 * np.abs(lam).max()
 
 
 def test_compiled_fixture_stays_off_the_import_path(cykernels):
@@ -283,41 +360,3 @@ def test_module_level_dispatch_matches_selected_backend():
     )
     assert kernels.matmul is mod.matmul
     assert kernels.jacobi_eigh is mod.jacobi_eigh
-
-
-# ---------------------------------------------------------------------------
-# the generated C source
-# ---------------------------------------------------------------------------
-
-_PYX_MARKER = "# <<<<<<<<<<<<<<"
-
-
-def _embedded_source(c_line: str) -> str:
-    """The .pyx text of one line of a Cython comment block (" * <source>")."""
-    text = c_line.rstrip().removesuffix(_PYX_MARKER).rstrip()
-    return text[3:] if text.startswith(" * ") else text.removeprefix(" *")
-
-
-def test_generated_c_embeds_the_current_pyx():
-    # Cython copies the source around each statement into the C file, as a
-    # comment block headed by the .pyx line number, with that line marked
-    # and its neighbours as context. A .pyx edit without regenerating the C
-    # file shows up here.
-    pyx = CYKERNELS_C.with_suffix(".pyx").read_text().splitlines()
-    header = re.compile(r'/\* "genspectra/kernels/_cykernels\.pyx":(\d+)$')
-    c_lines = CYKERNELS_C.read_text().splitlines()
-    checked = set()
-    for pos, line in enumerate(c_lines):
-        found = header.search(line.strip())
-        if not found:
-            continue
-        block = c_lines[pos + 1:c_lines.index("*/", pos)]
-        marked = [q for q, l in enumerate(block) if l.rstrip().endswith(_PYX_MARKER)]
-        assert len(marked) == 1, f"C line {pos + 1}: {len(marked)} marked lines"
-        first = int(found.group(1)) - marked[0]
-        for q, embedded in enumerate(block):
-            lineno = first + q
-            assert 1 <= lineno <= len(pyx), f"C line {pos + 1} cites .pyx line {lineno}"
-            assert _embedded_source(embedded) == pyx[lineno - 1].rstrip(), f".pyx line {lineno} changed"
-            checked.add(lineno)
-    assert len(checked) > len(pyx) // 2
