@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,33 +40,6 @@ from .pencil import Pencil, _diagnostics, solve_quick_dirty, solve_rigorous
 from .rayleigh import check_stationarity
 
 _ORDER_MAP = {"desc": "descending", "asc": "ascending"}
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; mirrors the command line flags."""
-
-    command: str
-    matrix_path: str | None = None
-    a_path: str | None = None
-    b_path: str | None = None
-    u_path: str | None = None
-    data_path: str | None = None
-    label_column: str = "label"
-    method: str = "rigorous"
-    p: int = 1
-    epsilon: float | None = None
-    kernel: str = "rbf"
-    gamma: float | None = None
-    degree: int = 3
-    coef0: float = 1.0
-    kernel_y: str = "delta"
-    order: str = "desc"
-    sym_tol: float = SYM_TOL
-    resid_tol: float | None = None
-    output: str = "-"
-    format: str = "json"
-    timing: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +206,11 @@ def _columns(phi: np.ndarray) -> list[list[float]]:
     return [[float(v) for v in phi[:, j]] for j in range(phi.shape[1])]
 
 
-def _eigen_doc(cfg, command, lams, phi, residual, b_orth, method, eps_used, dims):
+def _eigen_doc(args, command, lams, phi, residual, b_orth, method, eps_used, dims):
     """Result document; fails when ``residual`` exceeds ``--resid-tol``."""
-    if cfg.resid_tol is not None and residual > cfg.resid_tol:
+    if args.resid_tol is not None and residual > args.resid_tol:
         raise ConvergenceFailure(
-            f"residual {residual:.6e} exceeds --resid-tol {cfg.resid_tol:.6e}"
+            f"residual {residual:.6e} exceeds --resid-tol {args.resid_tol:.6e}"
         )
     return {
         "command": command,
@@ -254,71 +226,71 @@ def _eigen_doc(cfg, command, lams, phi, residual, b_orth, method, eps_used, dims
     }
 
 
-def _fit_doc(cfg, command, model, method, dims):
+def _fit_doc(args, command, model, method, dims):
     """Document of a fitted model, its columns in the ``--order`` requested."""
     phi, lams = model.projection.array, model.eigenvalues
-    if cfg.order == "asc":
+    if args.order == "asc":
         phi, lams = phi[:, ::-1], lams[::-1]
     return _eigen_doc(
-        cfg, command, lams, phi, model.residual, model.b_orthonormality,
+        args, command, lams, phi, model.residual, model.b_orthonormality,
         method, model.epsilon_used, dims,
     )
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each reads the parsed command line
 
 
-def _run_eig(cfg: RunConfig) -> dict:
-    a = SymMatrix(parse_matrix_csv(cfg.matrix_path).array, sym_tol=cfg.sym_tol)
-    dec = eig_sym(a, order=_ORDER_MAP[cfg.order])
+def _run_eig(args: argparse.Namespace) -> dict:
+    a = SymMatrix(parse_matrix_csv(args.matrix).array, sym_tol=args.sym_tol)
+    dec = eig_sym(a, order=_ORDER_MAP[args.order])
     phi = dec.phi.array
     residual, b_orth = _diagnostics(a.array, None, phi, dec.eigenvalues)
     return _eigen_doc(
-        cfg, "eig", dec.eigenvalues, phi, residual, b_orth, "jacobi", 0.0, [a.dim]
+        args, "eig", dec.eigenvalues, phi, residual, b_orth, "jacobi", 0.0, [a.dim]
     )
 
 
-def _run_geig(cfg: RunConfig) -> dict:
-    a = SymMatrix(parse_matrix_csv(cfg.a_path).array, sym_tol=cfg.sym_tol)
-    b = SymMatrix(parse_matrix_csv(cfg.b_path).array, sym_tol=cfg.sym_tol)
+def _run_geig(args: argparse.Namespace) -> dict:
+    a = SymMatrix(parse_matrix_csv(args.a).array, sym_tol=args.sym_tol)
+    b = SymMatrix(parse_matrix_csv(args.b).array, sym_tol=args.sym_tol)
     pencil = Pencil(a, b)
-    order = _ORDER_MAP[cfg.order]
-    if cfg.method == "quick_dirty":
-        sol = solve_quick_dirty(pencil, epsilon=cfg.epsilon, order=order)
+    order = _ORDER_MAP[args.order]
+    if args.method == "quick_dirty":
+        sol = solve_quick_dirty(pencil, epsilon=args.epsilon, order=order)
     else:
-        sol, _ = solve_rigorous(pencil, epsilon=cfg.epsilon, order=order)
+        sol, _ = solve_rigorous(pencil, epsilon=args.epsilon, order=order)
     return _eigen_doc(
-        cfg, "geig", sol.eigenvalues, sol.phi.array, sol.residual,
+        args, "geig", sol.eigenvalues, sol.phi.array, sol.residual,
         sol.b_orthonormality, sol.method, sol.epsilon_used, [pencil.dim],
     )
 
 
-def _run_pca(cfg: RunConfig) -> dict:
-    x = Matrix(parse_matrix_csv(cfg.data_path).array.T)
-    return _fit_doc(cfg, "pca", pca_fit(x, cfg.p), "jacobi", [x.rows, x.cols])
+def _run_pca(args: argparse.Namespace) -> dict:
+    x = Matrix(parse_matrix_csv(args.data).array.T)
+    return _fit_doc(args, "pca", pca_fit(x, args.p), "jacobi", [x.rows, x.cols])
 
 
-def _run_fda(cfg: RunConfig) -> dict:
-    ds = parse_labeled_csv(cfg.data_path, cfg.label_column)
-    model = fda_fit(ds, cfg.p, epsilon=cfg.epsilon)
-    return _fit_doc(cfg, "fda", model, "rigorous", [ds.d, ds.n])
+def _run_fda(args: argparse.Namespace) -> dict:
+    ds = parse_labeled_csv(args.data, args.label_column)
+    model = fda_fit(ds, args.p, epsilon=args.epsilon)
+    return _fit_doc(args, "fda", model, "rigorous", [ds.d, ds.n])
 
 
-def _run_kspca(cfg: RunConfig) -> dict:
-    ds = parse_labeled_csv(cfg.data_path, cfg.label_column)
-    kx = KernelSpec(kind=cfg.kernel, gamma=cfg.gamma, degree=cfg.degree, coef0=cfg.coef0)
-    ky = KernelSpec(kind=cfg.kernel_y, gamma=cfg.gamma, degree=cfg.degree, coef0=cfg.coef0)
-    model = kspca_fit(ds, cfg.p, kx=kx, ky=ky, epsilon=cfg.epsilon)
-    return _fit_doc(cfg, "kspca", model, "rigorous", [ds.d, ds.n])
+def _run_kspca(args: argparse.Namespace) -> dict:
+    ds = parse_labeled_csv(args.data, args.label_column)
+    kx = KernelSpec(kind=args.kernel, gamma=args.gamma, degree=args.degree, coef0=args.coef0)
+    ky = KernelSpec(kind=args.kernel_y, gamma=args.gamma, degree=args.degree, coef0=args.coef0)
+    model = kspca_fit(ds, args.p, kx=kx, ky=ky, epsilon=args.epsilon)
+    return _fit_doc(args, "kspca", model, "rigorous", [ds.d, ds.n])
 
 
-def _run_rayleigh(cfg: RunConfig) -> dict:
-    a = SymMatrix(parse_matrix_csv(cfg.a_path).array, sym_tol=cfg.sym_tol)
-    u = _parse_vector_csv(cfg.u_path)
+def _run_rayleigh(args: argparse.Namespace) -> dict:
+    a = SymMatrix(parse_matrix_csv(args.a).array, sym_tol=args.sym_tol)
+    u = _parse_vector_csv(args.u)
     b = None
-    if cfg.b_path is not None:
-        b = SymMatrix(parse_matrix_csv(cfg.b_path).array, sym_tol=cfg.sym_tol)
+    if args.b is not None:
+        b = SymMatrix(parse_matrix_csv(args.b).array, sym_tol=args.sym_tol)
     report = check_stationarity(u, a, b)
     return {
         "command": "rayleigh",
@@ -343,18 +315,8 @@ def _parse_vector_csv(path: str) -> Vector:
     )
 
 
-_COMMANDS = {
-    "eig": _run_eig,
-    "geig": _run_geig,
-    "pca": _run_pca,
-    "fda": _run_fda,
-    "kspca": _run_kspca,
-    "rayleigh": _run_rayleigh,
-}
-
-
 # ---------------------------------------------------------------------------
-# output and dispatch
+# output
 
 
 def _doc_to_csv(doc: dict) -> str:
@@ -373,36 +335,19 @@ def _doc_to_csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_output(doc: dict, cfg: RunConfig):
+def _write_output(doc: dict, args: argparse.Namespace):
     text = (
-        json.dumps(doc, indent=2) + "\n" if cfg.format == "json" else _doc_to_csv(doc)
+        json.dumps(doc, indent=2) + "\n" if args.format == "json" else _doc_to_csv(doc)
     )
-    if cfg.output == "-":
+    if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured command; returns the process exit code."""
-    try:
-        start = time.perf_counter()
-        doc = _COMMANDS[config.command](config)
-        if config.timing:
-            doc["meta"]["runtime_ms"] = round((time.perf_counter() - start) * 1e3, 3)
-        _write_output(doc, config)
-    except NumericalError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (GenSpectraError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing and dispatch
 
 
 class _Parser(argparse.ArgumentParser):
@@ -469,6 +414,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_eig = sub.add_parser("eig", parents=[common],
                            help="eigendecompose a symmetric matrix")
     p_eig.add_argument("matrix", help="CSV file holding the symmetric matrix")
+    p_eig.set_defaults(run=_run_eig)
 
     p_geig = sub.add_parser("geig", parents=[common],
                             help="solve the generalized problem A phi = lambda B phi")
@@ -478,12 +424,14 @@ def make_parser() -> argparse.ArgumentParser:
                         default="rigorous",
                         help="solution route (default rigorous)")
     p_geig.add_argument("--epsilon", type=_nonneg_float, default=None, help=eps_help)
+    p_geig.set_defaults(run=_run_geig)
 
     p_pca = sub.add_parser("pca", parents=[common],
                            help="principal component analysis of a sample-per-row CSV")
     p_pca.add_argument("data", help="CSV file, one sample per row")
     p_pca.add_argument("-p", type=_positive_int, default=1,
                        help="number of directions (default 1)")
+    p_pca.set_defaults(run=_run_pca)
 
     p_fda = sub.add_parser("fda", parents=[common],
                            help="Fisher discriminant analysis of a labeled CSV")
@@ -493,6 +441,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_fda.add_argument("--label-column", default="label",
                        help="label column name, or 0-based index (default 'label')")
     p_fda.add_argument("--epsilon", type=_nonneg_float, default=None, help=eps_help)
+    p_fda.set_defaults(run=_run_fda)
 
     p_kspca = sub.add_parser("kspca", parents=[common],
                              help="kernel supervised PCA of a labeled CSV")
@@ -512,6 +461,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_kspca.add_argument("--kernel-y", choices=("delta", "linear", "rbf", "polynomial"),
                          default="delta", help="label kernel (default delta)")
     p_kspca.add_argument("--epsilon", type=_nonneg_float, default=None, help=eps_help)
+    p_kspca.set_defaults(run=_run_kspca)
 
     p_ray = sub.add_parser("rayleigh", parents=[common],
                            help="evaluate the Rayleigh quotient and stationarity of u")
@@ -519,47 +469,27 @@ def make_parser() -> argparse.ArgumentParser:
     p_ray.add_argument("u", help="CSV file holding the vector (single row or column)")
     p_ray.add_argument("--b", dest="b", default=None,
                        help="optional CSV file holding the metric B")
+    p_ray.set_defaults(run=_run_rayleigh)
 
     return parser
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    cfg.order = ns.order
-    cfg.sym_tol = ns.sym_tol
-    cfg.resid_tol = ns.resid_tol
-    cfg.output = ns.output
-    cfg.format = ns.format
-    cfg.timing = ns.timing
-    if ns.command == "eig":
-        cfg.matrix_path = ns.matrix
-    elif ns.command == "geig":
-        cfg.a_path = ns.a
-        cfg.b_path = ns.b
-        cfg.method = ns.method
-        cfg.epsilon = ns.epsilon
-    elif ns.command in ("pca", "fda", "kspca"):
-        cfg.data_path = ns.data
-        cfg.p = ns.p
-        if ns.command != "pca":
-            cfg.label_column = ns.label_column
-            cfg.epsilon = ns.epsilon
-        if ns.command == "kspca":
-            cfg.kernel = ns.kernel
-            cfg.gamma = ns.gamma
-            cfg.degree = ns.degree
-            cfg.coef0 = ns.coef0
-            cfg.kernel_y = ns.kernel_y
-    else:  # rayleigh
-        cfg.a_path = ns.a
-        cfg.u_path = ns.u
-        cfg.b_path = ns.b
-    return cfg
-
-
 def main(argv=None) -> int:
-    ns = make_parser().parse_args(argv)
-    return run(_config_from_args(ns))
+    """Run one command line; returns the process exit code."""
+    args = make_parser().parse_args(argv)
+    try:
+        start = time.perf_counter()
+        doc = args.run(args)
+        if args.timing:
+            doc["meta"]["runtime_ms"] = round((time.perf_counter() - start) * 1e3, 3)
+        _write_output(doc, args)
+    except NumericalError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except (GenSpectraError, OSError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

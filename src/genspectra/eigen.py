@@ -267,13 +267,19 @@ def _bisect_pencil_eigs(
 
 def _fix_column_signs(v: np.ndarray) -> np.ndarray:
     """Flip columns so each one's largest-magnitude entry is positive."""
-    v = np.array(v, dtype=np.float64)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0.0:
-            v[:, j] = -col
-    return v
+    v = np.asarray(v, dtype=np.float64)
+    return v * _column_signs(v)
+
+
+def _column_signs(v: np.ndarray) -> np.ndarray:
+    """Per column, the sign (+1.0 or -1.0) that makes its largest-magnitude
+    entry positive, the first such entry on ties.
+
+    Multiplying by it negates a column exactly, so a product such as
+    Phi = Phi_B_breve Phi_A stays exact when both sides take the same signs.
+    """
+    top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return np.where(top < 0.0, -1.0, 1.0)
 
 
 def _null_basis(m: list, rank_tol: float) -> list[list[float]]:

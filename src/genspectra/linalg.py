@@ -268,10 +268,20 @@ def definiteness(eigenvalues) -> tuple[bool, bool]:
     both, e.g. diag(1, -1, 0).
     """
     top = max(abs(x) for x in eigenvalues)
-    low = -INDEFINITE_TOL * top
-    indefinite = min(eigenvalues) < low
-    singular = any(low <= x <= SINGULAR_TOL * top for x in eigenvalues)
-    return indefinite, singular
+    indefinite = min(eigenvalues) < -INDEFINITE_TOL * top
+    return indefinite, bool(null_eigenvalues(eigenvalues))
+
+
+def null_eigenvalues(eigenvalues) -> list[int]:
+    """Positions of the eigenvalues that count as zero for ``definiteness``.
+
+    Those in ``[-INDEFINITE_TOL * top, SINGULAR_TOL * top]``, with
+    ``top = max|eigenvalue|``; their eigenvectors span the numerical null
+    space.
+    """
+    top = max(abs(x) for x in eigenvalues)
+    low, high = -INDEFINITE_TOL * top, SINGULAR_TOL * top
+    return [i for i, x in enumerate(eigenvalues) if low <= x <= high]
 
 
 # ---------------------------------------------------------------------------

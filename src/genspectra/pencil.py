@@ -7,18 +7,20 @@ Two routes are provided:
   roots of det(A - lambda B) and eigenvectors from null spaces; for larger
   d the same answer is reached through a congruence with B^-1/2, computed
   by the same whitening core as ``solve_rigorous``. When B is singular it
-  falls back to B + eps*I and reports the eps it used.
+  falls back to B + eps*I, whose eigenvectors are B's and whose
+  eigenvalues are lambda_B + eps, and reports the eps it used.
 * ``solve_rigorous`` whitens the metric: decompose B, scale its
   eigenvectors to unit metric, decompose the transformed A, and combine.
   The result is B-orthonormal (Phi' B Phi = I, Phi' A Phi = diag(lambda))
   and every intermediate is returned for inspection.
 
 The routes share code for d > 4, so they check each other only at d <= 4.
-Both eigendecompose B once and read off it whether B is singular or
-indefinite, relative to its largest eigenvalue magnitude
-(``linalg.definiteness``), so B and s*B get the same verdict for every
-s > 0. Both report their residual and B-orthonormality against the
-original, unregularized pencil.
+Both eigendecompose B once, and no other decomposition of B is made. They
+read off it whether B is singular or indefinite, relative to its largest
+eigenvalue magnitude (``linalg.definiteness``), so B and s*B get the same
+verdict for every s > 0; the whitening factors; and, for ``deflated``,
+B's null eigenvectors. Both report their residual and B-orthonormality
+against the original, unregularized pencil.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ from .errors import (
 from .eigen import (
     EigenDecomposition,
     _bisect_pencil_eigs,
+    _column_signs,
     _fix_column_signs,
     _null_basis,
     eig_sym,
 )
-from .linalg import Matrix, SymMatrix, definiteness
+from .linalg import Matrix, SymMatrix, definiteness, null_eigenvalues
 
 # Regularization strength when B is singular, before scaling by the
 # largest entry of B.
@@ -82,8 +85,10 @@ class GenEigenSolution:
     ``epsilon_used`` is 0.0 unless a singular B forced regularization.
     ``residual`` is ||A Phi - B Phi diag(lambda)||_F / max(1, ||A||_F)
     and ``b_orthonormality`` is max|Phi' B Phi - I|, both against the
-    original pencil. ``deflated`` flags a null direction
-    shared by A and B, where the pencil does not constrain the spectrum.
+    original pencil. ``deflated`` flags a null direction shared by A and
+    B, where the pencil does not constrain the spectrum: set when B was
+    regularized and some eigenvector v of B whose eigenvalue counts as zero
+    (``linalg.null_eigenvalues``) has ||A v|| <= 1e-9 ||A||_F.
     """
 
     phi: Matrix
@@ -162,20 +167,19 @@ def solve_rigorous(
             "the metric must be positive semidefinite"
         )
     eps_used = _regularization(p.b, epsilon) if singular else 0.0
-    phi_arr, lams, inter = _whiten_core(p.a, eig_b, eps_used, order)
-    residual, b_orth = _diagnostics(p.a.array, p.b.array, phi_arr, lams)
-    deflated = _shares_null_direction(p.a.array, p.b.array) if eps_used > 0.0 else False
-    sol = GenEigenSolution(
-        phi=Matrix(phi_arr),
-        eigenvalues=tuple(lams),
-        method="rigorous",
+    # the metric Phi_B (Lambda_B^1/2 + eps I)^2 Phi_B'
+    factors = [1.0 / (math.sqrt(max(x, 0.0)) + eps_used) for x in eig_b.eigenvalues]
+    phi, breve, a_breve, phi_a, lams = _whiten_core(p.a, eig_b, factors, order)
+    inter = WhiteningIntermediates(
+        phi_b=eig_b.phi,
+        lambda_b=eig_b.eigenvalues,
+        phi_b_breve=Matrix(breve),
+        a_breve=a_breve,
+        phi_a=Matrix(phi_a),
+        lambda_a=lams,
         epsilon_used=eps_used,
-        residual=residual,
-        b_orthonormality=b_orth,
-        strategy="whitening",
-        deflated=deflated,
     )
-    return sol, inter
+    return _solution(p, eig_b, phi, lams, "rigorous", eps_used, "whitening"), inter
 
 
 def _regularization(b: SymMatrix, epsilon: float | None) -> float:
@@ -189,43 +193,23 @@ def _regularization(b: SymMatrix, epsilon: float | None) -> float:
 
 
 def _whiten_core(
-    a: SymMatrix, eig_b: EigenDecomposition, eps_used: float, order: str
-) -> tuple[np.ndarray, list[float], WhiteningIntermediates]:
-    """Whiten with a descending decomposition of B and the eps already chosen."""
-    lb = eig_b.eigenvalues
-    inv_factors = np.array(
-        [1.0 / (math.sqrt(max(x, 0.0)) + eps_used) for x in lb], dtype=np.float64
-    )
+    a: SymMatrix, eig_b: EigenDecomposition, factors: list[float], order: str
+) -> tuple[np.ndarray, np.ndarray, SymMatrix, np.ndarray, tuple[float, ...]]:
+    """Congruence with Phi_B_breve = Phi_B diag(factors), then eig(A_breve).
 
-    phi_b = eig_b.phi.array
-    breve = phi_b * inv_factors
-    tmp = kernels.matmul(a.array, breve)
-    a_breve_raw = kernels.matmul(breve.T, tmp)
+    Returns Phi, Phi_B_breve, A_breve, Phi_A and Lambda_A, with
+    Phi == Phi_B_breve @ Phi_A exactly: the canonical signs of Phi's
+    columns are applied to Phi_A's as well.
+    """
+    breve = eig_b.phi.array * np.array(factors, dtype=np.float64)
+    a_breve_raw = kernels.matmul(breve.T, kernels.matmul(a.array, breve))
     a_breve = SymMatrix((a_breve_raw + a_breve_raw.T) / 2.0)
 
     eig_a = eig_sym(a_breve, order=order)
-    phi_a = np.array(eig_a.phi.array)
+    phi_a = eig_a.phi.array
     phi = kernels.matmul(breve, phi_a)
-
-    # Canonical signs on the final vectors; flip phi_a along with phi so
-    # phi == phi_b_breve @ phi_a stays exact.
-    for j in range(phi.shape[1]):
-        col = phi[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0.0:
-            phi[:, j] = -col
-            phi_a[:, j] = -phi_a[:, j]
-
-    inter = WhiteningIntermediates(
-        phi_b=eig_b.phi,
-        lambda_b=lb,
-        phi_b_breve=Matrix(breve),
-        a_breve=a_breve,
-        phi_a=Matrix(phi_a),
-        lambda_a=eig_a.eigenvalues,
-        epsilon_used=eps_used,
-    )
-    return phi, list(eig_a.eigenvalues), inter
+    signs = _column_signs(phi)
+    return phi * signs, breve, a_breve, phi_a * signs, eig_a.eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -239,41 +223,39 @@ def solve_quick_dirty(
 
     B is decomposed once. When it is singular (an eigenvalue within
     ``[-INDEFINITE_TOL, SINGULAR_TOL] * max|lambda_B|``) the inverse is
-    taken of B + eps*I instead, which is decomposed in turn, and
-    ``epsilon_used`` records eps. Eigenvectors are unit length but not
-    B-orthonormal in general; that is the price of the quick route.
+    taken of B + eps*I instead, whose eigenvalues are lambda_B + eps on
+    the same eigenvectors, and ``epsilon_used`` records eps. Eigenvectors
+    are unit length but not B-orthonormal in general; that is the price of
+    the quick route.
 
     For d <= 4 the eigenvalues are the real roots of det(A - lambda B),
     found by counting-function bisection when the (regularized) B is
     positive definite and by a Sturm-chain search when it is indefinite.
     For d > 4 a positive definite B is required and the reduction runs as
-    a congruence with B^-1/2, which shares the spectrum of B^-1 A; it is
-    the whitening core of ``solve_rigorous``, fed the decomposition above.
+    a congruence with B^-1/2 = Phi_B (Lambda_B + eps I)^-1/2 Phi_B', which
+    shares the spectrum of B^-1 A; it is the whitening core of
+    ``solve_rigorous``, fed the decomposition above.
     """
     d = p.dim
-    a_arr = p.a.array
-    b_arr = p.b.array
-
-    b_reg, eps_used = p.b, 0.0
-    eig_breg = eig_sym(b_reg, order="descending")
-    indefinite, singular = definiteness(eig_breg.eigenvalues)
+    eig_b = eig_sym(p.b, order="descending")
+    _, singular = definiteness(eig_b.eigenvalues)
+    eps_used = _regularization(p.b, epsilon) if singular else 0.0
+    lam_reg = [x + eps_used for x in eig_b.eigenvalues]
+    indefinite, singular = definiteness(lam_reg)
     if singular:
-        eps_used = _regularization(p.b, epsilon)
-        b_reg = SymMatrix(b_arr + eps_used * np.eye(d))
-        eig_breg = eig_sym(b_reg, order="descending")
-        indefinite, singular = definiteness(eig_breg.eigenvalues)
-        if singular:
-            raise SingularAfterRegularization(
-                f"B + eps*I is still singular with eps = {eps_used:.3e}"
-            )
+        raise SingularAfterRegularization(
+            f"B + eps*I is still singular with eps = {eps_used:.3e}"
+        )
 
     if d <= 4:
-        a_list = a_arr.tolist()
-        breg_list = b_reg.array.tolist()
+        a_list = p.a.array.tolist()
+        # B itself when not regularized: adding 0.0 would turn its -0.0 entries into +0.0
+        b_reg = p.b.array + eps_used * np.eye(d) if eps_used else p.b.array
+        breg_list = b_reg.tolist()
         if not indefinite:
             strategy = "charpoly-inertia"
-            fro_a = math.sqrt(float(np.sum(a_arr * a_arr)))
-            bound = fro_a / eig_breg.eigenvalues[-1]
+            fro_a = math.sqrt(float(np.sum(p.a.array * p.a.array)))
+            bound = fro_a / lam_reg[-1]
             # below 1 the pad shrinks with the bound, and so does the bisection's
             # stopping floor: s*B is solved to the same relative accuracy at every s
             pad = 1e-6 * max(1.0, bound) + min(1.0, bound)
@@ -281,27 +263,37 @@ def solve_quick_dirty(
         else:
             strategy = "charpoly-sturm"
             roots = _real_pencil_roots_sturm(a_list, breg_list, d)
-        phi_arr, lams = _vectors_from_roots(a_list, breg_list, roots, d, order)
+        phi, lams = _vectors_from_roots(a_list, breg_list, roots, d, order)
     else:
         if indefinite:
             raise IndefiniteB(
                 "the quick and dirty route needs a positive definite B (after regularization) "
-                f"for d > 4; smallest eigenvalue is {eig_breg.eigenvalues[-1]:.6e}"
+                f"for d > 4; smallest eigenvalue is {lam_reg[-1]:.6e}"
             )
         strategy = "whitening"
-        phi_arr, lams, _ = _whiten_core(p.a, eig_breg, 0.0, order)
+        # the metric Phi_B (Lambda_B + eps I) Phi_B' = B + eps*I
+        factors = [1.0 / math.sqrt(x) for x in lam_reg]
+        phi, _, _, _, lams = _whiten_core(p.a, eig_b, factors, order)
+    return _solution(p, eig_b, phi, lams, "quick_dirty", eps_used, strategy)
 
-    residual, b_orth = _diagnostics(a_arr, b_arr, phi_arr, lams)
-    deflated = _shares_null_direction(a_arr, b_arr) if eps_used > 0.0 else False
+
+def _solution(p, eig_b, phi, lams, method, eps_used, strategy) -> GenEigenSolution:
+    """The solution document of either route, measured against the original pencil.
+
+    ``deflated`` is read off ``eig_b``, the decomposition of B the route
+    already made, and only when B was regularized.
+    """
+    a_arr = p.a.array
+    residual, b_orth = _diagnostics(a_arr, p.b.array, phi, lams)
     return GenEigenSolution(
-        phi=Matrix(phi_arr),
+        phi=Matrix(phi),
         eigenvalues=tuple(lams),
-        method="quick_dirty",
+        method=method,
         epsilon_used=eps_used,
         residual=residual,
         b_orthonormality=b_orth,
         strategy=strategy,
-        deflated=deflated,
+        deflated=eps_used > 0.0 and _shares_null_direction(a_arr, eig_b),
     )
 
 
@@ -337,14 +329,18 @@ def _diagnostics(a, b, phi, lams) -> tuple[float, float]:
     return residual, float(np.max(np.abs(gram - np.eye(phi.shape[1]))))
 
 
-def _shares_null_direction(a, b) -> bool:
-    """True when some null direction of B is also (numerically) null for A."""
-    d = b.shape[0]
-    tol_b = 1e-9 * max(1.0, float(np.max(np.abs(b))))
+def _shares_null_direction(a: np.ndarray, eig_b: EigenDecomposition) -> bool:
+    """True when a null eigenvector v of B is also null for A: ||A v|| <= 1e-9 ||A||_F.
+
+    B's null eigenvectors are the columns of Phi_B whose eigenvalue counts
+    as zero (``linalg.null_eigenvalues``); both tests are relative, so
+    (t*A, s*B) gets the same answer for every t, s > 0.
+    """
+    phi_b = eig_b.phi.array
     fro_a = math.sqrt(float(np.sum(a * a)))
-    for v in _null_basis(b.tolist(), tol_b):
-        av = kernels.matmul(a, np.asarray(v).reshape(d, 1))
-        if math.sqrt(float(np.sum(av * av))) <= 1e-9 * max(1.0, fro_a):
+    for i in null_eigenvalues(eig_b.eigenvalues):
+        av = kernels.matmul(a, phi_b[:, i : i + 1])
+        if math.sqrt(float(np.sum(av * av))) <= 1e-9 * fro_a:
             return True
     return False
 

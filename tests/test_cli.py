@@ -15,12 +15,15 @@ from genspectra import (
     NonNumericCell,
     RaggedRows,
 )
+from genspectra.apps import KernelSpec, fda_fit, kspca_fit
 from genspectra.cli import (
     main,
     parse_labeled_csv,
     parse_matrix_csv,
     write_matrix_csv,
 )
+from genspectra.linalg import SymMatrix, Vector
+from genspectra.rayleigh import check_stationarity
 
 from conftest import random_sym
 
@@ -463,6 +466,112 @@ def test_rayleigh_csv_format(sym2, tmp_path, capsys):
     assert main(["rayleigh", "--format", "csv", sym2, u]) == 0
     vals = [float(v) for v in capsys.readouterr().out.strip().split(",")]
     assert vals[0] == pytest.approx(3.0)
+
+
+# ---------------------------------------------------------------------------
+# every flag reaches its handler: the CLI answer equals the library call
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "flags, kx, ky",
+    [
+        (
+            ["--kernel", "polynomial", "--degree", "2", "--coef0", "0.5",
+             "--kernel-y", "linear", "--gamma", "0.7"],
+            KernelSpec(kind="polynomial", gamma=0.7, degree=2, coef0=0.5),
+            KernelSpec(kind="linear", gamma=0.7, degree=2, coef0=0.5),
+        ),
+        (
+            ["--kernel", "rbf", "--gamma", "0.3", "--kernel-y", "rbf"],
+            KernelSpec(kind="rbf", gamma=0.3),
+            KernelSpec(kind="rbf", gamma=0.3),
+        ),
+    ],
+)
+def test_kspca_kernel_flags_reach_the_fit(kspca_csv, capsys, flags, kx, ky):
+    assert main(["kspca", "-p", "2", *flags, kspca_csv]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    model = kspca_fit(parse_labeled_csv(kspca_csv), 2, kx=kx, ky=ky)
+    assert doc["eigenvalues"] == [float(v) for v in model.eigenvalues]
+    assert doc["vectors"] == [[float(v) for v in col] for col in model.projection.array.T]
+    # the flags matter: the defaults give another answer
+    default = kspca_fit(parse_labeled_csv(kspca_csv), 2)
+    assert doc["eigenvalues"] != [float(v) for v in default.eigenvalues]
+
+
+def test_fda_epsilon_flag_is_the_epsilon_used(tmp_path, capsys):
+    # the third feature repeats the first, so the within-class scatter is singular
+    rng = np.random.RandomState(106)
+    rows = ["f1,f2,f3,label"]
+    for cls, shift in ((0, 0.0), (1, 3.0), (2, -3.0)):
+        for _ in range(5):
+            x1, x2 = shift + rng.standard_normal(), rng.standard_normal()
+            rows.append(f"{x1!r},{x2!r},{x1!r},{cls}")
+    path = _write(tmp_path / "fda.csv", "\n".join(rows) + "\n")
+    assert main(["fda", "-p", "2", "--epsilon", "0.00025", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["diagnostics"]["epsilon_used"] == 0.00025
+    model = fda_fit(parse_labeled_csv(path), 2, epsilon=0.00025)
+    assert doc["eigenvalues"] == [float(v) for v in model.eigenvalues]
+
+
+def test_kspca_epsilon_flag_is_the_epsilon_used(kspca_csv, capsys):
+    # a linear kernel on 2 features has rank 2 < n = 8: K_x is singular
+    assert main(["kspca", "--kernel", "linear", "--epsilon", "0.0003", kspca_csv]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["diagnostics"]["epsilon_used"] == 0.0003
+    model = kspca_fit(
+        parse_labeled_csv(kspca_csv), 1, kx=KernelSpec(kind="linear"), epsilon=0.0003
+    )
+    assert doc["eigenvalues"] == [float(v) for v in model.eigenvalues]
+
+
+def test_kspca_label_column_by_index_on_a_headerless_file(kspca_csv, tmp_path, capsys):
+    # the same samples with the label moved to the front and no header row
+    rows = [line.split(",") for line in open(kspca_csv, encoding="utf-8").read().splitlines()[1:]]
+    moved = [",".join([row[2]] + row[:2]) for row in rows]
+    headerless = _write(tmp_path / "moved.csv", "\n".join(moved) + "\n")
+    assert main(["kspca", "-p", "2", "--gamma", "0.5", kspca_csv]) == 0
+    by_name = json.loads(capsys.readouterr().out)
+    assert main(["kspca", "-p", "2", "--gamma", "0.5", "--label-column", "0", headerless]) == 0
+    by_index = json.loads(capsys.readouterr().out)
+    assert by_index["eigenvalues"] == by_name["eigenvalues"]
+    assert by_index["vectors"] == by_name["vectors"]
+
+
+def test_rayleigh_metric_flag_reaches_the_check(tmp_path, capsys):
+    a = _write(tmp_path / "a.csv", "3,1,0\n1,2,0.5\n0,0.5,1\n")
+    b = _write(tmp_path / "b.csv", "2,0.25,0\n0.25,1,0\n0,0,0.5\n")
+    u = _write(tmp_path / "u.csv", "0.3,-0.7,1.1\n")
+    assert main(["rayleigh", a, u, "--b", b]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    report = check_stationarity(
+        Vector(parse_matrix_csv(u).array[0]),
+        SymMatrix(parse_matrix_csv(a).array),
+        SymMatrix(parse_matrix_csv(b).array),
+    )
+    assert doc["quotient"] == report.multiplier
+    assert doc["stationarity"] == {
+        "residual": report.residual,
+        "multiplier": report.multiplier,
+        "constraint_violation": report.constraint_violation,
+    }
+    assert main(["rayleigh", a, u]) == 0  # without --b the identity metric
+    assert json.loads(capsys.readouterr().out)["quotient"] != report.multiplier
+
+
+def test_csv_format_to_an_output_file(tmp_path, capsys):
+    a = _write(tmp_path / "a.csv", "4,1\n1,3\n")
+    b = _write(tmp_path / "b.csv", "2,0\n0,1\n")
+    assert main(["geig", "--format", "csv", a, b]) == 0
+    stdout_text = capsys.readouterr().out
+    out = tmp_path / "result.csv"
+    assert main(["geig", "--format", "csv", "--output", str(out), a, b]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == stdout_text
+    assert len(stdout_text.splitlines()) == 2
+    assert not stdout_text.startswith("{")
 
 
 # ---------------------------------------------------------------------------

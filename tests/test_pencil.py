@@ -26,6 +26,8 @@ from genspectra import (
     solve_rigorous,
 )
 
+from genspectra import kernels
+
 from conftest import SCALES, assert_diagnostics, random_spd, random_sym
 
 
@@ -155,10 +157,9 @@ def test_intermediates_expose_consistent_stages():
         1.0, np.abs(expect).max()
     )
     assert np.array_equal(inter.a_breve.array, inter.a_breve.array.T)
-    # the final factors multiply back together exactly
-    assert np.array_equal(
-        sol.phi.array, np.asarray(breve @ inter.phi_a.array)
-    ) or np.allclose(sol.phi.array, breve @ inter.phi_a.array, atol=1e-14)
+    # the final factors multiply back together exactly: Phi's canonical
+    # column signs were applied to Phi_A as well
+    assert np.array_equal(sol.phi.array, kernels.matmul(breve, inter.phi_a.array))
     # lambda_a IS the solution spectrum
     assert inter.lambda_a == sol.eigenvalues
     # phi_b diagonalizes b
@@ -372,7 +373,10 @@ def test_rigorous_indefinite_b_rejected_at_every_scale(s):
 
 def test_quick_route_decomposes_b_once(monkeypatch):
     rng = np.random.RandomState(44)
-    p = Pencil(random_sym(rng, 7), random_spd(rng, 7))
+    a = random_sym(rng, 7)
+    spd = random_spd(rng, 7)
+    g = rng.standard_normal((7, 5))
+    rank_deficient = SymMatrix(g @ g.T)  # regularized: B + eps*I is not decomposed
     calls = []
 
     def counting(name, original):
@@ -388,9 +392,86 @@ def test_quick_route_decomposes_b_once(monkeypatch):
                 getattr(mod, name, None) is original
             ):
                 monkeypatch.setattr(mod, name, counting(name, original))
-    sol = solve_quick_dirty(p)
+    for b, regularized in ((spd, False), (rank_deficient, True)):
+        calls.clear()
+        sol = solve_quick_dirty(Pencil(a, b))
+        assert sol.strategy == "whitening"
+        assert (sol.epsilon_used > 0.0) == regularized
+        assert calls == ["eig_sym", "eig_sym"]  # B, then the whitened A
+
+
+def _shared_null_d6() -> tuple[np.ndarray, np.ndarray]:
+    """B = G G' of rank 4 at d = 6, and A = G M G', which annihilates B's null space."""
+    rng = np.random.RandomState(97)
+    g = rng.standard_normal((6, 4))
+    m = rng.standard_normal((4, 4))
+    a = g @ (m + m.T) @ g.T
+    return (a + a.T) / 2.0, g @ g.T
+
+
+DEFLATION_CASES = {
+    # B's only null direction is e3, and A e3 = e3 != 0
+    "a-moves-null-of-b": (np.diag([0.0, 1.0, 1.0]), np.diag([1.0, 1.0, 0.0]), False),
+    "shared-e3": (np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 1.0, 0.0]), True),
+    "shared-d6": (*_shared_null_d6(), True),
+}
+DEFLATION_SCALES = sorted(set(SCALES) | {1e-12, 1e-10, 1e-9, 1e9, 1e12})
+
+# (s, t) at which the d <= 4 quick route raises ConvergenceFailure before it
+# gets to the deflation check, with or without this check: its root clusters
+# and null-space ranks use absolute floors (1e-8 * max(1, |r|), 1e-10 * max(1,
+# max|entry|)), so eigenvalues below ~1e-8 run together when s*B dwarfs t*A.
+# Pinned here so that mending those floors shows up.
+_QUICK_D3_RAISES = {
+    (1e6, 1e-3), (1e6, 1e-2), (1e9, 1e-3), (1e9, 1e-2), (1e9, 1.0),
+    (1e12, 1e-3), (1e12, 1e-2), (1e12, 1.0), (1e12, 1e3),
+}
+QUICK_RAISES = {
+    "a-moves-null-of-b": _QUICK_D3_RAISES | {(1e9, 1e-6), (1e12, 1e-6)},
+    "shared-e3": _QUICK_D3_RAISES,
+    "shared-d6": set(),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("case", sorted(DEFLATION_CASES))
+def test_deflated_does_not_depend_on_the_scales_of_a_and_b(case, route):
+    a0, b0, expected = DEFLATION_CASES[case]
+    raises = QUICK_RAISES[case] if route == "quick_dirty" else set()
+    verdicts = {}
+    for s in DEFLATION_SCALES:
+        for t in DEFLATION_SCALES:
+            try:
+                sol = ROUTES[route](Pencil(SymMatrix(t * a0), SymMatrix(s * b0)))
+            except ConvergenceFailure:
+                verdicts[s, t] = "ConvergenceFailure"
+                continue
+            assert sol.epsilon_used > 0.0
+            verdicts[s, t] = sol.deflated
+    assert verdicts == {
+        key: "ConvergenceFailure" if key in raises else expected for key in verdicts
+    }
+
+
+def test_quick_regularized_whitening_matches_the_regularized_pencil():
+    # d = 6 takes the whitening branch; B + eps*I whitens through B's own
+    # eigenvectors, so the answer is that of the pencil (A, B + eps*I)
+    rng = np.random.RandomState(98)
+    a = random_sym(rng, 6)
+    g = rng.standard_normal((6, 4))
+    b = SymMatrix(g @ g.T)
+    sol = solve_quick_dirty(Pencil(a, b))
     assert sol.strategy == "whitening"
-    assert calls == ["eig_sym", "eig_sym"]  # B, then the whitened A
+    eps = sol.epsilon_used
+    assert eps == default_epsilon(b)
+    chol = np.linalg.cholesky(b.array + eps * np.eye(6))
+    c = np.linalg.solve(chol, np.linalg.solve(chol, a.array).T)
+    ref = np.linalg.eigvalsh((c + c.T) / 2.0)[::-1]
+    lams = np.array(sol.eigenvalues)
+    assert np.max(np.abs(lams - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert_diagnostics(
+        sol.residual, sol.b_orthonormality, a.array, b.array, sol.phi.array, sol.eigenvalues,
+    )
 
 
 # ---------------------------------------------------------------------------
