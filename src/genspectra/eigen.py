@@ -12,6 +12,14 @@ For d <= 4 the module also solves the characteristic polynomial
 det(A - lambda I) = 0 directly: closed forms for d <= 3 and a bisection on
 the eigenvalue-counting function for d = 4. That route returns eigenvalues
 only and exists as an independent cross-check of the Jacobi path.
+
+Its bisection, ``_roots_by_count``, is the one root finder of every count
+on the d <= 4 paths, here and in :mod:`genspectra.pencil`: it halves
+brackets of a counting function inside one bracket, ±rho * (1 + 1e-6)
+with rho = ||A||_F / min|lambda(B)| (which bounds every real eigenvalue of
+a pencil with nonsingular B), and stops at one width relative to the
+bracket ends and rho. No step of it has an absolute floor, so the pencils
+(A, B) and (t*A, s*B) are solved alike.
 """
 
 from __future__ import annotations
@@ -92,8 +100,8 @@ def char_poly_eig(a: SymMatrix) -> list[float]:
 
     Only dimensions 1 through 4 are supported: quadratic formula for
     d = 2, the trigonometric solution of the depressed cubic for d = 3,
-    and root bracketing by eigenvalue counts for d = 4. Repeated roots
-    appear with their multiplicity.
+    and bisection on the eigenvalue count in [-||A||_F, ||A||_F] for
+    d = 4. Repeated roots appear with their multiplicity.
     """
     d = a.dim
     m = a.array.tolist()
@@ -105,9 +113,12 @@ def char_poly_eig(a: SymMatrix) -> list[float]:
         return _char_cubic(m)
     if d == 4:
         eye = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
-        lo, hi = _gershgorin_bounds(m)
-        roots = _bisect_pencil_eigs(m, eye, 4, lo, hi)
-        return roots[::-1]
+        # the pencil bound ||A||_F / min|lambda(B)| with B = I
+        bound = math.sqrt(float(np.sum(a.array * a.array)))
+        if bound == 0.0:
+            return [0.0] * 4
+        roots = _roots_by_count(lambda x: _inertia_below(m, eye, x, 4), bound)
+        return [r for r, jump in reversed(roots) for _ in range(jump)]
     raise UnsupportedDimension(
         f"characteristic-polynomial route supports d <= 4, got d = {d}"
     )
@@ -117,15 +128,17 @@ def eigvec_for(a: SymMatrix, lam: float, lam_tol: float = 1e-6) -> Vector:
     """A unit eigenvector for a known eigenvalue ``lam``.
 
     Runs row reduction on ``A - lam I`` and reads a null-space direction
-    off the echelon form. ``lam`` may carry absolute error up to roughly
-    ``lam_tol``; raises ``NoNullSpace`` when no direction satisfies the
+    off the echelon form; pivots at or below ``lam_tol * max|A - lam I|``
+    count as zero, so ``lam`` may carry error up to roughly ``lam_tol``
+    relative to that scale, and (s*A, s*lam) gives the same direction for
+    every s > 0. Raises ``NoNullSpace`` when no direction satisfies the
     residual bound ``||(A - lam I) v|| <= 1e-6 * ||A||_F``.
     """
     d = a.dim
     arr = a.array
     m = [[float(arr[i, j]) - (lam if i == j else 0.0) for j in range(d)] for i in range(d)]
     scale = max((abs(x) for row in m for x in row), default=0.0)
-    basis = _null_basis(m, lam_tol * max(1.0, scale))
+    basis = _null_basis(m, lam_tol * scale)
     if not basis:
         raise NoNullSpace(f"{lam!r} is not an eigenvalue within tolerance {lam_tol}")
     v = basis[0]
@@ -133,7 +146,7 @@ def eigvec_for(a: SymMatrix, lam: float, lam_tol: float = 1e-6) -> Vector:
         sum(sum(m[i][j] * v[j] for j in range(d)) ** 2 for i in range(d))
     )
     fro = math.sqrt(float(np.sum(arr * arr)))
-    if resid > 1e-6 * max(1.0, fro):
+    if resid > 1e-6 * fro:
         raise NoNullSpace(
             f"null-space candidate has residual {resid:.3e}, "
             f"so {lam!r} is not an eigenvalue"
@@ -176,89 +189,66 @@ def _char_cubic(m: list) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue counting and bisection (shared with the pencil solver)
+# root finding by counts (shared with the pencil solver)
+
+# Offsets, in bracket widths, tried in turn from a midpoint where the count
+# cannot be evaluated.
+_NUDGES = (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6)
 
 
-def _gershgorin_bounds(m: list) -> tuple[float, float]:
-    lo = math.inf
-    hi = -math.inf
-    n = len(m)
-    for i in range(n):
-        radius = sum(abs(m[i][j]) for j in range(n) if j != i)
-        lo = min(lo, m[i][i] - radius)
-        hi = max(hi, m[i][i] + radius)
-    pad = 1e-7 * max(1.0, abs(lo), abs(hi))
-    return lo - pad, hi + pad
+def _roots_by_count(count, bound: float) -> list[tuple[float, int]]:
+    """Roots in [-bound, bound] found by halving brackets of a counting function.
+
+    ``count(x)`` is the number of roots below x, up to a constant, or None
+    where it cannot be evaluated. The search starts from
+    ±bound * (1 + 1e-6); a bracket over which the count rises is halved,
+    trying the midpoint and then each of ``_NUDGES``, until its width is at
+    most 1e-14 * max(|left|, |right|, bound), and comes back as
+    ``(midpoint, rise)``. A bracket in which no nudge can be evaluated is
+    taken as resolved. Brackets only split where the count changes, so a
+    repeated root costs one bisection. Returns ascending pairs.
+    """
+    hi = bound * (1.0 + 1e-6)
+    stack = [(-hi, hi, count(-hi), count(hi))]
+    roots = []
+    while stack:
+        left, right, c_left, c_right = stack.pop()
+        if c_right == c_left:
+            continue
+        width = right - left
+        mid = 0.5 * (left + right)
+        c = None
+        if width > 1e-14 * max(abs(left), abs(right), bound):
+            for x in (mid + nudge * width for nudge in _NUDGES):
+                c = count(x)
+                if c is not None:
+                    break
+        if c is None:
+            roots.append((mid, c_right - c_left))
+        else:
+            # the left half goes on top, so roots come out ascending
+            stack += [(x, right, c, c_right), (left, x, c_left, c)]
+    return roots
 
 
-def _leading_minor_dets(m: list, n: int) -> list[float]:
-    return [_cofactor_det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
-
-
-def _shifted(a: list, b: list, x: float, n: int) -> list:
-    return [[a[i][j] - x * b[i][j] for j in range(n)] for i in range(n)]
-
-
-def _inertia_below(a: list, b: list, x: float, n: int, forced: bool = False):
+def _inertia_below(a: list, b: list, x: float, n: int) -> int | None:
     """Number of pencil eigenvalues strictly below ``x`` (B must be PD).
 
     Counts sign changes along the sequence of leading principal minors of
-    A - x B. A minor that is exactly zero makes the count ambiguous; the
-    caller usually retries at a nudged shift, or sets ``forced`` to treat
-    zeros as carrying the previous sign.
+    A - x B. A minor that is exactly zero leaves the count undefined, and
+    None comes back.
     """
-    minors = _leading_minor_dets(_shifted(a, b, x, n), n)
+    m = [[a[i][j] - x * b[i][j] for j in range(n)] for i in range(n)]
     count = 0
     prev = 1.0
-    for det in minors:
+    for k in range(1, n + 1):
+        det = _cofactor_det([row[:k] for row in m[:k]])
         if det == 0.0:
-            if not forced:
-                return None
-            det = prev
+            return None
         if (det > 0.0) != (prev > 0.0):
             count += 1
         prev = det
     return count
-
-
-def _count_with_nudges(a: list, b: list, x: float, width: float, n: int) -> tuple[int, float]:
-    for bump in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6):
-        shifted_x = x + bump * width
-        count = _inertia_below(a, b, shifted_x, n)
-        if count is not None:
-            return count, shifted_x
-    return _inertia_below(a, b, x, n, forced=True), x
-
-
-def _bisect_pencil_eigs(
-    a: list, b: list, n: int, lo: float, hi: float, max_iter: int = 200
-) -> list[float]:
-    """All n eigenvalues of the pencil (A, B), ascending, B positive definite.
-
-    The k-th eigenvalue is located by bisection on the counting function:
-    the count of eigenvalues below x reaches k exactly when x passes the
-    k-th root. Multiplicities fall out naturally since the count jumps by
-    the multiplicity there. Bisection stops at a width of 1e-14 times the
-    largest of |left|, |right| and min(1, hi - lo), so a bracket in small
-    units is still resolved relative to its own width.
-    """
-    roots = []
-    for k in range(1, n + 1):
-        left, right = lo, hi
-        for _ in range(max_iter):
-            stop = 1e-14 * max(min(1.0, hi - lo), abs(left), abs(right))
-            if right - left <= stop:
-                break
-            mid = 0.5 * (left + right)
-            count, used = _count_with_nudges(a, b, mid, right - left, n)
-            if used <= left or used >= right:
-                used = mid
-            if count >= k:
-                right = used
-            else:
-                left = used
-        roots.append(0.5 * (left + right))
-    return roots
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Two routes are provided:
 
 * ``solve_quick_dirty`` follows the reduction to an ordinary eigenproblem
   for B^-1 A. For d <= 4 the eigenvalues are taken straight from the
-  roots of det(A - lambda B) and eigenvectors from null spaces; for larger
+  roots of det(A - lambda B), located by the one count-driven bisection of
+  ``eigen._roots_by_count`` inside one bracket, and eigenvectors from
+  null spaces with a rank tolerance relative to the pencil; for larger
   d the same answer is reached through a congruence with B^-1/2, computed
   by the same whitening core as ``solve_rigorous``. When B is singular it
   falls back to B + eps*I, whose eigenvectors are B's and whose
@@ -40,10 +42,11 @@ from .errors import (
 )
 from .eigen import (
     EigenDecomposition,
-    _bisect_pencil_eigs,
     _column_signs,
     _fix_column_signs,
+    _inertia_below,
     _null_basis,
+    _roots_by_count,
     eig_sym,
 )
 from .linalg import Matrix, SymMatrix, definiteness, null_eigenvalues
@@ -229,8 +232,17 @@ def solve_quick_dirty(
     the quick route.
 
     For d <= 4 the eigenvalues are the real roots of det(A - lambda B),
-    found by counting-function bisection when the (regularized) B is
-    positive definite and by a Sturm-chain search when it is indefinite.
+    all within rho = ||A||_F / min|lambda(B + eps I)|. One bisection
+    (``eigen._roots_by_count``) locates them in ±rho * (1 + 1e-6) from a
+    count of the roots below x: the inertia of A - x B when the
+    (regularized) B is positive definite, a Sturm chain of
+    det(A - rho mu B) in mu when it is indefinite. Each root r gets a
+    null basis of A - r B, with pivots at or below
+    tol * (max|A| + |r| max|B|) taken as zero, and roots this test cannot
+    tell apart share one; a k-vector basis makes r a k-fold eigenvalue,
+    re-solved on the (k-1)-th derivative of det(A - rho mu B).
+    ``ConvergenceFailure`` is raised when no tol up to 1e-4 gives d
+    directions in all (complex eigenvalues, say).
     For d > 4 a positive definite B is required and the reduction runs as
     a congruence with B^-1/2 = Phi_B (Lambda_B + eps I)^-1/2 Phi_B', which
     shares the spectrum of B^-1 A; it is the whitening core of
@@ -252,18 +264,18 @@ def solve_quick_dirty(
         # B itself when not regularized: adding 0.0 would turn its -0.0 entries into +0.0
         b_reg = p.b.array + eps_used * np.eye(d) if eps_used else p.b.array
         breg_list = b_reg.tolist()
-        if not indefinite:
-            strategy = "charpoly-inertia"
-            fro_a = math.sqrt(float(np.sum(p.a.array * p.a.array)))
-            bound = fro_a / lam_reg[-1]
-            # below 1 the pad shrinks with the bound, and so does the bisection's
-            # stopping floor: s*B is solved to the same relative accuracy at every s
-            pad = 1e-6 * max(1.0, bound) + min(1.0, bound)
-            roots = _bisect_pencil_eigs(a_list, breg_list, d, -bound - pad, bound + pad)
+        strategy = "charpoly-sturm" if indefinite else "charpoly-inertia"
+        # every real eigenvalue has |lambda| <= rho = ||A||_F / min|lambda(B + eps I)|
+        rho = math.sqrt(float(np.sum(p.a.array * p.a.array))) / min(abs(x) for x in lam_reg)
+        if rho == 0.0:  # A = 0: every vector is an eigenvector for 0
+            phi, lams = np.eye(d), [0.0] * d
         else:
-            strategy = "charpoly-sturm"
-            roots = _real_pencil_roots_sturm(a_list, breg_list, d)
-        phi, lams = _vectors_from_roots(a_list, breg_list, roots, d, order)
+            if indefinite:
+                roots = _sturm_roots(a_list, breg_list, d, rho)
+            else:
+                found = _roots_by_count(lambda x: _inertia_below(a_list, breg_list, x, d), rho)
+                roots = [r for r, _ in found]
+            phi, lams = _pairs_at_roots(a_list, breg_list, roots, d, order, rho)
     else:
         if indefinite:
             raise IndefiniteB(
@@ -345,45 +357,75 @@ def _shares_null_direction(a: np.ndarray, eig_b: EigenDecomposition) -> bool:
     return False
 
 
-def _vectors_from_roots(
-    a: list, b_reg: list, roots_ascending: list[float], d: int, order: str
+def _pairs_at_roots(
+    a: list, b: list, roots: list[float], d: int, order: str, rho: float
 ) -> tuple[np.ndarray, list[float]]:
-    """Null-space eigenvectors for the root list of det(A - lambda B).
+    """Eigenpairs at the ascending real roots of det(A - lambda B).
 
-    Roots within a relative gap of 1e-8 form one cluster whose eigenspace
-    is extracted in a single row reduction; the rank tolerance escalates
-    gently if the space comes out thin at the first try.
+    Each group of roots from ``_null_bases`` gets a null basis of A - r B;
+    a k-vector basis makes r an eigenvalue of multiplicity k. A root with
+    k >= 2 is re-solved on det(A - rho mu B) (``_polish_multiple_root``)
+    before its basis is taken again there.
     """
-    clusters: list[list[float]] = []
-    for r in roots_ascending:
-        if clusters and abs(r - clusters[-1][-1]) <= 1e-8 * max(1.0, abs(r)):
-            clusters[-1].append(r)
-        else:
-            clusters.append([r])
-
-    pairs: list[tuple[float, list[float]]] = []
-    for cluster in clusters:
-        center = sum(cluster) / len(cluster)
-        m = [[a[i][j] - center * b_reg[i][j] for j in range(d)] for i in range(d)]
-        scale = max(1.0, max(abs(x) for row in m for x in row))
-        basis: list[list[float]] = []
-        for tol in (1e-10, 1e-8, 1e-6, 1e-4):
-            basis = _null_basis(m, tol * scale)
-            if len(basis) >= len(cluster):
-                break
-        if len(basis) < len(cluster):
-            raise ConvergenceFailure(
-                f"found {len(basis)} independent directions for eigenvalue "
-                f"{center!r} of multiplicity {len(cluster)}"
-            )
-        for lam, vec in zip(cluster, basis):
-            pairs.append((lam, vec))
-
+    groups = _null_bases(a, b, roots, d)
+    if any(len(v) > 1 for _, v in groups):
+        coeffs = _charpoly_in_mu(a, b, d, rho)
+        roots = [
+            rho * _polish_multiple_root(coeffs, r / rho, len(v)) if len(v) > 1 else r
+            for r, v in groups
+        ]
+        groups = _null_bases(a, b, roots, d)
+    found = sum(len(v) for _, v in groups)
+    if found != d:
+        raise ConvergenceFailure(
+            f"the null spaces at the {len(groups)} real roots of det(A - lambda B) "
+            f"hold {found} directions for {d} eigenvalues: the pencil has complex "
+            "or defective eigenvalues, which this solver does not handle, or roots "
+            "too close to tell apart"
+        )
+    pairs = [(r, vec) for r, basis in groups for vec in basis]
     if order == "descending":
         pairs = pairs[::-1]
     lams = [lam for lam, _ in pairs]
     phi = np.array([vec for _, vec in pairs], dtype=np.float64).T
     return _fix_column_signs(phi), lams
+
+
+def _null_bases(
+    a: list, b: list, roots: list[float], d: int
+) -> list[tuple[float, list[list[float]]]]:
+    """(root, null basis of A - root B) per group of the ascending roots.
+
+    At rank tolerance tol, pivots at or below tol * (max|A| + |r| max|B|)
+    count as zero, so the test scales with the pencil. tol starts at 1e-10
+    and is loosened for all roots together until the bases hold d
+    directions or tol reaches 1e-4.
+
+    Near a k-fold root the count wavers over a zone ~eps^(1/k) wide and can
+    report the root there as several, each of which may see only part of
+    the eigenspace. So adjacent roots whose shifts differ by at most ten
+    times the rank tolerance, |r' - r| max|B| <= 10 tol (max|A| +
+    |r'| max|B|), form one group, which gets one basis at its mean root;
+    the factor covers pivots that track the smallest singular values only
+    to within a small multiple.
+    """
+    max_a = max(abs(x) for row in a for x in row)
+    max_b = max(abs(x) for row in b for x in row)
+    for tol in (1e-10, 1e-8, 1e-6, 1e-4):
+        groups: list[list[float]] = []
+        for r in roots:
+            if groups and (r - groups[-1][-1]) * max_b <= 10.0 * tol * (max_a + abs(r) * max_b):
+                groups[-1].append(r)
+            else:
+                groups.append([r])
+        bases = []
+        for group in groups:
+            r = sum(group) / len(group)
+            m = [[a[i][j] - r * b[i][j] for j in range(d)] for i in range(d)]
+            bases.append((r, _null_basis(m, tol * (max_a + abs(r) * max_b))))
+        if sum(len(v) for _, v in bases) >= d:
+            break
+    return bases
 
 
 # ---- characteristic polynomial of a pencil, d <= 4 ----
@@ -413,11 +455,9 @@ def _pencil_charpoly(a: list, b: list, n: int) -> list[float]:
     return coeffs
 
 
-def _poly_trim(p: list[float]) -> list[float]:
-    scale = max((abs(c) for c in p), default=0.0)
-    if scale == 0.0:
-        return []
-    tol = 1e-13 * scale
+def _poly_trim(p: list[float], ref: list[float]) -> list[float]:
+    """``p`` with coefficients at or below 1e-13 * max|ref| zeroed, trailing zeros dropped."""
+    tol = 1e-13 * max(abs(c) for c in ref)
     out = [c if abs(c) > tol else 0.0 for c in p]
     while out and out[-1] == 0.0:
         out.pop()
@@ -449,14 +489,16 @@ def _poly_rem(num: list[float], den: list[float]) -> list[float]:
 
 
 def _sturm_chain(p: list[float]) -> list[list[float]]:
-    chain = [_poly_trim(p)]
-    dp = _poly_trim(_poly_deriv(chain[0]))
-    if dp:
-        chain.append(dp)
+    """p, p' and the negated remainders of Euclid's algorithm.
+
+    Each remainder is trimmed against the polynomial it was divided out of,
+    so one at roundoff level ends the chain: p then has repeated roots, and
+    the truncated chain still counts its distinct roots.
+    """
+    chain = [p, _poly_deriv(p)]
     while len(chain[-1]) > 1:
-        rem = _poly_trim([-c for c in _poly_rem(chain[-2], chain[-1])])
+        rem = _poly_trim([-c for c in _poly_rem(chain[-2], chain[-1])], chain[-2])
         if not rem:
-            # Nontrivial gcd: the truncated chain still counts distinct roots.
             break
         chain.append(rem)
     return chain
@@ -475,97 +517,38 @@ def _sign_variations(chain: list[list[float]], x: float) -> int:
     return count
 
 
-def _polish_multiple_root(coeffs: list[float], r: float, mult: int) -> float:
-    """Re-solve a multiple root against the (mult-1)-th derivative.
+def _polish_multiple_root(coeffs: list[float], mu: float, mult: int) -> float:
+    """Re-solve a root of multiplicity ``mult`` as a simple root of the
+    (mult-1)-th derivative.
 
-    A root of multiplicity m is a simple root of the (m-1)-th derivative.
-    The original polynomial is flat around such a root (its value falls
-    below roundoff in a zone of width ~ sqrt(machine eps)), which caps
-    sign-based bisection there; the derivative has a clean sign change.
+    The polynomial is flat around a multiple root (its value falls below
+    roundoff in a zone of width ~ sqrt(machine eps)), which caps a count of
+    its sign changes there; the derivative changes sign cleanly. It is
+    searched on mu + 1e-6 t for t in [-1, 1], counting 1 past its root.
     """
     q = coeffs
     for _ in range(mult - 1):
         q = _poly_deriv(q)
-    scale = max(1.0, abs(r))
-    lo, hi = r - 1e-6 * scale, r + 1e-6 * scale
-    f_lo, f_hi = _poly_eval(q, lo), _poly_eval(q, hi)
-    if f_lo == 0.0 or f_hi == 0.0 or (f_lo > 0.0) == (f_hi > 0.0):
-        return r  # no usable bracket: keep the Sturm estimate
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        f_mid = _poly_eval(q, mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * scale:
-            break
-    return 0.5 * (lo + hi)
+    rising = _poly_eval(_poly_deriv(q), mu) > 0.0
+
+    def past(t: float) -> int | None:
+        val = _poly_eval(q, mu + 1e-6 * t)
+        return None if val == 0.0 else int((val > 0.0) == rising)
+
+    found = _roots_by_count(past, 1.0)
+    return mu + 1e-6 * found[0][0] if len(found) == 1 else mu
 
 
-def _real_pencil_roots_sturm(a: list, b_reg: list, d: int) -> list[float]:
-    """Real eigenvalues (with multiplicity) when B is indefinite.
+def _charpoly_in_mu(a: list, b: list, d: int, rho: float) -> list[float]:
+    """Coefficients of q(mu) = det(A - rho mu B), ascending powers.
 
-    det(A - lambda B) keeps degree d because B is invertible here, but its
-    roots need not all be real. Distinct real roots are isolated with a
-    Sturm chain; each root's multiplicity is the null-space dimension of
-    A - root*B. If the multiplicities cannot account for all d eigenvalues
-    the pencil has complex (or defective) eigenvalues and the symmetric
-    machinery cannot proceed.
+    Its real roots lie in [-1, 1] (lambda = rho * mu), so the Sturm chain,
+    the bisection and the polish all work on O(1) numbers.
     """
-    coeffs = _pencil_charpoly(a, b_reg, d)
-    chain = _sturm_chain(coeffs)
-    lead = abs(coeffs[-1])
-    bound = 1.0 + max(abs(c) for c in coeffs[:-1]) / lead if len(coeffs) > 1 else 1.0
-    lo, hi = -bound, bound
+    return [c * rho**k for k, c in enumerate(_pencil_charpoly(a, b, d))]
 
-    intervals = [(lo, hi)]
-    isolated: list[tuple[float, float]] = []
-    while intervals:
-        left, right = intervals.pop()
-        n_roots = _sign_variations(chain, left) - _sign_variations(chain, right)
-        if n_roots <= 0:
-            continue
-        if n_roots == 1:
-            isolated.append((left, right))
-            continue
-        mid = 0.5 * (left + right)
-        if _poly_eval(chain[0], mid) == 0.0:
-            mid += 1e-9 * (right - left)
-        intervals.append((left, mid))
-        intervals.append((mid, right))
 
-    distinct: list[float] = []
-    for left, right in isolated:
-        v_left = _sign_variations(chain, left)
-        for _ in range(200):
-            if right - left <= 1e-14 * max(1.0, abs(left), abs(right)):
-                break
-            mid = 0.5 * (left + right)
-            if v_left - _sign_variations(chain, mid) >= 1:
-                right = mid
-            else:
-                left = mid
-        distinct.append(0.5 * (left + right))
-    distinct.sort()
-
-    roots: list[float] = []
-    for r in distinct:
-        m = [[a[i][j] - r * b_reg[i][j] for j in range(d)] for i in range(d)]
-        scale = max(1.0, max(abs(x) for row in m for x in row))
-        mult = 0
-        for tol in (1e-10, 1e-8, 1e-6):
-            mult = len(_null_basis(m, tol * scale))
-            if mult:
-                break
-        if mult >= 2:
-            r = _polish_multiple_root(coeffs, r, mult)
-        roots.extend([r] * max(mult, 1))
-    if len(roots) != d:
-        raise ConvergenceFailure(
-            f"only {len(roots)} of {d} eigenvalues are real; the pencil has "
-            "complex or defective eigenvalues, which this solver does not handle"
-        )
-    return roots
+def _sturm_roots(a: list, b_reg: list, d: int, rho: float) -> list[float]:
+    """Distinct real roots of det(A - lambda B), ascending, when B is indefinite."""
+    chain = _sturm_chain(_charpoly_in_mu(a, b_reg, d, rho))
+    return [rho * mu for mu, _ in _roots_by_count(lambda mu: -_sign_variations(chain, mu), 1.0)]

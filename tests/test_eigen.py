@@ -20,7 +20,7 @@ from genspectra import (
     spectral_reconstruct,
 )
 
-from conftest import random_spd, random_sym
+from conftest import SCALES, random_spd, random_sym
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +165,22 @@ def test_char_poly_d4_with_multiplicity():
     assert got == pytest.approx([7.0, 7.0, 1.0, 0.0], abs=1e-9)
 
 
+def test_char_poly_d4_repeated_root_costs_one_bisection(monkeypatch):
+    from genspectra import eigen
+
+    inertia = eigen._inertia_below
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return inertia(*args)
+
+    monkeypatch.setattr(eigen, "_inertia_below", counting)
+    assert char_poly_eig(SymMatrix(2.0 * np.eye(4))) == pytest.approx([2.0] * 4, abs=1e-12)
+    # one path: 2 end counts and ~48 halvings from ±||A||_F to 1e-14 relative
+    assert len(calls) <= 60
+
+
 def test_char_poly_unsupported_dimension():
     with pytest.raises(UnsupportedDimension):
         char_poly_eig(SymMatrix(np.eye(5)))
@@ -200,6 +216,17 @@ def test_eigvec_for_residual_on_random_matrix():
     resid = np.linalg.norm(a.array @ v.array - lam * v.array)
     assert resid <= 1e-6 * max(1.0, frobenius_norm(a))
     assert v.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_eigvec_for_is_the_same_at_every_scale(k):
+    a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    lam = eig_sym(SymMatrix(a)).eigenvalues[k]
+    unit = eigvec_for(SymMatrix(a), lam).array
+    assert np.linalg.norm(a @ unit - lam * unit) <= 1e-12
+    for s in SCALES + [1e-9]:
+        v = eigvec_for(SymMatrix(s * a), s * lam).array
+        assert min(np.linalg.norm(v - unit), np.linalg.norm(v + unit)) <= 1e-9, s
 
 
 def test_eigvec_for_rejects_non_eigenvalue():
