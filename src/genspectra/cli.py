@@ -73,6 +73,62 @@ def _split_header(rows):
     return None, rows
 
 
+def _fast_table(path: str) -> tuple[list[str] | None, np.ndarray] | None:
+    """(header or None, float64 table) of a plain numeric CSV, else None.
+
+    One read and one ``np.loadtxt`` pass over the rows below the header.
+    numpy converts each field with the routine behind ``float``, so the
+    values are the located parser's bit for bit; forms only ``float``
+    accepts (``1_0``, non-ASCII digits) make ``loadtxt`` raise. None, and
+    so the located parser, on any doubt: quotes or carriage returns, a
+    blank first line, a field ``loadtxt`` rejects (blank or comma-only
+    lines among the rows, ragged rows, text), a non-finite value, or a
+    header whose width is not the table's.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:  # its position would differ from the csv reader's
+        return None
+    if '"' in text or "\r" in text:
+        return None
+    first, _, rest = text.partition("\n")
+    cells = [c.strip() for c in first.split(",")]
+    if not any(cells):
+        return None
+    header = cells if any(_cell_value(c) is None for c in cells) else None
+    body = text if header is None else rest
+    if not body or body.isspace():
+        return None
+    try:
+        table = np.loadtxt(
+            body.split("\n"), delimiter=",", comments=None, quotechar=None,
+            dtype=np.float64, ndmin=2,
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(table).all():
+        return None
+    if header is not None and len(header) != table.shape[1]:
+        return None
+    return header, table
+
+
+def _located_rows(path: str):
+    """(header or None, non-blank data rows) read by the csv module.
+
+    Raises ``EmptyFile`` or a located ``RaggedRows``; cells stay text.
+    """
+    rows = _read_rows(path)
+    if not rows:
+        raise EmptyFile(f"{path} has no data rows")
+    header, data_rows = _split_header(rows)
+    if not data_rows:
+        raise EmptyFile(f"{path} has a header but no data rows")
+    _check_rectangular(data_rows)
+    return header, data_rows
+
+
 def _check_rectangular(data_rows):
     width = len(data_rows[0][1])
     for lineno, cells in data_rows:
@@ -80,7 +136,6 @@ def _check_rectangular(data_rows):
             raise RaggedRows(
                 f"row {lineno} has {len(cells)} fields, expected {width}"
             )
-    return width
 
 
 def _parse_float_cell(cell: str, lineno: int, col: int) -> float:
@@ -98,13 +153,10 @@ def parse_matrix_csv(path: str) -> Matrix:
     A first row containing any non-numeric cell is treated as a header
     and skipped. Errors carry the offending row/column location.
     """
-    rows = _read_rows(path)
-    if not rows:
-        raise EmptyFile(f"{path} has no data rows")
-    _, data_rows = _split_header(rows)
-    if not data_rows:
-        raise EmptyFile(f"{path} has a header but no data rows")
-    _check_rectangular(data_rows)
+    fast = _fast_table(path)
+    if fast is not None:
+        return Matrix(fast[1])
+    _, data_rows = _located_rows(path)
     entries = [
         [_parse_float_cell(cell, lineno, j) for j, cell in enumerate(cells)]
         for lineno, cells in data_rows
@@ -120,14 +172,44 @@ def parse_labeled_csv(path: str, label_column: str = "label") -> LabeledDataset:
     integer class ids; the remaining columns become the d x n data
     matrix, transposed so samples sit in columns.
     """
-    rows = _read_rows(path)
-    if not rows:
-        raise EmptyFile(f"{path} has no data rows")
-    header, data_rows = _split_header(rows)
-    if not data_rows:
-        raise EmptyFile(f"{path} has a header but no data rows")
-    width = _check_rectangular(data_rows)
+    fast = _fast_table(path)
+    if fast is not None:
+        header, table = fast
+        label_idx = _label_index(header, table.shape[1], label_column)
+        labels = table[:, label_idx].tolist()
+        # The located parser reports a fractional label with its row, and
+        # a file without feature columns.
+        if table.shape[1] > 1 and all(v == int(v) for v in labels):
+            x = Matrix(np.delete(table, label_idx, axis=1).T)
+            return LabeledDataset(x=x, labels=tuple(int(v) for v in labels))
 
+    header, data_rows = _located_rows(path)
+    label_idx = _label_index(header, len(data_rows[0][1]), label_column)
+    labels = []
+    feature_rows = []
+    for lineno, cells in data_rows:
+        val = _parse_float_cell(cells[label_idx], lineno, label_idx)
+        if val != int(val):
+            raise NonNumericCell(
+                f"row {lineno} column {label_idx + 1}: label {cells[label_idx]!r} "
+                "is not an integer class id"
+            )
+        labels.append(int(val))
+        feature_rows.append(
+            [
+                _parse_float_cell(cell, lineno, j)
+                for j, cell in enumerate(cells)
+                if j != label_idx
+            ]
+        )
+    if not feature_rows or not feature_rows[0]:
+        raise EmptyFile(f"{path} has no feature columns besides the label")
+    x = Matrix(np.array(feature_rows, dtype=np.float64).T)
+    return LabeledDataset(x=x, labels=tuple(labels))
+
+
+def _label_index(header: list[str] | None, width: int, label_column: str) -> int:
+    """The 0-based label column: a header name, else a numeric index."""
     if header is not None:
         dup = {name for name in header if header.count(name) > 1}
         if dup:
@@ -151,28 +233,7 @@ def parse_labeled_csv(path: str, label_column: str = "label") -> LabeledDataset:
         raise MissingLabelColumn(
             f"label column index {label_idx} out of range for {width} columns"
         )
-
-    labels = []
-    feature_rows = []
-    for lineno, cells in data_rows:
-        val = _parse_float_cell(cells[label_idx], lineno, label_idx)
-        if val != int(val):
-            raise NonNumericCell(
-                f"row {lineno} column {label_idx + 1}: label {cells[label_idx]!r} "
-                "is not an integer class id"
-            )
-        labels.append(int(val))
-        feature_rows.append(
-            [
-                _parse_float_cell(cell, lineno, j)
-                for j, cell in enumerate(cells)
-                if j != label_idx
-            ]
-        )
-    if not feature_rows or not feature_rows[0]:
-        raise EmptyFile(f"{path} has no feature columns besides the label")
-    x = Matrix(np.array(feature_rows, dtype=np.float64).T)
-    return LabeledDataset(x=x, labels=tuple(labels))
+    return label_idx
 
 
 def _is_index(s: str) -> bool:

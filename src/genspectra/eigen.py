@@ -277,8 +277,11 @@ def _null_basis(m: list, rank_tol: float) -> list[list[float]]:
 
     Pivots with magnitude at or below ``rank_tol`` count as zero. One
     basis vector comes back per free column, each unit length with its
-    largest-magnitude entry positive. Deterministic: partial pivoting
-    picks the largest pivot, earliest row on ties.
+    largest-magnitude entry positive. Vectors after the first are
+    orthogonalised against the ones before by modified Gram-Schmidt, so a
+    basis of two or more vectors is orthonormal; the first is the
+    echelon-form vector of the first free column. Deterministic: partial
+    pivoting picks the largest pivot, earliest row on ties.
     """
     n = len(m)
     a = [row[:] for row in m]
@@ -322,15 +325,24 @@ def _null_basis(m: list, rank_tol: float) -> list[list[float]]:
         x[free] = 1.0
         for pr, pc in pivots:
             x[pc] = -a[pr][free]
-        norm = math.sqrt(sum(e * e for e in x))
-        x = [e / norm for e in x]
-        i_max = 0
-        best = abs(x[0])
-        for i in range(1, n):
-            if abs(x[i]) > best:
-                best = abs(x[i])
-                i_max = i
-        if x[i_max] < 0.0:
-            x = [-e for e in x]
-        basis.append(x)
+        for q in basis:
+            dot = sum(qi * xi for qi, xi in zip(q, x))
+            x = [xi - dot * qi for xi, qi in zip(x, q)]
+        basis.append(_unit_positive(x))
     return basis
+
+
+def _unit_positive(x: list[float]) -> list[float]:
+    """x scaled to unit length, its largest-magnitude entry positive
+    (the first such entry on ties)."""
+    norm = math.sqrt(sum(e * e for e in x))
+    x = [e / norm for e in x]
+    i_max = 0
+    best = abs(x[0])
+    for i in range(1, len(x)):
+        if abs(x[i]) > best:
+            best = abs(x[i])
+            i_max = i
+    if x[i_max] < 0.0:
+        x = [-e for e in x]
+    return x

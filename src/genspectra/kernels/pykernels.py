@@ -11,9 +11,11 @@ to the last bit on IEEE-754 hardware.
 inner dimension at a time, but adds the terms of each entry strictly in
 the order of the compiled loop. ``jacobi_eigh`` runs each round of
 rotations on disjoint index pairs, which makes a round elementwise: from
-``_NUMPY_ROUNDS_MIN_DIM`` up it is a few dozen numpy operations on the pair
-columns and rows, and below that the same operations on Python lists,
-whose element access costs less than numpy's fixed cost per call.
+``_NUMPY_ROUNDS_MIN_DIM`` up it is a few dozen numpy operations, in which
+every column of M and V, and then every row of M, is updated in place
+from itself and its pair partner, gathered in one ``take``; below that
+the same operations run on Python lists, whose element access costs less
+than numpy's fixed cost per call.
 """
 
 from __future__ import annotations
@@ -205,12 +207,16 @@ def _iterate_lists(a: np.ndarray, thresh: float, max_sweeps: int):
 def _iterate_numpy(a: np.ndarray, thresh: float, max_sweeps: int):
     """The sweeps of :func:`_iterate_lists` as elementwise numpy operations.
 
-    ``cc * x + ss * y`` with ``cc = (c, c)`` and ``ss = (-s, s)`` updates the
-    p and q halves at once. It rounds exactly like ``c * x - s * y`` and
-    ``s * x + c * y``, since a - b is a + (-b) and (-s) * y is -(s * y).
-    Likewise ``1 / (|tau| + r)``, negated where tau < 0, is the list form's
-    tangent, and ``np.add.accumulate`` adds the squares of the off-diagonal
-    norm one after another, as the list form does.
+    Each column x of M and V is updated in place as ``cf * x + sf * y``,
+    where y is its pair partner gathered in one ``take``: cf = c and
+    sf = -s for a p column, cf = c and sf = s for a q column. This rounds
+    exactly like ``c * x - s * y`` and ``s * x + c * y``, since a - b is
+    a + (-b) and (-s) * y is -(s * y). For odd d the unpaired column is its
+    own partner with cf = 1.0 and sf = 0.0, and x * 1.0 + x * 0.0 is x for
+    every finite x, -0.0 included. The rows of M get the same update. Likewise
+    ``1 / (|tau| + r)``, negated where tau < 0, is the list form's tangent,
+    and ``np.add.accumulate`` adds the squares of the off-diagonal norm one
+    after another, as the list form does.
     """
     d = a.shape[0]
     mv = np.vstack((a, np.eye(d)))  # rows of M, then rows of V
@@ -223,8 +229,17 @@ def _iterate_numpy(a: np.ndarray, thresh: float, max_sweeps: int):
     p, q = pairs[..., 0], pairs[..., 1]
     # Flat indices of app, aqq, apq and aqp of every pair.
     blocks = np.concatenate((p * (d + 1), q * (d + 1), p * d + q, q * d + p), axis=1)
-    plan = list(zip(np.concatenate((p, q), axis=1), np.concatenate((q, p), axis=1), blocks))
+    # Per round, each index's partner and its slot in (c, c, 1.0) and
+    # (-s, s, 0.0): pair k puts p in slot k and q in slot h + k; an
+    # unpaired index keeps itself and slot 2h.
+    partners = np.tile(np.arange(d), (len(rounds), 1))
+    slots = np.full((len(rounds), d), 2 * h)
+    for r in range(len(rounds)):
+        partners[r, p[r]], partners[r, q[r]] = q[r], p[r]
+        slots[r, p[r]], slots[r, q[r]] = np.arange(h), np.arange(h, 2 * h)
+    plan = list(zip(partners, slots, blocks))
     del rounds  # the tuples are not needed while sweeping
+    one, zero = np.ones(1), np.zeros(1)
     lower = np.tri(d, k=-1, dtype=bool)
     upper = lower.T
 
@@ -237,7 +252,7 @@ def _iterate_numpy(a: np.ndarray, thresh: float, max_sweeps: int):
     converged = offdiag_norm() <= thresh
     while not converged and sweeps < max_sweeps:
         sweeps += 1
-        for pq, qp, block in plan:
+        for partner, slot, block in plan:
             g = flat.take(block)
             app, aqq, apq = g[:h], g[h:2 * h], g[2 * h:3 * h]
             tau = (aqq - app) / (2.0 * apq)
@@ -246,22 +261,18 @@ def _iterate_numpy(a: np.ndarray, thresh: float, max_sweeps: int):
             t[(apq == 0.0) | np.isinf(tau)] = 0.0
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            cc = np.concatenate((c, c))
-            ss = np.concatenate((-s, s))
-            x = mv[:, pq]
-            x *= cc
-            y = mv[:, qp]
-            y *= ss
-            x += y
-            mv[:, pq] = x
-            cc = cc[:, None]
-            ss = ss[:, None]
-            x = m[pq]
-            x *= cc
-            y = m[qp]
-            y *= ss
-            x += y
-            m[pq] = x
+            cf = np.concatenate((c, c, one)).take(slot)
+            sf = np.concatenate((-s, s, zero)).take(slot)
+            y = mv.take(partner, axis=1)
+            y *= sf
+            mv *= cf
+            mv += y
+            cf = cf[:, None]
+            sf = sf[:, None]
+            y = m.take(partner, axis=0)
+            y *= sf
+            m *= cf
+            m += y
             t_apq = t * apq
             flat[block[:2 * h]] = g[:2 * h] + np.concatenate((-t_apq, t_apq))
             flat[block[2 * h:]] = 0.0

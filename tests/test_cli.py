@@ -3,18 +3,23 @@
 import json
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genspectra import (
     DuplicateColumn,
     EmptyFile,
+    GenSpectraError,
+    LabeledDataset,
     Matrix,
     MissingLabelColumn,
     NonNumericCell,
     RaggedRows,
 )
+from genspectra import cli
 from genspectra.apps import KernelSpec, fda_fit, kspca_fit
 from genspectra.cli import (
     main,
@@ -147,6 +152,209 @@ def test_parse_labeled_non_integer_label(tmp_path):
     with pytest.raises(NonNumericCell) as err:
         parse_labeled_csv(path, "label")
     assert "row 2" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# CSV fast path: one np.loadtxt pass, the csv module on any doubt
+# ---------------------------------------------------------------------------
+
+_PARSE_TESTS = [
+    test_parse_matrix_plain,
+    test_parse_matrix_header_rule,
+    test_parse_matrix_skips_blank_lines,
+    test_parse_matrix_ragged_rows_are_located,
+    test_parse_matrix_bad_cell_is_located,
+    test_parse_matrix_empty_inputs,
+    test_matrix_roundtrip_through_writer,
+    test_parse_labeled_by_header_name,
+    test_parse_labeled_by_index_and_headerless,
+    test_parse_labeled_header_with_numeric_index,
+    test_parse_labeled_missing_label_column,
+    test_parse_labeled_duplicate_header,
+    test_parse_labeled_non_integer_label,
+]
+
+
+@pytest.mark.parametrize("parse_test", _PARSE_TESTS, ids=lambda t: t.__name__)
+def test_parse_tests_hold_on_the_located_path(parse_test, tmp_path, monkeypatch):
+    # the tests above, with every file sent to the csv module
+    monkeypatch.setattr(cli, "_fast_table", lambda path: None)
+    parse_test(tmp_path)
+
+
+def _outcome(parse, path, *args):
+    """What a parser makes of a file: the bits and layout of its arrays
+    (and the labels), or the type and message of its error."""
+    try:
+        got = parse(path, *args)
+    except GenSpectraError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, LabeledDataset):
+        return _bits(got.x) + (got.labels,)
+    return _bits(got)
+
+
+def _bits(m: Matrix):
+    return m.shape, m.array.strides, m.array.view(np.uint64).tobytes()
+
+
+def _verdict(outcome) -> str:
+    return outcome[0] if isinstance(outcome[0], str) else "accepted"
+
+
+def _both_paths(parse, path, *args):
+    fast = _outcome(parse, path, *args)
+    with mock.patch.object(cli, "_fast_table", return_value=None):
+        located = _outcome(parse, path, *args)
+    return fast, located
+
+
+_NUMBER_FORMS = (repr, "%.17g", "%.20e", "%.25g", "%.3e")
+_SPECIAL_CELLS = (
+    "4.9e-324", "-4.9e-324", "2.2250738585072009e-308", "2.2250738585072014e-308",
+    "0.0", "-0.0", "0", "-0", "1e-400", "-1e-400", "1e308", "1.7976931348623157e308",
+    "9007199254740993",  # halfway between two doubles
+    "1.00000000000000011102230246251565404236316680908203125",  # halfway
+    "0.1", "+0.5", ".5", "5.", "1E+05",
+)
+_PADDING = ("", " ", "  ", "\t")
+
+
+@st.composite
+def _number_cell(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_SPECIAL_CELLS))
+    x = draw(st.floats(allow_nan=False, allow_infinity=False))
+    form = draw(st.sampled_from(_NUMBER_FORMS + ("%f",)))
+    if form == "%f":
+        text = "%.40f" % x if abs(x) < 1e22 else repr(x)
+    else:
+        text = form(x) if callable(form) else form % x
+    if not math.isfinite(float(text)):  # %.3e rounds the largest doubles up to inf
+        text = repr(x)
+    if not text.startswith("-") and draw(st.booleans()):
+        text = "+" + text
+    return text
+
+
+@st.composite
+def _csv_file(draw):
+    """(text, plain): a numeric CSV in many forms; ``plain`` when the fast
+    path should read it."""
+    width = draw(st.integers(1, 4))
+    nrows = draw(st.integers(1, 5))
+    labeled = draw(st.booleans())
+    plain = True
+    rows = []
+    for _ in range(nrows):
+        cells = [draw(_number_cell()) for _ in range(width)]
+        if labeled:
+            k = draw(st.integers(-3, 3))
+            cells[0] = draw(st.sampled_from([str(k), f"{k}.0", f"{k}e0", f"{k}.5"]))
+        if draw(st.integers(0, 9)) == 0:
+            # forms only float() accepts, and padding only str.strip() removes
+            cells[-1] = draw(st.sampled_from(["1_0", "٣", "١.5", "\xa02\xa0"]))
+            plain = plain and cells[-1] == "\xa02\xa0"
+        pads = [draw(st.sampled_from(_PADDING)) for _ in range(2 * width)]
+        rows.append(",".join(pads[2 * j] + c + pads[2 * j + 1] for j, c in enumerate(cells)))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(f"c{j}" for j in range(width)))
+    for row in rows:
+        lines.append(row)
+        extra = draw(st.sampled_from(["", "", "", "blank", "spaces", "commas"]))
+        if extra:
+            lines.append({"blank": "", "spaces": "  ", "commas": "," * (width - 1)}[extra])
+            plain = plain and (extra == "blank" or (extra == "commas" and width == 1))
+    if draw(st.integers(0, 5)) == 0:
+        lines.insert(0, "")
+        plain = False
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    plain = plain and newline == "\n"
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text, plain
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_file())
+def test_fast_path_matches_the_located_parser_bit_for_bit(tmp_path_factory, case):
+    text, plain = case
+    path = tmp_path_factory.mktemp("fast") / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    path = str(path)
+    matrix_fast, matrix_located = _both_paths(parse_matrix_csv, path)
+    assert matrix_fast == matrix_located
+    labeled_fast, labeled_located = _both_paths(parse_labeled_csv, path, "0")
+    assert labeled_fast == labeled_located
+    if plain:
+        assert cli._fast_table(path) is not None
+
+
+_AWKWARD_FILES = {
+    # accepted on either path
+    "underscore digits": ("1_0,2\n3,4\n", None),
+    "arabic-indic digit": ("٣,2\n3,4\n", None),
+    "quoted cell": ('"1.5",2\n3,4\n', None),
+    "header wider than rows": ("a,b,c\n1,2\n3,4\n", None),
+    # rejected with the same located message on either path
+    "inf": ("1,inf\n3,4\n", NonNumericCell),
+    "nan": ("1,2\nnan,4\n", NonNumericCell),
+    "infinity": ("1,2\n3,-infinity\n", NonNumericCell),
+    "overflow": ("1,2\n3,1e400\n", NonNumericCell),
+    "trailing comma": ("1,2,\n3,4,\n", NonNumericCell),
+    "comment cell": ("1,2\n# x,4\n", NonNumericCell),
+    "text cell": ("1,2\n3,oops\n", NonNumericCell),
+    "ragged rows": ("1,2\n3\n", RaggedRows),
+    "header only": ("a,b\n", EmptyFile),
+    "blank only": (" \n,\n", EmptyFile),
+}
+
+_AWKWARD_LABELED = {
+    "duplicate header": ("x,x,label\n1,2,0\n3,4,1\n", "label", DuplicateColumn),
+    "missing label": ("a,b\n1,2\n", "label", MissingLabelColumn),
+    "index out of range": ("1,2\n3,4\n", "7", MissingLabelColumn),
+    "name on a headerless file": ("1,2\n3,4\n", "label", MissingLabelColumn),
+    "non-integer label": ("x,label\n1,0\n2,0.5\n", "label", NonNumericCell),
+    "label only": ("label\n0\n1\n", "label", EmptyFile),
+    "label as underscore digits": ("x,label\n1,1_0\n2,1\n", "label", None),
+    "plain": ("x1,x2,label\n1,2,0\n3,4,1\n5,6,0\n", "label", None),
+    "plain headerless": ("1,2,0\n3,4,1\n5,6,0\n", "2", None),
+    "blank first line": ("\n0\n1\n", "label", MissingLabelColumn),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_AWKWARD_FILES))
+def test_fast_and_located_paths_agree_on_awkward_files(case, tmp_path):
+    text, error = _AWKWARD_FILES[case]
+    path = _write(tmp_path / "m.csv", text)
+    fast, located = _both_paths(parse_matrix_csv, path)
+    assert fast == located
+    assert _verdict(fast) == (error.__name__ if error else "accepted")
+
+
+@pytest.mark.parametrize("case", sorted(_AWKWARD_LABELED))
+def test_fast_and_located_paths_agree_on_awkward_labeled_files(case, tmp_path):
+    text, label_column, error = _AWKWARD_LABELED[case]
+    path = _write(tmp_path / "d.csv", text)
+    fast, located = _both_paths(parse_labeled_csv, path, label_column)
+    assert fast == located
+    assert _verdict(fast) == (error.__name__ if error else "accepted")
+
+
+def test_plain_numeric_files_skip_the_csv_module(tmp_path, monkeypatch):
+    def no_csv(path):
+        raise AssertionError(f"{path} went through the csv module")
+
+    monkeypatch.setattr(cli, "_read_rows", no_csv)
+    plain = _write(tmp_path / "m.csv", "1,2.5\n-3e-5,4\n\n")
+    assert parse_matrix_csv(plain).array.tolist() == [[1.0, 2.5], [-3e-5, 4.0]]
+    # a header with one numeric name is still a header
+    labeled = _write(tmp_path / "d.csv", "\ufeffx1, 2 ,label\n1,2,0\n3,4,1\n")
+    ds = parse_labeled_csv(labeled, "label")
+    assert ds.labels == (0, 1) and ds.x.array.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+    assert parse_labeled_csv(labeled, "0").labels == (1, 3)
 
 
 # ---------------------------------------------------------------------------

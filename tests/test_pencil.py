@@ -303,6 +303,18 @@ def test_quick_route_resolves_repeated_roots_of_rotated_pencils(case):
         assert sol.residual < 1e-9, seed
 
 
+def test_quick_route_vectors_of_double_roots_are_orthonormal():
+    # each double root's null basis is two vectors; the echelon form alone
+    # leaves them unit but far from orthogonal on about half these pencils
+    for seed in range(400):
+        q = random_orthonormal(np.random.RandomState(seed), 4)
+        a = q @ np.diag([2.0, 2.0, 5.0, 5.0]) @ q.T
+        sol = solve_quick_dirty(Pencil(SymMatrix((a + a.T) / 2.0), identity(4)))
+        assert sol.strategy == "charpoly-inertia"
+        assert np.linalg.svd(sol.phi.array, compute_uv=False).min() >= 1.0 - 1e-10, seed
+        assert sol.residual <= 1e-12, seed
+
+
 def _indefinite_sweep_pencil(d: int) -> tuple[np.ndarray, np.ndarray]:
     """A = G G' + I (seed 5) and an indefinite diagonal B0: a real spectrum."""
     g = np.random.RandomState(5).standard_normal((d, d))
