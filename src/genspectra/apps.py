@@ -23,7 +23,7 @@ from . import kernels
 from .errors import DimensionMismatch, InputError, MissingLabels, SingleClass
 from .eigen import eig_sym
 from .linalg import Matrix, SymMatrix, Vector
-from .pencil import Pencil, _diagnostics, solve_rigorous
+from .pencil import Pencil, _diagnostics, _whitened
 
 _KERNEL_KINDS = ("linear", "rbf", "polynomial", "delta")
 
@@ -223,10 +223,10 @@ def fda_fit(ds: LabeledDataset, p: int, epsilon: float | None = None) -> Embeddi
             stacklevel=2,
         )
     pair = scatter_matrices(ds)
-    sol, _ = solve_rigorous(Pencil(pair.s_b, pair.s_w), epsilon=epsilon)
+    _, phi, inter = _whitened(Pencil(pair.s_b, pair.s_w), epsilon, "descending")
     return _leading_pairs(
-        "fda", pair.s_b.array, pair.s_w.array, sol.phi.array, sol.eigenvalues, p,
-        epsilon_used=sol.epsilon_used,
+        "fda", pair.s_b.array, pair.s_w.array, phi, inter.lambda_a, p,
+        epsilon_used=inter.epsilon_used,
     )
 
 
@@ -289,13 +289,13 @@ def kspca_fit(
     k_y = kernel_matrix(labels_row, labels_row, ky).array
     m = kernels.matmul(k_x, kernels.matmul(_double_center(k_y), k_x))
     pencil = Pencil(SymMatrix((m + m.T) / 2.0), SymMatrix((k_x + k_x.T) / 2.0))
-    sol, _ = solve_rigorous(pencil, epsilon=epsilon)
+    _, phi, inter = _whitened(pencil, epsilon, "descending")
     return _leading_pairs(
-        "kspca", pencil.a.array, pencil.b.array, sol.phi.array, sol.eigenvalues, p,
+        "kspca", pencil.a.array, pencil.b.array, phi, inter.lambda_a, p,
         kernel_x=kx,
         kernel_y=ky,
         training_x=ds.x,
-        epsilon_used=sol.epsilon_used,
+        epsilon_used=inter.epsilon_used,
     )
 
 

@@ -34,6 +34,7 @@ from .errors import (
     NonNumericCell,
     NumericalError,
     RaggedRows,
+    UnreadableFile,
 )
 from .linalg import SYM_TOL, Matrix, SymMatrix, Vector
 from .pencil import Pencil, _diagnostics, solve_quick_dirty, solve_rigorous
@@ -54,9 +55,21 @@ def _cell_value(cell: str) -> float | None:
 
 
 def _read_rows(path: str) -> list[tuple[int, list[str]]]:
-    """Non-blank CSV rows with their 1-based file line numbers."""
+    """Non-blank CSV rows with their 1-based file line numbers.
+
+    Raises ``UnreadableFile`` on a byte that is not UTF-8 and on a file
+    the csv module rejects (a field over its size limit, say).
+    """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        raw = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            raw = list(reader)
+        except csv.Error as exc:
+            raise UnreadableFile(f"{path} line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise UnreadableFile(
+                f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+            ) from exc
     rows = []
     for lineno, row in enumerate(raw, start=1):
         cells = [c.strip() for c in row]

@@ -85,6 +85,10 @@ class NonNumericCell(InputError):
     """A CSV data cell could not be parsed as a finite number."""
 
 
+class UnreadableFile(InputError):
+    """A CSV file is not UTF-8 text, or the csv reader rejects it."""
+
+
 class MissingLabelColumn(InputError):
     """The requested label column does not exist in the CSV header."""
 

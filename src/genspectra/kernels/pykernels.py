@@ -87,15 +87,20 @@ def round_robin(d: int) -> list[list[tuple[int, int]]]:
     disjoint, and each unordered pair of indices falls in exactly one of
     the n - 1 rounds; pairs with the dummy are left out.
     """
+    p, q = _round_pairs(d)
+    return [list(zip(pr, qr)) for pr, qr in zip(p.tolist(), q.tolist())]
+
+
+def _round_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``round_robin(d)`` as two (rounds, d // 2) arrays of p and of q."""
     n = d + d % 2
-    rounds = []
-    for r in range(n - 1):
-        pairs = [(r, n - 1)] if n == d else []
-        for k in range(1, n // 2):
-            i, j = (r + k) % (n - 1), (r - k) % (n - 1)
-            pairs.append((min(i, j), max(i, j)))
-        rounds.append(pairs)
-    return rounds
+    r = np.arange(n - 1)[:, None]
+    # k = 0 stands for the pair (r, n - 1), which even d has first
+    k = np.arange(0 if n == d else 1, n // 2)
+    i, j = (r + k) % (n - 1), (r - k) % (n - 1)
+    if n == d:
+        j[:, 0] = n - 1
+    return np.minimum(i, j), np.maximum(i, j)
 
 
 def jacobi_eigh(a: np.ndarray, rel_tol: float, max_sweeps: int):
@@ -202,6 +207,26 @@ def _iterate_lists(a: np.ndarray, thresh: float, max_sweeps: int):
     return w, np.array(vt, dtype=np.float64).reshape(d, d).T.copy(), sweeps, converged
 
 
+def _round_plan(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per round of ``round_robin(d)``: partners, slots and blocks.
+
+    ``partners[r, i]`` is the index that i is paired with in round r,
+    ``slots[r, i]`` its position in (c, c, 1.0) and (-s, s, 0.0): pair k
+    puts p in slot k and q in slot h + k, h = d // 2; an unpaired index
+    (odd d) keeps itself and slot 2h. ``blocks[r]`` holds the flat indices
+    of app, then aqq, apq and aqp, of every pair of the round.
+    """
+    p, q = _round_pairs(d)
+    rounds, h = p.shape
+    r = np.arange(rounds)[:, None]
+    partners = np.tile(np.arange(d), (rounds, 1))
+    slots = np.full((rounds, d), 2 * h)
+    partners[r, p], partners[r, q] = q, p
+    slots[r, p], slots[r, q] = np.arange(h), np.arange(h, 2 * h)
+    blocks = np.concatenate((p * (d + 1), q * (d + 1), p * d + q, q * d + p), axis=1)
+    return partners, slots, blocks
+
+
 # Where apq == 0.0, tau is inf or nan and the tangent is overwritten.
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _iterate_numpy(a: np.ndarray, thresh: float, max_sweeps: int):
@@ -222,23 +247,8 @@ def _iterate_numpy(a: np.ndarray, thresh: float, max_sweeps: int):
     mv = np.vstack((a, np.eye(d)))  # rows of M, then rows of V
     m = mv[:d]
     flat = m.reshape(-1)
-    # Every round has h = d // 2 pairs; p and q get one row per round.
-    rounds = round_robin(d)
     h = d // 2
-    pairs = np.array(rounds, dtype=np.intp).reshape(len(rounds), h, 2)
-    p, q = pairs[..., 0], pairs[..., 1]
-    # Flat indices of app, aqq, apq and aqp of every pair.
-    blocks = np.concatenate((p * (d + 1), q * (d + 1), p * d + q, q * d + p), axis=1)
-    # Per round, each index's partner and its slot in (c, c, 1.0) and
-    # (-s, s, 0.0): pair k puts p in slot k and q in slot h + k; an
-    # unpaired index keeps itself and slot 2h.
-    partners = np.tile(np.arange(d), (len(rounds), 1))
-    slots = np.full((len(rounds), d), 2 * h)
-    for r in range(len(rounds)):
-        partners[r, p[r]], partners[r, q[r]] = q[r], p[r]
-        slots[r, p[r]], slots[r, q[r]] = np.arange(h), np.arange(h, 2 * h)
-    plan = list(zip(partners, slots, blocks))
-    del rounds  # the tuples are not needed while sweeping
+    plan = list(zip(*_round_plan(d)))
     one, zero = np.ones(1), np.zeros(1)
     lower = np.tri(d, k=-1, dtype=bool)
     upper = lower.T

@@ -6,23 +6,29 @@ Two routes are provided:
   for B^-1 A. For d <= 4 the eigenvalues are taken straight from the
   roots of det(A - lambda B), located by the one count-driven bisection of
   ``eigen._roots_by_count`` inside one bracket, and eigenvectors from
-  null spaces with a rank tolerance relative to the pencil; for larger
-  d the same answer is reached through a congruence with B^-1/2, computed
-  by the same whitening core as ``solve_rigorous``. When B is singular it
-  falls back to B + eps*I, whose eigenvectors are B's and whose
-  eigenvalues are lambda_B + eps, and reports the eps it used.
+  null spaces with a rank tolerance relative to the pencil. For larger d
+  a well-conditioned B is factored B = L L' (Cholesky, no eigendecomposition)
+  and the ordinary problem for C = L^-1 A L^-T, which shares the spectrum
+  of B^-1 A, is solved instead. Any other B is decomposed: when it is
+  singular the route falls back to B + eps*I, whose eigenvectors are B's
+  and whose eigenvalues are lambda_B + eps, reports the eps it used, and
+  reduces through a congruence with (B + eps*I)^-1/2.
 * ``solve_rigorous`` whitens the metric: decompose B, scale its
   eigenvectors to unit metric, decompose the transformed A, and combine.
   The result is B-orthonormal (Phi' B Phi = I, Phi' A Phi = diag(lambda))
   and every intermediate is returned for inspection.
 
-The routes share code for d > 4, so they check each other only at d <= 4.
-Both eigendecompose B once, and no other decomposition of B is made. They
+The routes share no factorization of B at d <= 4, nor at d > 4 where the
+quick route takes the Cholesky factor, so each checks the other there;
+on any other B with d > 4 they share the eigendecomposition of B. Where B
+is decomposed, that decomposition is the only one of B, and both routes
 read off it whether B is singular or indefinite, relative to its largest
 eigenvalue magnitude (``linalg.definiteness``), so B and s*B get the same
 verdict for every s > 0; the whitening factors; and, for ``deflated``,
-B's null eigenvectors. Both report their residual and B-orthonormality
-against the original, unregularized pencil.
+B's null eigenvectors. The quick route takes the Cholesky factor only
+where that verdict would be "definite and nonsingular" with a margin of
+1000 (``CHOLESKY_MAX_CONDITION``). Both report their residual and
+B-orthonormality against the original, unregularized pencil.
 """
 
 from __future__ import annotations
@@ -49,11 +55,18 @@ from .eigen import (
     _roots_by_count,
     eig_sym,
 )
-from .linalg import Matrix, SymMatrix, definiteness, null_eigenvalues
+from .linalg import SINGULAR_TOL, Matrix, SymMatrix, definiteness, null_eigenvalues, trace
 
 # Regularization strength when B is singular, before scaling by the
 # largest entry of B.
 DEFAULT_EPSILON = 1e-5
+
+# The quick route takes the Cholesky factor of B at d > 4 only when
+# trace(B) * trace(B^-1), an upper bound on lambda_max / lambda_min, is at
+# most this: 1000 times inside the ratio at which ``definiteness`` calls
+# B singular, so the bound's slack and the roundoff in L^-1 cannot take
+# the route where the eigendecomposition would regularize or reject B.
+CHOLESKY_MAX_CONDITION = 1e-3 / SINGULAR_TOL
 
 
 @dataclass(frozen=True)
@@ -84,7 +97,12 @@ class GenEigenSolution:
 
     ``phi`` holds eigenvectors in columns, matching ``eigenvalues`` by
     position. ``method`` is ``"quick_dirty"`` or ``"rigorous"``;
-    ``strategy`` records how the eigenpairs were actually computed.
+    ``strategy`` records how the eigenpairs were actually computed:
+    ``"whitening"`` (the rigorous route, and the quick route at d > 4 on a
+    B it decomposes), ``"cholesky"`` (the quick route at d > 4 on a
+    well-conditioned B), ``"charpoly-inertia"`` or ``"charpoly-sturm"``
+    (the quick route at d <= 4, on a positive definite or an indefinite
+    B + eps*I).
     ``epsilon_used`` is 0.0 unless a singular B forced regularization.
     ``residual`` is ||A Phi - B Phi diag(lambda)||_F / max(1, ||A||_F)
     and ``b_orthonormality`` is max|Phi' B Phi - I|, both against the
@@ -162,6 +180,19 @@ def solve_rigorous(
     ``epsilon_used``: the constraint is then enforced in the slightly
     perturbed metric from ``effective_b`` rather than B.
     """
+    eig_b, phi, inter = _whitened(p, epsilon, order)
+    sol = _solution(p, eig_b, phi, inter.lambda_a, "rigorous", inter.epsilon_used, "whitening")
+    return sol, inter
+
+
+def _whitened(
+    p: Pencil, epsilon: float | None, order: str
+) -> tuple[EigenDecomposition, np.ndarray, WhiteningIntermediates]:
+    """The decomposition of ``solve_rigorous``, without its diagnostics.
+
+    Returns eig(B), Phi and the intermediates; callers that measure only
+    some columns of Phi (the fits) take it directly.
+    """
     eig_b = eig_sym(p.b, order="descending")
     indefinite, singular = definiteness(eig_b.eigenvalues)
     if indefinite:
@@ -172,7 +203,8 @@ def solve_rigorous(
     eps_used = _regularization(p.b, epsilon) if singular else 0.0
     # the metric Phi_B (Lambda_B^1/2 + eps I)^2 Phi_B'
     factors = [1.0 / (math.sqrt(max(x, 0.0)) + eps_used) for x in eig_b.eigenvalues]
-    phi, breve, a_breve, phi_a, lams = _whiten_core(p.a, eig_b, factors, order)
+    breve = eig_b.phi.array * np.array(factors, dtype=np.float64)
+    phi, a_breve, phi_a, lams = _whiten_core(p.a, breve, order)
     inter = WhiteningIntermediates(
         phi_b=eig_b.phi,
         lambda_b=eig_b.eigenvalues,
@@ -182,7 +214,7 @@ def solve_rigorous(
         lambda_a=lams,
         epsilon_used=eps_used,
     )
-    return _solution(p, eig_b, phi, lams, "rigorous", eps_used, "whitening"), inter
+    return eig_b, phi, inter
 
 
 def _regularization(b: SymMatrix, epsilon: float | None) -> float:
@@ -196,15 +228,15 @@ def _regularization(b: SymMatrix, epsilon: float | None) -> float:
 
 
 def _whiten_core(
-    a: SymMatrix, eig_b: EigenDecomposition, factors: list[float], order: str
-) -> tuple[np.ndarray, np.ndarray, SymMatrix, np.ndarray, tuple[float, ...]]:
-    """Congruence with Phi_B_breve = Phi_B diag(factors), then eig(A_breve).
+    a: SymMatrix, breve: np.ndarray, order: str
+) -> tuple[np.ndarray, SymMatrix, np.ndarray, tuple[float, ...]]:
+    """Congruence with a whitening matrix W = ``breve``, then eig(A_breve).
 
-    Returns Phi, Phi_B_breve, A_breve, Phi_A and Lambda_A, with
-    Phi == Phi_B_breve @ Phi_A exactly: the canonical signs of Phi's
-    columns are applied to Phi_A's as well.
+    W whitens the metric, W' B W = I, so A_breve = W' A W has the
+    eigenvalues of the pencil. Returns Phi, A_breve, Phi_A and Lambda_A,
+    with Phi == W @ Phi_A exactly: the canonical signs of Phi's columns
+    are applied to Phi_A's as well.
     """
-    breve = eig_b.phi.array * np.array(factors, dtype=np.float64)
     a_breve_raw = kernels.matmul(breve.T, kernels.matmul(a.array, breve))
     a_breve = SymMatrix((a_breve_raw + a_breve_raw.T) / 2.0)
 
@@ -212,7 +244,7 @@ def _whiten_core(
     phi_a = eig_a.phi.array
     phi = kernels.matmul(breve, phi_a)
     signs = _column_signs(phi)
-    return phi * signs, breve, a_breve, phi_a * signs, eig_a.eigenvalues
+    return phi * signs, a_breve, phi_a * signs, eig_a.eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +256,8 @@ def solve_quick_dirty(
 ) -> GenEigenSolution:
     """Solve the pencil through the reduction to B^-1 A.
 
-    B is decomposed once. When it is singular (an eigenvalue within
+    B is decomposed once, except on the Cholesky route below, which does
+    not decompose it. When it is singular (an eigenvalue within
     ``[-INDEFINITE_TOL, SINGULAR_TOL] * max|lambda_B|``) the inverse is
     taken of B + eps*I instead, whose eigenvalues are lambda_B + eps on
     the same eigenvectors, and ``epsilon_used`` records eps. Eigenvectors
@@ -243,12 +276,27 @@ def solve_quick_dirty(
     re-solved on the (k-1)-th derivative of det(A - rho mu B).
     ``ConvergenceFailure`` is raised when no tol up to 1e-4 gives d
     directions in all (complex eigenvalues, say).
-    For d > 4 a positive definite B is required and the reduction runs as
-    a congruence with B^-1/2 = Phi_B (Lambda_B + eps I)^-1/2 Phi_B', which
-    shares the spectrum of B^-1 A; it is the whitening core of
-    ``solve_rigorous``, fed the decomposition above.
+
+    For d > 4 the reduction is a congruence C = W' A W with W' B W = I,
+    which shares the spectrum of B^-1 A, and Phi = W V from C = V Lambda V'.
+    B is first factored B = L L' (``_cholesky_inverse``) with W = L^-T,
+    and B is not decomposed: ``strategy`` is ``"cholesky"``, and Phi is
+    B-orthonormal. That route is taken only when every pivot is positive
+    and trace(B) * ||L^-1||_F^2 = trace(B) * trace(B^-1), which bounds
+    lambda_max / lambda_min, is at most ``CHOLESKY_MAX_CONDITION``. Any
+    other B is decomposed as above and must be positive definite after
+    regularization; W = Phi_B (Lambda_B + eps I)^-1/2 then, the whitening
+    core of ``solve_rigorous`` fed that decomposition.
     """
     d = p.dim
+    if d > 4:
+        inv_l = _cholesky_inverse(p.b.array)
+        if inv_l is not None and (
+            trace(p.b) * float(np.sum(inv_l * inv_l)) <= CHOLESKY_MAX_CONDITION
+        ):
+            phi, _, _, lams = _whiten_core(p.a, inv_l.T, order)
+            return _solution(p, None, phi, lams, "quick_dirty", 0.0, "cholesky")
+
     eig_b = eig_sym(p.b, order="descending")
     _, singular = definiteness(eig_b.eigenvalues)
     eps_used = _regularization(p.b, epsilon) if singular else 0.0
@@ -285,15 +333,42 @@ def solve_quick_dirty(
         strategy = "whitening"
         # the metric Phi_B (Lambda_B + eps I) Phi_B' = B + eps*I
         factors = [1.0 / math.sqrt(x) for x in lam_reg]
-        phi, _, _, _, lams = _whiten_core(p.a, eig_b, factors, order)
+        breve = eig_b.phi.array * np.array(factors, dtype=np.float64)
+        phi, _, _, lams = _whiten_core(p.a, breve, order)
     return _solution(p, eig_b, phi, lams, "quick_dirty", eps_used, strategy)
+
+
+def _cholesky_inverse(b: np.ndarray) -> np.ndarray | None:
+    """L^-1 for B = L L' (Cholesky), or None when a pivot is not positive.
+
+    Right-looking: step k takes column k of L from the pivot and column k
+    of the Schur complement, subtracts its outer product from the trailing
+    block, and eliminates it from the rows of L^-1 below row k. Each step
+    is a few elementwise numpy row and rank-1 updates, in a fixed order,
+    so L^-1 does not depend on the kernel backend.
+    """
+    d = b.shape[0]
+    schur = np.array(b, dtype=np.float64)
+    inv_l = np.eye(d)
+    for k in range(d):
+        pivot = schur[k, k]
+        if not pivot > 0.0:
+            return None
+        l_kk = math.sqrt(pivot)
+        col = schur[k + 1 :, k] / l_kk  # column k of L below the diagonal
+        schur[k + 1 :, k + 1 :] -= col[:, None] * col
+        row = inv_l[k, : k + 1]
+        row /= l_kk
+        inv_l[k + 1 :, : k + 1] -= col[:, None] * row
+    return inv_l
 
 
 def _solution(p, eig_b, phi, lams, method, eps_used, strategy) -> GenEigenSolution:
     """The solution document of either route, measured against the original pencil.
 
     ``deflated`` is read off ``eig_b``, the decomposition of B the route
-    already made, and only when B was regularized.
+    already made, and only when B was regularized (the Cholesky route
+    makes none and passes None).
     """
     a_arr = p.a.array
     residual, b_orth = _diagnostics(a_arr, p.b.array, phi, lams)

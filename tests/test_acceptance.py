@@ -135,6 +135,24 @@ def test_criterion_04_method_agreement(acceptance, spd_pencils):
     )
 
 
+def test_criterion_04_routes_are_independent_above_d4(spd_pencils):
+    # For d > 4 the quick route factors B by Cholesky and the rigorous route
+    # eigendecomposes it, so criterion 4 compares two computations there:
+    # their eigenvalues differ in the last bits and agree to its bound.
+    for p in spd_pencils:
+        if p.dim <= 4:
+            continue
+        quick = solve_quick_dirty(p)
+        rig, _ = solve_rigorous(p)
+        assert quick.strategy == "cholesky"
+        scale = max(1.0, max(abs(x) for x in rig.eigenvalues))
+        gap = max(
+            abs(q - r)
+            for q, r in zip(sorted(quick.eigenvalues), sorted(rig.eigenvalues))
+        )
+        assert 0.0 < gap / scale < 1e-6, (p.dim, gap / scale)
+
+
 def test_criterion_05_identity_metric_reduction(acceptance):
     rng = np.random.RandomState(1005)
     worst = 0.0

@@ -413,6 +413,26 @@ def test_eig_sym_tol_flag_loosens_the_check(tmp_path, capsys):
     assert main(["eig", "--sym-tol", "0.01", path]) == 0
 
 
+@pytest.mark.parametrize("command", ["eig", "fda"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        # the csv module's field size limit is 131072 characters
+        (b"label,x\n0," + b"7" * 200_000 + b"\n", "line 2: field larger than field limit"),
+        (b"label,x\n0,1\n1,\xff\n", "is not UTF-8 text: byte 0xff"),
+    ],
+    ids=["huge-cell", "non-utf8-byte"],
+)
+def test_unreadable_csv_exits_1_with_one_error_line(tmp_path, capsys, command, content, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: UnreadableFile: {path}")
+    assert message in err
+
+
 def test_eig_missing_file(capsys):
     assert main(["eig", "/nonexistent/file.csv"]) == 1
     assert "error:" in capsys.readouterr().err

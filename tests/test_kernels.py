@@ -1,5 +1,6 @@
 """Backend selection and bit-level parity between compiled and pure-Python kernels."""
 
+import functools
 import importlib
 import sys
 import tracemalloc
@@ -8,7 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from genspectra import kernels
+from genspectra import LabeledDataset, Matrix, Pencil, SymMatrix, kernels, kspca_fit
+from genspectra import solve_quick_dirty, solve_rigorous
 from genspectra.eigen import JACOBI_REL_TOL
 from genspectra.kernels import pykernels
 
@@ -266,6 +268,30 @@ def test_round_robin_schedule_covers_every_pair_once():
         assert sorted(seen) == [(p, q) for p in range(d) for q in range(p + 1, d)]
 
 
+def test_round_plan_pairs_the_round_robin_indices():
+    # The numpy rounds' plan, computed in closed form, against one built
+    # pair by pair from the list rounds.
+    for d in range(16, 81):
+        n, h = d + d % 2, d // 2
+        partners, slots, blocks = pykernels._round_plan(d)
+        rounds = pykernels.round_robin(d)
+        assert partners.shape == slots.shape == (len(rounds), d)
+        for r, pairs in enumerate(rounds):
+            partner, slot = list(range(d)), [2 * h] * d
+            for k, (p, q) in enumerate(pairs):
+                partner[p], partner[q] = q, p
+                slot[p], slot[q] = k, h + k
+            assert partners[r].tolist() == partner, (d, r)
+            assert slots[r].tolist() == slot, (d, r)
+            # circle method: an index other than r and n - 1 pairs with 2r - i
+            assert all(partner[i] == (2 * r - i) % (n - 1) for i in range(d) if i not in (r, n - 1))
+            ps, qs = [p for p, _ in pairs], [q for _, q in pairs]
+            assert blocks[r].tolist() == (
+                [p * (d + 1) for p in ps] + [q * (d + 1) for q in qs]
+                + [p * d + q for p, q in pairs] + [q * d + p for p, q in pairs]
+            ), (d, r)
+
+
 # Sizes on both sides of the list/numpy switch, and those of the benchmark.
 _JACOBI_DIMS = list(range(1, 41)) + [48, 72]
 
@@ -319,6 +345,41 @@ def test_jacobi_backends_bit_identical(cykernels):
             got_py = pykernels.jacobi_eigh(a, 1e-12, 100)
             got_c = cykernels.jacobi_eigh(a, 1e-12, 100)
             assert _same_eigh(got_py, got_c), (d, name)
+
+
+def test_solvers_bit_identical_across_backends(cykernels, monkeypatch):
+    # End to end: every kernel call of a solve or fit goes through
+    # genspectra.kernels, and the Cholesky factor is elementwise numpy, so
+    # each backend gives the same bits.
+    rng = np.random.RandomState(77)
+    solves = {}
+    for d in (7, 48):
+        a = random_sym(rng, d)
+        g = rng.standard_normal((d, d))
+        spd = Pencil(a, SymMatrix(g @ g.T + d * np.eye(d)))
+        rank_deficient = Pencil(a, SymMatrix(g[:, : d - 2] @ g[:, : d - 2].T))
+        solves[f"quick d={d} cholesky"] = functools.partial(solve_quick_dirty, spd)
+        solves[f"quick d={d} whitening"] = functools.partial(solve_quick_dirty, rank_deficient)
+        solves[f"rigorous d={d} whitening"] = lambda p=spd: solve_rigorous(p)[0]
+    labels = tuple(int(v) for v in rng.randint(0, 3, size=40))
+    ds = LabeledDataset(Matrix(rng.standard_normal((3, 40))), labels=labels)
+    solves["kspca"] = functools.partial(kspca_fit, ds, 2)
+
+    for name, solve in solves.items():
+        results = []
+        for backend in (pykernels, cykernels):
+            with monkeypatch.context() as patched:
+                patched.setattr(kernels, "matmul", backend.matmul)
+                patched.setattr(kernels, "jacobi_eigh", backend.jacobi_eigh)
+                results.append(solve())
+        got_py, got_c = results
+        if name == "kspca":
+            phi_py, phi_c = got_py.projection, got_c.projection
+        else:
+            assert got_py.strategy == got_c.strategy == name.split()[-1]
+            phi_py, phi_c = got_py.phi, got_c.phi
+        assert _same_bits(phi_py.array, phi_c.array), name
+        assert _same_bits(got_py.eigenvalues, got_c.eigenvalues), name
 
 
 @pytest.mark.parametrize("d", list(range(2, 13)) + [19, 20, 21, 33, 48, 64])

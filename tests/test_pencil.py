@@ -27,6 +27,7 @@ from genspectra import (
 )
 
 from genspectra import kernels
+from genspectra.linalg import definiteness
 
 from conftest import SCALES, assert_diagnostics, random_orthonormal, random_spd, random_sym
 
@@ -357,7 +358,7 @@ def test_quick_large_dimension_spd_matches_rigorous():
     b = random_spd(rng, 7)
     quick = solve_quick_dirty(Pencil(a, b))
     from_rig, _ = solve_rigorous(Pencil(a, b))
-    assert quick.strategy == "whitening"
+    assert quick.strategy == "cholesky"
     assert_diagnostics(
         quick.residual, quick.b_orthonormality, a.array, b.array,
         quick.phi.array, quick.eigenvalues,
@@ -457,12 +458,66 @@ def test_quick_route_decomposes_b_once(monkeypatch):
                 getattr(mod, name, None) is original
             ):
                 monkeypatch.setattr(mod, name, counting(name, original))
-    for b, regularized in ((spd, False), (rank_deficient, True)):
+    # the Cholesky route decomposes only C = L^-1 A L^-T; the fall-through
+    # decomposes B, then the whitened A
+    for b, strategy, decompositions in ((spd, "cholesky", 1), (rank_deficient, "whitening", 2)):
         calls.clear()
         sol = solve_quick_dirty(Pencil(a, b))
-        assert sol.strategy == "whitening"
-        assert (sol.epsilon_used > 0.0) == regularized
-        assert calls == ["eig_sym", "eig_sym"]  # B, then the whitened A
+        assert sol.strategy == strategy
+        assert (sol.epsilon_used > 0.0) == (strategy == "whitening")
+        assert calls == ["eig_sym"] * decompositions
+
+
+# ---------------------------------------------------------------------------
+# the quick route's Cholesky congruence (d > 4)
+# ---------------------------------------------------------------------------
+
+
+def _cholesky_sweep_pencils(d: int) -> dict:
+    """(A, B, deflated) at unit scale: B conditioned 1e2..1e14, rank-deficient, indefinite."""
+    rng = np.random.RandomState(300 + d)
+    a = random_sym(rng, d).array
+    q = random_orthonormal(rng, d)
+    cases = {
+        f"cond {cond:.0e}": (a, (q * np.geomspace(1.0, 1.0 / cond, d)) @ q.T, False)
+        for cond in (1e2, 1e5, 1e8, 1e11, 1e14)
+    }
+    g = rng.standard_normal((d, d - 2))
+    m = rng.standard_normal((d - 2, d - 2))
+    cases["rank-deficient"] = (a, g @ g.T, False)
+    cases["shared null space"] = (g @ (m + m.T) @ g.T, g @ g.T, True)
+    cases["indefinite"] = (a, (q * np.linspace(1.0, -1e-3, d)) @ q.T, False)
+    return cases
+
+
+@pytest.mark.parametrize("d", [5, 7, 12, 50])
+def test_cholesky_route_only_where_b_is_definite_and_nonsingular(d):
+    taken = []
+    for s in SCALES:
+        for name, (a, b0, deflated) in _cholesky_sweep_pencils(d).items():
+            p = Pencil(SymMatrix(a), SymMatrix(s * b0))
+            lam_b = eig_sym(p.b).eigenvalues
+            indefinite, singular = definiteness(lam_b)
+            # the verdicts of the route that decomposes B
+            eps = default_epsilon(p.b) if singular else 0.0
+            indefinite_after_eps = definiteness([x + eps for x in lam_b])[0]
+            try:
+                sol = solve_quick_dirty(p)
+            except IndefiniteB:
+                assert indefinite_after_eps, (s, name)
+                continue
+            if sol.strategy == "cholesky":
+                taken.append(name)
+                assert not indefinite and not singular, (s, name)
+                assert sol.epsilon_used == 0.0 and not sol.deflated
+                continue
+            assert sol.strategy == "whitening"
+            assert not indefinite_after_eps, (s, name)
+            assert sol.epsilon_used == eps, (s, name)
+            assert sol.deflated == deflated, (s, name)
+    # well-conditioned B takes the route at every scale, singular B never does
+    assert taken.count("cond 1e+02") == taken.count("cond 1e+05") == len(SCALES)
+    assert not set(taken) & {"cond 1e+14", "rank-deficient", "shared null space", "indefinite"}
 
 
 def _shared_null_d6() -> tuple[np.ndarray, np.ndarray]:
