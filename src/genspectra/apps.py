@@ -9,6 +9,11 @@ Three classics, each reduced to the eigenproblem it really is:
 * kernel supervised PCA: top generalized eigenvectors of
   (K_x H K_y H K_x, K_x) with H the centering projector.
 
+The numerators of the last two have a known low rank, S_B = D D' with
+D = [mu_j - mu_t] and, for the delta and linear label kernels,
+K_x H K_y H K_x = F F' with F = K_x H Y; their fits take the leading
+pairs from the small Gram of W'F (``pencil._factored_pairs``).
+
 Data matrices are d x n with one sample per column.
 """
 
@@ -23,7 +28,7 @@ from . import kernels
 from .errors import DimensionMismatch, InputError, MissingLabels, SingleClass
 from .eigen import eig_sym
 from .linalg import Matrix, SymMatrix, Vector
-from .pencil import Pencil, _diagnostics, _whitened
+from .pencil import Pencil, _diagnostics, _leading_whitened
 
 _KERNEL_KINDS = ("linear", "rbf", "polynomial", "delta")
 
@@ -61,10 +66,16 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class ScatterPair:
-    """Between-class and within-class scatter matrices of a labeled set."""
+    """Between-class and within-class scatter matrices of a labeled set.
+
+    ``offsets`` is D, the d x c matrix whose columns are the class-mean
+    offsets mu_j - mu_t in sorted class order, so that S_B = D D'.
+    ``scatter_matrices`` sets it; a pair built by hand may leave it None.
+    """
 
     s_b: SymMatrix
     s_w: SymMatrix
+    offsets: Matrix | None = None
 
     def __post_init__(self):
         if self.s_b.dim != self.s_w.dim:
@@ -104,7 +115,9 @@ class EmbeddingModel:
     coefficients for kspca; ``eigenvalues`` match its columns.
     ``residual`` and ``b_orthonormality`` measure that block against the
     pencil the fit solved, as ``GenEigenSolution`` defines them: (S, I)
-    for pca, (S_B, S_W) for fda, (K_x H K_y H K_x, K_x) for kspca. The
+    for pca, (S_B, S_W) for fda, (K_x H K_y H K_x, K_x) for kspca, with
+    the numerator formed as F F', F = K_x H Y, for the delta and linear
+    label kernels (equal to K_x H K_y H K_x in exact arithmetic). The
     remaining fields carry whatever the transform step needs: the training
     mean for pca, kernel specs and training data for kspca.
     """
@@ -187,17 +200,20 @@ def scatter_matrices(ds: LabeledDataset) -> ScatterPair:
     mu_t = xa.mean(axis=1)
     s_b = np.zeros((d, d))
     s_w = np.zeros((d, d))
-    for cls in classes:
+    offsets = np.empty((d, len(classes)))
+    for j, cls in enumerate(classes):
         idx = [i for i, lab in enumerate(ds.labels) if lab == cls]
         block = xa[:, idx]
         mu_j = block.mean(axis=1)
         dmu = mu_j - mu_t
+        offsets[:, j] = dmu
         s_b += dmu.reshape(-1, 1) * dmu.reshape(1, -1)
         dev = block - mu_j.reshape(-1, 1)
         s_w += kernels.matmul(dev, dev.T)
     return ScatterPair(
         s_b=SymMatrix((s_b + s_b.T) / 2.0),
         s_w=SymMatrix((s_w + s_w.T) / 2.0),
+        offsets=Matrix(offsets),
     )
 
 
@@ -210,6 +226,14 @@ def fda_fit(ds: LabeledDataset, p: int, epsilon: float | None = None) -> Embeddi
     then holds in the slightly perturbed metric, with the eps reported on
     the model. S_B has rank at most c - 1, so directions beyond that carry
     no discriminative signal; asking for them only earns a warning.
+
+    S_B = D D' with D = ``ScatterPair.offsets`` (d x c), so S_W is
+    decomposed once and the directions come from the c x c Gram of
+    W'D, W the whitening of S_W (``pencil._factored_pairs``). The fit
+    falls back to eig(W' S_B W) when p > c or when the p-th Gram
+    eigenvalue is at most ``SINGULAR_TOL`` times the first (rank(D) < p):
+    D does not determine those directions. Diagnostics are measured
+    against (S_B, S_W) either way.
     """
     if ds.labels is None:
         raise MissingLabels("FDA needs class labels")
@@ -223,10 +247,11 @@ def fda_fit(ds: LabeledDataset, p: int, epsilon: float | None = None) -> Embeddi
             stacklevel=2,
         )
     pair = scatter_matrices(ds)
-    _, phi, inter = _whitened(Pencil(pair.s_b, pair.s_w), epsilon, "descending")
+    phi, lams, eps_used = _leading_whitened(
+        Pencil(pair.s_b, pair.s_w), pair.offsets.array, p, epsilon
+    )
     return _leading_pairs(
-        "fda", pair.s_b.array, pair.s_w.array, phi, inter.lambda_a, p,
-        epsilon_used=inter.epsilon_used,
+        "fda", pair.s_b.array, pair.s_w.array, phi, lams, p, epsilon_used=eps_used
     )
 
 
@@ -275,6 +300,19 @@ def kspca_fit(
     metric when K_x is singular, which is common for smooth kernels;
     ``epsilon`` overrides the default strength). ``kx`` defaults to rbf
     and ``ky`` to the delta kernel on the labels.
+
+    The delta label kernel is K_y = Y Y' for the n x c one-hot class
+    indicators Y, and the linear one is K_y = l l' for the label column l.
+    With either, the numerator is F F' with F = K_x H Y (or K_x H l), and
+    K_y is never formed: K_x is decomposed once and the directions come
+    from the c x c Gram of W'F, W the whitening of K_x
+    (``pencil._factored_pairs``). The fit falls back to eig(W' F F' W)
+    when p exceeds the width of F or the p-th Gram eigenvalue is at most
+    ``SINGULAR_TOL`` times the first: F does not determine those
+    directions. Residual and K_x-orthonormality are then measured against
+    (sym(F F'), K_x), equal to the pencil above in exact arithmetic. rbf
+    and polynomial label kernels form K_x H K_y H K_x and solve the full
+    pencil.
     """
     if ds.labels is None:
         raise MissingLabels("kernel supervised PCA needs class labels")
@@ -284,18 +322,30 @@ def kspca_fit(
     kx = kx if kx is not None else KernelSpec(kind="rbf")
     ky = ky if ky is not None else KernelSpec(kind="delta")
 
-    labels_row = Matrix(np.array(ds.labels, dtype=np.float64).reshape(1, -1))
+    labels = np.array(ds.labels, dtype=np.float64)
     k_x = kernel_matrix(ds.x, ds.x, kx).array
-    k_y = kernel_matrix(labels_row, labels_row, ky).array
-    m = kernels.matmul(k_x, kernels.matmul(_double_center(k_y), k_x))
+    if ky.kind in ("delta", "linear"):
+        y = labels.reshape(-1, 1)
+        if ky.kind == "delta":
+            # np.unique would import numpy.ma, ~1 MB, on the first fit
+            classes = np.array(sorted(set(ds.labels)), dtype=np.float64)
+            y = (y == classes).astype(np.float64)
+        # H Y: centering acts on the sample index, the rows of Y
+        factor = kernels.matmul(k_x, y - y.mean(axis=0))
+        m = kernels.matmul(factor, factor.T)
+    else:
+        factor = None
+        labels_row = Matrix(labels.reshape(1, -1))
+        k_y = kernel_matrix(labels_row, labels_row, ky).array
+        m = kernels.matmul(k_x, kernels.matmul(_double_center(k_y), k_x))
     pencil = Pencil(SymMatrix((m + m.T) / 2.0), SymMatrix((k_x + k_x.T) / 2.0))
-    _, phi, inter = _whitened(pencil, epsilon, "descending")
+    phi, lams, eps_used = _leading_whitened(pencil, factor, p, epsilon)
     return _leading_pairs(
-        "kspca", pencil.a.array, pencil.b.array, phi, inter.lambda_a, p,
+        "kspca", pencil.a.array, pencil.b.array, phi, lams, p,
         kernel_x=kx,
         kernel_y=ky,
         training_x=ds.x,
-        epsilon_used=inter.epsilon_used,
+        epsilon_used=eps_used,
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -548,9 +549,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first request rather than at import; argparse keeps no
+# state from one parse to the next, so every request reuses it.
+_parser = functools.lru_cache(maxsize=None)(make_parser)
+
+
 def main(argv=None) -> int:
     """Run one command line; returns the process exit code."""
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         start = time.perf_counter()
         doc = args.run(args)

@@ -20,6 +20,7 @@ than numpy's fixed cost per call.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -78,7 +79,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _NUMPY_ROUNDS_MIN_DIM = 16
 
 
-def round_robin(d: int) -> list[list[tuple[int, int]]]:
+# Room for the schedule of every size whose rounds run on lists; the
+# cache stays bounded, since a schedule holds d^2 / 2 pairs.
+@functools.lru_cache(maxsize=_NUMPY_ROUNDS_MIN_DIM)
+def round_robin(d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The rounds of one Jacobi sweep over a d x d matrix, as pairs (p, q), p < q.
 
     Circle method: with n = d rounded up to even (index d is a dummy when d
@@ -86,9 +90,11 @@ def round_robin(d: int) -> list[list[tuple[int, int]]]:
     (r - k) mod (n - 1) for k = 1 .. n/2 - 1. The pairs within a round are
     disjoint, and each unordered pair of indices falls in exactly one of
     the n - 1 rounds; pairs with the dummy are left out.
+
+    Cached per d and shared between callers, so it is all tuples.
     """
     p, q = _round_pairs(d)
-    return [list(zip(pr, qr)) for pr, qr in zip(p.tolist(), q.tolist())]
+    return tuple(tuple(zip(pr, qr)) for pr, qr in zip(p.tolist(), q.tolist()))
 
 
 def _round_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:

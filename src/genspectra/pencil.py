@@ -29,6 +29,10 @@ B's null eigenvectors. The quick route takes the Cholesky factor only
 where that verdict would be "definite and nonsingular" with a margin of
 1000 (``CHOLESKY_MAX_CONDITION``). Both report their residual and
 B-orthonormality against the original, unregularized pencil.
+
+The fits whiten too, but keep only the leading pairs, and their numerators
+have low rank, A = F F' with F n x c: ``_leading_whitened`` takes those
+pairs from the c x c Gram of W'F rather than from the n x n A_breve.
 """
 
 from __future__ import annotations
@@ -191,19 +195,9 @@ def _whitened(
     """The decomposition of ``solve_rigorous``, without its diagnostics.
 
     Returns eig(B), Phi and the intermediates; callers that measure only
-    some columns of Phi (the fits) take it directly.
+    some columns of Phi (``rayleigh._extremal_pairs``) take it directly.
     """
-    eig_b = eig_sym(p.b, order="descending")
-    indefinite, singular = definiteness(eig_b.eigenvalues)
-    if indefinite:
-        raise IndefiniteB(
-            f"B has eigenvalue {min(eig_b.eigenvalues):.6e}; "
-            "the metric must be positive semidefinite"
-        )
-    eps_used = _regularization(p.b, epsilon) if singular else 0.0
-    # the metric Phi_B (Lambda_B^1/2 + eps I)^2 Phi_B'
-    factors = [1.0 / (math.sqrt(max(x, 0.0)) + eps_used) for x in eig_b.eigenvalues]
-    breve = eig_b.phi.array * np.array(factors, dtype=np.float64)
+    eig_b, eps_used, breve = _whitening(p.b, epsilon)
     phi, a_breve, phi_a, lams = _whiten_core(p.a, breve, order)
     inter = WhiteningIntermediates(
         phi_b=eig_b.phi,
@@ -215,6 +209,72 @@ def _whitened(
         epsilon_used=eps_used,
     )
     return eig_b, phi, inter
+
+
+def _whitening(
+    b: SymMatrix, epsilon: float | None
+) -> tuple[EigenDecomposition, float, np.ndarray]:
+    """eig(B), the eps it needs and W = Phi_B (Lambda_B^1/2 + eps I)^-1.
+
+    Raises ``IndefiniteB`` on an indefinite B; eps is 0.0 unless B is
+    singular (``linalg.definiteness``).
+    """
+    eig_b = eig_sym(b, order="descending")
+    indefinite, singular = definiteness(eig_b.eigenvalues)
+    if indefinite:
+        raise IndefiniteB(
+            f"B has eigenvalue {min(eig_b.eigenvalues):.6e}; "
+            "the metric must be positive semidefinite"
+        )
+    eps_used = _regularization(b, epsilon) if singular else 0.0
+    # the metric Phi_B (Lambda_B^1/2 + eps I)^2 Phi_B'
+    factors = [1.0 / (math.sqrt(max(x, 0.0)) + eps_used) for x in eig_b.eigenvalues]
+    return eig_b, eps_used, eig_b.phi.array * np.array(factors, dtype=np.float64)
+
+
+def _leading_whitened(
+    p: Pencil, factor: np.ndarray | None, k: int, epsilon: float | None
+) -> tuple[np.ndarray, tuple[float, ...], float]:
+    """The leading k pairs of the whitening route, descending, and the eps used.
+
+    ``factor`` is F with A = F F' (or None): the pairs then come from its
+    c x c Gram (``_factored_pairs``) where F determines them, and from
+    eig(A_breve) otherwise. B is decomposed once either way. Returns Phi
+    (at least k columns), their eigenvalues and eps.
+    """
+    _, eps_used, breve = _whitening(p.b, epsilon)
+    found = None if factor is None else _factored_pairs(breve, factor, k)
+    if found is None:
+        phi, _, _, lams = _whiten_core(p.a, breve, "descending")
+    else:
+        phi, lams = found
+    return phi, lams, eps_used
+
+
+def _factored_pairs(
+    breve: np.ndarray, factor: np.ndarray, k: int
+) -> tuple[np.ndarray, tuple[float, ...]] | None:
+    """The leading k pairs of (F F', B) from the c x c Gram of G = W' F.
+
+    A_breve = W' F F' W = G G' shares its nonzero eigenvalues with G' G;
+    for G' G u = lambda u, v = G u / sqrt(lambda) is the unit eigenvector
+    of A_breve, and Phi = W v as in ``_whiten_core``. None when k exceeds
+    the width c of F, or when lambda_k <= ``SINGULAR_TOL`` * lambda_1:
+    then some of the k pairs lie in the null space of A_breve, which F
+    does not determine.
+    """
+    if k > factor.shape[1]:
+        return None
+    g = kernels.matmul(breve.T, factor)
+    gram = kernels.matmul(g.T, g)
+    eig_g = eig_sym(SymMatrix((gram + gram.T) / 2.0), order="descending")
+    lams = eig_g.eigenvalues[:k]
+    if not lams[-1] > SINGULAR_TOL * lams[0]:
+        return None
+    scale = np.array([1.0 / math.sqrt(x) for x in lams], dtype=np.float64)
+    v = kernels.matmul(g, eig_g.phi.array[:, :k]) * scale
+    phi = kernels.matmul(breve, v)
+    return phi * _column_signs(phi), lams
 
 
 def _regularization(b: SymMatrix, epsilon: float | None) -> float:

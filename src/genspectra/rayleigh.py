@@ -28,7 +28,7 @@ from .errors import (
 )
 from .eigen import eig_sym
 from .linalg import Matrix, SymMatrix, Vector
-from .pencil import Pencil, solve_rigorous
+from .pencil import Pencil, _whitened
 
 _DIRECTIONS = ("maximize", "minimize")
 
@@ -198,7 +198,9 @@ def _extremal_pairs(
         phi = dec.phi.array[:, :p]
         lams = list(dec.eigenvalues[:p])
     else:
-        sol, _ = solve_rigorous(Pencil(a, b), order=order)
-        phi = sol.phi.array[:, :p]
-        lams = list(sol.eigenvalues[:p])
+        # the whitening route of solve_rigorous, without the diagnostics
+        # the frame would not report
+        _, phi, inter = _whitened(Pencil(a, b), None, order)
+        phi = phi[:, :p]
+        lams = list(inter.lambda_a[:p])
     return Matrix(phi), lams

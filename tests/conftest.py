@@ -167,6 +167,29 @@ def assert_diagnostics(residual, b_orth, a, b, phi, lams):
     assert b_orth == pytest.approx(expect_orth, rel=1e-6, abs=1e-12)
 
 
+def span_gap(x: np.ndarray, y: np.ndarray) -> float:
+    """max|P_x - P_y| for the orthogonal projectors onto the column spans."""
+    qx, _ = np.linalg.qr(x)
+    qy, _ = np.linalg.qr(y)
+    return float(np.abs(qx @ qx.T - qy @ qy.T).max())
+
+
+@pytest.fixture
+def jacobi_inputs(monkeypatch):
+    """Copies of the matrices passed to ``kernels.jacobi_eigh``, in call order."""
+    from genspectra import kernels
+
+    seen = []
+    original = kernels.jacobi_eigh
+
+    def recording(a, *args):
+        seen.append(np.array(a, copy=True))
+        return original(a, *args)
+
+    monkeypatch.setattr(kernels, "jacobi_eigh", recording)
+    return seen
+
+
 def as_matrix(rows) -> Matrix:
     return Matrix(rows)
 

@@ -1,6 +1,7 @@
 """PCA, Fisher discriminant analysis, and kernel supervised PCA."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -29,10 +30,12 @@ from genspectra import (
     scatter_matrices,
     solve_rigorous,
 )
+from genspectra import apps, kernels
 from genspectra.apps import _double_center
 from genspectra.linalg import centering_matrix
+from genspectra.pencil import _whitened
 
-from conftest import assert_diagnostics, gram_schmidt, random_unit
+from conftest import assert_diagnostics, gram_schmidt, random_unit, span_gap
 
 
 # ---------------------------------------------------------------------------
@@ -644,3 +647,197 @@ def test_kspca_error_paths():
         kspca_transform(
             pca_fit(Matrix(np.eye(2)), p=1), Matrix(np.eye(2))
         )
+
+
+# ---------------------------------------------------------------------------
+# low-rank numerators: S_B = D D' and K_x H K_y H K_x = F F'
+# ---------------------------------------------------------------------------
+
+
+def _class_data(rng, c: int, per: int, d: int, repeat: bool = False) -> LabeledDataset:
+    """c classes of ``per`` samples around spread-out centers; with
+    ``repeat`` the last sample of each class repeats its first, which
+    makes every kernel matrix exactly singular."""
+    labels = np.repeat(np.arange(c), per)
+    rng.shuffle(labels)
+    centers = rng.standard_normal((d, c)) * 3.0
+    x = centers[:, labels] + rng.standard_normal((d, labels.size))
+    if repeat:
+        for cls in range(c):
+            idx = np.flatnonzero(labels == cls)
+            x[:, idx[-1]] = x[:, idx[0]]
+    return LabeledDataset(Matrix(x), labels=tuple(int(v) for v in labels))
+
+
+def _fda_full(ds):
+    """(pencil, Phi, intermediates) of (S_B, S_W) whitened in full."""
+    pair = scatter_matrices(ds)
+    pen = Pencil(pair.s_b, pair.s_w)
+    return (pen,) + _whitened(pen, None, "descending")[1:]
+
+
+def _kspca_full(ds, kx, ky):
+    """(pencil, Phi, intermediates) of (K_x H K_y H K_x, K_x), K_y formed and whitened in full."""
+    row = Matrix(np.array(ds.labels, dtype=np.float64).reshape(1, -1))
+    k_x = kernel_matrix(ds.x, ds.x, kx).array
+    k_y = kernel_matrix(row, row, ky).array
+    m = kernels.matmul(k_x, kernels.matmul(_double_center(k_y), k_x))
+    pen = Pencil(SymMatrix((m + m.T) / 2.0), SymMatrix((k_x + k_x.T) / 2.0))
+    return (pen,) + _whitened(pen, None, "descending")[1:]
+
+
+def _assert_matches_full(model, phi, inter, p):
+    lams = np.array(inter.lambda_a[:p])
+    assert np.abs(np.array(model.eigenvalues) - lams).max() <= 1e-12 * abs(lams[0])
+    # Compare the spans in whitened coordinates W^-1 Phi, the eigenvectors
+    # of A_breve: with eps > 0 the component of Phi along a null direction
+    # of B that A does not see is roundoff scaled by 1/eps^2 on either path.
+    # Davis-Kahan bounds the gap by the error in A_breve over the eigenvalue
+    # gap; that error grows with the condition of W, up to 1/eps^2.
+    scale = np.sqrt(np.maximum(inter.lambda_b, 0.0)) + inter.epsilon_used
+    unwhiten = scale[:, None] * inter.phi_b.array.T
+    gap = inter.lambda_a[p - 1] - inter.lambda_a[p]
+    got, want = (unwhiten @ m for m in (model.projection.array, phi[:, :p]))
+    assert span_gap(got, want) <= 1e-10 * lams[0] / gap
+    assert model.epsilon_used == inter.epsilon_used
+
+
+@pytest.mark.parametrize("singular", [False, True])
+@pytest.mark.parametrize("c", [2, 3, 4, 5])
+def test_fda_factored_path_matches_full_pencil(c, singular, jacobi_inputs):
+    rng = np.random.RandomState(700 + 10 * c + singular)
+    # 2 samples per class in 12 features leave S_W rank n - c < d
+    d, per = (12, 2) if singular else (6, 8)
+    ds = _class_data(rng, c, per, d)
+    pen, phi, inter = _fda_full(ds)
+    assert (inter.epsilon_used > 0.0) == singular
+    for p in range(1, c):
+        jacobi_inputs.clear()
+        model = fda_fit(ds, p)
+        assert [m.shape[0] for m in jacobi_inputs] == [d, c]  # S_W, then the Gram
+        _assert_matches_full(model, phi, inter, p)
+        assert_diagnostics(
+            model.residual, model.b_orthonormality, pen.a.array, pen.b.array,
+            model.projection.array, model.eigenvalues,
+        )
+
+
+@pytest.mark.parametrize("singular", [False, True])
+@pytest.mark.parametrize("c", [2, 3, 4, 5])
+def test_kspca_factored_path_matches_full_pencil(c, singular, jacobi_inputs):
+    rng = np.random.RandomState(720 + 10 * c + singular)
+    ds = _class_data(rng, c, 4, 3, repeat=singular)
+    n = ds.n
+    kx = KernelSpec(kind="rbf", gamma=1.0)
+    pen, phi, inter = _kspca_full(ds, kx, KernelSpec(kind="delta"))
+    # a repeated sample makes K_x singular, and the fit regularizes it
+    assert (inter.epsilon_used > 0.0) == singular
+    for p in range(1, c):
+        jacobi_inputs.clear()
+        model = kspca_fit(ds, p, kx=kx)
+        assert [m.shape[0] for m in jacobi_inputs] == [n, c]  # K_x, then the Gram
+        _assert_matches_full(model, phi, inter, p)
+        # diagnostics against K_x H K_y H K_x, which F F' equals up to roundoff
+        assert_diagnostics(
+            model.residual, model.b_orthonormality, pen.a.array, pen.b.array,
+            model.projection.array, model.eigenvalues,
+        )
+
+
+def test_kspca_fit_decomposes_one_kernel_matrix(jacobi_inputs, monkeypatch):
+    rng = np.random.RandomState(740)
+    ds = _class_data(rng, 3, 8, 5)
+    calls = []
+    original = apps.kernel_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].kind)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("genspectra") and (
+            getattr(mod, "kernel_matrix", None) is original
+        ):
+            monkeypatch.setattr(mod, "kernel_matrix", counting)
+    kspca_fit(ds, p=2)
+    assert calls == ["rbf"]  # K_x only; K_y enters as its one-hot factor
+    # one n x n Jacobi (K_x) and one c x c (the Gram)
+    assert [m.shape[0] for m in jacobi_inputs] == [24, 3]
+
+
+def _assert_fallback(model, pen, phi, inter, p, jacobi_inputs, exact):
+    """The fit whitened in full: B decomposed once, then the n x n A_breve."""
+    n = pen.dim
+    assert sum(np.array_equal(m, pen.b.array) for m in jacobi_inputs) == 1
+    assert [m.shape[0] for m in jacobi_inputs if m.shape[0] == n] == [n, n]
+    if exact:
+        assert np.array_equal(model.projection.array, phi[:, :p])
+        assert model.eigenvalues == inter.lambda_a[:p]
+    else:
+        lams = np.array(inter.lambda_a[:p])
+        assert np.abs(np.array(model.eigenvalues) - lams).max() <= 1e-12 * abs(lams[0])
+
+
+def test_fda_falls_back_beyond_the_rank_of_d(jacobi_inputs):
+    rng = np.random.RandomState(750)
+    ds = _class_data(rng, 3, 6, 5)
+    pen, phi, inter = _fda_full(ds)
+    jacobi_inputs.clear()
+    with pytest.warns(UserWarning):
+        model = fda_fit(ds, p=3)  # rank(D) <= c - 1 = 2
+    _assert_fallback(model, pen, phi, inter, 3, jacobi_inputs, exact=True)
+
+
+def test_fda_falls_back_when_two_class_means_coincide(jacobi_inputs):
+    # classes 0 and 1 share their mean exactly, so D has rank 1 < p = 2
+    rng = np.random.RandomState(751)
+    base = rng.standard_normal((4, 1))
+    steps = np.array([[0.5, -0.5, 0.25, -0.25]])
+    x0 = base + np.vstack([steps, -steps, steps[:, ::-1], np.zeros_like(steps)])
+    x1 = base + np.vstack([-steps, steps[:, ::-1], steps, steps])
+    x2 = base + 3.0 + rng.standard_normal((4, 4))
+    ds = LabeledDataset(Matrix(np.hstack([x0, x1, x2])), labels=(0,) * 4 + (1,) * 4 + (2,) * 4)
+    pair = scatter_matrices(ds)
+    assert np.array_equal(pair.offsets.array[:, 0], pair.offsets.array[:, 1])
+    pen, phi, inter = _fda_full(ds)
+    jacobi_inputs.clear()
+    model = fda_fit(ds, p=2)
+    # eig(S_W), the 3 x 3 Gram that shows rank 1, then the full A_breve
+    assert [m.shape[0] for m in jacobi_inputs] == [4, 3, 4]
+    _assert_fallback(model, pen, phi, inter, 2, jacobi_inputs, exact=True)
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_kspca_falls_back_at_p_of_c_or_more(p, jacobi_inputs):
+    rng = np.random.RandomState(760)
+    ds = _class_data(rng, 3, 4, 3)
+    kx = KernelSpec(kind="rbf", gamma=1.0)
+    pen, phi, inter = _kspca_full(ds, kx, KernelSpec(kind="delta"))
+    jacobi_inputs.clear()
+    model = kspca_fit(ds, p, kx=kx)
+    # A is F F' rather than the full product, so equal only up to roundoff
+    _assert_fallback(model, pen, phi, inter, p, jacobi_inputs, exact=False)
+
+
+def test_kspca_linear_label_kernel_is_rank_one(jacobi_inputs):
+    rng = np.random.RandomState(770)
+    ds = _class_data(rng, 3, 5, 3)
+    kx, lin = KernelSpec(kind="rbf", gamma=1.0), KernelSpec(kind="linear")
+    pen, phi, inter = _kspca_full(ds, kx, lin)
+    jacobi_inputs.clear()
+    model = kspca_fit(ds, 1, kx=kx, ky=lin)
+    assert [m.shape[0] for m in jacobi_inputs] == [ds.n, 1]  # F = K_x H l
+    _assert_matches_full(model, phi, inter, 1)
+    jacobi_inputs.clear()
+    model = kspca_fit(ds, 2, kx=kx, ky=lin)  # wider than F
+    _assert_fallback(model, pen, phi, inter, 2, jacobi_inputs, exact=False)
+
+
+def test_kspca_rbf_label_kernel_keeps_the_full_pencil(jacobi_inputs):
+    rng = np.random.RandomState(780)
+    ds = _class_data(rng, 3, 5, 3)
+    kx, ky = KernelSpec(kind="rbf", gamma=1.0), KernelSpec(kind="rbf", gamma=0.5)
+    pen, phi, inter = _kspca_full(ds, kx, ky)
+    jacobi_inputs.clear()
+    model = kspca_fit(ds, 2, kx=kx, ky=ky)
+    _assert_fallback(model, pen, phi, inter, 2, jacobi_inputs, exact=True)

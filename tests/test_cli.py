@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -640,7 +643,8 @@ def test_kspca_builds_each_kernel_matrix_once(kspca_csv, capsys, monkeypatch):
         ):
             monkeypatch.setattr(mod, "kernel_matrix", counting)
     assert main(["kspca", "-p", "2", "--gamma", "1.0", kspca_csv]) == 0
-    assert sorted(calls) == ["delta", "rbf"]  # K_x and K_y, no rebuilds
+    # K_x once; the delta label kernel enters as its one-hot factor, unbuilt
+    assert calls == ["rbf"]
     doc = json.loads(capsys.readouterr().out)
     assert doc["diagnostics"]["residual"] < 1e-10
 
@@ -826,6 +830,37 @@ def test_invalid_flag_value_exits_1(sym2):
     with pytest.raises(SystemExit) as exc:
         main(["pca", "-p", "0", sym2])
     assert exc.value.code == 1
+
+
+def test_reused_parser_answers_like_a_fresh_process(sym2, fda_csv, tmp_path, capsys, monkeypatch):
+    # main() builds its parser once; every call of a sequence must print
+    # what the same command line prints in a new interpreter, help and
+    # usage errors included
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+    singular = _write(tmp_path / "b.csv", "1,0\n0,0\n")
+    sequence = [
+        ["geig", "--epsilon", "0.5", sym2, singular],
+        ["geig", sym2, singular],
+        ["eig", "--order", "asc", sym2],
+        ["eig", sym2],
+        ["eig", "--format", "csv", sym2],
+        ["fda", "-p", "1", fda_csv],
+        ["geig", "--help"],
+        ["geig", "--method", "sideways", sym2, singular],
+        [],
+    ]
+    script = "import sys; from genspectra.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+        )
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_repeat_runs_on_random_input_are_deterministic(tmp_path, capsys):

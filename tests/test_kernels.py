@@ -268,6 +268,16 @@ def test_round_robin_schedule_covers_every_pair_once():
         assert sorted(seen) == [(p, q) for p in range(d) for q in range(p + 1, d)]
 
 
+def test_round_robin_schedule_is_built_once_and_immutable():
+    for d in (2, 3, 4, 9):
+        rounds = pykernels.round_robin(d)
+        assert pykernels.round_robin(d) is rounds
+        # shared by every caller, so no level of it can be changed in place
+        assert isinstance(rounds, tuple)
+        assert all(isinstance(pairs, tuple) for pairs in rounds)
+        assert all(isinstance(pair, tuple) for pairs in rounds for pair in pairs)
+
+
 def test_round_plan_pairs_the_round_robin_indices():
     # The numpy rounds' plan, computed in closed form, against one built
     # pair by pair from the list rounds.

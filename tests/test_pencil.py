@@ -28,8 +28,16 @@ from genspectra import (
 
 from genspectra import kernels
 from genspectra.linalg import definiteness
+from genspectra.pencil import _factored_pairs, _leading_whitened, _whitened, _whitening
 
-from conftest import SCALES, assert_diagnostics, random_orthonormal, random_spd, random_sym
+from conftest import (
+    SCALES,
+    assert_diagnostics,
+    random_orthonormal,
+    random_spd,
+    random_sym,
+    span_gap,
+)
 
 
 def _diag(*entries) -> SymMatrix:
@@ -657,3 +665,74 @@ def test_solution_vectors_form_invertible_basis():
     p = Pencil(random_sym(rng, 5), random_spd(rng, 5))
     sol, _ = solve_rigorous(p)
     assert abs(np.linalg.det(sol.phi.array)) > 1e-8
+
+
+# ---------------------------------------------------------------------------
+# low-rank numerators A = F F' (the fits' factored path)
+# ---------------------------------------------------------------------------
+
+
+def _low_rank_pencil(rng, n: int, c: int, singular: bool) -> tuple[Pencil, np.ndarray]:
+    """(sym(F F'), B) and F (n x c); B is rank n - 3 when ``singular``."""
+    f = rng.standard_normal((n, c))
+    if singular:
+        g = rng.standard_normal((n, n - 3))
+        b = SymMatrix((g @ g.T + (g @ g.T).T) / 2.0)
+    else:
+        b = random_spd(rng, n)
+    a = f @ f.T
+    return Pencil(SymMatrix((a + a.T) / 2.0), b), f
+
+
+@pytest.mark.parametrize("singular", [False, True])
+@pytest.mark.parametrize("c", [2, 3, 4, 5])
+def test_factored_pairs_match_the_full_whitening(c, singular, jacobi_inputs):
+    rng = np.random.RandomState(600 + 10 * c + singular)
+    n = 12
+    pen, f = _low_rank_pencil(rng, n, c, singular)
+    _, full_phi, inter = _whitened(pen, None, "descending")
+    assert (inter.epsilon_used > 0.0) == singular
+    for k in range(1, c):
+        jacobi_inputs.clear()
+        phi, lams, eps = _leading_whitened(pen, f, k, None)
+        # eig(B), then the c x c Gram; no n x n A_breve
+        assert [m.shape[0] for m in jacobi_inputs] == [n, c]
+        assert eps == inter.epsilon_used
+        assert phi.shape[1] == len(lams) == k
+        ref = np.array(inter.lambda_a[:k])
+        assert np.abs(np.array(lams) - ref).max() <= 1e-12 * abs(ref[0])
+        # Davis-Kahan: the k-span is as well determined as its eigenvalue gap
+        gap = inter.lambda_a[k - 1] - inter.lambda_a[k]
+        assert span_gap(phi, full_phi[:, :k]) <= 1e-12 * ref[0] / gap
+        # each column keeps _whiten_core's canonical sign
+        top = phi[np.argmax(np.abs(phi), axis=0), np.arange(k)]
+        assert (top > 0.0).all()
+
+
+def test_factored_pairs_decline_what_f_does_not_determine():
+    rng = np.random.RandomState(620)
+    n = 10
+    breve = _whitening(random_spd(rng, n), None)[2]
+    f = rng.standard_normal((n, 3))
+    assert _factored_pairs(breve, f, 3) is not None
+    assert _factored_pairs(breve, f, 4) is None  # wider than F
+    f[:, 2] = f[:, 1]  # rank 2: the third pair lies in the null space of A_breve
+    assert _factored_pairs(breve, f, 2) is not None
+    assert _factored_pairs(breve, f, 3) is None
+    assert _factored_pairs(breve, np.zeros((n, 2)), 1) is None
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_factored_fallback_decomposes_b_once(singular, jacobi_inputs):
+    rng = np.random.RandomState(630 + singular)
+    n, c = 11, 3
+    pen, f = _low_rank_pencil(rng, n, c, singular)
+    _, full_phi, inter = _whitened(pen, None, "descending")
+    for factor, k in ((f, c + 1), (f[:, [0, 0, 1]], c), (None, 2)):
+        jacobi_inputs.clear()
+        phi, lams, eps = _leading_whitened(pen, factor, k, None)
+        # the fallback is the full whitening, bit for bit
+        assert np.array_equal(phi, full_phi)
+        assert lams == inter.lambda_a and eps == inter.epsilon_used
+        assert sum(np.array_equal(m, pen.b.array) for m in jacobi_inputs) == 1
+        assert [m.shape[0] for m in jacobi_inputs if m.shape[0] == n] == [n, n]

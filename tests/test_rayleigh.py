@@ -1,5 +1,6 @@
 """Rayleigh-quotient objectives: the quotient and the four solver forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from genspectra import (
     DimensionMismatch,
     Matrix,
     NonOrthonormalBasis,
+    Pencil,
     QuadraticForm,
     SymMatrix,
     Vector,
@@ -22,7 +24,9 @@ from genspectra import (
     solve_form1,
     solve_form2,
     solve_form3_4,
+    solve_rigorous,
 )
+from genspectra import kernels
 
 from conftest import gram_schmidt, random_spd, random_sym, random_unit
 
@@ -164,6 +168,28 @@ def test_form2_frame_is_b_orthonormal():
     phi, _ = solve_form2(QuadraticForm(a, b), p=3)
     gram = phi.array.T @ b.array @ phi.array
     assert np.abs(gram - np.eye(3)).max() < 1e-7
+
+
+def test_form2_with_metric_skips_the_solution_diagnostics(monkeypatch):
+    # the frame is solve_rigorous's, bit for bit, without its residual and
+    # B-orthonormality: A_breve's two products and Phi's one are the only matmuls
+    rng = np.random.RandomState(58)
+    q = QuadraticForm(random_sym(rng, 6), random_spd(rng, 6))
+    for direction, order in (("maximize", "descending"), ("minimize", "ascending")):
+        sol, _ = solve_rigorous(Pencil(q.a, q.b), order=order)
+        calls = []
+        original = kernels.matmul
+
+        def counting(a, b):
+            calls.append(a.shape)
+            return original(a, b)
+
+        monkeypatch.setattr(kernels, "matmul", counting)
+        phi, lams = solve_form2(dataclasses.replace(q, direction=direction), p=4)
+        monkeypatch.setattr(kernels, "matmul", original)
+        assert len(calls) == 3
+        assert np.array_equal(phi.array, sol.phi.array[:, :4])
+        assert lams == list(sol.eigenvalues[:4])
 
 
 def test_form2_beats_random_frames():
