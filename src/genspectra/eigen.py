@@ -112,12 +112,11 @@ def char_poly_eig(a: SymMatrix) -> list[float]:
     if d == 3:
         return _char_cubic(m)
     if d == 4:
-        eye = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
         # the pencil bound ||A||_F / min|lambda(B)| with B = I
         bound = math.sqrt(float(np.sum(a.array * a.array)))
         if bound == 0.0:
             return [0.0] * 4
-        roots = _roots_by_count(lambda x: _inertia_below(m, eye, x, 4), bound)
+        roots = _roots_by_count(lambda x: _inertia_below(m, x, 4), bound)
         return [r for r, jump in reversed(roots) for _ in range(jump)]
     raise UnsupportedDimension(
         f"characteristic-polynomial route supports d <= 4, got d = {d}"
@@ -231,14 +230,14 @@ def _roots_by_count(count, bound: float) -> list[tuple[float, int]]:
     return roots
 
 
-def _inertia_below(a: list, b: list, x: float, n: int) -> int | None:
-    """Number of pencil eigenvalues strictly below ``x`` (B must be PD).
+def _inertia_below(a: list, x: float, n: int) -> int | None:
+    """Number of eigenvalues of the symmetric ``a`` strictly below ``x``.
 
     Counts sign changes along the sequence of leading principal minors of
-    A - x B. A minor that is exactly zero leaves the count undefined, and
+    A - x I. A minor that is exactly zero leaves the count undefined, and
     None comes back.
     """
-    m = [[a[i][j] - x * b[i][j] for j in range(n)] for i in range(n)]
+    m = [[a[i][j] - x if i == j else a[i][j] for j in range(n)] for i in range(n)]
     count = 0
     prev = 1.0
     for k in range(1, n + 1):

@@ -3,31 +3,30 @@
 Two routes are provided:
 
 * ``solve_quick_dirty`` follows the reduction to an ordinary eigenproblem
-  for B^-1 A. For d <= 4 the eigenvalues are taken straight from the
-  roots of det(A - lambda B), located by the one count-driven bisection of
-  ``eigen._roots_by_count`` inside one bracket, and eigenvectors from
-  null spaces with a rank tolerance relative to the pencil. For larger d
-  a well-conditioned B is factored B = L L' (Cholesky, no eigendecomposition)
-  and the ordinary problem for C = L^-1 A L^-T, which shares the spectrum
-  of B^-1 A, is solved instead. Any other B is decomposed: when it is
-  singular the route falls back to B + eps*I, whose eigenvectors are B's
-  and whose eigenvalues are lambda_B + eps, reports the eps it used, and
-  reduces through a congruence with (B + eps*I)^-1/2.
+  for B^-1 A. Where B (after regularization) is positive definite it
+  solves the congruence C = W' A W, W' B W = I, which shares the spectrum
+  of B^-1 A: W = L^-T from a Cholesky factor B = L L' when B is well
+  conditioned, else W = (B + eps*I)^-1/2 from the decomposition of B,
+  with eps = 0 unless B is singular. An indefinite B is rejected at
+  d > 4; at d <= 4 its eigenvalues are the real roots of det(A - lambda B),
+  found by the bisection of ``eigen._roots_by_count`` on a Sturm chain,
+  and its vectors span null spaces of A - lambda B. Vectors are unit
+  length at d <= 4 and B-orthonormal at d > 4.
 * ``solve_rigorous`` whitens the metric: decompose B, scale its
   eigenvectors to unit metric, decompose the transformed A, and combine.
   The result is B-orthonormal (Phi' B Phi = I, Phi' A Phi = diag(lambda))
   and every intermediate is returned for inspection.
 
-The routes share no factorization of B at d <= 4, nor at d > 4 where the
-quick route takes the Cholesky factor, so each checks the other there;
-on any other B with d > 4 they share the eigendecomposition of B. Where B
-is decomposed, that decomposition is the only one of B, and both routes
-read off it whether B is singular or indefinite, relative to its largest
-eigenvalue magnitude (``linalg.definiteness``), so B and s*B get the same
-verdict for every s > 0; the whitening factors; and, for ``deflated``,
-B's null eigenvectors. The quick route takes the Cholesky factor only
-where that verdict would be "definite and nonsingular" with a margin of
-1000 (``CHOLESKY_MAX_CONDITION``). Both report their residual and
+Where the quick route takes the Cholesky factor the routes share no
+factorization of B, so each checks the other there; on any other B they
+share the eigendecomposition of B. Where B is decomposed, that
+decomposition is the only one of B, and both routes read off it whether
+B is singular or indefinite, relative to its largest eigenvalue magnitude
+(``linalg.definiteness``), so B and s*B get the same verdict for every
+s > 0; the whitening factors; and, for ``deflated``, B's null
+eigenvectors. The quick route takes the Cholesky factor only where that
+verdict would be "definite and nonsingular" with a margin of 1000
+(``CHOLESKY_MAX_CONDITION``). Both report their residual and
 B-orthonormality against the original, unregularized pencil.
 
 The fits whiten too, but keep only the leading pairs, and their numerators
@@ -54,7 +53,6 @@ from .eigen import (
     EigenDecomposition,
     _column_signs,
     _fix_column_signs,
-    _inertia_below,
     _null_basis,
     _roots_by_count,
     eig_sym,
@@ -65,7 +63,7 @@ from .linalg import SINGULAR_TOL, Matrix, SymMatrix, definiteness, null_eigenval
 # largest entry of B.
 DEFAULT_EPSILON = 1e-5
 
-# The quick route takes the Cholesky factor of B at d > 4 only when
+# The quick route takes the Cholesky factor of B only when
 # trace(B) * trace(B^-1), an upper bound on lambda_max / lambda_min, is at
 # most this: 1000 times inside the ratio at which ``definiteness`` calls
 # B singular, so the bound's slack and the roundoff in L^-1 cannot take
@@ -102,11 +100,12 @@ class GenEigenSolution:
     ``phi`` holds eigenvectors in columns, matching ``eigenvalues`` by
     position. ``method`` is ``"quick_dirty"`` or ``"rigorous"``;
     ``strategy`` records how the eigenpairs were actually computed:
-    ``"whitening"`` (the rigorous route, and the quick route at d > 4 on a
-    B it decomposes), ``"cholesky"`` (the quick route at d > 4 on a
-    well-conditioned B), ``"charpoly-inertia"`` or ``"charpoly-sturm"``
-    (the quick route at d <= 4, on a positive definite or an indefinite
-    B + eps*I).
+    ``"whitening"`` (the rigorous route, and the quick route on a positive
+    definite B + eps*I that it decomposes), ``"cholesky"`` (the quick route
+    on a well-conditioned B) or ``"charpoly-sturm"`` (the quick route at
+    d <= 4 on an indefinite B + eps*I). The quick route's vectors are unit
+    length at d <= 4; the whitening and Cholesky congruences give
+    B-orthonormal vectors above that.
     ``epsilon_used`` is 0.0 unless a singular B forced regularization.
     ``residual`` is ||A Phi - B Phi diag(lambda)||_F / max(1, ||A||_F)
     and ``b_orthonormality`` is max|Phi' B Phi - I|, both against the
@@ -316,85 +315,82 @@ def solve_quick_dirty(
 ) -> GenEigenSolution:
     """Solve the pencil through the reduction to B^-1 A.
 
-    B is decomposed once, except on the Cholesky route below, which does
-    not decompose it. When it is singular (an eigenvalue within
-    ``[-INDEFINITE_TOL, SINGULAR_TOL] * max|lambda_B|``) the inverse is
-    taken of B + eps*I instead, whose eigenvalues are lambda_B + eps on
-    the same eigenvectors, and ``epsilon_used`` records eps. Eigenvectors
-    are unit length but not B-orthonormal in general; that is the price of
-    the quick route.
-
-    For d <= 4 the eigenvalues are the real roots of det(A - lambda B),
-    all within rho = ||A||_F / min|lambda(B + eps I)|. One bisection
-    (``eigen._roots_by_count``) locates them in ±rho * (1 + 1e-6) from a
-    count of the roots below x: the inertia of A - x B when the
-    (regularized) B is positive definite, a Sturm chain of
-    det(A - rho mu B) in mu when it is indefinite. Each root r gets a
-    null basis of A - r B, with pivots at or below
-    tol * (max|A| + |r| max|B|) taken as zero, and roots this test cannot
-    tell apart share one; a k-vector basis makes r a k-fold eigenvalue,
-    re-solved on the (k-1)-th derivative of det(A - rho mu B).
-    ``ConvergenceFailure`` is raised when no tol up to 1e-4 gives d
-    directions in all (complex eigenvalues, say).
-
-    For d > 4 the reduction is a congruence C = W' A W with W' B W = I,
-    which shares the spectrum of B^-1 A, and Phi = W V from C = V Lambda V'.
-    B is first factored B = L L' (``_cholesky_inverse``) with W = L^-T,
-    and B is not decomposed: ``strategy`` is ``"cholesky"``, and Phi is
-    B-orthonormal. That route is taken only when every pivot is positive
+    Where B (after regularization) is positive definite, the reduction is
+    a congruence C = W' A W with W' B W = I, which shares the spectrum of
+    B^-1 A, and Phi = W V from C = V Lambda V'. B is first factored
+    B = L L' (``_cholesky_inverse``), with no eigendecomposition, and
+    W = L^-T (``strategy`` ``"cholesky"``) when every pivot is positive
     and trace(B) * ||L^-1||_F^2 = trace(B) * trace(B^-1), which bounds
-    lambda_max / lambda_min, is at most ``CHOLESKY_MAX_CONDITION``. Any
-    other B is decomposed as above and must be positive definite after
-    regularization; W = Phi_B (Lambda_B + eps I)^-1/2 then, the whitening
+    lambda_max / lambda_min, is at most ``CHOLESKY_MAX_CONDITION``.
+
+    Any other B is decomposed once. When it is singular (an eigenvalue
+    within ``[-INDEFINITE_TOL, SINGULAR_TOL] * max|lambda_B|``) the
+    inverse is taken of B + eps*I instead, whose eigenvalues are
+    lambda_B + eps on the same eigenvectors, and ``epsilon_used`` records
+    eps. A positive definite B + eps*I gives
+    W = Phi_B (Lambda_B + eps I)^-1/2 (``"whitening"``), the whitening
     core of ``solve_rigorous`` fed that decomposition.
+
+    An indefinite B + eps*I has no such W: for d > 4 it raises
+    ``IndefiniteB``, and for d <= 4 (``"charpoly-sturm"``) the eigenvalues
+    are the real roots of det(A - lambda B), all within
+    rho = ||A||_F / min|lambda(B + eps I)|. One bisection
+    (``eigen._roots_by_count``) locates them in ±rho * (1 + 1e-6) from a
+    Sturm chain of det(A - rho mu B) in mu. Each root r gets a null basis
+    of A - r B, with pivots at or below tol * (max|A| + |r| max|B|) taken
+    as zero, and roots this test cannot tell apart share one; a k-vector
+    basis makes r a k-fold eigenvalue, re-solved on the (k-1)-th
+    derivative of det(A - rho mu B). ``ConvergenceFailure`` is raised when
+    no tol up to 1e-4 gives d directions in all (complex eigenvalues,
+    say).
+
+    Eigenvectors are unit length at d <= 4, on every strategy, and not
+    B-orthonormal in general; that is the price of the quick route. At
+    d > 4 they are the congruence's, B-orthonormal (to B + eps*I when
+    regularized).
     """
     d = p.dim
-    if d > 4:
-        inv_l = _cholesky_inverse(p.b.array)
-        if inv_l is not None and (
-            trace(p.b) * float(np.sum(inv_l * inv_l)) <= CHOLESKY_MAX_CONDITION
-        ):
-            phi, _, _, lams = _whiten_core(p.a, inv_l.T, order)
-            return _solution(p, None, phi, lams, "quick_dirty", 0.0, "cholesky")
-
-    eig_b = eig_sym(p.b, order="descending")
-    _, singular = definiteness(eig_b.eigenvalues)
-    eps_used = _regularization(p.b, epsilon) if singular else 0.0
-    lam_reg = [x + eps_used for x in eig_b.eigenvalues]
-    indefinite, singular = definiteness(lam_reg)
-    if singular:
-        raise SingularAfterRegularization(
-            f"B + eps*I is still singular with eps = {eps_used:.3e}"
-        )
-
-    if d <= 4:
-        a_list = p.a.array.tolist()
-        # B itself when not regularized: adding 0.0 would turn its -0.0 entries into +0.0
-        b_reg = p.b.array + eps_used * np.eye(d) if eps_used else p.b.array
-        breg_list = b_reg.tolist()
-        strategy = "charpoly-sturm" if indefinite else "charpoly-inertia"
-        # every real eigenvalue has |lambda| <= rho = ||A||_F / min|lambda(B + eps I)|
-        rho = math.sqrt(float(np.sum(p.a.array * p.a.array))) / min(abs(x) for x in lam_reg)
-        if rho == 0.0:  # A = 0: every vector is an eigenvector for 0
-            phi, lams = np.eye(d), [0.0] * d
-        else:
-            if indefinite:
-                roots = _sturm_roots(a_list, breg_list, d, rho)
-            else:
-                found = _roots_by_count(lambda x: _inertia_below(a_list, breg_list, x, d), rho)
-                roots = [r for r, _ in found]
-            phi, lams = _pairs_at_roots(a_list, breg_list, roots, d, order, rho)
+    eig_b, eps_used = None, 0.0
+    inv_l = _cholesky_inverse(p.b.array)
+    if inv_l is not None and (
+        trace(p.b) * float(np.sum(inv_l * inv_l)) <= CHOLESKY_MAX_CONDITION
+    ):
+        strategy, breve = "cholesky", inv_l.T
     else:
-        if indefinite:
+        eig_b = eig_sym(p.b, order="descending")
+        _, singular = definiteness(eig_b.eigenvalues)
+        eps_used = _regularization(p.b, epsilon) if singular else 0.0
+        lam_reg = [x + eps_used for x in eig_b.eigenvalues]
+        indefinite, singular = definiteness(lam_reg)
+        if singular:
+            raise SingularAfterRegularization(
+                f"B + eps*I is still singular with eps = {eps_used:.3e}"
+            )
+        if indefinite and d > 4:
             raise IndefiniteB(
                 "the quick and dirty route needs a positive definite B (after regularization) "
                 f"for d > 4; smallest eigenvalue is {lam_reg[-1]:.6e}"
             )
+        if indefinite:
+            a_list = p.a.array.tolist()
+            # B itself when not regularized: adding 0.0 would turn its -0.0 entries into +0.0
+            b_reg = p.b.array + eps_used * np.eye(d) if eps_used else p.b.array
+            breg_list = b_reg.tolist()
+            # every real eigenvalue has |lambda| <= rho = ||A||_F / min|lambda(B + eps I)|
+            rho = math.sqrt(float(np.sum(p.a.array * p.a.array))) / min(abs(x) for x in lam_reg)
+            if rho == 0.0:  # A = 0: every vector is an eigenvector for 0
+                phi, lams = np.eye(d), [0.0] * d
+            else:
+                roots = _sturm_roots(a_list, breg_list, d, rho)
+                phi, lams = _pairs_at_roots(a_list, breg_list, roots, d, order, rho)
+            return _solution(p, eig_b, phi, lams, "quick_dirty", eps_used, "charpoly-sturm")
         strategy = "whitening"
         # the metric Phi_B (Lambda_B + eps I) Phi_B' = B + eps*I
         factors = [1.0 / math.sqrt(x) for x in lam_reg]
         breve = eig_b.phi.array * np.array(factors, dtype=np.float64)
-        phi, _, _, lams = _whiten_core(p.a, breve, order)
+    phi, _, _, lams = _whiten_core(p.a, breve, order)
+    if d <= 4:  # the unit-length contract of the small-d quick route
+        phi = phi / np.sqrt(np.sum(phi * phi, axis=0))
     return _solution(p, eig_b, phi, lams, "quick_dirty", eps_used, strategy)
 
 

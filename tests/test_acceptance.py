@@ -135,13 +135,12 @@ def test_criterion_04_method_agreement(acceptance, spd_pencils):
     )
 
 
-def test_criterion_04_routes_are_independent_above_d4(spd_pencils):
-    # For d > 4 the quick route factors B by Cholesky and the rigorous route
-    # eigendecomposes it, so criterion 4 compares two computations there:
-    # their eigenvalues differ in the last bits and agree to its bound.
+def test_criterion_04_routes_are_independent(spd_pencils):
+    # At every d the quick route factors B by Cholesky and the rigorous route
+    # eigendecomposes it, so criterion 4 compares two computations: their
+    # eigenvalues agree to its bound. Above d = 4 they also differ in the
+    # last bits; at d <= 4 an exact tie is possible (one pencil in 34 here).
     for p in spd_pencils:
-        if p.dim <= 4:
-            continue
         quick = solve_quick_dirty(p)
         rig, _ = solve_rigorous(p)
         assert quick.strategy == "cholesky"
@@ -150,7 +149,9 @@ def test_criterion_04_routes_are_independent_above_d4(spd_pencils):
             abs(q - r)
             for q, r in zip(sorted(quick.eigenvalues), sorted(rig.eigenvalues))
         )
-        assert 0.0 < gap / scale < 1e-6, (p.dim, gap / scale)
+        assert gap / scale < 1e-6, (p.dim, gap / scale)
+        if p.dim > 4:
+            assert 0.0 < gap, p.dim
 
 
 def test_criterion_05_identity_metric_reduction(acceptance):

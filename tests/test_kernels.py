@@ -363,7 +363,7 @@ def test_solvers_bit_identical_across_backends(cykernels, monkeypatch):
     # each backend gives the same bits.
     rng = np.random.RandomState(77)
     solves = {}
-    for d in (7, 48):
+    for d in (7, 48, 3):
         a = random_sym(rng, d)
         g = rng.standard_normal((d, d))
         spd = Pencil(a, SymMatrix(g @ g.T + d * np.eye(d)))
@@ -371,6 +371,9 @@ def test_solvers_bit_identical_across_backends(cykernels, monkeypatch):
         solves[f"quick d={d} cholesky"] = functools.partial(solve_quick_dirty, spd)
         solves[f"quick d={d} whitening"] = functools.partial(solve_quick_dirty, rank_deficient)
         solves[f"rigorous d={d} whitening"] = lambda p=spd: solve_rigorous(p)[0]
+    # at d <= 4 an indefinite B takes the Sturm search; an SPD A keeps the spectrum real
+    indefinite = Pencil(spd.b, SymMatrix(np.diag([1.0, -0.5, 2.0])))
+    solves["quick d=3 charpoly-sturm"] = functools.partial(solve_quick_dirty, indefinite)
     labels = tuple(int(v) for v in rng.randint(0, 3, size=40))
     ds = LabeledDataset(Matrix(rng.standard_normal((3, 40))), labels=labels)
     solves["kspca"] = functools.partial(kspca_fit, ds, 2)

@@ -81,7 +81,7 @@ def test_quick_worked_example():
     # (A = [[2,1],[1,2]], B = 2I) has eigenvalues 1.5 and 0.5
     sol = solve_quick_dirty(Pencil(SymMatrix([[2.0, 1.0], [1.0, 2.0]]), _diag(2, 2)))
     assert sol.eigenvalues == pytest.approx([1.5, 0.5], abs=1e-10)
-    assert sol.strategy == "charpoly-inertia"
+    assert sol.strategy == "cholesky"
     assert sol.residual < 1e-10
 
 
@@ -287,19 +287,20 @@ def test_quick_indefinite_b_complex_spectrum_fails():
         solve_quick_dirty(Pencil(SymMatrix([[0.0, 1.0], [1.0, 0.0]]), _diag(1, -1)))
 
 
-# (diag of A, diag of B, spectrum, strategy) in a random orthonormal frame Q: A = Q diag Q'
+# (diag of A, diag of B, spectrum, strategy) in a random orthonormal frame Q: A = Q diag Q'.
+# The "inertia" cases have a definite B, which the Cholesky congruence serves.
 ROTATED_REPEATED_ROOTS = {
     "sturm-d3": ((2, 2, -3), (1, 1, -1), (3, 2, 2), "charpoly-sturm"),
     "sturm-d4": ((2, 2, -3, -3), (1, 1, -1, -1), (3, 3, 2, 2), "charpoly-sturm"),
-    "inertia-d3": ((2, 2, 5), (1, 1, 1), (5, 2, 2), "charpoly-inertia"),
-    "inertia-d4": ((2, 2, 2, 5), (1, 1, 1, 1), (5, 2, 2, 2), "charpoly-inertia"),
+    "inertia-d3": ((2, 2, 5), (1, 1, 1), (5, 2, 2), "cholesky"),
+    "inertia-d4": ((2, 2, 2, 5), (1, 1, 1, 1), (5, 2, 2, 2), "cholesky"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ROTATED_REPEATED_ROOTS))
 def test_quick_route_resolves_repeated_roots_of_rotated_pencils(case):
     # the rotation leaves each repeated root to roundoff: Sturm remainders
-    # that vanish only to roundoff, inertia counts that waver near the root
+    # that vanish only to roundoff, Jacobi rotations of a nearly diagonal C
     diag_a, diag_b, expected, strategy = ROTATED_REPEATED_ROOTS[case]
     d = len(diag_a)
     for seed in range(40):
@@ -313,13 +314,13 @@ def test_quick_route_resolves_repeated_roots_of_rotated_pencils(case):
 
 
 def test_quick_route_vectors_of_double_roots_are_orthonormal():
-    # each double root's null basis is two vectors; the echelon form alone
-    # leaves them unit but far from orthogonal on about half these pencils
+    # each double root has a two-dimensional eigenspace, from which the
+    # vectors must come back orthonormal, not merely independent
     for seed in range(400):
         q = random_orthonormal(np.random.RandomState(seed), 4)
         a = q @ np.diag([2.0, 2.0, 5.0, 5.0]) @ q.T
         sol = solve_quick_dirty(Pencil(SymMatrix((a + a.T) / 2.0), identity(4)))
-        assert sol.strategy == "charpoly-inertia"
+        assert sol.strategy == "cholesky"
         assert np.linalg.svd(sol.phi.array, compute_uv=False).min() >= 1.0 - 1e-10, seed
         assert sol.residual <= 1e-12, seed
 
@@ -447,10 +448,12 @@ def test_rigorous_indefinite_b_rejected_at_every_scale(s):
 
 def test_quick_route_decomposes_b_once(monkeypatch):
     rng = np.random.RandomState(44)
-    a = random_sym(rng, 7)
-    spd = random_spd(rng, 7)
-    g = rng.standard_normal((7, 5))
-    rank_deficient = SymMatrix(g @ g.T)  # regularized: B + eps*I is not decomposed
+    pencils = []
+    for d in (7, 3):
+        a = random_sym(rng, d)
+        g = rng.standard_normal((d, d - 2))
+        # regularized: B + eps*I is not decomposed
+        pencils.append((a, random_spd(rng, d), SymMatrix(g @ g.T)))
     calls = []
 
     def counting(name, original):
@@ -468,12 +471,58 @@ def test_quick_route_decomposes_b_once(monkeypatch):
                 monkeypatch.setattr(mod, name, counting(name, original))
     # the Cholesky route decomposes only C = L^-1 A L^-T; the fall-through
     # decomposes B, then the whitened A
-    for b, strategy, decompositions in ((spd, "cholesky", 1), (rank_deficient, "whitening", 2)):
-        calls.clear()
-        sol = solve_quick_dirty(Pencil(a, b))
-        assert sol.strategy == strategy
-        assert (sol.epsilon_used > 0.0) == (strategy == "whitening")
-        assert calls == ["eig_sym"] * decompositions
+    for a, spd, rank_deficient in pencils:
+        for b, strategy, decompositions in ((spd, "cholesky", 1), (rank_deficient, "whitening", 2)):
+            calls.clear()
+            sol = solve_quick_dirty(Pencil(a, b))
+            assert sol.strategy == strategy, a.dim
+            assert (sol.epsilon_used > 0.0) == (strategy == "whitening")
+            assert calls == ["eig_sym"] * decompositions, a.dim
+
+
+# ---------------------------------------------------------------------------
+# the quick route's vectors: unit length at d <= 4, B-orthonormal above
+# ---------------------------------------------------------------------------
+
+
+def _contract_pencils(d: int) -> dict:
+    """(A, B, strategy) for each strategy of the quick route at d <= 4."""
+    rng = np.random.RandomState(120 + d)
+    a = random_sym(rng, d).array
+    q = random_orthonormal(rng, d)
+    g = rng.standard_normal((d, d - 1))
+    a_ind, b_ind = _indefinite_sweep_pencil(d)
+    return {
+        "definite": (a, random_spd(rng, d).array, "cholesky"),
+        "rank-deficient": (a, g @ g.T, "whitening"),
+        # lambda_min / lambda_max = 1e-10: past CHOLESKY_MAX_CONDITION, not singular
+        "ill-conditioned": (a, (q * np.geomspace(1.0, 1e-10, d)) @ q.T, "whitening"),
+        "indefinite": (a_ind, b_ind, "charpoly-sturm"),
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_quick_route_vectors_are_unit_length_at_small_d(d):
+    for name, (a, b, strategy) in _contract_pencils(d).items():
+        sol = solve_quick_dirty(Pencil(SymMatrix(a), SymMatrix(b)))
+        assert sol.strategy == strategy, name
+        assert (sol.epsilon_used > 0.0) == (name == "rank-deficient"), name
+        norms = np.linalg.norm(sol.phi.array, axis=0)
+        assert np.max(np.abs(norms - 1.0)) <= 1e-12, (name, norms)
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_quick_cholesky_vectors_are_b_orthonormal_above_d4(d):
+    rng = np.random.RandomState(130 + d)
+    a = random_sym(rng, d)
+    b = random_spd(rng, d)
+    sol = solve_quick_dirty(Pencil(a, b))
+    assert sol.strategy == "cholesky"
+    phi = sol.phi.array
+    assert np.max(np.abs(phi.T @ b.array @ phi - np.eye(d))) <= 1e-10
+    assert_diagnostics(
+        sol.residual, sol.b_orthonormality, a.array, b.array, phi, sol.eigenvalues,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +641,7 @@ def test_methods_agree_on_well_conditioned_pencils():
             b = random_spd(rng, d)  # eigenvalues in [1, 100]: condition <= 100
             quick = solve_quick_dirty(Pencil(a, b))
             rig, _ = solve_rigorous(Pencil(a, b))
-            assert quick.strategy == "charpoly-inertia"
+            assert quick.strategy == "cholesky"
             for sol in (quick, rig):
                 assert_diagnostics(
                     sol.residual, sol.b_orthonormality, a.array, b.array,
