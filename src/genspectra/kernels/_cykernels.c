@@ -14,6 +14,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 /* numpy.<name>(*args, **kwargs) as a C-contiguous writable float64 array of
@@ -280,9 +281,414 @@ done:
     return res;
 }
 
+/* ---- tridiag_eigh: the twin of pykernels.tridiag_eigh ------------------ */
+
+#define TRI_EPS 0x1p-52          /* _EPS */
+#define TRI_MAX_SCALE_EXP 1000   /* _MAX_SCALE_EXP */
+#define TRI_NEGLIGIBLE 0x1p-900  /* _NEGLIGIBLE */
+#define TRI_CLUSTER_GAP 1e-3     /* _CLUSTER_GAP */
+#define TRI_SHIFT_SPREAD 10.0    /* _SHIFT_SPREAD */
+
+/* Householder reduction of the d x d m in place (pykernels._householder).
+ * Reflector k, when taken, has h[k] > 0 and v in vs[k * d .. k * d + len);
+ * h[k] == 0.0 marks a column taken as reduced. p is scratch of d doubles. */
+static void
+householder(double *m, Py_ssize_t d, double *dg, double *off, double *vs, double *hs,
+            double *p)
+{
+    for (Py_ssize_t k = 0; k + 2 < d; k++) {
+        Py_ssize_t len = d - k - 1;
+        double *v = vs + k * d;
+        for (Py_ssize_t i = 0; i < len; i++)
+            v[i] = m[(k + 1 + i) * d + k];
+        double x0 = v[0];
+        double t = v[1] * v[1];
+        for (Py_ssize_t i = 2; i < len; i++)
+            t += v[i] * v[i];
+        hs[k] = 0.0;
+        if (!(t >= TRI_NEGLIGIBLE)) {
+            off[k] = x0;
+            continue;
+        }
+        double sigma = x0 * x0 + t;
+        double g = x0 >= 0.0 ? -sqrt(sigma) : sqrt(sigma);
+        double h = sigma - x0 * g;
+        v[0] = x0 - g;
+        double *block = m + (k + 1) * d + (k + 1);
+        for (Py_ssize_t i = 0; i < len; i++) {
+            const double *row = block + i * d;
+            double acc = row[0] * v[0];
+            for (Py_ssize_t j = 1; j < len; j++)
+                acc += row[j] * v[j];
+            p[i] = acc / h;
+        }
+        double vp = v[0] * p[0];
+        for (Py_ssize_t i = 1; i < len; i++)
+            vp += v[i] * p[i];
+        double half = vp / (h + h);
+        for (Py_ssize_t i = 0; i < len; i++)
+            p[i] = p[i] - half * v[i];  /* q */
+        for (Py_ssize_t i = 0; i < len; i++) {
+            double *row = block + i * d;
+            for (Py_ssize_t j = 0; j < len; j++)
+                row[j] = row[j] - (v[i] * p[j] + p[i] * v[j]);
+        }
+        off[k] = g;
+        hs[k] = h;
+    }
+    if (d >= 2)
+        off[d - 2] = m[(d - 1) * d + d - 2];
+    for (Py_ssize_t i = 0; i < d; i++)
+        dg[i] = m[i * d + i];
+}
+
+static double
+pythag(double a, double b)
+{
+    double absa = fabs(a), absb = fabs(b), r;
+    if (absa > absb) {
+        r = absb / absa;
+        return absa * sqrt(1.0 + r * r);
+    }
+    if (absb == 0.0)
+        return 0.0;
+    r = absa / absb;
+    return absb * sqrt(1.0 + r * r);
+}
+
+/* Implicit QL with Wilkinson shifts on (dg, e), e[n - 1] == 0.0
+ * (pykernels._ql_eigenvalues). Returns 0 when an eigenvalue takes more than
+ * max_iter steps. */
+static int
+ql_eigenvalues(double *dg, double *e, Py_ssize_t n, int max_iter, long *steps)
+{
+    for (Py_ssize_t l = 0; l < n; l++) {
+        int it = 0;
+        for (;;) {
+            Py_ssize_t m = l;
+            while (m < n - 1 && fabs(e[m]) > TRI_EPS * (fabs(dg[m]) + fabs(dg[m + 1])))
+                m++;
+            if (m == l)
+                break;
+            if (it >= max_iter)
+                return 0;
+            it++;
+            (*steps)++;
+            double g = (dg[l + 1] - dg[l]) / (2.0 * e[l]);
+            double r = pythag(g, 1.0);
+            g = dg[m] - dg[l] + e[l] / (g + (g >= 0.0 ? r : -r));
+            double s = 1.0, c = 1.0, p = 0.0;
+            int underflow = 0;
+            for (Py_ssize_t i = m - 1; i >= l; i--) {
+                double f = s * e[i], b = c * e[i];
+                r = pythag(f, g);
+                e[i + 1] = r;
+                if (r == 0.0) {
+                    dg[i + 1] -= p;
+                    e[m] = 0.0;
+                    underflow = 1;
+                    break;
+                }
+                s = f / r;
+                c = g / r;
+                g = dg[i + 1] - p;
+                r = (dg[i] - g) * s + 2.0 * c * b;
+                p = s * r;
+                dg[i + 1] = g + p;
+                g = c * r - b;
+            }
+            if (!underflow) {
+                dg[l] -= p;
+                e[l] = g;
+                e[m] = 0.0;
+            }
+        }
+    }
+    return 1;
+}
+
+/* Start vector entry (r, j), 0-based (pykernels._start_vectors). */
+static double
+start_entry(Py_ssize_t r, Py_ssize_t j)
+{
+    uint64_t x = ((uint64_t)(r + 1) * 0x9E3779B1u + (uint64_t)(j + 1) * 0x85EBCA6Bu) & 0xFFFFFFFFu;
+    x ^= x >> 16;
+    x = (x * 0x45D9F3Bu) & 0xFFFFFFFFu;
+    x ^= x >> 16;
+    int64_t odd = (int64_t)(x >> 11) * 2 - ((1 << 21) - 1);
+    return (double)odd / (double)(1 << 21);
+}
+
+/* LU with partial pivoting of T - s I (pykernels._factor_shifted, one shift):
+ * a (n), c (n - 1), du2 (n - 2), mult (n - 1), sw (n - 1). */
+static void
+factor_shifted(const double *dg, const double *e, Py_ssize_t n, double shift, double tiny,
+               double *a, double *c, double *du2, double *mult, char *sw)
+{
+    for (Py_ssize_t i = 0; i < n; i++)
+        a[i] = dg[i] - shift;
+    for (Py_ssize_t i = 0; i + 1 < n; i++)
+        c[i] = e[i];
+    for (Py_ssize_t i = 0; i + 1 < n; i++) {
+        double ai = a[i], ci = c[i], an = a[i + 1], b = e[i], fact;
+        if (fabs(ai) < fabs(b)) {
+            fact = ai / b;
+            a[i] = b;
+            c[i] = an;
+            a[i + 1] = ci - fact * an;
+            if (i < n - 2) {
+                du2[i] = c[i + 1];
+                c[i + 1] = -fact * c[i + 1];
+            }
+            sw[i] = 1;
+        } else {
+            fact = ai != 0.0 ? b / ai : 0.0;
+            a[i + 1] = an - fact * ci;
+            if (i < n - 2)
+                du2[i] = 0.0;
+            sw[i] = 0;
+        }
+        mult[i] = fact;
+    }
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (fabs(a[i]) < tiny)
+            a[i] = copysign(tiny, a[i]);
+}
+
+/* Solve (T - s I) x = y, x overwriting y (pykernels._solve_shifted, one shift). */
+static void
+solve_shifted(Py_ssize_t n, const double *a, const double *c, const double *du2,
+              const double *mult, const char *sw, double *y)
+{
+    for (Py_ssize_t i = 0; i + 1 < n; i++) {
+        double yi = y[i], yn = y[i + 1];
+        if (sw[i]) {
+            y[i] = yn;
+            y[i + 1] = yi - mult[i] * yn;
+        } else {
+            y[i + 1] = yn - mult[i] * yi;
+        }
+    }
+    y[n - 1] = y[n - 1] / a[n - 1];
+    if (n >= 2)
+        y[n - 2] = (y[n - 2] - c[n - 2] * y[n - 1]) / a[n - 2];
+    for (Py_ssize_t i = n - 3; i >= 0; i--)
+        y[i] = (y[i] - c[i] * y[i + 1] - du2[i] * y[i + 2]) / a[i];
+}
+
+/* Inverse iteration (pykernels._inverse_iteration). z holds vector j at
+ * z + j * n. Returns 1 when converged; *steps gets the steps taken. */
+static int
+inverse_iteration(const double *dg, const double *e, const double *w, Py_ssize_t n,
+                  double thresh, int max_iter, double *z, double *work, char *swork,
+                  Py_ssize_t *starts, int *steps)
+{
+    double *shifts = work, *fa = shifts + n, *fc = fa + n * n, *fdu2 = fc + n * n,
+           *fmult = fdu2 + n * n;
+    double norm_1 = 0.0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        double t = fabs(dg[i]);
+        if (i > 0)
+            t = fabs(e[i - 1]) + t;
+        if (i < n - 1)
+            t = t + fabs(e[i]);
+        if (t > norm_1)
+            norm_1 = t;
+    }
+    /* starts[0 .. clusters] bound the clusters of w */
+    Py_ssize_t clusters = 0;
+    starts[clusters++] = 0;
+    for (Py_ssize_t j = 1; j < n; j++)
+        if (w[j] - w[j - 1] > TRI_CLUSTER_GAP * norm_1)
+            starts[clusters++] = j;
+    starts[clusters] = n;
+    double spread = TRI_SHIFT_SPREAD * TRI_EPS * norm_1;
+    for (Py_ssize_t j = 0; j < n; j++) {
+        shifts[j] = w[j];
+        if (j > 0 && shifts[j] - shifts[j - 1] < spread)
+            shifts[j] = shifts[j - 1] + spread;
+        factor_shifted(dg, e, n, shifts[j], TRI_EPS * norm_1, fa + j * n, fc + j * n,
+                       fdu2 + j * n, fmult + j * n, swork + j * n);
+        for (Py_ssize_t r = 0; r < n; r++)
+            z[j * n + r] = start_entry(r, j);
+    }
+    int passed = 0;
+    for (int step = 1; step <= max_iter; step++) {
+        for (Py_ssize_t j = 0; j < n; j++)
+            solve_shifted(n, fa + j * n, fc + j * n, fdu2 + j * n, fmult + j * n,
+                          swork + j * n, z + j * n);
+        for (Py_ssize_t cl = 0; cl < clusters; cl++) {
+            for (Py_ssize_t col = starts[cl]; col < starts[cl + 1]; col++) {
+                double *yk = z + col * n;
+                for (Py_ssize_t prev = starts[cl]; prev < col; prev++) {
+                    const double *yi = z + prev * n;
+                    double dot = yi[0] * yk[0];
+                    for (Py_ssize_t r = 1; r < n; r++)
+                        dot += yi[r] * yk[r];
+                    for (Py_ssize_t r = 0; r < n; r++)
+                        yk[r] = yk[r] - dot * yi[r];
+                }
+                double acc = yk[0] * yk[0];
+                for (Py_ssize_t r = 1; r < n; r++)
+                    acc += yk[r] * yk[r];
+                double nrm = sqrt(acc);
+                for (Py_ssize_t r = 0; r < n; r++)
+                    yk[r] = yk[r] / nrm;
+            }
+        }
+        int ok = 1;
+        for (Py_ssize_t j = 0; j < n && ok; j++) {
+            const double *zj = z + j * n;
+            double acc = 0.0;
+            for (Py_ssize_t i = 0; i < n; i++) {
+                double ri = (dg[i] - w[j]) * zj[i];
+                if (i > 0)
+                    ri = e[i - 1] * zj[i - 1] + ri;
+                if (i < n - 1)
+                    ri = ri + e[i] * zj[i + 1];
+                acc = i == 0 ? ri * ri : acc + ri * ri;
+            }
+            ok = sqrt(acc) <= thresh;
+        }
+        if (ok) {
+            if (passed) {
+                *steps = step;
+                return 1;
+            }
+            passed = 1;
+        } else {
+            passed = 0;
+        }
+    }
+    *steps = max_iter;
+    return 0;
+}
+
+PyDoc_STRVAR(tridiag_doc,
+"tridiag_eigh($module, a, rel_tol, max_iter)\n--\n\n"
+"Symmetric eigendecomposition through a Householder tridiagonal form.\n\n"
+"Same contract as the pure-Python version: returns\n"
+"``(w, v, iterations, converged)``.");
+
+static PyObject *
+tridiag_eigh(PyObject *module, PyObject *args, PyObject *kwargs)
+{
+    static char *keywords[] = {"a", "rel_tol", "max_iter", NULL};
+    PyObject *a_in;
+    double rel_tol;
+    int max_iter;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Odi:tridiag_eigh", keywords,
+                                     &a_in, &rel_tol, &max_iter))
+        return NULL;
+    Py_buffer mb, vb, wb;
+    PyObject *mobj = NULL, *vobj = NULL, *wobj = NULL, *res = NULL;
+    double *work = NULL;
+    char *swork = NULL;
+    Py_ssize_t *starts = NULL;
+    if ((mobj = matrix_copy(a_in, &mb)) == NULL)
+        goto done;
+    Py_ssize_t d = mb.shape[0];
+    if (mb.shape[1] != d) {
+        PyErr_SetString(PyExc_ValueError, "tridiag_eigh: the matrix is not square");
+        goto done;
+    }
+    if ((vobj = numpy_array("eye", Py_BuildValue("(n)", d), NULL, 2, &vb)) == NULL
+        || (wobj = numpy_array("zeros", Py_BuildValue("(n)", d), NULL, 1, &wb)) == NULL)
+        goto done;
+    double *m = mb.buf, *v = vb.buf, *wout = wb.buf;
+    double top = 0.0;
+    for (Py_ssize_t i = 0; i < d * d; i++)
+        if (fabs(m[i]) > top)
+            top = fabs(m[i]);
+    if (top == 0.0) {
+        res = Py_BuildValue("(OOiO)", wobj, vobj, 0, Py_True);
+        goto done;
+    }
+    /* dg, off (+ the QL's trailing 0.0), w, hs, p: 5d; reflectors d^2; z d^2;
+     * shifts d and the factors 4 d^2 */
+    work = PyMem_Malloc(sizeof(double) * (6 * d + 6 * d * d + 1));
+    swork = PyMem_Malloc(d * d + 1);
+    starts = PyMem_Malloc(sizeof(Py_ssize_t) * (d + 1));
+    if (work == NULL || swork == NULL || starts == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    double *dg = work, *off = dg + d, *w = off + d, *hs = w + d, *p = hs + d,
+           *vs = p + d, *z = vs + d * d, *rest = z + d * d;
+    int top_exp;
+    frexp(top, &top_exp);
+    if (top_exp < -TRI_MAX_SCALE_EXP)
+        top_exp = -TRI_MAX_SCALE_EXP;
+    if (top_exp > TRI_MAX_SCALE_EXP)
+        top_exp = TRI_MAX_SCALE_EXP;
+    double down = ldexp(1.0, -top_exp), scale = ldexp(1.0, top_exp);
+    for (Py_ssize_t i = 0; i < d * d; i++)
+        m[i] = m[i] * down;
+    double acc = m[0] * m[0];
+    for (Py_ssize_t i = 1; i < d * d; i++)
+        acc += m[i] * m[i];
+    double thresh = rel_tol * sqrt(acc);
+
+    householder(m, d, dg, off, vs, hs, p);
+    for (Py_ssize_t i = 0; i < d; i++)
+        w[i] = dg[i];
+    /* the QL works on copies: w and, past the subdiagonal, a trailing 0.0 */
+    double *e = p;
+    for (Py_ssize_t i = 0; i + 1 < d; i++)
+        e[i] = off[i];
+    e[d - 1] = 0.0;
+    long steps = 0;
+    if (!ql_eigenvalues(w, e, d, max_iter, &steps)) {
+        for (Py_ssize_t i = 0; i < d; i++)
+            wout[i] = w[i] * scale;
+        res = Py_BuildValue("(OOlO)", wobj, vobj, steps, Py_False);
+        goto done;
+    }
+    for (Py_ssize_t i = 1; i < d; i++) {  /* stable insertion sort, as sorted() */
+        double x = w[i];
+        Py_ssize_t j = i;
+        for (; j > 0 && w[j - 1] > x; j--)
+            w[j] = w[j - 1];
+        w[j] = x;
+    }
+    int more = 0;
+    int converged = inverse_iteration(dg, off, w, d, thresh, max_iter, z, rest, swork,
+                                      starts, &more);
+    for (Py_ssize_t k = d - 3; k >= 0; k--) {  /* back-transform, last reflector first */
+        if (hs[k] == 0.0)
+            continue;
+        Py_ssize_t len = d - k - 1;
+        const double *vk = vs + k * d;
+        for (Py_ssize_t j = 0; j < d; j++) {
+            double *zj = z + j * d + k + 1;
+            double dot = vk[0] * zj[0];
+            for (Py_ssize_t i = 1; i < len; i++)
+                dot += vk[i] * zj[i];
+            double f = dot / hs[k];
+            for (Py_ssize_t i = 0; i < len; i++)
+                zj[i] = zj[i] - vk[i] * f;
+        }
+    }
+    for (Py_ssize_t i = 0; i < d; i++) {
+        wout[i] = w[i] * scale;
+        for (Py_ssize_t j = 0; j < d; j++)
+            v[i * d + j] = z[j * d + i];
+    }
+    res = Py_BuildValue("(OOlO)", wobj, vobj, steps + more, converged ? Py_True : Py_False);
+done:
+    PyMem_Free(work);
+    PyMem_Free(swork);
+    PyMem_Free(starts);
+    release(mobj, &mb);
+    release(vobj, &vb);
+    release(wobj, &wb);
+    return res;
+}
+
 static PyMethodDef methods[] = {
     {"matmul", (PyCFunction)(void (*)(void))matmul, METH_VARARGS | METH_KEYWORDS, matmul_doc},
     {"jacobi_eigh", (PyCFunction)(void (*)(void))jacobi_eigh, METH_VARARGS | METH_KEYWORDS, jacobi_doc},
+    {"tridiag_eigh", (PyCFunction)(void (*)(void))tridiag_eigh, METH_VARARGS | METH_KEYWORDS, tridiag_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,11 +1,12 @@
 """Pure-Python compute kernels.
 
-These are the reference implementations of the two hot loops in the
-package: dense matrix multiplication and the round-robin Jacobi eigenvalue
-iteration for symmetric matrices. ``genspectra.kernels`` swaps in the
-compiled twins, written by hand in C, when they are available; both
-backends perform the same operations in the same order, so results agree
-to the last bit on IEEE-754 hardware.
+These are the reference implementations of the package's hot loops: dense
+matrix multiplication and two symmetric eigensolvers, the round-robin
+Jacobi iteration and a Householder-tridiagonal solver (``tridiag_eigh``).
+``genspectra.kernels`` swaps in the compiled twins, written by hand in C,
+when they are available; both backends perform the same operations in the
+same order, using only + - * / and sqrt, so results agree to the last bit
+on IEEE-754 hardware.
 
 ``matmul`` evaluates its products and sums with numpy, one block of the
 inner dimension at a time, but adds the terms of each entry strictly in
@@ -16,6 +17,11 @@ every column of M and V, and then every row of M, is updated in place
 from itself and its pair partner, gathered in one ``take``; below that
 the same operations run on Python lists, whose element access costs less
 than numpy's fixed cost per call.
+
+``tridiag_eigh`` adds its sums in a fixed order with ``np.add.accumulate``,
+runs the QL iteration on Python floats and the inverse iteration as numpy
+operations across all shifts at once; the C twin runs the same arithmetic
+one shift at a time.
 """
 
 from __future__ import annotations
@@ -295,3 +301,334 @@ def _iterate_numpy(a: np.ndarray, thresh: float, max_sweeps: int):
         np.copyto(m, m.T.copy(), where=lower)
         converged = offdiag_norm() <= thresh
     return m.diagonal().copy(), mv[d:].copy(), sweeps, converged
+
+
+# ---------------------------------------------------------------------------
+# Householder reduction to tridiagonal form, QL eigenvalues, inverse iteration
+
+# Unit roundoff of float64: the QL deflation test and the floor on the
+# pivots of inverse iteration are this times a norm of T.
+_EPS = 2.0 ** -52
+
+# The input is scaled by a power of two (exact) so that its largest entry
+# lies in [0.5, 1); the exponent is clamped so that the factor stays finite.
+_MAX_SCALE_EXP = 1000
+
+# A column whose entries below the subdiagonal have squares summing to less
+# than this (entries under 2**-450 of the largest one) is taken as reduced:
+# dropping them is far below roundoff, and it keeps the reflector's h in
+# the normal range.
+_NEGLIGIBLE = 2.0 ** -900
+
+# Eigenvalues of T closer than this times ||T||_1 form one cluster, whose
+# inverse-iteration vectors are orthogonalised against each other (the
+# rule of LAPACK dstein).
+_CLUSTER_GAP = 1e-3
+
+# Within a cluster, consecutive shifts of inverse iteration are at least
+# this times eps ||T||_1 apart.
+_SHIFT_SPREAD = 10.0
+
+
+def _last_sums(terms: np.ndarray, axis: int) -> np.ndarray:
+    """Sums along ``axis``, each added term by term from the first (the C loop)."""
+    return np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
+
+
+def tridiag_eigh(a: np.ndarray, rel_tol: float, max_iter: int):
+    """Symmetric eigendecomposition through a tridiagonal form.
+
+    The input is scaled by a power of two, then reduced to T = Q' A Q by
+    d - 2 Householder reflections (``_householder``). The eigenvalues of T
+    come from the implicit QL iteration with Wilkinson shifts, at most
+    ``max_iter`` steps per eigenvalue (``_ql_eigenvalues``); its
+    eigenvectors from inverse iteration with every eigenvalue as a shift,
+    until each residual ||T z - lambda z|| is at most ``rel_tol`` times the
+    Frobenius norm of the scaled input, within ``max_iter`` steps
+    (``_inverse_iteration``). The reflectors then carry the vectors back.
+
+    Returns ``(w, v, iterations, converged)`` as ``jacobi_eigh`` does: ``w``
+    ascending, the columns of ``v`` the eigenvectors in the same order, and
+    ``iterations`` the QL steps plus the inverse-iteration steps.
+    ``converged`` is False when either loop ran out of steps.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    d = a.shape[0]
+    top = float(np.max(np.abs(a)))
+    if top == 0.0:
+        return np.zeros(d), np.eye(d), 0, True
+    exp = min(max(math.frexp(top)[1], -_MAX_SCALE_EXP), _MAX_SCALE_EXP)
+    m = a * math.ldexp(1.0, -exp)
+    thresh = rel_tol * math.sqrt(float(_last_sums((m * m).ravel(), 0)))
+    diag, off, reflectors = _householder(m)
+    w, steps, converged = _ql_eigenvalues(diag.tolist(), off.tolist(), max_iter)
+    scale = math.ldexp(1.0, exp)
+    if not converged:
+        return np.array(w) * scale, np.eye(d), steps, False
+    w = np.array(sorted(w))
+    z, more, converged = _inverse_iteration(diag, off, w, thresh, max_iter)
+    return w * scale, _back_transform(reflectors, z), steps + more, converged
+
+
+def _householder(m: np.ndarray):
+    """Reduce the symmetric ``m`` in place to tridiagonal form.
+
+    Step k takes x = m[k+1:, k] and, unless its entries below the first are
+    negligible, the reflector P = I - v v' / h with v = x - g e_1,
+    g = -sign(x_0) ||x|| and h = ||x||^2 - x_0 g, which maps x to g e_1.
+    The trailing block becomes P M P = M - v q' - q v' with p = M v / h and
+    q = p - (v'p / 2h) v. Returns the diagonal and subdiagonal of T and the
+    reflectors (k, v, h), acting on indices k + 1 .. d - 1.
+    """
+    d = m.shape[0]
+    off = np.zeros(max(d - 1, 0))
+    reflectors = []
+    for k in range(d - 2):
+        x = m[k + 1:, k].copy()
+        x0 = float(x[0])
+        t = float(_last_sums(x[1:] * x[1:], 0))
+        if not t >= _NEGLIGIBLE:
+            off[k] = x0
+            continue
+        sigma = x0 * x0 + t
+        g = -math.sqrt(sigma) if x0 >= 0.0 else math.sqrt(sigma)
+        h = sigma - x0 * g
+        x[0] = x0 - g
+        block = m[k + 1:, k + 1:]
+        p = _last_sums(block * x, 1) / h
+        half = float(_last_sums(x * p, 0)) / (h + h)
+        q = p - half * x
+        block -= np.multiply.outer(x, q) + np.multiply.outer(q, x)
+        off[k] = g
+        reflectors.append((k, x, h))
+    if d >= 2:
+        off[d - 2] = m[d - 1, d - 2]
+    return m.diagonal().copy(), off, reflectors
+
+
+def _pythag(a: float, b: float) -> float:
+    """sqrt(a^2 + b^2) without overflow, from + - * / and sqrt only.
+
+    (``math.hypot`` rounds differently from C's ``hypot``.) The QL loop
+    below inlines it.
+    """
+    absa, absb = abs(a), abs(b)
+    if absa > absb:
+        r = absb / absa
+        return absa * math.sqrt(1.0 + r * r)
+    if absb == 0.0:
+        return 0.0
+    r = absa / absb
+    return absb * math.sqrt(1.0 + r * r)
+
+
+def _ql_eigenvalues(dg: list, e: list, max_iter: int):
+    """Eigenvalues of the tridiagonal (dg, e) by implicit QL with Wilkinson shifts.
+
+    ``tqli`` of Press et al. (after EISPACK ``tql1``), eigenvalues only:
+    e[m] counts as zero once |e[m]| <= eps (|dg[m]| + |dg[m + 1]|).
+    Returns (eigenvalues, steps, converged); not converged when one
+    eigenvalue takes more than ``max_iter`` steps.
+    """
+    n = len(dg)
+    e = e + [0.0]
+    eps = _EPS
+    sqrt = math.sqrt
+    steps = 0
+    for l in range(n):
+        it = 0
+        while True:
+            m = l
+            while m < n - 1 and abs(e[m]) > eps * (abs(dg[m]) + abs(dg[m + 1])):
+                m += 1
+            if m == l:
+                break
+            if it >= max_iter:
+                return dg, steps, False
+            it += 1
+            steps += 1
+            g = (dg[l + 1] - dg[l]) / (2.0 * e[l])
+            r = _pythag(g, 1.0)
+            g = dg[m] - dg[l] + e[l] / (g + (r if g >= 0.0 else -r))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                ei = e[i]
+                f = s * ei
+                b = c * ei
+                # r = _pythag(f, g)
+                af, ag = abs(f), abs(g)
+                if af > ag:
+                    t = ag / af
+                    r = af * sqrt(1.0 + t * t)
+                elif ag == 0.0:
+                    r = 0.0
+                else:
+                    t = af / ag
+                    r = ag * sqrt(1.0 + t * t)
+                e[i + 1] = r
+                if r == 0.0:
+                    # underflow: deflate here and test again
+                    dg[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = dg[i + 1] - p
+                r = (dg[i] - g) * s + 2.0 * c * b
+                p = s * r
+                dg[i + 1] = g + p
+                g = c * r - b
+            else:
+                dg[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return dg, steps, True
+
+
+def _start_vectors(n: int) -> np.ndarray:
+    """The (n, n) start vectors of inverse iteration, one column per shift.
+
+    Entry (r, j) is an odd integer in (-2^21, 2^21) from a 32-bit integer
+    hash of (r + 1, j + 1), divided by 2^21: no random state, and the same
+    bits in every backend.
+    """
+    r = np.arange(1, n + 1, dtype=np.uint64)[:, None]
+    j = np.arange(1, n + 1, dtype=np.uint64)[None, :]
+    low = np.uint64(0xFFFFFFFF)
+    x = (r * np.uint64(0x9E3779B1) + j * np.uint64(0x85EBCA6B)) & low
+    x ^= x >> np.uint64(16)
+    x = (x * np.uint64(0x45D9F3B)) & low
+    x ^= x >> np.uint64(16)
+    odd = (x >> np.uint64(11)).astype(np.int64) * 2 - ((1 << 21) - 1)
+    return odd / float(1 << 21)
+
+
+# Where the pivot test picks the other branch, its quotient may divide by 0.
+@np.errstate(divide="ignore", invalid="ignore")
+def _factor_shifted(dg: np.ndarray, e: np.ndarray, lam: np.ndarray, tiny: float):
+    """LU with partial pivoting of T - lam_j I for every shift at once (LAPACK dgttrf).
+
+    Row i of each returned array holds that row for all shifts: the
+    diagonal of U, its first and second superdiagonals, the multipliers
+    and the row interchanges. Pivots smaller than ``tiny`` in magnitude
+    are replaced by ``tiny`` with their sign, so U can be solved even where
+    lam_j is an eigenvalue to working precision.
+    """
+    n, shifts = dg.shape[0], lam.shape[0]
+    a = dg[:, None] - lam
+    c = np.repeat(e[:, None], shifts, axis=1)
+    du2 = np.zeros((max(n - 2, 0), shifts))
+    mult = np.zeros((max(n - 1, 0), shifts))
+    swap = np.zeros((max(n - 1, 0), shifts), dtype=bool)
+    for i in range(n - 1):
+        ai, ci, an, b = a[i], c[i], a[i + 1], e[i]
+        sw = np.abs(ai) < abs(b)
+        fact = np.where(sw, ai / b, np.where(ai != 0.0, b / ai, 0.0))
+        new_an = np.where(sw, ci - fact * an, an - fact * ci)
+        a[i] = np.where(sw, b, ai)
+        c[i] = np.where(sw, an, ci)
+        a[i + 1] = new_an
+        if i < n - 2:
+            cn = c[i + 1]
+            du2[i] = np.where(sw, cn, 0.0)
+            c[i + 1] = np.where(sw, -fact * cn, cn)
+        mult[i] = fact
+        swap[i] = sw
+    a = np.where(np.abs(a) < tiny, np.copysign(tiny, a), a)
+    return a, c, du2, mult, swap
+
+
+def _solve_shifted(factors, z: np.ndarray) -> np.ndarray:
+    """Solve (T - lam_j I) y_j = z_j for every column j (LAPACK dgttrs)."""
+    a, c, du2, mult, swap = factors
+    y = z.copy()
+    n = y.shape[0]
+    for i in range(n - 1):
+        yi, yn, sw, f = y[i], y[i + 1], swap[i], mult[i]
+        upper = np.where(sw, yn, yi)
+        lower = np.where(sw, yi - f * yn, yn - f * yi)
+        y[i] = upper
+        y[i + 1] = lower
+    y[n - 1] /= a[n - 1]
+    if n >= 2:
+        y[n - 2] = (y[n - 2] - c[n - 2] * y[n - 1]) / a[n - 2]
+    for i in range(n - 3, -1, -1):
+        y[i] = (y[i] - c[i] * y[i + 1] - du2[i] * y[i + 2]) / a[i]
+    return y
+
+
+def _orthonormalise(y: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> None:
+    """Modified Gram-Schmidt within each cluster of columns, in place.
+
+    Cluster c holds columns starts[c] .. starts[c] + sizes[c] - 1. Its k-th
+    column loses its components along the k - 1 before it, one after
+    another, and is then scaled to unit length; k-th columns of all
+    clusters are treated together.
+    """
+    for k in range(int(sizes.max())):
+        cols = starts[sizes > k] + k
+        yk = y[:, cols]
+        for i in range(k):
+            yi = y[:, cols - (k - i)]
+            yk -= _last_sums(yi * yk, 0) * yi
+        y[:, cols] = yk / np.sqrt(_last_sums(yk * yk, 0))
+
+
+def _residual_norms(dg: np.ndarray, e: np.ndarray, lam: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """||T z_j - lam_j z_j|| for every column j."""
+    r = (dg[:, None] - lam) * z
+    r[1:] = e[:, None] * z[:-1] + r[1:]
+    r[:-1] += e[:, None] * z[1:]
+    return np.sqrt(_last_sums(r * r, 0))
+
+
+def _inverse_iteration(dg: np.ndarray, e: np.ndarray, w: np.ndarray, thresh: float, max_iter: int):
+    """Eigenvectors of the tridiagonal (dg, e) for its ascending eigenvalues w.
+
+    Every eigenvalue is a shift, and the start vectors are
+    ``_start_vectors``. Eigenvalues with gaps of at most
+    ``_CLUSTER_GAP * ||T||_1`` form clusters; within one, each shift is
+    kept at least ``_SHIFT_SPREAD * eps * ||T||_1`` above the one before,
+    so that equal eigenvalues still get distinct solves (as LAPACK dstein
+    does). A step solves (T - s_j I) y_j = z_j for all j and orthonormalises
+    within the clusters. The loop stops after two steps in a row whose
+    residuals ||T z_j - w_j z_j|| are all at most ``thresh``: one step from
+    the start vectors leaves components along the other eigenvectors of
+    order eps ||T|| / gap, and the next removes them. Returns (z, steps,
+    converged).
+    """
+    n = dg.shape[0]
+    row_sums = np.abs(dg)
+    row_sums[1:] = np.abs(e) + row_sums[1:]
+    row_sums[:-1] = row_sums[:-1] + np.abs(e)
+    norm_1 = float(row_sums.max())
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(w) > _CLUSTER_GAP * norm_1)))
+    sizes = np.diff(np.append(starts, n))
+    spread = _SHIFT_SPREAD * _EPS * norm_1
+    shifts = w.tolist()
+    for j in range(1, n):
+        if shifts[j] - shifts[j - 1] < spread:
+            shifts[j] = shifts[j - 1] + spread
+    factors = _factor_shifted(dg, e, np.array(shifts), _EPS * norm_1)
+    z = _start_vectors(n)
+    passed = False
+    for step in range(1, max_iter + 1):
+        z = _solve_shifted(factors, z)
+        _orthonormalise(z, starts, sizes)
+        if (_residual_norms(dg, e, w, z) <= thresh).all():
+            if passed:
+                return z, step, True
+            passed = True
+        else:
+            passed = False
+    return z, max_iter, False
+
+
+def _back_transform(reflectors, z: np.ndarray) -> np.ndarray:
+    """Q z for Q = P_0 P_1 ..., applying the reflectors last to first, in place."""
+    for k, v, h in reversed(reflectors):
+        block = z[k + 1:]
+        f = _last_sums(v[:, None] * block, 0) / h
+        block -= np.multiply.outer(v, f)
+    return z

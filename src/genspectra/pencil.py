@@ -20,7 +20,8 @@ Two routes are provided:
 Where the quick route takes the Cholesky factor the routes share no
 factorization of B, so each checks the other there; on any other B they
 share the eigendecomposition of B. Where B is decomposed, that
-decomposition is the only one of B, and both routes read off it whether
+decomposition is the only one of B, by Jacobi at every d (``eigen._Metric``,
+for relative accuracy on a graded B), and both routes read off it whether
 B is singular or indefinite, relative to its largest eigenvalue magnitude
 (``linalg.definiteness``), so B and s*B get the same verdict for every
 s > 0; the whitening factors; and, for ``deflated``, B's null
@@ -36,7 +37,6 @@ pairs from the c x c Gram of W'F rather than from the n x n A_breve.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,9 +51,14 @@ from .errors import (
 )
 from .eigen import (
     EigenDecomposition,
+    _Metric,
+    _charpoly_in_mu,
     _column_signs,
     _fix_column_signs,
     _null_basis,
+    _poly_deriv,
+    _poly_eval,
+    _polish_multiple_root,
     _roots_by_count,
     eig_sym,
 )
@@ -215,10 +220,12 @@ def _whitening(
 ) -> tuple[EigenDecomposition, float, np.ndarray]:
     """eig(B), the eps it needs and W = Phi_B (Lambda_B^1/2 + eps I)^-1.
 
+    eig(B) is by Jacobi at every d (``eigen._Metric``): W divides by
+    sqrt(lambda_B), which needs B's small eigenvalues to relative accuracy.
     Raises ``IndefiniteB`` on an indefinite B; eps is 0.0 unless B is
     singular (``linalg.definiteness``).
     """
-    eig_b = eig_sym(b, order="descending")
+    eig_b = eig_sym(_Metric(b), order="descending")
     indefinite, singular = definiteness(eig_b.eigenvalues)
     if indefinite:
         raise IndefiniteB(
@@ -357,7 +364,7 @@ def solve_quick_dirty(
     ):
         strategy, breve = "cholesky", inv_l.T
     else:
-        eig_b = eig_sym(p.b, order="descending")
+        eig_b = eig_sym(_Metric(p.b), order="descending")
         _, singular = definiteness(eig_b.eigenvalues)
         eps_used = _regularization(p.b, epsilon) if singular else 0.0
         lam_reg = [x + eps_used for x in eig_b.eigenvalues]
@@ -562,30 +569,6 @@ def _null_bases(
 # ---- characteristic polynomial of a pencil, d <= 4 ----
 
 
-def _poly_mul(p: list[float], q: list[float]) -> list[float]:
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi != 0.0:
-            for j, qj in enumerate(q):
-                out[i + j] += pi * qj
-    return out
-
-
-def _pencil_charpoly(a: list, b: list, n: int) -> list[float]:
-    """Coefficients of det(A - lambda B), ascending powers, exact expansion."""
-    coeffs = [0.0] * (n + 1)
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        poly = [-1.0 if inversions % 2 else 1.0]
-        for i in range(n):
-            poly = _poly_mul(poly, [a[i][perm[i]], -b[i][perm[i]]])
-        for k, ck in enumerate(poly):
-            coeffs[k] += ck
-    return coeffs
-
-
 def _poly_trim(p: list[float], ref: list[float]) -> list[float]:
     """``p`` with coefficients at or below 1e-13 * max|ref| zeroed, trailing zeros dropped."""
     tol = 1e-13 * max(abs(c) for c in ref)
@@ -593,17 +576,6 @@ def _poly_trim(p: list[float], ref: list[float]) -> list[float]:
     while out and out[-1] == 0.0:
         out.pop()
     return out
-
-
-def _poly_eval(p: list[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deriv(p: list[float]) -> list[float]:
-    return [i * c for i, c in enumerate(p)][1:]
 
 
 def _poly_rem(num: list[float], den: list[float]) -> list[float]:
@@ -646,37 +618,6 @@ def _sign_variations(chain: list[list[float]], x: float) -> int:
             count += 1
         prev = val
     return count
-
-
-def _polish_multiple_root(coeffs: list[float], mu: float, mult: int) -> float:
-    """Re-solve a root of multiplicity ``mult`` as a simple root of the
-    (mult-1)-th derivative.
-
-    The polynomial is flat around a multiple root (its value falls below
-    roundoff in a zone of width ~ sqrt(machine eps)), which caps a count of
-    its sign changes there; the derivative changes sign cleanly. It is
-    searched on mu + 1e-6 t for t in [-1, 1], counting 1 past its root.
-    """
-    q = coeffs
-    for _ in range(mult - 1):
-        q = _poly_deriv(q)
-    rising = _poly_eval(_poly_deriv(q), mu) > 0.0
-
-    def past(t: float) -> int | None:
-        val = _poly_eval(q, mu + 1e-6 * t)
-        return None if val == 0.0 else int((val > 0.0) == rising)
-
-    found = _roots_by_count(past, 1.0)
-    return mu + 1e-6 * found[0][0] if len(found) == 1 else mu
-
-
-def _charpoly_in_mu(a: list, b: list, d: int, rho: float) -> list[float]:
-    """Coefficients of q(mu) = det(A - rho mu B), ascending powers.
-
-    Its real roots lie in [-1, 1] (lambda = rho * mu), so the Sturm chain,
-    the bisection and the polish all work on O(1) numbers.
-    """
-    return [c * rho**k for k, c in enumerate(_pencil_charpoly(a, b, d))]
 
 
 def _sturm_roots(a: list, b_reg: list, d: int, rho: float) -> list[float]:

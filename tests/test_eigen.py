@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from genspectra import (
     ConvergenceFailure,
+    NonFiniteEntry,
     NoNullSpace,
     SymMatrix,
     UnsupportedDimension,
@@ -114,9 +115,46 @@ def test_eig_sign_convention_is_deterministic():
 
 def test_eig_convergence_failure_when_sweeps_exhausted():
     rng = np.random.RandomState(25)
-    a = random_sym(rng, 7)
-    with pytest.raises(ConvergenceFailure):
-        eig_sym(a, max_sweeps=1)
+    for d in (7, 20):  # Jacobi, then the tridiagonal kernel
+        a = random_sym(rng, d)
+        with pytest.raises(ConvergenceFailure):
+            eig_sym(a, max_sweeps=1)
+
+
+def test_eig_invariants_through_the_tridiagonal_kernel():
+    # d >= 16 takes the tridiagonal kernel (criterion 1 covers d <= 12)
+    rng = np.random.RandomState(29)
+    for d in (16, 17, 24, 33, 48, 64, 80):
+        a = random_sym(rng, d, scale=2.0)
+        dec = eig_sym(a)
+        phi = dec.phi.array
+        lam = np.asarray(dec.eigenvalues)
+        scale = np.abs(a.array).max()
+        assert np.abs(phi.T @ phi - np.eye(d)).max() <= 1e-13, d
+        assert np.abs(spectral_reconstruct(dec).array - a.array).max() <= 1e-13 * scale, d
+        assert np.abs(lam - np.linalg.eigvalsh(a.array)[::-1]).max() <= 1e-13 * scale, d
+        assert all(lam[i] >= lam[i + 1] for i in range(d - 1))
+        for j in range(d):
+            assert phi[int(np.argmax(np.abs(phi[:, j]))), j] > 0.0
+
+
+def test_eig_tridiagonal_kernel_on_repeated_eigenvalues():
+    # four 12-fold eigenvalues at d = 48
+    rng = np.random.RandomState(30)
+    q = np.linalg.qr(rng.standard_normal((48, 48)))[0]
+    dec = eig_sym(SymMatrix((q * np.repeat([4.0, 3.0, 2.0, 1.0], 12)) @ q.T))
+    phi = dec.phi.array
+    assert np.abs(phi.T @ phi - np.eye(48)).max() <= 1e-13
+    assert np.abs(np.array(dec.eigenvalues) - np.repeat([4.0, 3.0, 2.0, 1.0], 12)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eig_rejects_non_finite_entries(bad):
+    for d in (3, 20):
+        a = np.eye(d)
+        a[0, 1] = a[1, 0] = bad
+        with pytest.raises(NonFiniteEntry):
+            eig_sym(a)
 
 
 def test_spectral_reconstruct_roundtrip():
@@ -163,6 +201,15 @@ def test_char_poly_d4_with_multiplicity():
     a = SymMatrix(np.diag([7.0, 7.0, 1.0, 0.0]))
     got = char_poly_eig(a)
     assert got == pytest.approx([7.0, 7.0, 1.0, 0.0], abs=1e-9)
+
+
+def test_char_poly_d4_rotated_double_root():
+    # The count wavers near the double root; its rises net to 2 there.
+    for seed in range(200):
+        q = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))[0]
+        got = char_poly_eig(SymMatrix((q * [2.0, 2.0, 5.0, 7.0]) @ q.T))
+        assert len(got) == 4, seed
+        assert max(abs(x - y) for x, y in zip(got, [7.0, 5.0, 2.0, 2.0])) <= 1e-10, seed
 
 
 def test_char_poly_d4_repeated_root_costs_one_bisection(monkeypatch):

@@ -4,14 +4,15 @@ import functools
 import importlib
 import sys
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
 
-from genspectra import LabeledDataset, Matrix, Pencil, SymMatrix, kernels, kspca_fit
+from genspectra import LabeledDataset, Matrix, Pencil, SymMatrix, eig_sym, kernels, kspca_fit
 from genspectra import solve_quick_dirty, solve_rigorous
-from genspectra.eigen import JACOBI_REL_TOL
+from genspectra.eigen import JACOBI_REL_TOL, MAX_SWEEPS
 from genspectra.kernels import pykernels
 
 from conftest import CYKERNELS_MODULE, random_sym
@@ -43,6 +44,22 @@ def test_env_override_python(monkeypatch):
     name, mod = kernels._select_backend()
     assert name == "python"
     assert mod is pykernels
+
+
+def test_stale_compiled_module_counts_as_not_built(monkeypatch):
+    # A module from an older build, without tridiag_eigh, would otherwise run
+    # next to the pure-Python tridiagonal kernel.
+    stale = types.ModuleType("_cykernels")
+    stale.matmul, stale.jacobi_eigh = pykernels.matmul, pykernels.jacobi_eigh
+    monkeypatch.setattr(kernels, "_cykernels", stale)
+    monkeypatch.setenv("GENSPECTRA_KERNELS", "auto")
+    assert kernels._select_backend() == ("python", pykernels)
+    assert "compiled" not in kernels.available_backends()
+    monkeypatch.setenv("GENSPECTRA_KERNELS", "compiled")
+    with pytest.raises(ImportError, match="stale.*rebuild"):
+        kernels._select_backend()
+    stale.tridiag_eigh = pykernels.tridiag_eigh
+    assert kernels._select_backend() == ("compiled", stale)
 
 
 # ---------------------------------------------------------------------------
@@ -378,21 +395,101 @@ def test_solvers_bit_identical_across_backends(cykernels, monkeypatch):
     ds = LabeledDataset(Matrix(rng.standard_normal((3, 40))), labels=labels)
     solves["kspca"] = functools.partial(kspca_fit, ds, 2)
 
+    # the full-path fallback: p = c needs eig(A_breve) at n = 40
+    solves["kspca fallback"] = functools.partial(kspca_fit, ds, 3)
+    for d in (16, 48):
+        solves[f"eig d={d}"] = functools.partial(eig_sym, random_sym(rng, d))
+
     for name, solve in solves.items():
         results = []
         for backend in (pykernels, cykernels):
             with monkeypatch.context() as patched:
-                patched.setattr(kernels, "matmul", backend.matmul)
-                patched.setattr(kernels, "jacobi_eigh", backend.jacobi_eigh)
+                for kernel in kernels._KERNEL_NAMES:
+                    patched.setattr(kernels, kernel, getattr(backend, kernel))
                 results.append(solve())
         got_py, got_c = results
-        if name == "kspca":
+        if name.startswith("kspca"):
             phi_py, phi_c = got_py.projection, got_c.projection
+        elif name.startswith("eig"):
+            phi_py, phi_c = got_py.phi, got_c.phi
         else:
             assert got_py.strategy == got_c.strategy == name.split()[-1]
             phi_py, phi_c = got_py.phi, got_c.phi
         assert _same_bits(phi_py.array, phi_c.array), name
         assert _same_bits(got_py.eigenvalues, got_c.eigenvalues), name
+
+
+# ---------------------------------------------------------------------------
+# tridiag_eigh
+# ---------------------------------------------------------------------------
+
+
+def _tridiag_inputs(d):
+    """Symmetric test matrices for the tridiagonal kernel, by name."""
+    rng = np.random.RandomState(3000 + d)
+    a = random_sym(rng, d, scale=3.0).array
+    tri = np.diag(rng.standard_normal(d)) + np.diag(rng.standard_normal(d - 1), 1)
+    inputs = {
+        "random": a,
+        "1e200": a * 1e200,
+        "1e-200": a * 1e-200,
+        "diagonal": np.diag(rng.standard_normal(d)),
+        "tridiagonal": tri + np.triu(tri, 1).T,
+        "zero": np.zeros((d, d)),
+    }
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    for k in (2, 4, max(d // 4, 2)):
+        lam = np.repeat(np.arange(1.0, d // k + 2), k)[:d]
+        cl = (q * lam) @ q.T
+        inputs[f"{k}-fold"] = (cl + cl.T) / 2.0
+    return inputs
+
+
+def test_tridiag_backends_bit_identical(cykernels):
+    for d in (16, 17, 33, 48, 80):
+        for name, a in _tridiag_inputs(d).items():
+            for max_iter in (MAX_SWEEPS, 1):
+                got_py = pykernels.tridiag_eigh(a, JACOBI_REL_TOL, max_iter)
+                got_c = cykernels.tridiag_eigh(a, JACOBI_REL_TOL, max_iter)
+                assert _same_eigh(got_py, got_c), (d, name, max_iter)
+                assert got_py[3] == (max_iter == MAX_SWEEPS or name == "zero"), (d, name)
+
+
+def test_tridiag_eigenpairs_are_accurate():
+    for d in (2, 3, 16, 17, 24, 33, 48, 64, 80):
+        for name, a in _tridiag_inputs(d).items():
+            w, v, _, converged = pykernels.tridiag_eigh(a, JACOBI_REL_TOL, MAX_SWEEPS)
+            scale = max(np.abs(a).max(), np.finfo(float).tiny)
+            assert converged, (d, name)
+            assert np.all(np.diff(w) >= 0.0), (d, name)
+            assert np.abs(a @ v - v * w).max() <= 1e-13 * scale, (d, name)
+            assert np.abs(v.T @ v - np.eye(d)).max() <= 1e-13, (d, name)
+            assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-13 * scale, (d, name)
+
+
+def test_tridiag_clusters_get_orthogonal_vectors():
+    # Without Gram-Schmidt within clusters, inverse iteration returned
+    # ||Z'Z - I|| = 23 on this input.
+    rng = np.random.RandomState(48)
+    q = np.linalg.qr(rng.standard_normal((48, 48)))[0]
+    a = (q * np.repeat([1.0, 2.0, 3.0, 4.0], 12)) @ q.T
+    w, v, _, converged = pykernels.tridiag_eigh((a + a.T) / 2.0, JACOBI_REL_TOL, MAX_SWEEPS)
+    assert converged
+    assert np.abs(v.T @ v - np.eye(48)).max() <= 1e-13
+    assert np.abs(w - np.repeat([1.0, 2.0, 3.0, 4.0], 12)).max() <= 1e-13
+
+
+def test_tridiag_unconverged_flag_when_steps_exhausted():
+    # QL needs more than one step for some eigenvalue of a generic matrix
+    a = random_sym(np.random.RandomState(6), 20).array
+    w, v, _, converged = pykernels.tridiag_eigh(a, JACOBI_REL_TOL, 1)
+    assert not converged and w.shape == (20,) and v.shape == (20, 20)
+    assert pykernels.tridiag_eigh(a, JACOBI_REL_TOL, MAX_SWEEPS)[3]
+    # A diagonal T needs no QL step, and inverse iteration stops after two
+    # steps in a row within tolerance.
+    diagonal = np.diag(np.arange(20.0))
+    assert pykernels.tridiag_eigh(diagonal, JACOBI_REL_TOL, 1)[2:] == (1, False)
+    assert pykernels.tridiag_eigh(diagonal, JACOBI_REL_TOL, 2)[2:] == (2, True)
 
 
 @pytest.mark.parametrize("d", list(range(2, 13)) + [19, 20, 21, 33, 48, 64])
@@ -432,5 +529,5 @@ def test_module_level_dispatch_matches_selected_backend():
         if kernels.BACKEND == "compiled"
         else "genspectra.kernels.pykernels"
     )
-    assert kernels.matmul is mod.matmul
-    assert kernels.jacobi_eigh is mod.jacobi_eigh
+    for name in kernels._KERNEL_NAMES:
+        assert getattr(kernels, name) is getattr(mod, name)

@@ -230,6 +230,30 @@ def test_rigorous_indefinite_b_rejected():
         solve_rigorous(Pencil(identity(2), _diag(1, -1)))
 
 
+def test_rigorous_metric_keeps_relative_accuracy_on_graded_b(monkeypatch):
+    # B = D H D with H = I + G G'/d and D log-spaced over 1e-3 .. 1e3
+    # (condition ~1e12). eig(B) stays on Jacobi at every d, which finds
+    # lambda_min(B) to high relative accuracy; the tridiagonal kernel is off
+    # by ~1e-6 on this B, while A_breve takes it.
+    d = 24
+    rng = np.random.RandomState(240)
+    g = rng.standard_normal((d, d))
+    h = np.eye(d) + g @ g.T / d
+    scale = np.logspace(-3.0, 3.0, d)
+    calls = []
+    for name in ("jacobi_eigh", "tridiag_eigh"):
+        def recording(a, *args, _name=name, _kernel=getattr(kernels, name)):
+            calls.append(_name)
+            return _kernel(a, *args)
+        monkeypatch.setattr(kernels, name, recording)
+    _, inter = solve_rigorous(Pencil(random_sym(rng, d), SymMatrix(scale[:, None] * h * scale)))
+    assert calls == ["jacobi_eigh", "tridiag_eigh"]  # eig(B), then eig(A_breve)
+    # lambda_min(B) = 1 / lambda_max(D^-1 H^-1 D^-1), whose largest entries
+    # carry it, so LAPACK gets it to roundoff
+    ref = 1.0 / np.linalg.eigvalsh(np.linalg.inv(h) / scale[:, None] / scale).max()
+    assert abs(min(inter.lambda_b) - ref) <= 1e-12 * ref
+
+
 # ---------------------------------------------------------------------------
 # quick and dirty: regularization and indefinite metric
 # ---------------------------------------------------------------------------
