@@ -15,15 +15,23 @@ The production path, ``eig_sym``, runs one of two kernels of
   sweeps: at d = 48, 7.3 against 17 ms in pure Python and 0.37 against
   2.0 ms compiled (one CPU of a 2-core x86_64 box, minimum of 7 runs).
 
-The one exception is the metric: eig(B) in the whitening of
-:mod:`genspectra.pencil` (passed as ``_Metric``) stays on Jacobi at every d.
-Jacobi finds the small eigenvalues of a graded positive definite matrix to
-high relative accuracy (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 1992),
-the tridiagonal path only to eps * ||B||, and the whitening divides by
-sqrt(lambda_B). On B = DHD (H = I + GG'/d, D log-spaced over 10^+-3,
-condition ~1e12; d = 16, 24, 32, three seeds each) the smallest
-eigenvalue of B comes out with a relative error of 2e-16 to 2e-15 by
-Jacobi and 4e-8 to 4e-6 by the tridiagonal path.
+The one exception is a graded metric: eig(B) in the whitening of
+:mod:`genspectra.pencil` (passed as ``_Metric``) stays on Jacobi at every d
+when B's diagonal is graded. Jacobi finds the small eigenvalues of a graded
+positive definite B = DHD (D = diag(b_ii)^1/2, H with unit diagonal) to
+high relative accuracy, an error of eps * kappa(H) (Demmel & Veselic, SIAM
+J. Matrix Anal. Appl. 1992); the tridiagonal path only to eps * ||B||, a
+relative error of eps * kappa(B) on lambda_min; and the whitening divides
+by sqrt(lambda_B). Since kappa(B) <= kappa(H) * max b_ii / min b_ii, a B
+whose diagonal is positive and spans a ratio of at most ``_GRADED_RATIO``
+loses at most that factor on the tridiagonal path, and takes it from
+d = 16 up. The test reads B's diagonal only, costs O(d) before any
+decomposition and gives B and s*B the same kernel. Any other B, with a
+wider ratio or a zero or negative diagonal entry, stays on Jacobi. On
+B = DHD (H = I + GG'/d, D log-spaced over 10^+-3, condition ~1e12;
+d = 16, 24, 32, three seeds each) the smallest eigenvalue of B comes out
+with a relative error of 2e-16 to 2e-15 by Jacobi and 4e-8 to 4e-6 by the
+tridiagonal path.
 
 For d <= 4 the module also solves the characteristic polynomial
 det(A - lambda I) = 0 directly: closed forms for d <= 3 and a bisection on
@@ -64,6 +72,11 @@ MAX_SWEEPS = 100
 # fits and the d <= 4 pencils keep the Jacobi path.
 _TRIDIAG_MIN_DIM = 16
 
+# The widest diagonal ratio max b_ii / min b_ii of a metric that takes the
+# tridiagonal kernel (``_graded``): its relative error on lambda_min(B) is
+# then within this factor of Jacobi's (see the module docstring).
+_GRADED_RATIO = 10.0
+
 _ORDERS = ("descending", "ascending")
 
 
@@ -81,18 +94,34 @@ class EigenDecomposition:
 
 
 class _Metric(SymMatrix):
-    """A metric B, which ``eig_sym`` decomposes by Jacobi at every d.
+    """A metric B, which ``eig_sym`` keeps on Jacobi at every d when its
+    diagonal is graded (``_graded``).
 
-    Jacobi keeps the small eigenvalues of a graded positive definite B to
-    high relative accuracy, which the whitening's 1 / sqrt(lambda_B) needs
-    (see the module docstring). :mod:`genspectra.pencil` wraps B in it; the
-    wrapper shares B's validated, read-only storage.
+    The whitening's 1 / sqrt(lambda_B) needs the small eigenvalues of B to
+    relative accuracy. On B = DHD, Jacobi's relative error on them is
+    eps * kappa(H), the tridiagonal kernel's eps * kappa(B), and
+    kappa(B) <= kappa(H) * max b_ii / min b_ii; so an ungraded B loses at
+    most ``_GRADED_RATIO`` on the tridiagonal kernel (see the module
+    docstring). :mod:`genspectra.pencil` wraps B in it; the wrapper shares
+    B's validated, read-only storage.
     """
 
     __slots__ = ()
 
     def __init__(self, b: SymMatrix):
         self._data = b.array
+
+
+def _graded(b: np.ndarray) -> bool:
+    """True unless min b_ii > 0 and max b_ii <= ``_GRADED_RATIO`` * min b_ii.
+
+    O(d), read before any decomposition. The ratio is scale-free: B and s*B
+    give the same answer (exactly so for s a power of two, whose product
+    rounds nothing).
+    """
+    diag = np.diagonal(b)
+    lo = diag.min()
+    return not (lo > 0.0 and diag.max() <= _GRADED_RATIO * lo)
 
 
 def eig_sym(
@@ -104,8 +133,12 @@ def eig_sym(
     """Full eigendecomposition of a symmetric matrix.
 
     Below d = 16 by round-robin Jacobi, from d = 16 up through a
-    Householder tridiagonal form, except for a metric B, which stays on
-    Jacobi (see the module docstring). ``rel_tol`` and ``max_sweeps``
+    Householder tridiagonal form, except for a graded metric B, which stays
+    on Jacobi: one whose diagonal has a zero or negative entry, or spans a
+    ratio above ``_GRADED_RATIO``. On any other B the tridiagonal kernel's
+    error, eps * kappa(B), is within that ratio of Jacobi's relative bound
+    eps * kappa(H), B = DHD, since kappa(B) <= kappa(H) * max b_ii / min b_ii
+    (see the module docstring). ``rel_tol`` and ``max_sweeps``
     bound Jacobi's off-diagonal norm and its sweeps, or the tridiagonal
     kernel's residuals and its steps; ``ConvergenceFailure`` is raised when
     the kernel runs out of them.
@@ -121,7 +154,7 @@ def eig_sym(
     if not isinstance(a, SymMatrix):
         a = SymMatrix(a.array if isinstance(a, Matrix) else a)
 
-    if a.dim < _TRIDIAG_MIN_DIM or isinstance(a, _Metric):
+    if a.dim < _TRIDIAG_MIN_DIM or (isinstance(a, _Metric) and _graded(a.array)):
         name, kernel = "Jacobi iteration", kernels.jacobi_eigh
     else:
         name, kernel = "tridiagonal eigensolver", kernels.tridiag_eigh

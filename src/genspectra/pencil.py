@@ -20,7 +20,8 @@ Two routes are provided:
 Where the quick route takes the Cholesky factor the routes share no
 factorization of B, so each checks the other there; on any other B they
 share the eigendecomposition of B. Where B is decomposed, that
-decomposition is the only one of B, by Jacobi at every d (``eigen._Metric``,
+decomposition is the only one of B, by the tridiagonal kernel from d = 16
+up unless B's diagonal is graded, and by Jacobi otherwise (``eigen._Metric``,
 for relative accuracy on a graded B), and both routes read off it whether
 B is singular or indefinite, relative to its largest eigenvalue magnitude
 (``linalg.definiteness``), so B and s*B get the same verdict for every
@@ -220,8 +221,10 @@ def _whitening(
 ) -> tuple[EigenDecomposition, float, np.ndarray]:
     """eig(B), the eps it needs and W = Phi_B (Lambda_B^1/2 + eps I)^-1.
 
-    eig(B) is by Jacobi at every d (``eigen._Metric``): W divides by
-    sqrt(lambda_B), which needs B's small eigenvalues to relative accuracy.
+    W divides by sqrt(lambda_B), which needs B's small eigenvalues to
+    relative accuracy: ``eigen._Metric`` keeps eig(B) on Jacobi where B's
+    diagonal is graded, and lets it take the tridiagonal kernel from d = 16
+    up where the diagonal bounds the loss (``eigen.eig_sym``).
     Raises ``IndefiniteB`` on an indefinite B; eps is 0.0 unless B is
     singular (``linalg.definiteness``).
     """

@@ -175,19 +175,30 @@ def span_gap(x: np.ndarray, y: np.ndarray) -> float:
 
 
 @pytest.fixture
-def jacobi_inputs(monkeypatch):
-    """Copies of the matrices passed to ``kernels.jacobi_eigh``, in call order."""
+def eigen_inputs(monkeypatch):
+    """(kernel name, copy of the matrix) for each call of
+    ``kernels.jacobi_eigh`` and ``kernels.tridiag_eigh``, in call order."""
     from genspectra import kernels
 
     seen = []
-    original = kernels.jacobi_eigh
+    for name in ("jacobi_eigh", "tridiag_eigh"):
+        def recording(a, *args, _name=name, _kernel=getattr(kernels, name)):
+            seen.append((_name, np.array(a, copy=True)))
+            return _kernel(a, *args)
 
-    def recording(a, *args):
-        seen.append(np.array(a, copy=True))
-        return original(a, *args)
-
-    monkeypatch.setattr(kernels, "jacobi_eigh", recording)
+        monkeypatch.setattr(kernels, name, recording)
     return seen
+
+
+def kernel_calls(seen) -> list:
+    """(kernel name, dimension) of each call ``eigen_inputs`` recorded."""
+    return [(name, m.shape[0]) for name, m in seen]
+
+
+def ungraded_kernel(d: int) -> str:
+    """The kernel ``eig_sym`` takes for a d x d matrix other than a graded
+    metric: Jacobi below d = 16, the tridiagonal one from there up."""
+    return "tridiag_eigh" if d >= 16 else "jacobi_eigh"
 
 
 def as_matrix(rows) -> Matrix:

@@ -35,7 +35,14 @@ from genspectra.apps import _double_center
 from genspectra.linalg import centering_matrix
 from genspectra.pencil import _whitened
 
-from conftest import assert_diagnostics, gram_schmidt, random_unit, span_gap
+from conftest import (
+    assert_diagnostics,
+    gram_schmidt,
+    kernel_calls,
+    random_unit,
+    span_gap,
+    ungraded_kernel,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +711,7 @@ def _assert_matches_full(model, phi, inter, p):
 
 @pytest.mark.parametrize("singular", [False, True])
 @pytest.mark.parametrize("c", [2, 3, 4, 5])
-def test_fda_factored_path_matches_full_pencil(c, singular, jacobi_inputs):
+def test_fda_factored_path_matches_full_pencil(c, singular, eigen_inputs):
     rng = np.random.RandomState(700 + 10 * c + singular)
     # 2 samples per class in 12 features leave S_W rank n - c < d
     d, per = (12, 2) if singular else (6, 8)
@@ -712,9 +719,10 @@ def test_fda_factored_path_matches_full_pencil(c, singular, jacobi_inputs):
     pen, phi, inter = _fda_full(ds)
     assert (inter.epsilon_used > 0.0) == singular
     for p in range(1, c):
-        jacobi_inputs.clear()
+        eigen_inputs.clear()
         model = fda_fit(ds, p)
-        assert [m.shape[0] for m in jacobi_inputs] == [d, c]  # S_W, then the Gram
+        # S_W, then the Gram
+        assert kernel_calls(eigen_inputs) == [("jacobi_eigh", d), ("jacobi_eigh", c)]
         _assert_matches_full(model, phi, inter, p)
         assert_diagnostics(
             model.residual, model.b_orthonormality, pen.a.array, pen.b.array,
@@ -724,7 +732,7 @@ def test_fda_factored_path_matches_full_pencil(c, singular, jacobi_inputs):
 
 @pytest.mark.parametrize("singular", [False, True])
 @pytest.mark.parametrize("c", [2, 3, 4, 5])
-def test_kspca_factored_path_matches_full_pencil(c, singular, jacobi_inputs):
+def test_kspca_factored_path_matches_full_pencil(c, singular, eigen_inputs):
     rng = np.random.RandomState(720 + 10 * c + singular)
     ds = _class_data(rng, c, 4, 3, repeat=singular)
     n = ds.n
@@ -733,9 +741,10 @@ def test_kspca_factored_path_matches_full_pencil(c, singular, jacobi_inputs):
     # a repeated sample makes K_x singular, and the fit regularizes it
     assert (inter.epsilon_used > 0.0) == singular
     for p in range(1, c):
-        jacobi_inputs.clear()
+        eigen_inputs.clear()
         model = kspca_fit(ds, p, kx=kx)
-        assert [m.shape[0] for m in jacobi_inputs] == [n, c]  # K_x, then the Gram
+        # K_x (unit diagonal, so ungraded), then the Gram
+        assert kernel_calls(eigen_inputs) == [(ungraded_kernel(n), n), ("jacobi_eigh", c)]
         _assert_matches_full(model, phi, inter, p)
         # diagnostics against K_x H K_y H K_x, which F F' equals up to roundoff
         assert_diagnostics(
@@ -744,7 +753,7 @@ def test_kspca_factored_path_matches_full_pencil(c, singular, jacobi_inputs):
         )
 
 
-def test_kspca_fit_decomposes_one_kernel_matrix(jacobi_inputs, monkeypatch):
+def test_kspca_fit_decomposes_one_kernel_matrix(eigen_inputs, monkeypatch):
     rng = np.random.RandomState(740)
     ds = _class_data(rng, 3, 8, 5)
     calls = []
@@ -761,15 +770,15 @@ def test_kspca_fit_decomposes_one_kernel_matrix(jacobi_inputs, monkeypatch):
             monkeypatch.setattr(mod, "kernel_matrix", counting)
     kspca_fit(ds, p=2)
     assert calls == ["rbf"]  # K_x only; K_y enters as its one-hot factor
-    # one n x n Jacobi (K_x) and one c x c (the Gram)
-    assert [m.shape[0] for m in jacobi_inputs] == [24, 3]
+    # one n x n decomposition (K_x, ungraded at n = 24) and one c x c (the Gram)
+    assert kernel_calls(eigen_inputs) == [("tridiag_eigh", 24), ("jacobi_eigh", 3)]
 
 
-def _assert_fallback(model, pen, phi, inter, p, jacobi_inputs, exact):
+def _assert_fallback(model, pen, phi, inter, p, eigen_inputs, exact):
     """The fit whitened in full: B decomposed once, then the n x n A_breve."""
     n = pen.dim
-    assert sum(np.array_equal(m, pen.b.array) for m in jacobi_inputs) == 1
-    assert [m.shape[0] for m in jacobi_inputs if m.shape[0] == n] == [n, n]
+    assert sum(np.array_equal(m, pen.b.array) for _, m in eigen_inputs) == 1
+    assert [k for k in kernel_calls(eigen_inputs) if k[1] == n] == [(ungraded_kernel(n), n)] * 2
     if exact:
         assert np.array_equal(model.projection.array, phi[:, :p])
         assert model.eigenvalues == inter.lambda_a[:p]
@@ -778,17 +787,17 @@ def _assert_fallback(model, pen, phi, inter, p, jacobi_inputs, exact):
         assert np.abs(np.array(model.eigenvalues) - lams).max() <= 1e-12 * abs(lams[0])
 
 
-def test_fda_falls_back_beyond_the_rank_of_d(jacobi_inputs):
+def test_fda_falls_back_beyond_the_rank_of_d(eigen_inputs):
     rng = np.random.RandomState(750)
     ds = _class_data(rng, 3, 6, 5)
     pen, phi, inter = _fda_full(ds)
-    jacobi_inputs.clear()
+    eigen_inputs.clear()
     with pytest.warns(UserWarning):
         model = fda_fit(ds, p=3)  # rank(D) <= c - 1 = 2
-    _assert_fallback(model, pen, phi, inter, 3, jacobi_inputs, exact=True)
+    _assert_fallback(model, pen, phi, inter, 3, eigen_inputs, exact=True)
 
 
-def test_fda_falls_back_when_two_class_means_coincide(jacobi_inputs):
+def test_fda_falls_back_when_two_class_means_coincide(eigen_inputs):
     # classes 0 and 1 share their mean exactly, so D has rank 1 < p = 2
     rng = np.random.RandomState(751)
     base = rng.standard_normal((4, 1))
@@ -800,44 +809,45 @@ def test_fda_falls_back_when_two_class_means_coincide(jacobi_inputs):
     pair = scatter_matrices(ds)
     assert np.array_equal(pair.offsets.array[:, 0], pair.offsets.array[:, 1])
     pen, phi, inter = _fda_full(ds)
-    jacobi_inputs.clear()
+    eigen_inputs.clear()
     model = fda_fit(ds, p=2)
     # eig(S_W), the 3 x 3 Gram that shows rank 1, then the full A_breve
-    assert [m.shape[0] for m in jacobi_inputs] == [4, 3, 4]
-    _assert_fallback(model, pen, phi, inter, 2, jacobi_inputs, exact=True)
+    assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 4), ("jacobi_eigh", 3), ("jacobi_eigh", 4)]
+    _assert_fallback(model, pen, phi, inter, 2, eigen_inputs, exact=True)
 
 
 @pytest.mark.parametrize("p", [3, 4])
-def test_kspca_falls_back_at_p_of_c_or_more(p, jacobi_inputs):
+def test_kspca_falls_back_at_p_of_c_or_more(p, eigen_inputs):
     rng = np.random.RandomState(760)
     ds = _class_data(rng, 3, 4, 3)
     kx = KernelSpec(kind="rbf", gamma=1.0)
     pen, phi, inter = _kspca_full(ds, kx, KernelSpec(kind="delta"))
-    jacobi_inputs.clear()
+    eigen_inputs.clear()
     model = kspca_fit(ds, p, kx=kx)
     # A is F F' rather than the full product, so equal only up to roundoff
-    _assert_fallback(model, pen, phi, inter, p, jacobi_inputs, exact=False)
+    _assert_fallback(model, pen, phi, inter, p, eigen_inputs, exact=False)
 
 
-def test_kspca_linear_label_kernel_is_rank_one(jacobi_inputs):
+def test_kspca_linear_label_kernel_is_rank_one(eigen_inputs):
     rng = np.random.RandomState(770)
     ds = _class_data(rng, 3, 5, 3)
     kx, lin = KernelSpec(kind="rbf", gamma=1.0), KernelSpec(kind="linear")
     pen, phi, inter = _kspca_full(ds, kx, lin)
-    jacobi_inputs.clear()
+    eigen_inputs.clear()
     model = kspca_fit(ds, 1, kx=kx, ky=lin)
-    assert [m.shape[0] for m in jacobi_inputs] == [ds.n, 1]  # F = K_x H l
+    # F = K_x H l
+    assert kernel_calls(eigen_inputs) == [(ungraded_kernel(ds.n), ds.n), ("jacobi_eigh", 1)]
     _assert_matches_full(model, phi, inter, 1)
-    jacobi_inputs.clear()
+    eigen_inputs.clear()
     model = kspca_fit(ds, 2, kx=kx, ky=lin)  # wider than F
-    _assert_fallback(model, pen, phi, inter, 2, jacobi_inputs, exact=False)
+    _assert_fallback(model, pen, phi, inter, 2, eigen_inputs, exact=False)
 
 
-def test_kspca_rbf_label_kernel_keeps_the_full_pencil(jacobi_inputs):
+def test_kspca_rbf_label_kernel_keeps_the_full_pencil(eigen_inputs):
     rng = np.random.RandomState(780)
     ds = _class_data(rng, 3, 5, 3)
     kx, ky = KernelSpec(kind="rbf", gamma=1.0), KernelSpec(kind="rbf", gamma=0.5)
     pen, phi, inter = _kspca_full(ds, kx, ky)
-    jacobi_inputs.clear()
+    eigen_inputs.clear()
     model = kspca_fit(ds, 2, kx=kx, ky=ky)
-    _assert_fallback(model, pen, phi, inter, 2, jacobi_inputs, exact=True)
+    _assert_fallback(model, pen, phi, inter, 2, eigen_inputs, exact=True)

@@ -21,7 +21,9 @@ from genspectra import (
     spectral_reconstruct,
 )
 
-from conftest import SCALES, random_spd, random_sym
+from genspectra import eigen
+
+from conftest import SCALES, kernel_calls, random_spd, random_sym, ungraded_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +148,66 @@ def test_eig_tridiagonal_kernel_on_repeated_eigenvalues():
     phi = dec.phi.array
     assert np.abs(phi.T @ phi - np.eye(48)).max() <= 1e-13
     assert np.abs(np.array(dec.eigenvalues) - np.repeat([4.0, 3.0, 2.0, 1.0], 12)).max() <= 1e-13
+
+
+def _metric_with_diagonal(rng, diag) -> SymMatrix:
+    """A symmetric matrix with the given diagonal and small off-diagonal entries."""
+    d = len(diag)
+    g = rng.standard_normal((d, d))
+    off = 0.1 * (g + g.T) / d
+    np.fill_diagonal(off, diag)
+    return SymMatrix(off)
+
+
+def test_metric_grading_rule_picks_the_kernel_at_every_scale(eigen_inputs):
+    # a metric takes the tridiagonal kernel from d = 16 up unless its
+    # diagonal is graded: a zero or negative entry, or a ratio above r
+    r = eigen._GRADED_RATIO
+    rng = np.random.RandomState(31)
+    base = np.linspace(1.0, r, 24)
+    cases = {"ratio r": (base, "tridiag_eigh")}
+    for name, i, value in (
+        ("ratio just above r", -1, np.nextafter(r, np.inf)),
+        ("zero entry", 5, 0.0),
+        ("-0.0 entry", 5, -0.0),
+        ("negative entry", 5, -1.0),
+    ):
+        diag = base.copy()
+        diag[i] = value
+        cases[name] = (diag, "jacobi_eigh")
+    cases["ratio r at d = 15"] = (base[:15], "jacobi_eigh")
+    for name, (diag, kernel) in cases.items():
+        b = _metric_with_diagonal(rng, diag)
+        ref = eig_sym(eigen._Metric(b)).eigenvalues
+        for k in range(-20, 21):
+            eigen_inputs.clear()
+            got = eig_sym(eigen._Metric(SymMatrix(b.array * 4.0**k))).eigenvalues
+            assert kernel_calls(eigen_inputs) == [(kernel, len(diag))], (name, k)
+            assert got == tuple(x * 4.0**k for x in ref), (name, k)
+        # the same matrix outside the metric wrapper follows the dimension alone
+        eigen_inputs.clear()
+        eig_sym(b)
+        assert kernel_calls(eigen_inputs) == [(ungraded_kernel(len(diag)), len(diag))], name
+
+
+@pytest.mark.parametrize("d", [16, 24, 40])
+def test_ungraded_metric_keeps_lambda_min_within_its_condition(d, eigen_inputs):
+    # B = Q diag(lambda) Q' with lambda_min = 1e-4 and the rest over
+    # 0.1 .. 1: kappa(B) = 1e4, and a random Q leaves the diagonal within the
+    # grading ratio. The tridiagonal kernel's relative error on lambda_min is
+    # then at most d * u * kappa(B), u the unit roundoff.
+    rng = np.random.RandomState(32 + d)
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    lam = np.concatenate([[1e-4, 1e-3, 1e-2], np.linspace(0.1, 1.0, d - 3)])
+    b = (q * lam) @ q.T
+    b = SymMatrix((b + b.T) / 2.0)
+    diag = np.diagonal(b.array)
+    assert 0.0 < diag.min() and diag.max() <= eigen._GRADED_RATIO * diag.min()
+    got = min(eig_sym(eigen._Metric(b)).eigenvalues)
+    assert kernel_calls(eigen_inputs) == [("tridiag_eigh", d)]
+    ref = np.linalg.eigvalsh(b.array)
+    kappa = ref[-1] / ref[0]
+    assert abs(got - ref[0]) <= d * (np.finfo(float).eps / 2.0) * kappa * ref[0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -397,6 +397,11 @@ def test_solvers_bit_identical_across_backends(cykernels, monkeypatch):
 
     # the full-path fallback: p = c needs eig(A_breve) at n = 40
     solves["kspca fallback"] = functools.partial(kspca_fit, ds, 3)
+    # a graded B = DHD keeps eig(B) on Jacobi, through the numpy rounds at d = 24
+    g = rng.standard_normal((24, 24))
+    scale = np.logspace(-2.0, 2.0, 24)
+    graded = Pencil(random_sym(rng, 24), SymMatrix(scale[:, None] * (np.eye(24) + g @ g.T / 24) * scale))
+    solves["rigorous d=24 graded whitening"] = lambda: solve_rigorous(graded)[0]
     for d in (16, 48):
         solves[f"eig d={d}"] = functools.partial(eig_sym, random_sym(rng, d))
 

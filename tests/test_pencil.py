@@ -26,13 +26,14 @@ from genspectra import (
     solve_rigorous,
 )
 
-from genspectra import kernels
+from genspectra import KernelSpec, kernel_matrix, kernels
 from genspectra.linalg import definiteness
 from genspectra.pencil import _factored_pairs, _leading_whitened, _whitened, _whitening
 
 from conftest import (
     SCALES,
     assert_diagnostics,
+    kernel_calls,
     random_orthonormal,
     random_spd,
     random_sym,
@@ -232,9 +233,10 @@ def test_rigorous_indefinite_b_rejected():
 
 def test_rigorous_metric_keeps_relative_accuracy_on_graded_b(monkeypatch):
     # B = D H D with H = I + G G'/d and D log-spaced over 1e-3 .. 1e3
-    # (condition ~1e12). eig(B) stays on Jacobi at every d, which finds
-    # lambda_min(B) to high relative accuracy; the tridiagonal kernel is off
-    # by ~1e-6 on this B, while A_breve takes it.
+    # (condition ~1e12). Its diagonal spans ~1e12, far beyond the grading
+    # ratio, so eig(B) stays on Jacobi, which finds lambda_min(B) to high
+    # relative accuracy; the tridiagonal kernel is off by ~1e-6 on this B,
+    # while A_breve takes it.
     d = 24
     rng = np.random.RandomState(240)
     g = rng.standard_normal((d, d))
@@ -252,6 +254,35 @@ def test_rigorous_metric_keeps_relative_accuracy_on_graded_b(monkeypatch):
     # carry it, so LAPACK gets it to roundoff
     ref = 1.0 / np.linalg.eigvalsh(np.linalg.inv(h) / scale[:, None] / scale).max()
     assert abs(min(inter.lambda_b) - ref) <= 1e-12 * ref
+
+
+def _ungraded_metric(rng, d: int, kind: str) -> SymMatrix:
+    """I + G G'/d, or an rbf kernel matrix with its unit diagonal."""
+    if kind == "rbf":
+        x = Matrix(rng.standard_normal((3, d)))
+        return SymMatrix(kernel_matrix(x, x, KernelSpec(kind="rbf", gamma=0.5)).array)
+    g = rng.standard_normal((d, d))
+    b = np.eye(d) + g @ g.T / d
+    return SymMatrix((b + b.T) / 2.0)
+
+
+@pytest.mark.parametrize("kind", ["I + GG'/d", "rbf"])
+@pytest.mark.parametrize("d", [16, 24, 40])
+def test_rigorous_whitens_an_ungraded_metric_by_the_tridiagonal_kernel(d, kind, eigen_inputs):
+    # B's diagonal is positive and within the grading ratio, so eig(B)
+    # takes the tridiagonal kernel, for B and for every 4^k B alike
+    rng = np.random.RandomState(250 + d)
+    a, b = random_sym(rng, d), _ungraded_metric(rng, d, kind)
+    sol, inter = solve_rigorous(Pencil(a, b))
+    assert kernel_calls(eigen_inputs) == [("tridiag_eigh", d)] * 2  # eig(B), eig(A_breve)
+    for k in range(-20, 21):
+        eigen_inputs.clear()
+        scaled, scaled_inter = solve_rigorous(Pencil(a, SymMatrix(b.array * 4.0**k)))
+        assert kernel_calls(eigen_inputs) == [("tridiag_eigh", d)] * 2, k
+        # powers of two rescale every step exactly
+        assert scaled_inter.lambda_b == tuple(x * 4.0**k for x in inter.lambda_b), k
+        assert scaled.eigenvalues == tuple(x / 4.0**k for x in sol.eigenvalues), k
+        assert np.array_equal(scaled.phi.array, sol.phi.array / 2.0**k), k
 
 
 # ---------------------------------------------------------------------------
@@ -759,17 +790,17 @@ def _low_rank_pencil(rng, n: int, c: int, singular: bool) -> tuple[Pencil, np.nd
 
 @pytest.mark.parametrize("singular", [False, True])
 @pytest.mark.parametrize("c", [2, 3, 4, 5])
-def test_factored_pairs_match_the_full_whitening(c, singular, jacobi_inputs):
+def test_factored_pairs_match_the_full_whitening(c, singular, eigen_inputs):
     rng = np.random.RandomState(600 + 10 * c + singular)
     n = 12
     pen, f = _low_rank_pencil(rng, n, c, singular)
     _, full_phi, inter = _whitened(pen, None, "descending")
     assert (inter.epsilon_used > 0.0) == singular
     for k in range(1, c):
-        jacobi_inputs.clear()
+        eigen_inputs.clear()
         phi, lams, eps = _leading_whitened(pen, f, k, None)
         # eig(B), then the c x c Gram; no n x n A_breve
-        assert [m.shape[0] for m in jacobi_inputs] == [n, c]
+        assert kernel_calls(eigen_inputs) == [("jacobi_eigh", n), ("jacobi_eigh", c)]
         assert eps == inter.epsilon_used
         assert phi.shape[1] == len(lams) == k
         ref = np.array(inter.lambda_a[:k])
@@ -796,16 +827,16 @@ def test_factored_pairs_decline_what_f_does_not_determine():
 
 
 @pytest.mark.parametrize("singular", [False, True])
-def test_factored_fallback_decomposes_b_once(singular, jacobi_inputs):
+def test_factored_fallback_decomposes_b_once(singular, eigen_inputs):
     rng = np.random.RandomState(630 + singular)
     n, c = 11, 3
     pen, f = _low_rank_pencil(rng, n, c, singular)
     _, full_phi, inter = _whitened(pen, None, "descending")
     for factor, k in ((f, c + 1), (f[:, [0, 0, 1]], c), (None, 2)):
-        jacobi_inputs.clear()
+        eigen_inputs.clear()
         phi, lams, eps = _leading_whitened(pen, factor, k, None)
         # the fallback is the full whitening, bit for bit
         assert np.array_equal(phi, full_phi)
         assert lams == inter.lambda_a and eps == inter.epsilon_used
-        assert sum(np.array_equal(m, pen.b.array) for m in jacobi_inputs) == 1
-        assert [m.shape[0] for m in jacobi_inputs if m.shape[0] == n] == [n, n]
+        assert sum(np.array_equal(m, pen.b.array) for _, m in eigen_inputs) == 1
+        assert [k for k in kernel_calls(eigen_inputs) if k[1] == n] == [("jacobi_eigh", n)] * 2
