@@ -10,13 +10,8 @@ on IEEE-754 hardware.
 
 ``matmul`` evaluates its products and sums with numpy, one block of the
 inner dimension at a time, but adds the terms of each entry strictly in
-the order of the compiled loop. ``jacobi_eigh`` runs each round of
-rotations on disjoint index pairs, which makes a round elementwise: from
-``_NUMPY_ROUNDS_MIN_DIM`` up it is a few dozen numpy operations, in which
-every column of M and V, and then every row of M, is updated in place
-from itself and its pair partner, gathered in one ``take``; below that
-the same operations run on Python lists, whose element access costs less
-than numpy's fixed cost per call.
+the order of the compiled loop. ``jacobi_eigh`` runs its rounds of
+rotations on Python lists at every d, one loop like the C twin's.
 
 ``tridiag_eigh`` adds its sums in a fixed order with ``np.add.accumulate``,
 runs the QL iteration on Python floats and the inverse iteration as numpy
@@ -79,15 +74,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return carry
 
 
-# Below this dimension a round of rotations runs faster on Python lists
-# than as numpy operations, whose fixed cost per call dominates small
-# rounds. Both forms compute the same bits; the choice changes only speed.
-_NUMPY_ROUNDS_MIN_DIM = 16
-
-
-# Room for the schedule of every size whose rounds run on lists; the
-# cache stays bounded, since a schedule holds d^2 / 2 pairs.
-@functools.lru_cache(maxsize=_NUMPY_ROUNDS_MIN_DIM)
+# Room for the schedules of d < 16, the sizes at which ``eigen.eig_sym``
+# sends every matrix to Jacobi (above them only a graded metric B goes
+# there); the cache stays bounded, since a schedule holds d^2 / 2 pairs.
+@functools.lru_cache(maxsize=16)
 def round_robin(d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The rounds of one Jacobi sweep over a d x d matrix, as pairs (p, q), p < q.
 
@@ -99,12 +89,6 @@ def round_robin(d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
     Cached per d and shared between callers, so it is all tuples.
     """
-    p, q = _round_pairs(d)
-    return tuple(tuple(zip(pr, qr)) for pr, qr in zip(p.tolist(), q.tolist()))
-
-
-def _round_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """``round_robin(d)`` as two (rounds, d // 2) arrays of p and of q."""
     n = d + d % 2
     r = np.arange(n - 1)[:, None]
     # k = 0 stands for the pair (r, n - 1), which even d has first
@@ -112,7 +96,8 @@ def _round_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     i, j = (r + k) % (n - 1), (r - k) % (n - 1)
     if n == d:
         j[:, 0] = n - 1
-    return np.minimum(i, j), np.maximum(i, j)
+    p, q = np.minimum(i, j).tolist(), np.maximum(i, j).tolist()
+    return tuple(tuple(zip(pr, qr)) for pr, qr in zip(p, q))
 
 
 def jacobi_eigh(a: np.ndarray, rel_tol: float, max_sweeps: int):
@@ -126,6 +111,7 @@ def jacobi_eigh(a: np.ndarray, rel_tol: float, max_sweeps: int):
     column-pair updates. After a sweep the upper triangle is copied onto
     the lower one. The sweep loop stops once the off-diagonal Frobenius
     norm drops below ``rel_tol`` times the Frobenius norm of the input.
+    The sweeps run on Python lists, M by rows and V by columns.
 
     Returns ``(w, v, sweeps, converged)`` where ``w`` holds the (unsorted)
     diagonal after the final sweep and the columns of ``v`` are the
@@ -137,36 +123,6 @@ def jacobi_eigh(a: np.ndarray, rel_tol: float, max_sweeps: int):
     for x in a.ravel().tolist():
         acc += x * x
     thresh = rel_tol * math.sqrt(acc)
-    iterate = _iterate_lists if d < _NUMPY_ROUNDS_MIN_DIM else _iterate_numpy
-    return iterate(a, thresh, max_sweeps)
-
-
-def _offdiag_norm(m: list, d: int) -> float:
-    acc = 0.0
-    for i in range(d - 1):
-        row = m[i]
-        for j in range(i + 1, d):
-            acc += row[j] * row[j]
-    return math.sqrt(2.0 * acc)
-
-
-def _tangent(app: float, aqq: float, apq: float) -> float:
-    """tan of the angle that zeroes apq: the smaller root of t^2 + 2 tau t - 1."""
-    if apq == 0.0:
-        return 0.0
-    tau = (aqq - app) / (2.0 * apq)
-    if math.isinf(tau):
-        # apq is denormal-tiny next to the diagonal gap; the rotation
-        # degenerates to the identity.
-        return 0.0
-    if tau >= 0.0:
-        return 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    return -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-
-
-def _iterate_lists(a: np.ndarray, thresh: float, max_sweeps: int):
-    """The sweeps of :func:`jacobi_eigh` on lists: M by rows, V by columns."""
-    d = a.shape[0]
     rounds = round_robin(d)
     m = a.tolist()
     # Rows of V transposed, so that V's column-pair updates run along rows
@@ -219,88 +175,27 @@ def _iterate_lists(a: np.ndarray, thresh: float, max_sweeps: int):
     return w, np.array(vt, dtype=np.float64).reshape(d, d).T.copy(), sweeps, converged
 
 
-def _round_plan(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per round of ``round_robin(d)``: partners, slots and blocks.
-
-    ``partners[r, i]`` is the index that i is paired with in round r,
-    ``slots[r, i]`` its position in (c, c, 1.0) and (-s, s, 0.0): pair k
-    puts p in slot k and q in slot h + k, h = d // 2; an unpaired index
-    (odd d) keeps itself and slot 2h. ``blocks[r]`` holds the flat indices
-    of app, then aqq, apq and aqp, of every pair of the round.
-    """
-    p, q = _round_pairs(d)
-    rounds, h = p.shape
-    r = np.arange(rounds)[:, None]
-    partners = np.tile(np.arange(d), (rounds, 1))
-    slots = np.full((rounds, d), 2 * h)
-    partners[r, p], partners[r, q] = q, p
-    slots[r, p], slots[r, q] = np.arange(h), np.arange(h, 2 * h)
-    blocks = np.concatenate((p * (d + 1), q * (d + 1), p * d + q, q * d + p), axis=1)
-    return partners, slots, blocks
+def _offdiag_norm(m: list, d: int) -> float:
+    acc = 0.0
+    for i in range(d - 1):
+        row = m[i]
+        for j in range(i + 1, d):
+            acc += row[j] * row[j]
+    return math.sqrt(2.0 * acc)
 
 
-# Where apq == 0.0, tau is inf or nan and the tangent is overwritten.
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _iterate_numpy(a: np.ndarray, thresh: float, max_sweeps: int):
-    """The sweeps of :func:`_iterate_lists` as elementwise numpy operations.
-
-    Each column x of M and V is updated in place as ``cf * x + sf * y``,
-    where y is its pair partner gathered in one ``take``: cf = c and
-    sf = -s for a p column, cf = c and sf = s for a q column. This rounds
-    exactly like ``c * x - s * y`` and ``s * x + c * y``, since a - b is
-    a + (-b) and (-s) * y is -(s * y). For odd d the unpaired column is its
-    own partner with cf = 1.0 and sf = 0.0, and x * 1.0 + x * 0.0 is x for
-    every finite x, -0.0 included. The rows of M get the same update. Likewise
-    ``1 / (|tau| + r)``, negated where tau < 0, is the list form's tangent,
-    and ``np.add.accumulate`` adds the squares of the off-diagonal norm one
-    after another, as the list form does.
-    """
-    d = a.shape[0]
-    mv = np.vstack((a, np.eye(d)))  # rows of M, then rows of V
-    m = mv[:d]
-    flat = m.reshape(-1)
-    h = d // 2
-    plan = list(zip(*_round_plan(d)))
-    one, zero = np.ones(1), np.zeros(1)
-    lower = np.tri(d, k=-1, dtype=bool)
-    upper = lower.T
-
-    def offdiag_norm():
-        squares = m[upper]  # row by row, as in _offdiag_norm
-        squares *= squares
-        return math.sqrt(2.0 * np.add.accumulate(squares)[-1]) if d > 1 else 0.0
-
-    sweeps = 0
-    converged = offdiag_norm() <= thresh
-    while not converged and sweeps < max_sweeps:
-        sweeps += 1
-        for partner, slot, block in plan:
-            g = flat.take(block)
-            app, aqq, apq = g[:h], g[h:2 * h], g[2 * h:3 * h]
-            tau = (aqq - app) / (2.0 * apq)
-            t = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            np.negative(t, out=t, where=tau < 0.0)
-            t[(apq == 0.0) | np.isinf(tau)] = 0.0
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            cf = np.concatenate((c, c, one)).take(slot)
-            sf = np.concatenate((-s, s, zero)).take(slot)
-            y = mv.take(partner, axis=1)
-            y *= sf
-            mv *= cf
-            mv += y
-            cf = cf[:, None]
-            sf = sf[:, None]
-            y = m.take(partner, axis=0)
-            y *= sf
-            m *= cf
-            m += y
-            t_apq = t * apq
-            flat[block[:2 * h]] = g[:2 * h] + np.concatenate((-t_apq, t_apq))
-            flat[block[2 * h:]] = 0.0
-        np.copyto(m, m.T.copy(), where=lower)
-        converged = offdiag_norm() <= thresh
-    return m.diagonal().copy(), mv[d:].copy(), sweeps, converged
+def _tangent(app: float, aqq: float, apq: float) -> float:
+    """tan of the angle that zeroes apq: the smaller root of t^2 + 2 tau t - 1."""
+    if apq == 0.0:
+        return 0.0
+    tau = (aqq - app) / (2.0 * apq)
+    if math.isinf(tau):
+        # apq is denormal-tiny next to the diagonal gap; the rotation
+        # degenerates to the identity.
+        return 0.0
+    if tau >= 0.0:
+        return 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+    return -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,11 @@ def solve_rigorous(
     an eigenvalue at or below ``SINGULAR_TOL * max|lambda_B|``, the small
     eps keeps the scaling finite, exactly the trade recorded in
     ``epsilon_used``: the constraint is then enforced in the slightly
-    perturbed metric from ``effective_b`` rather than B.
+    perturbed metric from ``effective_b``,
+    Phi_B (Lambda_B^1/2 + eps I)^2 Phi_B', rather than B. That is not the
+    B + eps*I of ``solve_quick_dirty``, so on a singular B the two routes
+    give different eigenvalues (1/eps^2 here against 1/eps there for
+    A = I, B = 0).
     """
     eig_b, phi, inter = _whitened(p, epsilon, order)
     sol = _solution(p, eig_b, phi, inter.lambda_a, "rigorous", inter.epsilon_used, "whitening")
@@ -339,7 +343,12 @@ def solve_quick_dirty(
     lambda_B + eps on the same eigenvectors, and ``epsilon_used`` records
     eps. A positive definite B + eps*I gives
     W = Phi_B (Lambda_B + eps I)^-1/2 (``"whitening"``), the whitening
-    core of ``solve_rigorous`` fed that decomposition.
+    core of ``solve_rigorous`` fed that decomposition. On a singular B the
+    two routes therefore solve in different metrics, B + eps*I here and
+    Phi_B (Lambda_B^1/2 + eps I)^2 Phi_B' there, and their eigenvalues
+    differ: by about 1e-6 to 5e-3 relative for a B of rank d - 1 with
+    max|B| = 1 at d = 2 to 8, and with A = I, B = 0 (d = 16) this route
+    gives 1/eps = 1e5 where ``solve_rigorous`` gives 1/eps^2 = 1e10.
 
     An indefinite B + eps*I has no such W: for d > 4 it raises
     ``IndefiniteB``, and for d <= 4 (``"charpoly-sturm"``) the eigenvalues

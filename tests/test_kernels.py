@@ -261,6 +261,14 @@ def test_jacobi_reconstructs_input():
         recon = (v * w) @ v.T
         assert np.allclose(recon, a, atol=1e-12 * max(1.0, np.abs(a).max()) * 100)
         assert np.allclose(v.T @ v, np.eye(d), atol=1e-12)
+    # Every branch of a rotation, on the pure-Python kernel, so that they
+    # stay tested where no C compiler is present.
+    for d in _JACOBI_DIMS:
+        for name, a in _jacobi_inputs(d).items():
+            w, v, sweeps, converged = pykernels.jacobi_eigh(a, 1e-12, 100)
+            assert converged, (d, name)
+            assert np.abs((v * w) @ v.T - a).max() <= 1e-10 * np.abs(a).max(), (d, name)
+            assert np.abs(v.T @ v - np.eye(d)).max() <= 1e-12, (d, name)
 
 
 def test_jacobi_unconverged_flag_when_sweeps_exhausted():
@@ -276,11 +284,14 @@ def test_round_robin_schedule_covers_every_pair_once():
     for d in range(1, 41):
         rounds = pykernels.round_robin(d)
         assert len(rounds) == (d - 1 if d % 2 == 0 else d)
+        n = d + d % 2
         seen = []
-        for pairs in rounds:
+        for r, pairs in enumerate(rounds):
             flat = [i for pair in pairs for i in pair]
             assert len(flat) == len(set(flat)), (d, pairs)
             assert all(0 <= p < q < d for p, q in pairs)
+            # circle method: an index other than r and n - 1 pairs with 2r - i
+            assert all((p + q - 2 * r) % (n - 1) == 0 for p, q in pairs if q != n - 1), (d, r)
             seen += pairs
         assert sorted(seen) == [(p, q) for p in range(d) for q in range(p + 1, d)]
 
@@ -295,32 +306,9 @@ def test_round_robin_schedule_is_built_once_and_immutable():
         assert all(isinstance(pair, tuple) for pairs in rounds for pair in pairs)
 
 
-def test_round_plan_pairs_the_round_robin_indices():
-    # The numpy rounds' plan, computed in closed form, against one built
-    # pair by pair from the list rounds.
-    for d in range(16, 81):
-        n, h = d + d % 2, d // 2
-        partners, slots, blocks = pykernels._round_plan(d)
-        rounds = pykernels.round_robin(d)
-        assert partners.shape == slots.shape == (len(rounds), d)
-        for r, pairs in enumerate(rounds):
-            partner, slot = list(range(d)), [2 * h] * d
-            for k, (p, q) in enumerate(pairs):
-                partner[p], partner[q] = q, p
-                slot[p], slot[q] = k, h + k
-            assert partners[r].tolist() == partner, (d, r)
-            assert slots[r].tolist() == slot, (d, r)
-            # circle method: an index other than r and n - 1 pairs with 2r - i
-            assert all(partner[i] == (2 * r - i) % (n - 1) for i in range(d) if i not in (r, n - 1))
-            ps, qs = [p for p, _ in pairs], [q for _, q in pairs]
-            assert blocks[r].tolist() == (
-                [p * (d + 1) for p in ps] + [q * (d + 1) for q in qs]
-                + [p * d + q for p, q in pairs] + [q * d + p for p, q in pairs]
-            ), (d, r)
-
-
-# Sizes on both sides of the list/numpy switch, and those of the benchmark.
-_JACOBI_DIMS = list(range(1, 41)) + [48, 72]
+# Odd and even sizes on both sides of d = 16, from where eig_sym sends
+# only a graded metric B to Jacobi.
+_JACOBI_DIMS = list(range(1, 18)) + [24]
 
 
 def _jacobi_inputs(d):
@@ -355,19 +343,8 @@ def _same_eigh(x, y) -> bool:
     return sx == sy and cx == cy and _same_bits(wx, wy) and _same_bits(vx, vy)
 
 
-@pytest.mark.parametrize("d", _JACOBI_DIMS)
-def test_jacobi_list_and_numpy_rounds_bit_identical(d, monkeypatch):
-    for name, a in _jacobi_inputs(d).items():
-        monkeypatch.setattr(pykernels, "_NUMPY_ROUNDS_MIN_DIM", d + 1)
-        lists = pykernels.jacobi_eigh(a, JACOBI_REL_TOL, 100)
-        monkeypatch.setattr(pykernels, "_NUMPY_ROUNDS_MIN_DIM", d)
-        vectorised = pykernels.jacobi_eigh(a, JACOBI_REL_TOL, 100)
-        assert lists[3] and _same_eigh(lists, vectorised), (d, name)
-
-
 def test_jacobi_backends_bit_identical(cykernels):
-    switch = pykernels._NUMPY_ROUNDS_MIN_DIM
-    for d in sorted({2, 3, 8, 17, switch - 2, switch - 1, switch, switch + 1, 33, 48, 72}):
+    for d in (2, 3, 8, 14, 15, 16, 17, 33, 48, 72):
         for name, a in _jacobi_inputs(d).items():
             got_py = pykernels.jacobi_eigh(a, 1e-12, 100)
             got_c = cykernels.jacobi_eigh(a, 1e-12, 100)
@@ -397,7 +374,7 @@ def test_solvers_bit_identical_across_backends(cykernels, monkeypatch):
 
     # the full-path fallback: p = c needs eig(A_breve) at n = 40
     solves["kspca fallback"] = functools.partial(kspca_fit, ds, 3)
-    # a graded B = DHD keeps eig(B) on Jacobi, through the numpy rounds at d = 24
+    # a graded B = DHD keeps eig(B) on Jacobi at d = 24
     g = rng.standard_normal((24, 24))
     scale = np.logspace(-2.0, 2.0, 24)
     graded = Pencil(random_sym(rng, 24), SymMatrix(scale[:, None] * (np.eye(24) + g @ g.T / 24) * scale))
