@@ -277,10 +277,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _columns(phi: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in phi[:, j]] for j in range(phi.shape[1])]
-
-
 def _eigen_doc(args, command, lams, phi, residual, b_orth, method, eps_used, dims):
     """Result document; fails when ``residual`` exceeds ``--resid-tol``."""
     if args.resid_tol is not None and residual > args.resid_tol:
@@ -290,7 +286,7 @@ def _eigen_doc(args, command, lams, phi, residual, b_orth, method, eps_used, dim
     return {
         "command": command,
         "eigenvalues": [float(v) for v in lams],
-        "vectors": _columns(phi),
+        "vectors": phi.T.tolist(),
         "diagnostics": {
             "residual": float(residual),
             "b_orthonormality": float(b_orth),

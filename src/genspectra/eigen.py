@@ -3,17 +3,17 @@
 The production path, ``eig_sym``, runs one of two kernels of
 :mod:`genspectra.kernels`, chosen by the dimension:
 
-* below d = 16, a round-robin Jacobi iteration, which returns the full
-  eigenvector matrix as the accumulated product of rotations. Each round
-  rotates disjoint index pairs with angles taken from the matrix as it was
-  before the round. Both kernels run the sweeps as one loop at every d,
-  on Python lists in the pure-Python one and on arrays in the C one;
+* below d = 16, a cyclic-by-row Jacobi iteration, which returns the full
+  eigenvector matrix as the accumulated product of rotations. Each sweep
+  visits the off-diagonal pairs in row order, one rotation at a time.
+  Both kernels run the sweeps as one loop at every d, on Python lists in
+  the pure-Python one and on arrays in the C one;
 * from d = 16 up, Householder reduction to a tridiagonal T, implicit QL
   with Wilkinson shifts for T's eigenvalues, inverse iteration for its
   eigenvectors and the reflectors back (Golub & Van Loan, *Matrix
   Computations*, ch. 8). It does a fraction of the work of Jacobi's ~10
-  sweeps: at d = 48, 7.3 against 120 ms in pure Python and 0.37 against
-  2.0 ms compiled (one CPU of a 2-core x86_64 box, minimum of 7 runs).
+  sweeps: at d = 48, 10 against 150 ms in pure Python and 0.56 against
+  2.3 ms compiled (one CPU of a 2-core x86_64 box, minimum of 7 runs).
 
 The one exception is a graded metric: eig(B) in the whitening of
 :mod:`genspectra.pencil` (passed as ``_Metric``) stays on Jacobi at every d
@@ -132,7 +132,7 @@ def eig_sym(
 ) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix.
 
-    Below d = 16 by round-robin Jacobi, from d = 16 up through a
+    Below d = 16 by cyclic Jacobi, from d = 16 up through a
     Householder tridiagonal form, except for a graded metric B, which stays
     on Jacobi: one whose diagonal has a zero or negative entry, or spans a
     ratio above ``_GRADED_RATIO``. On any other B the tridiagonal kernel's

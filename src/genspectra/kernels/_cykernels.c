@@ -116,31 +116,9 @@ done:
     return res;
 }
 
-/* The pairs (p, q), p < q, of round r of a sweep over d indices, as in
- * pykernels.round_robin; returns their count. */
-static Py_ssize_t
-round_pairs(Py_ssize_t d, Py_ssize_t r, Py_ssize_t *pp, Py_ssize_t *qq)
-{
-    Py_ssize_t n = d + d % 2, h = 0;
-    if (n == d) {
-        pp[h] = r;
-        qq[h] = n - 1;
-        h++;
-    }
-    for (Py_ssize_t k = 1; k < n / 2; k++) {
-        Py_ssize_t i = (r + k) % (n - 1), j = (r - k + n - 1) % (n - 1);
-        pp[h] = i < j ? i : j;
-        qq[h] = i < j ? j : i;
-        h++;
-    }
-    return h;
-}
-
 static double
 tangent(double app, double aqq, double apq)
 {
-    if (apq == 0.0)
-        return 0.0;
     double tau = (aqq - app) / (2.0 * apq);
     if (isinf(tau))
         return 0.0;
@@ -159,54 +137,9 @@ offdiag_norm(const double *m, Py_ssize_t d)
     return sqrt(2.0 * acc);
 }
 
-/* One round: angles from the matrix as it was before the round, column-pair
- * updates of M, row-pair updates of M, then each 2x2 block set. V is held
- * transposed, so its column-pair updates run along contiguous rows. */
-static void
-rotate_round(double *m, double *vt, Py_ssize_t d, const Py_ssize_t *pp,
-             const Py_ssize_t *qq, Py_ssize_t h, double *cs)
-{
-    double *c = cs, *s = cs + h, *new_pp = cs + 2 * h, *new_qq = cs + 3 * h;
-    for (Py_ssize_t k = 0; k < h; k++) {
-        double app = m[pp[k] * d + pp[k]], aqq = m[qq[k] * d + qq[k]];
-        double apq = m[pp[k] * d + qq[k]];
-        double t = tangent(app, aqq, apq);
-        c[k] = 1.0 / sqrt(1.0 + t * t);
-        s[k] = t * c[k];
-        new_pp[k] = app - t * apq;
-        new_qq[k] = aqq + t * apq;
-    }
-    for (Py_ssize_t i = 0; i < d; i++) {
-        double *row = m + i * d;
-        for (Py_ssize_t k = 0; k < h; k++) {
-            double x = row[pp[k]], y = row[qq[k]];
-            row[pp[k]] = c[k] * x - s[k] * y;
-            row[qq[k]] = s[k] * x + c[k] * y;
-        }
-    }
-    for (Py_ssize_t k = 0; k < h; k++) {
-        Py_ssize_t p = pp[k], q = qq[k];
-        double *mp = m + p * d, *mq = m + q * d, *vp = vt + p * d, *vq = vt + q * d;
-        for (Py_ssize_t j = 0; j < d; j++) {
-            double x = mp[j], y = mq[j];
-            mp[j] = c[k] * x - s[k] * y;
-            mq[j] = s[k] * x + c[k] * y;
-        }
-        for (Py_ssize_t j = 0; j < d; j++) {
-            double x = vp[j], y = vq[j];
-            vp[j] = c[k] * x - s[k] * y;
-            vq[j] = s[k] * x + c[k] * y;
-        }
-        mp[p] = new_pp[k];
-        mq[q] = new_qq[k];
-        mp[q] = 0.0;
-        mq[p] = 0.0;
-    }
-}
-
 PyDoc_STRVAR(jacobi_doc,
 "jacobi_eigh($module, a, rel_tol, max_sweeps)\n--\n\n"
-"Round-robin Jacobi iteration on a symmetric matrix.\n\n"
+"Cyclic-by-row Jacobi iteration on a symmetric matrix.\n\n"
 "Same contract as the pure-Python version: returns\n"
 "``(w, v, sweeps, converged)``.");
 
@@ -222,8 +155,6 @@ jacobi_eigh(PyObject *module, PyObject *args, PyObject *kwargs)
         return NULL;
     Py_buffer mb, vb, wb;
     PyObject *mobj = NULL, *vobj = NULL, *wobj = NULL, *res = NULL;
-    Py_ssize_t *pairs = NULL;
-    double *cs = NULL;
     if ((mobj = matrix_copy(a_in, &mb)) == NULL)
         goto done;
     Py_ssize_t d = mb.shape[0];
@@ -234,13 +165,6 @@ jacobi_eigh(PyObject *module, PyObject *args, PyObject *kwargs)
     if ((vobj = numpy_array("eye", Py_BuildValue("(n)", d), NULL, 2, &vb)) == NULL
         || (wobj = numpy_array("zeros", Py_BuildValue("(n)", d), NULL, 1, &wb)) == NULL)
         goto done;
-    Py_ssize_t half = (d + 1) / 2;
-    pairs = PyMem_Malloc(sizeof(Py_ssize_t) * (2 * half + 1));
-    cs = PyMem_Malloc(sizeof(double) * (4 * half + 1));
-    if (pairs == NULL || cs == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
     /* v holds V transposed, from the identity, until it is flipped at the end. */
     double *m = mb.buf, *v = vb.buf, *w = wb.buf;
 
@@ -249,18 +173,38 @@ jacobi_eigh(PyObject *module, PyObject *args, PyObject *kwargs)
         acc += m[i] * m[i];
     double thresh = rel_tol * sqrt(acc);
 
-    Py_ssize_t rounds = d + d % 2 - 1;
     int sweeps = 0;
     int converged = offdiag_norm(m, d) <= thresh;
     while (!converged && sweeps < max_sweeps) {
         sweeps++;
-        for (Py_ssize_t r = 0; r < rounds; r++) {
-            Py_ssize_t h = round_pairs(d, r, pairs, pairs + half);
-            rotate_round(m, v, d, pairs, pairs + half, h, cs);
+        for (Py_ssize_t p = 0; p < d - 1; p++) {
+            double *mp = m + p * d, *vp = v + p * d;
+            for (Py_ssize_t q = p + 1; q < d; q++) {
+                double apq = mp[q];
+                if (apq == 0.0)
+                    continue;
+                double *mq = m + q * d, *vq = v + q * d;
+                double app = mp[p], aqq = mq[q];
+                double t = tangent(app, aqq, apq);
+                double c = 1.0 / sqrt(1.0 + t * t), s = t * c;
+                for (Py_ssize_t j = 0; j < d; j++) {
+                    double x = mp[j], y = mq[j];
+                    double xr = c * x - s * y, yr = s * x + c * y;
+                    /* also columns p and q; at j = p, q these are the 2x2
+                     * block, which is set exactly below */
+                    mp[j] = m[j * d + p] = xr;
+                    mq[j] = m[j * d + q] = yr;
+                    x = vp[j];
+                    y = vq[j];
+                    vp[j] = c * x - s * y;
+                    vq[j] = s * x + c * y;
+                }
+                mp[p] = app - t * apq;
+                mq[q] = aqq + t * apq;
+                mp[q] = 0.0;
+                mq[p] = 0.0;
+            }
         }
-        for (Py_ssize_t i = 1; i < d; i++)
-            for (Py_ssize_t j = 0; j < i; j++)
-                m[i * d + j] = m[j * d + i];
         converged = offdiag_norm(m, d) <= thresh;
     }
     for (Py_ssize_t i = 0; i < d; i++) {
@@ -273,8 +217,6 @@ jacobi_eigh(PyObject *module, PyObject *args, PyObject *kwargs)
     }
     res = Py_BuildValue("(OOiO)", wobj, vobj, sweeps, converged ? Py_True : Py_False);
 done:
-    PyMem_Free(pairs);
-    PyMem_Free(cs);
     release(mobj, &mb);
     release(vobj, &vb);
     release(wobj, &wb);

@@ -1,8 +1,8 @@
 """Pure-Python compute kernels.
 
 These are the reference implementations of the package's hot loops: dense
-matrix multiplication and two symmetric eigensolvers, the round-robin
-Jacobi iteration and a Householder-tridiagonal solver (``tridiag_eigh``).
+matrix multiplication and two symmetric eigensolvers, the cyclic Jacobi
+iteration and a Householder-tridiagonal solver (``tridiag_eigh``).
 ``genspectra.kernels`` swaps in the compiled twins, written by hand in C,
 when they are available; both backends perform the same operations in the
 same order, using only + - * / and sqrt, so results agree to the last bit
@@ -10,7 +10,7 @@ on IEEE-754 hardware.
 
 ``matmul`` evaluates its products and sums with numpy, one block of the
 inner dimension at a time, but adds the terms of each entry strictly in
-the order of the compiled loop. ``jacobi_eigh`` runs its rounds of
+the order of the compiled loop. ``jacobi_eigh`` runs its sweeps of
 rotations on Python lists at every d, one loop like the C twin's.
 
 ``tridiag_eigh`` adds its sums in a fixed order with ``np.add.accumulate``,
@@ -21,7 +21,6 @@ one shift at a time.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -74,44 +73,17 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return carry
 
 
-# Room for the schedules of d < 16, the sizes at which ``eigen.eig_sym``
-# sends every matrix to Jacobi (above them only a graded metric B goes
-# there); the cache stays bounded, since a schedule holds d^2 / 2 pairs.
-@functools.lru_cache(maxsize=16)
-def round_robin(d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The rounds of one Jacobi sweep over a d x d matrix, as pairs (p, q), p < q.
-
-    Circle method: with n = d rounded up to even (index d is a dummy when d
-    is odd), round r pairs n - 1 with r, and (r + k) mod (n - 1) with
-    (r - k) mod (n - 1) for k = 1 .. n/2 - 1. The pairs within a round are
-    disjoint, and each unordered pair of indices falls in exactly one of
-    the n - 1 rounds; pairs with the dummy are left out.
-
-    Cached per d and shared between callers, so it is all tuples.
-    """
-    n = d + d % 2
-    r = np.arange(n - 1)[:, None]
-    # k = 0 stands for the pair (r, n - 1), which even d has first
-    k = np.arange(0 if n == d else 1, n // 2)
-    i, j = (r + k) % (n - 1), (r - k) % (n - 1)
-    if n == d:
-        j[:, 0] = n - 1
-    p, q = np.minimum(i, j).tolist(), np.maximum(i, j).tolist()
-    return tuple(tuple(zip(pr, qr)) for pr, qr in zip(p, q))
-
-
 def jacobi_eigh(a: np.ndarray, rel_tol: float, max_sweeps: int):
-    """Round-robin Jacobi iteration on a symmetric matrix.
+    """Cyclic-by-row Jacobi iteration on a symmetric matrix.
 
-    A sweep visits every off-diagonal pair once, in the rounds of
-    :func:`round_robin` (Brent & Luk 1985; Golub & Van Loan, section 8.5).
-    Each round takes all its rotation angles from the matrix as it was
-    before the round, applies the column-pair updates, then the row-pair
-    updates, then sets each rotated 2x2 block exactly; V gets the same
-    column-pair updates. After a sweep the upper triangle is copied onto
-    the lower one. The sweep loop stops once the off-diagonal Frobenius
-    norm drops below ``rel_tol`` times the Frobenius norm of the input.
-    The sweeps run on Python lists, M by rows and V by columns.
+    A sweep visits the off-diagonal pairs (p, q), p < q, in row order
+    (Golub & Van Loan, section 8.5), skipping a pair whose a_pq is 0.0.
+    Each rotation rotates rows p and q of M and of V transposed, writes the
+    new entries of M into columns p and q too, so M stays exactly
+    symmetric, and then sets the rotated 2x2 block exactly. The sweep loop
+    stops once the off-diagonal Frobenius norm drops below ``rel_tol``
+    times the Frobenius norm of the input. The sweeps run on Python lists,
+    M by rows and V by columns.
 
     Returns ``(w, v, sweeps, converged)`` where ``w`` holds the (unsorted)
     diagonal after the final sweep and the columns of ``v`` are the
@@ -123,7 +95,6 @@ def jacobi_eigh(a: np.ndarray, rel_tol: float, max_sweeps: int):
     for x in a.ravel().tolist():
         acc += x * x
     thresh = rel_tol * math.sqrt(acc)
-    rounds = round_robin(d)
     m = a.tolist()
     # Rows of V transposed, so that V's column-pair updates run along rows
     # in the same loop as the row-pair updates of M.
@@ -133,43 +104,45 @@ def jacobi_eigh(a: np.ndarray, rel_tol: float, max_sweeps: int):
     converged = _offdiag_norm(m, d) <= thresh
     while not converged and sweeps < max_sweeps:
         sweeps += 1
-        for pairs in rounds:
-            rots = []
-            blocks = []
-            for p, q in pairs:
-                app, aqq, apq = m[p][p], m[q][q], m[p][q]
-                t = _tangent(app, aqq, apq)
+        for p in range(d - 1):
+            mp, vp = m[p], vt[p]
+            for q in range(p + 1, d):
+                apq = mp[q]
+                if apq == 0.0:
+                    continue
+                mq, vq = m[q], vt[q]
+                app, aqq = mp[p], mq[q]
+                # t = tan of the angle that zeroes apq, the smaller root of
+                # t^2 + 2 tau t - 1; apq denormal-tiny next to the diagonal
+                # gap makes tau infinite, and the rotation the identity
+                tau = (aqq - app) / (2.0 * apq)
+                if math.isinf(tau):
+                    t = 0.0
+                elif tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
-                rots.append((p, q, c, t * c))
-                blocks.append((p, q, app - t * apq, aqq + t * apq))
-            for row in m:
-                for p, q, c, s in rots:
-                    x = row[p]
-                    y = row[q]
-                    row[p] = c * x - s * y
-                    row[q] = s * x + c * y
-            for p, q, c, s in rots:
-                mp, mq, vp, vq = m[p], m[q], vt[p], vt[q]
+                s = t * c
                 for j in cols:
                     x = mp[j]
                     y = mq[j]
-                    mp[j] = c * x - s * y
-                    mq[j] = s * x + c * y
+                    x, y = c * x - s * y, s * x + c * y
+                    mp[j] = x
+                    mq[j] = y
+                    # column entries (j, p) and (j, q); at j = p, q these
+                    # are the 2x2 block, which is set exactly below
+                    row = m[j]
+                    row[p] = x
+                    row[q] = y
                     x = vp[j]
                     y = vq[j]
                     vp[j] = c * x - s * y
                     vq[j] = s * x + c * y
-            for p, q, new_pp, new_qq in blocks:
-                m[p][p] = new_pp
-                m[q][q] = new_qq
-                m[p][q] = 0.0
-                m[q][p] = 0.0
-        # Column then row updates leave the two triangles apart in the last
-        # bits; the angles read only the upper one.
-        for i in range(1, d):
-            row = m[i]
-            for j in range(i):
-                row[j] = m[j][i]
+                mp[p] = app - t * apq
+                mq[q] = aqq + t * apq
+                mp[q] = 0.0
+                mq[p] = 0.0
         converged = _offdiag_norm(m, d) <= thresh
     w = np.array([m[i][i] for i in range(d)], dtype=np.float64)
     return w, np.array(vt, dtype=np.float64).reshape(d, d).T.copy(), sweeps, converged
@@ -182,20 +155,6 @@ def _offdiag_norm(m: list, d: int) -> float:
         for j in range(i + 1, d):
             acc += row[j] * row[j]
     return math.sqrt(2.0 * acc)
-
-
-def _tangent(app: float, aqq: float, apq: float) -> float:
-    """tan of the angle that zeroes apq: the smaller root of t^2 + 2 tau t - 1."""
-    if apq == 0.0:
-        return 0.0
-    tau = (aqq - app) / (2.0 * apq)
-    if math.isinf(tau):
-        # apq is denormal-tiny next to the diagonal gap; the rotation
-        # degenerates to the identity.
-        return 0.0
-    if tau >= 0.0:
-        return 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    return -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
 
 
 # ---------------------------------------------------------------------------

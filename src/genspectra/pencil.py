@@ -590,17 +590,20 @@ def _poly_trim(p: list[float], ref: list[float]) -> list[float]:
     return out
 
 
-def _poly_rem(num: list[float], den: list[float]) -> list[float]:
+def _poly_divmod(num: list[float], den: list[float]) -> tuple[list[float], list[float]]:
+    """(quotient, remainder) of num / den, coefficients in ascending powers."""
     rem = num[:]
     dd = len(den) - 1
     lead = den[-1]
+    quot = [0.0] * max(len(num) - dd, 0)
     while len(rem) - 1 >= dd and any(c != 0.0 for c in rem):
         k = len(rem) - 1 - dd
         f = rem[-1] / lead
+        quot[k] = f
         for i in range(len(den)):
             rem[k + i] -= f * den[i]
         rem.pop()
-    return rem
+    return quot, rem
 
 
 def _sturm_chain(p: list[float]) -> list[list[float]]:
@@ -612,7 +615,7 @@ def _sturm_chain(p: list[float]) -> list[list[float]]:
     """
     chain = [p, _poly_deriv(p)]
     while len(chain[-1]) > 1:
-        rem = _poly_trim([-c for c in _poly_rem(chain[-2], chain[-1])], chain[-2])
+        rem = _poly_trim([-c for c in _poly_divmod(chain[-2], chain[-1])[1]], chain[-2])
         if not rem:
             break
         chain.append(rem)
@@ -633,6 +636,15 @@ def _sign_variations(chain: list[list[float]], x: float) -> int:
 
 
 def _sturm_roots(a: list, b_reg: list, d: int, rho: float) -> list[float]:
-    """Distinct real roots of det(A - lambda B), ascending, when B is indefinite."""
-    chain = _sturm_chain(_charpoly_in_mu(a, b_reg, d, rho))
+    """Distinct real roots of det(A - lambda B), ascending, when B is indefinite.
+
+    A chain of q(mu) = det(A - rho mu B) that ends in a non-constant
+    g ~ gcd(q, q') means repeated roots, which a count of q locates only
+    to ~eps^(1/k) for a k-fold one; the chain of q / g, which has the same
+    roots, all simple, is bisected instead.
+    """
+    q = _charpoly_in_mu(a, b_reg, d, rho)
+    chain = _sturm_chain(q)
+    if len(chain[-1]) > 1:
+        chain = _sturm_chain(_poly_divmod(q, chain[-1])[0])
     return [rho * mu for mu, _ in _roots_by_count(lambda mu: -_sign_variations(chain, mu), 1.0)]

@@ -280,32 +280,6 @@ def test_jacobi_unconverged_flag_when_sweeps_exhausted():
     assert not converged
 
 
-def test_round_robin_schedule_covers_every_pair_once():
-    for d in range(1, 41):
-        rounds = pykernels.round_robin(d)
-        assert len(rounds) == (d - 1 if d % 2 == 0 else d)
-        n = d + d % 2
-        seen = []
-        for r, pairs in enumerate(rounds):
-            flat = [i for pair in pairs for i in pair]
-            assert len(flat) == len(set(flat)), (d, pairs)
-            assert all(0 <= p < q < d for p, q in pairs)
-            # circle method: an index other than r and n - 1 pairs with 2r - i
-            assert all((p + q - 2 * r) % (n - 1) == 0 for p, q in pairs if q != n - 1), (d, r)
-            seen += pairs
-        assert sorted(seen) == [(p, q) for p in range(d) for q in range(p + 1, d)]
-
-
-def test_round_robin_schedule_is_built_once_and_immutable():
-    for d in (2, 3, 4, 9):
-        rounds = pykernels.round_robin(d)
-        assert pykernels.round_robin(d) is rounds
-        # shared by every caller, so no level of it can be changed in place
-        assert isinstance(rounds, tuple)
-        assert all(isinstance(pairs, tuple) for pairs in rounds)
-        assert all(isinstance(pair, tuple) for pairs in rounds for pair in pairs)
-
-
 # Odd and even sizes on both sides of d = 16, from where eig_sym sends
 # only a graded metric B to Jacobi.
 _JACOBI_DIMS = list(range(1, 18)) + [24]

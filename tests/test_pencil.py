@@ -368,6 +368,38 @@ def test_quick_route_resolves_repeated_roots_of_rotated_pencils(case):
         assert sol.residual < 1e-9, seed
 
 
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("frame", ["diagonal", "rotated"])
+def test_sturm_route_resolves_an_eigenvalue_of_full_multiplicity(d, frame):
+    # A = s B: det(A - lambda B) = det(B) (s - lambda)^d, a d-fold root that
+    # a count of the polynomial itself locates only to ~eps^(1/d)
+    b0 = np.diag([1.0, -2.0, 3.0, -0.5][:d])
+    for seed in range(10 if frame == "rotated" else 1):
+        q = random_orthonormal(np.random.RandomState(seed), d) if frame == "rotated" else np.eye(d)
+        b = q @ b0 @ q.T
+        b = (b + b.T) / 2.0
+        for s in (2.0, -0.7, 3e4):
+            sol = solve_quick_dirty(Pencil(SymMatrix(s * b), SymMatrix(b)))
+            assert sol.strategy == "charpoly-sturm"
+            assert max(abs(x - s) for x in sol.eigenvalues) <= 1e-12 * abs(s), (seed, s)
+
+
+def test_sturm_route_resolves_a_triple_root_at_d4():
+    # A = X^-T S Lambda X^-1, B = X^-T S X^-1 with S = diag(1, -1, 1, -1):
+    # the eigenvalues are Lambda's, with 2 three times
+    lam = np.array([2.0, 2.0, 2.0, -1.0])
+    s = np.array([1.0, -1.0, 1.0, -1.0])
+    for seed in range(10):
+        x = np.eye(4) + 0.3 * np.random.RandomState(seed).standard_normal((4, 4))
+        xi = np.linalg.inv(x)
+        a = xi.T @ np.diag(s * lam) @ xi
+        b = xi.T @ np.diag(s) @ xi
+        sol = solve_quick_dirty(Pencil(SymMatrix((a + a.T) / 2.0), SymMatrix((b + b.T) / 2.0)))
+        assert sol.strategy == "charpoly-sturm"
+        got = np.array(sol.eigenvalues)
+        assert np.max(np.abs(got - np.sort(lam)[::-1]) / np.abs(np.sort(lam)[::-1])) <= 1e-8, seed
+
+
 def test_quick_route_vectors_of_double_roots_are_orthonormal():
     # each double root has a two-dimensional eigenspace, from which the
     # vectors must come back orthonormal, not merely independent
