@@ -12,7 +12,10 @@ Three classics, each reduced to the eigenproblem it really is:
 The numerators of the last two have a known low rank, S_B = D D' with
 D = [mu_j - mu_t] and, for the delta and linear label kernels,
 K_x H K_y H K_x = F F' with F = K_x H Y; their fits take the leading
-pairs from the small Gram of W'F (``pencil._factored_pairs``).
+pairs from the small Gram of W'F (``pencil._factored_pairs``). W whitens
+the denominator B (S_W or K_x): W = L^-T from B = L L' where B passes the
+Cholesky gate of the quick route (``pencil._cholesky_whitening``), and
+W = Phi_B (Lambda_B^1/2 + eps I)^-1 from eig(B) otherwise.
 
 Data matrices are d x n with one sample per column.
 """
@@ -117,7 +120,10 @@ class EmbeddingModel:
     pencil the fit solved, as ``GenEigenSolution`` defines them: (S, I)
     for pca, (S_B, S_W) for fda, (K_x H K_y H K_x, K_x) for kspca, with
     the numerator formed as F F', F = K_x H Y, for the delta and linear
-    label kernels (equal to K_x H K_y H K_x in exact arithmetic). The
+    label kernels (equal to K_x H K_y H K_x in exact arithmetic).
+    ``strategy`` records how fda and kspca whitened the denominator, in the
+    words of ``GenEigenSolution.strategy``: ``"cholesky"`` (W = L^-T) or
+    ``"whitening"`` (eig(B)); pca has no metric and leaves it None. The
     remaining fields carry whatever the transform step needs: the training
     mean for pca, kernel specs and training data for kspca.
     """
@@ -132,6 +138,7 @@ class EmbeddingModel:
     kernel_y: KernelSpec | None = None
     training_x: Matrix | None = None
     epsilon_used: float = 0.0
+    strategy: str | None = None
 
     @property
     def p(self) -> int:
@@ -227,13 +234,16 @@ def fda_fit(ds: LabeledDataset, p: int, epsilon: float | None = None) -> Embeddi
     the model. S_B has rank at most c - 1, so directions beyond that carry
     no discriminative signal; asking for them only earns a warning.
 
-    S_B = D D' with D = ``ScatterPair.offsets`` (d x c), so S_W is
-    decomposed once and the directions come from the c x c Gram of
-    W'D, W the whitening of S_W (``pencil._factored_pairs``). The fit
-    falls back to eig(W' S_B W) when p > c or when the p-th Gram
-    eigenvalue is at most ``SINGULAR_TOL`` times the first (rank(D) < p):
-    D does not determine those directions. Diagnostics are measured
-    against (S_B, S_W) either way.
+    S_B = D D' with D = ``ScatterPair.offsets`` (d x c), so the
+    directions come from the c x c Gram of W'D (``pencil._factored_pairs``).
+    W whitens S_W: W = L^-T from its Cholesky factor where S_W passes the
+    gate of ``pencil._cholesky_whitening``, and
+    Phi_B (Lambda_B^1/2 + eps I)^-1 from eig(S_W) otherwise; S_W is
+    factored or decomposed once either way. The fit falls back to
+    eig(W' S_B W) when p > c or when the p-th Gram eigenvalue is at most
+    ``SINGULAR_TOL`` times the first (rank(D) < p): D does not determine
+    those directions. Diagnostics are measured against (S_B, S_W) either
+    way.
     """
     if ds.labels is None:
         raise MissingLabels("FDA needs class labels")
@@ -247,11 +257,13 @@ def fda_fit(ds: LabeledDataset, p: int, epsilon: float | None = None) -> Embeddi
             stacklevel=2,
         )
     pair = scatter_matrices(ds)
-    phi, lams, eps_used = _leading_whitened(
+    phi, lams, eps_used, strategy = _leading_whitened(
         Pencil(pair.s_b, pair.s_w), pair.offsets.array, p, epsilon
     )
     return _leading_pairs(
-        "fda", pair.s_b.array, pair.s_w.array, phi, lams, p, epsilon_used=eps_used
+        "fda", pair.s_b.array, pair.s_w.array, phi, lams, p,
+        epsilon_used=eps_used,
+        strategy=strategy,
     )
 
 
@@ -304,15 +316,17 @@ def kspca_fit(
     The delta label kernel is K_y = Y Y' for the n x c one-hot class
     indicators Y, and the linear one is K_y = l l' for the label column l.
     With either, the numerator is F F' with F = K_x H Y (or K_x H l), and
-    K_y is never formed: K_x is decomposed once and the directions come
-    from the c x c Gram of W'F, W the whitening of K_x
-    (``pencil._factored_pairs``). The fit falls back to eig(W' F F' W)
-    when p exceeds the width of F or the p-th Gram eigenvalue is at most
-    ``SINGULAR_TOL`` times the first: F does not determine those
-    directions. Residual and K_x-orthonormality are then measured against
-    (sym(F F'), K_x), equal to the pencil above in exact arithmetic. rbf
-    and polynomial label kernels form K_x H K_y H K_x and solve the full
-    pencil.
+    K_y is never formed: the directions come from the c x c Gram of W'F
+    (``pencil._factored_pairs``). W whitens K_x: W = L^-T from its Cholesky
+    factor where K_x passes the gate of ``pencil._cholesky_whitening``,
+    and Phi_B (Lambda_B^1/2 + eps I)^-1 from eig(K_x) otherwise; K_x is
+    factored or decomposed once either way. The fit falls back to
+    eig(W' F F' W) when p exceeds the width of F or the p-th Gram
+    eigenvalue is at most ``SINGULAR_TOL`` times the first: F does not
+    determine those directions. Residual and K_x-orthonormality are then
+    measured against (sym(F F'), K_x), equal to the pencil above in exact
+    arithmetic. rbf and polynomial label kernels form K_x H K_y H K_x and
+    solve the full pencil.
     """
     if ds.labels is None:
         raise MissingLabels("kernel supervised PCA needs class labels")
@@ -339,13 +353,14 @@ def kspca_fit(
         k_y = kernel_matrix(labels_row, labels_row, ky).array
         m = kernels.matmul(k_x, kernels.matmul(_double_center(k_y), k_x))
     pencil = Pencil(SymMatrix((m + m.T) / 2.0), SymMatrix((k_x + k_x.T) / 2.0))
-    phi, lams, eps_used = _leading_whitened(pencil, factor, p, epsilon)
+    phi, lams, eps_used, strategy = _leading_whitened(pencil, factor, p, epsilon)
     return _leading_pairs(
         "kspca", pencil.a.array, pencil.b.array, phi, lams, p,
         kernel_x=kx,
         kernel_y=ky,
         training_x=ds.x,
         epsilon_used=eps_used,
+        strategy=strategy,
     )
 
 

@@ -21,7 +21,7 @@ except ImportError:
     _cykernels = None
 
 # What each backend module defines.
-_KERNEL_NAMES = ("matmul", "jacobi_eigh", "tridiag_eigh")
+_KERNEL_NAMES = ("matmul", "jacobi_eigh", "tridiag_eigh", "cholesky_inverse")
 
 
 def _compiled():
@@ -59,6 +59,7 @@ BACKEND, _active = _select_backend()
 matmul = _active.matmul
 jacobi_eigh = _active.jacobi_eigh
 tridiag_eigh = _active.tridiag_eigh
+cholesky_inverse = _active.cholesky_inverse
 
 
 def available_backends() -> dict:

@@ -1,5 +1,6 @@
 /*
- * Compiled compute kernels: the C twins of genspectra.kernels.pykernels.
+ * Compiled compute kernels: the C twins of genspectra.kernels.pykernels,
+ * namely matmul, jacobi_eigh, tridiag_eigh and cholesky_inverse.
  *
  * Each loop performs the floating-point operations of its pure-Python
  * counterpart in the same order, so the two backends give the same bits;
@@ -627,10 +628,77 @@ done:
     return res;
 }
 
+/* ---- cholesky_inverse: the twin of pykernels.cholesky_inverse ---------- */
+
+PyDoc_STRVAR(cholesky_doc,
+"cholesky_inverse($module, b)\n--\n\n"
+"L^-1 for B = L L' (Cholesky), or None when a pivot is not positive.\n\n"
+"Same contract as the pure-Python version. Its rank-1 updates of the\n"
+"Schur complement run on the lower triangle only: the upper one is\n"
+"never read.");
+
+static PyObject *
+cholesky_inverse(PyObject *module, PyObject *args, PyObject *kwargs)
+{
+    static char *keywords[] = {"b", NULL};
+    PyObject *b_in;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O:cholesky_inverse", keywords, &b_in))
+        return NULL;
+    Py_buffer sb, lb;
+    PyObject *sobj = NULL, *lobj = NULL, *res = NULL;
+    double *col = NULL;
+    if ((sobj = matrix_copy(b_in, &sb)) == NULL)
+        goto done;
+    Py_ssize_t d = sb.shape[0];
+    if (sb.shape[1] != d) {
+        PyErr_SetString(PyExc_ValueError, "cholesky_inverse: the matrix is not square");
+        goto done;
+    }
+    if ((lobj = numpy_array("eye", Py_BuildValue("(n)", d), NULL, 2, &lb)) == NULL)
+        goto done;
+    if ((col = PyMem_Malloc(sizeof(double) * (d + 1))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    double *schur = sb.buf, *inv_l = lb.buf;
+    for (Py_ssize_t k = 0; k < d; k++) {
+        double pivot = schur[k * d + k];
+        if (!(pivot > 0.0)) {
+            res = Py_None;
+            Py_INCREF(res);
+            goto done;
+        }
+        double l_kk = sqrt(pivot);
+        for (Py_ssize_t i = k + 1; i < d; i++)  /* column k of L below the diagonal */
+            col[i] = schur[i * d + k] / l_kk;
+        for (Py_ssize_t i = k + 1; i < d; i++) {
+            double *si = schur + i * d;
+            for (Py_ssize_t j = k + 1; j <= i; j++)
+                si[j] = si[j] - col[i] * col[j];
+        }
+        double *row = inv_l + k * d;
+        for (Py_ssize_t j = 0; j <= k; j++)
+            row[j] = row[j] / l_kk;
+        for (Py_ssize_t i = k + 1; i < d; i++) {
+            double *li = inv_l + i * d;
+            for (Py_ssize_t j = 0; j <= k; j++)
+                li[j] = li[j] - col[i] * row[j];
+        }
+    }
+    res = lobj;
+    Py_INCREF(res);
+done:
+    PyMem_Free(col);
+    release(sobj, &sb);
+    release(lobj, &lb);
+    return res;
+}
+
 static PyMethodDef methods[] = {
     {"matmul", (PyCFunction)(void (*)(void))matmul, METH_VARARGS | METH_KEYWORDS, matmul_doc},
     {"jacobi_eigh", (PyCFunction)(void (*)(void))jacobi_eigh, METH_VARARGS | METH_KEYWORDS, jacobi_doc},
     {"tridiag_eigh", (PyCFunction)(void (*)(void))tridiag_eigh, METH_VARARGS | METH_KEYWORDS, tridiag_doc},
+    {"cholesky_inverse", (PyCFunction)(void (*)(void))cholesky_inverse, METH_VARARGS | METH_KEYWORDS, cholesky_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,8 +1,9 @@
 """Pure-Python compute kernels.
 
 These are the reference implementations of the package's hot loops: dense
-matrix multiplication and two symmetric eigensolvers, the cyclic Jacobi
-iteration and a Householder-tridiagonal solver (``tridiag_eigh``).
+matrix multiplication, two symmetric eigensolvers, the cyclic Jacobi
+iteration and a Householder-tridiagonal solver (``tridiag_eigh``), and the
+inverse Cholesky factor of a metric (``cholesky_inverse``).
 ``genspectra.kernels`` swaps in the compiled twins, written by hand in C,
 when they are available; both backends perform the same operations in the
 same order, using only + - * / and sqrt, so results agree to the last bit
@@ -17,6 +18,9 @@ rotations on Python lists at every d, one loop like the C twin's.
 runs the QL iteration on Python floats and the inverse iteration as numpy
 operations across all shifts at once; the C twin runs the same arithmetic
 one shift at a time.
+
+``cholesky_inverse`` is one elementwise numpy rank-1 update per column;
+every entry it reads goes through the same operations in the C twin.
 """
 
 from __future__ import annotations
@@ -155,6 +159,31 @@ def _offdiag_norm(m: list, d: int) -> float:
         for j in range(i + 1, d):
             acc += row[j] * row[j]
     return math.sqrt(2.0 * acc)
+
+
+def cholesky_inverse(b: np.ndarray) -> np.ndarray | None:
+    """L^-1 for B = L L' (Cholesky), or None when a pivot is not positive.
+
+    Right-looking: step k takes column k of L from the pivot and column k
+    of the Schur complement, subtracts its outer product from the trailing
+    block, and eliminates it from the rows of L^-1 below row k. Each step
+    is a few elementwise numpy row and rank-1 updates, in a fixed order,
+    so L^-1 does not depend on the kernel backend.
+    """
+    d = b.shape[0]
+    schur = np.array(b, dtype=np.float64)
+    inv_l = np.eye(d)
+    for k in range(d):
+        pivot = schur[k, k]
+        if not pivot > 0.0:
+            return None
+        l_kk = math.sqrt(pivot)
+        col = schur[k + 1 :, k] / l_kk  # column k of L below the diagonal
+        schur[k + 1 :, k + 1 :] -= col[:, None] * col
+        row = inv_l[k, : k + 1]
+        row /= l_kk
+        inv_l[k + 1 :, : k + 1] -= col[:, None] * row
+    return inv_l
 
 
 # ---------------------------------------------------------------------------

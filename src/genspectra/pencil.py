@@ -28,12 +28,17 @@ B is singular or indefinite, relative to its largest eigenvalue magnitude
 s > 0; the whitening factors; and, for ``deflated``, B's null
 eigenvectors. The quick route takes the Cholesky factor only where that
 verdict would be "definite and nonsingular" with a margin of 1000
-(``CHOLESKY_MAX_CONDITION``). Both report their residual and
-B-orthonormality against the original, unregularized pencil.
+(``CHOLESKY_MAX_CONDITION``, tested by ``_cholesky_whitening``). Both
+report their residual and B-orthonormality against the original,
+unregularized pencil.
 
-The fits whiten too, but keep only the leading pairs, and their numerators
-have low rank, A = F F' with F n x c: ``_leading_whitened`` takes those
-pairs from the c x c Gram of W'F rather than from the n x n A_breve.
+The fits (``apps.fda_fit``, ``apps.kspca_fit``) whiten too, through
+``_leading_whitened``: with W = L^-T where B passes that same Cholesky
+gate, and with eig(B)'s Phi_B (Lambda_B^1/2 + eps I)^-1, the verdict and
+eps of ``solve_rigorous``, where it fails. They keep only the leading
+pairs, and their numerators have low rank, A = F F' with F n x c, so
+those pairs come from the c x c Gram of W'F rather than from the n x n
+A_breve.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from .linalg import SINGULAR_TOL, Matrix, SymMatrix, definiteness, null_eigenval
 # largest entry of B.
 DEFAULT_EPSILON = 1e-5
 
-# The quick route takes the Cholesky factor of B only when
+# The quick route and the fits take the Cholesky factor of B only when
 # trace(B) * trace(B^-1), an upper bound on lambda_max / lambda_min, is at
 # most this: 1000 times inside the ratio at which ``definiteness`` calls
 # B singular, so the bound's slack and the roundoff in L^-1 cannot take
@@ -245,23 +250,46 @@ def _whitening(
     return eig_b, eps_used, eig_b.phi.array * np.array(factors, dtype=np.float64)
 
 
+def _cholesky_whitening(b: SymMatrix) -> np.ndarray | None:
+    """W = L^-T for B = L L', or None where B fails the Cholesky gate.
+
+    The gate: every pivot of the factorization is positive
+    (``kernels.cholesky_inverse``), and trace(B) * ||L^-1||_F^2 =
+    trace(B) * trace(B^-1), which bounds lambda_max / lambda_min, is at
+    most ``CHOLESKY_MAX_CONDITION``. A B that passes is definite and
+    nonsingular in ``linalg.definiteness``'s terms, so it needs no eps.
+    """
+    inv_l = kernels.cholesky_inverse(b.array)
+    if inv_l is None or not trace(b) * float(np.sum(inv_l * inv_l)) <= CHOLESKY_MAX_CONDITION:
+        return None
+    return inv_l.T
+
+
 def _leading_whitened(
     p: Pencil, factor: np.ndarray | None, k: int, epsilon: float | None
-) -> tuple[np.ndarray, tuple[float, ...], float]:
-    """The leading k pairs of the whitening route, descending, and the eps used.
+) -> tuple[np.ndarray, tuple[float, ...], float, str]:
+    """The leading k pairs of a whitening of B, descending, the eps used and the strategy.
 
-    ``factor`` is F with A = F F' (or None): the pairs then come from its
-    c x c Gram (``_factored_pairs``) where F determines them, and from
-    eig(A_breve) otherwise. B is decomposed once either way. Returns Phi
-    (at least k columns), their eigenvalues and eps.
+    W is L^-T (``"cholesky"``) where B passes the gate of
+    ``_cholesky_whitening``, with eps 0.0, and otherwise
+    Phi_B (Lambda_B^1/2 + eps I)^-1 from eig(B) (``"whitening"``,
+    ``_whitening``). ``factor`` is F with A = F F' (or None): the pairs
+    then come from its c x c Gram (``_factored_pairs``) where F determines
+    them, and from eig(A_breve) otherwise. Both are exact for any W with
+    W W' = B^-1, and B is factored or decomposed once either way. Returns
+    Phi (at least k columns), their eigenvalues, eps and the strategy.
     """
-    _, eps_used, breve = _whitening(p.b, epsilon)
+    eps_used, strategy = 0.0, "cholesky"
+    breve = _cholesky_whitening(p.b)
+    if breve is None:
+        _, eps_used, breve = _whitening(p.b, epsilon)
+        strategy = "whitening"
     found = None if factor is None else _factored_pairs(breve, factor, k)
     if found is None:
         phi, _, _, lams = _whiten_core(p.a, breve, "descending")
     else:
         phi, lams = found
-    return phi, lams, eps_used
+    return phi, lams, eps_used, strategy
 
 
 def _factored_pairs(
@@ -332,10 +360,11 @@ def solve_quick_dirty(
     Where B (after regularization) is positive definite, the reduction is
     a congruence C = W' A W with W' B W = I, which shares the spectrum of
     B^-1 A, and Phi = W V from C = V Lambda V'. B is first factored
-    B = L L' (``_cholesky_inverse``), with no eigendecomposition, and
-    W = L^-T (``strategy`` ``"cholesky"``) when every pivot is positive
-    and trace(B) * ||L^-1||_F^2 = trace(B) * trace(B^-1), which bounds
-    lambda_max / lambda_min, is at most ``CHOLESKY_MAX_CONDITION``.
+    B = L L' (``kernels.cholesky_inverse``), with no eigendecomposition,
+    and W = L^-T (``strategy`` ``"cholesky"``) when every pivot is
+    positive and trace(B) * ||L^-1||_F^2 = trace(B) * trace(B^-1), which
+    bounds lambda_max / lambda_min, is at most ``CHOLESKY_MAX_CONDITION``
+    (``_cholesky_whitening``).
 
     Any other B is decomposed once. When it is singular (an eigenvalue
     within ``[-INDEFINITE_TOL, SINGULAR_TOL] * max|lambda_B|``) the
@@ -369,13 +398,9 @@ def solve_quick_dirty(
     regularized).
     """
     d = p.dim
-    eig_b, eps_used = None, 0.0
-    inv_l = _cholesky_inverse(p.b.array)
-    if inv_l is not None and (
-        trace(p.b) * float(np.sum(inv_l * inv_l)) <= CHOLESKY_MAX_CONDITION
-    ):
-        strategy, breve = "cholesky", inv_l.T
-    else:
+    eig_b, eps_used, strategy = None, 0.0, "cholesky"
+    breve = _cholesky_whitening(p.b)
+    if breve is None:
         eig_b = eig_sym(_Metric(p.b), order="descending")
         _, singular = definiteness(eig_b.eigenvalues)
         eps_used = _regularization(p.b, epsilon) if singular else 0.0
@@ -411,31 +436,6 @@ def solve_quick_dirty(
     if d <= 4:  # the unit-length contract of the small-d quick route
         phi = phi / np.sqrt(np.sum(phi * phi, axis=0))
     return _solution(p, eig_b, phi, lams, "quick_dirty", eps_used, strategy)
-
-
-def _cholesky_inverse(b: np.ndarray) -> np.ndarray | None:
-    """L^-1 for B = L L' (Cholesky), or None when a pivot is not positive.
-
-    Right-looking: step k takes column k of L from the pivot and column k
-    of the Schur complement, subtracts its outer product from the trailing
-    block, and eliminates it from the rows of L^-1 below row k. Each step
-    is a few elementwise numpy row and rank-1 updates, in a fixed order,
-    so L^-1 does not depend on the kernel backend.
-    """
-    d = b.shape[0]
-    schur = np.array(b, dtype=np.float64)
-    inv_l = np.eye(d)
-    for k in range(d):
-        pivot = schur[k, k]
-        if not pivot > 0.0:
-            return None
-        l_kk = math.sqrt(pivot)
-        col = schur[k + 1 :, k] / l_kk  # column k of L below the diagonal
-        schur[k + 1 :, k + 1 :] -= col[:, None] * col
-        row = inv_l[k, : k + 1]
-        row /= l_kk
-        inv_l[k + 1 :, : k + 1] -= col[:, None] * row
-    return inv_l
 
 
 def _solution(p, eig_b, phi, lams, method, eps_used, strategy) -> GenEigenSolution:

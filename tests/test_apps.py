@@ -19,6 +19,7 @@ from genspectra import (
     SymMatrix,
     Vector,
     covariance,
+    default_epsilon,
     eig_sym,
     fda_fit,
     kernel_matrix,
@@ -33,7 +34,7 @@ from genspectra import (
 from genspectra import apps, kernels
 from genspectra.apps import _double_center
 from genspectra.linalg import centering_matrix
-from genspectra.pencil import _whitened
+from genspectra.pencil import _factored_pairs, _leading_whitened, _whiten_core, _whitened, _whitening
 
 from conftest import (
     assert_diagnostics,
@@ -709,9 +710,36 @@ def _assert_matches_full(model, phi, inter, p):
     assert model.epsilon_used == inter.epsilon_used
 
 
+@pytest.fixture
+def fit_pencils(monkeypatch):
+    """(pencil, factor) of each call the fits make to ``_leading_whitened``."""
+    seen = []
+
+    def recording(pen, factor, *args):
+        seen.append((pen, factor))
+        return _leading_whitened(pen, factor, *args)
+
+    monkeypatch.setattr(apps, "_leading_whitened", recording)
+    return seen
+
+
+def _assert_cholesky_pairs(model, fit_pencils, p, factored):
+    """The fit took W = L^-T on its own pencil, bit for bit, through the
+    c x c Gram of W'F (``factored``) or the full A_breve."""
+    (pen, factor), = fit_pencils
+    w = kernels.cholesky_inverse(pen.b.array).T
+    if factored:
+        phi, lams = _factored_pairs(w, factor, p)
+    else:
+        phi, _, _, lams = _whiten_core(pen.a, w, "descending")
+    assert model.strategy == "cholesky" and model.epsilon_used == 0.0
+    assert np.array_equal(model.projection.array, phi[:, :p])
+    assert model.eigenvalues == tuple(lams[:p])
+
+
 @pytest.mark.parametrize("singular", [False, True])
 @pytest.mark.parametrize("c", [2, 3, 4, 5])
-def test_fda_factored_path_matches_full_pencil(c, singular, eigen_inputs):
+def test_fda_factored_path_matches_full_pencil(c, singular, eigen_inputs, fit_pencils):
     rng = np.random.RandomState(700 + 10 * c + singular)
     # 2 samples per class in 12 features leave S_W rank n - c < d
     d, per = (12, 2) if singular else (6, 8)
@@ -720,9 +748,16 @@ def test_fda_factored_path_matches_full_pencil(c, singular, eigen_inputs):
     assert (inter.epsilon_used > 0.0) == singular
     for p in range(1, c):
         eigen_inputs.clear()
+        fit_pencils.clear()
         model = fda_fit(ds, p)
-        # S_W, then the Gram
-        assert kernel_calls(eigen_inputs) == [("jacobi_eigh", d), ("jacobi_eigh", c)]
+        if singular:
+            # S_W, then the Gram
+            assert model.strategy == "whitening"
+            assert kernel_calls(eigen_inputs) == [("jacobi_eigh", d), ("jacobi_eigh", c)]
+        else:
+            # S_W passes the Cholesky gate: the Gram is the only decomposition
+            assert kernel_calls(eigen_inputs) == [("jacobi_eigh", c)]
+            _assert_cholesky_pairs(model, fit_pencils, p, factored=True)
         _assert_matches_full(model, phi, inter, p)
         assert_diagnostics(
             model.residual, model.b_orthonormality, pen.a.array, pen.b.array,
@@ -732,7 +767,7 @@ def test_fda_factored_path_matches_full_pencil(c, singular, eigen_inputs):
 
 @pytest.mark.parametrize("singular", [False, True])
 @pytest.mark.parametrize("c", [2, 3, 4, 5])
-def test_kspca_factored_path_matches_full_pencil(c, singular, eigen_inputs):
+def test_kspca_factored_path_matches_full_pencil(c, singular, eigen_inputs, fit_pencils):
     rng = np.random.RandomState(720 + 10 * c + singular)
     ds = _class_data(rng, c, 4, 3, repeat=singular)
     n = ds.n
@@ -742,15 +777,53 @@ def test_kspca_factored_path_matches_full_pencil(c, singular, eigen_inputs):
     assert (inter.epsilon_used > 0.0) == singular
     for p in range(1, c):
         eigen_inputs.clear()
+        fit_pencils.clear()
         model = kspca_fit(ds, p, kx=kx)
-        # K_x (unit diagonal, so ungraded), then the Gram
-        assert kernel_calls(eigen_inputs) == [(ungraded_kernel(n), n), ("jacobi_eigh", c)]
+        if singular:
+            # K_x (unit diagonal, so ungraded), then the Gram
+            assert model.strategy == "whitening"
+            assert kernel_calls(eigen_inputs) == [(ungraded_kernel(n), n), ("jacobi_eigh", c)]
+        else:
+            # K_x passes the Cholesky gate: the Gram is the only decomposition
+            assert kernel_calls(eigen_inputs) == [("jacobi_eigh", c)]
+            _assert_cholesky_pairs(model, fit_pencils, p, factored=True)
         _assert_matches_full(model, phi, inter, p)
         # diagnostics against K_x H K_y H K_x, which F F' equals up to roundoff
         assert_diagnostics(
             model.residual, model.b_orthonormality, pen.a.array, pen.b.array,
             model.projection.array, model.eigenvalues,
         )
+
+
+@pytest.mark.parametrize("n", [16, 24, 48, 64, 72])
+def test_kspca_cholesky_path_matches_the_whitening_path(n, eigen_inputs):
+    # the workload's shape: 8 features, rbf K_x with the default gamma
+    rng = np.random.RandomState(730 + n)
+    ds = _class_data(rng, 4, n // 4, 8)
+    pen, phi, inter = _kspca_full(ds, KernelSpec(kind="rbf"), KernelSpec(kind="delta"))
+    for p in (1, 2, 3):
+        eigen_inputs.clear()
+        model = kspca_fit(ds, p)
+        assert model.strategy == "cholesky"
+        assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 4)]
+        _assert_matches_full(model, phi, inter, p)
+
+
+def test_kspca_repeated_sample_takes_the_whitening(eigen_inputs, fit_pencils):
+    # A repeated sample makes K_x exactly singular: it fails the Cholesky
+    # gate, and the fit whitens through eig(K_x) with the default eps.
+    rng = np.random.RandomState(745)
+    ds = _class_data(rng, 3, 8, 5, repeat=True)
+    model = kspca_fit(ds, p=2)
+    # eig(K_x), then the Gram
+    assert kernel_calls(eigen_inputs) == [("tridiag_eigh", 24), ("jacobi_eigh", 3)]
+    (pen, factor), = fit_pencils
+    _, eps, breve = _whitening(pen.b, None)
+    assert eps == default_epsilon(pen.b) > 0.0
+    assert model.strategy == "whitening" and model.epsilon_used == eps
+    phi, lams = _factored_pairs(breve, factor, 2)
+    assert np.array_equal(model.projection.array, phi)
+    assert model.eigenvalues == tuple(lams)
 
 
 def test_kspca_fit_decomposes_one_kernel_matrix(eigen_inputs, monkeypatch):
@@ -768,36 +841,38 @@ def test_kspca_fit_decomposes_one_kernel_matrix(eigen_inputs, monkeypatch):
             getattr(mod, "kernel_matrix", None) is original
         ):
             monkeypatch.setattr(mod, "kernel_matrix", counting)
-    kspca_fit(ds, p=2)
+    model = kspca_fit(ds, p=2)
     assert calls == ["rbf"]  # K_x only; K_y enters as its one-hot factor
-    # one n x n decomposition (K_x, ungraded at n = 24) and one c x c (the Gram)
-    assert kernel_calls(eigen_inputs) == [("tridiag_eigh", 24), ("jacobi_eigh", 3)]
+    # K_x (n = 24) passes the Cholesky gate: no n x n decomposition, and
+    # one c x c (the Gram)
+    assert model.strategy == "cholesky"
+    assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 3)]
 
 
-def _assert_fallback(model, pen, phi, inter, p, eigen_inputs, exact):
-    """The fit whitened in full: B decomposed once, then the n x n A_breve."""
+def _assert_fallback(model, inter, p, eigen_inputs, fit_pencils):
+    """The fit whitened in full with W = L^-T: B factored and never
+    decomposed, then the n x n A_breve decomposed once."""
+    (pen, _), = fit_pencils
     n = pen.dim
-    assert sum(np.array_equal(m, pen.b.array) for _, m in eigen_inputs) == 1
-    assert [k for k in kernel_calls(eigen_inputs) if k[1] == n] == [(ungraded_kernel(n), n)] * 2
-    if exact:
-        assert np.array_equal(model.projection.array, phi[:, :p])
-        assert model.eigenvalues == inter.lambda_a[:p]
-    else:
-        lams = np.array(inter.lambda_a[:p])
-        assert np.abs(np.array(model.eigenvalues) - lams).max() <= 1e-12 * abs(lams[0])
+    assert not any(np.array_equal(m, pen.b.array) for _, m in eigen_inputs)
+    assert [k for k in kernel_calls(eigen_inputs) if k[1] == n] == [(ungraded_kernel(n), n)]
+    _assert_cholesky_pairs(model, fit_pencils, p, factored=False)
+    # eig(B)'s whitening of the full pencil gives the same eigenvalues
+    lams = np.array(inter.lambda_a[:p])
+    assert np.abs(np.array(model.eigenvalues) - lams).max() <= 1e-12 * abs(lams[0])
 
 
-def test_fda_falls_back_beyond_the_rank_of_d(eigen_inputs):
+def test_fda_falls_back_beyond_the_rank_of_d(eigen_inputs, fit_pencils):
     rng = np.random.RandomState(750)
     ds = _class_data(rng, 3, 6, 5)
     pen, phi, inter = _fda_full(ds)
     eigen_inputs.clear()
     with pytest.warns(UserWarning):
         model = fda_fit(ds, p=3)  # rank(D) <= c - 1 = 2
-    _assert_fallback(model, pen, phi, inter, 3, eigen_inputs, exact=True)
+    _assert_fallback(model, inter, 3, eigen_inputs, fit_pencils)
 
 
-def test_fda_falls_back_when_two_class_means_coincide(eigen_inputs):
+def test_fda_falls_back_when_two_class_means_coincide(eigen_inputs, fit_pencils):
     # classes 0 and 1 share their mean exactly, so D has rank 1 < p = 2
     rng = np.random.RandomState(751)
     base = rng.standard_normal((4, 1))
@@ -811,43 +886,47 @@ def test_fda_falls_back_when_two_class_means_coincide(eigen_inputs):
     pen, phi, inter = _fda_full(ds)
     eigen_inputs.clear()
     model = fda_fit(ds, p=2)
-    # eig(S_W), the 3 x 3 Gram that shows rank 1, then the full A_breve
-    assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 4), ("jacobi_eigh", 3), ("jacobi_eigh", 4)]
-    _assert_fallback(model, pen, phi, inter, 2, eigen_inputs, exact=True)
+    # S_W passes the Cholesky gate; the 3 x 3 Gram shows rank 1, then the full A_breve
+    assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 3), ("jacobi_eigh", 4)]
+    _assert_fallback(model, inter, 2, eigen_inputs, fit_pencils)
 
 
 @pytest.mark.parametrize("p", [3, 4])
-def test_kspca_falls_back_at_p_of_c_or_more(p, eigen_inputs):
+def test_kspca_falls_back_at_p_of_c_or_more(p, eigen_inputs, fit_pencils):
     rng = np.random.RandomState(760)
     ds = _class_data(rng, 3, 4, 3)
     kx = KernelSpec(kind="rbf", gamma=1.0)
     pen, phi, inter = _kspca_full(ds, kx, KernelSpec(kind="delta"))
     eigen_inputs.clear()
     model = kspca_fit(ds, p, kx=kx)
-    # A is F F' rather than the full product, so equal only up to roundoff
-    _assert_fallback(model, pen, phi, inter, p, eigen_inputs, exact=False)
+    # the fit's A is F F' rather than the full product of _kspca_full
+    _assert_fallback(model, inter, p, eigen_inputs, fit_pencils)
 
 
-def test_kspca_linear_label_kernel_is_rank_one(eigen_inputs):
+def test_kspca_linear_label_kernel_is_rank_one(eigen_inputs, fit_pencils):
     rng = np.random.RandomState(770)
     ds = _class_data(rng, 3, 5, 3)
     kx, lin = KernelSpec(kind="rbf", gamma=1.0), KernelSpec(kind="linear")
     pen, phi, inter = _kspca_full(ds, kx, lin)
     eigen_inputs.clear()
     model = kspca_fit(ds, 1, kx=kx, ky=lin)
-    # F = K_x H l
-    assert kernel_calls(eigen_inputs) == [(ungraded_kernel(ds.n), ds.n), ("jacobi_eigh", 1)]
+    # F = K_x H l; K_x passes the Cholesky gate
+    assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 1)]
+    _assert_cholesky_pairs(model, fit_pencils, 1, factored=True)
     _assert_matches_full(model, phi, inter, 1)
     eigen_inputs.clear()
+    fit_pencils.clear()
     model = kspca_fit(ds, 2, kx=kx, ky=lin)  # wider than F
-    _assert_fallback(model, pen, phi, inter, 2, eigen_inputs, exact=False)
+    _assert_fallback(model, inter, 2, eigen_inputs, fit_pencils)
 
 
-def test_kspca_rbf_label_kernel_keeps_the_full_pencil(eigen_inputs):
+def test_kspca_rbf_label_kernel_keeps_the_full_pencil(eigen_inputs, fit_pencils):
     rng = np.random.RandomState(780)
     ds = _class_data(rng, 3, 5, 3)
     kx, ky = KernelSpec(kind="rbf", gamma=1.0), KernelSpec(kind="rbf", gamma=0.5)
     pen, phi, inter = _kspca_full(ds, kx, ky)
     eigen_inputs.clear()
     model = kspca_fit(ds, 2, kx=kx, ky=ky)
-    _assert_fallback(model, pen, phi, inter, 2, eigen_inputs, exact=True)
+    (fit_pen, factor), = fit_pencils
+    assert factor is None and np.array_equal(fit_pen.a.array, pen.a.array)
+    _assert_fallback(model, inter, 2, eigen_inputs, fit_pencils)

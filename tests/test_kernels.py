@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from genspectra import LabeledDataset, Matrix, Pencil, SymMatrix, eig_sym, kernels, kspca_fit
+from genspectra import LabeledDataset, Matrix, Pencil, SymMatrix, eig_sym, fda_fit, kernels, kspca_fit
 from genspectra import solve_quick_dirty, solve_rigorous
 from genspectra.eigen import JACOBI_REL_TOL, MAX_SWEEPS
 from genspectra.kernels import pykernels
@@ -47,18 +47,19 @@ def test_env_override_python(monkeypatch):
 
 
 def test_stale_compiled_module_counts_as_not_built(monkeypatch):
-    # A module from an older build, without tridiag_eigh, would otherwise run
-    # next to the pure-Python tridiagonal kernel.
+    # A module from an older build, without tridiag_eigh or cholesky_inverse,
+    # would otherwise run next to the pure-Python versions of those kernels.
     stale = types.ModuleType("_cykernels")
     stale.matmul, stale.jacobi_eigh = pykernels.matmul, pykernels.jacobi_eigh
     monkeypatch.setattr(kernels, "_cykernels", stale)
-    monkeypatch.setenv("GENSPECTRA_KERNELS", "auto")
-    assert kernels._select_backend() == ("python", pykernels)
-    assert "compiled" not in kernels.available_backends()
-    monkeypatch.setenv("GENSPECTRA_KERNELS", "compiled")
-    with pytest.raises(ImportError, match="stale.*rebuild"):
-        kernels._select_backend()
-    stale.tridiag_eigh = pykernels.tridiag_eigh
+    for newer in ("tridiag_eigh", "cholesky_inverse"):
+        monkeypatch.setenv("GENSPECTRA_KERNELS", "auto")
+        assert kernels._select_backend() == ("python", pykernels), newer
+        assert "compiled" not in kernels.available_backends()
+        monkeypatch.setenv("GENSPECTRA_KERNELS", "compiled")
+        with pytest.raises(ImportError, match="stale.*rebuild"):
+            kernels._select_backend()
+        setattr(stale, newer, getattr(pykernels, newer))
     assert kernels._select_backend() == ("compiled", stale)
 
 
@@ -327,8 +328,8 @@ def test_jacobi_backends_bit_identical(cykernels):
 
 def test_solvers_bit_identical_across_backends(cykernels, monkeypatch):
     # End to end: every kernel call of a solve or fit goes through
-    # genspectra.kernels, and the Cholesky factor is elementwise numpy, so
-    # each backend gives the same bits.
+    # genspectra.kernels, the Cholesky factor included, so each backend
+    # gives the same bits.
     rng = np.random.RandomState(77)
     solves = {}
     for d in (7, 48, 3):
@@ -344,10 +345,19 @@ def test_solvers_bit_identical_across_backends(cykernels, monkeypatch):
     solves["quick d=3 charpoly-sturm"] = functools.partial(solve_quick_dirty, indefinite)
     labels = tuple(int(v) for v in rng.randint(0, 3, size=40))
     ds = LabeledDataset(Matrix(rng.standard_normal((3, 40))), labels=labels)
-    solves["kspca"] = functools.partial(kspca_fit, ds, 2)
+    solves["kspca cholesky"] = functools.partial(kspca_fit, ds, 2)
 
     # the full-path fallback: p = c needs eig(A_breve) at n = 40
-    solves["kspca fallback"] = functools.partial(kspca_fit, ds, 3)
+    solves["kspca fallback cholesky"] = functools.partial(kspca_fit, ds, 3)
+    # The fits factor a metric that passes the Cholesky gate, and decompose
+    # any other: here a repeated sample makes K_x singular at n = 40.
+    fit_rng = np.random.RandomState(78)
+    x = fit_rng.standard_normal((3, 40))
+    x[:, -1] = x[:, 0]
+    repeated = LabeledDataset(Matrix(x), labels=labels)
+    solves["kspca whitening"] = functools.partial(kspca_fit, repeated, 2)
+    scatter = LabeledDataset(Matrix(fit_rng.standard_normal((6, 40))), labels=labels)
+    solves["fda cholesky"] = functools.partial(fda_fit, scatter, 2)
     # a graded B = DHD keeps eig(B) on Jacobi at d = 24
     g = rng.standard_normal((24, 24))
     scale = np.logspace(-2.0, 2.0, 24)
@@ -364,15 +374,54 @@ def test_solvers_bit_identical_across_backends(cykernels, monkeypatch):
                     patched.setattr(kernels, kernel, getattr(backend, kernel))
                 results.append(solve())
         got_py, got_c = results
-        if name.startswith("kspca"):
+        if not name.startswith("eig"):
+            assert got_py.strategy == got_c.strategy == name.split()[-1], name
+        if name.startswith(("kspca", "fda")):
             phi_py, phi_c = got_py.projection, got_c.projection
-        elif name.startswith("eig"):
-            phi_py, phi_c = got_py.phi, got_c.phi
         else:
-            assert got_py.strategy == got_c.strategy == name.split()[-1]
             phi_py, phi_c = got_py.phi, got_c.phi
         assert _same_bits(phi_py.array, phi_c.array), name
         assert _same_bits(got_py.eigenvalues, got_c.eigenvalues), name
+
+
+# ---------------------------------------------------------------------------
+# cholesky_inverse
+# ---------------------------------------------------------------------------
+
+
+def _cholesky_inputs(d):
+    """Symmetric test matrices for the Cholesky kernel, by name, and
+    whether each has a pivot that is not positive."""
+    rng = np.random.RandomState(4000 + d)
+    g = rng.standard_normal((d, d))
+    spd = g @ g.T + d * np.eye(d)
+    spd = (spd + spd.T) / 2.0
+    inputs = {f"{s:g}": (spd * s, False) for s in (1e-200, 1.0, 1e200)}
+    # a diagonally dominant band, every entry outside it -0.0
+    band = np.where(np.abs(np.subtract.outer(np.arange(d), np.arange(d))) <= 1, spd, -0.0)
+    band[np.diag_indices(d)] = 4.0 * np.abs(spd).max()
+    inputs["-0.0"] = (band, False)
+    nan = spd.copy()
+    nan[d - 1, 0] = nan[0, d - 1] = np.nan
+    inputs["nan"] = (nan, True)
+    first = spd.copy()
+    first[0, 0] = 0.0
+    inputs["pivot 0"] = (first, True)
+    last = spd.copy()
+    last[d - 1, d - 1] = -1.0  # the last Schur complement is below it
+    inputs["pivot d-1"] = (last, True)
+    return inputs
+
+
+def test_cholesky_inverse_backends_bit_identical(cykernels):
+    for d in range(1, 73):
+        for name, (b, fails) in _cholesky_inputs(d).items():
+            got_py = pykernels.cholesky_inverse(b)
+            got_c = cykernels.cholesky_inverse(b)
+            if fails:
+                assert got_py is None and got_c is None, (d, name)
+            else:
+                assert _same_bits(got_py, got_c), (d, name)
 
 
 # ---------------------------------------------------------------------------

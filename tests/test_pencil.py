@@ -28,7 +28,7 @@ from genspectra import (
 
 from genspectra import KernelSpec, kernel_matrix, kernels
 from genspectra.linalg import definiteness
-from genspectra.pencil import _factored_pairs, _leading_whitened, _whitened, _whitening
+from genspectra.pencil import _factored_pairs, _leading_whitened, _whiten_core, _whitened, _whitening
 
 from conftest import (
     SCALES,
@@ -820,6 +820,11 @@ def _low_rank_pencil(rng, n: int, c: int, singular: bool) -> tuple[Pencil, np.nd
     return Pencil(SymMatrix((a + a.T) / 2.0), b), f
 
 
+def _cholesky_w(b: SymMatrix) -> np.ndarray:
+    """W = L^-T, the whitening the fits take where B passes the Cholesky gate."""
+    return kernels.cholesky_inverse(b.array).T
+
+
 @pytest.mark.parametrize("singular", [False, True])
 @pytest.mark.parametrize("c", [2, 3, 4, 5])
 def test_factored_pairs_match_the_full_whitening(c, singular, eigen_inputs):
@@ -830,9 +835,17 @@ def test_factored_pairs_match_the_full_whitening(c, singular, eigen_inputs):
     assert (inter.epsilon_used > 0.0) == singular
     for k in range(1, c):
         eigen_inputs.clear()
-        phi, lams, eps = _leading_whitened(pen, f, k, None)
-        # eig(B), then the c x c Gram; no n x n A_breve
-        assert kernel_calls(eigen_inputs) == [("jacobi_eigh", n), ("jacobi_eigh", c)]
+        phi, lams, eps, strategy = _leading_whitened(pen, f, k, None)
+        if singular:
+            # eig(B), then the c x c Gram; no n x n A_breve
+            assert strategy == "whitening"
+            assert kernel_calls(eigen_inputs) == [("jacobi_eigh", n), ("jacobi_eigh", c)]
+        else:
+            # B = L L' passes the gate: the c x c Gram is the only decomposition
+            assert strategy == "cholesky"
+            assert kernel_calls(eigen_inputs) == [("jacobi_eigh", c)]
+            want_phi, want_lams = _factored_pairs(_cholesky_w(pen.b), f, k)
+            assert np.array_equal(phi, want_phi) and lams == want_lams
         assert eps == inter.epsilon_used
         assert phi.shape[1] == len(lams) == k
         ref = np.array(inter.lambda_a[:k])
@@ -863,12 +876,65 @@ def test_factored_fallback_decomposes_b_once(singular, eigen_inputs):
     rng = np.random.RandomState(630 + singular)
     n, c = 11, 3
     pen, f = _low_rank_pencil(rng, n, c, singular)
-    _, full_phi, inter = _whitened(pen, None, "descending")
+    if singular:
+        _, full_phi, inter = _whitened(pen, None, "descending")
+        full_lams, full_eps = inter.lambda_a, inter.epsilon_used
+    else:
+        full_phi, _, _, full_lams = _whiten_core(pen.a, _cholesky_w(pen.b), "descending")
+        full_eps = 0.0
     for factor, k in ((f, c + 1), (f[:, [0, 0, 1]], c), (None, 2)):
         eigen_inputs.clear()
-        phi, lams, eps = _leading_whitened(pen, factor, k, None)
-        # the fallback is the full whitening, bit for bit
+        phi, lams, eps, strategy = _leading_whitened(pen, factor, k, None)
+        # the fallback is the full whitening with the same W, bit for bit
         assert np.array_equal(phi, full_phi)
-        assert lams == inter.lambda_a and eps == inter.epsilon_used
-        assert sum(np.array_equal(m, pen.b.array) for _, m in eigen_inputs) == 1
-        assert [k for k in kernel_calls(eigen_inputs) if k[1] == n] == [("jacobi_eigh", n)] * 2
+        assert lams == full_lams and eps == full_eps
+        assert strategy == ("whitening" if singular else "cholesky")
+        # B decomposed once where it fails the gate, and not at all where it passes
+        assert sum(np.array_equal(m, pen.b.array) for _, m in eigen_inputs) == singular
+        assert [k for k in kernel_calls(eigen_inputs) if k[1] == n] == [("jacobi_eigh", n)] * (1 + singular)
+
+
+@pytest.mark.parametrize("c", [1, 3])
+def test_fits_whitening_decomposes_b_past_the_cholesky_gate(c, eigen_inputs):
+    # lambda_min / lambda_max = 1e-10: definite and nonsingular, so eps = 0,
+    # but past CHOLESKY_MAX_CONDITION, so W comes from eig(B)
+    rng = np.random.RandomState(640 + c)
+    n = 10
+    q = random_orthonormal(rng, n)
+    b = (q * np.geomspace(1.0, 1e-10, n)) @ q.T
+    f = rng.standard_normal((n, c))
+    a = f @ f.T
+    pen = Pencil(SymMatrix((a + a.T) / 2.0), SymMatrix((b + b.T) / 2.0))
+    eig_b, eps_want, breve = _whitening(pen.b, None)
+    assert eps_want == 0.0 and not any(definiteness(eig_b.eigenvalues))
+    for factor, k in ((f, c), (None, c + 1)):
+        eigen_inputs.clear()
+        phi, lams, eps, strategy = _leading_whitened(pen, factor, k, None)
+        assert strategy == "whitening" and eps == eps_want
+        assert kernel_calls(eigen_inputs)[0] == ("jacobi_eigh", n)
+        if factor is None:
+            want_phi, _, _, want_lams = _whiten_core(pen.a, breve, "descending")
+        else:
+            want_phi, want_lams = _factored_pairs(breve, factor, k)
+        assert np.array_equal(phi, want_phi) and lams == want_lams
+
+
+@pytest.mark.parametrize("n", [16, 24, 40, 48, 56, 72])
+def test_fits_cholesky_path_matches_the_whitening_path(n, eigen_inputs):
+    # The fits' W = L^-T against eig(B)'s W, on the full and the factored
+    # path, with B's eigenvalues spread over [1e-4, 100].
+    rng = np.random.RandomState(650 + n)
+    c = 3
+    f = rng.standard_normal((n, c))
+    a = f @ f.T
+    pen = Pencil(SymMatrix((a + a.T) / 2.0), random_spd(rng, n, lo=1e-4))
+    _, full_phi, inter = _whitened(pen, None, "descending")
+    for factor, k in ((f, 2), (None, 2), (None, c)):
+        eigen_inputs.clear()
+        phi, lams, eps, strategy = _leading_whitened(pen, factor, k, None)
+        assert strategy == "cholesky" and eps == 0.0
+        assert not any(np.array_equal(m, pen.b.array) for _, m in eigen_inputs)
+        ref = np.array(inter.lambda_a[:k])
+        assert np.abs(np.array(lams[:k]) - ref).max() <= 1e-12 * abs(ref[0])
+        gap = inter.lambda_a[k - 1] - inter.lambda_a[k]
+        assert span_gap(phi[:, :k], full_phi[:, :k]) <= 1e-12 * ref[0] / gap
