@@ -406,10 +406,34 @@ def _doc_to_csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_list(items: list[str], indent: str) -> str:
+    """Items already in JSON, laid out as ``json.dumps`` lays out a list at ``indent``."""
+    if not items:
+        return "[]"
+    sep = "\n" + indent + "  "
+    return "[" + sep + ("," + sep).join(items) + "\n" + indent + "]"
+
+
+def _json_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2)``, with the float lists written directly.
+
+    json's indenting encoder is pure Python and visits every float; a
+    result document is mostly floats, so its eigenvalues and vector
+    columns are joined from ``float.__repr__`` (what json writes for a
+    finite float) into a stub of the rest. A list holding a non-finite
+    value, whose sum is not finite either, goes through json as it is.
+    """
+    lams, cols = doc.get("eigenvalues"), doc.get("vectors")
+    if lams is None or not math.isfinite(sum(lams) + sum(map(sum, cols))):
+        return json.dumps(doc, indent=2)
+    stub = json.dumps({**doc, "eigenvalues": "@lams", "vectors": "@cols"}, indent=2)
+    lams_text = _json_list(list(map(float.__repr__, lams)), "  ")
+    cols_text = _json_list([_json_list(list(map(float.__repr__, c)), "    ") for c in cols], "  ")
+    return stub.replace('"@lams"', lams_text, 1).replace('"@cols"', cols_text, 1)
+
+
 def _write_output(doc: dict, args: argparse.Namespace):
-    text = (
-        json.dumps(doc, indent=2) + "\n" if args.format == "json" else _doc_to_csv(doc)
-    )
+    text = _json_text(doc) + "\n" if args.format == "json" else _doc_to_csv(doc)
     if args.output == "-":
         sys.stdout.write(text)
     else:

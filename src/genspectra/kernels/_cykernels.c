@@ -4,9 +4,11 @@
  *
  * Each loop performs the floating-point operations of its pure-Python
  * counterpart in the same order, so the two backends give the same bits;
- * only the speed differs. Build with -ffp-contract=off, or the compiler may
- * fuse a multiply and an add into one FMA, which rounds once instead of
- * twice.
+ * only the speed differs. The one exception is which NaN a sum keeps where
+ * two NaNs meet in it (its sign and payload), which IEEE-754 leaves open:
+ * numpy's vectorised adds may keep the other one. Build with
+ * -ffp-contract=off, or the compiler may fuse a multiply and an add into
+ * one FMA, which rounds once instead of twice.
  *
  * Arrays are made by calling numpy through the Python C API and are read
  * and written through the buffer protocol, so no numpy headers are needed.

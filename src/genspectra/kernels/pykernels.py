@@ -7,17 +7,21 @@ inverse Cholesky factor of a metric (``cholesky_inverse``).
 ``genspectra.kernels`` swaps in the compiled twins, written by hand in C,
 when they are available; both backends perform the same operations in the
 same order, using only + - * / and sqrt, so results agree to the last bit
-on IEEE-754 hardware.
+on IEEE-754 hardware. The one exception is which NaN a sum keeps where two
+NaNs meet in it (its sign and payload): IEEE-754 leaves that open, and the
+two backends may differ there.
 
 ``matmul`` evaluates its products and sums with numpy, one block of the
 inner dimension at a time, but adds the terms of each entry strictly in
-the order of the compiled loop. ``jacobi_eigh`` runs its sweeps of
-rotations on Python lists at every d, one loop like the C twin's.
+the order of the compiled loop: ``_sums_down`` reduces the outer axis of a
+C-ordered block one slice after another. ``jacobi_eigh`` runs its sweeps
+of rotations on Python lists at every d, one loop like the C twin's.
 
-``tridiag_eigh`` adds its sums in a fixed order with ``np.add.accumulate``,
-runs the QL iteration on Python floats and the inverse iteration as numpy
-operations across all shifts at once; the C twin runs the same arithmetic
-one shift at a time.
+``tridiag_eigh`` adds its sums in the C loops' order, down columns with
+``_sums_down`` and along rows with ``np.add.accumulate``; it runs the QL
+iteration on Python floats and the inverse iteration as numpy operations
+across all shifts at once; the C twin runs the same arithmetic one shift
+at a time.
 
 ``cholesky_inverse`` is one elementwise numpy rank-1 update per column;
 every entry it reads goes through the same operations in the C twin.
@@ -35,6 +39,26 @@ import numpy as np
 _BLOCK_TERMS = 1 << 16
 
 
+def _sums_down(terms: np.ndarray, start: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``start + terms[0] + terms[1] + ...`` along axis 0, added left to right.
+
+    numpy reduces the outer axis of a C-ordered array one slice at a time,
+    out = out + terms[k], vectorised across the entries of a slice; it
+    would sum an axis that runs along memory pairwise instead, so other
+    layouts are made C-ordered first, and slices of a single entry are
+    accumulated. ``start`` is 0.0 for the C loops' sums that start at 0.0,
+    and -0.0 for those that start at their first term (-0.0 + x is x for
+    every x). The sums go into ``out`` when it is given; ``terms`` may be
+    overwritten.
+    """
+    if terms[0].size == 1:
+        # (t0 + t1 + ...) + start differs from start + t0 + t1 + ... at
+        # most in the sign of a zero result, which the trailing add sets.
+        return np.add(np.add.accumulate(terms, axis=0, out=terms)[-1], start, out=out)
+    terms = np.ascontiguousarray(terms)
+    return np.add.reduce(terms, axis=0, out=out, initial=start)
+
+
 # Overflow gives inf and 0.0 * inf gives nan silently, as in C. (As a
 # decorator the errstate is built once, not on every call.)
 @np.errstate(over="ignore", invalid="ignore")
@@ -44,9 +68,14 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``out[i, j]`` is ``0.0 + a[i, 0] * b[0, j] + a[i, 1] * b[1, j] + ...``
     added left to right, with the terms where ``a[i, k] == 0.0`` left out:
     the operations of the compiled triple loop, in its order. A block of k
-    forms its terms as one (K, m, n) array and ``np.add.accumulate`` adds
-    them along k onto the running sums, which is sequential; ``@``,
+    forms its terms as one C-ordered (K, m, n) array, and ``_sums_down``
+    adds them along k onto the running sums, one k after another; ``@``,
     ``np.dot`` and ``np.sum`` would add in another order.
+
+    Where two NaNs meet in a sum, which one comes out (its sign and
+    payload) is not specified and may differ from the compiled loop's;
+    an entry is NaN exactly where the loop's is, and every other entry
+    has the loop's bits.
 
     Shapes must already be compatible; the caller validates them.
     """
@@ -57,24 +86,23 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if m * n == 0 or inner == 0:
         return np.zeros((m, n))
     step = max(1, _BLOCK_TERMS // (m * n))
-    carry = None
+    sums = None
     for k0 in range(0, inner, step):
         ak = at[k0:k0 + step]
-        terms = ak[:, :, None] * b[k0:k0 + step, None, :]
+        # C order puts k outermost, so that the sums run along it slice by
+        # slice; numpy would lay the terms out like the (transposed) a.
+        terms = np.multiply(ak[:, :, None], b[k0:k0 + step, None, :], order="C")
         if np.count_nonzero(ak) < ak.size:
             # The loop skips these terms; 0.0 * inf or 0.0 * nan would
             # turn its sum into nan.
             terms[ak == 0.0] = 0.0
-        if carry is not None:
-            np.add(carry, terms[0], out=terms[0])
-        np.add.accumulate(terms, axis=0, out=terms)
-        # The loop's sums start at +0.0, so they are never -0.0; the
-        # accumulation starts at the first term and can be. Adding 0.0
-        # changes only that case, and copies the sums out of the block,
-        # which is freed before the next one is formed.
-        carry = terms[-1] + 0.0
+        if sums is not None:
+            np.add(sums, terms[0], out=terms[0])
+        # Into the running sums, which are in terms[0] by now: one (m, n)
+        # array lives next to the block.
+        sums = _sums_down(terms, 0.0, out=sums)
         del terms
-    return carry
+    return sums
 
 
 def jacobi_eigh(a: np.ndarray, rel_tol: float, max_sweeps: int):
@@ -213,11 +241,6 @@ _CLUSTER_GAP = 1e-3
 _SHIFT_SPREAD = 10.0
 
 
-def _last_sums(terms: np.ndarray, axis: int) -> np.ndarray:
-    """Sums along ``axis``, each added term by term from the first (the C loop)."""
-    return np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
-
-
 def tridiag_eigh(a: np.ndarray, rel_tol: float, max_iter: int):
     """Symmetric eigendecomposition through a tridiagonal form.
 
@@ -242,7 +265,7 @@ def tridiag_eigh(a: np.ndarray, rel_tol: float, max_iter: int):
         return np.zeros(d), np.eye(d), 0, True
     exp = min(max(math.frexp(top)[1], -_MAX_SCALE_EXP), _MAX_SCALE_EXP)
     m = a * math.ldexp(1.0, -exp)
-    thresh = rel_tol * math.sqrt(float(_last_sums((m * m).ravel(), 0)))
+    thresh = rel_tol * math.sqrt(float(_sums_down((m * m).ravel(), -0.0)))
     diag, off, reflectors = _householder(m)
     w, steps, converged = _ql_eigenvalues(diag.tolist(), off.tolist(), max_iter)
     scale = math.ldexp(1.0, exp)
@@ -269,7 +292,7 @@ def _householder(m: np.ndarray):
     for k in range(d - 2):
         x = m[k + 1:, k].copy()
         x0 = float(x[0])
-        t = float(_last_sums(x[1:] * x[1:], 0))
+        t = float(_sums_down(x[1:] * x[1:], -0.0))
         if not t >= _NEGLIGIBLE:
             off[k] = x0
             continue
@@ -278,8 +301,10 @@ def _householder(m: np.ndarray):
         h = sigma - x0 * g
         x[0] = x0 - g
         block = m[k + 1:, k + 1:]
-        p = _last_sums(block * x, 1) / h
-        half = float(_last_sums(x * p, 0)) / (h + h)
+        # Along rows, which numpy would reduce pairwise; from the first
+        # term, as in the C loop.
+        p = np.add.accumulate(block * x, axis=1)[:, -1] / h
+        half = float(_sums_down(x * p, -0.0)) / (h + h)
         q = p - half * x
         block -= np.multiply.outer(x, q) + np.multiply.outer(q, x)
         off[k] = g
@@ -454,8 +479,8 @@ def _orthonormalise(y: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> Non
         yk = y[:, cols]
         for i in range(k):
             yi = y[:, cols - (k - i)]
-            yk -= _last_sums(yi * yk, 0) * yi
-        y[:, cols] = yk / np.sqrt(_last_sums(yk * yk, 0))
+            yk -= _sums_down(yi * yk, -0.0) * yi
+        y[:, cols] = yk / np.sqrt(_sums_down(yk * yk, -0.0))
 
 
 def _residual_norms(dg: np.ndarray, e: np.ndarray, lam: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -463,7 +488,7 @@ def _residual_norms(dg: np.ndarray, e: np.ndarray, lam: np.ndarray, z: np.ndarra
     r = (dg[:, None] - lam) * z
     r[1:] = e[:, None] * z[:-1] + r[1:]
     r[:-1] += e[:, None] * z[1:]
-    return np.sqrt(_last_sums(r * r, 0))
+    return np.sqrt(_sums_down(r * r, -0.0))
 
 
 def _inverse_iteration(dg: np.ndarray, e: np.ndarray, w: np.ndarray, thresh: float, max_iter: int):
@@ -512,6 +537,6 @@ def _back_transform(reflectors, z: np.ndarray) -> np.ndarray:
     """Q z for Q = P_0 P_1 ..., applying the reflectors last to first, in place."""
     for k, v, h in reversed(reflectors):
         block = z[k + 1:]
-        f = _last_sums(v[:, None] * block, 0) / h
+        f = _sums_down(v[:, None] * block, -0.0) / h
         block -= np.multiply.outer(v, f)
     return z

@@ -873,3 +873,62 @@ def test_repeat_runs_on_random_input_are_deterministic(tmp_path, capsys):
     main(["eig", str(a_path)])
     out2 = capsys.readouterr().out
     assert out1 == out2
+
+
+# ---------------------------------------------------------------------------
+# JSON writer
+# ---------------------------------------------------------------------------
+
+
+def test_json_output_is_json_dumps_byte_for_byte(sym2, pca_csv, fda_csv, kspca_csv, tmp_path, capsys):
+    # The writer lays out the float lists itself; every document must come
+    # out as json.dumps(doc, indent=2) would write it. json reads back the
+    # floats exactly, so dumping what it reads rebuilds that text.
+    rng = np.random.RandomState(107)
+    a6 = str(tmp_path / "a6.csv")
+    b6 = str(tmp_path / "b6.csv")
+    write_matrix_csv(random_sym(rng, 6), a6)
+    g = rng.standard_normal((6, 6))
+    write_matrix_csv(Matrix(g @ g.T + 6.0 * np.eye(6)), b6)
+    a1 = _write(tmp_path / "a1.csv", "4\n")
+    b1 = _write(tmp_path / "b1.csv", "2\n")
+    u = _write(tmp_path / "u.csv", "1,2\n")
+    runs = [
+        ["eig", a6],
+        ["eig", "--order", "asc", a6],
+        ["eig", a1],
+        ["geig", a6, b6],
+        ["geig", "--method", "quick_dirty", a6, b6],
+        ["geig", "--order", "asc", a6, b6],
+        ["geig", a1, b1],
+        ["geig", "--method", "quick_dirty", a1, b1],
+        ["pca", "-p", "2", pca_csv],
+        ["pca", "-p", "2", "--order", "asc", pca_csv],
+        ["fda", fda_csv],
+        ["kspca", "-p", "2", "--gamma", "1.0", kspca_csv],
+        ["kspca", "-p", "2", "--order", "asc", kspca_csv],
+        ["rayleigh", sym2, u],
+        ["rayleigh", "--b", b1, a1, _write(tmp_path / "u1.csv", "3\n")],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+@pytest.mark.parametrize(
+    "special", [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e22, 5e-324, 1e308]
+)
+def test_json_writer_matches_json_dumps_on_special_floats(special, capsys):
+    args = cli.make_parser().parse_args(["eig", "m.csv"])
+    docs = [
+        {"command": "eig", "eigenvalues": [special, 2.0], "vectors": [[1.0, -0.5], [0.25, 3.0]]},
+        {"command": "eig", "eigenvalues": [1.0, 2.0], "vectors": [[1.0, -0.5], [0.25, special]]},
+        {"command": "eig", "eigenvalues": [special], "vectors": [[special]]},
+        {"command": "eig", "eigenvalues": [], "vectors": []},
+    ]
+    for doc in docs:
+        doc["diagnostics"] = {"residual": special, "method": "jacobi"}
+        doc["meta"] = {"dims": [len(doc["eigenvalues"])], "runtime_ms": 0.5}
+        cli._write_output(doc, args)
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"

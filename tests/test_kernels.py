@@ -220,6 +220,78 @@ def test_matmul_memory_stays_within_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * pykernels._BLOCK_TERMS
+    # A 256 x 256 output fills a block with one k: each block's sums go into
+    # the running sums, so one output lives next to the block, not two.
+    a = rng.standard_normal((256, 256))
+    a[:, ::7] = 0.0
+    tracemalloc.start()
+    try:
+        pykernels.matmul(a, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * (pykernels._BLOCK_TERMS + 256 * 256)
+
+
+def test_sums_down_adds_from_start_one_slice_after_another():
+    # start + terms[0] + terms[1] + ..., whatever the layout of the terms;
+    # start -0.0 leaves a sum of -0.0 terms at -0.0, as the C loops that
+    # start at their first term do.
+    rng = np.random.RandomState(43)
+    for shape in [(5,), (30, 1), (6, 3), (7, 2, 5), (40, 1, 1), (17, 9)]:
+        terms = rng.standard_normal(shape) * 10.0 ** rng.randint(-8, 9, size=shape)
+        terms[rng.random_sample(shape) < 0.3] = -0.0
+        for start in (0.0, -0.0):
+            expect = np.full(shape[1:], start)
+            for t in terms:
+                expect = expect + t
+            for x in (terms.copy(), np.asfortranarray(terms)):
+                assert _same_bits(pykernels._sums_down(x, start), expect), (shape, start)
+            zeros = np.full(shape, -0.0)
+            assert _same_bits(pykernels._sums_down(zeros, start), np.full(shape[1:], start))
+
+
+def test_matmul_outer_axis_sums_match_loop_bit_for_bit():
+    # Each block's sums run down its k axis one slice at a time; a layout
+    # that puts k along memory, or a slice of a single entry, would let
+    # numpy add pairwise instead.
+    rng = np.random.RandomState(37)
+    shapes = [(m, 23, 1) for m in range(2, 41)]  # matrix-vector
+    shapes += [(1, 30, 7), (1, 9, 300), (1, 3, 1)]  # one row
+    shapes += [(1, k, 1) for k in (1, 2, 9, 100, 70000)]  # one entry
+    shapes += [(9, 3000, 8), (40, 100, 40), (300, 3, 301)]  # several blocks
+    for (m, k, n) in shapes:
+        a = rng.standard_normal((m, k)) * 10.0
+        b = rng.standard_normal((k, n)) * 0.1
+        operands = [
+            (a, b),
+            _with_zeros(rng, a, b),
+            (a, np.full_like(b, -0.0)),
+            (np.asfortranarray(a), np.asfortranarray(b)),
+            (rng.standard_normal((k, m)).T, rng.standard_normal((n, k)).T),
+        ]
+        for x, y in operands:
+            assert _same_bits(pykernels.matmul(x, y), _loop_matmul(x, y)), (m, k, n)
+
+
+def test_matmul_backends_agree_except_where_nans_meet(cykernels):
+    # Where two NaNs meet in a sum, either backend may keep either one, sign
+    # and payload included; every entry is NaN in both or in neither, and
+    # every other entry has the same bits.
+    rng = np.random.RandomState(41)
+    payload_nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+    specials = np.array([np.inf, -np.inf, np.nan, -np.nan, payload_nan, 1e300, -1e300, 0.0, -0.0])
+    for _ in range(300):
+        m, k, n = rng.randint(1, 12, size=3)
+        a = rng.standard_normal((m, k))
+        b = rng.standard_normal((k, n))
+        for x in (a, b):
+            spots = rng.random_sample(x.shape) < 0.15
+            x[spots] = rng.choice(specials, size=int(spots.sum()))
+        got, want = pykernels.matmul(a, b), cykernels.matmul(a, b)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan), (m, k, n)
+        assert _same_bits(got[~nan], want[~nan]), (m, k, n)
 
 
 def test_matmul_backends_bit_identical(cykernels):
