@@ -406,30 +406,38 @@ def _doc_to_csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    """Items already in JSON, laid out as ``json.dumps`` lays out a list at ``indent``."""
-    if not items:
+def _json_list(values: list, indent: str) -> str:
+    """``values`` laid out as ``json.dumps(..., indent=2)`` lays out a list at ``indent``.
+
+    A list of lists is laid out the same way one level deeper. Any other
+    items are written by json's C encoder, which runs whenever ``indent``
+    is None and writes each float as the indenting encoder does
+    (``float.__repr__``, or NaN, Infinity, -Infinity); the line breaks
+    go in through its item separator.
+    """
+    if not values:
         return "[]"
     sep = "\n" + indent + "  "
-    return "[" + sep + ("," + sep).join(items) + "\n" + indent + "]"
+    if isinstance(values[0], list):
+        body = ("," + sep).join(_json_list(v, indent + "  ") for v in values)
+    else:
+        body = json.dumps(values, separators=("," + sep, ": "))[1:-1]
+    return "[" + sep + body + "\n" + indent + "]"
 
 
 def _json_text(doc: dict) -> str:
-    """``json.dumps(doc, indent=2)``, with the float lists written directly.
+    """``json.dumps(doc, indent=2)``, with the float lists written by json's C encoder.
 
     json's indenting encoder is pure Python and visits every float; a
     result document is mostly floats, so its eigenvalues and vector
-    columns are joined from ``float.__repr__`` (what json writes for a
-    finite float) into a stub of the rest. A list holding a non-finite
-    value, whose sum is not finite either, goes through json as it is.
+    columns are laid out by ``_json_list`` into a stub of the rest.
     """
-    lams, cols = doc.get("eigenvalues"), doc.get("vectors")
-    if lams is None or not math.isfinite(sum(lams) + sum(map(sum, cols))):
+    if "eigenvalues" not in doc:
         return json.dumps(doc, indent=2)
     stub = json.dumps({**doc, "eigenvalues": "@lams", "vectors": "@cols"}, indent=2)
-    lams_text = _json_list(list(map(float.__repr__, lams)), "  ")
-    cols_text = _json_list([_json_list(list(map(float.__repr__, c)), "    ") for c in cols], "  ")
-    return stub.replace('"@lams"', lams_text, 1).replace('"@cols"', cols_text, 1)
+    return stub.replace('"@lams"', _json_list(doc["eigenvalues"], "  "), 1).replace(
+        '"@cols"', _json_list(doc["vectors"], "  "), 1
+    )
 
 
 def _write_output(doc: dict, args: argparse.Namespace):

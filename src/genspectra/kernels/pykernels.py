@@ -14,7 +14,8 @@ two backends may differ there.
 ``matmul`` evaluates its products and sums with numpy, one block of the
 inner dimension at a time, but adds the terms of each entry strictly in
 the order of the compiled loop: ``_sums_down`` reduces the outer axis of a
-C-ordered block one slice after another. ``jacobi_eigh`` runs its sweeps
+C-ordered block one slice after another (observed numpy behaviour, guarded
+by tests; see ``_sums_down``). ``jacobi_eigh`` runs its sweeps
 of rotations on Python lists at every d, one loop like the C twin's.
 
 ``tridiag_eigh`` adds its sums in the C loops' order, down columns with
@@ -46,10 +47,15 @@ def _sums_down(terms: np.ndarray, start: float, out: np.ndarray | None = None) -
     out = out + terms[k], vectorised across the entries of a slice; it
     would sum an axis that runs along memory pairwise instead, so other
     layouts are made C-ordered first, and slices of a single entry are
-    accumulated. ``start`` is 0.0 for the C loops' sums that start at 0.0,
-    and -0.0 for those that start at their first term (-0.0 + x is x for
-    every x). The sums go into ``out`` when it is given; ``terms`` may be
-    overwritten.
+    accumulated. That slice-by-slice order is how numpy behaves (seen with
+    numpy 2.4), not something its documentation promises;
+    ``test_sums_down_adds_from_start_one_slice_after_another`` and
+    ``test_matmul_outer_axis_sums_match_loop_bit_for_bit`` fail if a numpy
+    release changes it.
+
+    ``start`` is 0.0 for the C loops' sums that start at 0.0, and -0.0 for
+    those that start at their first term (-0.0 + x is x for every x). The
+    sums go into ``out`` when it is given; ``terms`` may be overwritten.
     """
     if terms[0].size == 1:
         # (t0 + t1 + ...) + start differs from start + t0 + t1 + ... at
