@@ -278,8 +278,9 @@ def _fmt(x: float) -> str:
 
 
 def _eigen_doc(args, command, lams, phi, residual, b_orth, method, eps_used, dims):
-    """Result document; fails when ``residual`` exceeds ``--resid-tol``."""
-    if args.resid_tol is not None and residual > args.resid_tol:
+    """Result document; fails when ``residual`` is not within ``--resid-tol``
+    (a NaN residual fails too)."""
+    if args.resid_tol is not None and not residual <= args.resid_tol:
         raise ConvergenceFailure(
             f"residual {residual:.6e} exceeds --resid-tol {args.resid_tol:.6e}"
         )
@@ -493,8 +494,8 @@ def make_parser() -> argparse.ArgumentParser:
                         help="relative symmetry tolerance for input matrices "
                              f"(default {SYM_TOL:g})")
     common.add_argument("--resid-tol", type=_nonneg_float, default=None,
-                        help="fail with exit code 2 when the solution residual "
-                             "exceeds this bound (default: no gate)")
+                        help="fail with exit code 2 unless the solution residual "
+                             "is within this bound (default: no gate)")
     common.add_argument("--output", default="-",
                         help="output path, or - for standard output (default -)")
     common.add_argument("--format", choices=("json", "csv"), default="json",

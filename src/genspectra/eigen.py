@@ -33,6 +33,13 @@ d = 16, 24, 32, three seeds each) the smallest eigenvalue of B comes out
 with a relative error of 2e-16 to 2e-15 by Jacobi and 4e-8 to 4e-6 by the
 tridiagonal path.
 
+Every solve keeps its numbers in range by one rule, ``_pow2_scaled``: it
+scales its input by 2^-e so that the largest entry lies in [0.5, 1), and
+the eigenvalues back by 2^e; ``eig_sym`` does so before either kernel.
+The product is exact in the normal range, so A and 2^k A give the same
+eigenvectors, and eigenvalues 2^k apart, bit for bit where no entry is
+subnormal and e stays within its clamp.
+
 For d <= 4 the module also solves the characteristic polynomial
 det(A - lambda I) = 0 directly: closed forms for d <= 3 and a bisection on
 the eigenvalue-counting function for d = 4. That route returns eigenvalues
@@ -40,11 +47,12 @@ only and exists as an independent cross-check of the Jacobi path.
 
 Its bisection, ``_roots_by_count``, is the one root finder of every count
 on the d <= 4 paths, here and in :mod:`genspectra.pencil`: it halves
-brackets of a counting function inside one bracket, ±rho * (1 + 1e-6)
-with rho = ||A||_F / min|lambda(B)| (which bounds every real eigenvalue of
-a pencil with nonsingular B), and stops at one width relative to the
-bracket ends and rho. No step of it has an absolute floor, so the pencils
-(A, B) and (t*A, s*B) are solved alike.
+brackets of a counting function inside ±(1 + 1e-6) down to a width of
+1e-14. Its callers scale the problem by powers of two so that every root
+lies in [-1, 1]: after ``_pow2_scaled``, A by one at or above ||A||_F, or
+at or above rho = ||A||_F / min|lambda(B)| for a pencil with nonsingular B
+(which bounds its real eigenvalues). So (A, B) and (2^k A, 2^j B) are the
+same problem, and their eigenvalues come out exactly 2^(k-j) apart.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConvergenceFailure, NoNullSpace, UnsupportedDimension
-from .linalg import Matrix, SymMatrix, Vector, _cofactor_det
+from .linalg import Matrix, SymMatrix, Vector, _cofactor_det, frobenius_norm
 
 # Jacobi stops once the off-diagonal norm falls below
 # JACOBI_REL_TOL * ||A||_F, or fails after MAX_SWEEPS sweeps. The
@@ -112,6 +120,14 @@ class _Metric(SymMatrix):
         self._data = b.array
 
 
+def _pow2_scaled(x):
+    """``(x * 2**-e, e)`` for an array or float x, the largest |entry| of
+    the result in [0.5, 1); e is clamped to ±1000, so that 2**-e and 2**e
+    stay finite, and is 0 where x is all zero or not finite."""
+    e = min(max(math.frexp(float(np.abs(x).max(initial=0.0)))[1], -1000), 1000)
+    return x * math.ldexp(1.0, -e), e
+
+
 def _graded(b: np.ndarray) -> bool:
     """True unless min b_ii > 0 and max b_ii <= ``_GRADED_RATIO`` * min b_ii.
 
@@ -158,11 +174,13 @@ def eig_sym(
         name, kernel = "Jacobi iteration", kernels.jacobi_eigh
     else:
         name, kernel = "tridiagonal eigensolver", kernels.tridiag_eigh
-    w, v, iterations, converged = kernel(a.array, rel_tol, max_sweeps)
+    m, e = _pow2_scaled(a.array)
+    w, v, iterations, converged = kernel(m, rel_tol, max_sweeps)
     if not converged:
         raise ConvergenceFailure(
             f"{name} did not reach tolerance after {iterations} iterations (dim {a.dim})"
         )
+    w = w * math.ldexp(1.0, e)
 
     key = -w if order == "descending" else w
     idx = np.argsort(key, kind="stable")
@@ -185,27 +203,23 @@ def char_poly_eig(a: SymMatrix) -> list[float]:
 
     Only dimensions 1 through 4 are supported: quadratic formula for
     d = 2, the trigonometric solution of the depressed cubic for d = 3,
-    and bisection on the eigenvalue count in [-||A||_F, ||A||_F] for
-    d = 4 (``_char_quartic``). Repeated roots appear with their
-    multiplicity, so d roots come back.
+    and bisection on the eigenvalue count for d = 4 (``_char_quartic``),
+    each on A scaled by a power of two at or above ||A||_F (see the module
+    docstring). Repeated roots appear with their multiplicity, so d roots
+    come back.
     """
     d = a.dim
-    m = a.array.tolist()
-    if d == 1:
-        return [m[0][0]]
-    if d == 2:
-        return _char_quadratic(m)
-    if d == 3:
-        return _char_cubic(m)
-    if d == 4:
-        # the pencil bound ||A||_F / min|lambda(B)| with B = I
-        bound = math.sqrt(float(np.sum(a.array * a.array)))
-        if bound == 0.0:
-            return [0.0] * 4
-        return _char_quartic(m, bound)
-    raise UnsupportedDimension(
-        f"characteristic-polynomial route supports d <= 4, got d = {d}"
-    )
+    if d > 4:
+        raise UnsupportedDimension(
+            f"characteristic-polynomial route supports d <= 4, got d = {d}"
+        )
+    if not np.any(a.array):
+        return [0.0] * d
+    m, e = _pow2_scaled(a.array)
+    _, k = _pow2_scaled(frobenius_norm(m))
+    m = (m * math.ldexp(1.0, -k)).tolist()
+    roots = {1: lambda m: [m[0][0]], 2: _char_quadratic, 3: _char_cubic, 4: _char_quartic}[d](m)
+    return [r * math.ldexp(1.0, e + k) for r in roots]
 
 
 def eigvec_for(a: SymMatrix, lam: float, lam_tol: float = 1e-6) -> Vector:
@@ -226,11 +240,8 @@ def eigvec_for(a: SymMatrix, lam: float, lam_tol: float = 1e-6) -> Vector:
     if not basis:
         raise NoNullSpace(f"{lam!r} is not an eigenvalue within tolerance {lam_tol}")
     v = basis[0]
-    resid = math.sqrt(
-        sum(sum(m[i][j] * v[j] for j in range(d)) ** 2 for i in range(d))
-    )
-    fro = math.sqrt(float(np.sum(arr * arr)))
-    if resid > 1e-6 * fro:
+    resid = frobenius_norm(np.array([sum(m[i][j] * v[j] for j in range(d)) for i in range(d)]))
+    if resid > 1e-6 * frobenius_norm(arr):
         raise NoNullSpace(
             f"null-space candidate has residual {resid:.3e}, "
             f"so {lam!r} is not an eigenvalue"
@@ -272,25 +283,25 @@ def _char_cubic(m: list) -> list[float]:
     return sorted((e1, e2, e3), reverse=True)
 
 
-# Roots of the d = 4 count closer than this times ||A||_F are one
-# eigenvalue. Near a repeated eigenvalue the leading-minor count wavers over
-# up to ~3e-9 ||A||_F (rotated 4 x 4 matrices with double and triple
+# Roots of the d = 4 count closer than this (||A||_F is in [0.5, 1)) are
+# one eigenvalue. Near a repeated eigenvalue the leading-minor count wavers
+# over up to ~3e-9 ||A||_F (rotated 4 x 4 matrices with double and triple
 # eigenvalues, 200 seeds each), where the bisection reports it as several
 # roots with rises such as +1, -1 and +2.
 _SAME_ROOT = 1e-7
 
 
-def _char_quartic(m: list, bound: float) -> list[float]:
+def _char_quartic(m: list) -> list[float]:
     """The eigenvalues of the 4 x 4 ``m``, descending, from its count.
 
-    The bisection's roots are grouped where they lie within
-    ``_SAME_ROOT * bound`` of each other, and each group's rises are netted
-    into the multiplicity k of one eigenvalue. A group of more than one root,
-    or with k >= 2, is polished on det(A - lambda I) (``_polish_multiple_root``).
+    The bisection's roots are grouped where they lie within ``_SAME_ROOT``
+    of each other, and each group's rises are netted into the multiplicity
+    k of one eigenvalue. A group of more than one root, or with k >= 2, is
+    polished on det(A - lambda I) (``_polish_multiple_root``).
     """
     groups: list[list] = []  # [roots, net rise]
-    for r, rise in _roots_by_count(lambda x: _inertia_below(m, x, 4), bound):
-        if groups and r - groups[-1][0][-1] <= _SAME_ROOT * bound:
+    for r, rise in _roots_by_count(lambda x: _inertia_below(m, x, 4)):
+        if groups and r - groups[-1][0][-1] <= _SAME_ROOT:
             groups[-1][0].append(r)
             groups[-1][1] += rise
         else:
@@ -304,8 +315,8 @@ def _char_quartic(m: list, bound: float) -> list[float]:
         if len(rs) > 1 or k > 1:
             if coeffs is None:
                 eye = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
-                coeffs = _charpoly_in_mu(m, eye, 4, bound)
-            r = bound * _polish_multiple_root(coeffs, sum(rs) / len(rs) / bound, k)
+                coeffs = _pencil_charpoly(m, eye, 4)
+            r = _polish_multiple_root(coeffs, sum(rs) / len(rs), k)
         found += [r] * k
     return sorted(found, reverse=True)
 
@@ -318,19 +329,19 @@ def _char_quartic(m: list, bound: float) -> list[float]:
 _NUDGES = (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6)
 
 
-def _roots_by_count(count, bound: float) -> list[tuple[float, int]]:
-    """Roots in [-bound, bound] found by halving brackets of a counting function.
+def _roots_by_count(count) -> list[tuple[float, int]]:
+    """Roots in [-1, 1] found by halving brackets of a counting function.
 
     ``count(x)`` is the number of roots below x, up to a constant, or None
-    where it cannot be evaluated. The search starts from
-    ±bound * (1 + 1e-6); a bracket over which the count rises is halved,
-    trying the midpoint and then each of ``_NUDGES``, until its width is at
-    most 1e-14 * max(|left|, |right|, bound), and comes back as
-    ``(midpoint, rise)``. A bracket in which no nudge can be evaluated is
-    taken as resolved. Brackets only split where the count changes, so a
-    repeated root costs one bisection. Returns ascending pairs.
+    where it cannot be evaluated. The search starts from ±(1 + 1e-6); a
+    bracket over which the count rises is halved, trying the midpoint and
+    then each of ``_NUDGES``, until its width is at most 1e-14, and comes
+    back as ``(midpoint, rise)``. A bracket in which no nudge can be
+    evaluated is taken as resolved. Brackets only split where the count
+    changes, so a repeated root costs one bisection. Returns ascending
+    pairs.
     """
-    hi = bound * (1.0 + 1e-6)
+    hi = 1.0 + 1e-6
     stack = [(-hi, hi, count(-hi), count(hi))]
     roots = []
     while stack:
@@ -340,7 +351,7 @@ def _roots_by_count(count, bound: float) -> list[tuple[float, int]]:
         width = right - left
         mid = 0.5 * (left + right)
         c = None
-        if width > 1e-14 * max(abs(left), abs(right), bound):
+        if width > 1e-14:
             for x in (mid + nudge * width for nudge in _NUDGES):
                 c = count(x)
                 if c is not None:
@@ -430,17 +441,8 @@ def _polish_multiple_root(coeffs: list[float], mu: float, mult: int) -> float:
         val = _poly_eval(q, mu + 1e-6 * t)
         return None if val == 0.0 else int((val > 0.0) == rising)
 
-    found = _roots_by_count(past, 1.0)
+    found = _roots_by_count(past)
     return mu + 1e-6 * found[0][0] if len(found) == 1 else mu
-
-
-def _charpoly_in_mu(a: list, b: list, d: int, rho: float) -> list[float]:
-    """Coefficients of q(mu) = det(A - rho mu B), ascending powers.
-
-    Its real roots lie in [-1, 1] (lambda = rho * mu), so the Sturm chain,
-    the bisection and the polish all work on O(1) numbers.
-    """
-    return [c * rho**k for k, c in enumerate(_pencil_charpoly(a, b, d))]
 
 
 # ---------------------------------------------------------------------------

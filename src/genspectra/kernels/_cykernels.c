@@ -10,6 +10,9 @@
  * -ffp-contract=off, or the compiler may fuse a multiply and an add into
  * one FMA, which rounds once instead of twice.
  *
+ * The eigensolvers do no scaling of their own: they take eigen.eig_sym's
+ * input, scaled by a power of two so that its largest entry is in [0.5, 1).
+ *
  * Arrays are made by calling numpy through the Python C API and are read
  * and written through the buffer protocol, so no numpy headers are needed.
  */
@@ -229,7 +232,6 @@ done:
 /* ---- tridiag_eigh: the twin of pykernels.tridiag_eigh ------------------ */
 
 #define TRI_EPS 0x1p-52          /* _EPS */
-#define TRI_MAX_SCALE_EXP 1000   /* _MAX_SCALE_EXP */
 #define TRI_NEGLIGIBLE 0x1p-900  /* _NEGLIGIBLE */
 #define TRI_CLUSTER_GAP 1e-3     /* _CLUSTER_GAP */
 #define TRI_SHIFT_SPREAD 10.0    /* _SHIFT_SPREAD */
@@ -513,7 +515,9 @@ PyDoc_STRVAR(tridiag_doc,
 "tridiag_eigh($module, a, rel_tol, max_iter)\n--\n\n"
 "Symmetric eigendecomposition through a Householder tridiagonal form.\n\n"
 "Same contract as the pure-Python version: returns\n"
-"``(w, v, iterations, converged)``.");
+"``(w, v, iterations, converged)``. The input must be exactly symmetric:\n"
+"the Householder step sums along rows what the pure-Python one sums\n"
+"down columns.");
 
 static PyObject *
 tridiag_eigh(PyObject *module, PyObject *args, PyObject *kwargs)
@@ -541,11 +545,10 @@ tridiag_eigh(PyObject *module, PyObject *args, PyObject *kwargs)
         || (wobj = numpy_array("zeros", Py_BuildValue("(n)", d), NULL, 1, &wb)) == NULL)
         goto done;
     double *m = mb.buf, *v = vb.buf, *wout = wb.buf;
-    double top = 0.0;
-    for (Py_ssize_t i = 0; i < d * d; i++)
-        if (fabs(m[i]) > top)
-            top = fabs(m[i]);
-    if (top == 0.0) {
+    Py_ssize_t first = 0;  /* the first nonzero entry; d * d for a zero matrix */
+    while (first < d * d && m[first] == 0.0)
+        first++;
+    if (first == d * d) {
         res = Py_BuildValue("(OOiO)", wobj, vobj, 0, Py_True);
         goto done;
     }
@@ -560,15 +563,6 @@ tridiag_eigh(PyObject *module, PyObject *args, PyObject *kwargs)
     }
     double *dg = work, *off = dg + d, *w = off + d, *hs = w + d, *p = hs + d,
            *vs = p + d, *z = vs + d * d, *rest = z + d * d;
-    int top_exp;
-    frexp(top, &top_exp);
-    if (top_exp < -TRI_MAX_SCALE_EXP)
-        top_exp = -TRI_MAX_SCALE_EXP;
-    if (top_exp > TRI_MAX_SCALE_EXP)
-        top_exp = TRI_MAX_SCALE_EXP;
-    double down = ldexp(1.0, -top_exp), scale = ldexp(1.0, top_exp);
-    for (Py_ssize_t i = 0; i < d * d; i++)
-        m[i] = m[i] * down;
     double acc = m[0] * m[0];
     for (Py_ssize_t i = 1; i < d * d; i++)
         acc += m[i] * m[i];
@@ -585,7 +579,7 @@ tridiag_eigh(PyObject *module, PyObject *args, PyObject *kwargs)
     long steps = 0;
     if (!ql_eigenvalues(w, e, d, max_iter, &steps)) {
         for (Py_ssize_t i = 0; i < d; i++)
-            wout[i] = w[i] * scale;
+            wout[i] = w[i];
         res = Py_BuildValue("(OOlO)", wobj, vobj, steps, Py_False);
         goto done;
     }
@@ -615,7 +609,7 @@ tridiag_eigh(PyObject *module, PyObject *args, PyObject *kwargs)
         }
     }
     for (Py_ssize_t i = 0; i < d; i++) {
-        wout[i] = w[i] * scale;
+        wout[i] = w[i];
         for (Py_ssize_t j = 0; j < d; j++)
             v[i * d + j] = z[j * d + i];
     }

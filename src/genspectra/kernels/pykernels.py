@@ -18,11 +18,14 @@ C-ordered block one slice after another (observed numpy behaviour, guarded
 by tests; see ``_sums_down``). ``jacobi_eigh`` runs its sweeps
 of rotations on Python lists at every d, one loop like the C twin's.
 
-``tridiag_eigh`` adds its sums in the C loops' order, down columns with
-``_sums_down`` and along rows with ``np.add.accumulate``; it runs the QL
-iteration on Python floats and the inverse iteration as numpy operations
-across all shifts at once; the C twin runs the same arithmetic one shift
-at a time.
+``tridiag_eigh`` adds its sums in the C loops' order with ``_sums_down``
+(a row sum of an exactly symmetric block as its column sum); it runs the
+QL iteration on Python floats and the inverse iteration as numpy
+operations across all shifts at once; the C twin runs the same arithmetic
+one shift at a time.
+
+The eigensolvers do no scaling of their own: they take ``eigen.eig_sym``'s
+input, scaled by a power of two so that its largest entry lies in [0.5, 1).
 
 ``cholesky_inverse`` is one elementwise numpy rank-1 update per column;
 every entry it reads goes through the same operations in the C twin.
@@ -227,10 +230,6 @@ def cholesky_inverse(b: np.ndarray) -> np.ndarray | None:
 # pivots of inverse iteration are this times a norm of T.
 _EPS = 2.0 ** -52
 
-# The input is scaled by a power of two (exact) so that its largest entry
-# lies in [0.5, 1); the exponent is clamped so that the factor stays finite.
-_MAX_SCALE_EXP = 1000
-
 # A column whose entries below the subdiagonal have squares summing to less
 # than this (entries under 2**-450 of the largest one) is taken as reduced:
 # dropping them is far below roundoff, and it keeps the reflector's h in
@@ -250,13 +249,14 @@ _SHIFT_SPREAD = 10.0
 def tridiag_eigh(a: np.ndarray, rel_tol: float, max_iter: int):
     """Symmetric eigendecomposition through a tridiagonal form.
 
-    The input is scaled by a power of two, then reduced to T = Q' A Q by
-    d - 2 Householder reflections (``_householder``). The eigenvalues of T
-    come from the implicit QL iteration with Wilkinson shifts, at most
+    The input, which must be exactly symmetric (``_householder`` sums down
+    the columns what the C twin sums along the rows), is reduced to
+    T = Q' A Q by d - 2 Householder reflections. The eigenvalues of T come
+    from the implicit QL iteration with Wilkinson shifts, at most
     ``max_iter`` steps per eigenvalue (``_ql_eigenvalues``); its
     eigenvectors from inverse iteration with every eigenvalue as a shift,
     until each residual ||T z - lambda z|| is at most ``rel_tol`` times the
-    Frobenius norm of the scaled input, within ``max_iter`` steps
+    Frobenius norm of the input, within ``max_iter`` steps
     (``_inverse_iteration``). The reflectors then carry the vectors back.
 
     Returns ``(w, v, iterations, converged)`` as ``jacobi_eigh`` does: ``w``
@@ -264,22 +264,18 @@ def tridiag_eigh(a: np.ndarray, rel_tol: float, max_iter: int):
     ``iterations`` the QL steps plus the inverse-iteration steps.
     ``converged`` is False when either loop ran out of steps.
     """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    d = a.shape[0]
-    top = float(np.max(np.abs(a)))
-    if top == 0.0:
+    m = np.array(a, dtype=np.float64)  # a copy: _householder reduces it in place
+    d = m.shape[0]
+    if not np.any(m):
         return np.zeros(d), np.eye(d), 0, True
-    exp = min(max(math.frexp(top)[1], -_MAX_SCALE_EXP), _MAX_SCALE_EXP)
-    m = a * math.ldexp(1.0, -exp)
     thresh = rel_tol * math.sqrt(float(_sums_down((m * m).ravel(), -0.0)))
     diag, off, reflectors = _householder(m)
     w, steps, converged = _ql_eigenvalues(diag.tolist(), off.tolist(), max_iter)
-    scale = math.ldexp(1.0, exp)
     if not converged:
-        return np.array(w) * scale, np.eye(d), steps, False
+        return np.array(w), np.eye(d), steps, False
     w = np.array(sorted(w))
     z, more, converged = _inverse_iteration(diag, off, w, thresh, max_iter)
-    return w * scale, _back_transform(reflectors, z), steps + more, converged
+    return w, _back_transform(reflectors, z), steps + more, converged
 
 
 def _householder(m: np.ndarray):
@@ -307,9 +303,9 @@ def _householder(m: np.ndarray):
         h = sigma - x0 * g
         x[0] = x0 - g
         block = m[k + 1:, k + 1:]
-        # Along rows, which numpy would reduce pairwise; from the first
-        # term, as in the C loop.
-        p = np.add.accumulate(block * x, axis=1)[:, -1] / h
+        # Down the columns of the symmetric block: the C loop's sums along
+        # its rows, term by term, from the first term.
+        p = _sums_down(block * x[:, None], -0.0) / h
         half = float(_sums_down(x * p, -0.0)) / (h + h)
         q = p - half * x
         block -= np.multiply.outer(x, q) + np.multiply.outer(q, x)

@@ -197,8 +197,13 @@ def frobenius_norm_sq(a: Matrix) -> float:
     return float(np.sum(a.array * a.array))
 
 
-def frobenius_norm(a: Matrix) -> float:
-    return math.sqrt(frobenius_norm_sq(a))
+def frobenius_norm(a: Matrix | np.ndarray) -> float:
+    """||A||_F of a matrix or array, summed on A scaled by a power of two
+    (``eigen._pow2_scaled``): no square overflows or underflows, and the
+    bits are those of sqrt(sum(a * a)) wherever that does neither."""
+    from .eigen import _pow2_scaled  # deferred to avoid an import cycle
+    m, e = _pow2_scaled(a.array if isinstance(a, Matrix) else a)
+    return math.sqrt(float((m * m).sum())) * math.ldexp(1.0, e)
 
 
 def dot(u: Vector, v: Vector) -> float:

@@ -58,17 +58,18 @@ from .errors import (
 from .eigen import (
     EigenDecomposition,
     _Metric,
-    _charpoly_in_mu,
     _column_signs,
     _fix_column_signs,
     _null_basis,
+    _pencil_charpoly,
     _poly_deriv,
     _poly_eval,
     _polish_multiple_root,
+    _pow2_scaled,
     _roots_by_count,
     eig_sym,
 )
-from .linalg import SINGULAR_TOL, Matrix, SymMatrix, definiteness, null_eigenvalues, trace
+from .linalg import SINGULAR_TOL, Matrix, SymMatrix, definiteness, frobenius_norm, null_eigenvalues, trace
 
 # Regularization strength when B is singular, before scaling by the
 # largest entry of B.
@@ -382,15 +383,14 @@ def solve_quick_dirty(
     An indefinite B + eps*I has no such W: for d > 4 it raises
     ``IndefiniteB``, and for d <= 4 (``"charpoly-sturm"``) the eigenvalues
     are the real roots of det(A - lambda B), all within
-    rho = ||A||_F / min|lambda(B + eps I)|. One bisection
-    (``eigen._roots_by_count``) locates them in ±rho * (1 + 1e-6) from a
-    Sturm chain of det(A - rho mu B) in mu. Each root r gets a null basis
-    of A - r B, with pivots at or below tol * (max|A| + |r| max|B|) taken
-    as zero, and roots this test cannot tell apart share one; a k-vector
-    basis makes r a k-fold eigenvalue, re-solved on the (k-1)-th
-    derivative of det(A - rho mu B). ``ConvergenceFailure`` is raised when
-    no tol up to 1e-4 gives d directions in all (complex eigenvalues,
-    say).
+    rho = ||A||_F / min|lambda(B + eps I)|, scaled into [-1, 1] by powers
+    of two and found by one bisection on a Sturm chain (``_sturm_pairs``).
+    Each root r gets a null basis of A - r B, with pivots at or below
+    tol * (max|A| + |r| max|B|) taken as zero, and roots this test cannot
+    tell apart share one; a k-vector basis makes r a k-fold eigenvalue,
+    re-solved on the (k-1)-th derivative of det(A - mu B).
+    ``ConvergenceFailure`` is raised when no tol up to 1e-4 gives d
+    directions in all (complex eigenvalues, say).
 
     Eigenvectors are unit length at d <= 4, on every strategy, and not
     B-orthonormal in general; that is the price of the quick route. At
@@ -416,17 +416,10 @@ def solve_quick_dirty(
                 f"for d > 4; smallest eigenvalue is {lam_reg[-1]:.6e}"
             )
         if indefinite:
-            a_list = p.a.array.tolist()
-            # B itself when not regularized: adding 0.0 would turn its -0.0 entries into +0.0
-            b_reg = p.b.array + eps_used * np.eye(d) if eps_used else p.b.array
-            breg_list = b_reg.tolist()
-            # every real eigenvalue has |lambda| <= rho = ||A||_F / min|lambda(B + eps I)|
-            rho = math.sqrt(float(np.sum(p.a.array * p.a.array))) / min(abs(x) for x in lam_reg)
-            if rho == 0.0:  # A = 0: every vector is an eigenvector for 0
+            if np.any(p.a.array):
+                phi, lams = _sturm_pairs(p.a.array, p.b.array, eps_used, lam_reg, order)
+            else:  # A = 0: every vector is an eigenvector for 0
                 phi, lams = np.eye(d), [0.0] * d
-            else:
-                roots = _sturm_roots(a_list, breg_list, d, rho)
-                phi, lams = _pairs_at_roots(a_list, breg_list, roots, d, order, rho)
             return _solution(p, eig_b, phi, lams, "quick_dirty", eps_used, "charpoly-sturm")
         strategy = "whitening"
         # the metric Phi_B (Lambda_B + eps I) Phi_B' = B + eps*I
@@ -485,8 +478,7 @@ def _diagnostics(a, b, phi, lams) -> tuple[float, float]:
     """
     bphi = phi if b is None else kernels.matmul(b, phi)
     resid = kernels.matmul(a, phi) - bphi * np.asarray(lams, dtype=np.float64)
-    fro_a = math.sqrt(float(np.sum(a * a)))
-    residual = math.sqrt(float(np.sum(resid * resid))) / max(1.0, fro_a)
+    residual = frobenius_norm(resid) / max(1.0, frobenius_norm(a))
     gram = kernels.matmul(phi.T, bphi)
     return residual, float(np.max(np.abs(gram - np.eye(phi.shape[1]))))
 
@@ -499,31 +491,55 @@ def _shares_null_direction(a: np.ndarray, eig_b: EigenDecomposition) -> bool:
     (t*A, s*B) gets the same answer for every t, s > 0.
     """
     phi_b = eig_b.phi.array
-    fro_a = math.sqrt(float(np.sum(a * a)))
+    fro_a = frobenius_norm(a)
     for i in null_eigenvalues(eig_b.eigenvalues):
         av = kernels.matmul(a, phi_b[:, i : i + 1])
-        if math.sqrt(float(np.sum(av * av))) <= 1e-9 * fro_a:
+        if frobenius_norm(av) <= 1e-9 * fro_a:
             return True
     return False
 
 
+def _sturm_pairs(a: np.ndarray, b: np.ndarray, eps: float, lam_reg: list, order: str):
+    """(Phi, eigenvalues) of (A != 0, B + eps*I) at d <= 4, B + eps*I indefinite
+    with eigenvalues ``lam_reg``.
+
+    A and B + eps*I are scaled by 2^-e_a and 2^-e_b (``_pow2_scaled``), and A
+    by 2^-k at or above rho = ||A||_F / min|lambda(B + eps I)|, a bound on
+    every real eigenvalue: the roots mu of q(mu) = det(A - mu B) lie in
+    [-1, 1], and lambda = 2^(e_a + k - e_b) mu. A Sturm chain of q that ends
+    in a non-constant g ~ gcd(q, q') means repeated roots, which a count
+    locates only to ~eps^(1/m) for an m-fold one; that of q / g is bisected.
+    """
+    d = a.shape[0]
+    a, e_a = _pow2_scaled(a)
+    # B itself when not regularized: adding 0.0 would turn its -0.0 entries into +0.0
+    b, e_b = _pow2_scaled(b + eps * np.eye(d) if eps else b)
+    min_b = min(abs(x) for x in lam_reg) * math.ldexp(1.0, -e_b)
+    _, k = _pow2_scaled(frobenius_norm(a) / min_b)
+    a, b = (a * math.ldexp(1.0, -k)).tolist(), b.tolist()
+    q = _pencil_charpoly(a, b, d)
+    chain = _sturm_chain(q)
+    if len(chain[-1]) > 1:
+        chain = _sturm_chain(_poly_divmod(q, chain[-1])[0])
+    roots = [mu for mu, _ in _roots_by_count(lambda mu: -_sign_variations(chain, mu))]
+    phi, mus = _pairs_at_roots(a, b, roots, d, order)
+    return phi, np.ldexp(mus, e_a + k - e_b).tolist()
+
+
 def _pairs_at_roots(
-    a: list, b: list, roots: list[float], d: int, order: str, rho: float
+    a: list, b: list, roots: list[float], d: int, order: str
 ) -> tuple[np.ndarray, list[float]]:
-    """Eigenpairs at the ascending real roots of det(A - lambda B).
+    """Eigenpairs at the ascending real roots of det(A - mu B), all in [-1, 1].
 
     Each group of roots from ``_null_bases`` gets a null basis of A - r B;
     a k-vector basis makes r an eigenvalue of multiplicity k. A root with
-    k >= 2 is re-solved on det(A - rho mu B) (``_polish_multiple_root``)
+    k >= 2 is re-solved on det(A - mu B) (``_polish_multiple_root``)
     before its basis is taken again there.
     """
     groups = _null_bases(a, b, roots, d)
     if any(len(v) > 1 for _, v in groups):
-        coeffs = _charpoly_in_mu(a, b, d, rho)
-        roots = [
-            rho * _polish_multiple_root(coeffs, r / rho, len(v)) if len(v) > 1 else r
-            for r, v in groups
-        ]
+        coeffs = _pencil_charpoly(a, b, d)
+        roots = [_polish_multiple_root(coeffs, r, len(v)) if len(v) > 1 else r for r, v in groups]
         groups = _null_bases(a, b, roots, d)
     found = sum(len(v) for _, v in groups)
     if found != d:
@@ -633,18 +649,3 @@ def _sign_variations(chain: list[list[float]], x: float) -> int:
             count += 1
         prev = val
     return count
-
-
-def _sturm_roots(a: list, b_reg: list, d: int, rho: float) -> list[float]:
-    """Distinct real roots of det(A - lambda B), ascending, when B is indefinite.
-
-    A chain of q(mu) = det(A - rho mu B) that ends in a non-constant
-    g ~ gcd(q, q') means repeated roots, which a count of q locates only
-    to ~eps^(1/k) for a k-fold one; the chain of q / g, which has the same
-    roots, all simple, is bisected instead.
-    """
-    q = _charpoly_in_mu(a, b_reg, d, rho)
-    chain = _sturm_chain(q)
-    if len(chain[-1]) > 1:
-        chain = _sturm_chain(_poly_divmod(q, chain[-1])[0])
-    return [rho * mu for mu, _ in _roots_by_count(lambda mu: -_sign_variations(chain, mu), 1.0)]

@@ -25,6 +25,10 @@ CYKERNELS_MODULE = "genspectra.kernels._cykernels"
 # Units of B (or of a matrix to invert) that the scale-invariance tests sweep.
 SCALES = [1e-6, 1e-3, 1e-2, 1.0, 1e3, 1e6]
 
+# Exponents k of the units 2^k that the exact-scaling tests sweep: far enough
+# out that squares and products of the entries overflow or underflow.
+POW2_EXPS = [-540, -300, 0, 300, 515]
+
 # ---------------------------------------------------------------------------
 # acceptance reporting
 #

@@ -514,6 +514,72 @@ def test_geig_resid_tol_gate_exits_2(tmp_path, capsys):
     assert main(["geig", a, b]) == 0  # no gate: reported, not fatal
 
 
+def test_eig_resid_tol_gate_fails_a_nan_residual(tmp_path, capsys):
+    # the largest eigenvalue, 2.4e308, overflows to inf, so the residual is NaN
+    a = _write(tmp_path / "a.csv", "8e307,8e307,8e307\n" * 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["eig", "--resid-tol", "1e-6", a]) == 2
+        assert "ConvergenceFailure" in capsys.readouterr().err
+        assert main(["eig", a]) == 0  # no gate: reported, not fatal
+    assert math.isnan(json.loads(capsys.readouterr().out)["diagnostics"]["residual"])
+
+
+def _scale_runs() -> dict:
+    """Command lines of eig and geig at d = 3 and 20, matrices in place of paths.
+
+    geig runs by quick_dirty on an SPD B (the Cholesky congruence) and an
+    indefinite one (the Sturm search), and by rigorous.
+    """
+    rng = np.random.RandomState(54)
+    a3, a20 = random_sym(rng, 3, scale=3.0).array, random_sym(rng, 20, scale=3.0).array
+    g3, g20 = rng.standard_normal((3, 3)), rng.standard_normal((20, 20))
+    b3, b20 = g3 @ g3.T + 3.0 * np.eye(3), g20 @ g20.T + 20.0 * np.eye(20)
+    return {
+        "eig d=3": ["eig", a3],
+        "eig d=20": ["eig", a20],
+        "quick d=3": ["geig", "--method", "quick_dirty", a3, b3],
+        "quick d=20": ["geig", "--method", "quick_dirty", a20, b20],
+        "sturm d=3": ["geig", "--method", "quick_dirty", b3, np.diag([1.0, -0.5, 2.0])],
+        "rigorous d=3": ["geig", "--method", "rigorous", a3, b3],
+        "rigorous d=20": ["geig", "--method", "rigorous", a20, b20],
+    }
+
+
+def _scaled_docs(tmp_path, capsys, k: int) -> dict:
+    """The document of each of ``_scale_runs``, every matrix in units of 2^k."""
+    docs = {}
+    for name, argv in _scale_runs().items():
+        for i, arg in enumerate(argv):
+            if isinstance(arg, np.ndarray):
+                argv[i] = str(tmp_path / f"m{i}.csv")
+                write_matrix_csv(Matrix(arg * 2.0**k), argv[i])
+        assert main(argv) == 0, (name, k)
+        docs[name] = json.loads(capsys.readouterr().out)
+    return docs
+
+
+@pytest.mark.parametrize("k", [-600, -540, 540, 600])
+def test_cli_solves_at_extreme_scales(tmp_path, capsys, k):
+    # At 2^+-540 Jacobi returned the diagonal; at 2^600 the residual read NaN
+    # for eig and 0.0 for geig, as ||A||_F overflowed, and at 2^-600 it read
+    # 0.0 for eig, as the squares of the residual underflowed.
+    unit, got = _scaled_docs(tmp_path, capsys, 0), _scaled_docs(tmp_path, capsys, k)
+    s = 2.0**k
+    for name, argv in _scale_runs().items():
+        eig = argv[0] == "eig"
+        want = [v * s for v in unit[name]["eigenvalues"]] if eig else unit[name]["eigenvalues"]
+        assert got[name]["eigenvalues"] == want, name
+        # Phi comes back in units of c = 1, or of s^-1/2 where geig's vectors
+        # are B-orthonormal; then R = A Phi - B Phi Lambda scales by s c
+        # exactly, and ||A||_F by s
+        phi_1, phi_s = np.array(unit[name]["vectors"]), np.array(got[name]["vectors"])
+        c = 2.0 ** round(math.log2(np.linalg.norm(phi_s) / np.linalg.norm(phi_1)))
+        assert np.array_equal(phi_s, c * phi_1), name
+        fro_a = float(np.linalg.norm(argv[-1] if eig else argv[-2]))
+        resid = s * c * unit[name]["diagnostics"]["residual"] * max(1.0, fro_a) / max(1.0, s * fro_a)
+        assert got[name]["diagnostics"]["residual"] == pytest.approx(resid, rel=1e-12, abs=0.0), name
+
+
 def test_geig_dimension_mismatch_exits_1(sym2, tmp_path, capsys):
     b = _write(tmp_path / "b3.csv", "1,0,0\n0,1,0\n0,0,1\n")
     assert main(["geig", sym2, b]) == 1

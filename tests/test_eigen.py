@@ -21,9 +21,10 @@ from genspectra import (
     spectral_reconstruct,
 )
 
-from genspectra import eigen
+from genspectra import eigen, kernels
+from genspectra.kernels import pykernels
 
-from conftest import SCALES, kernel_calls, random_spd, random_sym, ungraded_kernel
+from conftest import POW2_EXPS, SCALES, kernel_calls, random_spd, random_sym, ungraded_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +220,65 @@ def test_eig_rejects_non_finite_entries(bad):
             eig_sym(a)
 
 
+def _scale_cases() -> dict:
+    """Unit-scale inputs of eig_sym by name: Jacobi at d = 3 and 12, the
+    tridiagonal kernel at d = 20 and 33, and a graded metric on Jacobi at
+    d = 20."""
+    rng = np.random.RandomState(19)
+    cases = {f"d={d}": random_sym(rng, d, scale=3.0) for d in (3, 12, 20, 33)}
+    g = rng.standard_normal((20, 20))
+    scale = np.logspace(-2.0, 2.0, 20)
+    cases["graded metric"] = eigen._Metric(SymMatrix(scale[:, None] * (np.eye(20) + g @ g.T / 20) * scale))
+    return cases
+
+
+def _eig_sym_at_scales() -> dict:
+    """eig_sym of each case in units 2^k, k in POW2_EXPS, and 1e+-200, by (name, unit)."""
+    got = {}
+    for name, a in _scale_cases().items():
+        for s in [2.0**k for k in POW2_EXPS] + [1e200, 1e-200]:
+            b = SymMatrix(a.array * s)
+            got[name, s] = eig_sym(eigen._Metric(b) if isinstance(a, eigen._Metric) else b)
+    return got
+
+
+def test_eig_sym_scales_by_powers_of_two_exactly(eigen_inputs):
+    # Before eig_sym scaled its input, Jacobi returned the diagonal at 2^515
+    # and 2^-540, where the squares of its convergence test overflow or
+    # underflow.
+    got = _eig_sym_at_scales()
+    assert set(kernel_calls(eigen_inputs)) == {
+        ("jacobi_eigh", 3), ("jacobi_eigh", 12), ("jacobi_eigh", 20),
+        ("tridiag_eigh", 20), ("tridiag_eigh", 33),
+    }
+    for name, a in _scale_cases().items():
+        unit = got[name, 1.0]
+        for k in POW2_EXPS:
+            dec = got[name, 2.0**k]
+            assert dec.eigenvalues == tuple(2.0**k * x for x in unit.eigenvalues), (name, k)
+            assert np.array_equal(dec.phi.array, unit.phi.array), (name, k)
+        for s in (1e200, 1e-200):
+            a_s, dec = a.array * s, got[name, s]
+            w, v = np.array(dec.eigenvalues), dec.phi.array
+            top = np.abs(a_s).max()
+            assert np.abs(a_s @ v - v * w).max() <= 1e-13 * top, (name, s)
+            assert np.abs(v.T @ v - np.eye(len(w))).max() <= 1e-13, (name, s)
+            assert np.abs(np.sort(w) - np.linalg.eigvalsh(a_s)).max() <= 1e-13 * top, (name, s)
+
+
+def test_eig_sym_scales_bit_identical_across_backends(cykernels, monkeypatch):
+    results = []
+    for backend in (pykernels, cykernels):
+        with monkeypatch.context() as patched:
+            for kernel in ("jacobi_eigh", "tridiag_eigh"):
+                patched.setattr(kernels, kernel, getattr(backend, kernel))
+            results.append(_eig_sym_at_scales())
+    got_py, got_c = results
+    for key, dec in got_py.items():
+        assert np.array(dec.eigenvalues).tobytes() == np.array(got_c[key].eigenvalues).tobytes(), key
+        assert dec.phi.array.tobytes() == got_c[key].phi.array.tobytes(), key
+
+
 def test_spectral_reconstruct_roundtrip():
     rng = np.random.RandomState(26)
     for d in (2, 5, 10):
@@ -288,6 +348,15 @@ def test_char_poly_d4_repeated_root_costs_one_bisection(monkeypatch):
     assert char_poly_eig(SymMatrix(2.0 * np.eye(4))) == pytest.approx([2.0] * 4, abs=1e-12)
     # one path: 2 end counts and ~48 halvings from ±||A||_F to 1e-14 relative
     assert len(calls) <= 60
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_char_poly_scales_by_powers_of_two_exactly(d):
+    a = random_sym(np.random.RandomState(190 + d), d)
+    unit = char_poly_eig(a)
+    assert np.abs(np.array(unit) - eig_sym(a).eigenvalues).max() <= 1e-12
+    for k in POW2_EXPS:
+        assert char_poly_eig(SymMatrix(a.array * 2.0**k)) == [2.0**k * x for x in unit], k
 
 
 def test_char_poly_unsupported_dimension():

@@ -301,6 +301,17 @@ def test_definiteness_reads_eigenvalues_relative_to_the_largest(s):
 # ---------------------------------------------------------------------------
 
 
+def test_frobenius_norm_scales_by_powers_of_two_without_overflow():
+    # sqrt(sum(a * a)) read inf at 2^600 and 0.0 at 2^-600.
+    m = np.random.RandomState(8).standard_normal((5, 3))
+    unit = frobenius_norm(Matrix(m))
+    assert unit == np.sqrt(np.sum(m * m))
+    for k in (-600, -540, 300, 600):
+        assert frobenius_norm(Matrix(m * 2.0**k)) == 2.0**k * unit, k
+        assert frobenius_norm(m * 2.0**k) == 2.0**k * unit, k
+    assert frobenius_norm(np.zeros((2, 2))) == 0.0
+
+
 def test_frobenius_norm_equals_trace_identity():
     rng = np.random.RandomState(7)
     m = Matrix(rng.standard_normal((4, 3)))

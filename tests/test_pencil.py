@@ -27,10 +27,12 @@ from genspectra import (
 )
 
 from genspectra import KernelSpec, kernel_matrix, kernels
+from genspectra.eigen import _pow2_scaled
 from genspectra.linalg import definiteness
 from genspectra.pencil import _factored_pairs, _leading_whitened, _whiten_core, _whitened, _whitening
 
 from conftest import (
+    POW2_EXPS,
     SCALES,
     assert_diagnostics,
     kernel_calls,
@@ -430,6 +432,22 @@ def test_sturm_route_is_the_same_at_every_scale_of_b(d):
         sol = solve_quick_dirty(Pencil(SymMatrix(a), SymMatrix(s * b0)))
         gap = np.max(np.abs(s * np.array(sol.eigenvalues) - unit.eigenvalues))
         assert gap <= 1e-10 * top, s
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sturm_route_scales_by_powers_of_two_exactly(d):
+    # Before the route normalised A and B, (2^-300 A, 2^300 B) divided by
+    # zero, 2^-540 A gave zero eigenvalues, and d = 4 overflowed at 2^300.
+    a, b = _indefinite_sweep_pencil(d)
+    unit = solve_quick_dirty(Pencil(SymMatrix(a), SymMatrix(b)))
+    for k in POW2_EXPS:
+        for j in POW2_EXPS:
+            if abs(k - j) > 1000:  # 2^(k - j) times the eigenvalues is out of range
+                continue
+            sol = solve_quick_dirty(Pencil(SymMatrix(a * 2.0**k), SymMatrix(b * 2.0**j)))
+            assert sol.strategy == "charpoly-sturm", (k, j)
+            assert sol.eigenvalues == tuple(2.0 ** (k - j) * x for x in unit.eigenvalues), (k, j)
+            assert np.array_equal(sol.phi.array, unit.phi.array), (k, j)
 
 
 @pytest.mark.parametrize("b", [(1, 1), (1, -1), (1, 2, 3, 4), (1, -1, 2, -3)])
@@ -889,8 +907,10 @@ def test_factored_fallback_decomposes_b_once(singular, eigen_inputs):
         assert np.array_equal(phi, full_phi)
         assert lams == full_lams and eps == full_eps
         assert strategy == ("whitening" if singular else "cholesky")
-        # B decomposed once where it fails the gate, and not at all where it passes
-        assert sum(np.array_equal(m, pen.b.array) for _, m in eigen_inputs) == singular
+        # B decomposed once where it fails the gate, and not at all where it
+        # passes; the kernel gets B as eig_sym normalises it
+        b_kernel = _pow2_scaled(pen.b.array)[0]
+        assert sum(np.array_equal(m, b_kernel) for _, m in eigen_inputs) == singular
         assert [k for k in kernel_calls(eigen_inputs) if k[1] == n] == [("jacobi_eigh", n)] * (1 + singular)
 
 
