@@ -278,8 +278,7 @@ def _fmt(x: float) -> str:
 
 
 def _eigen_doc(args, command, lams, phi, residual, b_orth, method, eps_used, dims):
-    """Result document; fails when ``residual`` is not within ``--resid-tol``
-    (a NaN residual fails too)."""
+    """Result document; fails unless ``residual`` is within ``--resid-tol`` (NaN is not)."""
     if args.resid_tol is not None and not residual <= args.resid_tol:
         raise ConvergenceFailure(
             f"residual {residual:.6e} exceeds --resid-tol {args.resid_tol:.6e}"

@@ -33,12 +33,11 @@ d = 16, 24, 32, three seeds each) the smallest eigenvalue of B comes out
 with a relative error of 2e-16 to 2e-15 by Jacobi and 4e-8 to 4e-6 by the
 tridiagonal path.
 
-Every solve keeps its numbers in range by one rule, ``_pow2_scaled``: it
-scales its input by 2^-e so that the largest entry lies in [0.5, 1), and
-the eigenvalues back by 2^e; ``eig_sym`` does so before either kernel.
-The product is exact in the normal range, so A and 2^k A give the same
-eigenvectors, and eigenvalues 2^k apart, bit for bit where no entry is
-subnormal and e stays within its clamp.
+Every solve keeps its numbers in range by one rule, ``linalg._pow2_scaled``:
+its input scaled by 2^-e to a largest entry in [0.5, 1), and the
+eigenvalues back by 2^e (``eig_sym`` does so before either kernel). So A
+and 2^k A give the same eigenvectors, and eigenvalues 2^k apart, bit for
+bit where no entry is subnormal.
 
 For d <= 4 the module also solves the characteristic polynomial
 det(A - lambda I) = 0 directly: closed forms for d <= 3 and a bisection on
@@ -65,7 +64,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConvergenceFailure, NoNullSpace, UnsupportedDimension
-from .linalg import Matrix, SymMatrix, Vector, _cofactor_det, frobenius_norm
+from .linalg import Matrix, SymMatrix, Vector, _cofactor_det, _pow2_scaled, frobenius_norm
 
 # Jacobi stops once the off-diagonal norm falls below
 # JACOBI_REL_TOL * ||A||_F, or fails after MAX_SWEEPS sweeps. The
@@ -120,14 +119,6 @@ class _Metric(SymMatrix):
         self._data = b.array
 
 
-def _pow2_scaled(x):
-    """``(x * 2**-e, e)`` for an array or float x, the largest |entry| of
-    the result in [0.5, 1); e is clamped to ±1000, so that 2**-e and 2**e
-    stay finite, and is 0 where x is all zero or not finite."""
-    e = min(max(math.frexp(float(np.abs(x).max(initial=0.0)))[1], -1000), 1000)
-    return x * math.ldexp(1.0, -e), e
-
-
 def _graded(b: np.ndarray) -> bool:
     """True unless min b_ii > 0 and max b_ii <= ``_GRADED_RATIO`` * min b_ii.
 
@@ -180,7 +171,7 @@ def eig_sym(
         raise ConvergenceFailure(
             f"{name} did not reach tolerance after {iterations} iterations (dim {a.dim})"
         )
-    w = w * math.ldexp(1.0, e)
+    w = np.ldexp(w, e)
 
     key = -w if order == "descending" else w
     idx = np.argsort(key, kind="stable")
@@ -205,8 +196,7 @@ def char_poly_eig(a: SymMatrix) -> list[float]:
     d = 2, the trigonometric solution of the depressed cubic for d = 3,
     and bisection on the eigenvalue count for d = 4 (``_char_quartic``),
     each on A scaled by a power of two at or above ||A||_F (see the module
-    docstring). Repeated roots appear with their multiplicity, so d roots
-    come back.
+    docstring); repeated roots appear with their multiplicity.
     """
     d = a.dim
     if d > 4:
@@ -217,9 +207,9 @@ def char_poly_eig(a: SymMatrix) -> list[float]:
         return [0.0] * d
     m, e = _pow2_scaled(a.array)
     _, k = _pow2_scaled(frobenius_norm(m))
-    m = (m * math.ldexp(1.0, -k)).tolist()
+    m = np.ldexp(m, -k).tolist()
     roots = {1: lambda m: [m[0][0]], 2: _char_quadratic, 3: _char_cubic, 4: _char_quartic}[d](m)
-    return [r * math.ldexp(1.0, e + k) for r in roots]
+    return np.ldexp(roots, e + k).tolist()
 
 
 def eigvec_for(a: SymMatrix, lam: float, lam_tol: float = 1e-6) -> Vector:
@@ -338,8 +328,7 @@ def _roots_by_count(count) -> list[tuple[float, int]]:
     then each of ``_NUDGES``, until its width is at most 1e-14, and comes
     back as ``(midpoint, rise)``. A bracket in which no nudge can be
     evaluated is taken as resolved. Brackets only split where the count
-    changes, so a repeated root costs one bisection. Returns ascending
-    pairs.
+    changes, so a repeated root costs one bisection. Ascending pairs.
     """
     hi = 1.0 + 1e-6
     stack = [(-hi, hi, count(-hi), count(hi))]

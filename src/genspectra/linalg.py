@@ -197,13 +197,18 @@ def frobenius_norm_sq(a: Matrix) -> float:
     return float(np.sum(a.array * a.array))
 
 
+def _pow2_scaled(x):
+    """(x * 2**-e, e) for an array or float x, the largest |entry| of the result
+    in [0.5, 1), or e = 0 where x is all zero or not finite; by ``np.ldexp``."""
+    e = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
+    return np.ldexp(x, -e), e
+
+
 def frobenius_norm(a: Matrix | np.ndarray) -> float:
-    """||A||_F of a matrix or array, summed on A scaled by a power of two
-    (``eigen._pow2_scaled``): no square overflows or underflows, and the
-    bits are those of sqrt(sum(a * a)) wherever that does neither."""
-    from .eigen import _pow2_scaled  # deferred to avoid an import cycle
+    """||A||_F of a matrix or array, summed on ``_pow2_scaled(A)``: no square
+    overflows or underflows, and the bits are sqrt(sum(a * a))'s where none did."""
     m, e = _pow2_scaled(a.array if isinstance(a, Matrix) else a)
-    return math.sqrt(float((m * m).sum())) * math.ldexp(1.0, e)
+    return float(np.ldexp(math.sqrt(float((m * m).sum())), e))
 
 
 def dot(u: Vector, v: Vector) -> float:

@@ -65,11 +65,19 @@ from .eigen import (
     _poly_deriv,
     _poly_eval,
     _polish_multiple_root,
-    _pow2_scaled,
     _roots_by_count,
     eig_sym,
 )
-from .linalg import SINGULAR_TOL, Matrix, SymMatrix, definiteness, frobenius_norm, null_eigenvalues, trace
+from .linalg import (
+    SINGULAR_TOL,
+    Matrix,
+    SymMatrix,
+    _pow2_scaled,
+    definiteness,
+    frobenius_norm,
+    null_eigenvalues,
+    trace,
+)
 
 # Regularization strength when B is singular, before scaling by the
 # largest entry of B.
@@ -383,12 +391,11 @@ def solve_quick_dirty(
     An indefinite B + eps*I has no such W: for d > 4 it raises
     ``IndefiniteB``, and for d <= 4 (``"charpoly-sturm"``) the eigenvalues
     are the real roots of det(A - lambda B), all within
-    rho = ||A||_F / min|lambda(B + eps I)|, scaled into [-1, 1] by powers
-    of two and found by one bisection on a Sturm chain (``_sturm_pairs``).
-    Each root r gets a null basis of A - r B, with pivots at or below
-    tol * (max|A| + |r| max|B|) taken as zero, and roots this test cannot
-    tell apart share one; a k-vector basis makes r a k-fold eigenvalue,
-    re-solved on the (k-1)-th derivative of det(A - mu B).
+    rho = ||A||_F / min|lambda(B + eps I)|, found by one bisection on a Sturm
+    chain (``_sturm_pairs``). Each root r gets a null basis of A - r B, with
+    pivots at or below tol * (max|A| + |r| max|B|) taken as zero, and roots
+    this test cannot tell apart share one; a k-vector basis makes r a k-fold
+    eigenvalue, re-solved on the (k-1)-th derivative of det(A - mu B).
     ``ConvergenceFailure`` is raised when no tol up to 1e-4 gives d
     directions in all (complex eigenvalues, say).
 
@@ -514,9 +521,9 @@ def _sturm_pairs(a: np.ndarray, b: np.ndarray, eps: float, lam_reg: list, order:
     a, e_a = _pow2_scaled(a)
     # B itself when not regularized: adding 0.0 would turn its -0.0 entries into +0.0
     b, e_b = _pow2_scaled(b + eps * np.eye(d) if eps else b)
-    min_b = min(abs(x) for x in lam_reg) * math.ldexp(1.0, -e_b)
+    min_b = math.ldexp(min(abs(x) for x in lam_reg), -e_b)
     _, k = _pow2_scaled(frobenius_norm(a) / min_b)
-    a, b = (a * math.ldexp(1.0, -k)).tolist(), b.tolist()
+    a, b = np.ldexp(a, -k).tolist(), b.tolist()
     q = _pencil_charpoly(a, b, d)
     chain = _sturm_chain(q)
     if len(chain[-1]) > 1:

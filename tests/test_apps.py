@@ -33,7 +33,7 @@ from genspectra import (
 )
 from genspectra import apps, kernels
 from genspectra.apps import _double_center
-from genspectra.linalg import centering_matrix
+from genspectra.linalg import _pow2_scaled, centering_matrix
 from genspectra.pencil import _factored_pairs, _leading_whitened, _whiten_core, _whitened, _whitening
 
 from conftest import (
@@ -854,7 +854,8 @@ def _assert_fallback(model, inter, p, eigen_inputs, fit_pencils):
     decomposed, then the n x n A_breve decomposed once."""
     (pen, _), = fit_pencils
     n = pen.dim
-    assert not any(np.array_equal(m, pen.b.array) for _, m in eigen_inputs)
+    b_kernel = _pow2_scaled(pen.b.array)[0]
+    assert not any(np.array_equal(m, b_kernel) for _, m in eigen_inputs)
     assert [k for k in kernel_calls(eigen_inputs) if k[1] == n] == [(ungraded_kernel(n), n)]
     _assert_cholesky_pairs(model, fit_pencils, p, factored=False)
     # eig(B)'s whitening of the full pencil gives the same eigenvalues

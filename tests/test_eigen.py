@@ -359,6 +359,16 @@ def test_char_poly_scales_by_powers_of_two_exactly(d):
         assert char_poly_eig(SymMatrix(a.array * 2.0**k)) == [2.0**k * x for x in unit], k
 
 
+def test_char_poly_near_the_ends_of_the_float_range():
+    # ||A||_F at or above 2^1023, and entries below the normal range: there
+    # the scale factors 2^e and 2^-e themselves are not finite floats
+    assert char_poly_eig(SymMatrix([[8e307]])) == [8e307]
+    assert char_poly_eig(SymMatrix([[5e-324]])) == [5e-324]
+    got = char_poly_eig(SymMatrix([[8e307, 0.0], [0.0, -8.5e307]]))
+    assert got == pytest.approx([8e307, -8.5e307], rel=1e-15)
+    assert char_poly_eig(SymMatrix(8e307 * np.eye(4))) == pytest.approx([8e307] * 4, rel=1e-12)
+
+
 def test_char_poly_unsupported_dimension():
     with pytest.raises(UnsupportedDimension):
         char_poly_eig(SymMatrix(np.eye(5)))
