@@ -39,19 +39,27 @@ eigenvalues back by 2^e (``eig_sym`` does so before either kernel). So A
 and 2^k A give the same eigenvectors, and eigenvalues 2^k apart, bit for
 bit where no entry is subnormal.
 
-For d <= 4 the module also solves the characteristic polynomial
-det(A - lambda I) = 0 directly: closed forms for d <= 3 and a bisection on
-the eigenvalue-counting function for d = 4. That route returns eigenvalues
-only and exists as an independent cross-check of the Jacobi path.
+For d <= 4 the module also holds every root search on a characteristic
+polynomial. ``char_poly_eig`` solves det(A - lambda I) = 0 directly: closed
+forms for d <= 3 and, for d = 4, a bisection on the number of negative
+pivots of A - x I = L D L' (``_inertia_below``). That route returns
+eigenvalues only and exists as an independent cross-check of the Jacobi
+path. ``_sturm_pairs`` finds the real eigenvalues of a pencil (A, B) with
+an indefinite B as the roots of det(A - lambda B), by a bisection on a
+Sturm chain, and its vectors as null spaces of A - lambda B; the quick
+route of :mod:`genspectra.pencil` calls it.
 
-Its bisection, ``_roots_by_count``, is the one root finder of every count
-on the d <= 4 paths, here and in :mod:`genspectra.pencil`: it halves
-brackets of a counting function inside ±(1 + 1e-6) down to a width of
-1e-14. Its callers scale the problem by powers of two so that every root
-lies in [-1, 1]: after ``_pow2_scaled``, A by one at or above ||A||_F, or
-at or above rho = ||A||_F / min|lambda(B)| for a pencil with nonsingular B
-(which bounds its real eigenvalues). So (A, B) and (2^k A, 2^j B) are the
-same problem, and their eigenvalues come out exactly 2^(k-j) apart.
+Their bisection, ``_roots_by_count``, is the one root finder of every
+count on these paths: it halves brackets of a counting function inside
+±(1 + 1e-6) down to a width of 1e-14. Every count it halves is defined at
+every x: an exactly zero pivot counts as negative, a zero Sturm value is
+skipped, and a zero derivative value while polishing a multiple root
+counts as past it. Its callers scale the problem by powers of two so that
+every root lies in [-1, 1]: after ``_pow2_scaled``, A by one at or above
+||A||_F, or at or above rho = ||A||_F / min|lambda(B)| for a pencil with
+nonsingular B (which bounds its real eigenvalues). So (A, B) and
+(2^k A, 2^j B) are the same problem, and their eigenvalues come out
+exactly 2^(k-j) apart.
 """
 
 from __future__ import annotations
@@ -274,8 +282,8 @@ def _char_cubic(m: list) -> list[float]:
 
 
 # Roots of the d = 4 count closer than this (||A||_F is in [0.5, 1)) are
-# one eigenvalue. Near a repeated eigenvalue the leading-minor count wavers
-# over up to ~3e-9 ||A||_F (rotated 4 x 4 matrices with double and triple
+# one eigenvalue. Near a repeated eigenvalue the pivot count wavers over up
+# to ~3e-9 ||A||_F (rotated 4 x 4 matrices with double and triple
 # eigenvalues, 200 seeds each), where the bisection reports it as several
 # roots with rises such as +1, -1 and +2.
 _SAME_ROOT = 1e-7
@@ -312,23 +320,18 @@ def _char_quartic(m: list) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# root finding by counts (shared with the pencil solver)
-
-# Offsets, in bracket widths, tried in turn from a midpoint where the count
-# cannot be evaluated.
-_NUDGES = (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6)
+# root finding by counts
 
 
 def _roots_by_count(count) -> list[tuple[float, int]]:
     """Roots in [-1, 1] found by halving brackets of a counting function.
 
-    ``count(x)`` is the number of roots below x, up to a constant, or None
-    where it cannot be evaluated. The search starts from ±(1 + 1e-6); a
-    bracket over which the count rises is halved, trying the midpoint and
-    then each of ``_NUDGES``, until its width is at most 1e-14, and comes
-    back as ``(midpoint, rise)``. A bracket in which no nudge can be
-    evaluated is taken as resolved. Brackets only split where the count
-    changes, so a repeated root costs one bisection. Ascending pairs.
+    ``count(x)`` is the number of roots below x, up to a constant, and is
+    defined at every x. The search starts from ±(1 + 1e-6); a bracket over
+    which the count rises is halved at its midpoint until its width is at
+    most 1e-14, and comes back as ``(midpoint, rise)``. Brackets only split
+    where the count changes, so a repeated root costs one bisection.
+    Ascending pairs.
     """
     hi = 1.0 + 1e-6
     stack = [(-hi, hi, count(-hi), count(hi))]
@@ -337,44 +340,47 @@ def _roots_by_count(count) -> list[tuple[float, int]]:
         left, right, c_left, c_right = stack.pop()
         if c_right == c_left:
             continue
-        width = right - left
         mid = 0.5 * (left + right)
-        c = None
-        if width > 1e-14:
-            for x in (mid + nudge * width for nudge in _NUDGES):
-                c = count(x)
-                if c is not None:
-                    break
-        if c is None:
+        if right - left <= 1e-14:
             roots.append((mid, c_right - c_left))
         else:
+            c = count(mid)
             # the left half goes on top, so roots come out ascending
-            stack += [(x, right, c, c_right), (left, x, c_left, c)]
+            stack += [(mid, right, c, c_right), (left, mid, c_left, c)]
     return roots
 
 
-def _inertia_below(a: list, x: float, n: int) -> int | None:
-    """Number of eigenvalues of the symmetric ``a`` strictly below ``x``.
+# The pivot that stands in for an exact zero in ``_inertia_below``: far below
+# any pivot that roundoff leaves on the scaled matrices (entries below 1),
+# while its reciprocal, 2^256, leaves the elimination's products in range.
+_PIVMIN = 2.0**-256
 
-    Counts sign changes along the sequence of leading principal minors of
-    A - x I. A minor that is exactly zero leaves the count undefined, and
-    None comes back.
+
+def _inertia_below(a: list, x: float, n: int) -> int:
+    """Number of eigenvalues of the symmetric ``a`` below ``x``, or just above
+    ``x`` where a pivot is exactly zero.
+
+    Counts the negative pivots of A - x I = L D L', eliminated without
+    interchanges (Sylvester's law of inertia). A pivot that is exactly
+    zero is taken as the tiny negative -``_PIVMIN``, as if x were a little
+    larger (the pivmin rule of LAPACK's ``dstebz``), so the count is
+    defined at every x.
     """
     m = [[a[i][j] - x if i == j else a[i][j] for j in range(n)] for i in range(n)]
     count = 0
-    prev = 1.0
-    for k in range(1, n + 1):
-        det = _cofactor_det([row[:k] for row in m[:k]])
-        if det == 0.0:
-            return None
-        if (det > 0.0) != (prev > 0.0):
-            count += 1
-        prev = det
+    for k in range(n):
+        piv = m[k][k] or -_PIVMIN
+        count += piv < 0.0
+        for i in range(k + 1, n):
+            f = m[i][k] / piv
+            row = m[i]
+            for j in range(k + 1, n):
+                row[j] -= f * m[k][j]
     return count
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomials, d <= 4 (shared with the pencil solver)
+# characteristic polynomials, d <= 4
 
 
 def _poly_mul(p: list[float], q: list[float]) -> list[float]:
@@ -412,6 +418,60 @@ def _poly_deriv(p: list[float]) -> list[float]:
     return [i * c for i, c in enumerate(p)][1:]
 
 
+def _poly_trim(p: list[float], ref: list[float]) -> list[float]:
+    """``p`` with coefficients at or below 1e-13 * max|ref| zeroed, trailing zeros dropped."""
+    tol = 1e-13 * max(abs(c) for c in ref)
+    out = [c if abs(c) > tol else 0.0 for c in p]
+    while out and out[-1] == 0.0:
+        out.pop()
+    return out
+
+
+def _poly_divmod(num: list[float], den: list[float]) -> tuple[list[float], list[float]]:
+    """(quotient, remainder) of num / den, coefficients in ascending powers."""
+    rem = num[:]
+    dd = len(den) - 1
+    lead = den[-1]
+    quot = [0.0] * max(len(num) - dd, 0)
+    while len(rem) - 1 >= dd and any(c != 0.0 for c in rem):
+        k = len(rem) - 1 - dd
+        f = rem[-1] / lead
+        quot[k] = f
+        for i in range(len(den)):
+            rem[k + i] -= f * den[i]
+        rem.pop()
+    return quot, rem
+
+
+def _sturm_chain(p: list[float]) -> list[list[float]]:
+    """p, p' and the negated remainders of Euclid's algorithm.
+
+    Each remainder is trimmed against the polynomial it was divided out of,
+    so one at roundoff level ends the chain: p then has repeated roots, and
+    the truncated chain still counts its distinct roots.
+    """
+    chain = [p, _poly_deriv(p)]
+    while len(chain[-1]) > 1:
+        rem = _poly_trim([-c for c in _poly_divmod(chain[-2], chain[-1])[1]], chain[-2])
+        if not rem:
+            break
+        chain.append(rem)
+    return chain
+
+
+def _sign_variations(chain: list[list[float]], x: float) -> int:
+    count = 0
+    prev = 0.0
+    for p in chain:
+        val = _poly_eval(p, x)
+        if val == 0.0:
+            continue
+        if prev != 0.0 and (val > 0.0) != (prev > 0.0):
+            count += 1
+        prev = val
+    return count
+
+
 def _polish_multiple_root(coeffs: list[float], mu: float, mult: int) -> float:
     """Re-solve a root of multiplicity ``mult`` as a simple root of the
     (mult-1)-th derivative.
@@ -419,19 +479,105 @@ def _polish_multiple_root(coeffs: list[float], mu: float, mult: int) -> float:
     The polynomial is flat around a multiple root (its value falls below
     roundoff in a zone of width ~ sqrt(machine eps)), which caps a count of
     its sign changes there; the derivative changes sign cleanly. It is
-    searched on mu + 1e-6 t for t in [-1, 1], counting 1 past its root.
+    searched on mu + 1e-6 t for t in [-1, 1], counting 1 at or past its
+    root.
     """
     q = coeffs
     for _ in range(mult - 1):
         q = _poly_deriv(q)
     rising = _poly_eval(_poly_deriv(q), mu) > 0.0
 
-    def past(t: float) -> int | None:
+    def past(t: float) -> int:
         val = _poly_eval(q, mu + 1e-6 * t)
-        return None if val == 0.0 else int((val > 0.0) == rising)
+        return int(val == 0.0 or (val > 0.0) == rising)
 
     found = _roots_by_count(past)
     return mu + 1e-6 * found[0][0] if len(found) == 1 else mu
+
+
+# ---------------------------------------------------------------------------
+# real roots of a pencil, d <= 4
+
+
+def _sturm_pairs(a: np.ndarray, b: np.ndarray, eps: float, lam_reg: list, order: str):
+    """(Phi, eigenvalues) of (A != 0, B + eps*I) at d <= 4, B + eps*I indefinite
+    with eigenvalues ``lam_reg``.
+
+    A and B + eps*I are scaled by 2^-e_a and 2^-e_b (``_pow2_scaled``), and A
+    by 2^-k at or above rho = ||A||_F / min|lambda(B + eps I)|, a bound on
+    every real eigenvalue: the roots mu of q(mu) = det(A - mu B) lie in
+    [-1, 1], and lambda = 2^(e_a + k - e_b) mu. A Sturm chain of q that ends
+    in a non-constant g ~ gcd(q, q') means repeated roots, which a count
+    locates only to ~eps^(1/m) for an m-fold one; that of q / g is bisected.
+    """
+    d = a.shape[0]
+    a, e_a = _pow2_scaled(a)
+    # B itself when not regularized: adding 0.0 would turn its -0.0 entries into +0.0
+    b, e_b = _pow2_scaled(b + eps * np.eye(d) if eps else b)
+    min_b = math.ldexp(min(abs(x) for x in lam_reg), -e_b)
+    _, k = _pow2_scaled(frobenius_norm(a) / min_b)
+    a, b = np.ldexp(a, -k).tolist(), b.tolist()
+    q = _pencil_charpoly(a, b, d)
+    chain = _sturm_chain(q)
+    if len(chain[-1]) > 1:
+        chain = _sturm_chain(_poly_divmod(q, chain[-1])[0])
+    roots = [mu for mu, _ in _roots_by_count(lambda mu: -_sign_variations(chain, mu))]
+    phi, mus = _pairs_at_roots(a, b, roots, d, order)
+    return phi, np.ldexp(mus, e_a + k - e_b).tolist()
+
+
+def _pairs_at_roots(
+    a: list, b: list, roots: list[float], d: int, order: str
+) -> tuple[np.ndarray, list[float]]:
+    """Eigenpairs at the ascending real roots of det(A - mu B), all in [-1, 1].
+
+    Each root gets a null basis of A - r B (``_null_bases``); a k-vector
+    basis makes r an eigenvalue of multiplicity k. A root with k >= 2 is
+    re-solved on det(A - mu B) (``_polish_multiple_root``) before its basis
+    is taken again there. The basis vectors already carry the sign rule of
+    ``_column_signs`` (``_null_basis``).
+    """
+    bases = _null_bases(a, b, roots, d)
+    if any(len(v) > 1 for _, v in bases):
+        coeffs = _pencil_charpoly(a, b, d)
+        roots = [_polish_multiple_root(coeffs, r, len(v)) if len(v) > 1 else r for r, v in bases]
+        bases = _null_bases(a, b, roots, d)
+    found = sum(len(v) for _, v in bases)
+    if found != d:
+        raise ConvergenceFailure(
+            f"the null spaces at the {len(bases)} real roots of det(A - lambda B) "
+            f"hold {found} directions for {d} eigenvalues: the pencil has complex "
+            "or defective eigenvalues, which this solver does not handle, or roots "
+            "too close to tell apart"
+        )
+    pairs = [(r, vec) for r, basis in bases for vec in basis]
+    if order == "descending":
+        pairs = pairs[::-1]
+    lams = [lam for lam, _ in pairs]
+    phi = np.array([vec for _, vec in pairs], dtype=np.float64).T
+    return phi, lams
+
+
+def _null_bases(
+    a: list, b: list, roots: list[float], d: int
+) -> list[tuple[float, list[list[float]]]]:
+    """(root, null basis of A - root B) per ascending root.
+
+    At rank tolerance tol, pivots at or below tol * (max|A| + |r| max|B|)
+    count as zero, so the test scales with the pencil. tol starts at 1e-10
+    and is loosened for all roots together until the bases hold d
+    directions or tol reaches 1e-4.
+    """
+    max_a = max(abs(x) for row in a for x in row)
+    max_b = max(abs(x) for row in b for x in row)
+    for tol in (1e-10, 1e-8, 1e-6, 1e-4):
+        bases = []
+        for r in roots:
+            m = [[a[i][j] - r * b[i][j] for j in range(d)] for i in range(d)]
+            bases.append((r, _null_basis(m, tol * (max_a + abs(r) * max_b))))
+        if sum(len(v) for _, v in bases) >= d:
+            break
+    return bases
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,9 @@ class Matrix:
 
 
 class SymMatrix(Matrix):
-    """Square symmetric matrix; stores the symmetrized part of its input.
+    """Square symmetric matrix; stores the symmetrized part of its input,
+    (A + A') / 2, without overflow: an exactly symmetric input is stored
+    unchanged.
 
     Construction fails with ``NotSymmetric`` when the asymmetry exceeds
     ``sym_tol * max(1, max|entry|)``.
@@ -119,7 +121,14 @@ class SymMatrix(Matrix):
             raise NotSymmetric(
                 f"asymmetry {asym:.3e} exceeds tolerance {sym_tol * scale:.3e}"
             )
-        sym = (arr + arr.T) / 2.0
+        if scale < 2.0**1023:  # no sum of two entries can overflow
+            sym = (arr + arr.T) / 2.0
+        else:
+            # where a sum overflows both entries are huge, and halving them
+            # first is exact
+            with np.errstate(over="ignore"):
+                total = arr + arr.T
+            sym = np.where(np.isfinite(total), total / 2.0, arr / 2.0 + arr.T / 2.0)
         sym.setflags(write=False)
         self._data = sym
 
@@ -206,9 +215,13 @@ def _pow2_scaled(x):
 
 def frobenius_norm(a: Matrix | np.ndarray) -> float:
     """||A||_F of a matrix or array, summed on ``_pow2_scaled(A)``: no square
-    overflows or underflows, and the bits are sqrt(sum(a * a))'s where none did."""
+    overflows or underflows, and the bits are sqrt(sum(a * a))'s where none did.
+    A norm above the float range is inf."""
     m, e = _pow2_scaled(a.array if isinstance(a, Matrix) else a)
-    return float(np.ldexp(math.sqrt(float((m * m).sum())), e))
+    try:
+        return math.ldexp(math.sqrt(float((m * m).sum())), e)
+    except OverflowError:
+        return math.inf
 
 
 def dot(u: Vector, v: Vector) -> float:

@@ -9,9 +9,10 @@ Two routes are provided:
   conditioned, else W = (B + eps*I)^-1/2 from the decomposition of B,
   with eps = 0 unless B is singular. An indefinite B is rejected at
   d > 4; at d <= 4 its eigenvalues are the real roots of det(A - lambda B),
-  found by the bisection of ``eigen._roots_by_count`` on a Sturm chain,
-  and its vectors span null spaces of A - lambda B. Vectors are unit
-  length at d <= 4 and B-orthonormal at d > 4.
+  and its vectors span null spaces of A - lambda B. That root search,
+  ``eigen._sturm_pairs``, lives with the other d <= 4 root searches in
+  :mod:`genspectra.eigen`. Vectors are unit length at d <= 4 and
+  B-orthonormal at d > 4.
 * ``solve_rigorous`` whitens the metric: decompose B, scale its
   eigenvectors to unit metric, decompose the transformed A, and combine.
   The result is B-orthonormal (Phi' B Phi = I, Phi' A Phi = diag(lambda))
@@ -49,30 +50,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    IndefiniteB,
-    SingularAfterRegularization,
-)
-from .eigen import (
-    EigenDecomposition,
-    _Metric,
-    _column_signs,
-    _fix_column_signs,
-    _null_basis,
-    _pencil_charpoly,
-    _poly_deriv,
-    _poly_eval,
-    _polish_multiple_root,
-    _roots_by_count,
-    eig_sym,
-)
+from .errors import DimensionMismatch, IndefiniteB, SingularAfterRegularization
+from .eigen import EigenDecomposition, _Metric, _column_signs, _sturm_pairs, eig_sym
 from .linalg import (
     SINGULAR_TOL,
     Matrix,
     SymMatrix,
-    _pow2_scaled,
     definiteness,
     frobenius_norm,
     null_eigenvalues,
@@ -392,10 +375,10 @@ def solve_quick_dirty(
     ``IndefiniteB``, and for d <= 4 (``"charpoly-sturm"``) the eigenvalues
     are the real roots of det(A - lambda B), all within
     rho = ||A||_F / min|lambda(B + eps I)|, found by one bisection on a Sturm
-    chain (``_sturm_pairs``). Each root r gets a null basis of A - r B, with
-    pivots at or below tol * (max|A| + |r| max|B|) taken as zero, and roots
-    this test cannot tell apart share one; a k-vector basis makes r a k-fold
-    eigenvalue, re-solved on the (k-1)-th derivative of det(A - mu B).
+    chain (``eigen._sturm_pairs``). Each root r gets a null basis of
+    A - r B, with pivots at or below tol * (max|A| + |r| max|B|) taken as
+    zero; a k-vector basis makes r a k-fold eigenvalue, re-solved on the
+    (k-1)-th derivative of det(A - mu B).
     ``ConvergenceFailure`` is raised when no tol up to 1e-4 gives d
     directions in all (complex eigenvalues, say).
 
@@ -504,155 +487,3 @@ def _shares_null_direction(a: np.ndarray, eig_b: EigenDecomposition) -> bool:
         if frobenius_norm(av) <= 1e-9 * fro_a:
             return True
     return False
-
-
-def _sturm_pairs(a: np.ndarray, b: np.ndarray, eps: float, lam_reg: list, order: str):
-    """(Phi, eigenvalues) of (A != 0, B + eps*I) at d <= 4, B + eps*I indefinite
-    with eigenvalues ``lam_reg``.
-
-    A and B + eps*I are scaled by 2^-e_a and 2^-e_b (``_pow2_scaled``), and A
-    by 2^-k at or above rho = ||A||_F / min|lambda(B + eps I)|, a bound on
-    every real eigenvalue: the roots mu of q(mu) = det(A - mu B) lie in
-    [-1, 1], and lambda = 2^(e_a + k - e_b) mu. A Sturm chain of q that ends
-    in a non-constant g ~ gcd(q, q') means repeated roots, which a count
-    locates only to ~eps^(1/m) for an m-fold one; that of q / g is bisected.
-    """
-    d = a.shape[0]
-    a, e_a = _pow2_scaled(a)
-    # B itself when not regularized: adding 0.0 would turn its -0.0 entries into +0.0
-    b, e_b = _pow2_scaled(b + eps * np.eye(d) if eps else b)
-    min_b = math.ldexp(min(abs(x) for x in lam_reg), -e_b)
-    _, k = _pow2_scaled(frobenius_norm(a) / min_b)
-    a, b = np.ldexp(a, -k).tolist(), b.tolist()
-    q = _pencil_charpoly(a, b, d)
-    chain = _sturm_chain(q)
-    if len(chain[-1]) > 1:
-        chain = _sturm_chain(_poly_divmod(q, chain[-1])[0])
-    roots = [mu for mu, _ in _roots_by_count(lambda mu: -_sign_variations(chain, mu))]
-    phi, mus = _pairs_at_roots(a, b, roots, d, order)
-    return phi, np.ldexp(mus, e_a + k - e_b).tolist()
-
-
-def _pairs_at_roots(
-    a: list, b: list, roots: list[float], d: int, order: str
-) -> tuple[np.ndarray, list[float]]:
-    """Eigenpairs at the ascending real roots of det(A - mu B), all in [-1, 1].
-
-    Each group of roots from ``_null_bases`` gets a null basis of A - r B;
-    a k-vector basis makes r an eigenvalue of multiplicity k. A root with
-    k >= 2 is re-solved on det(A - mu B) (``_polish_multiple_root``)
-    before its basis is taken again there.
-    """
-    groups = _null_bases(a, b, roots, d)
-    if any(len(v) > 1 for _, v in groups):
-        coeffs = _pencil_charpoly(a, b, d)
-        roots = [_polish_multiple_root(coeffs, r, len(v)) if len(v) > 1 else r for r, v in groups]
-        groups = _null_bases(a, b, roots, d)
-    found = sum(len(v) for _, v in groups)
-    if found != d:
-        raise ConvergenceFailure(
-            f"the null spaces at the {len(groups)} real roots of det(A - lambda B) "
-            f"hold {found} directions for {d} eigenvalues: the pencil has complex "
-            "or defective eigenvalues, which this solver does not handle, or roots "
-            "too close to tell apart"
-        )
-    pairs = [(r, vec) for r, basis in groups for vec in basis]
-    if order == "descending":
-        pairs = pairs[::-1]
-    lams = [lam for lam, _ in pairs]
-    phi = np.array([vec for _, vec in pairs], dtype=np.float64).T
-    return _fix_column_signs(phi), lams
-
-
-def _null_bases(
-    a: list, b: list, roots: list[float], d: int
-) -> list[tuple[float, list[list[float]]]]:
-    """(root, null basis of A - root B) per group of the ascending roots.
-
-    At rank tolerance tol, pivots at or below tol * (max|A| + |r| max|B|)
-    count as zero, so the test scales with the pencil. tol starts at 1e-10
-    and is loosened for all roots together until the bases hold d
-    directions or tol reaches 1e-4.
-
-    Near a k-fold root the count wavers over a zone ~eps^(1/k) wide and can
-    report the root there as several, each of which may see only part of
-    the eigenspace. So adjacent roots whose shifts differ by at most ten
-    times the rank tolerance, |r' - r| max|B| <= 10 tol (max|A| +
-    |r'| max|B|), form one group, which gets one basis at its mean root;
-    the factor covers pivots that track the smallest singular values only
-    to within a small multiple.
-    """
-    max_a = max(abs(x) for row in a for x in row)
-    max_b = max(abs(x) for row in b for x in row)
-    for tol in (1e-10, 1e-8, 1e-6, 1e-4):
-        groups: list[list[float]] = []
-        for r in roots:
-            if groups and (r - groups[-1][-1]) * max_b <= 10.0 * tol * (max_a + abs(r) * max_b):
-                groups[-1].append(r)
-            else:
-                groups.append([r])
-        bases = []
-        for group in groups:
-            r = sum(group) / len(group)
-            m = [[a[i][j] - r * b[i][j] for j in range(d)] for i in range(d)]
-            bases.append((r, _null_basis(m, tol * (max_a + abs(r) * max_b))))
-        if sum(len(v) for _, v in bases) >= d:
-            break
-    return bases
-
-
-# ---- characteristic polynomial of a pencil, d <= 4 ----
-
-
-def _poly_trim(p: list[float], ref: list[float]) -> list[float]:
-    """``p`` with coefficients at or below 1e-13 * max|ref| zeroed, trailing zeros dropped."""
-    tol = 1e-13 * max(abs(c) for c in ref)
-    out = [c if abs(c) > tol else 0.0 for c in p]
-    while out and out[-1] == 0.0:
-        out.pop()
-    return out
-
-
-def _poly_divmod(num: list[float], den: list[float]) -> tuple[list[float], list[float]]:
-    """(quotient, remainder) of num / den, coefficients in ascending powers."""
-    rem = num[:]
-    dd = len(den) - 1
-    lead = den[-1]
-    quot = [0.0] * max(len(num) - dd, 0)
-    while len(rem) - 1 >= dd and any(c != 0.0 for c in rem):
-        k = len(rem) - 1 - dd
-        f = rem[-1] / lead
-        quot[k] = f
-        for i in range(len(den)):
-            rem[k + i] -= f * den[i]
-        rem.pop()
-    return quot, rem
-
-
-def _sturm_chain(p: list[float]) -> list[list[float]]:
-    """p, p' and the negated remainders of Euclid's algorithm.
-
-    Each remainder is trimmed against the polynomial it was divided out of,
-    so one at roundoff level ends the chain: p then has repeated roots, and
-    the truncated chain still counts its distinct roots.
-    """
-    chain = [p, _poly_deriv(p)]
-    while len(chain[-1]) > 1:
-        rem = _poly_trim([-c for c in _poly_divmod(chain[-2], chain[-1])[1]], chain[-2])
-        if not rem:
-            break
-        chain.append(rem)
-    return chain
-
-
-def _sign_variations(chain: list[list[float]], x: float) -> int:
-    count = 0
-    prev = 0.0
-    for p in chain:
-        val = _poly_eval(p, x)
-        if val == 0.0:
-            continue
-        if prev != 0.0 and (val > 0.0) != (prev > 0.0):
-            count += 1
-        prev = val
-    return count

@@ -403,6 +403,15 @@ def test_eig_output_file(sym2, tmp_path, capsys):
     assert doc["eigenvalues"] == pytest.approx([3.0, 1.0])
 
 
+def test_eig_near_the_top_of_the_float_range(tmp_path, capsys):
+    # the symmetrisation (a + a') / 2 used to overflow to inf here
+    path = _write(tmp_path / "big.csv", "1.7e308,0\n0,-1.7e308\n")
+    assert main(["eig", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["eigenvalues"] == [1.7e308, -1.7e308]
+    assert doc["diagnostics"]["residual"] == 0.0
+
+
 def test_eig_rejects_asymmetric_input(tmp_path, capsys):
     path = _write(tmp_path / "bad.csv", "1,2\n9,1\n")
     assert main(["eig", path]) == 1

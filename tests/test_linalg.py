@@ -69,6 +69,19 @@ def test_sym_matrix_symmetrizes_small_asymmetry():
     assert s.dim == 2
 
 
+def test_sym_matrix_symmetrizes_without_overflow():
+    # (a + a') / 2 overflowed for entries above ~9e307
+    entries = [[1.0, 1e308], [1e308, 1.0]]
+    assert SymMatrix(entries).array.tolist() == entries
+    assert SymMatrix([[5e-324]]).array.tolist() == [[5e-324]]
+    # where the sum is finite, the bits of (a + a') / 2
+    arr = np.array([[1.7e308, 1e308, 3.0], [1e308 * (1 + 2e-16), -1.7e308, 1.0], [3.0 + 1e-15, 1.0, 2.0]])
+    expect = (arr / 4.0 + arr.T / 4.0) * 2.0  # no sum of halves overflows
+    expect[2, 0] = expect[0, 2] = (arr[2, 0] + arr[0, 2]) / 2.0
+    expect[2, 1] = expect[1, 2] = (arr[2, 1] + arr[1, 2]) / 2.0
+    assert np.array_equal(SymMatrix(arr).array, expect)
+
+
 def test_sym_matrix_rejects_gross_asymmetry_and_non_square():
     with pytest.raises(NotSymmetric):
         SymMatrix([[1.0, 2.0], [5.0, 3.0]])
