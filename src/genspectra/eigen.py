@@ -37,7 +37,8 @@ Every solve keeps its numbers in range by one rule, ``linalg._pow2_scaled``:
 its input scaled by 2^-e to a largest entry in [0.5, 1), and the
 eigenvalues back by 2^e (``eig_sym`` does so before either kernel). So A
 and 2^k A give the same eigenvectors, and eigenvalues 2^k apart, bit for
-bit where no entry is subnormal.
+bit where no entry is subnormal. An eigenvalue that 2^e takes above the
+float range raises ``EigenvalueOverflow`` (``linalg._pow2_unscaled``).
 
 For d <= 4 the module also holds every root search on a characteristic
 polynomial. ``char_poly_eig`` solves det(A - lambda I) = 0 directly: closed
@@ -47,7 +48,8 @@ eigenvalues only and exists as an independent cross-check of the Jacobi
 path. ``_sturm_pairs`` finds the real eigenvalues of a pencil (A, B) with
 an indefinite B as the roots of det(A - lambda B), by a bisection on a
 Sturm chain, and its vectors as null spaces of A - lambda B; the quick
-route of :mod:`genspectra.pencil` calls it.
+route of :mod:`genspectra.pencil` calls it where neither A nor -A is
+positive definite enough for its Cholesky congruence.
 
 Their bisection, ``_roots_by_count``, is the one root finder of every
 count on these paths: it halves brackets of a counting function inside
@@ -72,7 +74,15 @@ import numpy as np
 
 from . import kernels
 from .errors import ConvergenceFailure, NoNullSpace, UnsupportedDimension
-from .linalg import Matrix, SymMatrix, Vector, _cofactor_det, _pow2_scaled, frobenius_norm
+from .linalg import (
+    Matrix,
+    SymMatrix,
+    Vector,
+    _cofactor_det,
+    _pow2_scaled,
+    _pow2_unscaled,
+    frobenius_norm,
+)
 
 # Jacobi stops once the off-diagonal norm falls below
 # JACOBI_REL_TOL * ||A||_F, or fails after MAX_SWEEPS sweeps. The
@@ -156,7 +166,9 @@ def eig_sym(
     (see the module docstring). ``rel_tol`` and ``max_sweeps``
     bound Jacobi's off-diagonal norm and its sweeps, or the tridiagonal
     kernel's residuals and its steps; ``ConvergenceFailure`` is raised when
-    the kernel runs out of them.
+    the kernel runs out of them, and ``EigenvalueOverflow`` when an
+    eigenvalue is above the float range (a 2 x 2 all-ones matrix times
+    1.7e308, say).
 
     Eigenvectors come back orthonormal with a deterministic sign: the
     largest-magnitude entry of each column is positive (first such entry
@@ -179,7 +191,7 @@ def eig_sym(
         raise ConvergenceFailure(
             f"{name} did not reach tolerance after {iterations} iterations (dim {a.dim})"
         )
-    w = np.ldexp(w, e)
+    w = _pow2_unscaled(w, e)
 
     key = -w if order == "descending" else w
     idx = np.argsort(key, kind="stable")
@@ -217,7 +229,7 @@ def char_poly_eig(a: SymMatrix) -> list[float]:
     _, k = _pow2_scaled(frobenius_norm(m))
     m = np.ldexp(m, -k).tolist()
     roots = {1: lambda m: [m[0][0]], 2: _char_quadratic, 3: _char_cubic, 4: _char_quartic}[d](m)
-    return np.ldexp(roots, e + k).tolist()
+    return _pow2_unscaled(roots, e + k).tolist()
 
 
 def eigvec_for(a: SymMatrix, lam: float, lam_tol: float = 1e-6) -> Vector:
@@ -499,12 +511,12 @@ def _polish_multiple_root(coeffs: list[float], mu: float, mult: int) -> float:
 # real roots of a pencil, d <= 4
 
 
-def _sturm_pairs(a: np.ndarray, b: np.ndarray, eps: float, lam_reg: list, order: str):
-    """(Phi, eigenvalues) of (A != 0, B + eps*I) at d <= 4, B + eps*I indefinite
-    with eigenvalues ``lam_reg``.
+def _sturm_pairs(a: np.ndarray, b: np.ndarray, lam_reg: list, order: str):
+    """(Phi, eigenvalues) of (A != 0, B) at d <= 4, B indefinite with
+    eigenvalues ``lam_reg`` (B is B + eps*I where the quick route regularized).
 
-    A and B + eps*I are scaled by 2^-e_a and 2^-e_b (``_pow2_scaled``), and A
-    by 2^-k at or above rho = ||A||_F / min|lambda(B + eps I)|, a bound on
+    A and B are scaled by 2^-e_a and 2^-e_b (``_pow2_scaled``), and A
+    by 2^-k at or above rho = ||A||_F / min|lambda(B)|, a bound on
     every real eigenvalue: the roots mu of q(mu) = det(A - mu B) lie in
     [-1, 1], and lambda = 2^(e_a + k - e_b) mu. A Sturm chain of q that ends
     in a non-constant g ~ gcd(q, q') means repeated roots, which a count
@@ -512,8 +524,7 @@ def _sturm_pairs(a: np.ndarray, b: np.ndarray, eps: float, lam_reg: list, order:
     """
     d = a.shape[0]
     a, e_a = _pow2_scaled(a)
-    # B itself when not regularized: adding 0.0 would turn its -0.0 entries into +0.0
-    b, e_b = _pow2_scaled(b + eps * np.eye(d) if eps else b)
+    b, e_b = _pow2_scaled(b)
     min_b = math.ldexp(min(abs(x) for x in lam_reg), -e_b)
     _, k = _pow2_scaled(frobenius_norm(a) / min_b)
     a, b = np.ldexp(a, -k).tolist(), b.tolist()
@@ -523,7 +534,7 @@ def _sturm_pairs(a: np.ndarray, b: np.ndarray, eps: float, lam_reg: list, order:
         chain = _sturm_chain(_poly_divmod(q, chain[-1])[0])
     roots = [mu for mu, _ in _roots_by_count(lambda mu: -_sign_variations(chain, mu))]
     phi, mus = _pairs_at_roots(a, b, roots, d, order)
-    return phi, np.ldexp(mus, e_a + k - e_b).tolist()
+    return phi, _pow2_unscaled(mus, e_a + k - e_b).tolist()
 
 
 def _pairs_at_roots(

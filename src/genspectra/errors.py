@@ -111,3 +111,7 @@ class IndefiniteB(NumericalError):
 
 class SingularAfterRegularization(NumericalError):
     """B + eps*I is still numerically singular."""
+
+
+class EigenvalueOverflow(NumericalError):
+    """An eigenvalue lies above the float range once scaled back to the input's units."""

@@ -22,13 +22,14 @@ import numpy as np
 from . import kernels
 from .errors import (
     DimensionMismatch,
+    EigenvalueOverflow,
     NonFiniteEntry,
     NotSymmetric,
     SingularMatrix,
 )
 
 # Relative asymmetry accepted by SymMatrix: max |M - M'| over
-# sym_tol * max(1, max |entry|).
+# sym_tol * max |entry|.
 SYM_TOL = 1e-9
 
 # Singularity and definiteness are decided relative to the scale of the
@@ -106,7 +107,8 @@ class SymMatrix(Matrix):
     unchanged.
 
     Construction fails with ``NotSymmetric`` when the asymmetry exceeds
-    ``sym_tol * max(1, max|entry|)``.
+    ``sym_tol * max|entry|``. It is measured on ``_pow2_scaled(M)``, so no
+    difference overflows and 2^k M gets the verdict of M.
     """
 
     __slots__ = ()
@@ -115,13 +117,15 @@ class SymMatrix(Matrix):
         arr = _as_2d(entries)
         if arr.shape[0] != arr.shape[1]:
             raise NotSymmetric(f"symmetric matrix must be square, got {arr.shape}")
-        scale = max(1.0, float(np.max(np.abs(arr)))) if arr.size else 1.0
-        asym = float(np.max(np.abs(arr - arr.T)))
-        if asym > sym_tol * scale:
+        m, e = _pow2_scaled(arr)
+        top = float(np.max(np.abs(m)))
+        asym = float(np.max(np.abs(m - m.T)))
+        if asym > sym_tol * top:
             raise NotSymmetric(
-                f"asymmetry {asym:.3e} exceeds tolerance {sym_tol * scale:.3e}"
+                f"asymmetry {asym / top:.3e} relative to the largest entry "
+                f"exceeds tolerance {sym_tol:.3e}"
             )
-        if scale < 2.0**1023:  # no sum of two entries can overflow
+        if e < 1024:  # no sum of two entries can overflow
             sym = (arr + arr.T) / 2.0
         else:
             # where a sum overflows both entries are huge, and halving them
@@ -211,6 +215,18 @@ def _pow2_scaled(x):
     in [0.5, 1), or e = 0 where x is all zero or not finite; by ``np.ldexp``."""
     e = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
     return np.ldexp(x, -e), e
+
+
+def _pow2_unscaled(w, e: int) -> np.ndarray:
+    """``np.ldexp(w, e)``: eigenvalues w of a matrix scaled by ``_pow2_scaled``,
+    back in its units. Raises ``EigenvalueOverflow``, naming the exponent, where
+    one of them is above the float range."""
+    m, k = math.frexp(float(np.abs(w).max(initial=0.0)))
+    if k + e > 1024:
+        raise EigenvalueOverflow(
+            f"eigenvalue of magnitude {m:.6f} * 2^{k + e} is above the float range (2^1024)"
+        )
+    return np.ldexp(w, e)
 
 
 def frobenius_norm(a: Matrix | np.ndarray) -> float:

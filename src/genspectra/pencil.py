@@ -7,12 +7,16 @@ Two routes are provided:
   solves the congruence C = W' A W, W' B W = I, which shares the spectrum
   of B^-1 A: W = L^-T from a Cholesky factor B = L L' when B is well
   conditioned, else W = (B + eps*I)^-1/2 from the decomposition of B,
-  with eps = 0 unless B is singular. An indefinite B is rejected at
-  d > 4; at d <= 4 its eigenvalues are the real roots of det(A - lambda B),
-  and its vectors span null spaces of A - lambda B. That root search,
+  with eps = 0 unless B is singular. Where B + eps*I is indefinite but A
+  or -A passes the same Cholesky gate, the pencil is read as
+  B phi = (1/lambda) A phi, whose metric is +-A, and the congruence is
+  taken by A's factor instead (``"cholesky-a"``, Golub & Van Loan 8.7).
+  Where neither does, the pencil is rejected at d > 4; at d <= 4 its
+  eigenvalues are the real roots of det(A - lambda B), and its vectors
+  span null spaces of A - lambda B. That root search,
   ``eigen._sturm_pairs``, lives with the other d <= 4 root searches in
-  :mod:`genspectra.eigen`. Vectors are unit length at d <= 4 and
-  B-orthonormal at d > 4.
+  :mod:`genspectra.eigen`. Vectors are unit length at d <= 4; at d > 4
+  they are B-orthonormal, or (+-A)-orthonormal on ``"cholesky-a"``.
 * ``solve_rigorous`` whitens the metric: decompose B, scale its
   eigenvectors to unit metric, decompose the transformed A, and combine.
   The result is B-orthonormal (Phi' B Phi = I, Phi' A Phi = diag(lambda))
@@ -56,10 +60,11 @@ from .linalg import (
     SINGULAR_TOL,
     Matrix,
     SymMatrix,
+    _pow2_scaled,
+    _pow2_unscaled,
     definiteness,
     frobenius_norm,
     null_eigenvalues,
-    trace,
 )
 
 # Regularization strength when B is singular, before scaling by the
@@ -105,10 +110,13 @@ class GenEigenSolution:
     ``strategy`` records how the eigenpairs were actually computed:
     ``"whitening"`` (the rigorous route, and the quick route on a positive
     definite B + eps*I that it decomposes), ``"cholesky"`` (the quick route
-    on a well-conditioned B) or ``"charpoly-sturm"`` (the quick route at
-    d <= 4 on an indefinite B + eps*I). The quick route's vectors are unit
-    length at d <= 4; the whitening and Cholesky congruences give
-    B-orthonormal vectors above that.
+    on a well-conditioned B), ``"cholesky-a"`` (the quick route on an
+    indefinite B + eps*I where A or -A is a well-conditioned metric) or
+    ``"charpoly-sturm"`` (the quick route at d <= 4 on an indefinite
+    B + eps*I where neither is). The quick route's vectors are unit
+    length at d <= 4; above that the whitening and Cholesky congruences
+    give B-orthonormal vectors, and ``"cholesky-a"`` gives
+    (+-A)-orthonormal ones.
     ``epsilon_used`` is 0.0 unless a singular B forced regularization.
     ``residual`` is ||A Phi - B Phi diag(lambda)||_F / max(1, ||A||_F)
     and ``b_orthonormality`` is max|Phi' B Phi - I|, both against the
@@ -242,8 +250,8 @@ def _whitening(
     return eig_b, eps_used, eig_b.phi.array * np.array(factors, dtype=np.float64)
 
 
-def _cholesky_whitening(b: SymMatrix) -> np.ndarray | None:
-    """W = L^-T for B = L L', or None where B fails the Cholesky gate.
+def _cholesky_whitening(b: np.ndarray) -> np.ndarray | None:
+    """W = L^-T for a symmetric B = L L', or None where B fails the Cholesky gate.
 
     The gate: every pivot of the factorization is positive
     (``kernels.cholesky_inverse``), and trace(B) * ||L^-1||_F^2 =
@@ -251,8 +259,9 @@ def _cholesky_whitening(b: SymMatrix) -> np.ndarray | None:
     most ``CHOLESKY_MAX_CONDITION``. A B that passes is definite and
     nonsingular in ``linalg.definiteness``'s terms, so it needs no eps.
     """
-    inv_l = kernels.cholesky_inverse(b.array)
-    if inv_l is None or not trace(b) * float(np.sum(inv_l * inv_l)) <= CHOLESKY_MAX_CONDITION:
+    inv_l = kernels.cholesky_inverse(b)
+    trace_b = float(np.sum(np.diag(b)))
+    if inv_l is None or not trace_b * float(np.sum(inv_l * inv_l)) <= CHOLESKY_MAX_CONDITION:
         return None
     return inv_l.T
 
@@ -272,7 +281,7 @@ def _leading_whitened(
     Phi (at least k columns), their eigenvalues, eps and the strategy.
     """
     eps_used, strategy = 0.0, "cholesky"
-    breve = _cholesky_whitening(p.b)
+    breve = _cholesky_whitening(p.b.array)
     if breve is None:
         _, eps_used, breve = _whitening(p.b, epsilon)
         strategy = "whitening"
@@ -371,8 +380,17 @@ def solve_quick_dirty(
     max|B| = 1 at d = 2 to 8, and with A = I, B = 0 (d = 16) this route
     gives 1/eps = 1e5 where ``solve_rigorous`` gives 1/eps^2 = 1e10.
 
-    An indefinite B + eps*I has no such W: for d > 4 it raises
-    ``IndefiniteB``, and for d <= 4 (``"charpoly-sturm"``) the eigenvalues
+    An indefinite B + eps*I has no such W. Where A, or else -A, passes the
+    Cholesky gate (``"cholesky-a"``, ``_reciprocal_pairs``), at every d,
+    the pencil is read as (B + eps*I) phi = mu A phi with mu = 1/lambda:
+    with s*A = L L', C = L^-1 (B + eps*I) L^-T = V M V', lambda = s/mu and
+    Phi = L^-T V, both scaled by powers of two so that (2^k A, 2^j B)
+    gives exactly 2^(k-j) lambda. ``SingularAfterRegularization`` is raised
+    where some |mu| is at or below ``SINGULAR_TOL`` * max|mu|, and
+    ``EigenvalueOverflow`` where a lambda is above the float range.
+
+    Where neither +A nor -A passes, d > 4 raises ``IndefiniteB``, and for
+    d <= 4 (``"charpoly-sturm"``) the eigenvalues
     are the real roots of det(A - lambda B), all within
     rho = ||A||_F / min|lambda(B + eps I)|, found by one bisection on a Sturm
     chain (``eigen._sturm_pairs``). Each root r gets a null basis of
@@ -385,11 +403,12 @@ def solve_quick_dirty(
     Eigenvectors are unit length at d <= 4, on every strategy, and not
     B-orthonormal in general; that is the price of the quick route. At
     d > 4 they are the congruence's, B-orthonormal (to B + eps*I when
-    regularized).
+    regularized), or on ``"cholesky-a"`` (s*A)-orthonormal:
+    Phi' (s A) Phi = I.
     """
     d = p.dim
     eig_b, eps_used, strategy = None, 0.0, "cholesky"
-    breve = _cholesky_whitening(p.b)
+    breve = _cholesky_whitening(p.b.array)
     if breve is None:
         eig_b = eig_sym(_Metric(p.b), order="descending")
         _, singular = definiteness(eig_b.eigenvalues)
@@ -400,17 +419,25 @@ def solve_quick_dirty(
             raise SingularAfterRegularization(
                 f"B + eps*I is still singular with eps = {eps_used:.3e}"
             )
-        if indefinite and d > 4:
-            raise IndefiniteB(
-                "the quick and dirty route needs a positive definite B (after regularization) "
-                f"for d > 4; smallest eigenvalue is {lam_reg[-1]:.6e}"
-            )
         if indefinite:
-            if np.any(p.a.array):
-                phi, lams = _sturm_pairs(p.a.array, p.b.array, eps_used, lam_reg, order)
+            # B itself when not regularized: adding 0.0 would turn its -0.0 entries into +0.0
+            b_reg = p.b.array + eps_used * np.eye(d) if eps_used else p.b.array
+            found = _reciprocal_pairs(p.a.array, b_reg, order)
+            if found is not None:
+                phi, lams = found
+                strategy = "cholesky-a"
+            elif d > 4:
+                raise IndefiniteB(
+                    "the quick and dirty route needs a positive definite B (after "
+                    "regularization) or a definite A for d > 4; smallest eigenvalue "
+                    f"of B is {lam_reg[-1]:.6e}"
+                )
+            elif np.any(p.a.array):
+                phi, lams = _sturm_pairs(p.a.array, b_reg, lam_reg, order)
+                strategy = "charpoly-sturm"
             else:  # A = 0: every vector is an eigenvector for 0
-                phi, lams = np.eye(d), [0.0] * d
-            return _solution(p, eig_b, phi, lams, "quick_dirty", eps_used, "charpoly-sturm")
+                phi, lams, strategy = np.eye(d), [0.0] * d, "charpoly-sturm"
+            return _solution(p, eig_b, phi, lams, "quick_dirty", eps_used, strategy)
         strategy = "whitening"
         # the metric Phi_B (Lambda_B + eps I) Phi_B' = B + eps*I
         factors = [1.0 / math.sqrt(x) for x in lam_reg]
@@ -419,6 +446,56 @@ def solve_quick_dirty(
     if d <= 4:  # the unit-length contract of the small-d quick route
         phi = phi / np.sqrt(np.sum(phi * phi, axis=0))
     return _solution(p, eig_b, phi, lams, "quick_dirty", eps_used, strategy)
+
+
+def _reciprocal_pairs(
+    a: np.ndarray, b: np.ndarray, order: str
+) -> tuple[np.ndarray, list[float]] | None:
+    """(Phi, eigenvalues) of (A, B) by the Cholesky congruence of s*A, s = +1 or -1,
+    or None where neither +A nor -A passes the gate of ``_cholesky_whitening``.
+
+    A phi = lambda B phi is B phi = mu A phi with mu = 1 / lambda, and s*A
+    is a definite metric for it (Golub & Van Loan, section 8.7). A and B
+    are scaled once, A_s = 2^-e_a A and B_s = 2^-e_b B (``_pow2_scaled``);
+    with s A_s = L L', C = L^-1 B_s L^-T = V M V' (``_whiten_core``) gives
+    lambda = s 2^(e_a - e_b) / mu and Phi = L^-T V, sorted per ``order``.
+    So (2^k A, 2^j B) gives exactly 2^(k-j) lambda, and the same Phi at
+    d <= 4, where the columns are scaled to unit length. Above d = 4 they
+    are scaled by 2^(-e_a / 2), which makes them (s*A)-orthonormal:
+    Phi' (s A) Phi = I.
+
+    Raises ``SingularAfterRegularization`` where some |mu| is at or below
+    ``SINGULAR_TOL`` * max|mu|: B is then singular in A's metric, and
+    1 / mu would carry a relative error of roundoff times max|mu| / |mu|,
+    2e-4 or more.
+    """
+    d = a.shape[0]
+    a_s, e_a = _pow2_scaled(a)
+    for sign in (1.0, -1.0):
+        breve = _cholesky_whitening(sign * a_s)
+        if breve is not None:
+            break
+    else:
+        return None
+    b_s, e_b = _pow2_scaled(b)
+    phi, _, _, mus = _whiten_core(SymMatrix(b_s), breve, "descending")
+    mus = np.array(mus)
+    size = np.abs(mus)
+    if not size.min() > SINGULAR_TOL * size.max():
+        raise SingularAfterRegularization(
+            f"B is singular in the metric of {'' if sign > 0.0 else '-'}A: eigenvalue "
+            f"mu = {mus[np.argmin(size)]:.3e} of L^-1 B L^-T against a largest "
+            f"|mu| of {size.max():.3e}, so lambda = 1/mu is not resolved"
+        )
+    lams = sign / mus
+    idx = np.argsort(-lams if order == "descending" else lams, kind="stable")
+    phi = phi[:, idx]
+    if d <= 4:
+        phi = phi / np.sqrt(np.sum(phi * phi, axis=0))
+    else:
+        half, odd = divmod(e_a, 2)
+        phi = np.ldexp(phi * math.sqrt(0.5) if odd else phi, -half)
+    return phi, _pow2_unscaled(lams[idx], e_a - e_b).tolist()
 
 
 def _solution(p, eig_b, phi, lams, method, eps_used, strategy) -> GenEigenSolution:

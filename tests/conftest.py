@@ -133,6 +133,21 @@ def random_spd(
     return SymMatrix((q * lam) @ q.T)
 
 
+def indefinite_pencil(d: int, seed: int = 5) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) = (F' diag(mu s) F, F' diag(s) F) at d <= 4, F = I + 0.3 G.
+
+    B is indefinite (s = +-1 alternating), and so is A (mu s has mixed
+    signs): neither +A nor -A is a metric, and the spectrum is real, mu =
+    (2, 1, -1.5, 3)[:d]. The quick route's Sturm search serves it.
+    """
+    mu = np.array([2.0, 1.0, -1.5, 3.0][:d])
+    s = np.array([1.0, -1.0, 1.0, -1.0][:d])
+    f = np.eye(d) + 0.3 * np.random.RandomState(seed).standard_normal((d, d))
+    a = f.T @ ((mu * s)[:, None] * f)
+    b = f.T @ (s[:, None] * f)
+    return (a + a.T) / 2.0, (b + b.T) / 2.0
+
+
 def random_unit(rng: np.random.RandomState, d: int) -> np.ndarray:
     v = rng.standard_normal(d)
     return v / np.sqrt(v @ v)

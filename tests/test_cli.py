@@ -33,7 +33,7 @@ from genspectra.cli import (
 from genspectra.linalg import SymMatrix, Vector
 from genspectra.rayleigh import check_stationarity
 
-from conftest import random_sym
+from conftest import indefinite_pencil, random_sym
 
 
 def _write(path, text: str) -> str:
@@ -524,20 +524,22 @@ def test_geig_resid_tol_gate_exits_2(tmp_path, capsys):
 
 
 def test_eig_resid_tol_gate_fails_a_nan_residual(tmp_path, capsys):
-    # the largest eigenvalue, 2.4e308, overflows to inf, so the residual is NaN
+    # The largest eigenvalue, 2.4e308, is above the float range. It used to
+    # overflow to inf, with a NaN residual that only the gate caught; now
+    # the solve fails with the eigenvalue's exponent, gate or no gate.
     a = _write(tmp_path / "a.csv", "8e307,8e307,8e307\n" * 3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["eig", "--resid-tol", "1e-6", a]) == 2
-        assert "ConvergenceFailure" in capsys.readouterr().err
-        assert main(["eig", a]) == 0  # no gate: reported, not fatal
-    assert math.isnan(json.loads(capsys.readouterr().out)["diagnostics"]["residual"])
+    for argv in (["eig", "--resid-tol", "1e-6", a], ["eig", a]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "EigenvalueOverflow" in err and "2^1025" in err, argv
 
 
 def _scale_runs() -> dict:
     """Command lines of eig and geig at d = 3 and 20, matrices in place of paths.
 
-    geig runs by quick_dirty on an SPD B (the Cholesky congruence) and an
-    indefinite one (the Sturm search), and by rigorous.
+    geig runs by quick_dirty on an SPD B (the Cholesky congruence), on an
+    indefinite B with an SPD A (the congruence by A's Cholesky factor) and
+    with an indefinite A (the Sturm search), and by rigorous.
     """
     rng = np.random.RandomState(54)
     a3, a20 = random_sym(rng, 3, scale=3.0).array, random_sym(rng, 20, scale=3.0).array
@@ -548,7 +550,8 @@ def _scale_runs() -> dict:
         "eig d=20": ["eig", a20],
         "quick d=3": ["geig", "--method", "quick_dirty", a3, b3],
         "quick d=20": ["geig", "--method", "quick_dirty", a20, b20],
-        "sturm d=3": ["geig", "--method", "quick_dirty", b3, np.diag([1.0, -0.5, 2.0])],
+        "cholesky-a d=3": ["geig", "--method", "quick_dirty", b3, np.diag([1.0, -0.5, 2.0])],
+        "sturm d=3": ["geig", "--method", "quick_dirty", *indefinite_pencil(3)],
         "rigorous d=3": ["geig", "--method", "rigorous", a3, b3],
         "rigorous d=20": ["geig", "--method", "rigorous", a20, b20],
     }

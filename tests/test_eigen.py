@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from genspectra import (
     ConvergenceFailure,
+    EigenvalueOverflow,
     NonFiniteEntry,
     NoNullSpace,
     SymMatrix,
@@ -240,6 +241,18 @@ def _eig_sym_at_scales() -> dict:
             b = SymMatrix(a.array * s)
             got[name, s] = eig_sym(eigen._Metric(b) if isinstance(a, eigen._Metric) else b)
     return got
+
+
+def test_eigenvalue_above_the_float_range_is_located():
+    # 2 * 1.7e308 = 0.94 * 2^1025: np.ldexp overflowed to inf with a
+    # RuntimeWarning, and the CLI exited 0 with Infinity and a NaN residual
+    a = SymMatrix([[1.7e308, 1.7e308], [1.7e308, 1.7e308]])
+    with pytest.raises(EigenvalueOverflow, match=r"2\^1025"):
+        eig_sym(a)
+    with pytest.raises(EigenvalueOverflow, match=r"2\^1025"):
+        char_poly_eig(a)
+    # the largest eigenvalue in range, 1.7e308 * 1.0
+    assert eig_sym(SymMatrix([[1.7e308, 0.0], [0.0, -1.0]])).eigenvalues == (1.7e308, -1.0)
 
 
 def test_eig_sym_scales_by_powers_of_two_exactly(eigen_inputs):

@@ -15,7 +15,7 @@ from genspectra import solve_quick_dirty, solve_rigorous
 from genspectra.eigen import JACOBI_REL_TOL, MAX_SWEEPS
 from genspectra.kernels import pykernels
 
-from conftest import CYKERNELS_MODULE, random_sym
+from conftest import CYKERNELS_MODULE, indefinite_pencil, random_sym
 
 
 def _same_bits(x, y) -> bool:
@@ -412,9 +412,15 @@ def test_solvers_bit_identical_across_backends(cykernels, monkeypatch):
         solves[f"quick d={d} cholesky"] = functools.partial(solve_quick_dirty, spd)
         solves[f"quick d={d} whitening"] = functools.partial(solve_quick_dirty, rank_deficient)
         solves[f"rigorous d={d} whitening"] = lambda p=spd: solve_rigorous(p)[0]
-    # at d <= 4 an indefinite B takes the Sturm search; an SPD A keeps the spectrum real
-    indefinite = Pencil(spd.b, SymMatrix(np.diag([1.0, -0.5, 2.0])))
+    # an indefinite B takes the congruence by A's Cholesky factor where A is
+    # definite, and at d <= 4 the Sturm search where A is indefinite too
+    definite_a = Pencil(spd.b, SymMatrix(np.diag([1.0, -0.5, 2.0])))
+    solves["quick d=3 cholesky-a"] = functools.partial(solve_quick_dirty, definite_a)
+    indefinite = Pencil(*(SymMatrix(m) for m in indefinite_pencil(3)))
     solves["quick d=3 charpoly-sturm"] = functools.partial(solve_quick_dirty, indefinite)
+    g7 = np.random.RandomState(79).standard_normal((7, 7))
+    definite_a7 = Pencil(SymMatrix(-(g7 @ g7.T) - 7.0 * np.eye(7)), SymMatrix(np.diag([1.0, -2.0] * 3 + [3.0])))
+    solves["quick d=7 cholesky-a"] = functools.partial(solve_quick_dirty, definite_a7)
     labels = tuple(int(v) for v in rng.randint(0, 3, size=40))
     ds = LabeledDataset(Matrix(rng.standard_normal((3, 40))), labels=labels)
     solves["kspca cholesky"] = functools.partial(kspca_fit, ds, 2)

@@ -26,7 +26,7 @@ from genspectra import (
 )
 from genspectra.linalg import _cofactor_det, _lu_det, definiteness, dot, frobenius_norm_sq
 
-from conftest import SCALES, random_spd, random_sym
+from conftest import POW2_EXPS, SCALES, random_spd, random_sym
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +87,38 @@ def test_sym_matrix_rejects_gross_asymmetry_and_non_square():
         SymMatrix([[1.0, 2.0], [5.0, 3.0]])
     with pytest.raises(NotSymmetric):
         SymMatrix([[1.0, 2.0, 3.0], [2.0, 1.0, 0.0]])
+
+
+def test_sym_matrix_asymmetry_is_relative_to_the_largest_entry():
+    # a floor of 1 on the scale accepted any asymmetry below 1e-9
+    with pytest.raises(NotSymmetric):
+        SymMatrix([[0.0, 1e-12], [0.0, 0.0]])
+    # arr - arr.T overflowed to inf here, with a RuntimeWarning
+    with pytest.raises(NotSymmetric):
+        SymMatrix([[0.0, 1.7e308], [-1.7e308, 0.0]])
+
+
+SYMMETRY_VERDICTS = {
+    "exact": ([[1.0, 2.0], [2.0, 3.0]], True),
+    "roundoff": ([[1.0, 2.0 + 1e-12], [2.0, 3.0]], True),
+    "below tol": ([[1.0, 1.0 + 5e-10], [1.0, 1.0]], True),
+    "above tol": ([[1.0, 1.0 + 2e-9], [1.0, 1.0]], False),
+    "tiny entries": ([[0.0, 1e-12], [0.0, 0.0]], False),
+    "gross": ([[1.0, 2.0], [5.0, 3.0]], False),
+    "zero": ([[0.0, 0.0], [0.0, 0.0]], True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRY_VERDICTS))
+def test_sym_matrix_verdict_is_the_same_at_every_power_of_two(name):
+    entries, symmetric = SYMMETRY_VERDICTS[name]
+    for k in POW2_EXPS:
+        m = np.array(entries) * 2.0**k
+        if symmetric:
+            assert SymMatrix(m).array[0, 1] == SymMatrix(m).array[1, 0], k
+        else:
+            with pytest.raises(NotSymmetric):
+                SymMatrix(m)
 
 
 def test_vector_norm_and_validation():

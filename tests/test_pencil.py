@@ -11,6 +11,7 @@ import pytest
 from genspectra import (
     ConvergenceFailure,
     DimensionMismatch,
+    EigenvalueOverflow,
     GenEigenSolution,
     IndefiniteB,
     Pencil,
@@ -34,6 +35,7 @@ from conftest import (
     POW2_EXPS,
     SCALES,
     assert_diagnostics,
+    indefinite_pencil,
     kernel_calls,
     random_orthonormal,
     random_spd,
@@ -413,17 +415,19 @@ def test_quick_route_vectors_of_double_roots_are_orthonormal():
         assert sol.residual <= 1e-12, seed
 
 
-def _indefinite_sweep_pencil(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """A = G G' + I (seed 5) and an indefinite diagonal B0: a real spectrum."""
+def _definite_a_sweep_pencil(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """A = G G' + I (seed 5) and an indefinite diagonal B0: A is a metric."""
     g = np.random.RandomState(5).standard_normal((d, d))
     return g @ g.T + np.eye(d), np.diag([1.0, -0.5, 2.0, -3.0][:d])
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_sturm_route_is_the_same_at_every_scale_of_b(d):
-    a, b0 = _indefinite_sweep_pencil(d)
+SCALE_SWEEP_PENCILS = {"cholesky-a": _definite_a_sweep_pencil, "charpoly-sturm": indefinite_pencil}
+
+
+def _assert_same_at_every_scale_of_b(d: int, strategy: str):
+    a, b0 = SCALE_SWEEP_PENCILS[strategy](d)
     unit = solve_quick_dirty(Pencil(SymMatrix(a), SymMatrix(b0)))
-    assert unit.strategy == "charpoly-sturm"
+    assert unit.strategy == strategy
     ref = np.sort(np.linalg.eigvals(np.linalg.solve(b0, a)).real)[::-1]
     top = np.max(np.abs(ref))
     assert np.max(np.abs(np.array(unit.eigenvalues) - ref)) <= 1e-10 * top
@@ -434,19 +438,38 @@ def test_sturm_route_is_the_same_at_every_scale_of_b(d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_sturm_route_scales_by_powers_of_two_exactly(d):
-    # Before the route normalised A and B, (2^-300 A, 2^300 B) divided by
-    # zero, 2^-540 A gave zero eigenvalues, and d = 4 overflowed at 2^300.
-    a, b = _indefinite_sweep_pencil(d)
+def test_cholesky_a_route_is_the_same_at_every_scale_of_b(d):
+    _assert_same_at_every_scale_of_b(d, "cholesky-a")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sturm_route_is_the_same_at_every_scale_of_b(d):
+    _assert_same_at_every_scale_of_b(d, "charpoly-sturm")
+
+
+def _assert_scales_by_powers_of_two_exactly(d: int, strategy: str):
+    a, b = SCALE_SWEEP_PENCILS[strategy](d)
     unit = solve_quick_dirty(Pencil(SymMatrix(a), SymMatrix(b)))
     for k in POW2_EXPS:
         for j in POW2_EXPS:
             if abs(k - j) > 1000:  # 2^(k - j) times the eigenvalues is out of range
                 continue
             sol = solve_quick_dirty(Pencil(SymMatrix(a * 2.0**k), SymMatrix(b * 2.0**j)))
-            assert sol.strategy == "charpoly-sturm", (k, j)
+            assert sol.strategy == strategy, (k, j)
             assert sol.eigenvalues == tuple(2.0 ** (k - j) * x for x in unit.eigenvalues), (k, j)
             assert np.array_equal(sol.phi.array, unit.phi.array), (k, j)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cholesky_a_route_scales_by_powers_of_two_exactly(d):
+    _assert_scales_by_powers_of_two_exactly(d, "cholesky-a")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sturm_route_scales_by_powers_of_two_exactly(d):
+    # Before the route normalised A and B, (2^-300 A, 2^300 B) divided by
+    # zero, 2^-540 A gave zero eigenvalues, and d = 4 overflowed at 2^300.
+    _assert_scales_by_powers_of_two_exactly(d, "charpoly-sturm")
 
 
 @pytest.mark.parametrize("b", [(1, 1), (1, -1), (1, 2, 3, 4), (1, -1, 2, -3)])
@@ -585,6 +608,132 @@ def test_quick_route_decomposes_b_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the quick route's congruence by A's Cholesky factor (indefinite B, definite A)
+# ---------------------------------------------------------------------------
+
+
+def _found_recipe_pencils(c: float):
+    """300 definite pencils A = F' diag(lambda s) F, B = F' diag(s) F at d = 4.
+
+    F = X^-1, X = U diag(geomspace(1, c, 4)) V with U, V from the QR of
+    Gaussians, s = (1, 1, -1, -1) and lambda = uniform(0.5, 2) s, so A is
+    positive definite, B indefinite and cond(F) = c; ``default_rng(3)``
+    restarted per c.
+    """
+    rng = np.random.default_rng(3)
+    s = np.array([1.0, 1.0, -1.0, -1.0])
+    for _ in range(300):
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        f = np.linalg.inv(u @ np.diag(np.geomspace(1.0, c, 4)) @ v)
+        lam = rng.uniform(0.5, 2.0, 4) * s
+        a = f.T @ np.diag(lam * s) @ f
+        b = f.T @ np.diag(s) @ f
+        yield (a + a.T) / 2.0, (b + b.T) / 2.0
+
+
+@pytest.mark.parametrize("c", [10.0, 100.0, 1000.0])
+def test_cholesky_a_route_solves_ill_conditioned_definite_pencils(c):
+    # The Sturm search raised ConvergenceFailure on 95 of these at c = 100,
+    # and on 213 at c = 1000, where 87 more came back wrong with no error.
+    import scipy.linalg
+
+    for i, (a, b) in enumerate(_found_recipe_pencils(c)):
+        sol = solve_quick_dirty(Pencil(SymMatrix(a), SymMatrix(b)))
+        assert sol.strategy == "cholesky-a", i
+        ref = np.sort(scipy.linalg.eigvals(a, b).real)[::-1]
+        assert np.max(np.abs(np.array(sol.eigenvalues) - ref) / np.abs(ref)) <= 1e-8, i
+
+
+def _indefinite_b(rng: np.random.RandomState, d: int) -> np.ndarray:
+    """Q diag(+-[1, 10]) Q' with both signs present."""
+    q = random_orthonormal(rng, d)
+    lam = rng.uniform(1.0, 10.0, d) * np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
+    b = (q * lam) @ q.T
+    return (b + b.T) / 2.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("d", range(5, 13))
+def test_cholesky_a_route_serves_a_definite_a_above_d4(d, sign):
+    # at HEAD's d > 4 this raised IndefiniteB
+    rng = np.random.RandomState(700 + d)
+    a = sign * random_spd(rng, d).array
+    b = _indefinite_b(rng, d)
+    for order in ("descending", "ascending"):
+        sol = solve_quick_dirty(Pencil(SymMatrix(a), SymMatrix(b)), order=order)
+        assert sol.strategy == "cholesky-a"
+        assert sol.epsilon_used == 0.0
+        ref = np.sort(np.linalg.eigvals(np.linalg.solve(b, a)).real)
+        ref = ref[::-1] if order == "descending" else ref
+        got = np.array(sol.eigenvalues)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), order
+        phi = sol.phi.array
+        assert np.max(np.abs(phi.T @ (sign * a) @ phi - np.eye(d))) <= 1e-10, order
+        assert_diagnostics(sol.residual, sol.b_orthonormality, a, b, phi, sol.eigenvalues)
+
+
+@pytest.mark.parametrize("d", [5, 8])
+def test_cholesky_a_route_scales_by_powers_of_two_above_d4(d):
+    # lambda is exact under (2^k A, 2^j B); Phi' A Phi = I makes Phi scale by
+    # 2^(-k/2), exactly for even k and to one rounding for odd k
+    rng = np.random.RandomState(720 + d)
+    a, b = random_spd(rng, d).array, _indefinite_b(rng, d)
+    unit = solve_quick_dirty(Pencil(SymMatrix(a), SymMatrix(b)))
+    for k in POW2_EXPS:
+        for j in POW2_EXPS:
+            if abs(k - j) > 1000:
+                continue
+            sol = solve_quick_dirty(Pencil(SymMatrix(a * 2.0**k), SymMatrix(b * 2.0**j)))
+            assert sol.strategy == "cholesky-a", (k, j)
+            assert sol.eigenvalues == tuple(2.0 ** (k - j) * x for x in unit.eigenvalues), (k, j)
+            want = unit.phi.array * 2.0 ** (-k / 2)
+            if k % 2 == 0:
+                assert np.array_equal(sol.phi.array, want), (k, j)
+            else:
+                assert np.max(np.abs(sol.phi.array - want)) <= 1e-15 * np.max(np.abs(want)), (k, j)
+
+
+def _near_null_mu_pencil(seed: int, t: float):
+    """A = Q diag(t, 1) Q', B = Q diag(1, -t) Q': mu = eig(L^-1 B L^-T) = (1/t, -t).
+
+    |mu_min| / |mu_max| = t^2, and Jacobi finds mu_min only to roundoff of
+    1/t; the pencil's eigenvalues are (t, -1/t).
+    """
+    q = random_orthonormal(np.random.RandomState(seed), 2)
+    a, b = (q * [t, 1.0]) @ q.T, (q * [1.0, -t]) @ q.T
+    return SymMatrix((a + a.T) / 2.0), SymMatrix((b + b.T) / 2.0)
+
+
+def test_cholesky_a_route_rejects_a_b_singular_in_the_metric_of_a():
+    # t = 1e-8: |mu_min| = 1e-8 is below the roundoff of ||C|| = 1e8, so
+    # lambda = -1/mu_min = -1e8 has no correct digit; A's gate (cond 1e8)
+    # and B's own verdict (indefinite, not singular) both pass
+    for seed in range(5):
+        a, b = _near_null_mu_pencil(seed, 1e-8)
+        assert definiteness(eig_sym(b).eigenvalues) == (True, False)
+        with pytest.raises(SingularAfterRegularization, match="metric of A"):
+            solve_quick_dirty(Pencil(a, b))
+
+
+def test_cholesky_a_route_resolves_mu_above_the_singular_band():
+    # t = 1e-5: |mu_min| / |mu_max| = 1e-10 > SINGULAR_TOL, solved; -1/t
+    # carries the roundoff of mu_min, ~eps / t^2 relative
+    for seed in range(5):
+        a, b = _near_null_mu_pencil(seed, 1e-5)
+        sol = solve_quick_dirty(Pencil(a, b))
+        assert sol.strategy == "cholesky-a"
+        assert sol.eigenvalues == pytest.approx([1e-5, -1e5], rel=1e-5)
+
+
+def test_cholesky_a_route_overflow_is_located():
+    # lambda = 1e308 / 1e-10 is above the float range
+    a, b = _diag(1e308, 1e308), _diag(1e-10, -1e-10)
+    with pytest.raises(EigenvalueOverflow, match=r"2\^10[0-9][0-9]"):
+        solve_quick_dirty(Pencil(a, b))
+
+
+# ---------------------------------------------------------------------------
 # the quick route's vectors: unit length at d <= 4, B-orthonormal above
 # ---------------------------------------------------------------------------
 
@@ -595,13 +744,14 @@ def _contract_pencils(d: int) -> dict:
     a = random_sym(rng, d).array
     q = random_orthonormal(rng, d)
     g = rng.standard_normal((d, d - 1))
-    a_ind, b_ind = _indefinite_sweep_pencil(d)
+    a_def, b_ind = _definite_a_sweep_pencil(d)
     return {
         "definite": (a, random_spd(rng, d).array, "cholesky"),
         "rank-deficient": (a, g @ g.T, "whitening"),
         # lambda_min / lambda_max = 1e-10: past CHOLESKY_MAX_CONDITION, not singular
         "ill-conditioned": (a, (q * np.geomspace(1.0, 1e-10, d)) @ q.T, "whitening"),
-        "indefinite": (a_ind, b_ind, "charpoly-sturm"),
+        "definite-a": (a_def, b_ind, "cholesky-a"),
+        "indefinite": (*indefinite_pencil(d), "charpoly-sturm"),
     }
 
 
