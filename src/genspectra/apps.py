@@ -11,11 +11,14 @@ Three classics, each reduced to the eigenproblem it really is:
 
 The numerators of the last two have a known low rank, S_B = D D' with
 D = [mu_j - mu_t] and, for the delta and linear label kernels,
-K_x H K_y H K_x = F F' with F = K_x H Y; their fits take the leading
-pairs from the small Gram of W'F (``pencil._factored_pairs``). W whitens
-the denominator B (S_W or K_x): W = L^-T from B = L L' where B passes the
-Cholesky gate of the quick route (``pencil._cholesky_whitening``), and
-W = Phi_B (Lambda_B^1/2 + eps I)^-1 from eig(B) otherwise.
+K_x H K_y H K_x = F F' with F = K_x G, G = H Y. FDA takes the leading
+pairs from the small Gram of W'D (``pencil._factored_pairs``), where W
+whitens S_W: W = L^-T from S_W = L L' where S_W passes the Cholesky gate
+of the quick route (``pencil._cholesky_whitening``), and
+W = Phi_B (Lambda_B^1/2 + eps I)^-1 from eig(S_W) otherwise. KSPCA holds
+a preimage of its factor, G with F = K_x G, so for any such W the Gram of
+W'F is G' K_x G and W cancels: its pairs come from the c x c M = G'F
+(``pencil._preimage_pairs``), and K_x is never factored or decomposed.
 
 Data matrices are d x n with one sample per column.
 """
@@ -31,7 +34,7 @@ from . import kernels
 from .errors import DimensionMismatch, InputError, MissingLabels, SingleClass
 from .eigen import eig_sym
 from .linalg import Matrix, SymMatrix, Vector
-from .pencil import Pencil, _diagnostics, _leading_whitened
+from .pencil import Pencil, _diagnostics, _leading_whitened, _preimage_pairs
 
 _KERNEL_KINDS = ("linear", "rbf", "polynomial", "delta")
 
@@ -121,7 +124,9 @@ class EmbeddingModel:
     for pca, (S_B, S_W) for fda, (K_x H K_y H K_x, K_x) for kspca, with
     the numerator formed as F F', F = K_x H Y, for the delta and linear
     label kernels (equal to K_x H K_y H K_x in exact arithmetic).
-    ``strategy`` records how fda and kspca whitened the denominator, in the
+    ``strategy`` records how fda and kspca treated the denominator:
+    ``"gram"`` where kspca took its pairs from the c x c M = G' K_x G,
+    with no whitening of K_x, and otherwise how they whitened it, in the
     words of ``GenEigenSolution.strategy``: ``"cholesky"`` (W = L^-T) or
     ``"whitening"`` (eig(B)); pca has no metric and leaves it None. The
     remaining fields carry whatever the transform step needs: the training
@@ -307,26 +312,36 @@ def kspca_fit(
 ) -> EmbeddingModel:
     """Kernel supervised PCA: top-p dual directions Theta.
 
-    Solves the pencil (K_x H K_y H K_x, K_x) rigorously, so
-    Theta' K_x Theta = I holds on the returned block (in the eps-perturbed
-    metric when K_x is singular, which is common for smooth kernels;
-    ``epsilon`` overrides the default strength). ``kx`` defaults to rbf
-    and ``ky`` to the delta kernel on the labels.
+    Solves the pencil (K_x H K_y H K_x, K_x), so Theta' K_x Theta = I
+    holds on the returned block. ``kx`` defaults to rbf and ``ky`` to the
+    delta kernel on the labels.
 
     The delta label kernel is K_y = Y Y' for the n x c one-hot class
     indicators Y, and the linear one is K_y = l l' for the label column l.
-    With either, the numerator is F F' with F = K_x H Y (or K_x H l), and
-    K_y is never formed: the directions come from the c x c Gram of W'F
-    (``pencil._factored_pairs``). W whitens K_x: W = L^-T from its Cholesky
-    factor where K_x passes the gate of ``pencil._cholesky_whitening``,
-    and Phi_B (Lambda_B^1/2 + eps I)^-1 from eig(K_x) otherwise; K_x is
-    factored or decomposed once either way. The fit falls back to
-    eig(W' F F' W) when p exceeds the width of F or the p-th Gram
-    eigenvalue is at most ``SINGULAR_TOL`` times the first: F does not
-    determine those directions. Residual and K_x-orthonormality are then
-    measured against (sym(F F'), K_x), equal to the pencil above in exact
-    arithmetic. rbf and polynomial label kernels form K_x H K_y H K_x and
-    solve the full pencil.
+    With either, the numerator is F F' with F = K_x G, G = H Y (or H l),
+    and K_y is never formed. For any W with W W' = K_x^-1 the Gram of W'F
+    is G' K_x W W' K_x G = G' K_x G, and Phi = W W' F u / sqrt(lambda) =
+    G u / sqrt(lambda): the whitening cancels. So the directions come from
+    the c x c M = G'F (``pencil._preimage_pairs``, ``strategy`` ``"gram"``),
+    and K_x is neither factored nor decomposed. On a singular K_x, common
+    for smooth kernels and for any repeated sample, that is still the
+    unperturbed pencil: no eps is taken, and ``epsilon_used`` is 0.0.
+    Nor is K_x's definiteness tested: on an indefinite K_x (a polynomial
+    kernel with a negative coef0, say) the pairs still solve the pencil,
+    where the fallback raises ``IndefiniteB``.
+
+    The fit falls back to whitening the full pencil, as ``fda_fit`` whitens
+    S_W, when p exceeds the width of G or the p-th eigenvalue of M is at
+    most ``SINGULAR_TOL`` times the first: G does not determine those
+    directions. W is then L^-T from K_x's Cholesky factor where K_x passes
+    the gate of ``pencil._cholesky_whitening``, and
+    Phi_B (Lambda_B^1/2 + eps I)^-1 from eig(K_x) otherwise, and the
+    directions come from eig(W' F F' W); on a singular K_x the constraint
+    then holds in the eps-perturbed metric (``epsilon`` overrides the
+    default strength). Residual and K_x-orthonormality are measured against
+    (sym(F F'), K_x), equal to the pencil above in exact arithmetic. rbf
+    and polynomial label kernels form K_x H K_y H K_x and always take the
+    whitening of the full pencil.
     """
     if ds.labels is None:
         raise MissingLabels("kernel supervised PCA needs class labels")
@@ -344,16 +359,21 @@ def kspca_fit(
             # np.unique would import numpy.ma, ~1 MB, on the first fit
             classes = np.array(sorted(set(ds.labels)), dtype=np.float64)
             y = (y == classes).astype(np.float64)
-        # H Y: centering acts on the sample index, the rows of Y
-        factor = kernels.matmul(k_x, y - y.mean(axis=0))
+        # G = H Y: centering acts on the sample index, the rows of Y
+        g = y - y.mean(axis=0)
+        factor = kernels.matmul(k_x, g)
         m = kernels.matmul(factor, factor.T)
+        found = _preimage_pairs(g, factor, p)
     else:
-        factor = None
+        found = None
         labels_row = Matrix(labels.reshape(1, -1))
         k_y = kernel_matrix(labels_row, labels_row, ky).array
         m = kernels.matmul(k_x, kernels.matmul(_double_center(k_y), k_x))
     pencil = Pencil(SymMatrix((m + m.T) / 2.0), SymMatrix((k_x + k_x.T) / 2.0))
-    phi, lams, eps_used, strategy = _leading_whitened(pencil, factor, p, epsilon)
+    if found is not None:
+        (phi, lams), eps_used, strategy = found, 0.0, "gram"
+    else:
+        phi, lams, eps_used, strategy = _leading_whitened(pencil, None, p, epsilon)
     return _leading_pairs(
         "kspca", pencil.a.array, pencil.b.array, phi, lams, p,
         kernel_x=kx,

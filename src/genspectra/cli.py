@@ -504,7 +504,9 @@ def make_parser() -> argparse.ArgumentParser:
                              "(off by default so identical runs are byte-identical)")
 
     eps_help = ("regularization strength used when B is singular "
-                "(default 1e-5, scaled by max|B| when that exceeds 1)")
+                "(default 1e-5, scaled by max|B| when that exceeds 1); kspca's "
+                "c x c route with the delta or linear label kernel never "
+                "regularizes, so eps reaches only its fallback")
 
     parser = _Parser(
         prog="genspectra",

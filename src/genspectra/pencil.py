@@ -37,13 +37,18 @@ verdict would be "definite and nonsingular" with a margin of 1000
 report their residual and B-orthonormality against the original,
 unregularized pencil.
 
-The fits (``apps.fda_fit``, ``apps.kspca_fit``) whiten too, through
-``_leading_whitened``: with W = L^-T where B passes that same Cholesky
-gate, and with eig(B)'s Phi_B (Lambda_B^1/2 + eps I)^-1, the verdict and
-eps of ``solve_rigorous``, where it fails. They keep only the leading
+The fits (``apps.fda_fit``, ``apps.kspca_fit``) keep only the leading
 pairs, and their numerators have low rank, A = F F' with F n x c, so
-those pairs come from the c x c Gram of W'F rather than from the n x n
-A_breve.
+those pairs come from a c x c Gram rather than from the n x n A_breve.
+``apps.fda_fit`` whitens, through ``_leading_whitened``: with W = L^-T
+where B passes that same Cholesky gate, and with eig(B)'s
+Phi_B (Lambda_B^1/2 + eps I)^-1, the verdict and eps of
+``solve_rigorous``, where it fails; the Gram is that of W'F
+(``_factored_pairs``). ``apps.kspca_fit`` holds G with F = B G, so the
+Gram of W'F is G' B G for every such W and the whitening cancels
+(``_preimage_pairs``): B is never factored, and a singular B needs no
+eps. It whitens only in its fallback, when G does not determine the
+pairs.
 """
 
 from __future__ import annotations
@@ -308,15 +313,48 @@ def _factored_pairs(
     if k > factor.shape[1]:
         return None
     g = kernels.matmul(breve.T, factor)
-    gram = kernels.matmul(g.T, g)
+    found = _gram_pairs(kernels.matmul(g.T, g), g, k)
+    if found is None:
+        return None
+    v, lams = found
+    phi = kernels.matmul(breve, v)
+    return phi * _column_signs(phi), lams
+
+
+def _preimage_pairs(
+    g: np.ndarray, factor: np.ndarray, k: int
+) -> tuple[np.ndarray, tuple[float, ...]] | None:
+    """The leading k pairs of (F F', B) for F = B G, from the c x c M = G' F.
+
+    For any W with W W' = B^-1 the Gram of W'F is G' B W W' B G = G' B G
+    = M, and Phi = W W' F u / sqrt(lambda) = G u / sqrt(lambda), so W
+    cancels: B is never factored or decomposed, and a singular B needs
+    no eps. The pairs solve the unperturbed pencil, F F' Phi =
+    B Phi diag(lambda) and Phi' B Phi = I, up to roundoff in M; B's
+    definiteness is never tested. None where ``_factored_pairs`` gives
+    None: k exceeds the width c of F, or lambda_k <= ``SINGULAR_TOL`` *
+    lambda_1.
+    """
+    if k > factor.shape[1]:
+        return None
+    found = _gram_pairs(kernels.matmul(g.T, factor), g, k)
+    if found is None:
+        return None
+    phi, lams = found
+    return phi * _column_signs(phi), lams
+
+
+def _gram_pairs(
+    gram: np.ndarray, left: np.ndarray, k: int
+) -> tuple[np.ndarray, tuple[float, ...]] | None:
+    """eig(sym(gram)), descending, and left u_j / sqrt(lambda_j) for its
+    leading k pairs; None where lambda_k <= ``SINGULAR_TOL`` * lambda_1."""
     eig_g = eig_sym(SymMatrix((gram + gram.T) / 2.0), order="descending")
     lams = eig_g.eigenvalues[:k]
     if not lams[-1] > SINGULAR_TOL * lams[0]:
         return None
     scale = np.array([1.0 / math.sqrt(x) for x in lams], dtype=np.float64)
-    v = kernels.matmul(g, eig_g.phi.array[:, :k]) * scale
-    phi = kernels.matmul(breve, v)
-    return phi * _column_signs(phi), lams
+    return kernels.matmul(left, eig_g.phi.array[:, :k]) * scale, lams
 
 
 def _regularization(b: SymMatrix, epsilon: float | None) -> float:

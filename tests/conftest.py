@@ -211,6 +211,22 @@ def eigen_inputs(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Dimension of the matrix of each ``kernels.cholesky_inverse`` call,
+    in call order."""
+    from genspectra import kernels
+
+    seen = []
+
+    def recording(b, _kernel=kernels.cholesky_inverse):
+        seen.append(b.shape[0])
+        return _kernel(b)
+
+    monkeypatch.setattr(kernels, "cholesky_inverse", recording)
+    return seen
+
+
 def kernel_calls(seen) -> list:
     """(kernel name, dimension) of each call ``eigen_inputs`` recorded."""
     return [(name, m.shape[0]) for name, m in seen]

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from genspectra import (
     DimensionMismatch,
+    IndefiniteB,
     InputError,
     KernelSpec,
     LabeledDataset,
@@ -34,7 +36,14 @@ from genspectra import (
 from genspectra import apps, kernels
 from genspectra.apps import _double_center
 from genspectra.linalg import _pow2_scaled, centering_matrix
-from genspectra.pencil import _factored_pairs, _leading_whitened, _whiten_core, _whitened, _whitening
+from genspectra.pencil import (
+    _factored_pairs,
+    _leading_whitened,
+    _preimage_pairs,
+    _whiten_core,
+    _whitened,
+    _whitening,
+)
 
 from conftest import (
     assert_diagnostics,
@@ -737,6 +746,46 @@ def _assert_cholesky_pairs(model, fit_pencils, p, factored):
     assert model.eigenvalues == tuple(lams[:p])
 
 
+def _label_factor(ds, ky):
+    """G = H Y: the centered one-hot class indicators (delta label kernel)
+    or the centered label column (linear), so that H K_y H = G G'."""
+    labels = np.array(ds.labels, dtype=np.float64)
+    y = labels[:, None]
+    if ky.kind == "delta":
+        y = (y == np.unique(labels)).astype(np.float64)
+    return y - y.mean(axis=0)
+
+
+def _assert_gram_pairs(model, fit_pencils, ds, kx, ky, p):
+    """The fit took its pairs from the c x c M = G' K_x G, bit for bit, and
+    never whitened K_x: ``_leading_whitened`` was not called."""
+    g = _label_factor(ds, ky)
+    k_x = kernel_matrix(ds.x, ds.x, kx).array
+    phi, lams = _preimage_pairs(g, kernels.matmul(k_x, g), p)
+    assert fit_pencils == []
+    assert model.strategy == "gram" and model.epsilon_used == 0.0
+    assert np.array_equal(model.projection.array, phi)
+    assert model.eigenvalues == tuple(lams)
+
+
+def _assert_exact_pairs(model, ds, kx, ky, p, tol=1e-13):
+    """The pairs solve the unregularized pencil (K_x H K_y H K_x, K_x), in
+    numpy: eigenvalues within ``tol`` relative of eigvalsh(G' K_x G), and
+    residual and max|Theta' K_x Theta - I| at most ``tol``."""
+    g = _label_factor(ds, ky)
+    k_x = kernel_matrix(ds.x, ds.x, kx).array
+    want = np.linalg.eigvalsh(g.T @ k_x @ g)[::-1][:p]
+    got = np.array(model.eigenvalues)
+    assert np.all(np.abs(got - want) <= tol * want)
+    h = centering_matrix(ds.n).array
+    row = Matrix(np.array(ds.labels, dtype=np.float64).reshape(1, -1))
+    a = k_x @ h @ kernel_matrix(row, row, ky).array @ h @ k_x
+    theta = model.projection.array
+    resid = np.linalg.norm(a @ theta - (k_x @ theta) * got) / max(1.0, np.linalg.norm(a))
+    assert resid <= tol
+    assert np.abs(theta.T @ k_x @ theta - np.eye(p)).max() <= tol
+
+
 @pytest.mark.parametrize("singular", [False, True])
 @pytest.mark.parametrize("c", [2, 3, 4, 5])
 def test_fda_factored_path_matches_full_pencil(c, singular, eigen_inputs, fit_pencils):
@@ -770,24 +819,22 @@ def test_fda_factored_path_matches_full_pencil(c, singular, eigen_inputs, fit_pe
 def test_kspca_factored_path_matches_full_pencil(c, singular, eigen_inputs, fit_pencils):
     rng = np.random.RandomState(720 + 10 * c + singular)
     ds = _class_data(rng, c, 4, 3, repeat=singular)
-    n = ds.n
-    kx = KernelSpec(kind="rbf", gamma=1.0)
-    pen, phi, inter = _kspca_full(ds, kx, KernelSpec(kind="delta"))
-    # a repeated sample makes K_x singular, and the fit regularizes it
+    kx, delta = KernelSpec(kind="rbf", gamma=1.0), KernelSpec(kind="delta")
+    pen, phi, inter = _kspca_full(ds, kx, delta)
+    # a repeated sample makes K_x singular, and the full whitening regularizes it
     assert (inter.epsilon_used > 0.0) == singular
     for p in range(1, c):
         eigen_inputs.clear()
         fit_pencils.clear()
         model = kspca_fit(ds, p, kx=kx)
+        # the c x c M = G' K_x G is the only decomposition, singular K_x or not
+        assert kernel_calls(eigen_inputs) == [("jacobi_eigh", c)]
+        _assert_gram_pairs(model, fit_pencils, ds, kx, delta, p)
         if singular:
-            # K_x (unit diagonal, so ungraded), then the Gram
-            assert model.strategy == "whitening"
-            assert kernel_calls(eigen_inputs) == [(ungraded_kernel(n), n), ("jacobi_eigh", c)]
+            # the fit solves the pencil itself, not the eps-perturbed one
+            _assert_exact_pairs(model, ds, kx, delta, p)
         else:
-            # K_x passes the Cholesky gate: the Gram is the only decomposition
-            assert kernel_calls(eigen_inputs) == [("jacobi_eigh", c)]
-            _assert_cholesky_pairs(model, fit_pencils, p, factored=True)
-        _assert_matches_full(model, phi, inter, p)
+            _assert_matches_full(model, phi, inter, p)
         # diagnostics against K_x H K_y H K_x, which F F' equals up to roundoff
         assert_diagnostics(
             model.residual, model.b_orthonormality, pen.a.array, pen.b.array,
@@ -796,37 +843,107 @@ def test_kspca_factored_path_matches_full_pencil(c, singular, eigen_inputs, fit_
 
 
 @pytest.mark.parametrize("n", [16, 24, 48, 64, 72])
-def test_kspca_cholesky_path_matches_the_whitening_path(n, eigen_inputs):
-    # the workload's shape: 8 features, rbf K_x with the default gamma
+def test_kspca_cholesky_path_matches_the_whitening_path(n, eigen_inputs, factorizations, fit_pencils):
+    # The workload's shape: 8 features, rbf K_x with the default gamma. The
+    # fit takes the c x c route, with no factorization of K_x and the c x c
+    # Jacobi as its only decomposition; the Cholesky path it replaced, which
+    # the fallback and fda_fit keep, gives the same pairs on its pencil.
     rng = np.random.RandomState(730 + n)
     ds = _class_data(rng, 4, n // 4, 8)
-    pen, phi, inter = _kspca_full(ds, KernelSpec(kind="rbf"), KernelSpec(kind="delta"))
+    kx, delta = KernelSpec(kind="rbf"), KernelSpec(kind="delta")
+    pen, phi, inter = _kspca_full(ds, kx, delta)
+    factor = kernels.matmul(pen.b.array, _label_factor(ds, delta))
     for p in (1, 2, 3):
         eigen_inputs.clear()
+        factorizations.clear()
         model = kspca_fit(ds, p)
-        assert model.strategy == "cholesky"
+        assert factorizations == []
         assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 4)]
+        _assert_gram_pairs(model, fit_pencils, ds, kx, delta, p)
         _assert_matches_full(model, phi, inter, p)
+        chol_phi, chol_lams, eps, strategy = _leading_whitened(pen, factor, p, None)
+        assert strategy == "cholesky" and factorizations == [n]
+        chol = types.SimpleNamespace(projection=Matrix(chol_phi), eigenvalues=chol_lams, epsilon_used=eps)
+        _assert_matches_full(chol, phi, inter, p)
 
 
 def test_kspca_repeated_sample_takes_the_whitening(eigen_inputs, fit_pencils):
-    # A repeated sample makes K_x exactly singular: it fails the Cholesky
-    # gate, and the fit whitens through eig(K_x) with the default eps.
+    # A repeated sample makes K_x exactly singular. At p = c = 3 the c x c
+    # route falls back (rank(H Y) = c - 1): K_x fails the Cholesky gate, and
+    # the fit whitens through eig(K_x) with the default eps.
     rng = np.random.RandomState(745)
     ds = _class_data(rng, 3, 8, 5, repeat=True)
-    model = kspca_fit(ds, p=2)
-    # eig(K_x), then the Gram
-    assert kernel_calls(eigen_inputs) == [("tridiag_eigh", 24), ("jacobi_eigh", 3)]
+    model = kspca_fit(ds, p=3)
+    # the c x c M, then eig(K_x) and the n x n A_breve
+    assert kernel_calls(eigen_inputs) == [
+        ("jacobi_eigh", 3), ("tridiag_eigh", 24), ("tridiag_eigh", 24),
+    ]
     (pen, factor), = fit_pencils
+    assert factor is None
     _, eps, breve = _whitening(pen.b, None)
     assert eps == default_epsilon(pen.b) > 0.0
     assert model.strategy == "whitening" and model.epsilon_used == eps
-    phi, lams = _factored_pairs(breve, factor, 2)
-    assert np.array_equal(model.projection.array, phi)
-    assert model.eigenvalues == tuple(lams)
+    phi, _, _, lams = _whiten_core(pen.a, breve, "descending")
+    assert np.array_equal(model.projection.array, phi[:, :3])
+    assert model.eigenvalues == tuple(lams[:3])
 
 
-def test_kspca_fit_decomposes_one_kernel_matrix(eigen_inputs, monkeypatch):
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("seed, per, d", [(745, 8, 5), (751, 4, 3)])
+def test_kspca_singular_kernel_gives_exact_pairs(seed, per, d, p, fit_pencils):
+    # a repeated sample makes K_x exactly singular; the c x c route needs no
+    # eps there and solves the unregularized pencil to roundoff
+    ds = _class_data(np.random.RandomState(seed), 3, per, d, repeat=True)
+    kx, delta = KernelSpec(kind="rbf"), KernelSpec(kind="delta")
+    assert _kspca_full(ds, kx, delta)[2].epsilon_used > 0.0
+    model = kspca_fit(ds, p)
+    _assert_gram_pairs(model, fit_pencils, ds, kx, delta, p)
+    _assert_exact_pairs(model, ds, kx, delta, p)
+
+
+def test_kspca_gram_route_solves_an_indefinite_kernel(fit_pencils):
+    # K_x = X'X - 5 is indefinite. The c x c route never tests K_x, and its
+    # pairs still solve the pencil; p = c leaves it, and the whitening
+    # fallback rejects the metric.
+    ds = _class_data(np.random.RandomState(795), 3, 4, 3)
+    kx, delta = KernelSpec(kind="polynomial", degree=1, coef0=-5.0), KernelSpec(kind="delta")
+    assert np.linalg.eigvalsh(kernel_matrix(ds.x, ds.x, kx).array)[0] < 0.0
+    for p in (1, 2):
+        model = kspca_fit(ds, p, kx=kx)
+        _assert_gram_pairs(model, fit_pencils, ds, kx, delta, p)
+        _assert_exact_pairs(model, ds, kx, delta, p)
+    with pytest.raises(IndefiniteB):
+        kspca_fit(ds, 3, kx=kx)
+
+
+def test_linear_kspca_is_exactly_scale_covariant():
+    # n = 18 samples in 4 features: the linear K_x has rank 4 and is
+    # singular. Scaling X by 2^k scales K_x and M = G' K_x G by 4^k exactly,
+    # so the eigenvalues scale by 4^k and Theta by 2^-k, bit for bit.
+    ds = _class_data(np.random.RandomState(790), 3, 6, 4)
+    lin = KernelSpec(kind="linear")
+    base = kspca_fit(ds, 2, kx=lin)
+    lams, theta = np.array(base.eigenvalues), base.projection.array
+    for k in range(-20, 21):
+        scaled = LabeledDataset(Matrix(np.ldexp(ds.x.array, k)), labels=ds.labels)
+        model = kspca_fit(scaled, 2, kx=lin)
+        assert model.strategy == "gram" and model.epsilon_used == 0.0
+        assert np.array_equal(np.array(model.eigenvalues), np.ldexp(lams, 2 * k)), k
+        assert np.array_equal(model.projection.array, np.ldexp(theta, -k)), k
+
+
+def test_fda_factors_the_within_class_scatter_once(factorizations):
+    # S_W has no factor in S_B = D D', so fda_fit still whitens it: one
+    # Cholesky factorization of S_W, passing the gate or not
+    for per, d in ((8, 6), (2, 12)):
+        ds = _class_data(np.random.RandomState(700 + per), 3, per, d)
+        factorizations.clear()
+        model = fda_fit(ds, 2)
+        assert factorizations == [d]
+        assert model.strategy == ("cholesky" if per == 8 else "whitening")
+
+
+def test_kspca_fit_decomposes_one_kernel_matrix(eigen_inputs, fit_pencils, monkeypatch):
     rng = np.random.RandomState(740)
     ds = _class_data(rng, 3, 8, 5)
     calls = []
@@ -843,9 +960,8 @@ def test_kspca_fit_decomposes_one_kernel_matrix(eigen_inputs, monkeypatch):
             monkeypatch.setattr(mod, "kernel_matrix", counting)
     model = kspca_fit(ds, p=2)
     assert calls == ["rbf"]  # K_x only; K_y enters as its one-hot factor
-    # K_x (n = 24) passes the Cholesky gate: no n x n decomposition, and
-    # one c x c (the Gram)
-    assert model.strategy == "cholesky"
+    # K_x (n = 24) is neither factored nor decomposed: one c x c (M = G' K_x G)
+    assert model.strategy == "gram" and fit_pencils == []
     assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 3)]
 
 
@@ -911,9 +1027,9 @@ def test_kspca_linear_label_kernel_is_rank_one(eigen_inputs, fit_pencils):
     pen, phi, inter = _kspca_full(ds, kx, lin)
     eigen_inputs.clear()
     model = kspca_fit(ds, 1, kx=kx, ky=lin)
-    # F = K_x H l; K_x passes the Cholesky gate
+    # F = K_x H l: the 1 x 1 M = l' H K_x H l
     assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 1)]
-    _assert_cholesky_pairs(model, fit_pencils, 1, factored=True)
+    _assert_gram_pairs(model, fit_pencils, ds, kx, lin, 1)
     _assert_matches_full(model, phi, inter, 1)
     eigen_inputs.clear()
     fit_pencils.clear()

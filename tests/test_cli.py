@@ -827,14 +827,19 @@ def test_fda_epsilon_flag_is_the_epsilon_used(tmp_path, capsys):
 
 
 def test_kspca_epsilon_flag_is_the_epsilon_used(kspca_csv, capsys):
-    # a linear kernel on 2 features has rank 2 < n = 8: K_x is singular
-    assert main(["kspca", "--kernel", "linear", "--epsilon", "0.0003", kspca_csv]) == 0
+    # a linear kernel on 2 features has rank 2 < n = 8: K_x is singular.
+    # Two classes give c = 2, so p = 2 leaves the c x c route for the
+    # whitening fallback, which regularizes K_x with the flag's eps.
+    assert main(["kspca", "-p", "2", "--kernel", "linear", "--epsilon", "0.0003", kspca_csv]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["diagnostics"]["epsilon_used"] == 0.0003
     model = kspca_fit(
-        parse_labeled_csv(kspca_csv), 1, kx=KernelSpec(kind="linear"), epsilon=0.0003
+        parse_labeled_csv(kspca_csv), 2, kx=KernelSpec(kind="linear"), epsilon=0.0003
     )
     assert doc["eigenvalues"] == [float(v) for v in model.eigenvalues]
+    # p = 1 takes the c x c route, which never regularizes
+    assert main(["kspca", "--kernel", "linear", "--epsilon", "0.0003", kspca_csv]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"]["epsilon_used"] == 0.0
 
 
 def test_kspca_label_column_by_index_on_a_headerless_file(kspca_csv, tmp_path, capsys):

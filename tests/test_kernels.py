@@ -423,17 +423,19 @@ def test_solvers_bit_identical_across_backends(cykernels, monkeypatch):
     solves["quick d=7 cholesky-a"] = functools.partial(solve_quick_dirty, definite_a7)
     labels = tuple(int(v) for v in rng.randint(0, 3, size=40))
     ds = LabeledDataset(Matrix(rng.standard_normal((3, 40))), labels=labels)
-    solves["kspca cholesky"] = functools.partial(kspca_fit, ds, 2)
+    solves["kspca gram"] = functools.partial(kspca_fit, ds, 2)
 
     # the full-path fallback: p = c needs eig(A_breve) at n = 40
     solves["kspca fallback cholesky"] = functools.partial(kspca_fit, ds, 3)
-    # The fits factor a metric that passes the Cholesky gate, and decompose
-    # any other: here a repeated sample makes K_x singular at n = 40.
+    # The c x c route never touches K_x, singular or not; the fallback
+    # factors a metric that passes the Cholesky gate and decomposes any
+    # other: here a repeated sample makes K_x singular at n = 40.
     fit_rng = np.random.RandomState(78)
     x = fit_rng.standard_normal((3, 40))
     x[:, -1] = x[:, 0]
     repeated = LabeledDataset(Matrix(x), labels=labels)
-    solves["kspca whitening"] = functools.partial(kspca_fit, repeated, 2)
+    solves["kspca repeated gram"] = functools.partial(kspca_fit, repeated, 2)
+    solves["kspca fallback whitening"] = functools.partial(kspca_fit, repeated, 3)
     scatter = LabeledDataset(Matrix(fit_rng.standard_normal((6, 40))), labels=labels)
     solves["fda cholesky"] = functools.partial(fda_fit, scatter, 2)
     # a graded B = DHD keeps eig(B) on Jacobi at d = 24
