@@ -40,28 +40,19 @@ and 2^k A give the same eigenvectors, and eigenvalues 2^k apart, bit for
 bit where no entry is subnormal. An eigenvalue that 2^e takes above the
 float range raises ``EigenvalueOverflow`` (``linalg._pow2_unscaled``).
 
-For d <= 4 the module also holds every root search on a characteristic
-polynomial. ``char_poly_eig`` solves det(A - lambda I) = 0 directly: closed
-forms for d <= 3 and, for d = 4, a bisection on the number of negative
-pivots of A - x I = L D L' (``_inertia_below``). That route returns
-eigenvalues only and exists as an independent cross-check of the Jacobi
-path. ``_sturm_pairs`` finds the real eigenvalues of a pencil (A, B) with
-an indefinite B as the roots of det(A - lambda B), by a bisection on a
-Sturm chain, and its vectors as null spaces of A - lambda B; the quick
-route of :mod:`genspectra.pencil` calls it where neither A nor -A is
-positive definite enough for its Cholesky congruence.
+For d <= 4 the module also holds ``char_poly_eig``, which solves
+det(A - lambda I) = 0 directly: closed forms for d <= 3 and, for d = 4, a
+bisection on the number of negative pivots of A - x I = L D L'
+(``_inertia_below``). It returns eigenvalues only and exists as an
+independent cross-check of the Jacobi path.
 
-Their bisection, ``_roots_by_count``, is the one root finder of every
-count on these paths: it halves brackets of a counting function inside
-±(1 + 1e-6) down to a width of 1e-14. Every count it halves is defined at
-every x: an exactly zero pivot counts as negative, a zero Sturm value is
-skipped, and a zero derivative value while polishing a multiple root
-counts as past it. Its callers scale the problem by powers of two so that
-every root lies in [-1, 1]: after ``_pow2_scaled``, A by one at or above
-||A||_F, or at or above rho = ||A||_F / min|lambda(B)| for a pencil with
-nonsingular B (which bounds its real eigenvalues). So (A, B) and
-(2^k A, 2^j B) are the same problem, and their eigenvalues come out
-exactly 2^(k-j) apart.
+Its bisection, ``_roots_by_count``, halves brackets of a counting function
+inside ±(1 + 1e-6) down to a width of 1e-14. Every count it halves is
+defined at every x: an exactly zero pivot counts as negative, and a zero
+derivative value while polishing a multiple root counts as past it. A is
+first scaled by a power of two at or above ||A||_F (after
+``_pow2_scaled``), so that every root lies in [-1, 1]; A and 2^k A are
+then the same problem, and their eigenvalues come out exactly 2^k apart.
 """
 
 from __future__ import annotations
@@ -430,60 +421,6 @@ def _poly_deriv(p: list[float]) -> list[float]:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _poly_trim(p: list[float], ref: list[float]) -> list[float]:
-    """``p`` with coefficients at or below 1e-13 * max|ref| zeroed, trailing zeros dropped."""
-    tol = 1e-13 * max(abs(c) for c in ref)
-    out = [c if abs(c) > tol else 0.0 for c in p]
-    while out and out[-1] == 0.0:
-        out.pop()
-    return out
-
-
-def _poly_divmod(num: list[float], den: list[float]) -> tuple[list[float], list[float]]:
-    """(quotient, remainder) of num / den, coefficients in ascending powers."""
-    rem = num[:]
-    dd = len(den) - 1
-    lead = den[-1]
-    quot = [0.0] * max(len(num) - dd, 0)
-    while len(rem) - 1 >= dd and any(c != 0.0 for c in rem):
-        k = len(rem) - 1 - dd
-        f = rem[-1] / lead
-        quot[k] = f
-        for i in range(len(den)):
-            rem[k + i] -= f * den[i]
-        rem.pop()
-    return quot, rem
-
-
-def _sturm_chain(p: list[float]) -> list[list[float]]:
-    """p, p' and the negated remainders of Euclid's algorithm.
-
-    Each remainder is trimmed against the polynomial it was divided out of,
-    so one at roundoff level ends the chain: p then has repeated roots, and
-    the truncated chain still counts its distinct roots.
-    """
-    chain = [p, _poly_deriv(p)]
-    while len(chain[-1]) > 1:
-        rem = _poly_trim([-c for c in _poly_divmod(chain[-2], chain[-1])[1]], chain[-2])
-        if not rem:
-            break
-        chain.append(rem)
-    return chain
-
-
-def _sign_variations(chain: list[list[float]], x: float) -> int:
-    count = 0
-    prev = 0.0
-    for p in chain:
-        val = _poly_eval(p, x)
-        if val == 0.0:
-            continue
-        if prev != 0.0 and (val > 0.0) != (prev > 0.0):
-            count += 1
-        prev = val
-    return count
-
-
 def _polish_multiple_root(coeffs: list[float], mu: float, mult: int) -> float:
     """Re-solve a root of multiplicity ``mult`` as a simple root of the
     (mult-1)-th derivative.
@@ -505,90 +442,6 @@ def _polish_multiple_root(coeffs: list[float], mu: float, mult: int) -> float:
 
     found = _roots_by_count(past)
     return mu + 1e-6 * found[0][0] if len(found) == 1 else mu
-
-
-# ---------------------------------------------------------------------------
-# real roots of a pencil, d <= 4
-
-
-def _sturm_pairs(a: np.ndarray, b: np.ndarray, lam_reg: list, order: str):
-    """(Phi, eigenvalues) of (A != 0, B) at d <= 4, B indefinite with
-    eigenvalues ``lam_reg`` (B is B + eps*I where the quick route regularized).
-
-    A and B are scaled by 2^-e_a and 2^-e_b (``_pow2_scaled``), and A
-    by 2^-k at or above rho = ||A||_F / min|lambda(B)|, a bound on
-    every real eigenvalue: the roots mu of q(mu) = det(A - mu B) lie in
-    [-1, 1], and lambda = 2^(e_a + k - e_b) mu. A Sturm chain of q that ends
-    in a non-constant g ~ gcd(q, q') means repeated roots, which a count
-    locates only to ~eps^(1/m) for an m-fold one; that of q / g is bisected.
-    """
-    d = a.shape[0]
-    a, e_a = _pow2_scaled(a)
-    b, e_b = _pow2_scaled(b)
-    min_b = math.ldexp(min(abs(x) for x in lam_reg), -e_b)
-    _, k = _pow2_scaled(frobenius_norm(a) / min_b)
-    a, b = np.ldexp(a, -k).tolist(), b.tolist()
-    q = _pencil_charpoly(a, b, d)
-    chain = _sturm_chain(q)
-    if len(chain[-1]) > 1:
-        chain = _sturm_chain(_poly_divmod(q, chain[-1])[0])
-    roots = [mu for mu, _ in _roots_by_count(lambda mu: -_sign_variations(chain, mu))]
-    phi, mus = _pairs_at_roots(a, b, roots, d, order)
-    return phi, _pow2_unscaled(mus, e_a + k - e_b).tolist()
-
-
-def _pairs_at_roots(
-    a: list, b: list, roots: list[float], d: int, order: str
-) -> tuple[np.ndarray, list[float]]:
-    """Eigenpairs at the ascending real roots of det(A - mu B), all in [-1, 1].
-
-    Each root gets a null basis of A - r B (``_null_bases``); a k-vector
-    basis makes r an eigenvalue of multiplicity k. A root with k >= 2 is
-    re-solved on det(A - mu B) (``_polish_multiple_root``) before its basis
-    is taken again there. The basis vectors already carry the sign rule of
-    ``_column_signs`` (``_null_basis``).
-    """
-    bases = _null_bases(a, b, roots, d)
-    if any(len(v) > 1 for _, v in bases):
-        coeffs = _pencil_charpoly(a, b, d)
-        roots = [_polish_multiple_root(coeffs, r, len(v)) if len(v) > 1 else r for r, v in bases]
-        bases = _null_bases(a, b, roots, d)
-    found = sum(len(v) for _, v in bases)
-    if found != d:
-        raise ConvergenceFailure(
-            f"the null spaces at the {len(bases)} real roots of det(A - lambda B) "
-            f"hold {found} directions for {d} eigenvalues: the pencil has complex "
-            "or defective eigenvalues, which this solver does not handle, or roots "
-            "too close to tell apart"
-        )
-    pairs = [(r, vec) for r, basis in bases for vec in basis]
-    if order == "descending":
-        pairs = pairs[::-1]
-    lams = [lam for lam, _ in pairs]
-    phi = np.array([vec for _, vec in pairs], dtype=np.float64).T
-    return phi, lams
-
-
-def _null_bases(
-    a: list, b: list, roots: list[float], d: int
-) -> list[tuple[float, list[list[float]]]]:
-    """(root, null basis of A - root B) per ascending root.
-
-    At rank tolerance tol, pivots at or below tol * (max|A| + |r| max|B|)
-    count as zero, so the test scales with the pencil. tol starts at 1e-10
-    and is loosened for all roots together until the bases hold d
-    directions or tol reaches 1e-4.
-    """
-    max_a = max(abs(x) for row in a for x in row)
-    max_b = max(abs(x) for row in b for x in row)
-    for tol in (1e-10, 1e-8, 1e-6, 1e-4):
-        bases = []
-        for r in roots:
-            m = [[a[i][j] - r * b[i][j] for j in range(d)] for i in range(d)]
-            bases.append((r, _null_basis(m, tol * (max_a + abs(r) * max_b))))
-        if sum(len(v) for _, v in bases) >= d:
-            break
-    return bases
 
 
 # ---------------------------------------------------------------------------

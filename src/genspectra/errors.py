@@ -106,7 +106,8 @@ class ConvergenceFailure(NumericalError):
 
 
 class IndefiniteB(NumericalError):
-    """Metric matrix B has a significantly negative eigenvalue."""
+    """Metric matrix B has a significantly negative eigenvalue, and where
+    the route accepts that, (A, B) is not a definite pair either."""
 
 
 class SingularAfterRegularization(NumericalError):

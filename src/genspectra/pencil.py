@@ -7,16 +7,15 @@ Two routes are provided:
   solves the congruence C = W' A W, W' B W = I, which shares the spectrum
   of B^-1 A: W = L^-T from a Cholesky factor B = L L' when B is well
   conditioned, else W = (B + eps*I)^-1/2 from the decomposition of B,
-  with eps = 0 unless B is singular. Where B + eps*I is indefinite but A
-  or -A passes the same Cholesky gate, the pencil is read as
-  B phi = (1/lambda) A phi, whose metric is +-A, and the congruence is
-  taken by A's factor instead (``"cholesky-a"``, Golub & Van Loan 8.7).
-  Where neither does, the pencil is rejected at d > 4; at d <= 4 its
-  eigenvalues are the real roots of det(A - lambda B), and its vectors
-  span null spaces of A - lambda B. That root search,
-  ``eigen._sturm_pairs``, lives with the other d <= 4 root searches in
-  :mod:`genspectra.eigen`. Vectors are unit length at d <= 4; at d > 4
-  they are B-orthonormal, or (+-A)-orthonormal on ``"cholesky-a"``.
+  with eps = 0 unless B is singular. Where B + eps*I is indefinite, the
+  pair is solved where it is definite: some M = cos(t) A + sin(t) B passes
+  the same Cholesky gate, and the congruence is taken by M's factor. t = 0
+  and pi, M = +-A, are tried first (``"cholesky-a"``, Golub & Van Loan
+  8.7); any other t is found by the arc algorithm (``"cholesky-rotated"``,
+  Crawford & Moon 1983; Guo, Higham & Tisseur 2009). A pair with no such
+  t is rejected at every d. Vectors are unit length at d <= 4; at d > 4
+  they are B-orthonormal, (+-A)-orthonormal on ``"cholesky-a"`` and
+  M-orthonormal on ``"cholesky-rotated"``.
 * ``solve_rigorous`` whitens the metric: decompose B, scale its
   eigenvectors to unit metric, decompose the transformed A, and combine.
   The result is B-orthonormal (Phi' B Phi = I, Phi' A Phi = diag(lambda))
@@ -59,8 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch, IndefiniteB, SingularAfterRegularization
-from .eigen import EigenDecomposition, _Metric, _column_signs, _sturm_pairs, eig_sym
+from .errors import ConvergenceFailure, DimensionMismatch, IndefiniteB, SingularAfterRegularization
+from .eigen import EigenDecomposition, _Metric, _column_signs, eig_sym
 from .linalg import (
     SINGULAR_TOL,
     Matrix,
@@ -82,6 +81,12 @@ DEFAULT_EPSILON = 1e-5
 # B singular, so the bound's slack and the roundoff in L^-1 cannot take
 # the route where the eigendecomposition would regularize or reject B.
 CHOLESKY_MAX_CONDITION = 1e-3 / SINGULAR_TOL
+
+# The most angles the arc search for a definite pair's metric tries
+# (``_definite_angle``). Each try at least halves the arc, so what is left
+# after the last is narrower than pi / 2^26 ~ 5e-8: the pair is then
+# definite, if at all, only to about that fraction of its norm.
+ARC_MAX_STEPS = 26
 
 
 @dataclass(frozen=True)
@@ -117,11 +122,12 @@ class GenEigenSolution:
     definite B + eps*I that it decomposes), ``"cholesky"`` (the quick route
     on a well-conditioned B), ``"cholesky-a"`` (the quick route on an
     indefinite B + eps*I where A or -A is a well-conditioned metric) or
-    ``"charpoly-sturm"`` (the quick route at d <= 4 on an indefinite
-    B + eps*I where neither is). The quick route's vectors are unit
-    length at d <= 4; above that the whitening and Cholesky congruences
-    give B-orthonormal vectors, and ``"cholesky-a"`` gives
-    (+-A)-orthonormal ones.
+    ``"cholesky-rotated"`` (the quick route on an indefinite B + eps*I
+    where neither is, but some cos(t) A + sin(t) B is). The quick route's
+    vectors are unit length at d <= 4; above that the whitening and
+    Cholesky congruences give B-orthonormal vectors, ``"cholesky-a"``
+    (+-A)-orthonormal ones and ``"cholesky-rotated"`` ones orthonormal in
+    the metric it factored.
     ``epsilon_used`` is 0.0 unless a singular B forced regularization.
     ``residual`` is ||A Phi - B Phi diag(lambda)||_F / max(1, ||A||_F)
     and ``b_orthonormality`` is max|Phi' B Phi - I|, both against the
@@ -418,31 +424,27 @@ def solve_quick_dirty(
     max|B| = 1 at d = 2 to 8, and with A = I, B = 0 (d = 16) this route
     gives 1/eps = 1e5 where ``solve_rigorous`` gives 1/eps^2 = 1e10.
 
-    An indefinite B + eps*I has no such W. Where A, or else -A, passes the
-    Cholesky gate (``"cholesky-a"``, ``_reciprocal_pairs``), at every d,
-    the pencil is read as (B + eps*I) phi = mu A phi with mu = 1/lambda:
-    with s*A = L L', C = L^-1 (B + eps*I) L^-T = V M V', lambda = s/mu and
-    Phi = L^-T V, both scaled by powers of two so that (2^k A, 2^j B)
-    gives exactly 2^(k-j) lambda. ``SingularAfterRegularization`` is raised
-    where some |mu| is at or below ``SINGULAR_TOL`` * max|mu|, and
-    ``EigenvalueOverflow`` where a lambda is above the float range.
-
-    Where neither +A nor -A passes, d > 4 raises ``IndefiniteB``, and for
-    d <= 4 (``"charpoly-sturm"``) the eigenvalues
-    are the real roots of det(A - lambda B), all within
-    rho = ||A||_F / min|lambda(B + eps I)|, found by one bisection on a Sturm
-    chain (``eigen._sturm_pairs``). Each root r gets a null basis of
-    A - r B, with pivots at or below tol * (max|A| + |r| max|B|) taken as
-    zero; a k-vector basis makes r a k-fold eigenvalue, re-solved on the
-    (k-1)-th derivative of det(A - mu B).
-    ``ConvergenceFailure`` is raised when no tol up to 1e-4 gives d
-    directions in all (complex eigenvalues, say).
+    An indefinite B + eps*I has no such W, and the pair (A, B + eps*I) is
+    solved where it is definite, by the congruence of a metric
+    M = cos(t) A + sin(t) B that passes the same Cholesky gate
+    (``_definite_pairs``), at every d. A and B + eps*I are first scaled by
+    powers of two, and t chosen on the scaled pair, so that (2^k A, 2^j B)
+    gives exactly 2^(k-j) lambda. M = A and then M = -A are tried first
+    (``"cholesky-a"``): the pencil is read as (B + eps*I) phi = mu A phi
+    with mu = 1/lambda. Where neither passes, the arc algorithm searches
+    for t (``"cholesky-rotated"``, ``_definite_angle``), starting from the
+    eigenvector of B's smallest eigenvalue, and raises ``IndefiniteB``
+    where no t makes M positive definite, as for A = 0 or A = s*B, and
+    ``ConvergenceFailure`` where M is positive definite at some t tried but
+    passes the gate at none. ``SingularAfterRegularization`` is raised
+    where B + eps*I is singular in M's metric, and ``EigenvalueOverflow``
+    where a lambda is above the float range.
 
     Eigenvectors are unit length at d <= 4, on every strategy, and not
     B-orthonormal in general; that is the price of the quick route. At
     d > 4 they are the congruence's, B-orthonormal (to B + eps*I when
-    regularized), or on ``"cholesky-a"`` (s*A)-orthonormal:
-    Phi' (s A) Phi = I.
+    regularized), on ``"cholesky-a"`` (s*A)-orthonormal, Phi' (s A) Phi = I,
+    and on ``"cholesky-rotated"`` M-orthonormal for the scaled pair's M.
     """
     d = p.dim
     eig_b, eps_used, strategy = None, 0.0, "cholesky"
@@ -460,21 +462,7 @@ def solve_quick_dirty(
         if indefinite:
             # B itself when not regularized: adding 0.0 would turn its -0.0 entries into +0.0
             b_reg = p.b.array + eps_used * np.eye(d) if eps_used else p.b.array
-            found = _reciprocal_pairs(p.a.array, b_reg, order)
-            if found is not None:
-                phi, lams = found
-                strategy = "cholesky-a"
-            elif d > 4:
-                raise IndefiniteB(
-                    "the quick and dirty route needs a positive definite B (after "
-                    "regularization) or a definite A for d > 4; smallest eigenvalue "
-                    f"of B is {lam_reg[-1]:.6e}"
-                )
-            elif np.any(p.a.array):
-                phi, lams = _sturm_pairs(p.a.array, b_reg, lam_reg, order)
-                strategy = "charpoly-sturm"
-            else:  # A = 0: every vector is an eigenvector for 0
-                phi, lams, strategy = np.eye(d), [0.0] * d, "charpoly-sturm"
+            phi, lams, strategy = _definite_pairs(p.a.array, b_reg, eig_b.phi.array[:, -1], order)
             return _solution(p, eig_b, phi, lams, "quick_dirty", eps_used, strategy)
         strategy = "whitening"
         # the metric Phi_B (Lambda_B + eps I) Phi_B' = B + eps*I
@@ -486,54 +474,128 @@ def solve_quick_dirty(
     return _solution(p, eig_b, phi, lams, "quick_dirty", eps_used, strategy)
 
 
-def _reciprocal_pairs(
-    a: np.ndarray, b: np.ndarray, order: str
-) -> tuple[np.ndarray, list[float]] | None:
-    """(Phi, eigenvalues) of (A, B) by the Cholesky congruence of s*A, s = +1 or -1,
-    or None where neither +A nor -A passes the gate of ``_cholesky_whitening``.
+def _definite_pairs(
+    a: np.ndarray, b: np.ndarray, x: np.ndarray, order: str
+) -> tuple[np.ndarray, list[float], str]:
+    """(Phi, eigenvalues, strategy) of (A, B), B indefinite, by the Cholesky
+    congruence of a metric M = c A_s + s B_s, (c, s) = (cos t, sin t).
 
-    A phi = lambda B phi is B phi = mu A phi with mu = 1 / lambda, and s*A
-    is a definite metric for it (Golub & Van Loan, section 8.7). A and B
-    are scaled once, A_s = 2^-e_a A and B_s = 2^-e_b B (``_pow2_scaled``);
-    with s A_s = L L', C = L^-1 B_s L^-T = V M V' (``_whiten_core``) gives
-    lambda = s 2^(e_a - e_b) / mu and Phi = L^-T V, sorted per ``order``.
-    So (2^k A, 2^j B) gives exactly 2^(k-j) lambda, and the same Phi at
-    d <= 4, where the columns are scaled to unit length. Above d = 4 they
-    are scaled by 2^(-e_a / 2), which makes them (s*A)-orthonormal:
-    Phi' (s A) Phi = I.
+    A and B are scaled once, A_s = 2^-e_a A and B_s = 2^-e_b B
+    (``_pow2_scaled``), and t is chosen on (A_s, B_s). With M = L L',
+    L^-1 A_s L^-T and L^-1 B_s L^-T share their eigenvectors V, and
+    Phi = L^-T V.
 
-    Raises ``SingularAfterRegularization`` where some |mu| is at or below
-    ``SINGULAR_TOL`` * max|mu|: B is then singular in A's metric, and
-    1 / mu would carry a relative error of roundoff times max|mu| / |mu|,
-    2e-4 or more.
+    * t = 0 and then t = pi, M = +-A_s, are tried first (``"cholesky-a"``;
+      Golub & Van Loan, section 8.7): L^-1 B_s L^-T = V diag(mu) V'
+      (``_whiten_core``) gives lambda = c / mu.
+    * Where neither passes the gate of ``_cholesky_whitening``,
+      ``_definite_angle`` finds t, starting from ``x``, the eigenvector of
+      B's smallest eigenvalue (``"cholesky-rotated"``). With
+      N = -s A_s + c B_s, L^-1 N L^-T = V diag(nu) V' gives
+      lambda = (c - s nu) / mu, where mu = s + c nu.
+
+    Either way mu is the eigenvalue of L^-1 B_s L^-T, and
+    ``SingularAfterRegularization`` is raised where some |mu| is at or below
+    ``SINGULAR_TOL`` * max|mu|: B is then singular in M's metric, and
+    lambda would carry a relative error of roundoff times max|mu| / |mu|,
+    2e-4 or more. lambda comes back in A's and B's units by 2^(e_a - e_b),
+    sorted per ``order``; so (2^k A, 2^j B) gives exactly 2^(k-j) lambda,
+    and the same Phi at d <= 4, where the columns are scaled to unit length.
+    Above d = 4 the ``"cholesky-a"`` columns are scaled by 2^(-e_a / 2),
+    which makes them (c*A)-orthonormal, Phi' (c A) Phi = I, and the
+    ``"cholesky-rotated"`` ones are left M-orthonormal, Phi' M Phi = I.
     """
     d = a.shape[0]
     a_s, e_a = _pow2_scaled(a)
-    for sign in (1.0, -1.0):
-        breve = _cholesky_whitening(sign * a_s)
+    b_s, e_b = _pow2_scaled(b)
+    for c in (1.0, -1.0):
+        breve = _cholesky_whitening(c * a_s)
         if breve is not None:
+            s, n, strategy = 0.0, b_s, "cholesky-a"
             break
     else:
-        return None
-    b_s, e_b = _pow2_scaled(b)
-    phi, _, _, mus = _whiten_core(SymMatrix(b_s), breve, "descending")
-    mus = np.array(mus)
+        c, s, breve = _definite_angle(a_s, b_s, x)
+        n, strategy = c * b_s - s * a_s, "cholesky-rotated"
+    rotated = strategy == "cholesky-rotated"
+    phi, _, _, nus = _whiten_core(SymMatrix(n), breve, "descending")
+    nus = np.array(nus)
+    num, mus = (c - s * nus, s + c * nus) if rotated else (c, nus)
     size = np.abs(mus)
     if not size.min() > SINGULAR_TOL * size.max():
+        metric = f"{c:.6g} A_s + {s:.6g} B_s" if rotated else "A" if c > 0.0 else "-A"
         raise SingularAfterRegularization(
-            f"B is singular in the metric of {'' if sign > 0.0 else '-'}A: eigenvalue "
-            f"mu = {mus[np.argmin(size)]:.3e} of L^-1 B L^-T against a largest "
-            f"|mu| of {size.max():.3e}, so lambda = 1/mu is not resolved"
+            f"B is singular in the metric of {metric}: eigenvalue mu = "
+            f"{mus[np.argmin(size)]:.3e} of L^-1 B L^-T against a largest |mu| of "
+            f"{size.max():.3e}, so lambda is not resolved"
         )
-    lams = sign / mus
+    lams = num / mus
     idx = np.argsort(-lams if order == "descending" else lams, kind="stable")
     phi = phi[:, idx]
     if d <= 4:
         phi = phi / np.sqrt(np.sum(phi * phi, axis=0))
-    else:
+    elif not rotated:
         half, odd = divmod(e_a, 2)
         phi = np.ldexp(phi * math.sqrt(0.5) if odd else phi, -half)
-    return phi, _pow2_unscaled(lams[idx], e_a - e_b).tolist()
+    return phi, _pow2_unscaled(lams[idx], e_a - e_b).tolist(), strategy
+
+
+def _definite_angle(
+    a: np.ndarray, b: np.ndarray, x: np.ndarray
+) -> tuple[float, float, np.ndarray]:
+    """(cos t, sin t, W = L^-T) for an angle t at which M = cos(t) A + sin(t) B
+    = L L' passes the gate of ``_cholesky_whitening``, by the arc algorithm
+    (Crawford & Moon, BIT 23, 1983; Guo, Higham & Tisseur, SIMAX 31(3), 2009).
+
+    A vector x with z = x'A x + i x'B x has x'M x = |z| cos(t - arg z), so
+    every t at which M is positive definite lies in
+    (arg z - pi/2, arg z + pi/2), and those t form one open arc. The search
+    starts from ``x`` with x'B x < 0, which rules out t = pi/2, and tries
+    the middle t of what remains of the arc. Where M fails the gate, the
+    eigenvector x of its smallest eigenvalue cuts the arc to the angles
+    within w = min(pi/2, |t - arg z|) of arg z: those at which x'M x is
+    positive and above its value at t. Each cut removes the middle, so it
+    at least halves the arc.
+
+    The search ends where the arc empties or after ``ARC_MAX_STEPS``
+    angles, when it is narrower than pi / 2^``ARC_MAX_STEPS``. Then it
+    raises ``ConvergenceFailure`` if some M tried was positive definite
+    (``linalg.definiteness``) but failed the gate, and otherwise
+    ``IndefiniteB``: (A, B) is not a definite pair, or is one only within
+    that last sliver of angles, as on the boundary A = s B with B indefinite.
+    """
+    t, lo, hi, definite = math.pi / 2.0, None, None, False
+    for _ in range(ARC_MAX_STEPS):
+        col = x[:, None]
+        xax, xbx = kernels.matmul(kernels.matmul(np.vstack([a, b]), col).reshape(2, -1), col)[:, 0]
+        centre = math.atan2(xbx, xax)  # arg z
+        if lo is not None:  # the turn of arg z nearest the arc
+            centre += 2.0 * math.pi * round((0.5 * (lo + hi) - centre) / (2.0 * math.pi))
+        w = min(math.pi / 2.0, abs(math.remainder(t - centre, 2.0 * math.pi)))
+        if xax == xbx == 0.0:  # x'M x = 0 at every angle
+            w = 0.0
+        lo = centre - w if lo is None else max(lo, centre - w)
+        hi = centre + w if hi is None else min(hi, centre + w)
+        if not lo < hi:
+            break
+        t = 0.5 * (lo + hi)
+        c, s = math.cos(t), math.sin(t)
+        m = c * a + s * b
+        breve = _cholesky_whitening(m)
+        if breve is not None:
+            return c, s, breve
+        eig_m = eig_sym(SymMatrix(m), order="descending")
+        definite = definite or definiteness(eig_m.eigenvalues) == (False, False)
+        x = eig_m.phi.array[:, -1]
+    if definite:
+        raise ConvergenceFailure(
+            "cos(t) A + sin(t) B is positive definite at some t, but at none of the "
+            "angles tried does it pass the Cholesky gate"
+        )
+    where = f" outside an arc of width {hi - lo:.1e}" if lo < hi else ""
+    raise IndefiniteB(
+        f"(A, B) is not a definite pair: no cos(t) A + sin(t) B is positive definite{where}, "
+        "and the quick and dirty route needs one where B (after regularization) is indefinite"
+    )
 
 
 def _solution(p, eig_b, phi, lams, method, eps_used, strategy) -> GenEigenSolution:

@@ -137,8 +137,10 @@ def indefinite_pencil(d: int, seed: int = 5) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) = (F' diag(mu s) F, F' diag(s) F) at d <= 4, F = I + 0.3 G.
 
     B is indefinite (s = +-1 alternating), and so is A (mu s has mixed
-    signs): neither +A nor -A is a metric, and the spectrum is real, mu =
-    (2, 1, -1.5, 3)[:d]. The quick route's Sturm search serves it.
+    signs), and the spectrum is real, mu = (2, 1, -1.5, 3)[:d]. At d = 3
+    and 4 the points (mu_i s_i, s_i) lie in no open half-plane, so the pair
+    is not definite: no cos(t) A + sin(t) B is positive definite, and the
+    quick route rejects it.
     """
     mu = np.array([2.0, 1.0, -1.5, 3.0][:d])
     s = np.array([1.0, -1.0, 1.0, -1.0][:d])
@@ -146,6 +148,43 @@ def indefinite_pencil(d: int, seed: int = 5) -> tuple[np.ndarray, np.ndarray]:
     a = f.T @ ((mu * s)[:, None] * f)
     b = f.T @ (s[:, None] * f)
     return (a + a.T) / 2.0, (b + b.T) / 2.0
+
+
+def angle_pencil(
+    rng: np.random.Generator, d: int, c: float, degrees: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, angles) with A = F' diag(a) F, B = F' diag(b) F and cond(F) = c.
+
+    F = X^-1 with X = U diag(geomspace(1, c, d)) V, U and V from the QR of
+    Gaussians; (a_i, b_i) = r_i (cos t_i, sin t_i) with r_i uniform in
+    [0.5, 2] and the angles t_i uniform over ``degrees``. The pair is
+    definite exactly when the points lie in an open half-plane, that is
+    when the angles leave a gap wider than 180 degrees.
+    """
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    f = np.linalg.inv(u @ np.diag(np.geomspace(1.0, c, d)) @ v)
+    t = rng.uniform(*degrees, size=d)
+    r = rng.uniform(0.5, 2.0, size=d)
+    a = f.T @ np.diag(r * np.cos(np.radians(t))) @ f
+    b = f.T @ np.diag(r * np.sin(np.radians(t))) @ f
+    return (a + a.T) / 2.0, (b + b.T) / 2.0, t
+
+
+def definite_pencil(d: int, c: float = 100.0, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """A definite pair (A, B) with both A and B indefinite, cond(F) = c.
+
+    ``angle_pencil`` with angles in [40, 200] degrees, which lie in an open
+    half-plane, drawn from ``default_rng(seed)`` until both a and b have
+    mixed signs: then neither +-A nor B is a metric, and only a rotation
+    cos(t) A + sin(t) B is.
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        a, b, t = angle_pencil(rng, d, c, (40.0, 200.0))
+        cos, sin = np.cos(np.radians(t)), np.sin(np.radians(t))
+        if cos.min() < 0.0 < cos.max() and sin.min() < 0.0 < sin.max():
+            return a, b
 
 
 def random_unit(rng: np.random.RandomState, d: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from genspectra.cli import (
 from genspectra.linalg import SymMatrix, Vector
 from genspectra.rayleigh import check_stationarity
 
-from conftest import indefinite_pencil, random_sym
+from conftest import definite_pencil, random_sym
 
 
 def _write(path, text: str) -> str:
@@ -539,7 +539,7 @@ def _scale_runs() -> dict:
 
     geig runs by quick_dirty on an SPD B (the Cholesky congruence), on an
     indefinite B with an SPD A (the congruence by A's Cholesky factor) and
-    with an indefinite A (the Sturm search), and by rigorous.
+    with an indefinite A (the rotated congruence), and by rigorous.
     """
     rng = np.random.RandomState(54)
     a3, a20 = random_sym(rng, 3, scale=3.0).array, random_sym(rng, 20, scale=3.0).array
@@ -551,7 +551,7 @@ def _scale_runs() -> dict:
         "quick d=3": ["geig", "--method", "quick_dirty", a3, b3],
         "quick d=20": ["geig", "--method", "quick_dirty", a20, b20],
         "cholesky-a d=3": ["geig", "--method", "quick_dirty", b3, np.diag([1.0, -0.5, 2.0])],
-        "sturm d=3": ["geig", "--method", "quick_dirty", *indefinite_pencil(3)],
+        "rotated d=3": ["geig", "--method", "quick_dirty", *definite_pencil(3)],
         "rigorous d=3": ["geig", "--method", "rigorous", a3, b3],
         "rigorous d=20": ["geig", "--method", "rigorous", a20, b20],
     }

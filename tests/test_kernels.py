@@ -15,7 +15,7 @@ from genspectra import solve_quick_dirty, solve_rigorous
 from genspectra.eigen import JACOBI_REL_TOL, MAX_SWEEPS
 from genspectra.kernels import pykernels
 
-from conftest import CYKERNELS_MODULE, indefinite_pencil, random_sym
+from conftest import CYKERNELS_MODULE, definite_pencil, random_sym
 
 
 def _same_bits(x, y) -> bool:
@@ -413,11 +413,13 @@ def test_solvers_bit_identical_across_backends(cykernels, monkeypatch):
         solves[f"quick d={d} whitening"] = functools.partial(solve_quick_dirty, rank_deficient)
         solves[f"rigorous d={d} whitening"] = lambda p=spd: solve_rigorous(p)[0]
     # an indefinite B takes the congruence by A's Cholesky factor where A is
-    # definite, and at d <= 4 the Sturm search where A is indefinite too
+    # definite, and by a rotated metric cos(t) A + sin(t) B where A is
+    # indefinite too
     definite_a = Pencil(spd.b, SymMatrix(np.diag([1.0, -0.5, 2.0])))
     solves["quick d=3 cholesky-a"] = functools.partial(solve_quick_dirty, definite_a)
-    indefinite = Pencil(*(SymMatrix(m) for m in indefinite_pencil(3)))
-    solves["quick d=3 charpoly-sturm"] = functools.partial(solve_quick_dirty, indefinite)
+    for d in (3, 7):
+        rotated = Pencil(*(SymMatrix(m) for m in definite_pencil(d)))
+        solves[f"quick d={d} cholesky-rotated"] = functools.partial(solve_quick_dirty, rotated)
     g7 = np.random.RandomState(79).standard_normal((7, 7))
     definite_a7 = Pencil(SymMatrix(-(g7 @ g7.T) - 7.0 * np.eye(7)), SymMatrix(np.diag([1.0, -2.0] * 3 + [3.0])))
     solves["quick d=7 cholesky-a"] = functools.partial(solve_quick_dirty, definite_a7)

@@ -29,12 +29,14 @@ from genspectra import (
 
 from genspectra import KernelSpec, kernel_matrix, kernels
 from genspectra.linalg import _pow2_scaled, definiteness
-from genspectra.pencil import _factored_pairs, _leading_whitened, _whiten_core, _whitened, _whitening
+from genspectra.pencil import ARC_MAX_STEPS, _factored_pairs, _leading_whitened, _whiten_core, _whitened, _whitening
 
 from conftest import (
     POW2_EXPS,
     SCALES,
+    angle_pencil,
     assert_diagnostics,
+    definite_pencil,
     indefinite_pencil,
     kernel_calls,
     random_orthonormal,
@@ -321,10 +323,11 @@ def test_quick_epsilon_zero_on_singular_b_raises():
 
 
 def test_quick_indefinite_b_real_spectrum():
-    # B = diag(1,-1) is invertible but indefinite; det(A - lambda B) still
-    # has real roots here: A = diag(2,-3) gives lambda = 3 and 2.
+    # B = diag(1,-1) is invertible but indefinite, and so is A = diag(2,-3);
+    # the points (2, 1) and (-3, -1) lie in an open half-plane, so the pair
+    # is definite, with lambda = 3 and 2.
     sol = solve_quick_dirty(Pencil(_diag(2, -3), _diag(1, -1)))
-    assert sol.strategy == "charpoly-sturm"
+    assert sol.strategy == "cholesky-rotated"
     assert sol.eigenvalues == pytest.approx([3.0, 2.0], abs=1e-9)
     assert np.allclose(np.abs(sol.phi.array), [[0.0, 1.0], [1.0, 0.0]], atol=1e-9)
     assert sol.residual < 1e-9
@@ -332,24 +335,26 @@ def test_quick_indefinite_b_real_spectrum():
 
 def test_quick_indefinite_b_repeated_root():
     # A = B = diag(1,-1): det(A - lambda B) = -(1-lambda)^2, a double root
-    # at 1 whose eigenspace is all of R^2.
-    sol = solve_quick_dirty(Pencil(_diag(1, -1), _diag(1, -1)))
-    assert sol.strategy == "charpoly-sturm"
-    assert sol.eigenvalues == pytest.approx([1.0, 1.0], abs=1e-9)
+    # at 1 whose eigenspace is all of R^2; but cos(t) A + sin(t) B =
+    # (cos t + sin t) diag(1, -1) is never definite, so the pair is not
+    # definite and the quick route rejects it.
+    with pytest.raises(IndefiniteB, match="not a definite pair"):
+        solve_quick_dirty(Pencil(_diag(1, -1), _diag(1, -1)))
 
 
 def test_quick_indefinite_b_complex_spectrum_fails():
     # A = [[0,1],[1,0]], B = diag(1,-1): det(A - lambda B) = -(lambda^2+1),
-    # no real eigenvalues at all.
-    with pytest.raises(ConvergenceFailure):
+    # no real eigenvalues at all, so no definite pair.
+    with pytest.raises(IndefiniteB, match="not a definite pair"):
         solve_quick_dirty(Pencil(SymMatrix([[0.0, 1.0], [1.0, 0.0]]), _diag(1, -1)))
 
 
 # (diag of A, diag of B, spectrum, strategy) in a random orthonormal frame Q: A = Q diag Q'.
-# The "inertia" cases have a definite B, which the Cholesky congruence serves.
+# The "inertia" cases have a definite B, which the Cholesky congruence serves;
+# the "sturm" ones are definite pairs with A and B both indefinite.
 ROTATED_REPEATED_ROOTS = {
-    "sturm-d3": ((2, 2, -3), (1, 1, -1), (3, 2, 2), "charpoly-sturm"),
-    "sturm-d4": ((2, 2, -3, -3), (1, 1, -1, -1), (3, 3, 2, 2), "charpoly-sturm"),
+    "sturm-d3": ((2, 2, -3), (1, 1, -1), (3, 2, 2), "cholesky-rotated"),
+    "sturm-d4": ((2, 2, -3, -3), (1, 1, -1, -1), (3, 3, 2, 2), "cholesky-rotated"),
     "inertia-d3": ((2, 2, 5), (1, 1, 1), (5, 2, 2), "cholesky"),
     "inertia-d4": ((2, 2, 2, 5), (1, 1, 1, 1), (5, 2, 2, 2), "cholesky"),
 }
@@ -357,8 +362,8 @@ ROTATED_REPEATED_ROOTS = {
 
 @pytest.mark.parametrize("case", sorted(ROTATED_REPEATED_ROOTS))
 def test_quick_route_resolves_repeated_roots_of_rotated_pencils(case):
-    # the rotation leaves each repeated root to roundoff: Sturm remainders
-    # that vanish only to roundoff, Jacobi rotations of a nearly diagonal C
+    # the rotation leaves each repeated root to roundoff: Jacobi rotations
+    # of a nearly diagonal C
     diag_a, diag_b, expected, strategy = ROTATED_REPEATED_ROOTS[case]
     d = len(diag_a)
     for seed in range(40):
@@ -374,22 +379,24 @@ def test_quick_route_resolves_repeated_roots_of_rotated_pencils(case):
 @pytest.mark.parametrize("d", [3, 4])
 @pytest.mark.parametrize("frame", ["diagonal", "rotated"])
 def test_sturm_route_resolves_an_eigenvalue_of_full_multiplicity(d, frame):
-    # A = s B: det(A - lambda B) = det(B) (s - lambda)^d, a d-fold root that
-    # a count of the polynomial itself locates only to ~eps^(1/d)
+    # A = s B with an indefinite B: det(A - lambda B) = det(B) (s - lambda)^d,
+    # but cos(t) A + sin(t) B = (s cos t + sin t) B is never definite, so
+    # the pair is not definite and the quick route rejects it
     b0 = np.diag([1.0, -2.0, 3.0, -0.5][:d])
     for seed in range(10 if frame == "rotated" else 1):
         q = random_orthonormal(np.random.RandomState(seed), d) if frame == "rotated" else np.eye(d)
         b = q @ b0 @ q.T
         b = (b + b.T) / 2.0
         for s in (2.0, -0.7, 3e4):
-            sol = solve_quick_dirty(Pencil(SymMatrix(s * b), SymMatrix(b)))
-            assert sol.strategy == "charpoly-sturm"
-            assert max(abs(x - s) for x in sol.eigenvalues) <= 1e-12 * abs(s), (seed, s)
+            with pytest.raises(IndefiniteB, match="not a definite pair"):
+                solve_quick_dirty(Pencil(SymMatrix(s * b), SymMatrix(b)))
 
 
 def test_sturm_route_resolves_a_triple_root_at_d4():
     # A = X^-T S Lambda X^-1, B = X^-T S X^-1 with S = diag(1, -1, 1, -1):
-    # the eigenvalues are Lambda's, with 2 three times
+    # the eigenvalues are Lambda's, with 2 three times, and the points
+    # (s_i lambda_i, s_i) include (2, 1) and (-2, -1), so no half-plane
+    # holds them: the pair is not definite, and the quick route rejects it
     lam = np.array([2.0, 2.0, 2.0, -1.0])
     s = np.array([1.0, -1.0, 1.0, -1.0])
     for seed in range(10):
@@ -397,10 +404,8 @@ def test_sturm_route_resolves_a_triple_root_at_d4():
         xi = np.linalg.inv(x)
         a = xi.T @ np.diag(s * lam) @ xi
         b = xi.T @ np.diag(s) @ xi
-        sol = solve_quick_dirty(Pencil(SymMatrix((a + a.T) / 2.0), SymMatrix((b + b.T) / 2.0)))
-        assert sol.strategy == "charpoly-sturm"
-        got = np.array(sol.eigenvalues)
-        assert np.max(np.abs(got - np.sort(lam)[::-1]) / np.abs(np.sort(lam)[::-1])) <= 1e-8, seed
+        with pytest.raises(IndefiniteB, match="not a definite pair"):
+            solve_quick_dirty(Pencil(SymMatrix((a + a.T) / 2.0), SymMatrix((b + b.T) / 2.0)))
 
 
 def test_quick_route_vectors_of_double_roots_are_orthonormal():
@@ -421,7 +426,7 @@ def _definite_a_sweep_pencil(d: int) -> tuple[np.ndarray, np.ndarray]:
     return g @ g.T + np.eye(d), np.diag([1.0, -0.5, 2.0, -3.0][:d])
 
 
-SCALE_SWEEP_PENCILS = {"cholesky-a": _definite_a_sweep_pencil, "charpoly-sturm": indefinite_pencil}
+SCALE_SWEEP_PENCILS = {"cholesky-a": _definite_a_sweep_pencil, "cholesky-rotated": definite_pencil}
 
 
 def _assert_same_at_every_scale_of_b(d: int, strategy: str):
@@ -444,7 +449,7 @@ def test_cholesky_a_route_is_the_same_at_every_scale_of_b(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_sturm_route_is_the_same_at_every_scale_of_b(d):
-    _assert_same_at_every_scale_of_b(d, "charpoly-sturm")
+    _assert_same_at_every_scale_of_b(d, "cholesky-rotated")
 
 
 def _assert_scales_by_powers_of_two_exactly(d: int, strategy: str):
@@ -467,15 +472,21 @@ def test_cholesky_a_route_scales_by_powers_of_two_exactly(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_sturm_route_scales_by_powers_of_two_exactly(d):
-    # Before the route normalised A and B, (2^-300 A, 2^300 B) divided by
-    # zero, 2^-540 A gave zero eigenvalues, and d = 4 overflowed at 2^300.
-    _assert_scales_by_powers_of_two_exactly(d, "charpoly-sturm")
+    # the angle is chosen on A and B scaled by powers of two, the same bits
+    # for every (2^k A, 2^j B)
+    _assert_scales_by_powers_of_two_exactly(d, "cholesky-rotated")
 
 
 @pytest.mark.parametrize("b", [(1, 1), (1, -1), (1, 2, 3, 4), (1, -1, 2, -3)])
 def test_quick_zero_a_has_only_zero_eigenvalues(b):
     d = len(b)
-    sol = solve_quick_dirty(Pencil(SymMatrix(np.zeros((d, d))), _diag(*b)))
+    p = Pencil(SymMatrix(np.zeros((d, d))), _diag(*b))
+    if min(b) < 0:
+        # (0, B) is not a definite pair: sin(t) B is never definite
+        with pytest.raises(IndefiniteB, match="not a definite pair"):
+            solve_quick_dirty(p)
+        return
+    sol = solve_quick_dirty(p)
     assert sol.eigenvalues == (0.0,) * d
     assert abs(np.linalg.det(sol.phi.array)) > 0.5
 
@@ -553,11 +564,11 @@ def test_scaled_rank_deficient_b_is_regularized(s, route):
 
 def test_quick_singular_indefinite_b_regularizes_on_sturm_route():
     # diag(1, -1, 0) is singular and indefinite; B + eps*I is indefinite
-    # and invertible, so the d <= 4 charpoly route runs the Sturm search.
-    sol = solve_quick_dirty(Pencil(_diag(2, -3, 1), _diag(1, -1, 0)))
-    assert sol.strategy == "charpoly-sturm"
-    assert sol.epsilon_used == pytest.approx(1e-5)
-    assert sol.eigenvalues == pytest.approx([1e5, 3.0, 2.0], rel=1e-4)
+    # and invertible, and the points (2, 1 + eps), (-3, -1 + eps), (1, eps)
+    # leave no gap wider than 180 degrees, so (A, B + eps*I) is not a
+    # definite pair.
+    with pytest.raises(IndefiniteB, match="not a definite pair"):
+        solve_quick_dirty(Pencil(_diag(2, -3, 1), _diag(1, -1, 0)))
 
 
 @pytest.mark.parametrize("s", SCALES)
@@ -734,6 +745,148 @@ def test_cholesky_a_route_overflow_is_located():
 
 
 # ---------------------------------------------------------------------------
+# the quick route's rotated congruence (definite pairs, A and B indefinite)
+# ---------------------------------------------------------------------------
+
+
+def _chordal_gap(got, ref) -> float:
+    """max |x - y| / sqrt((1 + x^2)(1 + y^2)) over matched eigenvalues.
+
+    The chordal metric of the eigenvalues of a pair (Stewart & Sun, ch. VI):
+    it bounds their error by the Crawford number, and a relative error does
+    not, at eigenvalues near 0 (a_i ~ 0) or far out (b_i ~ 0).
+    """
+    got, ref = np.asarray(got), np.asarray(ref)
+    return float(np.max(np.abs(got - ref) / np.sqrt((1.0 + got**2) * (1.0 + ref**2))))
+
+
+def _assert_metric_orthonormal(a: np.ndarray, b: np.ndarray, phi: np.ndarray):
+    """Phi' M Phi = I for some M = c A + s B: Phi' A Phi and Phi' B Phi are
+    diagonal, and their diagonals (alpha, beta) solve c alpha + s beta = 1."""
+    pa, pb = phi.T @ a @ phi, phi.T @ b @ phi
+    alpha, beta = np.diag(pa), np.diag(pb)
+    top = max(np.max(np.abs(alpha)), np.max(np.abs(beta)))
+    assert np.max(np.abs(pa - np.diag(alpha))) <= 1e-10 * top
+    assert np.max(np.abs(pb - np.diag(beta))) <= 1e-10 * top
+    cs = np.linalg.lstsq(np.column_stack([alpha, beta]), np.ones(len(alpha)), rcond=None)[0]
+    assert np.max(np.abs(alpha * cs[0] + beta * cs[1] - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("c", [1.0, 100.0, 1000.0])
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 12])
+def test_rotated_route_solves_definite_pairs(d, c):
+    import scipy.linalg
+
+    for seed in range(50):
+        a, b = definite_pencil(d, c, seed)
+        sol = solve_quick_dirty(Pencil(SymMatrix(a), SymMatrix(b)))
+        assert sol.strategy == "cholesky-rotated", seed
+        ref = np.sort(scipy.linalg.eigvals(a, b).real)[::-1]
+        assert _chordal_gap(sol.eigenvalues, ref) <= 1e-8, seed
+        phi = sol.phi.array
+        if d <= 4:
+            assert np.max(np.abs(np.linalg.norm(phi, axis=0) - 1.0)) <= 1e-12, seed
+        else:
+            _assert_metric_orthonormal(a, b, phi)
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_quick_route_solves_exactly_the_definite_pairs(d):
+    # angles over 300 degrees: a pair is definite exactly when its points
+    # (a_i, b_i) lie in an open half-plane, a gap of more than 180 degrees
+    # (which any two points leave, so d starts at 3)
+    import scipy.linalg
+
+    rng = np.random.default_rng(40 + d)
+    verdicts = []
+    for i in range(100):
+        a, b, t = angle_pencil(rng, d, 100.0, (0.0, 300.0))
+        t = np.sort(t)
+        definite = np.max(np.diff(np.append(t, t[0] + 360.0))) > 180.0
+        p = Pencil(SymMatrix(a), SymMatrix(b))
+        if not definite:
+            with pytest.raises(IndefiniteB, match="not a definite pair"):
+                solve_quick_dirty(p)
+            continue
+        sol = solve_quick_dirty(p)
+        verdicts.append(sol.strategy)
+        ref = np.sort(scipy.linalg.eigvals(a, b).real)[::-1]
+        assert _chordal_gap(sol.eigenvalues, ref) <= 1e-8, i
+    assert "cholesky-rotated" in verdicts and len(verdicts) < 100
+
+
+@pytest.mark.parametrize("d", [6, 12])
+def test_rotated_route_scales_by_powers_of_two_above_d4(d):
+    # Phi' M Phi = I in the metric of the scaled pair, which is the same for
+    # every (2^k A, 2^j B), so Phi is too
+    _assert_scales_by_powers_of_two_exactly(d, "cholesky-rotated")
+
+
+def test_rotated_route_rejects_a_b_singular_in_the_metric_it_factors():
+    # B = Q diag(1e-11, sqrt(3)/2, -1/2) Q' is indefinite, not singular: 1e-11
+    # is above SINGULAR_TOL times its largest eigenvalue. A = Q diag(100,
+    # -1/2, sqrt(3)/2) Q' is indefinite too, and the pair is definite. In the
+    # metric M, where a_1 = 100 dominates, |mu_1| / max|mu| ~ 6e-14 is below
+    # SINGULAR_TOL, and lambda_1 = 1e13 would have no correct digit.
+    for seed in range(3):
+        q = random_orthonormal(np.random.RandomState(seed), 3)
+        a = q @ np.diag([100.0, -0.5, math.sqrt(0.75)]) @ q.T
+        b = q @ np.diag([1e-11, math.sqrt(0.75), -0.5]) @ q.T
+        assert definiteness(eig_sym(SymMatrix((b + b.T) / 2.0)).eigenvalues) == (True, False)
+        with pytest.raises(SingularAfterRegularization, match="singular in the metric of"):
+            solve_quick_dirty(Pencil(SymMatrix((a + a.T) / 2.0), SymMatrix((b + b.T) / 2.0)))
+
+
+def test_rotated_route_fails_to_converge_where_no_definite_metric_passes_the_gate():
+    # cond(F) = 1e5: the pairs are definite, but each positive definite
+    # cos(t) A + sin(t) B has a condition number near 1e10, past
+    # CHOLESKY_MAX_CONDITION. Where B's negative eigenvalue lies inside the
+    # singular band, B is regularized to a positive definite B + eps*I instead.
+    raised = 0
+    for seed in range(10):
+        a, b = definite_pencil(4, 1e5, seed)
+        try:
+            sol = solve_quick_dirty(Pencil(SymMatrix(a), SymMatrix(b)))
+        except ConvergenceFailure as exc:
+            assert "positive definite at some t" in str(exc), seed
+            raised += 1
+        else:
+            assert sol.strategy == "whitening" and sol.epsilon_used > 0.0, seed
+    assert raised > 0
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_quick_route_rejects_a_non_definite_pair_with_a_real_spectrum(d):
+    a, b = indefinite_pencil(d)
+    with pytest.raises(IndefiniteB, match="not a definite pair"):
+        solve_quick_dirty(Pencil(SymMatrix(a), SymMatrix(b)))
+
+
+def test_cholesky_a_route_makes_the_kernel_calls_it_always_made(factorizations, eigen_inputs):
+    # a failed Cholesky of B, eig(B), the Cholesky of A and eig(C): the
+    # arc search adds nothing where +A is a metric
+    a, b = _definite_a_sweep_pencil(3)
+    sol = solve_quick_dirty(Pencil(SymMatrix(a), SymMatrix(b)))
+    assert sol.strategy == "cholesky-a"
+    assert factorizations == [3, 3]
+    assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 3)] * 2
+
+
+@pytest.mark.parametrize("d", [3, 6, 12])
+def test_rotated_route_stays_within_its_cap(d, factorizations, eigen_inputs):
+    # Cholesky attempts on B, +A, -A and at most ARC_MAX_STEPS angles; eig(B),
+    # eig(M) at each failed angle, and eig(C)
+    for seed in range(20):
+        factorizations.clear()
+        eigen_inputs.clear()
+        a, b = definite_pencil(d, 1000.0, seed)
+        assert solve_quick_dirty(Pencil(SymMatrix(a), SymMatrix(b))).strategy == "cholesky-rotated"
+        angles = len(factorizations) - 3
+        assert 1 <= angles <= ARC_MAX_STEPS, seed
+        assert len(eigen_inputs) == 2 + angles - 1, seed
+
+
+# ---------------------------------------------------------------------------
 # the quick route's vectors: unit length at d <= 4, B-orthonormal above
 # ---------------------------------------------------------------------------
 
@@ -751,7 +904,7 @@ def _contract_pencils(d: int) -> dict:
         # lambda_min / lambda_max = 1e-10: past CHOLESKY_MAX_CONDITION, not singular
         "ill-conditioned": (a, (q * np.geomspace(1.0, 1e-10, d)) @ q.T, "whitening"),
         "definite-a": (a_def, b_ind, "cholesky-a"),
-        "indefinite": (*indefinite_pencil(d), "charpoly-sturm"),
+        "rotated": (*definite_pencil(d), "cholesky-rotated"),
     }
 
 
@@ -821,6 +974,9 @@ def test_cholesky_route_only_where_b_is_definite_and_nonsingular(d):
                 taken.append(name)
                 assert not indefinite and not singular, (s, name)
                 assert sol.epsilon_used == 0.0 and not sol.deflated
+                continue
+            if sol.strategy == "cholesky-rotated":  # a definite pair with an indefinite B
+                assert indefinite_after_eps, (s, name)
                 continue
             assert sol.strategy == "whitening"
             assert not indefinite_after_eps, (s, name)
