@@ -10,14 +10,14 @@ Three classics, each reduced to the eigenproblem it really is:
   (K_x H K_y H K_x, K_x) with H the centering projector.
 
 The numerators of the last two have a known low rank, S_B = D D' with
-D = [mu_j - mu_t] and, for the delta and linear label kernels,
-K_x H K_y H K_x = F F' with F = K_x G, G = H Y. FDA takes the leading
+D = [mu_j - mu_t] and K_x H K_y H K_x = F F' with F = K_x G, G = H Y R,
+Y the one-hot classes and R R' the class kernel. FDA takes the leading
 pairs from the small Gram of W'D (``pencil._factored_pairs``), where W
 whitens S_W: W = L^-T from S_W = L L' where S_W passes the Cholesky gate
 of the quick route (``pencil._cholesky_whitening``), and
 W = Phi_B (Lambda_B^1/2 + eps I)^-1 from eig(S_W) otherwise. KSPCA holds
 a preimage of its factor, G with F = K_x G, so for any such W the Gram of
-W'F is G' K_x G and W cancels: its pairs come from the c x c M = G'F
+W'F is G' K_x G and W cancels: its pairs come from the small M = G'F
 (``pencil._preimage_pairs``), and K_x is never factored or decomposed.
 
 Data matrices are d x n with one sample per column.
@@ -33,7 +33,7 @@ import numpy as np
 from . import kernels
 from .errors import DimensionMismatch, InputError, MissingLabels, SingleClass
 from .eigen import eig_sym
-from .linalg import Matrix, SymMatrix, Vector
+from .linalg import Matrix, SymMatrix, Vector, null_eigenvalues
 from .pencil import Pencil, _diagnostics, _leading_whitened, _preimage_pairs
 
 _KERNEL_KINDS = ("linear", "rbf", "polynomial", "delta")
@@ -95,8 +95,10 @@ class KernelSpec:
     """Kernel choice and hyperparameters.
 
     Kinds: ``linear``, ``rbf`` (gamma defaults to 1/d), ``polynomial``
-    (degree, coef0), and ``delta`` (1 when the two columns are identical,
-    else 0; the usual label kernel for classification).
+    (degree, coef0 >= 0), and ``delta`` (1 when the two columns are
+    identical, else 0; the usual label kernel for classification). gamma
+    and coef0 must be finite. Every kind is PSD by construction, the
+    polynomial one as a Schur power of the PSD x'y + coef0.
     """
 
     kind: str = "rbf"
@@ -107,10 +109,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in _KERNEL_KINDS:
             raise ValueError(f"kernel kind must be one of {_KERNEL_KINDS}, got {self.kind!r}")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.degree < 1:
+        if self.gamma is not None and not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not (self.degree >= 1 and self.degree == int(self.degree)):
             raise ValueError(f"degree must be a positive integer, got {self.degree}")
+        if not 0 <= self.coef0 < np.inf:
+            raise ValueError(f"coef0 must be nonnegative and finite, got {self.coef0}")
 
 
 @dataclass(frozen=True)
@@ -122,10 +126,10 @@ class EmbeddingModel:
     ``residual`` and ``b_orthonormality`` measure that block against the
     pencil the fit solved, as ``GenEigenSolution`` defines them: (S, I)
     for pca, (S_B, S_W) for fda, (K_x H K_y H K_x, K_x) for kspca, with
-    the numerator formed as F F', F = K_x H Y, for the delta and linear
-    label kernels (equal to K_x H K_y H K_x in exact arithmetic).
+    the numerator formed as F F', F = K_x H Y R, for every label kernel
+    (equal to K_x H K_y H K_x in exact arithmetic).
     ``strategy`` records how fda and kspca treated the denominator:
-    ``"gram"`` where kspca took its pairs from the c x c M = G' K_x G,
+    ``"gram"`` where kspca took its pairs from the r x r M = G' K_x G,
     with no whitening of K_x, and otherwise how they whitened it, in the
     words of ``GenEigenSolution.strategy``: ``"cholesky"`` (W = L^-T) or
     ``"whitening"`` (eig(B)); pca has no metric and leaves it None. The
@@ -316,22 +320,22 @@ def kspca_fit(
     holds on the returned block. ``kx`` defaults to rbf and ``ky`` to the
     delta kernel on the labels.
 
-    The delta label kernel is K_y = Y Y' for the n x c one-hot class
-    indicators Y, and the linear one is K_y = l l' for the label column l.
-    With either, the numerator is F F' with F = K_x G, G = H Y (or H l),
-    and K_y is never formed. For any W with W W' = K_x^-1 the Gram of W'F
-    is G' K_x W W' K_x G = G' K_x G, and Phi = W W' F u / sqrt(lambda) =
-    G u / sqrt(lambda): the whitening cancels. So the directions come from
-    the c x c M = G'F (``pencil._preimage_pairs``, ``strategy`` ``"gram"``),
-    and K_x is neither factored nor decomposed. On a singular K_x, common
-    for smooth kernels and for any repeated sample, that is still the
-    unperturbed pencil: no eps is taken, and ``epsilon_used`` is 0.0.
-    Nor is K_x's definiteness tested: on an indefinite K_x (a polynomial
-    kernel with a negative coef0, say) the pairs still solve the pencil,
-    where the fallback raises ``IndefiniteB``.
+    Labels are class ids, so every label kernel is K_y = Y K_c Y' for the
+    n x c one-hot classes Y and the c x c class kernel K_c, factored as
+    K_c = R R' from its eig with the null eigenvalues dropped (K_c is PSD
+    for every ``KernelSpec``): R is c x r, r = rank(K_c), and R = I for the
+    delta kernel below c = 16, where eig_sym takes Jacobi. The numerator is
+    F F' with F = K_x G, G = H Y R, and K_y is never formed. For any W with
+    W W' = K_x^-1 the Gram of W'F is G' K_x G, and
+    Phi = W W' F u / sqrt(lambda) = G u / sqrt(lambda): the whitening
+    cancels. So the directions come from the r x r M = G'F
+    (``pencil._preimage_pairs``, ``strategy`` ``"gram"``), and K_x is
+    neither factored nor decomposed. On a singular K_x, common for smooth
+    kernels and for any repeated sample, that is still the unperturbed
+    pencil: no eps is taken, and ``epsilon_used`` is 0.0.
 
     The fit falls back to whitening the full pencil, as ``fda_fit`` whitens
-    S_W, when p exceeds the width of G or the p-th eigenvalue of M is at
+    S_W, when p exceeds the width r of G or the p-th eigenvalue of M is at
     most ``SINGULAR_TOL`` times the first: G does not determine those
     directions. W is then L^-T from K_x's Cholesky factor where K_x passes
     the gate of ``pencil._cholesky_whitening``, and
@@ -339,9 +343,7 @@ def kspca_fit(
     directions come from eig(W' F F' W); on a singular K_x the constraint
     then holds in the eps-perturbed metric (``epsilon`` overrides the
     default strength). Residual and K_x-orthonormality are measured against
-    (sym(F F'), K_x), equal to the pencil above in exact arithmetic. rbf
-    and polynomial label kernels form K_x H K_y H K_x and always take the
-    whitening of the full pencil.
+    (sym(F F'), K_x), equal to the pencil above in exact arithmetic.
     """
     if ds.labels is None:
         raise MissingLabels("kernel supervised PCA needs class labels")
@@ -351,24 +353,22 @@ def kspca_fit(
     kx = kx if kx is not None else KernelSpec(kind="rbf")
     ky = ky if ky is not None else KernelSpec(kind="delta")
 
-    labels = np.array(ds.labels, dtype=np.float64)
     k_x = kernel_matrix(ds.x, ds.x, kx).array
-    if ky.kind in ("delta", "linear"):
-        y = labels.reshape(-1, 1)
-        if ky.kind == "delta":
-            # np.unique would import numpy.ma, ~1 MB, on the first fit
-            classes = np.array(sorted(set(ds.labels)), dtype=np.float64)
-            y = (y == classes).astype(np.float64)
-        # G = H Y: centering acts on the sample index, the rows of Y
-        g = y - y.mean(axis=0)
-        factor = kernels.matmul(k_x, g)
-        m = kernels.matmul(factor, factor.T)
-        found = _preimage_pairs(g, factor, p)
-    else:
-        found = None
-        labels_row = Matrix(labels.reshape(1, -1))
-        k_y = kernel_matrix(labels_row, labels_row, ky).array
-        m = kernels.matmul(k_x, kernels.matmul(_double_center(k_y), k_x))
+    # K_c = R R' from eig(K_c) without its null set; np.unique would
+    # import numpy.ma, ~1 MB, on the first fit
+    classes = sorted(set(ds.labels))
+    row = Matrix(np.array(classes, dtype=np.float64).reshape(1, -1))
+    dec = eig_sym(kernel_matrix(row, row, ky), order="descending")
+    null = null_eigenvalues(dec.eigenvalues)
+    keep = [i for i in range(len(classes)) if i not in null]
+    r = dec.phi.array[:, keep] * np.sqrt(np.array(dec.eigenvalues)[keep])
+    # G = H Y R: Y R is the row of R of each sample's class, and the
+    # centering acts on the sample index, the rows of Y R
+    yr = r[[classes.index(v) for v in ds.labels]]
+    g = yr - yr.mean(axis=0)
+    factor = kernels.matmul(k_x, g)
+    m = kernels.matmul(factor, factor.T)
+    found = _preimage_pairs(g, factor, p)
     pencil = Pencil(SymMatrix((m + m.T) / 2.0), SymMatrix((k_x + k_x.T) / 2.0))
     if found is not None:
         (phi, lams), eps_used, strategy = found, 0.0, "gram"
@@ -397,12 +397,6 @@ def kspca_transform(model: EmbeddingModel, x_new: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-
-
-def _double_center(k: np.ndarray) -> np.ndarray:
-    """H K H with H = I - 11'/n, in O(n^2): subtract column means, then row means."""
-    hk = k - k.mean(axis=0)
-    return hk - hk.mean(axis=1).reshape(-1, 1)
 
 
 def _leading_pairs(method, a, b, phi, eigenvalues, p, **fields) -> EmbeddingModel:

@@ -466,15 +466,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _nonneg_float(text: str) -> float:
     val = float(text)
-    if val < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
+    if not 0 <= val < math.inf:
+        raise argparse.ArgumentTypeError("must be finite and >= 0")
     return val
 
 
 def _positive_float(text: str) -> float:
     val = float(text)
-    if not val > 0:
-        raise argparse.ArgumentTypeError("must be > 0")
+    if not 0 < val < math.inf:
+        raise argparse.ArgumentTypeError("must be finite and > 0")
     return val
 
 
@@ -505,8 +505,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     eps_help = ("regularization strength used when B is singular "
                 "(default 1e-5, scaled by max|B| when that exceeds 1); kspca's "
-                "c x c route with the delta or linear label kernel never "
-                "regularizes, so eps reaches only its fallback")
+                "class-kernel route never regularizes, with any label kernel, "
+                "so eps reaches only its fallback")
 
     parser = _Parser(
         prog="genspectra",
@@ -558,13 +558,16 @@ def make_parser() -> argparse.ArgumentParser:
     p_kspca.add_argument("--kernel", choices=("linear", "rbf", "polynomial"),
                          default="rbf", help="data kernel (default rbf)")
     p_kspca.add_argument("--gamma", type=_positive_float, default=None,
-                         help="rbf width (default 1/d)")
+                         help="rbf width (default 1/d; 1 for the label kernel)")
     p_kspca.add_argument("--degree", type=_positive_int, default=3,
                          help="polynomial degree (default 3)")
-    p_kspca.add_argument("--coef0", type=float, default=1.0,
-                         help="polynomial offset (default 1)")
+    p_kspca.add_argument("--coef0", type=_nonneg_float, default=1.0,
+                         help="polynomial offset, >= 0 so the kernel is PSD (default 1); "
+                              "--kernel-y shares it with --gamma and --degree")
     p_kspca.add_argument("--kernel-y", choices=("delta", "linear", "rbf", "polynomial"),
-                         default="delta", help="label kernel (default delta)")
+                         default="delta",
+                         help="label kernel (default delta); it shares --gamma, "
+                              "--degree and --coef0 with the data kernel")
     p_kspca.add_argument("--epsilon", type=_nonneg_float, default=None, help=eps_help)
     p_kspca.set_defaults(run=_run_kspca)
 

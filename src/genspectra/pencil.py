@@ -37,8 +37,9 @@ report their residual and B-orthonormality against the original,
 unregularized pencil.
 
 The fits (``apps.fda_fit``, ``apps.kspca_fit``) keep only the leading
-pairs, and their numerators have low rank, A = F F' with F n x c, so
-those pairs come from a c x c Gram rather than from the n x n A_breve.
+pairs, and their numerators have low rank, A = F F' with F n x c (n x r
+for kspca with any label kernel, r the rank of its c x c class kernel),
+so those pairs come from a small Gram rather than from the n x n A_breve.
 ``apps.fda_fit`` whitens, through ``_leading_whitened``: with W = L^-T
 where B passes that same Cholesky gate, and with eig(B)'s
 Phi_B (Lambda_B^1/2 + eps I)^-1, the verdict and eps of
@@ -560,8 +561,10 @@ def _definite_angle(
     angles, when it is narrower than pi / 2^``ARC_MAX_STEPS``. Then it
     raises ``ConvergenceFailure`` if some M tried was positive definite
     (``linalg.definiteness``) but failed the gate, and otherwise
-    ``IndefiniteB``: (A, B) is not a definite pair, or is one only within
-    that last sliver of angles, as on the boundary A = s B with B indefinite.
+    ``IndefiniteB``: where the arc emptied, (A, B) is not a definite pair;
+    where the cap ends the search with the arc still open, the pair is
+    definite, if at all, only within that sliver of angles, below working
+    precision. The boundary A = s B with B indefinite ends either way.
     """
     t, lo, hi, definite = math.pi / 2.0, None, None, False
     for _ in range(ARC_MAX_STEPS):
@@ -591,10 +594,16 @@ def _definite_angle(
             "cos(t) A + sin(t) B is positive definite at some t, but at none of the "
             "angles tried does it pass the Cholesky gate"
         )
-    where = f" outside an arc of width {hi - lo:.1e}" if lo < hi else ""
+    if lo < hi:
+        verdict = (
+            f"(A, B) is a definite pair, if at all, only within an arc of width {hi - lo:.1e}, "
+            "below working precision: no cos(t) A + sin(t) B tried is positive definite"
+        )
+    else:
+        verdict = "(A, B) is not a definite pair: no cos(t) A + sin(t) B is positive definite"
     raise IndefiniteB(
-        f"(A, B) is not a definite pair: no cos(t) A + sin(t) B is positive definite{where}, "
-        "and the quick and dirty route needs one where B (after regularization) is indefinite"
+        f"{verdict}, and the quick and dirty route needs one where B (after regularization) "
+        "is indefinite"
     )
 
 

@@ -10,7 +10,6 @@ import pytest
 
 from genspectra import (
     DimensionMismatch,
-    IndefiniteB,
     InputError,
     KernelSpec,
     LabeledDataset,
@@ -34,8 +33,8 @@ from genspectra import (
     solve_rigorous,
 )
 from genspectra import apps, kernels
-from genspectra.apps import _double_center
-from genspectra.linalg import _pow2_scaled, centering_matrix
+from genspectra.cli import main
+from genspectra.linalg import _pow2_scaled, centering_matrix, null_eigenvalues
 from genspectra.pencil import (
     _factored_pairs,
     _leading_whitened,
@@ -508,6 +507,17 @@ def test_kernel_spec_validation():
         KernelSpec(kind="rbf", gamma=0.0)
     with pytest.raises(ValueError):
         KernelSpec(kind="polynomial", degree=0)
+    with pytest.raises(ValueError):
+        KernelSpec(kind="polynomial", degree=1.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            KernelSpec(kind="rbf", gamma=bad)
+        with pytest.raises(ValueError):
+            KernelSpec(kind="polynomial", coef0=bad)
+    # coef0 >= 0 keeps every kernel PSD by construction
+    with pytest.raises(ValueError):
+        KernelSpec(kind="polynomial", coef0=-1e-3)
+    assert KernelSpec(kind="polynomial", coef0=0.0).coef0 == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -515,18 +525,19 @@ def test_kernel_spec_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_double_center_matches_centering_matrix():
-    rng = np.random.RandomState(96)
-    labels = Matrix(rng.randint(0, 3, size=(1, 9)).astype(float))
-    for k in (
-        kernel_matrix(labels, labels, KernelSpec(kind="delta")).array,
-        rng.standard_normal((9, 9)) * 1e3,
-        np.ones((1, 1)),
-    ):
-        n = k.shape[0]
-        h = centering_matrix(n).array
-        expect = h @ k @ h
-        assert np.abs(_double_center(k) - expect).max() <= 1e-12 * np.abs(k).max()
+@pytest.mark.parametrize("kind", ["delta", "linear", "rbf", "polynomial"])
+def test_label_kernel_is_the_class_kernel_spread_over_the_samples(kind):
+    # labels are class ids, so K_y = Y K_c Y' bit for bit, with Y the
+    # one-hot classes and K_c the kernel of the sorted class values
+    labels = np.random.RandomState(96).randint(-1, 3, size=64).astype(float)
+    ky = KernelSpec(kind=kind, gamma=0.7, degree=2, coef0=1.0)
+    row = Matrix(labels.reshape(1, -1))
+    classes = np.array(sorted(set(labels)))
+    k_c = kernel_matrix(Matrix(classes.reshape(1, -1)), Matrix(classes.reshape(1, -1)), ky).array
+    y = labels[:, None] == classes
+    position = y.argmax(axis=1)
+    assert np.array_equal(kernel_matrix(row, row, ky).array, k_c[np.ix_(position, position)])
+    assert np.all(y.sum(axis=1) == 1)
 
 
 def test_kspca_two_point_linear_closed_form():
@@ -698,7 +709,8 @@ def _kspca_full(ds, kx, ky):
     row = Matrix(np.array(ds.labels, dtype=np.float64).reshape(1, -1))
     k_x = kernel_matrix(ds.x, ds.x, kx).array
     k_y = kernel_matrix(row, row, ky).array
-    m = kernels.matmul(k_x, kernels.matmul(_double_center(k_y), k_x))
+    h = centering_matrix(ds.n).array
+    m = kernels.matmul(k_x, kernels.matmul(h @ k_y @ h, k_x))
     pen = Pencil(SymMatrix((m + m.T) / 2.0), SymMatrix((k_x + k_x.T) / 2.0))
     return (pen,) + _whitened(pen, None, "descending")[1:]
 
@@ -747,13 +759,15 @@ def _assert_cholesky_pairs(model, fit_pencils, p, factored):
 
 
 def _label_factor(ds, ky):
-    """G = H Y: the centered one-hot class indicators (delta label kernel)
-    or the centered label column (linear), so that H K_y H = G G'."""
-    labels = np.array(ds.labels, dtype=np.float64)
-    y = labels[:, None]
-    if ky.kind == "delta":
-        y = (y == np.unique(labels)).astype(np.float64)
-    return y - y.mean(axis=0)
+    """G = H Y R as the fit builds it: K_c = R R' from eig of the class
+    kernel with its null eigenvalues dropped, so that H K_y H = G G'."""
+    classes = sorted(set(ds.labels))
+    row = Matrix(np.array(classes, dtype=np.float64).reshape(1, -1))
+    dec = eig_sym(kernel_matrix(row, row, ky), order="descending")
+    keep = [i for i in range(len(classes)) if i not in null_eigenvalues(dec.eigenvalues)]
+    r = dec.phi.array[:, keep] * np.sqrt(np.array(dec.eigenvalues)[keep])
+    yr = r[[classes.index(v) for v in ds.labels]]
+    return yr - yr.mean(axis=0)
 
 
 def _assert_gram_pairs(model, fit_pencils, ds, kx, ky, p):
@@ -827,8 +841,9 @@ def test_kspca_factored_path_matches_full_pencil(c, singular, eigen_inputs, fit_
         eigen_inputs.clear()
         fit_pencils.clear()
         model = kspca_fit(ds, p, kx=kx)
-        # the c x c M = G' K_x G is the only decomposition, singular K_x or not
-        assert kernel_calls(eigen_inputs) == [("jacobi_eigh", c)]
+        # the c x c K_c = I and M = G' K_x G are the only decompositions,
+        # singular K_x or not
+        assert kernel_calls(eigen_inputs) == [("jacobi_eigh", c)] * 2
         _assert_gram_pairs(model, fit_pencils, ds, kx, delta, p)
         if singular:
             # the fit solves the pencil itself, not the eps-perturbed one
@@ -846,7 +861,7 @@ def test_kspca_factored_path_matches_full_pencil(c, singular, eigen_inputs, fit_
 def test_kspca_cholesky_path_matches_the_whitening_path(n, eigen_inputs, factorizations, fit_pencils):
     # The workload's shape: 8 features, rbf K_x with the default gamma. The
     # fit takes the c x c route, with no factorization of K_x and the c x c
-    # Jacobi as its only decomposition; the Cholesky path it replaced, which
+    # Jacobi of K_c and of M as its only decompositions; the Cholesky path it replaced, which
     # the fallback and fda_fit keep, gives the same pairs on its pencil.
     rng = np.random.RandomState(730 + n)
     ds = _class_data(rng, 4, n // 4, 8)
@@ -858,7 +873,7 @@ def test_kspca_cholesky_path_matches_the_whitening_path(n, eigen_inputs, factori
         factorizations.clear()
         model = kspca_fit(ds, p)
         assert factorizations == []
-        assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 4)]
+        assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 4)] * 2
         _assert_gram_pairs(model, fit_pencils, ds, kx, delta, p)
         _assert_matches_full(model, phi, inter, p)
         chol_phi, chol_lams, eps, strategy = _leading_whitened(pen, factor, p, None)
@@ -874,9 +889,9 @@ def test_kspca_repeated_sample_takes_the_whitening(eigen_inputs, fit_pencils):
     rng = np.random.RandomState(745)
     ds = _class_data(rng, 3, 8, 5, repeat=True)
     model = kspca_fit(ds, p=3)
-    # the c x c M, then eig(K_x) and the n x n A_breve
+    # the c x c K_c and M, then eig(K_x) and the n x n A_breve
     assert kernel_calls(eigen_inputs) == [
-        ("jacobi_eigh", 3), ("tridiag_eigh", 24), ("tridiag_eigh", 24),
+        ("jacobi_eigh", 3), ("jacobi_eigh", 3), ("tridiag_eigh", 24), ("tridiag_eigh", 24),
     ]
     (pen, factor), = fit_pencils
     assert factor is None
@@ -901,19 +916,23 @@ def test_kspca_singular_kernel_gives_exact_pairs(seed, per, d, p, fit_pencils):
     _assert_exact_pairs(model, ds, kx, delta, p)
 
 
-def test_kspca_gram_route_solves_an_indefinite_kernel(fit_pencils):
-    # K_x = X'X - 5 is indefinite. The c x c route never tests K_x, and its
-    # pairs still solve the pencil; p = c leaves it, and the whitening
-    # fallback rejects the metric.
+def test_kspca_rejects_an_indefinite_polynomial_kernel(tmp_path, capsys):
+    # X'X - 5 is indefinite. K_c = R R' needs a PSD class kernel, and one
+    # rule serves K_x too: a polynomial kernel with coef0 < 0 is rejected,
+    # in the API and on the command line, at every p.
     ds = _class_data(np.random.RandomState(795), 3, 4, 3)
-    kx, delta = KernelSpec(kind="polynomial", degree=1, coef0=-5.0), KernelSpec(kind="delta")
-    assert np.linalg.eigvalsh(kernel_matrix(ds.x, ds.x, kx).array)[0] < 0.0
-    for p in (1, 2):
-        model = kspca_fit(ds, p, kx=kx)
-        _assert_gram_pairs(model, fit_pencils, ds, kx, delta, p)
-        _assert_exact_pairs(model, ds, kx, delta, p)
-    with pytest.raises(IndefiniteB):
-        kspca_fit(ds, 3, kx=kx)
+    x = ds.x.array
+    assert np.linalg.eigvalsh(x.T @ x - 5.0)[0] < 0.0
+    with pytest.raises(ValueError, match="coef0 must be nonnegative"):
+        KernelSpec(kind="polynomial", degree=1, coef0=-5.0)
+    rows = [",".join(f"{v!r}" for v in col) + f",{lab}" for col, lab in zip(x.T, ds.labels)]
+    path = tmp_path / "data.csv"
+    path.write_text("f1,f2,f3,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    for kernel_flags in (["--kernel", "polynomial"], ["--kernel-y", "polynomial"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["kspca", "-p", "1", *kernel_flags, "--degree", "1", "--coef0", "-5", str(path)])
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
 
 
 def test_linear_kspca_is_exactly_scale_covariant():
@@ -950,7 +969,7 @@ def test_kspca_fit_decomposes_one_kernel_matrix(eigen_inputs, fit_pencils, monke
     original = apps.kernel_matrix
 
     def counting(*args, **kwargs):
-        calls.append(args[2].kind)
+        calls.append((args[2].kind, args[0].cols, args[1].cols))
         return original(*args, **kwargs)
 
     for mod in list(sys.modules.values()):
@@ -959,10 +978,12 @@ def test_kspca_fit_decomposes_one_kernel_matrix(eigen_inputs, fit_pencils, monke
         ):
             monkeypatch.setattr(mod, "kernel_matrix", counting)
     model = kspca_fit(ds, p=2)
-    assert calls == ["rbf"]  # K_x only; K_y enters as its one-hot factor
-    # K_x (n = 24) is neither factored nor decomposed: one c x c (M = G' K_x G)
+    # the n x n K_x and the c x c class kernel; K_y enters as Y R, unbuilt
+    assert calls == [("rbf", 24, 24), ("delta", 3, 3)]
+    # K_x (n = 24) is neither factored nor decomposed: two c x c (K_c, and
+    # M = G' K_x G)
     assert model.strategy == "gram" and fit_pencils == []
-    assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 3)]
+    assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 3)] * 2
 
 
 def _assert_fallback(model, inter, p, eigen_inputs, fit_pencils):
@@ -1027,8 +1048,9 @@ def test_kspca_linear_label_kernel_is_rank_one(eigen_inputs, fit_pencils):
     pen, phi, inter = _kspca_full(ds, kx, lin)
     eigen_inputs.clear()
     model = kspca_fit(ds, 1, kx=kx, ky=lin)
-    # F = K_x H l: the 1 x 1 M = l' H K_x H l
-    assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 1)]
+    # K_c = v v' has rank 1, so F = K_x H Y R, R = +-v: the 3 x 3 K_c, then
+    # the 1 x 1 M = R' Y' H K_x H Y R
+    assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 3), ("jacobi_eigh", 1)]
     _assert_gram_pairs(model, fit_pencils, ds, kx, lin, 1)
     _assert_matches_full(model, phi, inter, 1)
     eigen_inputs.clear()
@@ -1037,13 +1059,51 @@ def test_kspca_linear_label_kernel_is_rank_one(eigen_inputs, fit_pencils):
     _assert_fallback(model, inter, 2, eigen_inputs, fit_pencils)
 
 
-def test_kspca_rbf_label_kernel_keeps_the_full_pencil(eigen_inputs, fit_pencils):
+def test_kspca_rbf_label_kernel_takes_the_gram_route(eigen_inputs, fit_pencils):
     rng = np.random.RandomState(780)
     ds = _class_data(rng, 3, 5, 3)
     kx, ky = KernelSpec(kind="rbf", gamma=1.0), KernelSpec(kind="rbf", gamma=0.5)
     pen, phi, inter = _kspca_full(ds, kx, ky)
     eigen_inputs.clear()
     model = kspca_fit(ds, 2, kx=kx, ky=ky)
-    (fit_pen, factor), = fit_pencils
-    assert factor is None and np.array_equal(fit_pen.a.array, pen.a.array)
-    _assert_fallback(model, inter, 2, eigen_inputs, fit_pencils)
+    # K_c, then the 3 x 3 M = G' K_x G: K_y and K_x H K_y H K_x are never formed
+    assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 3)] * 2
+    _assert_gram_pairs(model, fit_pencils, ds, kx, ky, 2)
+    _assert_matches_full(model, phi, inter, 2)
+
+
+@pytest.mark.parametrize(
+    "ky, c",
+    [
+        (KernelSpec(kind="rbf", gamma=0.7), 3),
+        (KernelSpec(kind="rbf", gamma=0.7), 5),
+        (KernelSpec(kind="polynomial", degree=2, coef0=1.0), 3),
+    ],
+    ids=["rbf-3", "rbf-5", "polynomial-3"],
+)
+def test_kspca_smooth_label_kernels_solve_the_pencil(ky, c, eigen_inputs, factorizations, fit_pencils):
+    # K_c is nonsingular, so G = H Y R has rank c - 1: p <= c - 1 takes the
+    # gram route with K_x neither factored nor decomposed, on a nonsingular
+    # K_x and on one a repeated sample makes singular; p = c falls back
+    rng = np.random.RandomState(800 + c)
+    kx = KernelSpec(kind="rbf", gamma=1.0)
+    ds = _class_data(rng, c, 5, 3)
+    repeated = _class_data(rng, c, 5, 3, repeat=True)
+    pen, phi, inter = _kspca_full(ds, kx, ky)
+    assert inter.epsilon_used == 0.0 < _kspca_full(repeated, kx, ky)[2].epsilon_used
+    for p in range(1, c):
+        for data in (ds, repeated):
+            eigen_inputs.clear()
+            fit_pencils.clear()
+            model = kspca_fit(data, p, kx=kx, ky=ky)
+            assert factorizations == []
+            assert kernel_calls(eigen_inputs) == [("jacobi_eigh", c)] * 2
+            _assert_gram_pairs(model, fit_pencils, data, kx, ky, p)
+            if data is ds:
+                _assert_matches_full(model, phi, inter, p)
+            else:
+                _assert_exact_pairs(model, data, kx, ky, p)
+    eigen_inputs.clear()
+    fit_pencils.clear()
+    model = kspca_fit(ds, c, kx=kx, ky=ky)
+    _assert_fallback(model, inter, c, eigen_inputs, fit_pencils)

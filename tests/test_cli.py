@@ -457,12 +457,13 @@ def test_eig_timing_flag_adds_runtime(sym2, capsys):
     assert doc["meta"]["runtime_ms"] >= 0.0
 
 
-def test_byte_identical_repeat_runs(sym2, capsys):
-    main(["eig", sym2])
-    first = capsys.readouterr().out
-    main(["eig", sym2])
-    second = capsys.readouterr().out
-    assert first == second
+def test_byte_identical_repeat_runs(sym2, kspca_csv, capsys):
+    for argv in (["eig", sym2], ["kspca", "-p", "1", "--kernel-y", "rbf", kspca_csv]):
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        second = capsys.readouterr().out
+        assert first == second
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +712,7 @@ def test_kspca_builds_each_kernel_matrix_once(kspca_csv, capsys, monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[2].kind)
+        calls.append((args[2].kind, args[0].cols, args[1].cols))
         return original(*args, **kwargs)
 
     # count calls from every package module that holds the function
@@ -721,8 +722,8 @@ def test_kspca_builds_each_kernel_matrix_once(kspca_csv, capsys, monkeypatch):
         ):
             monkeypatch.setattr(mod, "kernel_matrix", counting)
     assert main(["kspca", "-p", "2", "--gamma", "1.0", kspca_csv]) == 0
-    # K_x once; the delta label kernel enters as its one-hot factor, unbuilt
-    assert calls == ["rbf"]
+    # the n x n K_x once, and the c x c class kernel; the n x n K_y is never built
+    assert calls == [("rbf", 8, 8), ("delta", 2, 2)]
     doc = json.loads(capsys.readouterr().out)
     assert doc["diagnostics"]["residual"] < 1e-10
 
@@ -737,6 +738,24 @@ def test_kspca_rejects_nonpositive_gamma(kspca_csv):
     with pytest.raises(SystemExit) as exc:
         main(["kspca", "--gamma", "0", kspca_csv])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("eig", "--sym-tol"), ("eig", "--resid-tol"), ("geig", "--epsilon"),
+        ("fda", "--epsilon"), ("kspca", "--epsilon"), ("kspca", "--gamma"),
+        ("kspca", "--coef0"),
+    ],
+)
+def test_non_finite_flag_values_are_usage_errors(command, flag, value, sym2, kspca_csv, capsys):
+    files = {"eig": [sym2], "geig": [sym2, sym2], "fda": [kspca_csv], "kspca": [kspca_csv]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"{flag}={value}", *files])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: genspectra") and f"argument {flag}" in err
 
 
 # ---------------------------------------------------------------------------

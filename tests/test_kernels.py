@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from genspectra import LabeledDataset, Matrix, Pencil, SymMatrix, eig_sym, fda_fit, kernels, kspca_fit
+from genspectra import KernelSpec, LabeledDataset, Matrix, Pencil, SymMatrix, eig_sym, fda_fit, kernels, kspca_fit
 from genspectra import solve_quick_dirty, solve_rigorous
 from genspectra.eigen import JACOBI_REL_TOL, MAX_SWEEPS
 from genspectra.kernels import pykernels
@@ -426,6 +426,8 @@ def test_solvers_bit_identical_across_backends(cykernels, monkeypatch):
     labels = tuple(int(v) for v in rng.randint(0, 3, size=40))
     ds = LabeledDataset(Matrix(rng.standard_normal((3, 40))), labels=labels)
     solves["kspca gram"] = functools.partial(kspca_fit, ds, 2)
+    # any label kernel takes the c x c route through the factor of K_c
+    solves["kspca rbf-label gram"] = functools.partial(kspca_fit, ds, 2, ky=KernelSpec(kind="rbf", gamma=0.7))
 
     # the full-path fallback: p = c needs eig(A_breve) at n = 40
     solves["kspca fallback cholesky"] = functools.partial(kspca_fit, ds, 3)

@@ -50,6 +50,13 @@ def _diag(*entries) -> SymMatrix:
     return SymMatrix(np.diag([float(e) for e in entries]))
 
 
+# The two verdicts of the arc search: an emptied arc, and an arc still open
+# at the step cap. A pair on the boundary of the definite pairs, whose arc
+# shrinks to a single angle, can end either way.
+NOT_DEFINITE = "not a definite pair"
+UNRESOLVED = r"a definite pair, if at all, only within an arc of width \S+, below working precision"
+
+
 # ---------------------------------------------------------------------------
 # container
 # ---------------------------------------------------------------------------
@@ -388,7 +395,7 @@ def test_sturm_route_resolves_an_eigenvalue_of_full_multiplicity(d, frame):
         b = q @ b0 @ q.T
         b = (b + b.T) / 2.0
         for s in (2.0, -0.7, 3e4):
-            with pytest.raises(IndefiniteB, match="not a definite pair"):
+            with pytest.raises(IndefiniteB, match=f"{NOT_DEFINITE}|{UNRESOLVED}"):
                 solve_quick_dirty(Pencil(SymMatrix(s * b), SymMatrix(b)))
 
 
@@ -404,7 +411,7 @@ def test_sturm_route_resolves_a_triple_root_at_d4():
         xi = np.linalg.inv(x)
         a = xi.T @ np.diag(s * lam) @ xi
         b = xi.T @ np.diag(s) @ xi
-        with pytest.raises(IndefiniteB, match="not a definite pair"):
+        with pytest.raises(IndefiniteB, match=f"{NOT_DEFINITE}|{UNRESOLVED}"):
             solve_quick_dirty(Pencil(SymMatrix((a + a.T) / 2.0), SymMatrix((b + b.T) / 2.0)))
 
 
@@ -853,6 +860,22 @@ def test_rotated_route_fails_to_converge_where_no_definite_metric_passes_the_gat
         else:
             assert sol.strategy == "whitening" and sol.epsilon_used > 0.0, seed
     assert raised > 0
+
+
+def test_arc_search_names_an_arc_left_open_at_its_cap():
+    # definite by construction, cond(F) = 1e6: every definite metric lies in
+    # an arc too narrow for the search, which stops at ARC_MAX_STEPS with
+    # the arc still open and says so rather than call the pair not definite
+    for seed, width in ((5, "1.4e-08"), (8, "6.0e-08")):
+        a, b = definite_pencil(4, 1e6, seed)
+        with pytest.raises(IndefiniteB, match=UNRESOLVED) as err:
+            solve_quick_dirty(Pencil(SymMatrix(a), SymMatrix(b)))
+        assert f"arc of width {width}," in str(err.value), seed
+        assert NOT_DEFINITE not in str(err.value), seed
+    # an emptied arc keeps the plain verdict
+    with pytest.raises(IndefiniteB, match=NOT_DEFINITE) as err:
+        solve_quick_dirty(Pencil(_diag(2, -4, 6), _diag(1, -2, 3)))
+    assert "if at all" not in str(err.value)
 
 
 @pytest.mark.parametrize("d", [3, 4])
