@@ -41,23 +41,25 @@ bit where no entry is subnormal. An eigenvalue that 2^e takes above the
 float range raises ``EigenvalueOverflow`` (``linalg._pow2_unscaled``).
 
 For d <= 4 the module also holds ``char_poly_eig``, which solves
-det(A - lambda I) = 0 directly: closed forms for d <= 3 and, for d = 4, a
-bisection on the number of negative pivots of A - x I = L D L'
-(``_inertia_below``). It returns eigenvalues only and exists as an
-independent cross-check of the Jacobi path.
+det(A - lambda I) = 0 directly: by the quadratic formula for d = 2 and, for
+d = 3 and 4, by bisection on the number of eigenvalues below x of a
+tridiagonal T = Q'AQ (``_householder`` of the pure-Python kernels), read
+off the signs of the pivots of T - x I (a Sturm count, ``_count_below``).
+It returns eigenvalues only and exists as an independent cross-check of
+``eig_sym``, which takes Jacobi below d = 16 and so shares no kernel with
+it there.
 
-Its bisection, ``_roots_by_count``, halves brackets of a counting function
-inside ±(1 + 1e-6) down to a width of 1e-14. Every count it halves is
-defined at every x: an exactly zero pivot counts as negative, and a zero
-derivative value while polishing a multiple root counts as past it. A is
-first scaled by a power of two at or above ||A||_F (after
-``_pow2_scaled``), so that every root lies in [-1, 1]; A and 2^k A are
-then the same problem, and their eigenvalues come out exactly 2^k apart.
+Its bisection, ``_roots_by_count``, halves brackets of the count inside
+±(1 + 1e-6) down to a width of 1e-14, and repeats each root by the count's
+rise over it. The count is monotone in x and defined at every x: an exactly
+zero pivot counts as negative. A is first scaled by a power of two at or
+above ||A||_F (after ``_pow2_scaled``), so that every root lies in [-1, 1];
+A and 2^k A are then the same problem, and their eigenvalues come out
+exactly 2^k apart.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -65,11 +67,11 @@ import numpy as np
 
 from . import kernels
 from .errors import ConvergenceFailure, NoNullSpace, UnsupportedDimension
+from .kernels.pykernels import _householder
 from .linalg import (
     Matrix,
     SymMatrix,
     Vector,
-    _cofactor_det,
     _pow2_scaled,
     _pow2_unscaled,
     frobenius_norm,
@@ -140,12 +142,7 @@ def _graded(b: np.ndarray) -> bool:
     return not (lo > 0.0 and diag.max() <= _GRADED_RATIO * lo)
 
 
-def eig_sym(
-    a: SymMatrix,
-    order: str = "descending",
-    rel_tol: float = JACOBI_REL_TOL,
-    max_sweeps: int = MAX_SWEEPS,
-) -> EigenDecomposition:
+def eig_sym(a: SymMatrix, order: str = "descending") -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix.
 
     Below d = 16 by cyclic Jacobi, from d = 16 up through a
@@ -154,10 +151,10 @@ def eig_sym(
     ratio above ``_GRADED_RATIO``. On any other B the tridiagonal kernel's
     error, eps * kappa(B), is within that ratio of Jacobi's relative bound
     eps * kappa(H), B = DHD, since kappa(B) <= kappa(H) * max b_ii / min b_ii
-    (see the module docstring). ``rel_tol`` and ``max_sweeps``
-    bound Jacobi's off-diagonal norm and its sweeps, or the tridiagonal
-    kernel's residuals and its steps; ``ConvergenceFailure`` is raised when
-    the kernel runs out of them, and ``EigenvalueOverflow`` when an
+    (see the module docstring). ``JACOBI_REL_TOL`` and ``MAX_SWEEPS`` bound
+    Jacobi's off-diagonal norm and its sweeps, or the tridiagonal kernel's
+    residuals and its steps; ``ConvergenceFailure`` is raised when the
+    kernel runs out of them, and ``EigenvalueOverflow`` when an
     eigenvalue is above the float range (a 2 x 2 all-ones matrix times
     1.7e308, say).
 
@@ -177,7 +174,7 @@ def eig_sym(
     else:
         name, kernel = "tridiagonal eigensolver", kernels.tridiag_eigh
     m, e = _pow2_scaled(a.array)
-    w, v, iterations, converged = kernel(m, rel_tol, max_sweeps)
+    w, v, iterations, converged = kernel(m, JACOBI_REL_TOL, MAX_SWEEPS)
     if not converged:
         raise ConvergenceFailure(
             f"{name} did not reach tolerance after {iterations} iterations (dim {a.dim})"
@@ -203,11 +200,11 @@ def spectral_reconstruct(dec: EigenDecomposition) -> SymMatrix:
 def char_poly_eig(a: SymMatrix) -> list[float]:
     """Eigenvalues as roots of det(A - lambda I), descending.
 
-    Only dimensions 1 through 4 are supported: quadratic formula for
-    d = 2, the trigonometric solution of the depressed cubic for d = 3,
-    and bisection on the eigenvalue count for d = 4 (``_char_quartic``),
-    each on A scaled by a power of two at or above ||A||_F (see the module
-    docstring); repeated roots appear with their multiplicity.
+    Only dimensions 1 through 4 are supported, on A scaled by a power of
+    two at or above ||A||_F (see the module docstring): the quadratic
+    formula for d = 2 and, for d = 3 and 4, a bisection on the Sturm count
+    of a tridiagonal T = Q'AQ (``_roots_by_count`` on ``_count_below``).
+    Repeated roots appear with their multiplicity.
     """
     d = a.dim
     if d > 4:
@@ -218,8 +215,15 @@ def char_poly_eig(a: SymMatrix) -> list[float]:
         return [0.0] * d
     m, e = _pow2_scaled(a.array)
     _, k = _pow2_scaled(frobenius_norm(m))
-    m = np.ldexp(m, -k).tolist()
-    roots = {1: lambda m: [m[0][0]], 2: _char_quadratic, 3: _char_cubic, 4: _char_quartic}[d](m)
+    m = np.ldexp(m, -k)
+    if d <= 2:
+        roots = [m[0, 0]] if d == 1 else _char_quadratic(m.tolist())
+    else:
+        diag, off, _ = _householder(m)
+        diag, off = diag.tolist(), off.tolist()
+        roots = []
+        for r, rise in reversed(_roots_by_count(lambda x: _count_below(diag, off, x))):
+            roots += [r] * rise
     return _pow2_unscaled(roots, e + k).tolist()
 
 
@@ -251,7 +255,7 @@ def eigvec_for(a: SymMatrix, lam: float, lam_tol: float = 1e-6) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# closed-form characteristic roots
+# characteristic roots
 
 
 def _char_quadratic(m: list) -> list[float]:
@@ -261,80 +265,15 @@ def _char_quadratic(m: list) -> list[float]:
     return [half_sum + disc, half_sum - disc]
 
 
-def _char_cubic(m: list) -> list[float]:
-    # Trigonometric solution of the characteristic cubic of a symmetric
-    # 3x3 matrix: shift by the mean eigenvalue q, rescale so the roots of
-    # the depressed cubic are 2*cos of equally spaced angles.
-    a11, a12, a13 = m[0]
-    a22, a23 = m[1][1], m[1][2]
-    a33 = m[2][2]
-    off = a12 * a12 + a13 * a13 + a23 * a23
-    if off == 0.0:
-        return sorted((a11, a22, a33), reverse=True)
-    q = (a11 + a22 + a33) / 3.0
-    p2 = (a11 - q) ** 2 + (a22 - q) ** 2 + (a33 - q) ** 2 + 2.0 * off
-    p = math.sqrt(p2 / 6.0)
-    b = [[(m[i][j] - (q if i == j else 0.0)) / p for j in range(3)] for i in range(3)]
-    r = _cofactor_det(b) / 2.0
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    e1 = q + 2.0 * p * math.cos(phi)
-    e3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    e2 = 3.0 * q - e1 - e3
-    return sorted((e1, e2, e3), reverse=True)
-
-
-# Roots of the d = 4 count closer than this (||A||_F is in [0.5, 1)) are
-# one eigenvalue. Near a repeated eigenvalue the pivot count wavers over up
-# to ~3e-9 ||A||_F (rotated 4 x 4 matrices with double and triple
-# eigenvalues, 200 seeds each), where the bisection reports it as several
-# roots with rises such as +1, -1 and +2.
-_SAME_ROOT = 1e-7
-
-
-def _char_quartic(m: list) -> list[float]:
-    """The eigenvalues of the 4 x 4 ``m``, descending, from its count.
-
-    The bisection's roots are grouped where they lie within ``_SAME_ROOT``
-    of each other, and each group's rises are netted into the multiplicity
-    k of one eigenvalue. A group of more than one root, or with k >= 2, is
-    polished on det(A - lambda I) (``_polish_multiple_root``).
-    """
-    groups: list[list] = []  # [roots, net rise]
-    for r, rise in _roots_by_count(lambda x: _inertia_below(m, x, 4)):
-        if groups and r - groups[-1][0][-1] <= _SAME_ROOT:
-            groups[-1][0].append(r)
-            groups[-1][1] += rise
-        else:
-            groups.append([[r], rise])
-    coeffs = None
-    found = []
-    for rs, k in groups:
-        if k <= 0:
-            continue
-        r = rs[0]
-        if len(rs) > 1 or k > 1:
-            if coeffs is None:
-                eye = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
-                coeffs = _pencil_charpoly(m, eye, 4)
-            r = _polish_multiple_root(coeffs, sum(rs) / len(rs), k)
-        found += [r] * k
-    return sorted(found, reverse=True)
-
-
-# ---------------------------------------------------------------------------
-# root finding by counts
-
-
 def _roots_by_count(count) -> list[tuple[float, int]]:
     """Roots in [-1, 1] found by halving brackets of a counting function.
 
-    ``count(x)`` is the number of roots below x, up to a constant, and is
-    defined at every x. The search starts from ±(1 + 1e-6); a bracket over
-    which the count rises is halved at its midpoint until its width is at
-    most 1e-14, and comes back as ``(midpoint, rise)``. Brackets only split
-    where the count changes, so a repeated root costs one bisection.
-    Ascending pairs.
+    ``count(x)`` is the number of roots below x and is defined at every x.
+    The search starts from ±(1 + 1e-6); a bracket over which the count
+    rises is halved at its midpoint until its width is at most 1e-14, and
+    comes back as ``(midpoint, rise)``, the rise being the root's
+    multiplicity. Brackets only split where the count changes, so a
+    repeated root costs one bisection. Ascending pairs.
     """
     hi = 1.0 + 1e-6
     stack = [(-hi, hi, count(-hi), count(hi))]
@@ -353,95 +292,29 @@ def _roots_by_count(count) -> list[tuple[float, int]]:
     return roots
 
 
-# The pivot that stands in for an exact zero in ``_inertia_below``: far below
+# The pivot that stands in for an exact zero in ``_count_below``: far below
 # any pivot that roundoff leaves on the scaled matrices (entries below 1),
-# while its reciprocal, 2^256, leaves the elimination's products in range.
+# while its reciprocal, 2^256, leaves the next pivot in range.
 _PIVMIN = 2.0**-256
 
 
-def _inertia_below(a: list, x: float, n: int) -> int:
-    """Number of eigenvalues of the symmetric ``a`` below ``x``, or just above
-    ``x`` where a pivot is exactly zero.
+def _count_below(diag: list, off: list, x: float) -> int:
+    """Number of eigenvalues of the symmetric tridiagonal (``diag``, ``off``)
+    below ``x``, or just above ``x`` where a pivot is exactly zero.
 
-    Counts the negative pivots of A - x I = L D L', eliminated without
-    interchanges (Sylvester's law of inertia). A pivot that is exactly
-    zero is taken as the tiny negative -``_PIVMIN``, as if x were a little
-    larger (the pivmin rule of LAPACK's ``dstebz``), so the count is
-    defined at every x.
+    Counts the negative pivots q_i = (diag[i] - x) - off[i-1]^2 / q_(i-1) of
+    T - x I = L D L' (Sylvester's law of inertia), a Sturm count that is
+    monotone in x in IEEE arithmetic (Demmel, Dhillon & Ren, ETNA 1995). A
+    pivot that is exactly zero is taken as the tiny negative -``_PIVMIN``,
+    as if x were a little larger (the pivmin rule of LAPACK's ``dstebz``),
+    so the count is defined at every x.
     """
-    m = [[a[i][j] - x if i == j else a[i][j] for j in range(n)] for i in range(n)]
-    count = 0
-    for k in range(n):
-        piv = m[k][k] or -_PIVMIN
+    piv = diag[0] - x or -_PIVMIN
+    count = piv < 0.0
+    for a, b in zip(diag[1:], off):
+        piv = (a - x) - b * b / piv or -_PIVMIN
         count += piv < 0.0
-        for i in range(k + 1, n):
-            f = m[i][k] / piv
-            row = m[i]
-            for j in range(k + 1, n):
-                row[j] -= f * m[k][j]
     return count
-
-
-# ---------------------------------------------------------------------------
-# characteristic polynomials, d <= 4
-
-
-def _poly_mul(p: list[float], q: list[float]) -> list[float]:
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi != 0.0:
-            for j, qj in enumerate(q):
-                out[i + j] += pi * qj
-    return out
-
-
-def _pencil_charpoly(a: list, b: list, n: int) -> list[float]:
-    """Coefficients of det(A - lambda B), ascending powers, exact expansion."""
-    coeffs = [0.0] * (n + 1)
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        poly = [-1.0 if inversions % 2 else 1.0]
-        for i in range(n):
-            poly = _poly_mul(poly, [a[i][perm[i]], -b[i][perm[i]]])
-        for k, ck in enumerate(poly):
-            coeffs[k] += ck
-    return coeffs
-
-
-def _poly_eval(p: list[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deriv(p: list[float]) -> list[float]:
-    return [i * c for i, c in enumerate(p)][1:]
-
-
-def _polish_multiple_root(coeffs: list[float], mu: float, mult: int) -> float:
-    """Re-solve a root of multiplicity ``mult`` as a simple root of the
-    (mult-1)-th derivative.
-
-    The polynomial is flat around a multiple root (its value falls below
-    roundoff in a zone of width ~ sqrt(machine eps)), which caps a count of
-    its sign changes there; the derivative changes sign cleanly. It is
-    searched on mu + 1e-6 t for t in [-1, 1], counting 1 at or past its
-    root.
-    """
-    q = coeffs
-    for _ in range(mult - 1):
-        q = _poly_deriv(q)
-    rising = _poly_eval(_poly_deriv(q), mu) > 0.0
-
-    def past(t: float) -> int:
-        val = _poly_eval(q, mu + 1e-6 * t)
-        return int(val == 0.0 or (val > 0.0) == rising)
-
-    found = _roots_by_count(past)
-    return mu + 1e-6 * found[0][0] if len(found) == 1 else mu
 
 
 # ---------------------------------------------------------------------------

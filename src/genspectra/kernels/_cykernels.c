@@ -309,11 +309,19 @@ pythag(double a, double b)
 static int
 ql_eigenvalues(double *dg, double *e, Py_ssize_t n, int max_iter, long *steps)
 {
+    double tst1 = 0.0;  /* max_i |dg[i]| + |e[i]| + |e[i - 1]| */
+    for (Py_ssize_t i = 0; i < n; i++) {
+        double row = fabs(dg[i]) + fabs(e[i]) + (i > 0 ? fabs(e[i - 1]) : 0.0);
+        if (row > tst1)
+            tst1 = row;
+    }
+    double e_floor = TRI_EPS * tst1;
     for (Py_ssize_t l = 0; l < n; l++) {
         int it = 0;
         for (;;) {
             Py_ssize_t m = l;
-            while (m < n - 1 && fabs(e[m]) > TRI_EPS * (fabs(dg[m]) + fabs(dg[m + 1])))
+            while (m < n - 1 && fabs(e[m]) > TRI_EPS * (fabs(dg[m]) + fabs(dg[m + 1]))
+                   && fabs(e[m]) > e_floor)
                 m++;
             if (m == l)
                 break;

@@ -336,20 +336,31 @@ def _ql_eigenvalues(dg: list, e: list, max_iter: int):
     """Eigenvalues of the tridiagonal (dg, e) by implicit QL with Wilkinson shifts.
 
     ``tqli`` of Press et al. (after EISPACK ``tql1``), eigenvalues only:
-    e[m] counts as zero once |e[m]| <= eps (|dg[m]| + |dg[m + 1]|).
-    Returns (eigenvalues, steps, converged); not converged when one
-    eigenvalue takes more than ``max_iter`` steps.
+    e[m] counts as zero once |e[m]| <= eps (|dg[m]| + |dg[m + 1]|), or once
+    |e[m]| <= eps tst1 with tst1 = max_i |dg[i]| + |e[i]| + |e[i - 1]|, the
+    norm of T that ``tql1`` tests against. The second test, a perturbation
+    of T by at most eps ||T||, deflates inside a cluster of eigenvalues
+    near zero, where both diagonals are ~eps ||T|| and the first would ask
+    for |e[m]| below eps^2 ||T||. Returns (eigenvalues, steps, converged);
+    not converged when one eigenvalue takes more than ``max_iter`` steps.
     """
     n = len(dg)
     e = e + [0.0]
     eps = _EPS
+    # e[-1] is the trailing 0.0 at i = 0; max from 0.0 on, as the C loop
+    tst1 = max(0.0, *(abs(dg[i]) + abs(e[i]) + abs(e[i - 1]) for i in range(n)))
+    e_floor = eps * tst1
     sqrt = math.sqrt
     steps = 0
     for l in range(n):
         it = 0
         while True:
             m = l
-            while m < n - 1 and abs(e[m]) > eps * (abs(dg[m]) + abs(dg[m + 1])):
+            while (
+                m < n - 1
+                and abs(e[m]) > eps * (abs(dg[m]) + abs(dg[m + 1]))
+                and abs(e[m]) > e_floor
+            ):
                 m += 1
             if m == l:
                 break

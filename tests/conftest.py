@@ -124,6 +124,14 @@ def random_orthonormal(rng: np.random.RandomState, d: int) -> np.ndarray:
     return dec.phi.array.copy()
 
 
+def low_rank_psd(d: int, r: int, seed: int) -> np.ndarray:
+    """G G' with G d x r standard normal (``default_rng(seed)``), exactly
+    symmetric: a PSD matrix of rank r, with d - r eigenvalues at zero."""
+    g = np.random.default_rng(seed).standard_normal((d, r))
+    a = g @ g.T
+    return (a + a.T) / 2.0
+
+
 def random_spd(
     rng: np.random.RandomState, d: int, lo: float = 1.0, hi: float = 100.0
 ) -> SymMatrix:

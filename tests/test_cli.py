@@ -33,7 +33,7 @@ from genspectra.cli import (
 from genspectra.linalg import SymMatrix, Vector
 from genspectra.rayleigh import check_stationarity
 
-from conftest import definite_pencil, random_sym
+from conftest import definite_pencil, low_rank_psd, random_sym
 
 
 def _write(path, text: str) -> str:
@@ -522,6 +522,22 @@ def test_geig_resid_tol_gate_exits_2(tmp_path, capsys):
     assert main(["geig", "--resid-tol", "1e-9", a, b]) == 2
     assert "ConvergenceFailure" in capsys.readouterr().err
     assert main(["geig", a, b]) == 0  # no gate: reported, not fatal
+
+
+def test_rank_deficient_200_solves(tmp_path, capsys):
+    # 150 zero eigenvalues: the tridiagonal kernel's QL used to run out of
+    # steps on them, and every command below exited 2
+    b = tmp_path / "b.csv"
+    write_matrix_csv(Matrix(low_rank_psd(200, 50, 0)), str(b))
+    a = tmp_path / "a.csv"
+    write_matrix_csv(random_sym(np.random.RandomState(200), 200), str(a))
+    for argv in (
+        ["eig", str(b)],
+        ["geig", "--method", "rigorous", str(a), str(b)],
+        ["geig", "--method", "quick_dirty", str(a), str(b)],
+    ):
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+        assert len(json.loads(capsys.readouterr().out)["eigenvalues"]) == 200, argv
 
 
 def test_eig_resid_tol_gate_fails_a_nan_residual(tmp_path, capsys):

@@ -117,12 +117,13 @@ def test_eig_sign_convention_is_deterministic():
         assert col[int(np.argmax(np.abs(col)))] > 0.0
 
 
-def test_eig_convergence_failure_when_sweeps_exhausted():
+def test_eig_convergence_failure_when_sweeps_exhausted(monkeypatch):
+    monkeypatch.setattr(eigen, "MAX_SWEEPS", 1)
     rng = np.random.RandomState(25)
     for d in (7, 20):  # Jacobi, then the tridiagonal kernel
         a = random_sym(rng, d)
         with pytest.raises(ConvergenceFailure):
-            eig_sym(a, max_sweeps=1)
+            eig_sym(a)
 
 
 def test_eig_invariants_through_the_tridiagonal_kernel():
@@ -339,7 +340,8 @@ def test_char_poly_d4_with_multiplicity():
 
 
 def test_char_poly_d4_rotated_double_root():
-    # The count wavers near the double root; its rises net to 2 there.
+    # The Sturm count is monotone, so the double root is one bracket with a
+    # rise of 2.
     for seed in range(200):
         q = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))[0]
         got = char_poly_eig(SymMatrix((q * [2.0, 2.0, 5.0, 7.0]) @ q.T))
@@ -348,16 +350,14 @@ def test_char_poly_d4_rotated_double_root():
 
 
 def test_char_poly_d4_repeated_root_costs_one_bisection(monkeypatch):
-    from genspectra import eigen
-
-    inertia = eigen._inertia_below
+    count_below = eigen._count_below
     calls = []
 
     def counting(*args):
         calls.append(args[2])
-        return inertia(*args)
+        return count_below(*args)
 
-    monkeypatch.setattr(eigen, "_inertia_below", counting)
+    monkeypatch.setattr(eigen, "_count_below", counting)
     assert char_poly_eig(SymMatrix(2.0 * np.eye(4))) == pytest.approx([2.0] * 4, abs=1e-12)
     # one path: 2 end counts and ~48 halvings from ±||A||_F to 1e-14 relative
     assert len(calls) <= 60
@@ -371,16 +371,20 @@ def _clustered(rng, d: int, scale: float = 1.0) -> SymMatrix:
     return SymMatrix((q * w) @ q.T)
 
 
-def test_char_poly_d4_clustered_spectra():
-    # Near such clusters the count used to be undefined at an end of a
-    # bracket (an exactly zero leading minor), first at matrix 43.
-    rng = np.random.RandomState(11)
-    for i in range(1500):
-        a = _clustered(rng, 4)
-        got = char_poly_eig(a)
-        lam = eig_sym(a).eigenvalues
-        assert len(got) == 4, i
-        assert max(abs(r - l) for r, l in zip(got, lam)) <= 1e-5 * max(abs(x) for x in lam), i
+def test_char_poly_clustered_spectra():
+    # Near such clusters a count on the dense A - x I used to be undefined
+    # at an end of a bracket (an exactly zero leading minor), and wavered
+    # over ~3e-9, which left d = 4 roots with errors up to 4e-6.
+    import scipy.linalg
+
+    for d in (3, 4):
+        rng = np.random.RandomState(11)
+        for i in range(1500):
+            a = _clustered(rng, d)
+            got = char_poly_eig(a)
+            lam = scipy.linalg.eigvalsh(a.array)[::-1]
+            assert len(got) == d, (d, i)
+            assert np.abs(got - lam).max() <= 1e-12 * np.abs(lam).max(), (d, i)
 
 
 @pytest.mark.parametrize(
@@ -395,11 +399,25 @@ def test_char_poly_d4_exact_zero_pivots(diag):
 
 def test_inertia_count_is_defined_on_exact_zero_pivots():
     # An exact 0.0 pivot counts as negative: the count just above x.
-    m = np.diag([0.0, 0.0, 0.5, 0.5]).tolist()
-    assert [eigen._inertia_below(m, x, 4) for x in (-1e-300, 0.0, 0.25, 0.5)] == [0, 2, 2, 4]
+    diag, off = [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.0]
+    assert [eigen._count_below(diag, off, x) for x in (-1e-300, 0.0, 0.25, 0.5)] == [0, 2, 2, 4]
     # eigenvalues -0.5, 0, 0, 0.5; at x = 0 the first pivot is 0.0
-    m = [[0.0, 0.5, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4]
-    assert [eigen._inertia_below(m, x, 4) for x in (-0.5, 0.0, 0.5)] == [1, 3, 4]
+    diag, off = [0.0] * 4, [0.5, 0.0, 0.0]
+    assert [eigen._count_below(diag, off, x) for x in (-0.5, 0.0, 0.5)] == [1, 3, 4]
+
+
+def test_char_poly_shares_no_kernel_with_eig_sym(monkeypatch):
+    # eig_sym runs jacobi_eigh at these d; the oracle that checks it must
+    # not reach that kernel, the tridiagonal one or the matrix product.
+    def unavailable(*args):
+        raise AssertionError("char_poly_eig called a kernel")
+
+    for name in ("jacobi_eigh", "tridiag_eigh", "matmul"):
+        monkeypatch.setattr(kernels, name, unavailable)
+    for d, lam in [(2, [3.0, 1.0]), (3, [5.0, 2.0, -1.0]), (4, [7.0, 5.0, 2.0, 2.0])]:
+        q = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))[0]
+        got = char_poly_eig(SymMatrix((q * lam) @ q.T))
+        assert np.abs(np.array(got) - lam).max() <= 1e-12 * lam[0], d
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -494,9 +512,7 @@ def test_eig_reconstruction_property(seed, d):
 @given(st.integers(0, 10_000), st.integers(2, 4), st.booleans())
 def test_char_poly_matches_jacobi_property(seed, d, clustered):
     rng = np.random.RandomState(seed)
-    # a clustered spectrum is resolved to ~eps^(1/3) at d = 4 (3e-6 relative
-    # on 1430 seeds)
-    a, tol = (_clustered(rng, d, 5.0), 1e-5) if clustered else (random_sym(rng, d, scale=5.0), 1e-7)
+    a, tol = (_clustered(rng, d, 5.0), 1e-12) if clustered else (random_sym(rng, d, scale=5.0), 1e-7)
     roots = char_poly_eig(a)
     lam = eig_sym(a).eigenvalues
     scale = max(1.0, max(abs(x) for x in lam))

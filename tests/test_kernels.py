@@ -15,7 +15,7 @@ from genspectra import solve_quick_dirty, solve_rigorous
 from genspectra.eigen import JACOBI_REL_TOL, MAX_SWEEPS
 from genspectra.kernels import pykernels
 
-from conftest import CYKERNELS_MODULE, definite_pencil, random_sym
+from conftest import CYKERNELS_MODULE, definite_pencil, low_rank_psd, random_sym
 
 
 def _same_bits(x, y) -> bool:
@@ -533,13 +533,34 @@ def _tridiag_inputs(d):
 
 
 def test_tridiag_backends_bit_identical(cykernels):
-    for d in (16, 17, 33, 48, 80):
-        for name, a in _tridiag_inputs(d).items():
-            for max_iter in (MAX_SWEEPS, 1):
-                got_py = pykernels.tridiag_eigh(a, JACOBI_REL_TOL, max_iter)
-                got_c = cykernels.tridiag_eigh(a, JACOBI_REL_TOL, max_iter)
-                assert _same_eigh(got_py, got_c), (d, name, max_iter)
-                assert got_py[3] == (max_iter == MAX_SWEEPS or name == "zero"), (d, name)
+    cases = [(d, name, a) for d in (16, 17, 33, 48, 80) for name, a in _tridiag_inputs(d).items()]
+    # 96 zero eigenvalues, on which the QL used to run out of steps
+    cases.append((128, "rank 32", low_rank_psd(128, 32, 0)))
+    for d, name, a in cases:
+        for max_iter in (MAX_SWEEPS, 1):
+            got_py = pykernels.tridiag_eigh(a, JACOBI_REL_TOL, max_iter)
+            got_c = cykernels.tridiag_eigh(a, JACOBI_REL_TOL, max_iter)
+            assert _same_eigh(got_py, got_c), (d, name, max_iter)
+            assert got_py[3] == (max_iter == MAX_SWEEPS or name == "zero"), (d, name)
+
+
+def test_tridiag_converges_on_rank_deficient_matrices(cykernels):
+    # Inside a cluster of zero eigenvalues both diagonals of T are
+    # ~eps ||T||, so the local deflation test alone asked for a subdiagonal
+    # below eps^2 ||T||: 5 of these 30 ran out of QL steps.
+    import scipy.linalg
+
+    for d in (128, 200):
+        for seed in range(3):
+            for r in (1, 2, d // 8, d // 4, d // 2):
+                a = low_rank_psd(d, r, seed)
+                scale = np.abs(a).max()
+                ref = scipy.linalg.eigvalsh(a)
+                for backend in (pykernels, cykernels):
+                    w, v, _, converged = backend.tridiag_eigh(a / scale, JACOBI_REL_TOL, MAX_SWEEPS)
+                    assert converged, (d, seed, r, backend.__name__)
+                    assert np.abs(w * scale - ref).max() <= 1e-13 * ref[-1], (d, seed, r)
+                    assert np.abs(a @ v - v * (w * scale)).max() <= 1e-12 * ref[-1], (d, seed, r)
 
 
 def test_tridiag_eigenpairs_are_accurate():
