@@ -11,14 +11,14 @@ Three classics, each reduced to the eigenproblem it really is:
 
 The numerators of the last two have a known low rank, S_B = D D' with
 D = [mu_j - mu_t] and K_x H K_y H K_x = F F' with F = K_x G, G = H Y R,
-Y the one-hot classes and R R' the class kernel. FDA takes the leading
-pairs from the small Gram of W'D (``pencil._factored_pairs``), where W
-whitens S_W: W = L^-T from S_W = L L' where S_W passes the Cholesky gate
-of the quick route (``pencil._cholesky_whitening``), and
-W = Phi_B (Lambda_B^1/2 + eps I)^-1 from eig(S_W) otherwise. KSPCA holds
-a preimage of its factor, G with F = K_x G, so for any such W the Gram of
-W'F is G' K_x G and W cancels: its pairs come from the small M = G'F
-(``pencil._preimage_pairs``), and K_x is never factored or decomposed.
+Y the one-hot classes and R R' the class kernel. Both fits take their
+leading pairs through one call, ``pencil._fit_pairs``, from the small
+M = G'F of a preimage G of the factor, F = B G. KSPCA holds
+G = H Y R, so K_x is never factored or decomposed. FDA whitens S_W once,
+by W = L^-T from S_W = L L' where S_W passes the Cholesky gate of the
+quick route (``pencil._cholesky_whitening``) and by
+Phi_B (Lambda_B^1/2 + eps I)^-1 from eig(S_W) otherwise, and takes
+G = W W'D, Fisher's S_W^-1 (mu_j - mu_t).
 
 Data matrices are d x n with one sample per column.
 """
@@ -34,7 +34,7 @@ from . import kernels
 from .errors import DimensionMismatch, InputError, MissingLabels, SingleClass
 from .eigen import eig_sym
 from .linalg import Matrix, SymMatrix, Vector, null_eigenvalues
-from .pencil import Pencil, _diagnostics, _leading_whitened, _preimage_pairs
+from .pencil import Pencil, _diagnostics, _fit_pairs
 
 _KERNEL_KINDS = ("linear", "rbf", "polynomial", "delta")
 
@@ -244,12 +244,13 @@ def fda_fit(ds: LabeledDataset, p: int, epsilon: float | None = None) -> Embeddi
     no discriminative signal; asking for them only earns a warning.
 
     S_B = D D' with D = ``ScatterPair.offsets`` (d x c), so the
-    directions come from the c x c Gram of W'D (``pencil._factored_pairs``).
-    W whitens S_W: W = L^-T from its Cholesky factor where S_W passes the
-    gate of ``pencil._cholesky_whitening``, and
-    Phi_B (Lambda_B^1/2 + eps I)^-1 from eig(S_W) otherwise; S_W is
-    factored or decomposed once either way. The fit falls back to
-    eig(W' S_B W) when p > c or when the p-th Gram eigenvalue is at most
+    directions come from one call, ``pencil._fit_pairs``: W whitens S_W,
+    W = L^-T from its Cholesky factor where S_W passes the gate of
+    ``pencil._cholesky_whitening`` and Phi_B (Lambda_B^1/2 + eps I)^-1
+    from eig(S_W) otherwise, so S_W is factored or decomposed once; then
+    G = W W'D, the classical S_W^-1 (mu_j - mu_t), is a preimage of D, and
+    the directions come from the c x c M = G'D. The fit falls back to
+    eig(W' S_B W) when p > c or when the p-th eigenvalue of M is at most
     ``SINGULAR_TOL`` times the first (rank(D) < p): D does not determine
     those directions. Diagnostics are measured against (S_B, S_W) either
     way.
@@ -266,7 +267,7 @@ def fda_fit(ds: LabeledDataset, p: int, epsilon: float | None = None) -> Embeddi
             stacklevel=2,
         )
     pair = scatter_matrices(ds)
-    phi, lams, eps_used, strategy = _leading_whitened(
+    phi, lams, eps_used, strategy = _fit_pairs(
         Pencil(pair.s_b, pair.s_w), pair.offsets.array, p, epsilon
     )
     return _leading_pairs(
@@ -281,7 +282,12 @@ def fda_fit(ds: LabeledDataset, p: int, epsilon: float | None = None) -> Embeddi
 
 
 def kernel_matrix(x1: Matrix, x2: Matrix, spec: KernelSpec) -> Matrix:
-    """Gram matrix K[i, j] = k(column i of x1, column j of x2)."""
+    """Gram matrix K[i, j] = k(column i of x1, column j of x2).
+
+    The rbf kernel depends only on x - y, so both inputs are first
+    centred on the mean of x1's columns: ||x||^2 + ||y||^2 - 2 x'y then
+    does not cancel where the data sit far from the origin.
+    """
     if x1.rows != x2.rows:
         raise DimensionMismatch(
             f"kernel inputs need equal feature dims, got {x1.rows} and {x2.rows}"
@@ -295,6 +301,8 @@ def kernel_matrix(x1: Matrix, x2: Matrix, spec: KernelSpec) -> Matrix:
         return Matrix((gram + spec.coef0) ** spec.degree)
     if spec.kind == "rbf":
         gamma = spec.gamma if spec.gamma is not None else 1.0 / x1.rows
+        centre = a1.mean(axis=1).reshape(-1, 1)
+        a1, a2 = a1 - centre, a2 - centre
         gram = kernels.matmul(a1.T, a2)
         sq1 = np.sum(a1 * a1, axis=0).reshape(-1, 1)
         sq2 = np.sum(a2 * a2, axis=0).reshape(1, -1)
@@ -329,17 +337,18 @@ def kspca_fit(
     W W' = K_x^-1 the Gram of W'F is G' K_x G, and
     Phi = W W' F u / sqrt(lambda) = G u / sqrt(lambda): the whitening
     cancels. So the directions come from the r x r M = G'F
-    (``pencil._preimage_pairs``, ``strategy`` ``"gram"``), and K_x is
-    neither factored nor decomposed. On a singular K_x, common for smooth
-    kernels and for any repeated sample, that is still the unperturbed
-    pencil: no eps is taken, and ``epsilon_used`` is 0.0.
+    (``pencil._fit_pairs`` with G as the preimage, ``strategy``
+    ``"gram"``), and K_x is neither factored nor decomposed. On a singular
+    K_x, common for smooth kernels and for any repeated sample, that is
+    still the unperturbed pencil: no eps is taken, and ``epsilon_used`` is
+    0.0.
 
     The fit falls back to whitening the full pencil, as ``fda_fit`` whitens
     S_W, when p exceeds the width r of G or the p-th eigenvalue of M is at
     most ``SINGULAR_TOL`` times the first: G does not determine those
-    directions. W is then L^-T from K_x's Cholesky factor where K_x passes
-    the gate of ``pencil._cholesky_whitening``, and
-    Phi_B (Lambda_B^1/2 + eps I)^-1 from eig(K_x) otherwise, and the
+    directions. The same call then takes W = L^-T from K_x's Cholesky
+    factor where K_x passes the gate of ``pencil._cholesky_whitening``,
+    and Phi_B (Lambda_B^1/2 + eps I)^-1 from eig(K_x) otherwise, and the
     directions come from eig(W' F F' W); on a singular K_x the constraint
     then holds in the eps-perturbed metric (``epsilon`` overrides the
     default strength). Residual and K_x-orthonormality are measured against
@@ -368,12 +377,8 @@ def kspca_fit(
     g = yr - yr.mean(axis=0)
     factor = kernels.matmul(k_x, g)
     m = kernels.matmul(factor, factor.T)
-    found = _preimage_pairs(g, factor, p)
     pencil = Pencil(SymMatrix((m + m.T) / 2.0), SymMatrix((k_x + k_x.T) / 2.0))
-    if found is not None:
-        (phi, lams), eps_used, strategy = found, 0.0, "gram"
-    else:
-        phi, lams, eps_used, strategy = _leading_whitened(pencil, None, p, epsilon)
+    phi, lams, eps_used, strategy = _fit_pairs(pencil, factor, p, epsilon, preimage=g)
     return _leading_pairs(
         "kspca", pencil.a.array, pencil.b.array, phi, lams, p,
         kernel_x=kx,

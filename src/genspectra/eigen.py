@@ -241,10 +241,9 @@ def eigvec_for(a: SymMatrix, lam: float, lam_tol: float = 1e-6) -> Vector:
     arr = a.array
     m = [[float(arr[i, j]) - (lam if i == j else 0.0) for j in range(d)] for i in range(d)]
     scale = max((abs(x) for row in m for x in row), default=0.0)
-    basis = _null_basis(m, lam_tol * scale)
-    if not basis:
+    v = _null_vector(m, lam_tol * scale)
+    if v is None:
         raise NoNullSpace(f"{lam!r} is not an eigenvalue within tolerance {lam_tol}")
-    v = basis[0]
     resid = frobenius_norm(np.array([sum(m[i][j] * v[j] for j in range(d)) for i in range(d)]))
     if resid > 1e-6 * frobenius_norm(arr):
         raise NoNullSpace(
@@ -338,16 +337,14 @@ def _column_signs(v: np.ndarray) -> np.ndarray:
     return np.where(top < 0.0, -1.0, 1.0)
 
 
-def _null_basis(m: list, rank_tol: float) -> list[list[float]]:
-    """Unit null-space basis of a square matrix via row reduction.
+def _null_vector(m: list, rank_tol: float) -> list[float] | None:
+    """A unit null vector of a square matrix via row reduction, or None.
 
-    Pivots with magnitude at or below ``rank_tol`` count as zero. One
-    basis vector comes back per free column, each unit length with its
-    largest-magnitude entry positive. Vectors after the first are
-    orthogonalised against the ones before by modified Gram-Schmidt, so a
-    basis of two or more vectors is orthonormal; the first is the
-    echelon-form vector of the first free column. Deterministic: partial
-    pivoting picks the largest pivot, earliest row on ties.
+    Pivots with magnitude at or below ``rank_tol`` count as zero. The
+    vector is the echelon-form one of the first free column, unit length
+    with its largest-magnitude entry positive; None where no column is
+    free. Deterministic: partial pivoting picks the largest pivot,
+    earliest row on ties.
     """
     n = len(m)
     a = [row[:] for row in m]
@@ -383,19 +380,14 @@ def _null_basis(m: list, rank_tol: float) -> list[list[float]]:
         r += 1
 
     pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(n):
-        if free in pivot_cols:
-            continue
-        x = [0.0] * n
-        x[free] = 1.0
-        for pr, pc in pivots:
-            x[pc] = -a[pr][free]
-        for q in basis:
-            dot = sum(qi * xi for qi, xi in zip(q, x))
-            x = [xi - dot * qi for xi, qi in zip(x, q)]
-        basis.append(_unit_positive(x))
-    return basis
+    free = next((c for c in range(n) if c not in pivot_cols), None)
+    if free is None:
+        return None
+    x = [0.0] * n
+    x[free] = 1.0
+    for pr, pc in pivots:
+        x[pc] = -a[pr][free]
+    return _unit_positive(x)
 
 
 def _unit_positive(x: list[float]) -> list[float]:

@@ -247,13 +247,10 @@ def dot(u: Vector, v: Vector) -> float:
 
 
 def determinant(a: Matrix) -> float:
-    """Determinant via cofactor expansion (d <= 4) or pivoted LU."""
+    """Determinant via LU with partial pivoting."""
     if a.rows != a.cols:
         raise DimensionMismatch(f"determinant needs a square matrix, got {a.shape}")
-    m = a.array.tolist()
-    if a.rows <= 4:
-        return _cofactor_det(m)
-    return _lu_det(m)
+    return _lu_det(a.array.tolist())
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -325,22 +322,6 @@ def null_eigenvalues(eigenvalues) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # list-level helpers
-
-
-def _cofactor_det(m: list) -> float:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    det = 0.0
-    sign = 1.0
-    for j in range(n):
-        if m[0][j] != 0.0:
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            det += sign * m[0][j] * _cofactor_det(minor)
-        sign = -sign
-    return det
 
 
 def _lu_det(m: list) -> float:

@@ -40,15 +40,15 @@ The fits (``apps.fda_fit``, ``apps.kspca_fit``) keep only the leading
 pairs, and their numerators have low rank, A = F F' with F n x c (n x r
 for kspca with any label kernel, r the rank of its c x c class kernel),
 so those pairs come from a small Gram rather than from the n x n A_breve.
-``apps.fda_fit`` whitens, through ``_leading_whitened``: with W = L^-T
+Both take them through ``_fit_pairs``, which builds that Gram one way:
+for a preimage G with F = B G, the c x c M = G'F (``_preimage_pairs``).
+``apps.kspca_fit`` holds such a G, so B is never factored and a singular
+B needs no eps. ``apps.fda_fit`` does not: it whitens B, with W = L^-T
 where B passes that same Cholesky gate, and with eig(B)'s
 Phi_B (Lambda_B^1/2 + eps I)^-1, the verdict and eps of
-``solve_rigorous``, where it fails; the Gram is that of W'F
-(``_factored_pairs``). ``apps.kspca_fit`` holds G with F = B G, so the
-Gram of W'F is G' B G for every such W and the whitening cancels
-(``_preimage_pairs``): B is never factored, and a singular B needs no
-eps. It whitens only in its fallback, when G does not determine the
-pairs.
+``solve_rigorous``, where it fails, and takes G = W W'F, Fisher's
+S_W^-1 (mu_j - mu_t). Where G does not determine the pairs, both
+decompose the whitened A_breve in full.
 """
 
 from __future__ import annotations
@@ -210,19 +210,6 @@ def solve_rigorous(
     give different eigenvalues (1/eps^2 here against 1/eps there for
     A = I, B = 0).
     """
-    eig_b, phi, inter = _whitened(p, epsilon, order)
-    sol = _solution(p, eig_b, phi, inter.lambda_a, "rigorous", inter.epsilon_used, "whitening")
-    return sol, inter
-
-
-def _whitened(
-    p: Pencil, epsilon: float | None, order: str
-) -> tuple[EigenDecomposition, np.ndarray, WhiteningIntermediates]:
-    """The decomposition of ``solve_rigorous``, without its diagnostics.
-
-    Returns eig(B), Phi and the intermediates; callers that measure only
-    some columns of Phi (``rayleigh._extremal_pairs``) take it directly.
-    """
     eig_b, eps_used, breve = _whitening(p.b, epsilon)
     phi, a_breve, phi_a, lams = _whiten_core(p.a, breve, order)
     inter = WhiteningIntermediates(
@@ -234,7 +221,7 @@ def _whitened(
         lambda_a=lams,
         epsilon_used=eps_used,
     )
-    return eig_b, phi, inter
+    return _solution(p, eig_b, phi, lams, "rigorous", eps_used, "whitening"), inter
 
 
 def _whitening(
@@ -278,54 +265,37 @@ def _cholesky_whitening(b: np.ndarray) -> np.ndarray | None:
     return inv_l.T
 
 
-def _leading_whitened(
-    p: Pencil, factor: np.ndarray | None, k: int, epsilon: float | None
+def _fit_pairs(
+    p: Pencil, factor: np.ndarray, k: int, epsilon: float | None, preimage: np.ndarray | None = None
 ) -> tuple[np.ndarray, tuple[float, ...], float, str]:
-    """The leading k pairs of a whitening of B, descending, the eps used and the strategy.
+    """The leading k pairs of (F F', B), descending, the eps used and the strategy.
 
-    W is L^-T (``"cholesky"``) where B passes the gate of
-    ``_cholesky_whitening``, with eps 0.0, and otherwise
-    Phi_B (Lambda_B^1/2 + eps I)^-1 from eig(B) (``"whitening"``,
-    ``_whitening``). ``factor`` is F with A = F F' (or None): the pairs
-    then come from its c x c Gram (``_factored_pairs``) where F determines
-    them, and from eig(A_breve) otherwise. Both are exact for any W with
-    W W' = B^-1, and B is factored or decomposed once either way. Returns
-    Phi (at least k columns), their eigenvalues, eps and the strategy.
+    ``factor`` is F with A = F F'. Given a ``preimage`` G with F = B G,
+    the pairs are ``_preimage_pairs(G, F, k)`` where that determines them
+    (``"gram"``, eps 0.0): B is neither factored nor decomposed. Otherwise
+    B is whitened once, by W = L^-T (``"cholesky"``, eps 0.0) where it
+    passes the gate of ``_cholesky_whitening``, and by eig(B)'s
+    Phi_B (Lambda_B^1/2 + eps I)^-1 (``"whitening"``, ``_whitening``)
+    where it fails. Without a preimage, G = W W'F is one (of F in the
+    eps-perturbed metric where eps > 0), and the pairs come from
+    ``_preimage_pairs`` again. Where no Gram determines them, they come
+    from eig(A_breve) (``_whiten_core``). Returns Phi (at least k
+    columns), their eigenvalues, eps and the strategy.
     """
+    found = None if preimage is None else _preimage_pairs(preimage, factor, k)
+    if found is not None:
+        return found + (0.0, "gram")
     eps_used, strategy = 0.0, "cholesky"
     breve = _cholesky_whitening(p.b.array)
     if breve is None:
         _, eps_used, breve = _whitening(p.b, epsilon)
         strategy = "whitening"
-    found = None if factor is None else _factored_pairs(breve, factor, k)
+    if preimage is None and k <= factor.shape[1]:
+        found = _preimage_pairs(kernels.matmul(breve, kernels.matmul(breve.T, factor)), factor, k)
     if found is None:
         phi, _, _, lams = _whiten_core(p.a, breve, "descending")
-    else:
-        phi, lams = found
-    return phi, lams, eps_used, strategy
-
-
-def _factored_pairs(
-    breve: np.ndarray, factor: np.ndarray, k: int
-) -> tuple[np.ndarray, tuple[float, ...]] | None:
-    """The leading k pairs of (F F', B) from the c x c Gram of G = W' F.
-
-    A_breve = W' F F' W = G G' shares its nonzero eigenvalues with G' G;
-    for G' G u = lambda u, v = G u / sqrt(lambda) is the unit eigenvector
-    of A_breve, and Phi = W v as in ``_whiten_core``. None when k exceeds
-    the width c of F, or when lambda_k <= ``SINGULAR_TOL`` * lambda_1:
-    then some of the k pairs lie in the null space of A_breve, which F
-    does not determine.
-    """
-    if k > factor.shape[1]:
-        return None
-    g = kernels.matmul(breve.T, factor)
-    found = _gram_pairs(kernels.matmul(g.T, g), g, k)
-    if found is None:
-        return None
-    v, lams = found
-    phi = kernels.matmul(breve, v)
-    return phi * _column_signs(phi), lams
+        found = phi, lams
+    return found + (eps_used, strategy)
 
 
 def _preimage_pairs(
@@ -338,30 +308,21 @@ def _preimage_pairs(
     cancels: B is never factored or decomposed, and a singular B needs
     no eps. The pairs solve the unperturbed pencil, F F' Phi =
     B Phi diag(lambda) and Phi' B Phi = I, up to roundoff in M; B's
-    definiteness is never tested. None where ``_factored_pairs`` gives
-    None: k exceeds the width c of F, or lambda_k <= ``SINGULAR_TOL`` *
-    lambda_1.
+    definiteness is never tested. Each column of Phi takes the canonical
+    sign of ``_whiten_core``. None when k exceeds the width c of F, or when
+    lambda_k <= ``SINGULAR_TOL`` * lambda_1: then some of the k pairs lie
+    in the null space of W'F F'W, which F does not determine.
     """
     if k > factor.shape[1]:
         return None
-    found = _gram_pairs(kernels.matmul(g.T, factor), g, k)
-    if found is None:
-        return None
-    phi, lams = found
-    return phi * _column_signs(phi), lams
-
-
-def _gram_pairs(
-    gram: np.ndarray, left: np.ndarray, k: int
-) -> tuple[np.ndarray, tuple[float, ...]] | None:
-    """eig(sym(gram)), descending, and left u_j / sqrt(lambda_j) for its
-    leading k pairs; None where lambda_k <= ``SINGULAR_TOL`` * lambda_1."""
-    eig_g = eig_sym(SymMatrix((gram + gram.T) / 2.0), order="descending")
-    lams = eig_g.eigenvalues[:k]
+    m = kernels.matmul(g.T, factor)
+    eig_m = eig_sym(SymMatrix((m + m.T) / 2.0), order="descending")
+    lams = eig_m.eigenvalues[:k]
     if not lams[-1] > SINGULAR_TOL * lams[0]:
         return None
     scale = np.array([1.0 / math.sqrt(x) for x in lams], dtype=np.float64)
-    return kernels.matmul(left, eig_g.phi.array[:, :k]) * scale, lams
+    phi = kernels.matmul(g, eig_m.phi.array[:, :k]) * scale
+    return phi * _column_signs(phi), lams
 
 
 def _regularization(b: SymMatrix, epsilon: float | None) -> float:

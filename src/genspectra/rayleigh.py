@@ -28,7 +28,7 @@ from .errors import (
 )
 from .eigen import eig_sym
 from .linalg import Matrix, SymMatrix, Vector
-from .pencil import Pencil, _whitened
+from .pencil import _whiten_core, _whitening
 
 _DIRECTIONS = ("maximize", "minimize")
 
@@ -156,8 +156,8 @@ def solve_form3_4(x: Matrix, p: int, b: SymMatrix | None = None) -> tuple[Matrix
         raise DimensionMismatch(f"p must lie in [1, {x.rows}], got {p}")
     xa = x.array
     prod = kernels.matmul(xa, xa.T)
-    a = SymMatrix((prod + prod.T) / 2.0)
-    return _extremal_pairs(a, b, p, "maximize")
+    q = QuadraticForm(SymMatrix((prod + prod.T) / 2.0), b)
+    return _extremal_pairs(q.a, q.b, p, "maximize")
 
 
 def check_stationarity(
@@ -200,7 +200,7 @@ def _extremal_pairs(
     else:
         # the whitening route of solve_rigorous, without the diagnostics
         # the frame would not report
-        _, phi, inter = _whitened(Pencil(a, b), None, order)
+        phi, _, _, lams = _whiten_core(a, _whitening(b, None)[2], order)
         phi = phi[:, :p]
-        lams = list(inter.lambda_a[:p])
+        lams = list(lams[:p])
     return Matrix(phi), lams

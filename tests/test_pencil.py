@@ -29,7 +29,7 @@ from genspectra import (
 
 from genspectra import KernelSpec, kernel_matrix, kernels
 from genspectra.linalg import _pow2_scaled, definiteness
-from genspectra.pencil import ARC_MAX_STEPS, _factored_pairs, _leading_whitened, _whiten_core, _whitened, _whitening
+from genspectra.pencil import ARC_MAX_STEPS, _fit_pairs, _preimage_pairs, _whiten_core, _whitening
 
 from conftest import (
     POW2_EXPS,
@@ -1171,17 +1171,23 @@ def _cholesky_w(b: SymMatrix) -> np.ndarray:
     return kernels.cholesky_inverse(b.array).T
 
 
+def _preimage(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """G = W W'F, the preimage of F that ``_fit_pairs`` builds from a whitening W."""
+    return kernels.matmul(w, kernels.matmul(w.T, f))
+
+
 @pytest.mark.parametrize("singular", [False, True])
 @pytest.mark.parametrize("c", [2, 3, 4, 5])
 def test_factored_pairs_match_the_full_whitening(c, singular, eigen_inputs):
     rng = np.random.RandomState(600 + 10 * c + singular)
     n = 12
     pen, f = _low_rank_pencil(rng, n, c, singular)
-    _, full_phi, inter = _whitened(pen, None, "descending")
+    sol, inter = solve_rigorous(pen)
+    full_phi = sol.phi.array
     assert (inter.epsilon_used > 0.0) == singular
     for k in range(1, c):
         eigen_inputs.clear()
-        phi, lams, eps, strategy = _leading_whitened(pen, f, k, None)
+        phi, lams, eps, strategy = _fit_pairs(pen, f, k, None)
         if singular:
             # eig(B), then the c x c Gram; no n x n A_breve
             assert strategy == "whitening"
@@ -1190,7 +1196,7 @@ def test_factored_pairs_match_the_full_whitening(c, singular, eigen_inputs):
             # B = L L' passes the gate: the c x c Gram is the only decomposition
             assert strategy == "cholesky"
             assert kernel_calls(eigen_inputs) == [("jacobi_eigh", c)]
-            want_phi, want_lams = _factored_pairs(_cholesky_w(pen.b), f, k)
+            want_phi, want_lams = _preimage_pairs(_preimage(_cholesky_w(pen.b), f), f, k)
             assert np.array_equal(phi, want_phi) and lams == want_lams
         assert eps == inter.epsilon_used
         assert phi.shape[1] == len(lams) == k
@@ -1209,12 +1215,13 @@ def test_factored_pairs_decline_what_f_does_not_determine():
     n = 10
     breve = _whitening(random_spd(rng, n), None)[2]
     f = rng.standard_normal((n, 3))
-    assert _factored_pairs(breve, f, 3) is not None
-    assert _factored_pairs(breve, f, 4) is None  # wider than F
+    assert _preimage_pairs(_preimage(breve, f), f, 3) is not None
+    assert _preimage_pairs(_preimage(breve, f), f, 4) is None  # wider than F
     f[:, 2] = f[:, 1]  # rank 2: the third pair lies in the null space of A_breve
-    assert _factored_pairs(breve, f, 2) is not None
-    assert _factored_pairs(breve, f, 3) is None
-    assert _factored_pairs(breve, np.zeros((n, 2)), 1) is None
+    assert _preimage_pairs(_preimage(breve, f), f, 2) is not None
+    assert _preimage_pairs(_preimage(breve, f), f, 3) is None
+    zero = np.zeros((n, 2))
+    assert _preimage_pairs(_preimage(breve, zero), zero, 1) is None
 
 
 @pytest.mark.parametrize("singular", [False, True])
@@ -1223,14 +1230,14 @@ def test_factored_fallback_decomposes_b_once(singular, eigen_inputs):
     n, c = 11, 3
     pen, f = _low_rank_pencil(rng, n, c, singular)
     if singular:
-        _, full_phi, inter = _whitened(pen, None, "descending")
-        full_lams, full_eps = inter.lambda_a, inter.epsilon_used
+        sol, inter = solve_rigorous(pen)
+        full_phi, full_lams, full_eps = sol.phi.array, inter.lambda_a, inter.epsilon_used
     else:
         full_phi, _, _, full_lams = _whiten_core(pen.a, _cholesky_w(pen.b), "descending")
         full_eps = 0.0
-    for factor, k in ((f, c + 1), (f[:, [0, 0, 1]], c), (None, 2)):
+    for factor, k in ((f, c + 1), (f[:, [0, 0, 1]], c), (f[:, :1], 2)):
         eigen_inputs.clear()
-        phi, lams, eps, strategy = _leading_whitened(pen, factor, k, None)
+        phi, lams, eps, strategy = _fit_pairs(pen, factor, k, None)
         # the fallback is the full whitening with the same W, bit for bit
         assert np.array_equal(phi, full_phi)
         assert lams == full_lams and eps == full_eps
@@ -1255,15 +1262,15 @@ def test_fits_whitening_decomposes_b_past_the_cholesky_gate(c, eigen_inputs):
     pen = Pencil(SymMatrix((a + a.T) / 2.0), SymMatrix((b + b.T) / 2.0))
     eig_b, eps_want, breve = _whitening(pen.b, None)
     assert eps_want == 0.0 and not any(definiteness(eig_b.eigenvalues))
-    for factor, k in ((f, c), (None, c + 1)):
+    for k in (c, c + 1):
         eigen_inputs.clear()
-        phi, lams, eps, strategy = _leading_whitened(pen, factor, k, None)
+        phi, lams, eps, strategy = _fit_pairs(pen, f, k, None)
         assert strategy == "whitening" and eps == eps_want
         assert kernel_calls(eigen_inputs)[0] == ("jacobi_eigh", n)
-        if factor is None:
+        if k > c:  # F narrower than k: the full A_breve
             want_phi, _, _, want_lams = _whiten_core(pen.a, breve, "descending")
         else:
-            want_phi, want_lams = _factored_pairs(breve, factor, k)
+            want_phi, want_lams = _preimage_pairs(_preimage(breve, f), f, k)
         assert np.array_equal(phi, want_phi) and lams == want_lams
 
 
@@ -1276,10 +1283,12 @@ def test_fits_cholesky_path_matches_the_whitening_path(n, eigen_inputs):
     f = rng.standard_normal((n, c))
     a = f @ f.T
     pen = Pencil(SymMatrix((a + a.T) / 2.0), random_spd(rng, n, lo=1e-4))
-    _, full_phi, inter = _whitened(pen, None, "descending")
-    for factor, k in ((f, 2), (None, 2), (None, c)):
+    sol, inter = solve_rigorous(pen)
+    full_phi = sol.phi.array
+    # a factor narrower than k takes the full A_breve
+    for factor, k in ((f, 2), (f[:, :1], 2), (f[:, :1], c)):
         eigen_inputs.clear()
-        phi, lams, eps, strategy = _leading_whitened(pen, factor, k, None)
+        phi, lams, eps, strategy = _fit_pairs(pen, factor, k, None)
         assert strategy == "cholesky" and eps == 0.0
         b_kernel = _pow2_scaled(pen.b.array)[0]
         assert not any(np.array_equal(m, b_kernel) for _, m in eigen_inputs)
