@@ -333,7 +333,9 @@ def kspca_fit(
     K_c = R R' from its eig with the null eigenvalues dropped (K_c is PSD
     for every ``KernelSpec``): R is c x r, r = rank(K_c), and R = I for the
     delta kernel below c = 16, where eig_sym takes Jacobi. The numerator is
-    F F' with F = K_x G, G = H Y R, and K_y is never formed. For any W with
+    F F' with F = K_x G, G = H Y R, and K_y is never formed. G has rank at
+    most min(c - 1, r), so directions beyond that carry no signal from the
+    labels; asking for them earns a warning, as in ``fda_fit``. For any W with
     W W' = K_x^-1 the Gram of W'F is G' K_x G, and
     Phi = W W' F u / sqrt(lambda) = G u / sqrt(lambda): the whitening
     cancels. So the directions come from the r x r M = G'F
@@ -370,6 +372,14 @@ def kspca_fit(
     dec = eig_sym(kernel_matrix(row, row, ky), order="descending")
     null = null_eigenvalues(dec.eigenvalues)
     keep = [i for i in range(len(classes)) if i not in null]
+    # G = H Y R has rank at most min(c - 1, r): the centering removes one
+    rank = min(len(classes) - 1, len(keep))
+    if p > rank:
+        warnings.warn(
+            f"KSPCA with p = {p} directions, but the centred label kernel of "
+            f"{len(classes)} classes has rank at most {rank}",
+            stacklevel=2,
+        )
     r = dec.phi.array[:, keep] * np.sqrt(np.array(dec.eigenvalues)[keep])
     # G = H Y R: Y R is the row of R of each sample's class, and the
     # centering acts on the sample index, the rows of Y R

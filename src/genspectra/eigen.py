@@ -8,12 +8,13 @@ The production path, ``eig_sym``, runs one of two kernels of
   visits the off-diagonal pairs in row order, one rotation at a time.
   Both kernels run the sweeps as one loop at every d, on Python lists in
   the pure-Python one and on arrays in the C one;
-* from d = 16 up, Householder reduction to a tridiagonal T, implicit QL
-  with Wilkinson shifts for T's eigenvalues, inverse iteration for its
-  eigenvectors and the reflectors back (Golub & Van Loan, *Matrix
-  Computations*, ch. 8). It does a fraction of the work of Jacobi's ~10
-  sweeps: at d = 48, 10 against 150 ms in pure Python and 0.56 against
-  2.3 ms compiled (one CPU of a 2-core x86_64 box, minimum of 7 runs).
+* from d = 16 up, Householder reduction to a tridiagonal T, root-free QL
+  with Wilkinson shifts for T's eigenvalues, inverse iteration on an
+  unpivoted LDL' for its eigenvectors and the reflectors back (Golub &
+  Van Loan, *Matrix Computations*, ch. 8). It does a fraction of the work
+  of Jacobi's ~10 sweeps: at d = 48, 2.1 against 60 ms in pure Python and
+  0.16 against 0.79 ms compiled (one CPU of a 2-core x86_64 box, minimum
+  of 7 runs).
 
 The one exception is a graded metric: eig(B) in the whitening of
 :mod:`genspectra.pencil` (passed as ``_Metric``) stays on Jacobi at every d
@@ -85,9 +86,11 @@ from .linalg import (
 JACOBI_REL_TOL = 1e-12
 MAX_SWEEPS = 100
 
-# eig_sym takes the tridiagonal kernel from this dimension up. It costs
-# less than Jacobi from d ~ 10; at 16, the d <= 13 matrices of the tall
-# fits and the d <= 4 pencils keep the Jacobi path.
+# eig_sym takes the tridiagonal kernel from this dimension up. On random
+# symmetric matrices it costs less than Jacobi from d = 9 in pure Python
+# (the two tie at d = 8) and at every d from 3 compiled (one pinned CPU of
+# a 2-core x86_64 box, minimum of 7 runs); at 16, the d <= 13 matrices of
+# the tall fits and the d <= 4 pencils keep the Jacobi path.
 _TRIDIAG_MIN_DIM = 16
 
 # The widest diagonal ratio max b_ii / min b_ii of a metric that takes the

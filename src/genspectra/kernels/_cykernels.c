@@ -289,6 +289,7 @@ householder(double *m, Py_ssize_t d, double *dg, double *off, double *vs, double
         dg[i] = m[i * d + i];
 }
 
+/* sqrt(a^2 + b^2) without overflow (pykernels._pythag); the QL shift's. */
 static double
 pythag(double a, double b)
 {
@@ -303,8 +304,10 @@ pythag(double a, double b)
     return absb * sqrt(1.0 + r * r);
 }
 
-/* Implicit QL with Wilkinson shifts on (dg, e), e[n - 1] == 0.0
- * (pykernels._ql_eigenvalues). Returns 0 when an eigenvalue takes more than
+/* Root-free (Pal-Walker-Kahan) QL with Wilkinson shifts on (dg, e),
+ * e[n - 1] == 0.0 (pykernels._ql_eigenvalues; LAPACK dsterf). e is squared
+ * in place after tst1 is taken from it, so the rotation loop works on e^2
+ * and takes no square root. Returns 0 when an eigenvalue takes more than
  * max_iter steps. */
 static int
 ql_eigenvalues(double *dg, double *e, Py_ssize_t n, int max_iter, long *steps)
@@ -316,12 +319,14 @@ ql_eigenvalues(double *dg, double *e, Py_ssize_t n, int max_iter, long *steps)
             tst1 = row;
     }
     double e_floor = TRI_EPS * tst1;
+    double floor2 = e_floor * e_floor, eps2 = TRI_EPS * TRI_EPS;
+    for (Py_ssize_t i = 0; i < n; i++)
+        e[i] = e[i] * e[i];
     for (Py_ssize_t l = 0; l < n; l++) {
         int it = 0;
         for (;;) {
             Py_ssize_t m = l;
-            while (m < n - 1 && fabs(e[m]) > TRI_EPS * (fabs(dg[m]) + fabs(dg[m + 1]))
-                   && fabs(e[m]) > e_floor)
+            while (m < n - 1 && e[m] > eps2 * fabs(dg[m] * dg[m + 1]) && e[m] > floor2)
                 m++;
             if (m == l)
                 break;
@@ -329,34 +334,30 @@ ql_eigenvalues(double *dg, double *e, Py_ssize_t n, int max_iter, long *steps)
                 return 0;
             it++;
             (*steps)++;
-            double g = (dg[l + 1] - dg[l]) / (2.0 * e[l]);
-            double r = pythag(g, 1.0);
-            g = dg[m] - dg[l] + e[l] / (g + (g >= 0.0 ? r : -r));
-            double s = 1.0, c = 1.0, p = 0.0;
-            int underflow = 0;
+            double p = dg[l];
+            double rte = sqrt(e[l]);
+            double sigma = (dg[l + 1] - p) / (2.0 * rte);
+            double r = pythag(sigma, 1.0);
+            sigma = p - rte / (sigma + (sigma >= 0.0 ? r : -r));
+            double c = 1.0, s = 0.0;
+            double gamma = dg[m] - sigma;
+            p = gamma * gamma;
             for (Py_ssize_t i = m - 1; i >= l; i--) {
-                double f = s * e[i], b = c * e[i];
-                r = pythag(f, g);
-                e[i + 1] = r;
-                if (r == 0.0) {
-                    dg[i + 1] -= p;
-                    e[m] = 0.0;
-                    underflow = 1;
-                    break;
-                }
-                s = f / r;
-                c = g / r;
-                g = dg[i + 1] - p;
-                r = (dg[i] - g) * s + 2.0 * c * b;
-                p = s * r;
-                dg[i + 1] = g + p;
-                g = c * r - b;
+                double bb = e[i];
+                r = p + bb;
+                if (i != m - 1)
+                    e[i + 1] = s * r;
+                double oldc = c;
+                c = p / r;
+                s = bb / r;
+                double oldgam = gamma, alpha = dg[i];
+                gamma = c * (alpha - sigma) - s * oldgam;
+                dg[i + 1] = oldgam + (alpha - gamma);
+                p = c != 0.0 ? gamma * gamma / c : oldc * bb;
             }
-            if (!underflow) {
-                dg[l] -= p;
-                e[l] = g;
-                e[m] = 0.0;
-            }
+            e[l] = s * p;
+            dg[l] = sigma + gamma;
+            e[m] = 0.0;
         }
     }
     return 1;
@@ -374,72 +375,45 @@ start_entry(Py_ssize_t r, Py_ssize_t j)
     return (double)odd / (double)(1 << 21);
 }
 
-/* LU with partial pivoting of T - s I (pykernels._factor_shifted, one shift):
- * a (n), c (n - 1), du2 (n - 2), mult (n - 1), sw (n - 1). */
+/* Unpivoted LDL' of T - s I (pykernels._factor_shifted, one shift): the
+ * pivots piv (n) and the multipliers mult (n - 1). A pivot under tiny in
+ * magnitude becomes tiny with its sign; a NaN fails the compare. */
 static void
 factor_shifted(const double *dg, const double *e, Py_ssize_t n, double shift, double tiny,
-               double *a, double *c, double *du2, double *mult, char *sw)
+               double *piv, double *mult)
 {
     for (Py_ssize_t i = 0; i < n; i++)
-        a[i] = dg[i] - shift;
-    for (Py_ssize_t i = 0; i + 1 < n; i++)
-        c[i] = e[i];
-    for (Py_ssize_t i = 0; i + 1 < n; i++) {
-        double ai = a[i], ci = c[i], an = a[i + 1], b = e[i], fact;
-        if (fabs(ai) < fabs(b)) {
-            fact = ai / b;
-            a[i] = b;
-            c[i] = an;
-            a[i + 1] = ci - fact * an;
-            if (i < n - 2) {
-                du2[i] = c[i + 1];
-                c[i + 1] = -fact * c[i + 1];
-            }
-            sw[i] = 1;
-        } else {
-            fact = ai != 0.0 ? b / ai : 0.0;
-            a[i + 1] = an - fact * ci;
-            if (i < n - 2)
-                du2[i] = 0.0;
-            sw[i] = 0;
+        piv[i] = dg[i] - shift;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (fabs(piv[i]) < tiny)
+            piv[i] = copysign(tiny, piv[i]);
+        if (i + 1 < n) {
+            mult[i] = e[i] / piv[i];
+            piv[i + 1] = piv[i + 1] - mult[i] * e[i];
         }
-        mult[i] = fact;
     }
-    for (Py_ssize_t i = 0; i < n; i++)
-        if (fabs(a[i]) < tiny)
-            a[i] = copysign(tiny, a[i]);
 }
 
-/* Solve (T - s I) x = y, x overwriting y (pykernels._solve_shifted, one shift). */
+/* Solve (T - s I) x = y from its LDL', x overwriting y
+ * (pykernels._solve_shifted, one shift): one forward and one backward pass. */
 static void
-solve_shifted(Py_ssize_t n, const double *a, const double *c, const double *du2,
-              const double *mult, const char *sw, double *y)
+solve_shifted(Py_ssize_t n, const double *piv, const double *mult, double *y)
 {
-    for (Py_ssize_t i = 0; i + 1 < n; i++) {
-        double yi = y[i], yn = y[i + 1];
-        if (sw[i]) {
-            y[i] = yn;
-            y[i + 1] = yi - mult[i] * yn;
-        } else {
-            y[i + 1] = yn - mult[i] * yi;
-        }
-    }
-    y[n - 1] = y[n - 1] / a[n - 1];
-    if (n >= 2)
-        y[n - 2] = (y[n - 2] - c[n - 2] * y[n - 1]) / a[n - 2];
-    for (Py_ssize_t i = n - 3; i >= 0; i--)
-        y[i] = (y[i] - c[i] * y[i + 1] - du2[i] * y[i + 2]) / a[i];
+    for (Py_ssize_t i = 0; i + 1 < n; i++)
+        y[i + 1] = y[i + 1] - mult[i] * y[i];
+    y[n - 1] = y[n - 1] / piv[n - 1];
+    for (Py_ssize_t i = n - 2; i >= 0; i--)
+        y[i] = y[i] / piv[i] - mult[i] * y[i + 1];
 }
 
 /* Inverse iteration (pykernels._inverse_iteration). z holds vector j at
  * z + j * n. Returns 1 when converged; *steps gets the steps taken. */
 static int
 inverse_iteration(const double *dg, const double *e, const double *w, Py_ssize_t n,
-                  double thresh, int max_iter, double *z, double *work, char *swork,
-                  Py_ssize_t *starts, int *steps)
+                  double thresh, int max_iter, double *z, double *work, Py_ssize_t *starts,
+                  int *steps)
 {
-    double *shifts = work, *fa = shifts + n, *fc = fa + n * n, *fdu2 = fc + n * n,
-           *fmult = fdu2 + n * n;
+    double *shifts = work, *piv = shifts + n, *mult = piv + n * n;
     double norm_1 = 0.0;
     for (Py_ssize_t i = 0; i < n; i++) {
         double t = fabs(dg[i]);
@@ -462,16 +436,14 @@ inverse_iteration(const double *dg, const double *e, const double *w, Py_ssize_t
         shifts[j] = w[j];
         if (j > 0 && shifts[j] - shifts[j - 1] < spread)
             shifts[j] = shifts[j - 1] + spread;
-        factor_shifted(dg, e, n, shifts[j], TRI_EPS * norm_1, fa + j * n, fc + j * n,
-                       fdu2 + j * n, fmult + j * n, swork + j * n);
+        factor_shifted(dg, e, n, shifts[j], TRI_EPS * norm_1, piv + j * n, mult + j * n);
         for (Py_ssize_t r = 0; r < n; r++)
             z[j * n + r] = start_entry(r, j);
     }
     int passed = 0;
     for (int step = 1; step <= max_iter; step++) {
         for (Py_ssize_t j = 0; j < n; j++)
-            solve_shifted(n, fa + j * n, fc + j * n, fdu2 + j * n, fmult + j * n,
-                          swork + j * n, z + j * n);
+            solve_shifted(n, piv + j * n, mult + j * n, z + j * n);
         for (Py_ssize_t cl = 0; cl < clusters; cl++) {
             for (Py_ssize_t col = starts[cl]; col < starts[cl + 1]; col++) {
                 double *yk = z + col * n;
@@ -540,7 +512,6 @@ tridiag_eigh(PyObject *module, PyObject *args, PyObject *kwargs)
     Py_buffer mb, vb, wb;
     PyObject *mobj = NULL, *vobj = NULL, *wobj = NULL, *res = NULL;
     double *work = NULL;
-    char *swork = NULL;
     Py_ssize_t *starts = NULL;
     if ((mobj = matrix_copy(a_in, &mb)) == NULL)
         goto done;
@@ -561,11 +532,10 @@ tridiag_eigh(PyObject *module, PyObject *args, PyObject *kwargs)
         goto done;
     }
     /* dg, off (+ the QL's trailing 0.0), w, hs, p: 5d; reflectors d^2; z d^2;
-     * shifts d and the factors 4 d^2 */
-    work = PyMem_Malloc(sizeof(double) * (6 * d + 6 * d * d + 1));
-    swork = PyMem_Malloc(d * d + 1);
+     * shifts d and the pivots and multipliers 2 d^2 */
+    work = PyMem_Malloc(sizeof(double) * (6 * d + 4 * d * d + 1));
     starts = PyMem_Malloc(sizeof(Py_ssize_t) * (d + 1));
-    if (work == NULL || swork == NULL || starts == NULL) {
+    if (work == NULL || starts == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -599,8 +569,7 @@ tridiag_eigh(PyObject *module, PyObject *args, PyObject *kwargs)
         w[j] = x;
     }
     int more = 0;
-    int converged = inverse_iteration(dg, off, w, d, thresh, max_iter, z, rest, swork,
-                                      starts, &more);
+    int converged = inverse_iteration(dg, off, w, d, thresh, max_iter, z, rest, starts, &more);
     for (Py_ssize_t k = d - 3; k >= 0; k--) {  /* back-transform, last reflector first */
         if (hs[k] == 0.0)
             continue;
@@ -624,7 +593,6 @@ tridiag_eigh(PyObject *module, PyObject *args, PyObject *kwargs)
     res = Py_BuildValue("(OOlO)", wobj, vobj, steps + more, converged ? Py_True : Py_False);
 done:
     PyMem_Free(work);
-    PyMem_Free(swork);
     PyMem_Free(starts);
     release(mobj, &mb);
     release(vobj, &vb);

@@ -20,9 +20,9 @@ of rotations on Python lists at every d, one loop like the C twin's.
 
 ``tridiag_eigh`` adds its sums in the C loops' order with ``_sums_down``
 (a row sum of an exactly symmetric block as its column sum); it runs the
-QL iteration on Python floats and the inverse iteration as numpy
-operations across all shifts at once; the C twin runs the same arithmetic
-one shift at a time.
+root-free QL iteration on Python floats, and the inverse iteration, on an
+unpivoted LDL' of each shifted T, as numpy operations across all shifts
+at once; the C twin runs the same arithmetic one shift at a time.
 
 The eigensolvers do no scaling of their own: they take ``eigen.eig_sym``'s
 input, scaled by a power of two so that its largest entry lies in [0.5, 1).
@@ -252,12 +252,13 @@ def tridiag_eigh(a: np.ndarray, rel_tol: float, max_iter: int):
     The input, which must be exactly symmetric (``_householder`` sums down
     the columns what the C twin sums along the rows), is reduced to
     T = Q' A Q by d - 2 Householder reflections. The eigenvalues of T come
-    from the implicit QL iteration with Wilkinson shifts, at most
+    from the root-free QL iteration with Wilkinson shifts, at most
     ``max_iter`` steps per eigenvalue (``_ql_eigenvalues``); its
     eigenvectors from inverse iteration with every eigenvalue as a shift,
-    until each residual ||T z - lambda z|| is at most ``rel_tol`` times the
-    Frobenius norm of the input, within ``max_iter`` steps
-    (``_inverse_iteration``). The reflectors then carry the vectors back.
+    on an unpivoted LDL' of T - shift I (``_factor_shifted``), until each
+    residual ||T z - lambda z|| is at most ``rel_tol`` times the Frobenius
+    norm of the input, within ``max_iter`` steps (``_inverse_iteration``).
+    The reflectors then carry the vectors back.
 
     Returns ``(w, v, iterations, converged)`` as ``jacobi_eigh`` does: ``w``
     ascending, the columns of ``v`` the eigenvectors in the same order, and
@@ -319,8 +320,8 @@ def _householder(m: np.ndarray):
 def _pythag(a: float, b: float) -> float:
     """sqrt(a^2 + b^2) without overflow, from + - * / and sqrt only.
 
-    (``math.hypot`` rounds differently from C's ``hypot``.) The QL loop
-    below inlines it.
+    (``math.hypot`` rounds differently from C's ``hypot``.) The QL shift
+    takes it once per step.
     """
     absa, absb = abs(a), abs(b)
     if absa > absb:
@@ -333,34 +334,34 @@ def _pythag(a: float, b: float) -> float:
 
 
 def _ql_eigenvalues(dg: list, e: list, max_iter: int):
-    """Eigenvalues of the tridiagonal (dg, e) by implicit QL with Wilkinson shifts.
+    """Eigenvalues of the tridiagonal (dg, e) by root-free QL with Wilkinson shifts.
 
-    ``tqli`` of Press et al. (after EISPACK ``tql1``), eigenvalues only:
-    e[m] counts as zero once |e[m]| <= eps (|dg[m]| + |dg[m + 1]|), or once
-    |e[m]| <= eps tst1 with tst1 = max_i |dg[i]| + |e[i]| + |e[i - 1]|, the
-    norm of T that ``tql1`` tests against. The second test, a perturbation
-    of T by at most eps ||T||, deflates inside a cluster of eigenvalues
-    near zero, where both diagonals are ~eps ||T|| and the first would ask
-    for |e[m]| below eps^2 ||T||. Returns (eigenvalues, steps, converged);
-    not converged when one eigenvalue takes more than ``max_iter`` steps.
+    The Pal-Walker-Kahan form (LAPACK ``dsterf``; Parlett, *The Symmetric
+    Eigenvalue Problem*, section 8.15): each step works on the squared
+    subdiagonal e^2, so its rotation loop takes no square root; only the
+    shift does. e[m] counts as zero once e[m]^2 <= eps^2 |dg[m] dg[m + 1]|,
+    or once e[m]^2 <= (eps tst1)^2 with tst1 = max_i |dg[i]| + |e[i]| +
+    |e[i - 1]|, the norm of T that EISPACK ``tql1`` tests against. The
+    second test, a perturbation of T by at most eps ||T||, deflates inside
+    a cluster of eigenvalues near zero, where both diagonals are
+    ~eps ||T|| and the first would ask for |e[m]| below eps^2 ||T||.
+    Returns (eigenvalues, steps, converged); not converged when one
+    eigenvalue takes more than ``max_iter`` steps.
     """
     n = len(dg)
     e = e + [0.0]
-    eps = _EPS
     # e[-1] is the trailing 0.0 at i = 0; max from 0.0 on, as the C loop
     tst1 = max(0.0, *(abs(dg[i]) + abs(e[i]) + abs(e[i - 1]) for i in range(n)))
-    e_floor = eps * tst1
-    sqrt = math.sqrt
+    e_floor = _EPS * tst1
+    floor2 = e_floor * e_floor
+    eps2 = _EPS * _EPS
+    e2 = [x * x for x in e]
     steps = 0
     for l in range(n):
         it = 0
         while True:
             m = l
-            while (
-                m < n - 1
-                and abs(e[m]) > eps * (abs(dg[m]) + abs(dg[m + 1]))
-                and abs(e[m]) > e_floor
-            ):
+            while m < n - 1 and e2[m] > eps2 * abs(dg[m] * dg[m + 1]) and e2[m] > floor2:
                 m += 1
             if m == l:
                 break
@@ -368,42 +369,33 @@ def _ql_eigenvalues(dg: list, e: list, max_iter: int):
                 return dg, steps, False
             it += 1
             steps += 1
-            g = (dg[l + 1] - dg[l]) / (2.0 * e[l])
-            r = _pythag(g, 1.0)
-            g = dg[m] - dg[l] + e[l] / (g + (r if g >= 0.0 else -r))
-            s = c = 1.0
-            p = 0.0
+            p = dg[l]
+            rte = math.sqrt(e2[l])
+            sigma = (dg[l + 1] - p) / (2.0 * rte)
+            r = _pythag(sigma, 1.0)
+            sigma = p - rte / (sigma + (r if sigma >= 0.0 else -r))
+            c = 1.0
+            s = 0.0
+            gamma = dg[m] - sigma
+            p = gamma * gamma
+            # e2[i] > 0.0 here, so r > 0.0; c underflows to 0.0 only where
+            # gamma^2 is negligible next to e2[i]
             for i in range(m - 1, l - 1, -1):
-                ei = e[i]
-                f = s * ei
-                b = c * ei
-                # r = _pythag(f, g)
-                af, ag = abs(f), abs(g)
-                if af > ag:
-                    t = ag / af
-                    r = af * sqrt(1.0 + t * t)
-                elif ag == 0.0:
-                    r = 0.0
-                else:
-                    t = af / ag
-                    r = ag * sqrt(1.0 + t * t)
-                e[i + 1] = r
-                if r == 0.0:
-                    # underflow: deflate here and test again
-                    dg[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = dg[i + 1] - p
-                r = (dg[i] - g) * s + 2.0 * c * b
-                p = s * r
-                dg[i + 1] = g + p
-                g = c * r - b
-            else:
-                dg[l] -= p
-                e[l] = g
-                e[m] = 0.0
+                bb = e2[i]
+                r = p + bb
+                if i != m - 1:
+                    e2[i + 1] = s * r
+                oldc = c
+                c = p / r
+                s = bb / r
+                oldgam = gamma
+                alpha = dg[i]
+                gamma = c * (alpha - sigma) - s * oldgam
+                dg[i + 1] = oldgam + (alpha - gamma)
+                p = gamma * gamma / c if c != 0.0 else oldc * bb
+            e2[l] = s * p
+            dg[l] = sigma + gamma
+            e2[m] = 0.0
     return dg, steps, True
 
 
@@ -425,57 +417,45 @@ def _start_vectors(n: int) -> np.ndarray:
     return odd / float(1 << 21)
 
 
-# Where the pivot test picks the other branch, its quotient may divide by 0.
-@np.errstate(divide="ignore", invalid="ignore")
 def _factor_shifted(dg: np.ndarray, e: np.ndarray, lam: np.ndarray, tiny: float):
-    """LU with partial pivoting of T - lam_j I for every shift at once (LAPACK dgttrf).
+    """Unpivoted LDL' of T - lam_j I for every shift at once.
 
-    Row i of each returned array holds that row for all shifts: the
-    diagonal of U, its first and second superdiagonals, the multipliers
-    and the row interchanges. Pivots smaller than ``tiny`` in magnitude
-    are replaced by ``tiny`` with their sign, so U can be solved even where
-    lam_j is an eigenvalue to working precision.
+    L is unit lower bidiagonal with l_i = e_i / d_i, and the pivots are
+    d_0 = dg_0 - lam_j, d_(i+1) = (dg_(i+1) - lam_j) - l_i e_i (the
+    factorization that MRRR is built on; Dhillon & Parlett, LAA 387,
+    2004). A pivot smaller than ``tiny`` in magnitude becomes ``tiny``
+    with its sign before l_i divides by it, so the factors stay finite
+    even where lam_j is an eigenvalue of a leading block; a NaN pivot
+    fails the compare and passes through. Row i of each returned array
+    holds that row for all shifts: the pivots and the multipliers.
     """
-    n, shifts = dg.shape[0], lam.shape[0]
-    a = dg[:, None] - lam
-    c = np.repeat(e[:, None], shifts, axis=1)
-    du2 = np.zeros((max(n - 2, 0), shifts))
-    mult = np.zeros((max(n - 1, 0), shifts))
-    swap = np.zeros((max(n - 1, 0), shifts), dtype=bool)
-    for i in range(n - 1):
-        ai, ci, an, b = a[i], c[i], a[i + 1], e[i]
-        sw = np.abs(ai) < abs(b)
-        fact = np.where(sw, ai / b, np.where(ai != 0.0, b / ai, 0.0))
-        new_an = np.where(sw, ci - fact * an, an - fact * ci)
-        a[i] = np.where(sw, b, ai)
-        c[i] = np.where(sw, an, ci)
-        a[i + 1] = new_an
-        if i < n - 2:
-            cn = c[i + 1]
-            du2[i] = np.where(sw, cn, 0.0)
-            c[i + 1] = np.where(sw, -fact * cn, cn)
-        mult[i] = fact
-        swap[i] = sw
-    a = np.where(np.abs(a) < tiny, np.copysign(tiny, a), a)
-    return a, c, du2, mult, swap
+    n = dg.shape[0]
+    piv = dg[:, None] - lam
+    mult = np.empty((max(n - 1, 0), lam.shape[0]))
+    for i in range(n):
+        di = piv[i]
+        np.copysign(tiny, di, out=di, where=np.abs(di) < tiny)
+        if i < n - 1:
+            li = np.divide(e[i], di, out=mult[i])
+            piv[i + 1] -= li * e[i]
+    return piv, mult
 
 
 def _solve_shifted(factors, z: np.ndarray) -> np.ndarray:
-    """Solve (T - lam_j I) y_j = z_j for every column j (LAPACK dgttrs)."""
-    a, c, du2, mult, swap = factors
+    """Solve (T - lam_j I) y_j = z_j for every column j from its LDL'.
+
+    Forward, u_(i+1) = z_(i+1) - l_i u_i; backward,
+    y_i = u_i / d_i - l_i y_(i+1).
+    """
+    piv, mult = factors
     y = z.copy()
     n = y.shape[0]
     for i in range(n - 1):
-        yi, yn, sw, f = y[i], y[i + 1], swap[i], mult[i]
-        upper = np.where(sw, yn, yi)
-        lower = np.where(sw, yi - f * yn, yn - f * yi)
-        y[i] = upper
-        y[i + 1] = lower
-    y[n - 1] /= a[n - 1]
-    if n >= 2:
-        y[n - 2] = (y[n - 2] - c[n - 2] * y[n - 1]) / a[n - 2]
-    for i in range(n - 3, -1, -1):
-        y[i] = (y[i] - c[i] * y[i + 1] - du2[i] * y[i + 2]) / a[i]
+        y[i + 1] -= mult[i] * y[i]
+    # every u_i / d_i at once: the forward pass has left each u_i final
+    y /= piv
+    for i in range(n - 2, -1, -1):
+        y[i] -= mult[i] * y[i + 1]
     return y
 
 

@@ -80,14 +80,21 @@ def acceptance():
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="session")
-def cykernels(tmp_path_factory):
-    """The compiled kernel module, built from the shipped C source."""
+def c_compiler() -> str:
+    """Path of the C compiler that builds the extension; skips the test
+    where there is none, or no Python.h."""
     cc = shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0]) or shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler")
     if not (Path(sysconfig.get_paths()["include"]) / "Python.h").exists():
         pytest.skip("no Python.h")
+    return cc
+
+
+@pytest.fixture(scope="session")
+def cykernels(tmp_path_factory):
+    """The compiled kernel module, built from the shipped C source."""
+    c_compiler()
     out = tmp_path_factory.mktemp("cykernels")
     build = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--build-lib", str(out), "--build-temp", str(out)],

@@ -390,6 +390,21 @@ def test_fda_warns_beyond_class_rank():
         fda_fit(ds, p=1)  # no warning at or below c - 1
 
 
+def test_kspca_warns_beyond_the_rank_of_its_label_kernel():
+    # G = H Y R has rank at most min(c - 1, rank(K_c)), as S_B has at most c - 1
+    rng = np.random.RandomState(86)
+    ds = _class_data(rng, 3, 16, 8)  # kernel-fit's shape: 3 classes, n = 48
+    tall = _class_data(rng, 3, 40, 12)  # tall-data's: 3 classes, d = 12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kspca_fit(ds, 2)  # delta labels: K_c = I, rank c; p = c - 1
+        fda_fit(tall, 2)
+        with pytest.raises(UserWarning, match="3 classes has rank at most 2"):
+            kspca_fit(ds, 3)
+        with pytest.raises(UserWarning, match="3 classes has rank at most 1"):
+            kspca_fit(ds, 2, ky=KernelSpec(kind="linear"))  # K_c = v v'
+
+
 def test_fda_error_paths():
     x = Matrix(np.eye(2))
     with pytest.raises(MissingLabels):
@@ -1104,7 +1119,8 @@ def test_kspca_falls_back_at_p_of_c_or_more(p, eigen_inputs, fit_pencils):
     kx = KernelSpec(kind="rbf", gamma=1.0)
     pen, phi, inter = _kspca_full(ds, kx, KernelSpec(kind="delta"))
     eigen_inputs.clear()
-    model = kspca_fit(ds, p, kx=kx)
+    with pytest.warns(UserWarning):
+        model = kspca_fit(ds, p, kx=kx)
     # the fit's A is F F' rather than the full product of _kspca_full
     _assert_fallback(model, inter, p, eigen_inputs, fit_pencils)
 
@@ -1124,7 +1140,8 @@ def test_kspca_linear_label_kernel_is_rank_one(eigen_inputs, factorizations, fit
     _assert_matches_full(model, phi, inter, 1)
     eigen_inputs.clear()
     fit_pencils.clear()
-    model = kspca_fit(ds, 2, kx=kx, ky=lin)  # wider than F
+    with pytest.warns(UserWarning):
+        model = kspca_fit(ds, 2, kx=kx, ky=lin)  # wider than F
     _assert_fallback(model, inter, 2, eigen_inputs, fit_pencils)
 
 

@@ -1,8 +1,11 @@
 """Backend selection and bit-level parity between compiled and pure-Python kernels."""
 
+import ast
 import functools
 import importlib
+import subprocess
 import sys
+import sysconfig
 import tracemalloc
 import types
 import warnings
@@ -15,7 +18,7 @@ from genspectra import solve_quick_dirty, solve_rigorous
 from genspectra.eigen import JACOBI_REL_TOL, MAX_SWEEPS
 from genspectra.kernels import pykernels
 
-from conftest import CYKERNELS_MODULE, definite_pencil, low_rank_psd, random_sym
+from conftest import CYKERNELS_MODULE, REPO_ROOT, c_compiler, definite_pencil, low_rank_psd, random_sym
 
 
 def _same_bits(x, y) -> bool:
@@ -513,16 +516,44 @@ def test_cholesky_inverse_backends_bit_identical(cykernels):
 # ---------------------------------------------------------------------------
 
 
+def _tridiagonal(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def _tridiag_inputs(d):
-    """Symmetric test matrices for the tridiagonal kernel, by name."""
+    """Symmetric test matrices for the tridiagonal kernel, by name.
+
+    The hard tridiagonal ones reach the QL and the LDL' unchanged, since
+    the Householder step leaves a tridiagonal matrix as it is. At d = 21,
+    50 and 84 they are W21+, Clement's matrix at n = 50 and four copies of
+    W21+ glued by 1e-14.
+    """
     rng = np.random.RandomState(3000 + d)
     a = random_sym(rng, d, scale=3.0).array
     tri = np.diag(rng.standard_normal(d)) + np.diag(rng.standard_normal(d - 1), 1)
+    k = np.arange(1.0, d)
+    # Wilkinson's W21+ (diagonal 10, 9, ..., 0, ..., 10, unit off-diagonal),
+    # whose largest eigenvalues come in pairs that agree to ~1e-14
+    w21 = _tridiagonal(np.abs(np.arange(-10.0, 11.0)), np.ones(20))
+    glued = np.kron(np.eye(-(-d // 21)), w21)[:d, :d]
+    joints = np.arange(21, d, 21)
+    glued[joints - 1, joints] = glued[joints, joints - 1] = 1e-14
+    # Row d // 2 decoupled: its diagonal entry is an eigenvalue, the shift
+    # equals it exactly, and that LDL' pivot is exactly 0.0 until the guard
+    # lifts it.
+    split = rng.standard_normal(d - 1)
+    split[max(d // 2 - 1, 0):d // 2 + 1] = 0.0
     inputs = {
         "random": a,
         "diagonal": np.diag(rng.standard_normal(d)),
         "tridiagonal": tri + np.triu(tri, 1).T,
         "zero": np.zeros((d, d)),
+        "wilkinson": _tridiagonal(np.abs(np.arange(d) - (d - 1) / 2.0), np.ones(d - 1)),
+        "glued wilkinson": glued,
+        "clement": _tridiagonal(np.zeros(d), np.sqrt(k * (d - k))),
+        "1-2-1": _tridiagonal(np.full(d, 2.0), np.ones(d - 1)),
+        "zero diagonal": _tridiagonal(np.zeros(d), rng.standard_normal(d - 1)),
+        "diagonal eigenvalue": _tridiagonal(rng.standard_normal(d), split),
     }
     q = np.linalg.qr(rng.standard_normal((d, d)))[0]
     for k in (2, 4, max(d // 4, 2)):
@@ -533,7 +564,7 @@ def _tridiag_inputs(d):
 
 
 def test_tridiag_backends_bit_identical(cykernels):
-    cases = [(d, name, a) for d in (16, 17, 33, 48, 80) for name, a in _tridiag_inputs(d).items()]
+    cases = [(d, name, a) for d in (16, 17, 21, 33, 48, 50, 80, 84) for name, a in _tridiag_inputs(d).items()]
     # 96 zero eigenvalues, on which the QL used to run out of steps
     cases.append((128, "rank 32", low_rank_psd(128, 32, 0)))
     for d, name, a in cases:
@@ -564,7 +595,7 @@ def test_tridiag_converges_on_rank_deficient_matrices(cykernels):
 
 
 def test_tridiag_eigenpairs_are_accurate():
-    for d in (2, 3, 16, 17, 24, 33, 48, 64, 80):
+    for d in (2, 3, 16, 17, 21, 24, 33, 48, 50, 64, 80, 84):
         for name, a in _tridiag_inputs(d).items():
             w, v, _, converged = pykernels.tridiag_eigh(a, JACOBI_REL_TOL, MAX_SWEEPS)
             scale = max(np.abs(a).max(), np.finfo(float).tiny)
@@ -600,6 +631,17 @@ def test_tridiag_unconverged_flag_when_steps_exhausted():
     assert pykernels.tridiag_eigh(diagonal, JACOBI_REL_TOL, 2)[2:] == (2, True)
 
 
+@pytest.mark.parametrize("d, ql_steps", [(40, 90), (48, 111), (56, 125)])
+def test_tridiag_step_counts_on_random_matrices(d, ql_steps):
+    # The dimensions of the dense-pencil benchmark: the QL takes these
+    # counts, and inverse iteration stops after the two steps its rule
+    # allows at the least, so neither stage can slow down unnoticed.
+    a = random_sym(np.random.RandomState(5000 + d), d).array
+    diag, off, _ = pykernels._householder(a.copy())
+    assert pykernels._ql_eigenvalues(diag.tolist(), off.tolist(), MAX_SWEEPS)[1:] == (ql_steps, True)
+    assert pykernels.tridiag_eigh(a, JACOBI_REL_TOL, MAX_SWEEPS)[2:] == (ql_steps + 2, True)
+
+
 @pytest.mark.parametrize("d", list(range(2, 13)) + [19, 20, 21, 33, 48, 64])
 def test_jacobi_convergence_claim_holds(d):
     # When the kernel reports convergence, the off-diagonal norm of V'AV,
@@ -619,6 +661,23 @@ def test_jacobi_convergence_claim_holds(d):
         if rel_tol == JACOBI_REL_TOL:
             lam = np.linalg.eigvalsh(a)
             assert np.abs(np.sort(w) - lam).max() <= 1e-13 * np.abs(lam).max()
+
+
+def test_compiled_source_compiles_clean_under_wall():
+    # setup.py's flags plus -Wall -Werror: a work array or variable left
+    # unused in the C twins fails here.
+    cc = c_compiler()
+    setup = ast.parse((REPO_ROOT / "setup.py").read_text())
+    flags = next(
+        ast.literal_eval(node.value) for node in ast.walk(setup)
+        if isinstance(node, ast.keyword) and node.arg == "extra_compile_args"
+    )
+    build = subprocess.run(
+        [cc, *flags, "-Wall", "-Werror", "-fsyntax-only", "-I", sysconfig.get_paths()["include"],
+         str(REPO_ROOT / "src/genspectra/kernels/_cykernels.c")],
+        capture_output=True, text=True,
+    )
+    assert build.returncode == 0, build.stderr
 
 
 def test_compiled_fixture_stays_off_the_import_path(cykernels):
