@@ -332,7 +332,7 @@ def kspca_fit(
     n x c one-hot classes Y and the c x c class kernel K_c, factored as
     K_c = R R' from its eig with the null eigenvalues dropped (K_c is PSD
     for every ``KernelSpec``): R is c x r, r = rank(K_c), and R = I for the
-    delta kernel below c = 16, where eig_sym takes Jacobi. The numerator is
+    delta kernel below c = 9, where eig_sym takes Jacobi. The numerator is
     F F' with F = K_x G, G = H Y R, and K_y is never formed. G has rank at
     most min(c - 1, r), so directions beyond that carry no signal from the
     labels; asking for them earns a warning, as in ``fda_fit``. For any W with

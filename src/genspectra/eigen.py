@@ -3,12 +3,12 @@
 The production path, ``eig_sym``, runs one of two kernels of
 :mod:`genspectra.kernels`, chosen by the dimension:
 
-* below d = 16, a cyclic-by-row Jacobi iteration, which returns the full
+* below d = 9, a cyclic-by-row Jacobi iteration, which returns the full
   eigenvector matrix as the accumulated product of rotations. Each sweep
   visits the off-diagonal pairs in row order, one rotation at a time.
   Both kernels run the sweeps as one loop at every d, on Python lists in
   the pure-Python one and on arrays in the C one;
-* from d = 16 up, Householder reduction to a tridiagonal T, root-free QL
+* from d = 9 up, Householder reduction to a tridiagonal T, root-free QL
   with Wilkinson shifts for T's eigenvalues, inverse iteration on an
   unpivoted LDL' for its eigenvectors and the reflectors back (Golub &
   Van Loan, *Matrix Computations*, ch. 8). It does a fraction of the work
@@ -26,7 +26,7 @@ relative error of eps * kappa(B) on lambda_min; and the whitening divides
 by sqrt(lambda_B). Since kappa(B) <= kappa(H) * max b_ii / min b_ii, a B
 whose diagonal is positive and spans a ratio of at most ``_GRADED_RATIO``
 loses at most that factor on the tridiagonal path, and takes it from
-d = 16 up. The test reads B's diagonal only, costs O(d) before any
+d = 9 up. The test reads B's diagonal only, costs O(d) before any
 decomposition and gives B and s*B the same kernel. Any other B, with a
 wider ratio or a zero or negative diagonal entry, stays on Jacobi. On
 B = DHD (H = I + GG'/d, D log-spaced over 10^+-3, condition ~1e12;
@@ -47,7 +47,7 @@ d = 3 and 4, by bisection on the number of eigenvalues below x of a
 tridiagonal T = Q'AQ (``_householder`` of the pure-Python kernels), read
 off the signs of the pivots of T - x I (a Sturm count, ``_count_below``).
 It returns eigenvalues only and exists as an independent cross-check of
-``eig_sym``, which takes Jacobi below d = 16 and so shares no kernel with
+``eig_sym``, which takes Jacobi below d = 9 and so shares no kernel with
 it there.
 
 Its bisection, ``_roots_by_count``, halves brackets of the count inside
@@ -88,10 +88,10 @@ MAX_SWEEPS = 100
 
 # eig_sym takes the tridiagonal kernel from this dimension up. On random
 # symmetric matrices it costs less than Jacobi from d = 9 in pure Python
-# (the two tie at d = 8) and at every d from 3 compiled (one pinned CPU of
-# a 2-core x86_64 box, minimum of 7 runs); at 16, the d <= 13 matrices of
-# the tall fits and the d <= 4 pencils keep the Jacobi path.
-_TRIDIAG_MIN_DIM = 16
+# (the two tie at d = 8; 0.30 against 0.32 ms at 9, 0.49 against 1.55 ms
+# at 15) and at every d from 3 compiled (one pinned CPU of a 2-core x86_64
+# box, minimum of 7 runs). The d <= 4 pencils keep the Jacobi path.
+_TRIDIAG_MIN_DIM = 9
 
 # The widest diagonal ratio max b_ii / min b_ii of a metric that takes the
 # tridiagonal kernel (``_graded``): its relative error on lambda_min(B) is
@@ -148,7 +148,7 @@ def _graded(b: np.ndarray) -> bool:
 def eig_sym(a: SymMatrix, order: str = "descending") -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix.
 
-    Below d = 16 by cyclic Jacobi, from d = 16 up through a
+    Below d = 9 by cyclic Jacobi, from d = 9 up through a
     Householder tridiagonal form, except for a graded metric B, which stays
     on Jacobi: one whose diagonal has a zero or negative entry, or spans a
     ratio above ``_GRADED_RATIO``. On any other B the tridiagonal kernel's

@@ -12,10 +12,12 @@ NaNs meet in it (its sign and payload): IEEE-754 leaves that open, and the
 two backends may differ there.
 
 ``matmul`` evaluates its products and sums with numpy, one block of the
-inner dimension at a time, but adds the terms of each entry strictly in
-the order of the compiled loop: ``_sums_down`` reduces the outer axis of a
-C-ordered block one slice after another (observed numpy behaviour, guarded
-by tests; see ``_sums_down``). ``jacobi_eigh`` runs its sweeps
+inner dimension at a time: ``np.einsum`` with no summed index forms a
+block's products, laid out k outermost and the longer output axis
+innermost, and the terms of each entry are added strictly in the order of
+the compiled loop: ``_sums_down`` reduces the outer axis of a C-ordered
+block one slice after another (observed numpy behaviour, guarded by tests;
+see ``_sums_down``). ``jacobi_eigh`` runs its sweeps
 of rotations on Python lists at every d, one loop like the C twin's.
 
 ``tridiag_eigh`` adds its sums in the C loops' order with ``_sums_down``
@@ -38,9 +40,15 @@ import math
 import numpy as np
 
 
-# Products a[i, k] * b[k, j] that ``matmul`` holds at once: 2**16 doubles
-# (512 KiB), or one k's m * n products when those are more.
+# Doubles that one block of ``matmul`` holds at once, its products
+# a[i, k] * b[k, j] and its rows of a' and b: 2**16 (512 KiB), or one k's
+# when those are more.
 _BLOCK_TERMS = 1 << 16
+
+# Products of at most this many terms are formed by a broadcast multiply:
+# there einsum's call costs more than its faster loop saves (3 x 3 x 3:
+# 4.0 us by broadcast, 5.2 us by einsum).
+_EINSUM_MIN_TERMS = 1 << 12
 
 
 def _sums_down(terms: np.ndarray, start: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -76,15 +84,22 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     ``out[i, j]`` is ``0.0 + a[i, 0] * b[0, j] + a[i, 1] * b[1, j] + ...``
     added left to right, with the terms where ``a[i, k] == 0.0`` left out:
-    the operations of the compiled triple loop, in its order. A block of k
-    forms its terms as one C-ordered (K, m, n) array, and ``_sums_down``
-    adds them along k onto the running sums, one k after another; ``@``,
-    ``np.dot`` and ``np.sum`` would add in another order.
+    the operations of the compiled loop, in its order. A block of k copies
+    its rows of a' and of b to contiguous form and forms its terms with
+    ``np.einsum`` as one C-ordered array, k outermost and the longer of the
+    two output axes innermost: (K, m, n), or (K, n, m) when n < m, whose
+    sums come back transposed. A product of at most ``_EINSUM_MIN_TERMS``
+    terms is one block, which a broadcast multiply forms as (K, m, n).
+    ``_sums_down`` adds the terms along k onto the running sums, one k
+    after another; ``@``, ``np.dot`` and ``np.sum`` would add in another
+    order.
 
-    Where two NaNs meet in a sum, which one comes out (its sign and
-    payload) is not specified and may differ from the compiled loop's;
-    an entry is NaN exactly where the loop's is, and every other entry
-    has the loop's bits.
+    einsum writes each term as 0.0 + a[i, k] * b[k, j], which is the
+    product except that -0.0 comes out as +0.0; no sum can tell, since
+    every sum starts at +0.0. Where two NaNs meet in a sum, which one
+    comes out (its sign and payload) is not specified and may differ from
+    the compiled loop's; an entry is NaN exactly where the loop's is, and
+    every other entry has the loop's bits.
 
     Shapes must already be compatible; the caller validates them.
     """
@@ -94,24 +109,33 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = b.shape[1]
     if m * n == 0 or inner == 0:
         return np.zeros((m, n))
-    step = max(1, _BLOCK_TERMS // (m * n))
-    sums = None
-    for k0 in range(0, inner, step):
-        ak = at[k0:k0 + step]
-        # C order puts k outermost, so that the sums run along it slice by
-        # slice; numpy would lay the terms out like the (transposed) a.
-        terms = np.multiply(ak[:, :, None], b[k0:k0 + step, None, :], order="C")
-        if np.count_nonzero(ak) < ak.size:
+    if inner * m * n <= _EINSUM_MIN_TERMS:
+        # One small block, k outermost in C order, so that the sums run
+        # along it slice by slice.
+        terms = np.multiply(at[:, :, None], b[:, None, :], order="C")
+        if np.count_nonzero(at) < at.size:
             # The loop skips these terms; 0.0 * inf or 0.0 * nan would
             # turn its sum into nan.
-            terms[ak == 0.0] = 0.0
+            terms[at == 0.0] = 0.0
+        return _sums_down(terms, 0.0)
+    flip = n < m
+    step = max(1, _BLOCK_TERMS // (m * n + m + n))
+    sums = None
+    for k0 in range(0, inner, step):
+        ak = np.ascontiguousarray(at[k0:k0 + step])
+        bk = np.ascontiguousarray(b[k0:k0 + step])
+        # k outermost, as above, and the long axis innermost, where
+        # numpy's loops run.
+        terms = np.einsum("ki,kj->kji" if flip else "ki,kj->kij", ak, bk, order="C")
+        if np.count_nonzero(ak) < ak.size:
+            (terms.transpose(0, 2, 1) if flip else terms)[ak == 0.0] = 0.0
         if sums is not None:
             np.add(sums, terms[0], out=terms[0])
-        # Into the running sums, which are in terms[0] by now: one (m, n)
+        # Into the running sums, which are in terms[0] by now: one output
         # array lives next to the block.
         sums = _sums_down(terms, 0.0, out=sums)
         del terms
-    return sums
+    return np.ascontiguousarray(sums.T) if flip else sums
 
 
 def jacobi_eigh(a: np.ndarray, rel_tol: float, max_sweeps: int):

@@ -166,7 +166,8 @@ class Vector:
         return self._data
 
     def norm(self) -> float:
-        return math.sqrt(float(np.dot(self._data, self._data)))
+        """||v||, by ``frobenius_norm``: no square overflows or underflows."""
+        return frobenius_norm(self._data)
 
     def __len__(self) -> int:
         return self.dim

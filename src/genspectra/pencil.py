@@ -24,7 +24,7 @@ Two routes are provided:
 Where the quick route takes the Cholesky factor the routes share no
 factorization of B, so each checks the other there; on any other B they
 share the eigendecomposition of B. Where B is decomposed, that
-decomposition is the only one of B, by the tridiagonal kernel from d = 16
+decomposition is the only one of B, by the tridiagonal kernel from d = 9
 up unless B's diagonal is graded, and by Jacobi otherwise (``eigen._Metric``,
 for relative accuracy on a graded B), and both routes read off it whether
 B is singular or indefinite, relative to its largest eigenvalue magnitude
@@ -231,7 +231,7 @@ def _whitening(
 
     W divides by sqrt(lambda_B), which needs B's small eigenvalues to
     relative accuracy: ``eigen._Metric`` keeps eig(B) on Jacobi where B's
-    diagonal is graded, and lets it take the tridiagonal kernel from d = 16
+    diagonal is graded, and lets it take the tridiagonal kernel from d = 9
     up where the diagonal bounds the loss (``eigen.eig_sym``).
     Raises ``IndefiniteB`` on an indefinite B; eps is 0.0 unless B is
     singular (``linalg.definiteness``).

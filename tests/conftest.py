@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from genspectra import Matrix, SymMatrix, eig_sym
+from genspectra.eigen import _TRIDIAG_MIN_DIM, _graded
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CYKERNELS_MODULE = "genspectra.kernels._cykernels"
@@ -288,8 +289,14 @@ def kernel_calls(seen) -> list:
 
 def ungraded_kernel(d: int) -> str:
     """The kernel ``eig_sym`` takes for a d x d matrix other than a graded
-    metric: Jacobi below d = 16, the tridiagonal one from there up."""
-    return "tridiag_eigh" if d >= 16 else "jacobi_eigh"
+    metric: Jacobi below ``_TRIDIAG_MIN_DIM``, the tridiagonal one from there up."""
+    return "tridiag_eigh" if d >= _TRIDIAG_MIN_DIM else "jacobi_eigh"
+
+
+def metric_kernel(b: np.ndarray) -> str:
+    """The kernel ``eig_sym`` takes for the metric B: Jacobi when its diagonal
+    is graded, otherwise the one ``ungraded_kernel`` names."""
+    return "jacobi_eigh" if _graded(b) else ungraded_kernel(b.shape[0])
 
 
 def as_matrix(rows) -> Matrix:

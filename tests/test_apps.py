@@ -42,6 +42,7 @@ from conftest import (
     assert_diagnostics,
     gram_schmidt,
     kernel_calls,
+    metric_kernel,
     random_unit,
     span_gap,
     ungraded_kernel,
@@ -891,7 +892,7 @@ def test_fda_factored_path_matches_full_pencil(c, singular, eigen_inputs, fit_pe
         if singular:
             # S_W, then the Gram
             assert model.strategy == "whitening"
-            assert kernel_calls(eigen_inputs) == [("jacobi_eigh", d), ("jacobi_eigh", c)]
+            assert kernel_calls(eigen_inputs) == [(metric_kernel(pen.b.array), d), ("jacobi_eigh", c)]
         else:
             # S_W passes the Cholesky gate: the Gram is the only decomposition
             assert kernel_calls(eigen_inputs) == [("jacobi_eigh", c)]
@@ -1041,7 +1042,7 @@ def test_fda_factors_the_within_class_scatter_once(factorizations, eigen_inputs)
         model = fda_fit(ds, 2)
         assert factorizations == [d]
         assert model.strategy == ("cholesky" if per == 8 else "whitening")
-        eig_s_w = [] if per == 8 else [("jacobi_eigh", d)]
+        eig_s_w = [] if per == 8 else [(metric_kernel(scatter_matrices(ds).s_w.array), d)]
         assert kernel_calls(eigen_inputs) == eig_s_w + [("jacobi_eigh", 3)]
 
 

@@ -879,7 +879,7 @@ def test_kspca_epsilon_flag_is_the_epsilon_used(kspca_csv, capsys):
 
 def test_kspca_label_column_by_index_on_a_headerless_file(kspca_csv, tmp_path, capsys):
     # the same samples with the label moved to the front and no header row
-    rows = [line.split(",") for line in open(kspca_csv, encoding="utf-8").read().splitlines()[1:]]
+    rows = [line.split(",") for line in Path(kspca_csv).read_text(encoding="utf-8").splitlines()[1:]]
     moved = [",".join([row[2]] + row[:2]) for row in rows]
     headerless = _write(tmp_path / "moved.csv", "\n".join(moved) + "\n")
     assert main(["kspca", "-p", "2", "--gamma", "0.5", kspca_csv]) == 0

@@ -127,7 +127,7 @@ def test_eig_convergence_failure_when_sweeps_exhausted(monkeypatch):
 
 
 def test_eig_invariants_through_the_tridiagonal_kernel():
-    # d >= 16 takes the tridiagonal kernel (criterion 1 covers d <= 12)
+    # d >= 9 takes the tridiagonal kernel (criterion 1 covers d <= 12)
     rng = np.random.RandomState(29)
     for d in (16, 17, 24, 33, 48, 64, 80):
         a = random_sym(rng, d, scale=2.0)
@@ -163,8 +163,8 @@ def _metric_with_diagonal(rng, diag) -> SymMatrix:
 
 
 def test_metric_grading_rule_picks_the_kernel_at_every_scale(eigen_inputs):
-    # a metric takes the tridiagonal kernel from d = 16 up unless its
-    # diagonal is graded: a zero or negative entry, or a ratio above r
+    # a metric takes the tridiagonal kernel from _TRIDIAG_MIN_DIM up unless
+    # its diagonal is graded: a zero or negative entry, or a ratio above r
     r = eigen._GRADED_RATIO
     rng = np.random.RandomState(31)
     base = np.linspace(1.0, r, 24)
@@ -178,7 +178,7 @@ def test_metric_grading_rule_picks_the_kernel_at_every_scale(eigen_inputs):
         diag = base.copy()
         diag[i] = value
         cases[name] = (diag, "jacobi_eigh")
-    cases["ratio r at d = 15"] = (base[:15], "jacobi_eigh")
+    cases["ratio r just below the tridiagonal dimension"] = (base[:eigen._TRIDIAG_MIN_DIM - 1], "jacobi_eigh")
     for name, (diag, kernel) in cases.items():
         b = _metric_with_diagonal(rng, diag)
         ref = eig_sym(eigen._Metric(b)).eigenvalues
@@ -223,8 +223,8 @@ def test_eig_rejects_non_finite_entries(bad):
 
 
 def _scale_cases() -> dict:
-    """Unit-scale inputs of eig_sym by name: Jacobi at d = 3 and 12, the
-    tridiagonal kernel at d = 20 and 33, and a graded metric on Jacobi at
+    """Unit-scale inputs of eig_sym by name: Jacobi at d = 3, the
+    tridiagonal kernel at d = 12, 20 and 33, and a graded metric on Jacobi at
     d = 20."""
     rng = np.random.RandomState(19)
     cases = {f"d={d}": random_sym(rng, d, scale=3.0) for d in (3, 12, 20, 33)}
@@ -262,8 +262,8 @@ def test_eig_sym_scales_by_powers_of_two_exactly(eigen_inputs):
     # underflow.
     got = _eig_sym_at_scales()
     assert set(kernel_calls(eigen_inputs)) == {
-        ("jacobi_eigh", 3), ("jacobi_eigh", 12), ("jacobi_eigh", 20),
-        ("tridiag_eigh", 20), ("tridiag_eigh", 33),
+        ("jacobi_eigh", 3), ("jacobi_eigh", 20),
+        ("tridiag_eigh", 12), ("tridiag_eigh", 20), ("tridiag_eigh", 33),
     }
     for name, a in _scale_cases().items():
         unit = got[name, 1.0]

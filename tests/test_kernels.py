@@ -115,11 +115,12 @@ def test_matmul_matches_oracle_and_numpy():
 
 
 # Shapes of the fits (d x n x d covariance and scatter, the p x d x n
-# projection), square products, and inner dimensions spanning several
-# blocks of terms.
+# projection, the thin K_x G, A Phi and B Phi and their transposes), square
+# products, and inner dimensions spanning several blocks of terms.
 _PARITY_SHAPES = [
     (2, 2, 2), (3, 5, 4), (8, 8, 8), (17, 3, 9), (4, 4, 1), (72, 72, 72),
     (12, 4000, 12), (3, 13, 4000), (1, 70000, 1), (300, 2, 300),
+    (72, 72, 3), (64, 64, 2), (48, 48, 1), (3, 72, 72), (1, 48, 48), (2, 40000, 3),
 ]
 
 
@@ -236,6 +237,60 @@ def test_matmul_memory_stays_within_one_block():
     assert peak < 1.25 * 8 * (pykernels._BLOCK_TERMS + 256 * 256)
 
 
+def test_matmul_memory_stays_within_one_block_in_the_flipped_layout():
+    # n < m lays the terms out as (K, n, m); each block copies its rows of
+    # a' and b, and the block with its copies stays within one block.
+    rng = np.random.RandomState(47)
+    a = rng.standard_normal((64, 8000))
+    b = rng.standard_normal((8000, 2))
+    a[:, ::5] = 0.0
+    for x in (a, np.asfortranarray(a)):
+        tracemalloc.start()
+        try:
+            pykernels.matmul(x, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * pykernels._BLOCK_TERMS
+
+
+def test_matmul_small_and_einsum_products_match_loop_in_both_layouts():
+    # At most _EINSUM_MIN_TERMS terms take the broadcast multiply, one more
+    # k takes einsum, laid out (K, m, n) or, for n < m, (K, n, m); and a
+    # last block of a few k after full ones.
+    rng = np.random.RandomState(53)
+    for (m, n) in [(4, 1), (1, 4), (16, 2), (2, 16), (8, 8), (1, 1)]:
+        small = pykernels._EINSUM_MIN_TERMS // (m * n)
+        step = pykernels._BLOCK_TERMS // (m * n + m + n)
+        for k in (small, small + 1, 2 * step + 3):
+            a = rng.standard_normal((m, k))
+            b = rng.standard_normal((k, n))
+            for x, y in [(a, b), _with_zeros(rng, a, b)]:
+                assert _same_bits(pykernels.matmul(x, y), _loop_matmul(x, y)), (m, k, n)
+
+
+def test_pykernels_einsum_sums_no_index():
+    # An einsum that drops an input index sums over it in an order of its
+    # own; every one in pykernels must keep each index in its output.
+    tree = ast.parse((REPO_ROOT / "src/genspectra/kernels/pykernels.py").read_text(encoding="utf-8"))
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "einsum"
+    ]
+    assert calls
+    einsums = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "einsum"]
+    assert len(einsums) == len(calls), "np.einsum is used other than by a direct call"
+    for call in calls:
+        spec = call.args[0]
+        choices = [spec.body, spec.orelse] if isinstance(spec, ast.IfExp) else [spec]
+        assert all(isinstance(c, ast.Constant) and isinstance(c.value, str) for c in choices), ast.unparse(spec)
+        assert "optimize" not in {kw.arg for kw in call.keywords}
+        for c in choices:
+            inputs, arrow, output = c.value.partition("->")
+            assert arrow and "." not in c.value, c.value
+            assert set(inputs.replace(",", "")) <= set(output), c.value
+
+
 def test_sums_down_adds_from_start_one_slice_after_another():
     # start + terms[0] + terms[1] + ..., whatever the layout of the terms;
     # start -0.0 leaves a sum of -0.0 terms at -0.0, as the C loops that
@@ -306,6 +361,26 @@ def test_matmul_backends_bit_identical(cykernels):
             assert _same_bits(pykernels.matmul(x, y), cykernels.matmul(x, y)), (m, k, n)
 
 
+def test_matmul_tiles_keep_the_loop_bits(cykernels):
+    # The compiled product runs 4 rows over 64-column blocks: tiles with
+    # row and column remainders, and a zero a[i, k] in one row of a tile
+    # facing inf and nan in b[k], which only that row may skip.
+    rng = np.random.RandomState(59)
+    for (m, k, n) in [(4, 9, 64), (5, 9, 65), (7, 3, 63), (8, 20, 130), (1, 5, 200), (9, 1, 1)]:
+        a = rng.standard_normal((m, k))
+        b = rng.standard_normal((k, n))
+        a[m // 2, k // 2] = 0.0
+        a[0, -1] = -0.0
+        b[k // 2, ::7] = np.inf
+        b[-1, 3 % n] = np.nan
+        want = _loop_matmul(a, b)
+        for x in (a, np.asfortranarray(a)):
+            got = cykernels.matmul(x, b)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan), (m, k, n)
+            assert _same_bits(got[~nan], want[~nan]), (m, k, n)
+
+
 # ---------------------------------------------------------------------------
 # jacobi_eigh
 # ---------------------------------------------------------------------------
@@ -356,8 +431,8 @@ def test_jacobi_unconverged_flag_when_sweeps_exhausted():
     assert not converged
 
 
-# Odd and even sizes on both sides of d = 16, from where eig_sym sends
-# only a graded metric B to Jacobi.
+# Odd and even sizes on both sides of d = 9 (``eigen._TRIDIAG_MIN_DIM``),
+# from where eig_sym sends only a graded metric B to Jacobi.
 _JACOBI_DIMS = list(range(1, 18)) + [24]
 
 

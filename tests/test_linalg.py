@@ -131,6 +131,14 @@ def test_vector_norm_and_validation():
         Vector([float("nan")])
 
 
+def test_vector_norm_neither_overflows_nor_underflows():
+    # sqrt(v . v) read inf (with a RuntimeWarning) at 1e200 and 0.0 at 1e-200.
+    assert Vector([3e200, 4e200]).norm() == pytest.approx(5e200, rel=1e-15)
+    assert Vector([3e-200, 4e-200]).norm() == pytest.approx(5e-200, rel=1e-15)
+    assert Vector([3.0 * 2.0**1000, 4.0 * 2.0**1000]).norm() == 5.0 * 2.0**1000
+    assert Vector([0.0, -0.0]).norm() == 0.0
+
+
 # ---------------------------------------------------------------------------
 # matmul / matvec / transpose / trace
 # ---------------------------------------------------------------------------

@@ -39,10 +39,12 @@ from conftest import (
     definite_pencil,
     indefinite_pencil,
     kernel_calls,
+    metric_kernel,
     random_orthonormal,
     random_spd,
     random_sym,
     span_gap,
+    ungraded_kernel,
 )
 
 
@@ -1191,7 +1193,7 @@ def test_factored_pairs_match_the_full_whitening(c, singular, eigen_inputs):
         if singular:
             # eig(B), then the c x c Gram; no n x n A_breve
             assert strategy == "whitening"
-            assert kernel_calls(eigen_inputs) == [("jacobi_eigh", n), ("jacobi_eigh", c)]
+            assert kernel_calls(eigen_inputs) == [(metric_kernel(pen.b.array), n), ("jacobi_eigh", c)]
         else:
             # B = L L' passes the gate: the c x c Gram is the only decomposition
             assert strategy == "cholesky"
@@ -1246,7 +1248,9 @@ def test_factored_fallback_decomposes_b_once(singular, eigen_inputs):
         # passes; the kernel gets B as eig_sym normalises it
         b_kernel = _pow2_scaled(pen.b.array)[0]
         assert sum(np.array_equal(m, b_kernel) for _, m in eigen_inputs) == singular
-        assert [k for k in kernel_calls(eigen_inputs) if k[1] == n] == [("jacobi_eigh", n)] * (1 + singular)
+        # eig(B) where B fails the gate, then the n x n A_breve
+        want = [(metric_kernel(pen.b.array), n)] * singular + [(ungraded_kernel(n), n)]
+        assert [k for k in kernel_calls(eigen_inputs) if k[1] == n] == want
 
 
 @pytest.mark.parametrize("c", [1, 3])
