@@ -13,7 +13,8 @@ The numerators of the last two have a known low rank, S_B = D D' with
 D = [mu_j - mu_t] and K_x H K_y H K_x = F F' with F = K_x G, G = H Y R,
 Y the one-hot classes and R R' the class kernel. Both fits take their
 leading pairs through one call, ``pencil._fit_pairs``, from the small
-M = G'F of a preimage G of the factor, F = B G. KSPCA holds
+M = G'F of a preimage G of the factor, F = B G, and report the
+``strategy`` and eps of the ``_Whitening`` record it returns. KSPCA holds
 G = H Y R, so K_x is never factored or decomposed. FDA whitens S_W once,
 by W = L^-T from S_W = L L' where S_W passes the Cholesky gate of the
 quick route (``pencil._cholesky_whitening``) and by
@@ -128,11 +129,11 @@ class EmbeddingModel:
     for pca, (S_B, S_W) for fda, (K_x H K_y H K_x, K_x) for kspca, with
     the numerator formed as F F', F = K_x H Y R, for every label kernel
     (equal to K_x H K_y H K_x in exact arithmetic).
-    ``strategy`` records how fda and kspca treated the denominator:
-    ``"gram"`` where kspca took its pairs from the r x r M = G' K_x G,
-    with no whitening of K_x, and otherwise how they whitened it, in the
-    words of ``GenEigenSolution.strategy``: ``"cholesky"`` (W = L^-T) or
-    ``"whitening"`` (eig(B)); pca has no metric and leaves it None. The
+    ``strategy`` and ``epsilon_used`` are the ``kind`` and ``eps`` of the
+    ``pencil._Whitening`` record of how fda and kspca treated the
+    denominator: ``"gram"`` where kspca took its pairs from the r x r
+    M = G' K_x G, with no whitening of K_x, and otherwise ``"cholesky"``
+    (W = L^-T) or ``"whitening"`` (eig(B)); pca leaves it None. The
     remaining fields carry whatever the transform step needs: the training
     mean for pca, kernel specs and training data for kspca.
     """
@@ -244,7 +245,8 @@ def fda_fit(ds: LabeledDataset, p: int, epsilon: float | None = None) -> Embeddi
     no discriminative signal; asking for them only earns a warning.
 
     S_B = D D' with D = ``ScatterPair.offsets`` (d x c), so the
-    directions come from one call, ``pencil._fit_pairs``: W whitens S_W,
+    directions, and the record whose ``kind`` and ``eps`` the model
+    reports, come from one call, ``pencil._fit_pairs``: W whitens S_W,
     W = L^-T from its Cholesky factor where S_W passes the gate of
     ``pencil._cholesky_whitening`` and Phi_B (Lambda_B^1/2 + eps I)^-1
     from eig(S_W) otherwise, so S_W is factored or decomposed once; then
@@ -267,13 +269,11 @@ def fda_fit(ds: LabeledDataset, p: int, epsilon: float | None = None) -> Embeddi
             stacklevel=2,
         )
     pair = scatter_matrices(ds)
-    phi, lams, eps_used, strategy = _fit_pairs(
-        Pencil(pair.s_b, pair.s_w), pair.offsets.array, p, epsilon
-    )
+    phi, lams, white = _fit_pairs(Pencil(pair.s_b, pair.s_w), pair.offsets.array, p, epsilon)
     return _leading_pairs(
         "fda", pair.s_b.array, pair.s_w.array, phi, lams, p,
-        epsilon_used=eps_used,
-        strategy=strategy,
+        epsilon_used=white.eps,
+        strategy=white.kind,
     )
 
 
@@ -339,7 +339,7 @@ def kspca_fit(
     W W' = K_x^-1 the Gram of W'F is G' K_x G, and
     Phi = W W' F u / sqrt(lambda) = G u / sqrt(lambda): the whitening
     cancels. So the directions come from the r x r M = G'F
-    (``pencil._fit_pairs`` with G as the preimage, ``strategy``
+    (``pencil._fit_pairs`` with G as the preimage, whose record reads
     ``"gram"``), and K_x is neither factored nor decomposed. On a singular
     K_x, common for smooth kernels and for any repeated sample, that is
     still the unperturbed pencil: no eps is taken, and ``epsilon_used`` is
@@ -388,14 +388,14 @@ def kspca_fit(
     factor = kernels.matmul(k_x, g)
     m = kernels.matmul(factor, factor.T)
     pencil = Pencil(SymMatrix((m + m.T) / 2.0), SymMatrix((k_x + k_x.T) / 2.0))
-    phi, lams, eps_used, strategy = _fit_pairs(pencil, factor, p, epsilon, preimage=g)
+    phi, lams, white = _fit_pairs(pencil, factor, p, epsilon, preimage=g)
     return _leading_pairs(
         "kspca", pencil.a.array, pencil.b.array, phi, lams, p,
         kernel_x=kx,
         kernel_y=ky,
         training_x=ds.x,
-        epsilon_used=eps_used,
-        strategy=strategy,
+        epsilon_used=white.eps,
+        strategy=white.kind,
     )
 
 

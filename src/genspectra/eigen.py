@@ -75,6 +75,7 @@ from .linalg import (
     Vector,
     _pow2_scaled,
     _pow2_unscaled,
+    _row_reduce,
     frobenius_norm,
 )
 
@@ -188,7 +189,7 @@ def eig_sym(a: SymMatrix, order: str = "descending") -> EigenDecomposition:
     idx = np.argsort(key, kind="stable")
     w = w[idx]
     v = v[:, idx]
-    v = _fix_column_signs(v)
+    v = v * _column_signs(v)
     return EigenDecomposition(phi=Matrix(v), eigenvalues=tuple(float(x) for x in w), order=order)
 
 
@@ -323,12 +324,6 @@ def _count_below(diag: list, off: list, x: float) -> int:
 # null spaces and sign conventions
 
 
-def _fix_column_signs(v: np.ndarray) -> np.ndarray:
-    """Flip columns so each one's largest-magnitude entry is positive."""
-    v = np.asarray(v, dtype=np.float64)
-    return v * _column_signs(v)
-
-
 def _column_signs(v: np.ndarray) -> np.ndarray:
     """Per column, the sign (+1.0 or -1.0) that makes its largest-magnitude
     entry positive, the first such entry on ties.
@@ -343,45 +338,14 @@ def _column_signs(v: np.ndarray) -> np.ndarray:
 def _null_vector(m: list, rank_tol: float) -> list[float] | None:
     """A unit null vector of a square matrix via row reduction, or None.
 
-    Pivots with magnitude at or below ``rank_tol`` count as zero. The
-    vector is the echelon-form one of the first free column, unit length
-    with its largest-magnitude entry positive; None where no column is
-    free. Deterministic: partial pivoting picks the largest pivot,
-    earliest row on ties.
+    Pivots with magnitude at or below ``rank_tol`` count as zero
+    (``linalg._row_reduce``). The vector is the echelon-form one of the
+    first free column, unit length with its largest-magnitude entry
+    positive; None where no column is free.
     """
     n = len(m)
     a = [row[:] for row in m]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        if r == n:
-            break
-        piv = r
-        best = abs(a[r][c])
-        for i in range(r + 1, n):
-            cand = abs(a[i][c])
-            if cand > best:
-                best = cand
-                piv = i
-        if best <= rank_tol:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        inv_p = 1.0 / a[r][c]
-        row_r = a[r]
-        for j in range(n):
-            row_r[j] *= inv_p
-        row_r[c] = 1.0
-        for i in range(n):
-            if i != r and a[i][c] != 0.0:
-                f = a[i][c]
-                row_i = a[i]
-                for j in range(n):
-                    row_i[j] -= f * row_r[j]
-                row_i[c] = 0.0
-        pivots.append((r, c))
-        r += 1
-
+    pivots = _row_reduce(a, rank_tol, n)
     pivot_cols = {c for _, c in pivots}
     free = next((c for c in range(n) if c not in pivot_cols), None)
     if free is None:
@@ -394,16 +358,7 @@ def _null_vector(m: list, rank_tol: float) -> list[float] | None:
 
 
 def _unit_positive(x: list[float]) -> list[float]:
-    """x scaled to unit length, its largest-magnitude entry positive
-    (the first such entry on ties)."""
+    """x scaled to unit length, with the sign of ``_column_signs``."""
     norm = math.sqrt(sum(e * e for e in x))
-    x = [e / norm for e in x]
-    i_max = 0
-    best = abs(x[0])
-    for i in range(1, len(x)):
-        if abs(x[i]) > best:
-            best = abs(x[i])
-            i_max = i
-    if x[i_max] < 0.0:
-        x = [-e for e in x]
-    return x
+    x = np.array([e / norm for e in x])
+    return (x * _column_signs(x[:, None])).tolist()

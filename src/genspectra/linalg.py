@@ -255,17 +255,22 @@ def determinant(a: Matrix) -> float:
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Inverse by Gauss-Jordan elimination with partial pivoting.
+    """Inverse by Gauss-Jordan elimination of [A | I] with partial pivoting
+    (``_row_reduce``).
 
-    Raises ``SingularMatrix`` when a pivot has magnitude at or below
-    ``SINGULAR_TOL * max|entry|``, a test that gives the same verdict for
-    ``s * a`` at every scale s. A symmetric input yields a ``SymMatrix``
-    result.
+    Raises ``SingularMatrix``, naming the numerical rank, when fewer than n
+    pivots clear ``SINGULAR_TOL * max|entry|``, a test that gives the same
+    verdict for ``s * a`` at every scale s. A symmetric input yields a
+    ``SymMatrix`` result.
     """
     if a.rows != a.cols:
         raise DimensionMismatch(f"inverse needs a square matrix, got {a.shape}")
-    tol = SINGULAR_TOL * float(np.max(np.abs(a.array)))
-    arr = np.array(_gauss_jordan(a.array.tolist(), tol), dtype=np.float64)
+    n, tol = a.rows, SINGULAR_TOL * float(np.max(np.abs(a.array)))
+    aug = [row + [1.0 if j == i else 0.0 for j in range(n)] for i, row in enumerate(a.array.tolist())]
+    rank = len(_row_reduce(aug, tol, n))
+    if rank < n:
+        raise SingularMatrix(f"numerical rank {rank} of {n}: pivots within {tol:.3e} of zero")
+    arr = np.array([row[n:] for row in aug], dtype=np.float64)
     if isinstance(a, SymMatrix):
         return SymMatrix((arr + arr.T) / 2.0)
     return Matrix(arr)
@@ -350,26 +355,38 @@ def _lu_det(m: list) -> float:
     return det
 
 
-def _gauss_jordan(m: list, tol: float) -> list:
-    """Invert via row reduction of [M | I]; a pivot of magnitude <= tol raises."""
-    n = len(m)
-    aug = [m[i][:] + [1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: abs(aug[r][c]))
-        if abs(aug[piv][c]) <= tol:
-            raise SingularMatrix(
-                f"pivot {abs(aug[piv][c]):.3e} is within tolerance {tol:.3e} of zero"
-            )
-        if piv != c:
-            aug[c], aug[piv] = aug[piv], aug[c]
-        inv_p = 1.0 / aug[c][c]
-        row_c = aug[c]
-        for j in range(2 * n):
-            row_c[j] *= inv_p
-        for r in range(n):
-            if r != c and aug[r][c] != 0.0:
-                f = aug[r][c]
-                row_r = aug[r]
-                for j in range(2 * n):
-                    row_r[j] -= f * row_c[j]
-    return [row[n:] for row in aug]
+def _row_reduce(rows: list, tol: float, cols: int) -> list[tuple[int, int]]:
+    """Reduce ``rows`` in place to reduced echelon form on its first ``cols``
+    columns, by Gauss-Jordan elimination; the (row, column) of each pivot.
+
+    Partial pivoting takes the largest-magnitude entry at or below the
+    current row, the earliest row on ties; a column whose largest is at or
+    below ``tol`` has no pivot and is skipped, so the number of pivots is
+    the numerical rank. Each row operation runs along the whole row.
+    """
+    n, width = len(rows), len(rows[0])
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(cols):
+        if r == n:
+            break
+        piv = max(range(r, n), key=lambda i: abs(rows[i][c]))
+        if abs(rows[piv][c]) <= tol:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+        inv_p = 1.0 / rows[r][c]
+        row_r = rows[r]
+        for j in range(width):
+            row_r[j] *= inv_p
+        row_r[c] = 1.0
+        for i in range(n):
+            if i != r and rows[i][c] != 0.0:
+                f = rows[i][c]
+                row_i = rows[i]
+                for j in range(width):
+                    row_i[j] -= f * row_r[j]
+                row_i[c] = 0.0
+        pivots.append((r, c))
+        r += 1
+    return pivots

@@ -49,6 +49,8 @@ Phi_B (Lambda_B^1/2 + eps I)^-1, the verdict and eps of
 ``solve_rigorous``, where it fails, and takes G = W W'F, Fisher's
 S_W^-1 (mu_j - mu_t). Where G does not determine the pairs, both
 decompose the whitened A_breve in full.
+
+Every route reports how it treated B through one ``_Whitening`` record.
 """
 
 from __future__ import annotations
@@ -180,6 +182,20 @@ class WhiteningIntermediates:
         return SymMatrix((rec + rec.T) / 2.0)
 
 
+@dataclass(frozen=True)
+class _Whitening:
+    """How a route treated B: ``w`` with W' M W = I for its metric M (None
+    on ``"gram"`` and the definite-pair congruences), ``kind`` and ``eps``,
+    which it reports as ``strategy`` and ``epsilon_used``, and ``eig_b``,
+    the one eig(B) it made (None if none), which ``deflated`` reads.
+    """
+
+    w: np.ndarray | None
+    kind: str
+    eps: float = 0.0
+    eig_b: EigenDecomposition | None = None
+
+
 def default_epsilon(b: SymMatrix) -> float:
     """Regularization strength for a singular B: 1e-5, scaled up with B."""
     return DEFAULT_EPSILON * max(1.0, float(np.max(np.abs(b.array))))
@@ -210,24 +226,23 @@ def solve_rigorous(
     give different eigenvalues (1/eps^2 here against 1/eps there for
     A = I, B = 0).
     """
-    eig_b, eps_used, breve = _whitening(p.b, epsilon)
-    phi, a_breve, phi_a, lams = _whiten_core(p.a, breve, order)
+    white = _whitening(p.b, epsilon)
+    phi, a_breve, phi_a, lams = _whiten_core(p.a, white.w, order)
     inter = WhiteningIntermediates(
-        phi_b=eig_b.phi,
-        lambda_b=eig_b.eigenvalues,
-        phi_b_breve=Matrix(breve),
+        phi_b=white.eig_b.phi,
+        lambda_b=white.eig_b.eigenvalues,
+        phi_b_breve=Matrix(white.w),
         a_breve=a_breve,
         phi_a=Matrix(phi_a),
         lambda_a=lams,
-        epsilon_used=eps_used,
+        epsilon_used=white.eps,
     )
-    return _solution(p, eig_b, phi, lams, "rigorous", eps_used, "whitening"), inter
+    return _solution(p, phi, lams, "rigorous", white), inter
 
 
-def _whitening(
-    b: SymMatrix, epsilon: float | None
-) -> tuple[EigenDecomposition, float, np.ndarray]:
-    """eig(B), the eps it needs and W = Phi_B (Lambda_B^1/2 + eps I)^-1.
+def _whitening(b: SymMatrix, epsilon: float | None) -> _Whitening:
+    """The ``"whitening"`` record: W = Phi_B (Lambda_B^1/2 + eps I)^-1, the
+    eps it needs and eig(B).
 
     W divides by sqrt(lambda_B), which needs B's small eigenvalues to
     relative accuracy: ``eigen._Metric`` keeps eig(B) on Jacobi where B's
@@ -246,7 +261,8 @@ def _whitening(
     eps_used = _regularization(b, epsilon) if singular else 0.0
     # the metric Phi_B (Lambda_B^1/2 + eps I)^2 Phi_B'
     factors = [1.0 / (math.sqrt(max(x, 0.0)) + eps_used) for x in eig_b.eigenvalues]
-    return eig_b, eps_used, eig_b.phi.array * np.array(factors, dtype=np.float64)
+    w = eig_b.phi.array * np.array(factors, dtype=np.float64)
+    return _Whitening(w, "whitening", eps_used, eig_b)
 
 
 def _cholesky_whitening(b: np.ndarray) -> np.ndarray | None:
@@ -267,35 +283,33 @@ def _cholesky_whitening(b: np.ndarray) -> np.ndarray | None:
 
 def _fit_pairs(
     p: Pencil, factor: np.ndarray, k: int, epsilon: float | None, preimage: np.ndarray | None = None
-) -> tuple[np.ndarray, tuple[float, ...], float, str]:
-    """The leading k pairs of (F F', B), descending, the eps used and the strategy.
+) -> tuple[np.ndarray, tuple[float, ...], _Whitening]:
+    """The leading k pairs of (F F', B), descending, and the ``_Whitening``
+    record of how B was treated.
 
     ``factor`` is F with A = F F'. Given a ``preimage`` G with F = B G,
     the pairs are ``_preimage_pairs(G, F, k)`` where that determines them
-    (``"gram"``, eps 0.0): B is neither factored nor decomposed. Otherwise
-    B is whitened once, by W = L^-T (``"cholesky"``, eps 0.0) where it
-    passes the gate of ``_cholesky_whitening``, and by eig(B)'s
+    (kind ``"gram"``, no W, eps 0.0): B is neither factored nor decomposed.
+    Otherwise B is whitened once, by W = L^-T (``"cholesky"``, eps 0.0)
+    where it passes the gate of ``_cholesky_whitening``, and by eig(B)'s
     Phi_B (Lambda_B^1/2 + eps I)^-1 (``"whitening"``, ``_whitening``)
     where it fails. Without a preimage, G = W W'F is one (of F in the
     eps-perturbed metric where eps > 0), and the pairs come from
     ``_preimage_pairs`` again. Where no Gram determines them, they come
     from eig(A_breve) (``_whiten_core``). Returns Phi (at least k
-    columns), their eigenvalues, eps and the strategy.
+    columns), their eigenvalues and the record.
     """
     found = None if preimage is None else _preimage_pairs(preimage, factor, k)
     if found is not None:
-        return found + (0.0, "gram")
-    eps_used, strategy = 0.0, "cholesky"
-    breve = _cholesky_whitening(p.b.array)
-    if breve is None:
-        _, eps_used, breve = _whitening(p.b, epsilon)
-        strategy = "whitening"
+        return found + (_Whitening(None, "gram"),)
+    w = _cholesky_whitening(p.b.array)
+    white = _whitening(p.b, epsilon) if w is None else _Whitening(w, "cholesky")
     if preimage is None and k <= factor.shape[1]:
-        found = _preimage_pairs(kernels.matmul(breve, kernels.matmul(breve.T, factor)), factor, k)
+        found = _preimage_pairs(kernels.matmul(white.w, kernels.matmul(white.w.T, factor)), factor, k)
     if found is None:
-        phi, _, _, lams = _whiten_core(p.a, breve, "descending")
+        phi, _, _, lams = _whiten_core(p.a, white.w, "descending")
         found = phi, lams
-    return found + (eps_used, strategy)
+    return found + (white,)
 
 
 def _preimage_pairs(
@@ -407,11 +421,12 @@ def solve_quick_dirty(
     d > 4 they are the congruence's, B-orthonormal (to B + eps*I when
     regularized), on ``"cholesky-a"`` (s*A)-orthonormal, Phi' (s A) Phi = I,
     and on ``"cholesky-rotated"`` M-orthonormal for the scaled pair's M.
+    Every branch reports through one ``_Whitening`` record and one exit.
     """
     d = p.dim
-    eig_b, eps_used, strategy = None, 0.0, "cholesky"
-    breve = _cholesky_whitening(p.b.array)
-    if breve is None:
+    w = _cholesky_whitening(p.b.array)
+    white = _Whitening(w, "cholesky")
+    if w is None:
         eig_b = eig_sym(_Metric(p.b), order="descending")
         _, singular = definiteness(eig_b.eigenvalues)
         eps_used = _regularization(p.b, epsilon) if singular else 0.0
@@ -424,23 +439,26 @@ def solve_quick_dirty(
         if indefinite:
             # B itself when not regularized: adding 0.0 would turn its -0.0 entries into +0.0
             b_reg = p.b.array + eps_used * np.eye(d) if eps_used else p.b.array
-            phi, lams, strategy = _definite_pairs(p.a.array, b_reg, eig_b.phi.array[:, -1], order)
-            return _solution(p, eig_b, phi, lams, "quick_dirty", eps_used, strategy)
-        strategy = "whitening"
-        # the metric Phi_B (Lambda_B + eps I) Phi_B' = B + eps*I
-        factors = [1.0 / math.sqrt(x) for x in lam_reg]
-        breve = eig_b.phi.array * np.array(factors, dtype=np.float64)
-    phi, _, _, lams = _whiten_core(p.a, breve, order)
+            phi, lams, kind = _definite_pairs(p.a.array, b_reg, eig_b.phi.array[:, -1], order)
+            white = _Whitening(None, kind, eps_used, eig_b)
+        else:
+            # the metric Phi_B (Lambda_B + eps I) Phi_B' = B + eps*I
+            factors = [1.0 / math.sqrt(x) for x in lam_reg]
+            w = eig_b.phi.array * np.array(factors, dtype=np.float64)
+            white = _Whitening(w, "whitening", eps_used, eig_b)
+    if white.w is not None:
+        phi, _, _, lams = _whiten_core(p.a, white.w, order)
     if d <= 4:  # the unit-length contract of the small-d quick route
         phi = phi / np.sqrt(np.sum(phi * phi, axis=0))
-    return _solution(p, eig_b, phi, lams, "quick_dirty", eps_used, strategy)
+    return _solution(p, phi, lams, "quick_dirty", white)
 
 
 def _definite_pairs(
     a: np.ndarray, b: np.ndarray, x: np.ndarray, order: str
 ) -> tuple[np.ndarray, list[float], str]:
     """(Phi, eigenvalues, strategy) of (A, B), B indefinite, by the Cholesky
-    congruence of a metric M = c A_s + s B_s, (c, s) = (cos t, sin t).
+    congruence of a metric M = c A_s + s B_s, (c, s) = (cos t, sin t);
+    ``solve_quick_dirty`` scales the columns to unit length at d <= 4.
 
     A and B are scaled once, A_s = 2^-e_a A and B_s = 2^-e_b B
     (``_pow2_scaled``), and t is chosen on (A_s, B_s). With M = L L',
@@ -462,7 +480,7 @@ def _definite_pairs(
     lambda would carry a relative error of roundoff times max|mu| / |mu|,
     2e-4 or more. lambda comes back in A's and B's units by 2^(e_a - e_b),
     sorted per ``order``; so (2^k A, 2^j B) gives exactly 2^(k-j) lambda,
-    and the same Phi at d <= 4, where the columns are scaled to unit length.
+    and, at d <= 4, the same Phi.
     Above d = 4 the ``"cholesky-a"`` columns are scaled by 2^(-e_a / 2),
     which makes them (c*A)-orthonormal, Phi' (c A) Phi = I, and the
     ``"cholesky-rotated"`` ones are left M-orthonormal, Phi' M Phi = I.
@@ -493,9 +511,7 @@ def _definite_pairs(
     lams = num / mus
     idx = np.argsort(-lams if order == "descending" else lams, kind="stable")
     phi = phi[:, idx]
-    if d <= 4:
-        phi = phi / np.sqrt(np.sum(phi * phi, axis=0))
-    elif not rotated:
+    if d > 4 and not rotated:
         half, odd = divmod(e_a, 2)
         phi = np.ldexp(phi * math.sqrt(0.5) if odd else phi, -half)
     return phi, _pow2_unscaled(lams[idx], e_a - e_b).tolist(), strategy
@@ -568,12 +584,12 @@ def _definite_angle(
     )
 
 
-def _solution(p, eig_b, phi, lams, method, eps_used, strategy) -> GenEigenSolution:
+def _solution(p, phi, lams, method, whitening: _Whitening) -> GenEigenSolution:
     """The solution document of either route, measured against the original pencil.
 
-    ``deflated`` is read off ``eig_b``, the decomposition of B the route
-    already made, and only when B was regularized (the Cholesky route
-    makes none and passes None).
+    ``deflated`` is read off ``whitening.eig_b``, the decomposition of B
+    the route already made, and only when B was regularized, which only a
+    route that decomposed B does.
     """
     a_arr = p.a.array
     residual, b_orth = _diagnostics(a_arr, p.b.array, phi, lams)
@@ -581,11 +597,11 @@ def _solution(p, eig_b, phi, lams, method, eps_used, strategy) -> GenEigenSoluti
         phi=Matrix(phi),
         eigenvalues=tuple(lams),
         method=method,
-        epsilon_used=eps_used,
+        epsilon_used=whitening.eps,
         residual=residual,
         b_orthonormality=b_orth,
-        strategy=strategy,
-        deflated=eps_used > 0.0 and _shares_null_direction(a_arr, eig_b),
+        strategy=whitening.kind,
+        deflated=whitening.eps > 0.0 and _shares_null_direction(a_arr, whitening.eig_b),
     )
 
 

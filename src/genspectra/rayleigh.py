@@ -200,7 +200,7 @@ def _extremal_pairs(
     else:
         # the whitening route of solve_rigorous, without the diagnostics
         # the frame would not report
-        phi, _, _, lams = _whiten_core(a, _whitening(b, None)[2], order)
+        phi, _, _, lams = _whiten_core(a, _whitening(b, None).w, order)
         phi = phi[:, :p]
         lams = list(lams[:p])
     return Matrix(phi), lams

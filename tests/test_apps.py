@@ -952,9 +952,9 @@ def test_kspca_cholesky_path_matches_the_whitening_path(n, eigen_inputs, factori
         _assert_gram_pairs(model, ds, kx, delta, p, factorizations, eigen_inputs)
         _assert_matches_full(model, phi, inter, p)
         factorizations.clear()
-        chol_phi, chol_lams, eps, strategy = _fit_pairs(pen, factor, p, None)
-        assert strategy == "cholesky" and factorizations == [n]
-        chol = types.SimpleNamespace(projection=Matrix(chol_phi), eigenvalues=chol_lams, epsilon_used=eps)
+        chol_phi, chol_lams, white = _fit_pairs(pen, factor, p, None)
+        assert white.kind == "cholesky" and factorizations == [n]
+        chol = types.SimpleNamespace(projection=Matrix(chol_phi), eigenvalues=chol_lams, epsilon_used=white.eps)
         _assert_matches_full(chol, phi, inter, p)
 
 
@@ -972,10 +972,10 @@ def test_kspca_repeated_sample_takes_the_whitening(eigen_inputs, fit_pencils):
     # the fit passed G, whose M declined; no second Gram follows it
     (pen, _, preimage), = fit_pencils
     assert preimage is not None
-    _, eps, breve = _whitening(pen.b, None)
-    assert eps == default_epsilon(pen.b) > 0.0
-    assert model.strategy == "whitening" and model.epsilon_used == eps
-    phi, _, _, lams = _whiten_core(pen.a, breve, "descending")
+    white = _whitening(pen.b, None)
+    assert white.eps == default_epsilon(pen.b) > 0.0
+    assert model.strategy == "whitening" and model.epsilon_used == white.eps
+    phi, _, _, lams = _whiten_core(pen.a, white.w, "descending")
     assert np.array_equal(model.projection.array, phi[:, :3])
     assert model.eigenvalues == tuple(lams[:3])
 

@@ -14,6 +14,7 @@ from genspectra import (
     EigenvalueOverflow,
     GenEigenSolution,
     IndefiniteB,
+    LabeledDataset,
     Pencil,
     SingularAfterRegularization,
     SymMatrix,
@@ -21,8 +22,11 @@ from genspectra import (
     default_epsilon,
     determinant,
     eig_sym,
+    fda_fit,
     identity,
+    kspca_fit,
     pencil_residual,
+    scatter_matrices,
     solve_quick_dirty,
     solve_rigorous,
 )
@@ -1189,18 +1193,18 @@ def test_factored_pairs_match_the_full_whitening(c, singular, eigen_inputs):
     assert (inter.epsilon_used > 0.0) == singular
     for k in range(1, c):
         eigen_inputs.clear()
-        phi, lams, eps, strategy = _fit_pairs(pen, f, k, None)
+        phi, lams, white = _fit_pairs(pen, f, k, None)
         if singular:
             # eig(B), then the c x c Gram; no n x n A_breve
-            assert strategy == "whitening"
+            assert white.kind == "whitening"
             assert kernel_calls(eigen_inputs) == [(metric_kernel(pen.b.array), n), ("jacobi_eigh", c)]
         else:
             # B = L L' passes the gate: the c x c Gram is the only decomposition
-            assert strategy == "cholesky"
+            assert white.kind == "cholesky"
             assert kernel_calls(eigen_inputs) == [("jacobi_eigh", c)]
             want_phi, want_lams = _preimage_pairs(_preimage(_cholesky_w(pen.b), f), f, k)
             assert np.array_equal(phi, want_phi) and lams == want_lams
-        assert eps == inter.epsilon_used
+        assert white.eps == inter.epsilon_used
         assert phi.shape[1] == len(lams) == k
         ref = np.array(inter.lambda_a[:k])
         assert np.abs(np.array(lams) - ref).max() <= 1e-12 * abs(ref[0])
@@ -1215,7 +1219,7 @@ def test_factored_pairs_match_the_full_whitening(c, singular, eigen_inputs):
 def test_factored_pairs_decline_what_f_does_not_determine():
     rng = np.random.RandomState(620)
     n = 10
-    breve = _whitening(random_spd(rng, n), None)[2]
+    breve = _whitening(random_spd(rng, n), None).w
     f = rng.standard_normal((n, 3))
     assert _preimage_pairs(_preimage(breve, f), f, 3) is not None
     assert _preimage_pairs(_preimage(breve, f), f, 4) is None  # wider than F
@@ -1239,11 +1243,11 @@ def test_factored_fallback_decomposes_b_once(singular, eigen_inputs):
         full_eps = 0.0
     for factor, k in ((f, c + 1), (f[:, [0, 0, 1]], c), (f[:, :1], 2)):
         eigen_inputs.clear()
-        phi, lams, eps, strategy = _fit_pairs(pen, factor, k, None)
+        phi, lams, white = _fit_pairs(pen, factor, k, None)
         # the fallback is the full whitening with the same W, bit for bit
         assert np.array_equal(phi, full_phi)
-        assert lams == full_lams and eps == full_eps
-        assert strategy == ("whitening" if singular else "cholesky")
+        assert lams == full_lams and white.eps == full_eps
+        assert white.kind == ("whitening" if singular else "cholesky")
         # B decomposed once where it fails the gate, and not at all where it
         # passes; the kernel gets B as eig_sym normalises it
         b_kernel = _pow2_scaled(pen.b.array)[0]
@@ -1264,17 +1268,17 @@ def test_fits_whitening_decomposes_b_past_the_cholesky_gate(c, eigen_inputs):
     f = rng.standard_normal((n, c))
     a = f @ f.T
     pen = Pencil(SymMatrix((a + a.T) / 2.0), SymMatrix((b + b.T) / 2.0))
-    eig_b, eps_want, breve = _whitening(pen.b, None)
-    assert eps_want == 0.0 and not any(definiteness(eig_b.eigenvalues))
+    want = _whitening(pen.b, None)
+    assert want.eps == 0.0 and not any(definiteness(want.eig_b.eigenvalues))
     for k in (c, c + 1):
         eigen_inputs.clear()
-        phi, lams, eps, strategy = _fit_pairs(pen, f, k, None)
-        assert strategy == "whitening" and eps == eps_want
+        phi, lams, white = _fit_pairs(pen, f, k, None)
+        assert white.kind == "whitening" and white.eps == want.eps
         assert kernel_calls(eigen_inputs)[0] == ("jacobi_eigh", n)
         if k > c:  # F narrower than k: the full A_breve
-            want_phi, _, _, want_lams = _whiten_core(pen.a, breve, "descending")
+            want_phi, _, _, want_lams = _whiten_core(pen.a, want.w, "descending")
         else:
-            want_phi, want_lams = _preimage_pairs(_preimage(breve, f), f, k)
+            want_phi, want_lams = _preimage_pairs(_preimage(want.w, f), f, k)
         assert np.array_equal(phi, want_phi) and lams == want_lams
 
 
@@ -1292,11 +1296,129 @@ def test_fits_cholesky_path_matches_the_whitening_path(n, eigen_inputs):
     # a factor narrower than k takes the full A_breve
     for factor, k in ((f, 2), (f[:, :1], 2), (f[:, :1], c)):
         eigen_inputs.clear()
-        phi, lams, eps, strategy = _fit_pairs(pen, factor, k, None)
-        assert strategy == "cholesky" and eps == 0.0
+        phi, lams, white = _fit_pairs(pen, factor, k, None)
+        assert white.kind == "cholesky" and white.eps == 0.0
         b_kernel = _pow2_scaled(pen.b.array)[0]
         assert not any(np.array_equal(m, b_kernel) for _, m in eigen_inputs)
         ref = np.array(inter.lambda_a[:k])
         assert np.abs(np.array(lams[:k]) - ref).max() <= 1e-12 * abs(ref[0])
         gap = inter.lambda_a[k - 1] - inter.lambda_a[k]
         assert span_gap(phi[:, :k], full_phi[:, :k]) <= 1e-12 * ref[0] / gap
+
+
+# ---------------------------------------------------------------------------
+# what each route reports of its whitening: strategy, eps and deflated
+# ---------------------------------------------------------------------------
+
+
+def _record_pencil(metric: str, d: int) -> Pencil:
+    """A pencil whose B is of the named kind in ``WHITENING_RECORDS``."""
+    rng = np.random.RandomState(660 + d)
+    q = random_orthonormal(rng, d)
+    a = random_spd(rng, d).array
+    lam = np.linspace(1.0, 2.0, d)
+    if metric == "spd past the gate":  # kappa(B) = 1e10: past CHOLESKY_MAX_CONDITION, not singular
+        lam = np.geomspace(1.0, 1e-10, d)
+    elif metric.startswith("psd"):
+        lam[0] = 0.0
+        if metric == "psd, null for A":
+            a = (q * np.append(0.0, rng.uniform(1.0, 2.0, d - 1))) @ q.T
+    elif metric.startswith("indefinite"):
+        lam[::2] *= -1.0
+        if metric == "indefinite, -A definite":
+            a = -a
+        elif metric == "indefinite, arc":
+            a, b = definite_pencil(d)
+            return Pencil(SymMatrix(a), SymMatrix(b))
+    b = (q * lam) @ q.T
+    return Pencil(SymMatrix((a + a.T) / 2.0), SymMatrix((b + b.T) / 2.0))
+
+
+def _record_fit(route: str, metric: str):
+    """(model, B) of a fit whose denominator B is of the named kind.
+
+    fda's B is S_W: one feature scaled by 1e-5 puts kappa(S_W) near 1e10,
+    past the gate, and one constant within each class leaves S_W singular.
+    kspca's B is K_x: rbf on spread samples is near I, and linear on n <= d
+    samples with singular values down to 1e-5 has kappa = 1e10; linear on
+    n > d is singular. Its two classes give rank 1, so p = 2 takes the
+    fallback.
+    """
+    rng = np.random.RandomState(670)
+    if route == "fda":
+        labels = [i % 3 for i in range(30)]
+        x = rng.standard_normal((4, 30)) + 3.0 * np.array(labels, dtype=float)
+        if metric == "spd past the gate":
+            x[0] *= 1e-5
+        elif metric == "psd":
+            x[0] = labels
+        ds = LabeledDataset(Matrix(x), tuple(labels))
+        return fda_fit(ds, 1), scatter_matrices(ds).s_w.array
+    n = 8
+    if metric == "spd":
+        kx, x = KernelSpec("rbf"), 3.0 * rng.standard_normal((4, n))
+    elif metric == "psd":
+        kx, x = KernelSpec("linear"), rng.standard_normal((2, n))
+    else:
+        u, _, vt = np.linalg.svd(rng.standard_normal((12, n)), full_matrices=False)
+        kx, x = KernelSpec("linear"), (u * np.geomspace(1.0, 1e-5, n)) @ vt
+    ds = LabeledDataset(Matrix(x), tuple(i % 2 for i in range(n)))
+    k_x = kernel_matrix(ds.x, ds.x, kx).array
+    if route == "kspca gram":
+        return kspca_fit(ds, 1, kx=kx), (k_x + k_x.T) / 2.0
+    with pytest.warns(UserWarning, match="rank at most 1"):
+        return kspca_fit(ds, 2, kx=kx), (k_x + k_x.T) / 2.0
+
+
+# (route, kind of B) -> (strategy, eps > 0, deflated, eig(B) calls), or the
+# error the route raises on that B; the fits report no ``deflated``. S_W and
+# K_x are PSD by construction, so the fits take no indefinite B.
+WHITENING_RECORDS = {
+    ("rigorous", "spd"): ("whitening", False, False, 1),
+    ("rigorous", "spd past the gate"): ("whitening", False, False, 1),
+    ("rigorous", "psd"): ("whitening", True, False, 1),
+    ("rigorous", "psd, null for A"): ("whitening", True, True, 1),
+    ("rigorous", "indefinite, A definite"): IndefiniteB,
+    ("rigorous", "indefinite, -A definite"): IndefiniteB,
+    ("rigorous", "indefinite, arc"): IndefiniteB,
+    ("quick_dirty", "spd"): ("cholesky", False, False, 0),
+    ("quick_dirty", "spd past the gate"): ("whitening", False, False, 1),
+    ("quick_dirty", "psd"): ("whitening", True, False, 1),
+    ("quick_dirty", "psd, null for A"): ("whitening", True, True, 1),
+    ("quick_dirty", "indefinite, A definite"): ("cholesky-a", False, False, 1),
+    ("quick_dirty", "indefinite, -A definite"): ("cholesky-a", False, False, 1),
+    ("quick_dirty", "indefinite, arc"): ("cholesky-rotated", False, False, 1),
+    ("fda", "spd"): ("cholesky", False, None, 0),
+    ("fda", "spd past the gate"): ("whitening", False, None, 1),
+    ("fda", "psd"): ("whitening", True, None, 1),
+    ("kspca gram", "spd"): ("gram", False, None, 0),
+    ("kspca gram", "spd past the gate"): ("gram", False, None, 0),
+    ("kspca gram", "psd"): ("gram", False, None, 0),
+    ("kspca fallback", "spd"): ("cholesky", False, None, 0),
+    ("kspca fallback", "spd past the gate"): ("whitening", False, None, 1),
+    ("kspca fallback", "psd"): ("whitening", True, None, 1),
+}
+
+
+@pytest.mark.parametrize("route, metric", list(WHITENING_RECORDS))
+def test_each_route_reports_how_it_whitened_b(route, metric, eigen_inputs):
+    want = WHITENING_RECORDS[route, metric]
+    for d in (3, 6) if route in ("rigorous", "quick_dirty") else (None,):
+        eigen_inputs.clear()
+        if d is None:
+            got, b = _record_fit(route, metric)
+            deflated = None
+        else:
+            p = _record_pencil(metric, d)
+            b = p.b.array
+            solve = solve_rigorous if route == "rigorous" else solve_quick_dirty
+            if want is IndefiniteB:
+                with pytest.raises(IndefiniteB):
+                    solve(p)
+                assert sum(np.array_equal(m, _pow2_scaled(b)[0]) for _, m in eigen_inputs) == 1
+                continue
+            got = solve(p)[0] if route == "rigorous" else solve(p)
+            deflated = got.deflated
+        # eig(B) runs at most once per solve, and not at all where B is not whitened by it
+        eig_b = sum(np.array_equal(m, _pow2_scaled(b)[0]) for _, m in eigen_inputs)
+        assert (got.strategy, got.epsilon_used > 0.0, deflated, eig_b) == want, d
