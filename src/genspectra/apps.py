@@ -11,7 +11,8 @@ Three classics, each reduced to the eigenproblem it really is:
 
 The numerators of the last two have a known low rank, S_B = D D' with
 D = [mu_j - mu_t] and K_x H K_y H K_x = F F' with F = K_x G, G = H Y R,
-Y the one-hot classes and R R' the class kernel. Both fits take their
+Y the one-hot classes and R R' the class kernel (R = I for the delta
+kernel); KSPCA never forms F F'. Both fits take their
 leading pairs through one call, ``pencil._fit_pairs``, from the small
 M = G'F of a preimage G of the factor, F = B G, and report the
 ``strategy`` and eps of the ``_Whitening`` record it returns. KSPCA holds
@@ -34,8 +35,8 @@ import numpy as np
 from . import kernels
 from .errors import DimensionMismatch, InputError, MissingLabels, SingleClass
 from .eigen import eig_sym
-from .linalg import Matrix, SymMatrix, Vector, null_eigenvalues
-from .pencil import Pencil, _diagnostics, _fit_pairs
+from .linalg import Matrix, SymMatrix, Vector, frobenius_norm, null_eigenvalues
+from .pencil import _diagnostics, _fit_pairs
 
 _KERNEL_KINDS = ("linear", "rbf", "polynomial", "delta")
 
@@ -44,8 +45,8 @@ _KERNEL_KINDS = ("linear", "rbf", "polynomial", "delta")
 class LabeledDataset:
     """A d x n data matrix with one sample per column, plus optional labels.
 
-    Labels are integer class ids; a value with a fractional part raises
-    ``InputError`` rather than being truncated.
+    Labels are integer class ids; a value with a fractional part, NaN or
+    +-inf raises ``InputError`` rather than being truncated.
     """
 
     x: Matrix
@@ -53,7 +54,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         if self.labels is not None:
-            bad = [v for v in self.labels if v != int(v)]
+            bad = [v for v in self.labels if not _integral(v)]
             if bad:
                 raise InputError(f"labels must be integer class ids, got {bad[0]!r}")
             object.__setattr__(self, "labels", tuple(int(v) for v in self.labels))
@@ -69,6 +70,15 @@ class LabeledDataset:
     @property
     def d(self) -> int:
         return self.x.rows
+
+
+def _integral(v) -> bool:
+    """True when the label v equals int(v); False for NaN and +-inf, which
+    int() rejects."""
+    try:
+        return v == int(v)
+    except (ValueError, OverflowError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -126,9 +136,10 @@ class EmbeddingModel:
     coefficients for kspca; ``eigenvalues`` match its columns.
     ``residual`` and ``b_orthonormality`` measure that block against the
     pencil the fit solved, as ``GenEigenSolution`` defines them: (S, I)
-    for pca, (S_B, S_W) for fda, (K_x H K_y H K_x, K_x) for kspca, with
-    the numerator formed as F F', F = K_x H Y R, for every label kernel
-    (equal to K_x H K_y H K_x in exact arithmetic).
+    for pca, (S_B, S_W) for fda, (K_x H K_y H K_x, K_x) for kspca. kspca's
+    numerator is F F', F = K_x H Y R, for every label kernel (equal to
+    K_x H K_y H K_x in exact arithmetic), and is never formed: the
+    residual takes A Phi = F (F' Phi) and ||A||_F = ||F'F||_F.
     ``strategy`` and ``epsilon_used`` are the ``kind`` and ``eps`` of the
     ``pencil._Whitening`` record of how fda and kspca treated the
     denominator: ``"gram"`` where kspca took its pairs from the r x r
@@ -178,7 +189,7 @@ def pca_fit(x: Matrix, p: int) -> EmbeddingModel:
     s = covariance(x)
     dec = eig_sym(s, order="descending")
     return _leading_pairs(
-        "pca", s.array, None, dec.phi.array, dec.eigenvalues, p,
+        "pca", _dense(s.array), None, dec.phi.array, dec.eigenvalues, p,
         mean=Vector(x.array.mean(axis=1)),
     )
 
@@ -252,7 +263,8 @@ def fda_fit(ds: LabeledDataset, p: int, epsilon: float | None = None) -> Embeddi
     from eig(S_W) otherwise, so S_W is factored or decomposed once; then
     G = W W'D, the classical S_W^-1 (mu_j - mu_t), is a preimage of D, and
     the directions come from the c x c M = G'D. The fit falls back to
-    eig(W' S_B W) when p > c or when the p-th eigenvalue of M is at most
+    eig of the d x d Gram of W'D, W' S_B W in exact arithmetic, when p > c
+    or when the p-th eigenvalue of M is at most
     ``SINGULAR_TOL`` times the first (rank(D) < p): D does not determine
     those directions. Diagnostics are measured against (S_B, S_W) either
     way.
@@ -269,9 +281,9 @@ def fda_fit(ds: LabeledDataset, p: int, epsilon: float | None = None) -> Embeddi
             stacklevel=2,
         )
     pair = scatter_matrices(ds)
-    phi, lams, white = _fit_pairs(Pencil(pair.s_b, pair.s_w), pair.offsets.array, p, epsilon)
+    phi, lams, white = _fit_pairs(pair.offsets.array, pair.s_w, p, epsilon)
     return _leading_pairs(
-        "fda", pair.s_b.array, pair.s_w.array, phi, lams, p,
+        "fda", _dense(pair.s_b.array), pair.s_w.array, phi, lams, p,
         epsilon_used=white.eps,
         strategy=white.kind,
     )
@@ -329,16 +341,17 @@ def kspca_fit(
     delta kernel on the labels.
 
     Labels are class ids, so every label kernel is K_y = Y K_c Y' for the
-    n x c one-hot classes Y and the c x c class kernel K_c, factored as
-    K_c = R R' from its eig with the null eigenvalues dropped (K_c is PSD
-    for every ``KernelSpec``): R is c x r, r = rank(K_c), and R = I for the
-    delta kernel below c = 9, where eig_sym takes Jacobi. The numerator is
-    F F' with F = K_x G, G = H Y R, and K_y is never formed. G has rank at
-    most min(c - 1, r), so directions beyond that carry no signal from the
-    labels; asking for them earns a warning, as in ``fda_fit``. For any W with
-    W W' = K_x^-1 the Gram of W'F is G' K_x G, and
-    Phi = W W' F u / sqrt(lambda) = G u / sqrt(lambda): the whitening
-    cancels. So the directions come from the r x r M = G'F
+    n x c one-hot classes Y and the c x c class kernel K_c = R R'. The
+    delta kernel's K_c is I, since the class values are distinct, so R = I
+    at every c, with no class kernel formed or decomposed; any other K_c is
+    factored from its eig with the null eigenvalues dropped (K_c is PSD for
+    every ``KernelSpec``): R is c x r, r = rank(K_c). The numerator is
+    F F' with F = K_x G, G = H Y R, and neither K_y nor F F' is formed. G
+    has rank at most min(c - 1, r), so directions beyond that carry no
+    signal from the labels; asking for them earns a warning, as in
+    ``fda_fit``. For any W with W W' = K_x^-1 the Gram of W'F is
+    G' K_x G, and Phi = W W' F u / sqrt(lambda) = G u / sqrt(lambda): the
+    whitening cancels. So the directions come from the r x r M = G'F
     (``pencil._fit_pairs`` with G as the preimage, whose record reads
     ``"gram"``), and K_x is neither factored nor decomposed. On a singular
     K_x, common for smooth kernels and for any repeated sample, that is
@@ -351,10 +364,12 @@ def kspca_fit(
     directions. The same call then takes W = L^-T from K_x's Cholesky
     factor where K_x passes the gate of ``pencil._cholesky_whitening``,
     and Phi_B (Lambda_B^1/2 + eps I)^-1 from eig(K_x) otherwise, and the
-    directions come from eig(W' F F' W); on a singular K_x the constraint
-    then holds in the eps-perturbed metric (``epsilon`` overrides the
-    default strength). Residual and K_x-orthonormality are measured against
-    (sym(F F'), K_x), equal to the pencil above in exact arithmetic.
+    directions come from eig of the n x n Gram of W'F, which is W' F F' W
+    in exact arithmetic; on a singular K_x the constraint then holds in the
+    eps-perturbed metric (``epsilon`` overrides the default strength).
+    Residual and K_x-orthonormality are measured against (F F', K_x), equal
+    to the pencil above in exact arithmetic, with F F' applied as
+    F (F' Phi) and its norm taken as ||F'F||_F.
     """
     if ds.labels is None:
         raise MissingLabels("kernel supervised PCA needs class labels")
@@ -364,33 +379,35 @@ def kspca_fit(
     kx = kx if kx is not None else KernelSpec(kind="rbf")
     ky = ky if ky is not None else KernelSpec(kind="delta")
 
-    k_x = kernel_matrix(ds.x, ds.x, kx).array
-    # K_c = R R' from eig(K_c) without its null set; np.unique would
-    # import numpy.ma, ~1 MB, on the first fit
+    k_x = SymMatrix(kernel_matrix(ds.x, ds.x, kx).array)
+    # K_c = R R': the delta kernel's K_c is I (the class values are
+    # distinct), so R = I; any other from eig(K_c) without its null set.
+    # np.unique would import numpy.ma, ~1 MB, on the first fit
     classes = sorted(set(ds.labels))
-    row = Matrix(np.array(classes, dtype=np.float64).reshape(1, -1))
-    dec = eig_sym(kernel_matrix(row, row, ky), order="descending")
-    null = null_eigenvalues(dec.eigenvalues)
-    keep = [i for i in range(len(classes)) if i not in null]
+    if ky.kind == "delta":
+        r = np.eye(len(classes))
+    else:
+        row = Matrix(np.array(classes, dtype=np.float64).reshape(1, -1))
+        dec = eig_sym(kernel_matrix(row, row, ky), order="descending")
+        null = null_eigenvalues(dec.eigenvalues)
+        keep = [i for i in range(len(classes)) if i not in null]
+        r = dec.phi.array[:, keep] * np.sqrt(np.array(dec.eigenvalues)[keep])
     # G = H Y R has rank at most min(c - 1, r): the centering removes one
-    rank = min(len(classes) - 1, len(keep))
+    rank = min(len(classes) - 1, r.shape[1])
     if p > rank:
         warnings.warn(
             f"KSPCA with p = {p} directions, but the centred label kernel of "
             f"{len(classes)} classes has rank at most {rank}",
             stacklevel=2,
         )
-    r = dec.phi.array[:, keep] * np.sqrt(np.array(dec.eigenvalues)[keep])
     # G = H Y R: Y R is the row of R of each sample's class, and the
     # centering acts on the sample index, the rows of Y R
     yr = r[[classes.index(v) for v in ds.labels]]
     g = yr - yr.mean(axis=0)
-    factor = kernels.matmul(k_x, g)
-    m = kernels.matmul(factor, factor.T)
-    pencil = Pencil(SymMatrix((m + m.T) / 2.0), SymMatrix((k_x + k_x.T) / 2.0))
-    phi, lams, white = _fit_pairs(pencil, factor, p, epsilon, preimage=g)
+    factor = kernels.matmul(k_x.array, g)
+    phi, lams, white = _fit_pairs(factor, k_x, p, epsilon, preimage=g)
     return _leading_pairs(
-        "kspca", pencil.a.array, pencil.b.array, phi, lams, p,
+        "kspca", _factored(factor), k_x.array, phi, lams, p,
         kernel_x=kx,
         kernel_y=ky,
         training_x=ds.x,
@@ -414,11 +431,29 @@ def kspca_transform(model: EmbeddingModel, x_new: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
+def _dense(a: np.ndarray):
+    """(Phi -> A Phi, ||A||_F) for a stored numerator A."""
+    return (lambda v: kernels.matmul(a, v)), frobenius_norm(a)
+
+
+def _factored(f: np.ndarray):
+    """(Phi -> A Phi, ||A||_F) for A = F F', which is never formed: A Phi is
+    F (F' Phi), and ||F F'||_F = ||F'F||_F, the r x r Gram's norm."""
+    norm = frobenius_norm(kernels.matmul(f.T, f))
+    return (lambda v: kernels.matmul(f, kernels.matmul(f.T, v))), norm
+
+
 def _leading_pairs(method, a, b, phi, eigenvalues, p, **fields) -> EmbeddingModel:
-    """Model of the leading p pairs, with diagnostics against the solved pencil (a, b)."""
+    """Model of the leading p pairs, with diagnostics against the solved pencil.
+
+    ``a`` is (Phi -> A Phi, ||A||_F) for the numerator A, and ``b`` the
+    stored denominator (None for I).
+    """
     projection = Matrix(phi[:, :p])
     eigenvalues = tuple(eigenvalues[:p])
-    residual, b_orth = _diagnostics(a, b, projection.array, eigenvalues)
+    apply_a, a_norm = a
+    phi = projection.array
+    residual, b_orth = _diagnostics(apply_a(phi), a_norm, b, phi, eigenvalues)
     return EmbeddingModel(
         method=method,
         projection=projection,

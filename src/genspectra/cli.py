@@ -38,7 +38,7 @@ from .errors import (
     UnreadableFile,
 )
 from .linalg import SYM_TOL, Matrix, SymMatrix, Vector
-from .pencil import Pencil, _diagnostics, solve_quick_dirty, solve_rigorous
+from .pencil import Pencil, _dense_diagnostics, solve_quick_dirty, solve_rigorous
 from .rayleigh import check_stationarity
 
 _ORDER_MAP = {"desc": "descending", "asc": "ascending"}
@@ -316,7 +316,7 @@ def _run_eig(args: argparse.Namespace) -> dict:
     a = SymMatrix(parse_matrix_csv(args.matrix).array, sym_tol=args.sym_tol)
     dec = eig_sym(a, order=_ORDER_MAP[args.order])
     phi = dec.phi.array
-    residual, b_orth = _diagnostics(a.array, None, phi, dec.eigenvalues)
+    residual, b_orth = _dense_diagnostics(a.array, None, phi, dec.eigenvalues)
     return _eigen_doc(
         args, "eig", dec.eigenvalues, phi, residual, b_orth, "jacobi", 0.0, [a.dim]
     )

@@ -42,7 +42,8 @@ import numpy as np
 
 # Doubles that one block of ``matmul`` holds at once, its products
 # a[i, k] * b[k, j] and its rows of a' and b: 2**16 (512 KiB), or one k's
-# when those are more.
+# when those are more. A product whose terms alone fit takes one block,
+# its rows of a' and b beside it.
 _BLOCK_TERMS = 1 << 16
 
 # Products of at most this many terms are formed by a broadcast multiply:
@@ -89,7 +90,9 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``np.einsum`` as one C-ordered array, k outermost and the longer of the
     two output axes innermost: (K, m, n), or (K, n, m) when n < m, whose
     sums come back transposed. A product of at most ``_EINSUM_MIN_TERMS``
-    terms is one block, which a broadcast multiply forms as (K, m, n).
+    terms is one block, which a broadcast multiply forms as (K, m, n), and
+    so is each block of a product with one row or one column (m = 1 or
+    n = 1), where numpy's loop already runs along the long axis.
     ``_sums_down`` adds the terms along k onto the running sums, one k
     after another; ``@``, ``np.dot`` and ``np.sum`` would add in another
     order.
@@ -118,15 +121,20 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             # turn its sum into nan.
             terms[at == 0.0] = 0.0
         return _sums_down(terms, 0.0)
-    flip = n < m
-    step = max(1, _BLOCK_TERMS // (m * n + m + n))
+    thin = m == 1 or n == 1
+    flip = n < m and not thin
+    step = inner if inner * m * n <= _BLOCK_TERMS else max(1, _BLOCK_TERMS // (m * n + m + n))
     sums = None
     for k0 in range(0, inner, step):
-        ak = np.ascontiguousarray(at[k0:k0 + step])
-        bk = np.ascontiguousarray(b[k0:k0 + step])
-        # k outermost, as above, and the long axis innermost, where
-        # numpy's loops run.
-        terms = np.einsum("ki,kj->kji" if flip else "ki,kj->kij", ak, bk, order="C")
+        if thin:
+            ak = at[k0:k0 + step]
+            terms = np.multiply(ak[:, :, None], b[k0:k0 + step, None, :], order="C")
+        else:
+            ak = np.ascontiguousarray(at[k0:k0 + step])
+            bk = np.ascontiguousarray(b[k0:k0 + step])
+            # k outermost, as above, and the long axis innermost, where
+            # numpy's loops run.
+            terms = np.einsum("ki,kj->kji" if flip else "ki,kj->kij", ak, bk, order="C")
         if np.count_nonzero(ak) < ak.size:
             (terms.transpose(0, 2, 1) if flip else terms)[ak == 0.0] = 0.0
         if sums is not None:

@@ -106,9 +106,12 @@ class SymMatrix(Matrix):
     (A + A') / 2, without overflow: an exactly symmetric input is stored
     unchanged.
 
-    Construction fails with ``NotSymmetric`` when the asymmetry exceeds
-    ``sym_tol * max|entry|``. It is measured on ``_pow2_scaled(M)``, so no
-    difference overflows and 2^k M gets the verdict of M.
+    An input whose bits equal its transpose's is stored as it is, with no
+    further pass over it: (A + A') / 2 would give the same bits. Any other
+    input, a mirrored -0.0 / +0.0 pair included, fails construction with
+    ``NotSymmetric`` when the asymmetry exceeds ``sym_tol * max|entry|``.
+    That is measured on ``_pow2_scaled(M)``, so no difference overflows and
+    2^k M gets the verdict of M.
     """
 
     __slots__ = ()
@@ -117,6 +120,11 @@ class SymMatrix(Matrix):
         arr = _as_2d(entries)
         if arr.shape[0] != arr.shape[1]:
             raise NotSymmetric(f"symmetric matrix must be square, got {arr.shape}")
+        bits = arr.view(np.int64)
+        if np.array_equal(bits, bits.T):
+            arr.setflags(write=False)
+            self._data = arr
+            return
         m, e = _pow2_scaled(arr)
         top = float(np.max(np.abs(m)))
         asym = float(np.max(np.abs(m - m.T)))

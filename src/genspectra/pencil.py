@@ -39,8 +39,9 @@ unregularized pencil.
 The fits (``apps.fda_fit``, ``apps.kspca_fit``) keep only the leading
 pairs, and their numerators have low rank, A = F F' with F n x c (n x r
 for kspca with any label kernel, r the rank of its c x c class kernel),
-so those pairs come from a small Gram rather than from the n x n A_breve.
-Both take them through ``_fit_pairs``, which builds that Gram one way:
+so those pairs come from a small Gram rather than from the n x n A_breve,
+and ``_fit_pairs`` takes F and B, never A. Both fits take their pairs
+through it, and it builds that Gram one way:
 for a preimage G with F = B G, the c x c M = G'F (``_preimage_pairs``).
 ``apps.kspca_fit`` holds such a G, so B is never factored and a singular
 B needs no eps. ``apps.fda_fit`` does not: it whitens B, with W = L^-T
@@ -48,7 +49,7 @@ where B passes that same Cholesky gate, and with eig(B)'s
 Phi_B (Lambda_B^1/2 + eps I)^-1, the verdict and eps of
 ``solve_rigorous``, where it fails, and takes G = W W'F, Fisher's
 S_W^-1 (mu_j - mu_t). Where G does not determine the pairs, both
-decompose the whitened A_breve in full.
+decompose the whitened A_breve in full, formed as the Gram of W'F.
 
 Every route reports how it treated B through one ``_Whitening`` record.
 """
@@ -282,32 +283,39 @@ def _cholesky_whitening(b: np.ndarray) -> np.ndarray | None:
 
 
 def _fit_pairs(
-    p: Pencil, factor: np.ndarray, k: int, epsilon: float | None, preimage: np.ndarray | None = None
+    factor: np.ndarray,
+    b: SymMatrix,
+    k: int,
+    epsilon: float | None,
+    preimage: np.ndarray | None = None,
 ) -> tuple[np.ndarray, tuple[float, ...], _Whitening]:
     """The leading k pairs of (F F', B), descending, and the ``_Whitening``
     record of how B was treated.
 
-    ``factor`` is F with A = F F'. Given a ``preimage`` G with F = B G,
-    the pairs are ``_preimage_pairs(G, F, k)`` where that determines them
-    (kind ``"gram"``, no W, eps 0.0): B is neither factored nor decomposed.
-    Otherwise B is whitened once, by W = L^-T (``"cholesky"``, eps 0.0)
-    where it passes the gate of ``_cholesky_whitening``, and by eig(B)'s
-    Phi_B (Lambda_B^1/2 + eps I)^-1 (``"whitening"``, ``_whitening``)
-    where it fails. Without a preimage, G = W W'F is one (of F in the
-    eps-perturbed metric where eps > 0), and the pairs come from
-    ``_preimage_pairs`` again. Where no Gram determines them, they come
-    from eig(A_breve) (``_whiten_core``). Returns Phi (at least k
-    columns), their eigenvalues and the record.
+    ``factor`` is F with A = F F', which is never formed. Given a
+    ``preimage`` G with F = B G, the pairs are ``_preimage_pairs(G, F, k)``
+    where that determines them (kind ``"gram"``, no W, eps 0.0): B is
+    neither factored nor decomposed. Otherwise B is whitened once, by
+    W = L^-T (``"cholesky"``, eps 0.0) where it passes the gate of
+    ``_cholesky_whitening``, and by eig(B)'s Phi_B (Lambda_B^1/2 + eps I)^-1
+    (``"whitening"``, ``_whitening``) where it fails. Without a preimage,
+    G = W W'F is one (of F in the eps-perturbed metric where eps > 0), and
+    the pairs come from ``_preimage_pairs`` again. Where no Gram determines
+    them, they come from eig(A_breve) for A_breve = (W'F)(W'F)', the Gram
+    of W'F, which is W' F F' W up to roundoff (``_breve_pairs``): one
+    n x n x c and one n x c x n product, not two n^3 ones. Returns Phi (at
+    least k columns), their eigenvalues and the record.
     """
     found = None if preimage is None else _preimage_pairs(preimage, factor, k)
     if found is not None:
         return found + (_Whitening(None, "gram"),)
-    w = _cholesky_whitening(p.b.array)
-    white = _whitening(p.b, epsilon) if w is None else _Whitening(w, "cholesky")
+    w = _cholesky_whitening(b.array)
+    white = _whitening(b, epsilon) if w is None else _Whitening(w, "cholesky")
+    wf = kernels.matmul(white.w.T, factor)
     if preimage is None and k <= factor.shape[1]:
-        found = _preimage_pairs(kernels.matmul(white.w, kernels.matmul(white.w.T, factor)), factor, k)
+        found = _preimage_pairs(kernels.matmul(white.w, wf), factor, k)
     if found is None:
-        phi, _, _, lams = _whiten_core(p.a, white.w, "descending")
+        phi, _, _, lams = _breve_pairs(kernels.matmul(wf, wf.T), white.w, "descending")
         found = phi, lams
     return found + (white,)
 
@@ -355,11 +363,20 @@ def _whiten_core(
     """Congruence with a whitening matrix W = ``breve``, then eig(A_breve).
 
     W whitens the metric, W' B W = I, so A_breve = W' A W has the
-    eigenvalues of the pencil. Returns Phi, A_breve, Phi_A and Lambda_A,
-    with Phi == W @ Phi_A exactly: the canonical signs of Phi's columns
-    are applied to Phi_A's as well.
+    eigenvalues of the pencil. Returns what ``_breve_pairs`` returns for it.
     """
-    a_breve_raw = kernels.matmul(breve.T, kernels.matmul(a.array, breve))
+    return _breve_pairs(kernels.matmul(breve.T, kernels.matmul(a.array, breve)), breve, order)
+
+
+def _breve_pairs(
+    a_breve_raw: np.ndarray, breve: np.ndarray, order: str
+) -> tuple[np.ndarray, SymMatrix, np.ndarray, tuple[float, ...]]:
+    """Phi, A_breve, Phi_A and Lambda_A from eig(A_breve), A_breve the
+    symmetrized ``a_breve_raw``, for the whitening W = ``breve``.
+
+    Phi == W @ Phi_A exactly: the canonical signs of Phi's columns are
+    applied to Phi_A's as well.
+    """
     a_breve = SymMatrix((a_breve_raw + a_breve_raw.T) / 2.0)
 
     eig_a = eig_sym(a_breve, order=order)
@@ -592,7 +609,7 @@ def _solution(p, phi, lams, method, whitening: _Whitening) -> GenEigenSolution:
     route that decomposed B does.
     """
     a_arr = p.a.array
-    residual, b_orth = _diagnostics(a_arr, p.b.array, phi, lams)
+    residual, b_orth = _dense_diagnostics(a_arr, p.b.array, phi, lams)
     return GenEigenSolution(
         phi=Matrix(phi),
         eigenvalues=tuple(lams),
@@ -615,25 +632,32 @@ def pencil_residual(p: Pencil, sol: GenEigenSolution) -> float:
         raise DimensionMismatch(
             f"{sol.phi.cols} vectors for {len(sol.eigenvalues)} eigenvalues"
         )
-    return _diagnostics(p.a.array, p.b.array, sol.phi.array, sol.eigenvalues)[0]
+    return _dense_diagnostics(p.a.array, p.b.array, sol.phi.array, sol.eigenvalues)[0]
 
 
 # ---------------------------------------------------------------------------
 # internals
 
 
-def _diagnostics(a, b, phi, lams) -> tuple[float, float]:
+def _diagnostics(a_phi, a_norm, b, phi, lams) -> tuple[float, float]:
     """Residual and B-orthonormality of the pairs (lams, columns of phi).
 
     Returns ||A Phi - B Phi diag(lams)||_F / max(1, ||A||_F) and
-    max|Phi' B Phi - I|. ``b=None`` stands for the identity. B Phi is
-    formed once and serves both numbers.
+    max|Phi' B Phi - I| from ``a_phi`` = A Phi and ``a_norm`` = ||A||_F,
+    which the caller forms (``_dense_diagnostics`` for a stored A).
+    ``b=None`` stands for the identity. B Phi is formed once and serves
+    both numbers.
     """
     bphi = phi if b is None else kernels.matmul(b, phi)
-    resid = kernels.matmul(a, phi) - bphi * np.asarray(lams, dtype=np.float64)
-    residual = frobenius_norm(resid) / max(1.0, frobenius_norm(a))
+    resid = a_phi - bphi * np.asarray(lams, dtype=np.float64)
+    residual = frobenius_norm(resid) / max(1.0, a_norm)
     gram = kernels.matmul(phi.T, bphi)
     return residual, float(np.max(np.abs(gram - np.eye(phi.shape[1]))))
+
+
+def _dense_diagnostics(a, b, phi, lams) -> tuple[float, float]:
+    """``_diagnostics`` of the pairs against a stored A."""
+    return _diagnostics(kernels.matmul(a, phi), frobenius_norm(a), b, phi, lams)
 
 
 def _shares_null_direction(a: np.ndarray, eig_b: EigenDecomposition) -> bool:

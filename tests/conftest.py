@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from genspectra import Matrix, SymMatrix, eig_sym
+from genspectra import Matrix, SymMatrix, eig_sym, kernels
 from genspectra.eigen import _TRIDIAG_MIN_DIM, _graded
+from genspectra.pencil import _breve_pairs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CYKERNELS_MODULE = "genspectra.kernels._cykernels"
@@ -280,6 +281,14 @@ def factorizations(monkeypatch):
 
     monkeypatch.setattr(kernels, "cholesky_inverse", recording)
     return seen
+
+
+def gram_fallback(w: np.ndarray, f: np.ndarray):
+    """(Phi, Lambda) of the fits' full A_breve = (W'F)(W'F)', the Gram of
+    W'F, for a whitening W and a factor F of A = F F'."""
+    wf = kernels.matmul(w.T, f)
+    phi, _, _, lams = _breve_pairs(kernels.matmul(wf, wf.T), w, "descending")
+    return phi, lams
 
 
 def kernel_calls(seen) -> list:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 import types
 import warnings
@@ -36,10 +37,11 @@ from genspectra import (
 from genspectra import apps, kernels
 from genspectra.cli import main
 from genspectra.linalg import _pow2_scaled, centering_matrix, null_eigenvalues
-from genspectra.pencil import _fit_pairs, _preimage_pairs, _whiten_core, _whitening
+from genspectra.pencil import _fit_pairs, _preimage_pairs, _whitening
 
 from conftest import (
     assert_diagnostics,
+    gram_fallback,
     gram_schmidt,
     kernel_calls,
     metric_kernel,
@@ -257,6 +259,10 @@ def test_labeled_dataset_rejects_non_integer_labels():
     for labels in ((0.5, 1.7), (0, 1.5), (np.float64(2.25), 1)):
         with pytest.raises(InputError):
             LabeledDataset(Matrix(np.eye(2)), labels=labels)
+    # int() raises ValueError on NaN and OverflowError on +-inf
+    for bad in (float("nan"), float("inf"), -np.inf):
+        with pytest.raises(InputError, match=re.escape(repr(bad))):
+            LabeledDataset(Matrix(np.eye(3)), labels=(0, 1, bad))
     ds = LabeledDataset(Matrix(np.eye(2)), labels=(0.0, np.float64(3.0)))
     assert ds.labels == (0, 3)
 
@@ -807,39 +813,44 @@ def _assert_matches_full(model, phi, inter, p):
 
 @pytest.fixture
 def fit_pencils(monkeypatch):
-    """(pencil, factor, preimage) of each call the fits make to ``_fit_pairs``."""
+    """(metric, factor, preimage) of each call the fits make to ``_fit_pairs``."""
     seen = []
 
-    def recording(pen, factor, k, epsilon, preimage=None):
-        seen.append((pen, factor, preimage))
-        return _fit_pairs(pen, factor, k, epsilon, preimage)
+    def recording(factor, b, k, epsilon, preimage=None):
+        seen.append((b, factor, preimage))
+        return _fit_pairs(factor, b, k, epsilon, preimage)
 
     monkeypatch.setattr(apps, "_fit_pairs", recording)
     return seen
 
 
 def _assert_cholesky_pairs(model, fit_pencils, p, factored):
-    """The fit took W = L^-T on its own pencil, bit for bit, through the
-    c x c M = G'F of G = W W'F (``factored``) or the full A_breve."""
-    (pen, factor, _), = fit_pencils
-    w = kernels.cholesky_inverse(pen.b.array).T
+    """The fit took W = L^-T on its own metric and factor, bit for bit,
+    through the c x c M = G'F of G = W W'F (``factored``) or the full
+    A_breve, the Gram of W'F."""
+    (b, factor, _), = fit_pencils
+    w = kernels.cholesky_inverse(b.array).T
     if factored:
         phi, lams = _preimage_pairs(kernels.matmul(w, kernels.matmul(w.T, factor)), factor, p)
     else:
-        phi, _, _, lams = _whiten_core(pen.a, w, "descending")
+        phi, lams = gram_fallback(w, factor)
     assert model.strategy == "cholesky" and model.epsilon_used == 0.0
     assert np.array_equal(model.projection.array, phi[:, :p])
     assert model.eigenvalues == tuple(lams[:p])
 
 
 def _label_factor(ds, ky):
-    """G = H Y R as the fit builds it: K_c = R R' from eig of the class
-    kernel with its null eigenvalues dropped, so that H K_y H = G G'."""
+    """G = H Y R as the fit builds it: K_c = R R', R = I for the delta
+    kernel and from eig of the class kernel with its null eigenvalues
+    dropped for the others, so that H K_y H = G G'."""
     classes = sorted(set(ds.labels))
-    row = Matrix(np.array(classes, dtype=np.float64).reshape(1, -1))
-    dec = eig_sym(kernel_matrix(row, row, ky), order="descending")
-    keep = [i for i in range(len(classes)) if i not in null_eigenvalues(dec.eigenvalues)]
-    r = dec.phi.array[:, keep] * np.sqrt(np.array(dec.eigenvalues)[keep])
+    if ky.kind == "delta":
+        r = np.eye(len(classes))
+    else:
+        row = Matrix(np.array(classes, dtype=np.float64).reshape(1, -1))
+        dec = eig_sym(kernel_matrix(row, row, ky), order="descending")
+        keep = [i for i in range(len(classes)) if i not in null_eigenvalues(dec.eigenvalues)]
+        r = dec.phi.array[:, keep] * np.sqrt(np.array(dec.eigenvalues)[keep])
     yr = r[[classes.index(v) for v in ds.labels]]
     return yr - yr.mean(axis=0)
 
@@ -917,9 +928,9 @@ def test_kspca_factored_path_matches_full_pencil(c, singular, eigen_inputs, fact
         eigen_inputs.clear()
         factorizations.clear()
         model = kspca_fit(ds, p, kx=kx)
-        # the c x c K_c = I and M = G' K_x G are the only decompositions,
-        # singular K_x or not
-        assert kernel_calls(eigen_inputs) == [("jacobi_eigh", c)] * 2
+        # the c x c M = G' K_x G is the only decomposition, singular K_x or
+        # not: the delta kernel's K_c = I takes none
+        assert kernel_calls(eigen_inputs) == [("jacobi_eigh", c)]
         _assert_gram_pairs(model, ds, kx, delta, p, factorizations, eigen_inputs)
         if singular:
             # the fit solves the pencil itself, not the eps-perturbed one
@@ -937,8 +948,8 @@ def test_kspca_factored_path_matches_full_pencil(c, singular, eigen_inputs, fact
 def test_kspca_cholesky_path_matches_the_whitening_path(n, eigen_inputs, factorizations):
     # The workload's shape: 8 features, rbf K_x with the default gamma. The
     # fit takes the c x c route, with no factorization of K_x and the c x c
-    # Jacobi of K_c and of M as its only decompositions; the Cholesky path it replaced, which
-    # the fallback and fda_fit keep, gives the same pairs on its pencil.
+    # Jacobi of M as its only decomposition; the Cholesky path it replaced,
+    # which the fallback and fda_fit keep, gives the same pairs on its pencil.
     rng = np.random.RandomState(730 + n)
     ds = _class_data(rng, 4, n // 4, 8)
     kx, delta = KernelSpec(kind="rbf"), KernelSpec(kind="delta")
@@ -948,11 +959,11 @@ def test_kspca_cholesky_path_matches_the_whitening_path(n, eigen_inputs, factori
         eigen_inputs.clear()
         factorizations.clear()
         model = kspca_fit(ds, p)
-        assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 4)] * 2
+        assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 4)]
         _assert_gram_pairs(model, ds, kx, delta, p, factorizations, eigen_inputs)
         _assert_matches_full(model, phi, inter, p)
         factorizations.clear()
-        chol_phi, chol_lams, white = _fit_pairs(pen, factor, p, None)
+        chol_phi, chol_lams, white = _fit_pairs(factor, pen.b, p, None)
         assert white.kind == "cholesky" and factorizations == [n]
         chol = types.SimpleNamespace(projection=Matrix(chol_phi), eigenvalues=chol_lams, epsilon_used=white.eps)
         _assert_matches_full(chol, phi, inter, p)
@@ -965,17 +976,17 @@ def test_kspca_repeated_sample_takes_the_whitening(eigen_inputs, fit_pencils):
     rng = np.random.RandomState(745)
     ds = _class_data(rng, 3, 8, 5, repeat=True)
     model = kspca_fit(ds, p=3)
-    # the c x c K_c and M, then eig(K_x) and the n x n A_breve
+    # the c x c M, then eig(K_x) and the n x n A_breve
     assert kernel_calls(eigen_inputs) == [
-        ("jacobi_eigh", 3), ("jacobi_eigh", 3), ("tridiag_eigh", 24), ("tridiag_eigh", 24),
+        ("jacobi_eigh", 3), ("tridiag_eigh", 24), ("tridiag_eigh", 24),
     ]
     # the fit passed G, whose M declined; no second Gram follows it
-    (pen, _, preimage), = fit_pencils
+    (b, factor, preimage), = fit_pencils
     assert preimage is not None
-    white = _whitening(pen.b, None)
-    assert white.eps == default_epsilon(pen.b) > 0.0
+    white = _whitening(b, None)
+    assert white.eps == default_epsilon(b) > 0.0
     assert model.strategy == "whitening" and model.epsilon_used == white.eps
-    phi, _, _, lams = _whiten_core(pen.a, white.w, "descending")
+    phi, lams = gram_fallback(white.w, factor)
     assert np.array_equal(model.projection.array, phi[:, :3])
     assert model.eigenvalues == tuple(lams[:3])
 
@@ -1061,21 +1072,33 @@ def test_kspca_fit_decomposes_one_kernel_matrix(eigen_inputs, factorizations, mo
             getattr(mod, "kernel_matrix", None) is original
         ):
             monkeypatch.setattr(mod, "kernel_matrix", counting)
+    products = []
+
+    def recording(a, b, _kernel=kernels.matmul):
+        products.append((a.shape[0], a.shape[1], b.shape[1]))
+        return _kernel(a, b)
+
+    monkeypatch.setattr(kernels, "matmul", recording)
     model = kspca_fit(ds, p=2)
-    # the n x n K_x and the c x c class kernel; K_y enters as Y R, unbuilt
-    assert calls == [("rbf", 24, 24), ("delta", 3, 3)]
-    # K_x (n = 24) is neither factored nor decomposed: two c x c (K_c, and
-    # M = G' K_x G)
+    # the n x n K_x only: K_y enters as Y R, unbuilt, and the delta
+    # kernel's K_c = I needs no class kernel
+    assert calls == [("rbf", 24, 24)]
+    # K_x (n = 24) is neither factored nor decomposed, and K_c = I is not
+    # decomposed: one c x c (M = G' K_x G)
     assert model.strategy == "gram" and factorizations == []
-    assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 3)] * 2
+    assert kernel_calls(eigen_inputs) == [("jacobi_eigh", 3)]
+    # the one product with an n x n result is K_x's Gram, x'x over the 5
+    # features: no F F' (n x c x n), no n^3 product
+    assert [s for s in products if s[0] == s[2] == 24] == [(24, 5, 24)]
+    assert not any(s == (24, 24, 24) for s in products)
 
 
 def _assert_fallback(model, inter, p, eigen_inputs, fit_pencils):
     """The fit whitened in full with W = L^-T: B factored and never
     decomposed, then the n x n A_breve decomposed once."""
-    (pen, _, _), = fit_pencils
-    n = pen.dim
-    b_kernel = _pow2_scaled(pen.b.array)[0]
+    (b, _, _), = fit_pencils
+    n = b.dim
+    b_kernel = _pow2_scaled(b.array)[0]
     assert not any(np.array_equal(m, b_kernel) for _, m in eigen_inputs)
     assert [k for k in kernel_calls(eigen_inputs) if k[1] == n] == [(ungraded_kernel(n), n)]
     _assert_cholesky_pairs(model, fit_pencils, p, factored=False)
@@ -1124,6 +1147,55 @@ def test_kspca_falls_back_at_p_of_c_or_more(p, eigen_inputs, fit_pencils):
         model = kspca_fit(ds, p, kx=kx)
     # the fit's A is F F' rather than the full product of _kspca_full
     _assert_fallback(model, inter, p, eigen_inputs, fit_pencils)
+
+
+def _assert_scipy_pencil(model, ds, kx, p):
+    """The pairs solve (K_x H K_y H K_x, K_x), K_y the delta kernel, formed
+    in full in numpy: eigenvalues within 1e-12 of scipy's ``eigh`` relative
+    to the largest, and criterion 10's bounds, max|Theta' K_x Theta - I| below
+    1e-6 and ||A Theta - K_x Theta Lambda||_F below 1e-6 ||K_x||_F^2."""
+    import scipy.linalg
+
+    k_x = kernel_matrix(ds.x, ds.x, kx).array
+    labels = np.array(ds.labels)
+    k_y = (labels[:, None] == labels[None, :]).astype(np.float64)
+    h = centering_matrix(ds.n).array
+    a = k_x @ h @ k_y @ h @ k_x
+    want = scipy.linalg.eigh(a, k_x, eigvals_only=True)[::-1][:p]
+    got = np.array(model.eigenvalues)
+    assert np.abs(got - want).max() <= 1e-12 * want[0]
+    theta = model.projection.array
+    assert np.abs(theta.T @ k_x @ theta - np.eye(p)).max() < 1e-6
+    assert np.sqrt(((a @ theta - (k_x @ theta) * got) ** 2).sum()) < 1e-6 * (k_x**2).sum()
+
+
+@pytest.mark.parametrize("c", [9, 12])
+def test_kspca_delta_labels_take_r_of_identity_at_every_c(
+    c, eigen_inputs, factorizations, fit_pencils
+):
+    # From c = 9 up eig_sym would take the tridiagonal kernel for K_c = I;
+    # R = I takes no decomposition at any c, and the pairs are the pencil's.
+    ds = _class_data(np.random.RandomState(810 + c), c, 4, 3)
+    kx = KernelSpec(kind="rbf", gamma=1.0)
+    for p in (2, c - 1):
+        eigen_inputs.clear()
+        factorizations.clear()
+        model = kspca_fit(ds, p, kx=kx)
+        # the c x c M = G' K_x G only
+        assert kernel_calls(eigen_inputs) == [(ungraded_kernel(c), c)]
+        _assert_gram_pairs(model, ds, kx, KernelSpec(kind="delta"), p, factorizations, eigen_inputs)
+        _assert_scipy_pencil(model, ds, kx, p)
+    # p = c falls back to the n x n A_breve, the Gram of W'F, with W = L^-T
+    fit_pencils.clear()
+    eigen_inputs.clear()
+    with pytest.warns(UserWarning):
+        model = kspca_fit(ds, c, kx=kx)
+    assert model.strategy == "cholesky"
+    _assert_cholesky_pairs(model, fit_pencils, c, factored=False)
+    _assert_scipy_pencil(model, ds, kx, c)
+    # its leading c - 1 directions span those of the Gram route
+    gram = kspca_fit(ds, c - 1, kx=kx)
+    assert span_gap(model.projection.array[:, : c - 1], gram.projection.array) <= 1e-10
 
 
 def test_kspca_linear_label_kernel_is_rank_one(eigen_inputs, factorizations, fit_pencils):

@@ -738,8 +738,9 @@ def test_kspca_builds_each_kernel_matrix_once(kspca_csv, capsys, monkeypatch):
         ):
             monkeypatch.setattr(mod, "kernel_matrix", counting)
     assert main(["kspca", "-p", "2", "--gamma", "1.0", kspca_csv]) == 0
-    # the n x n K_x once, and the c x c class kernel; the n x n K_y is never built
-    assert calls == [("rbf", 8, 8), ("delta", 2, 2)]
+    # the n x n K_x once; the n x n K_y is never built, and the delta
+    # kernel's c x c K_c = I needs no kernel call
+    assert calls == [("rbf", 8, 8)]
     doc = json.loads(capsys.readouterr().out)
     assert doc["diagnostics"]["residual"] < 1e-10
 

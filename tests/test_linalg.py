@@ -67,6 +67,25 @@ def test_sym_matrix_symmetrizes_small_asymmetry():
     s = SymMatrix([[1.0, 2.0 + 1e-12], [2.0, 3.0]])
     assert s.array[0, 1] == s.array[1, 0]
     assert s.dim == 2
+    # -0.0 and +0.0 compare equal but differ in their bits: the pair is
+    # symmetrized, (-0.0 + 0.0) / 2 = +0.0 on both sides
+    s = SymMatrix([[1.0, -0.0], [0.0, 1.0]])
+    assert not np.signbit(s.array).any()
+    assert not np.signbit(SymMatrix([[1.0, 0.0], [-0.0, 1.0]]).array).any()
+    # an exactly symmetric -0.0 pair is stored as it is
+    signs = np.signbit(SymMatrix([[1.0, -0.0], [-0.0, 1.0]]).array)
+    assert signs.tolist() == [[False, True], [True, False]]
+
+
+def test_sym_matrix_stores_a_read_only_copy():
+    for entries in (np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([[2.0, 1.0 + 1e-12], [1.0, 3.0]])):
+        s = SymMatrix(entries)
+        assert not np.shares_memory(s.array, entries)
+        assert not s.array.flags.writeable
+        with pytest.raises(ValueError):
+            s.array[0, 0] = 5.0
+        entries[0, 0] = 7.0
+        assert s.array[0, 0] == 2.0
 
 
 def test_sym_matrix_symmetrizes_without_overflow():
@@ -74,6 +93,10 @@ def test_sym_matrix_symmetrizes_without_overflow():
     entries = [[1.0, 1e308], [1e308, 1.0]]
     assert SymMatrix(entries).array.tolist() == entries
     assert SymMatrix([[5e-324]]).array.tolist() == [[5e-324]]
+    # bit-symmetric entries above 2^1023, beside subnormal and -0.0 ones,
+    # are stored with their bits
+    huge = np.array([[1.7e308, -1.2e308, 5e-324], [-1.2e308, -0.0, 1.0], [5e-324, 1.0, 2.0**1023]])
+    assert np.array_equal(SymMatrix(huge).array.view(np.int64), huge.view(np.int64))
     # where the sum is finite, the bits of (a + a') / 2
     arr = np.array([[1.7e308, 1e308, 3.0], [1e308 * (1 + 2e-16), -1.7e308, 1.0], [3.0 + 1e-15, 1.0, 2.0]])
     expect = (arr / 4.0 + arr.T / 4.0) * 2.0  # no sum of halves overflows

@@ -41,6 +41,7 @@ from conftest import (
     angle_pencil,
     assert_diagnostics,
     definite_pencil,
+    gram_fallback,
     indefinite_pencil,
     kernel_calls,
     metric_kernel,
@@ -1193,7 +1194,7 @@ def test_factored_pairs_match_the_full_whitening(c, singular, eigen_inputs):
     assert (inter.epsilon_used > 0.0) == singular
     for k in range(1, c):
         eigen_inputs.clear()
-        phi, lams, white = _fit_pairs(pen, f, k, None)
+        phi, lams, white = _fit_pairs(f, pen.b, k, None)
         if singular:
             # eig(B), then the c x c Gram; no n x n A_breve
             assert white.kind == "whitening"
@@ -1235,19 +1236,11 @@ def test_factored_fallback_decomposes_b_once(singular, eigen_inputs):
     rng = np.random.RandomState(630 + singular)
     n, c = 11, 3
     pen, f = _low_rank_pencil(rng, n, c, singular)
-    if singular:
-        sol, inter = solve_rigorous(pen)
-        full_phi, full_lams, full_eps = sol.phi.array, inter.lambda_a, inter.epsilon_used
-    else:
-        full_phi, _, _, full_lams = _whiten_core(pen.a, _cholesky_w(pen.b), "descending")
-        full_eps = 0.0
+    full = _whitening(pen.b, None) if singular else None
+    w = full.w if singular else _cholesky_w(pen.b)
     for factor, k in ((f, c + 1), (f[:, [0, 0, 1]], c), (f[:, :1], 2)):
         eigen_inputs.clear()
-        phi, lams, white = _fit_pairs(pen, factor, k, None)
-        # the fallback is the full whitening with the same W, bit for bit
-        assert np.array_equal(phi, full_phi)
-        assert lams == full_lams and white.eps == full_eps
-        assert white.kind == ("whitening" if singular else "cholesky")
+        phi, lams, white = _fit_pairs(factor, pen.b, k, None)
         # B decomposed once where it fails the gate, and not at all where it
         # passes; the kernel gets B as eig_sym normalises it
         b_kernel = _pow2_scaled(pen.b.array)[0]
@@ -1255,6 +1248,17 @@ def test_factored_fallback_decomposes_b_once(singular, eigen_inputs):
         # eig(B) where B fails the gate, then the n x n A_breve
         want = [(metric_kernel(pen.b.array), n)] * singular + [(ungraded_kernel(n), n)]
         assert [k for k in kernel_calls(eigen_inputs) if k[1] == n] == want
+        # the fallback decomposes the Gram of W'F with the full whitening's
+        # W, bit for bit
+        want_phi, want_lams = gram_fallback(w, factor)
+        assert np.array_equal(phi, want_phi) and lams == want_lams
+        assert np.array_equal(white.w, w)
+        assert white.eps == (full.eps if singular else 0.0)
+        assert white.kind == ("whitening" if singular else "cholesky")
+        # which is W' F F' W up to roundoff
+        a = factor @ factor.T
+        _, _, _, dense_lams = _whiten_core(SymMatrix((a + a.T) / 2.0), w, "descending")
+        assert np.abs(np.array(lams) - dense_lams).max() <= 1e-12 * dense_lams[0]
 
 
 @pytest.mark.parametrize("c", [1, 3])
@@ -1272,11 +1276,11 @@ def test_fits_whitening_decomposes_b_past_the_cholesky_gate(c, eigen_inputs):
     assert want.eps == 0.0 and not any(definiteness(want.eig_b.eigenvalues))
     for k in (c, c + 1):
         eigen_inputs.clear()
-        phi, lams, white = _fit_pairs(pen, f, k, None)
+        phi, lams, white = _fit_pairs(f, pen.b, k, None)
         assert white.kind == "whitening" and white.eps == want.eps
         assert kernel_calls(eigen_inputs)[0] == ("jacobi_eigh", n)
-        if k > c:  # F narrower than k: the full A_breve
-            want_phi, _, _, want_lams = _whiten_core(pen.a, want.w, "descending")
+        if k > c:  # F narrower than k: the n x n A_breve
+            want_phi, want_lams = gram_fallback(want.w, f)
         else:
             want_phi, want_lams = _preimage_pairs(_preimage(want.w, f), f, k)
         assert np.array_equal(phi, want_phi) and lams == want_lams
@@ -1289,21 +1293,22 @@ def test_fits_cholesky_path_matches_the_whitening_path(n, eigen_inputs):
     rng = np.random.RandomState(650 + n)
     c = 3
     f = rng.standard_normal((n, c))
-    a = f @ f.T
-    pen = Pencil(SymMatrix((a + a.T) / 2.0), random_spd(rng, n, lo=1e-4))
-    sol, inter = solve_rigorous(pen)
-    full_phi = sol.phi.array
-    # a factor narrower than k takes the full A_breve
+    b = random_spd(rng, n, lo=1e-4)
+    # a factor narrower than k takes the n x n A_breve, of its own F F'
     for factor, k in ((f, 2), (f[:, :1], 2), (f[:, :1], c)):
+        a = factor @ factor.T
+        sol, inter = solve_rigorous(Pencil(SymMatrix((a + a.T) / 2.0), b))
         eigen_inputs.clear()
-        phi, lams, white = _fit_pairs(pen, factor, k, None)
+        phi, lams, white = _fit_pairs(factor, b, k, None)
         assert white.kind == "cholesky" and white.eps == 0.0
-        b_kernel = _pow2_scaled(pen.b.array)[0]
+        b_kernel = _pow2_scaled(b.array)[0]
         assert not any(np.array_equal(m, b_kernel) for _, m in eigen_inputs)
         ref = np.array(inter.lambda_a[:k])
         assert np.abs(np.array(lams[:k]) - ref).max() <= 1e-12 * abs(ref[0])
-        gap = inter.lambda_a[k - 1] - inter.lambda_a[k]
-        assert span_gap(phi[:, :k], full_phi[:, :k]) <= 1e-12 * ref[0] / gap
+        # the span of the pairs F F' determines, rank(F F') = width of F
+        j = min(k, factor.shape[1])
+        gap = inter.lambda_a[j - 1] - inter.lambda_a[j]
+        assert span_gap(phi[:, :j], sol.phi.array[:, :j]) <= 1e-12 * ref[0] / gap
 
 
 # ---------------------------------------------------------------------------

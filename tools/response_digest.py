@@ -1,4 +1,5 @@
-"""One sha256 per benchmark workload over every CLI response of a checkout.
+"""One sha256 per benchmark workload over every CLI response of a checkout,
+and one per response.
 
 Builds every request of the four workloads (``perfbench/workloads.py`` of
 this repository, imported and left as it is) for each seed, runs each one
@@ -8,8 +9,11 @@ standard error. The inputs are written under a temporary directory and
 named by relative paths, so two checkouts see the same argv and a
 response that names its input reads the same in both.
 
-Two checkouts give byte-identical responses exactly when their digests are
-equal:
+Each workload prints a line ``NAME DIGEST`` over all of its responses,
+then one indented line ``SEED REQUEST-ID DIGEST`` per response, over the
+same parts of that response alone. Two checkouts give byte-identical
+responses exactly when their digests are equal, and ``diff`` names the
+responses that differ:
 
     python3 tools/response_digest.py /path/to/parent > parent.txt
     python3 tools/response_digest.py . > change.txt
@@ -46,22 +50,28 @@ def _respond(cli_main, argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def digests(cli_main, workloads, seeds) -> dict[str, str]:
-    """sha256 of every response of each workload, over ``seeds`` in order.
+def digests(cli_main, workloads, seeds) -> dict[str, tuple[str, list[tuple[int, str, str]]]]:
+    """Per workload: the sha256 of all of its responses, over ``seeds`` in
+    order, and (seed, request id, sha256) of each response.
 
     Runs in the current directory, where it writes the inputs.
     """
     got = {}
     for name in workloads:
         h = hashlib.sha256()
+        each = []
         for seed in seeds:
             reqs, _ = build(name, seed, Path(name))
             for r in reqs:
                 code, out, err = _respond(cli_main, r.argv)
+                one = hashlib.sha256()
                 for part in (f"{seed} {r.rid} {code}", out, err):
                     data = part.encode("utf-8")
-                    h.update(len(data).to_bytes(8, "little") + data)
-        got[name] = h.hexdigest()
+                    framed = len(data).to_bytes(8, "little") + data
+                    h.update(framed)
+                    one.update(framed)
+                each.append((seed, r.rid, one.hexdigest()))
+        got[name] = h.hexdigest(), each
     return got
 
 
@@ -85,8 +95,10 @@ def main(argv=None) -> int:
             got = digests(genspectra.cli.main, args.workloads, args.seeds)
         finally:
             os.chdir(home)
-    for name, digest in got.items():
+    for name, (digest, each) in got.items():
         print(name, digest)
+        for seed, rid, one in each:
+            print(f"  {seed} {rid} {one}")
     return 0
 
 
