@@ -12,7 +12,7 @@ Three classics, each reduced to the eigenproblem it really is:
 The numerators of the last two have a known low rank, S_B = D D' with
 D = [mu_j - mu_t] and K_x H K_y H K_x = F F' with F = K_x G, G = H Y R,
 Y the one-hot classes and R R' the class kernel (R = I for the delta
-kernel); KSPCA never forms F F'. Both fits take their
+kernel). Both fits take their
 leading pairs through one call, ``pencil._fit_pairs``, from the small
 M = G'F of a preimage G of the factor, F = B G, and report the
 ``strategy`` and eps of the ``_Whitening`` record it returns. KSPCA holds
@@ -20,7 +20,10 @@ G = H Y R, so K_x is never factored or decomposed. FDA whitens S_W once,
 by W = L^-T from S_W = L L' where S_W passes the Cholesky gate of the
 quick route (``pencil._cholesky_whitening``) and by
 Phi_B (Lambda_B^1/2 + eps I)^-1 from eig(S_W) otherwise, and takes
-G = W W'D, Fisher's S_W^-1 (mu_j - mu_t).
+G = W W'D, Fisher's S_W^-1 (mu_j - mu_t). Each fit measures its p pairs
+by a direct call: ``pencil._dense_diagnostics`` on S or (S_B, S_W), and
+``pencil._diagnostics`` on KSPCA's F (F'Phi) and ||F'F||_F = ||F F'||_F,
+as F F' is never formed.
 
 Data matrices are d x n with one sample per column.
 """
@@ -36,7 +39,7 @@ from . import kernels
 from .errors import DimensionMismatch, InputError, MissingLabels, SingleClass
 from .eigen import eig_sym
 from .linalg import Matrix, SymMatrix, Vector, frobenius_norm, null_eigenvalues
-from .pencil import _diagnostics, _fit_pairs
+from .pencil import _dense_diagnostics, _diagnostics, _fit_pairs
 
 _KERNEL_KINDS = ("linear", "rbf", "polynomial", "delta")
 
@@ -138,8 +141,8 @@ class EmbeddingModel:
     pencil the fit solved, as ``GenEigenSolution`` defines them: (S, I)
     for pca, (S_B, S_W) for fda, (K_x H K_y H K_x, K_x) for kspca. kspca's
     numerator is F F', F = K_x H Y R, for every label kernel (equal to
-    K_x H K_y H K_x in exact arithmetic), and is never formed: the
-    residual takes A Phi = F (F' Phi) and ||A||_F = ||F'F||_F.
+    K_x H K_y H K_x in exact arithmetic), and is never formed: the fit
+    passes ``pencil._diagnostics`` A Phi = F (F' Phi) and ||F'F||_F.
     ``strategy`` and ``epsilon_used`` are the ``kind`` and ``eps`` of the
     ``pencil._Whitening`` record of how fda and kspca treated the
     denominator: ``"gram"`` where kspca took its pairs from the r x r
@@ -188,8 +191,9 @@ def pca_fit(x: Matrix, p: int) -> EmbeddingModel:
         raise DimensionMismatch(f"p must lie in [1, {x.rows}], got {p}")
     s = covariance(x)
     dec = eig_sym(s, order="descending")
-    return _leading_pairs(
-        "pca", _dense(s.array), None, dec.phi.array, dec.eigenvalues, p,
+    phi, lams = dec.phi.array[:, :p], dec.eigenvalues[:p]
+    return _model(
+        "pca", phi, lams, _dense_diagnostics(s.array, None, phi, lams),
         mean=Vector(x.array.mean(axis=1)),
     )
 
@@ -282,8 +286,9 @@ def fda_fit(ds: LabeledDataset, p: int, epsilon: float | None = None) -> Embeddi
         )
     pair = scatter_matrices(ds)
     phi, lams, white = _fit_pairs(pair.offsets.array, pair.s_w, p, epsilon)
-    return _leading_pairs(
-        "fda", _dense(pair.s_b.array), pair.s_w.array, phi, lams, p,
+    phi, lams = phi[:, :p], lams[:p]
+    return _model(
+        "fda", phi, lams, _dense_diagnostics(pair.s_b.array, pair.s_w.array, phi, lams),
         epsilon_used=white.eps,
         strategy=white.kind,
     )
@@ -406,8 +411,11 @@ def kspca_fit(
     g = yr - yr.mean(axis=0)
     factor = kernels.matmul(k_x.array, g)
     phi, lams, white = _fit_pairs(factor, k_x, p, epsilon, preimage=g)
-    return _leading_pairs(
-        "kspca", _factored(factor), k_x.array, phi, lams, p,
+    phi, lams = phi[:, :p], lams[:p]
+    a_phi = kernels.matmul(factor, kernels.matmul(factor.T, phi))
+    a_norm = frobenius_norm(kernels.matmul(factor.T, factor))
+    return _model(
+        "kspca", phi, lams, _diagnostics(a_phi, a_norm, k_x.array, phi, lams),
         kernel_x=kx,
         kernel_y=ky,
         training_x=ds.x,
@@ -431,33 +439,14 @@ def kspca_transform(model: EmbeddingModel, x_new: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _dense(a: np.ndarray):
-    """(Phi -> A Phi, ||A||_F) for a stored numerator A."""
-    return (lambda v: kernels.matmul(a, v)), frobenius_norm(a)
-
-
-def _factored(f: np.ndarray):
-    """(Phi -> A Phi, ||A||_F) for A = F F', which is never formed: A Phi is
-    F (F' Phi), and ||F F'||_F = ||F'F||_F, the r x r Gram's norm."""
-    norm = frobenius_norm(kernels.matmul(f.T, f))
-    return (lambda v: kernels.matmul(f, kernels.matmul(f.T, v))), norm
-
-
-def _leading_pairs(method, a, b, phi, eigenvalues, p, **fields) -> EmbeddingModel:
-    """Model of the leading p pairs, with diagnostics against the solved pencil.
-
-    ``a`` is (Phi -> A Phi, ||A||_F) for the numerator A, and ``b`` the
-    stored denominator (None for I).
-    """
-    projection = Matrix(phi[:, :p])
-    eigenvalues = tuple(eigenvalues[:p])
-    apply_a, a_norm = a
-    phi = projection.array
-    residual, b_orth = _diagnostics(apply_a(phi), a_norm, b, phi, eigenvalues)
+def _model(method, phi, lams, diagnostics, **fields) -> EmbeddingModel:
+    """Model of the pairs (lams, columns of phi), with the (residual,
+    B-orthonormality) the fit measured them by against its pencil."""
+    residual, b_orth = diagnostics
     return EmbeddingModel(
         method=method,
-        projection=projection,
-        eigenvalues=eigenvalues,
+        projection=Matrix(phi),
+        eigenvalues=tuple(lams),
         residual=residual,
         b_orthonormality=b_orth,
         **fields,

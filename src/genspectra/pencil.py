@@ -644,7 +644,9 @@ def _diagnostics(a_phi, a_norm, b, phi, lams) -> tuple[float, float]:
 
     Returns ||A Phi - B Phi diag(lams)||_F / max(1, ||A||_F) and
     max|Phi' B Phi - I| from ``a_phi`` = A Phi and ``a_norm`` = ||A||_F,
-    which the caller forms (``_dense_diagnostics`` for a stored A).
+    which the caller forms: ``_dense_diagnostics`` from a stored A for
+    ``_solution``, ``pencil_residual``, ``apps.pca_fit`` and
+    ``apps.fda_fit``, and ``apps.kspca_fit`` from its A = F F'.
     ``b=None`` stands for the identity. B Phi is formed once and serves
     both numbers.
     """

@@ -27,7 +27,7 @@ from .errors import (
     ZeroVector,
 )
 from .eigen import eig_sym
-from .linalg import Matrix, SymMatrix, Vector
+from .linalg import Matrix, SymMatrix, Vector, _pow2_scaled
 from .pencil import _whiten_core, _whitening
 
 _DIRECTIONS = ("maximize", "minimize")
@@ -78,23 +78,11 @@ class StationarityReport:
 def rayleigh_quotient(u: Vector, a: SymMatrix, b: SymMatrix | None = None) -> float:
     """The fraction u'Au / u'Bu, with B = I when absent.
 
-    Scale-invariant in u. Raises ``ZeroVector`` for u = 0 and
-    ``DegenerateDenominator`` when |u'Bu| < 1e-14 * ||u||^2.
+    Scale-invariant in u at every scale: formed on ``_pow2_scaled(u)``, so
+    u * 2^k gets the bits of u for every k. Raises ``ZeroVector`` for
+    u = 0 and ``DegenerateDenominator`` when |u'Bu| < 1e-14 * ||u||^2.
     """
-    if u.dim != a.dim:
-        raise DimensionMismatch(f"vector dim {u.dim} does not match matrix dim {a.dim}")
-    if b is not None and b.dim != a.dim:
-        raise DimensionMismatch(f"metric dim {b.dim} does not match matrix dim {a.dim}")
-    uu = float(np.dot(u.array, u.array))
-    if uu == 0.0:
-        raise ZeroVector("the Rayleigh quotient is undefined at u = 0")
-    num = _quad(a, u)
-    den = uu if b is None else _quad(b, u)
-    if abs(den) < 1e-14 * uu:
-        raise DegenerateDenominator(
-            f"u'Bu = {den:.3e} is degenerate next to ||u||^2 = {uu:.3e}"
-        )
-    return num / den
+    return _quotient(u, a, b)[0]
 
 
 def solve_form1(q: QuadraticForm) -> tuple[Vector, float]:
@@ -168,25 +156,41 @@ def check_stationarity(
     ``lambda`` is taken as the Rayleigh quotient at u; for a true
     (generalized) eigenvector the residual vanishes up to roundoff.
     """
-    lam = rayleigh_quotient(u, a, b)
-    ua = u.array
-    au = kernels.matmul(a.array, ua.reshape(-1, 1)).ravel()
-    bu = ua if b is None else kernels.matmul(b.array, ua.reshape(-1, 1)).ravel()
-    resid = au - lam * bu
-    ubu = float(np.dot(ua, bu))
+    lam, den, am, bm, e = _quotient(u, a, b)
+    resid = am - lam * bm
+    # back in u's units: (A - lam B) u = 2^e (A - lam B) m, u'Bu = 4^e m'Bm
     return StationarityReport(
-        residual=math.sqrt(float(np.dot(resid, resid))),
+        residual=float(np.ldexp(math.sqrt(float(np.dot(resid, resid))), e)),
         multiplier=lam,
-        constraint_violation=abs(ubu - 1.0),
+        constraint_violation=abs(float(np.ldexp(den, 2 * e)) - 1.0),
     )
 
 
 # ---------------------------------------------------------------------------
 
 
-def _quad(m: SymMatrix, u: Vector) -> float:
-    mu = kernels.matmul(m.array, u.array.reshape(-1, 1)).ravel()
-    return float(np.dot(u.array, mu))
+def _quotient(
+    u: Vector, a: SymMatrix, b: SymMatrix | None
+) -> tuple[float, float, np.ndarray, np.ndarray, int]:
+    """(m'Am / m'Bm, m'Bm, A m, B m, e) for m = u * 2^-e = ``_pow2_scaled(u)``,
+    whose m'm >= 1/4 at every scale of u, under the checks of
+    ``rayleigh_quotient``; B m is m when B is absent."""
+    if u.dim != a.dim:
+        raise DimensionMismatch(f"vector dim {u.dim} does not match matrix dim {a.dim}")
+    if b is not None and b.dim != a.dim:
+        raise DimensionMismatch(f"metric dim {b.dim} does not match matrix dim {a.dim}")
+    m, e = _pow2_scaled(u.array)
+    mm = float(np.dot(m, m))
+    if mm == 0.0:
+        raise ZeroVector("the Rayleigh quotient is undefined at u = 0")
+    am = kernels.matmul(a.array, m.reshape(-1, 1)).ravel()
+    bm = m if b is None else kernels.matmul(b.array, m.reshape(-1, 1)).ravel()
+    den = float(np.dot(m, bm))
+    if abs(den) < 1e-14 * mm:
+        raise DegenerateDenominator(
+            f"u'Bu / ||u||^2 = {den / mm:.3e} is degenerate (below 1e-14)"
+        )
+    return float(np.dot(m, am)) / den, den, am, bm, e
 
 
 def _extremal_pairs(

@@ -28,7 +28,7 @@ from genspectra import (
 )
 from genspectra import kernels
 
-from conftest import gram_schmidt, random_spd, random_sym, random_unit
+from conftest import POW2_EXPS, gram_schmidt, random_spd, random_sym, random_unit
 
 
 def _diag(*entries) -> SymMatrix:
@@ -59,6 +59,20 @@ def test_quotient_scale_invariance():
     for c in (-2.0, 0.5, 10.0):
         scaled = rayleigh_quotient(Vector(c * u.array), a, b)
         assert abs(scaled - base) <= 1e-10 * max(1.0, abs(base))
+    # a power of two leaves the quotient's bits, even where u'u or u'Au
+    # would under- or overflow
+    plain = rayleigh_quotient(u, a)
+    for k in POW2_EXPS:
+        u_k = Vector(np.ldexp(u.array, k))
+        assert rayleigh_quotient(u_k, a, b) == base
+        assert rayleigh_quotient(u_k, a) == plain
+    # the residual (A - lam B) u is formed from the quotient's scaled u, so
+    # it does not underflow to 0 where it is representable
+    for metric in (b, None):
+        res = check_stationarity(u, a, metric).residual
+        for k in (-540, -300):
+            u_k = Vector(np.ldexp(u.array, k))
+            assert check_stationarity(u_k, a, metric).residual == math.ldexp(res, k) > 0.0
 
 
 def test_quotient_bounded_by_extreme_eigenvalues():
@@ -298,6 +312,29 @@ def test_stationarity_flags_non_eigenvector():
     rep = check_stationarity(Vector([1.0, 1.0]), a)
     assert rep.residual > 0.1
     assert rep.constraint_violation == pytest.approx(1.0)  # |u'u - 1| = 1
+
+
+def test_stationarity_reuses_the_quotients_products(monkeypatch):
+    # A u and B u, formed once for the quotient, serve the residual and
+    # u'Bu too: one matmul per matrix
+    rng = np.random.RandomState(63)
+    a = random_sym(rng, 5)
+    b = random_spd(rng, 5)
+    u = Vector(rng.standard_normal(5))
+    for metric, expected in ((b, 2), (None, 1)):
+        lam = rayleigh_quotient(u, a, metric)
+        calls = []
+        original = kernels.matmul
+
+        def counting(x, y):
+            calls.append(x.shape)
+            return original(x, y)
+
+        monkeypatch.setattr(kernels, "matmul", counting)
+        rep = check_stationarity(u, a, metric)
+        monkeypatch.setattr(kernels, "matmul", original)
+        assert len(calls) == expected
+        assert rep.multiplier == lam
 
 
 def test_form1_solution_passes_stationarity():
