@@ -406,37 +406,27 @@ def _doc_to_csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_list(values: list, indent: str) -> str:
-    """``values`` laid out as ``json.dumps(..., indent=2)`` lays out a list at ``indent``.
-
-    A list of lists is laid out the same way one level deeper. Any other
-    items are written by json's C encoder, which runs whenever ``indent``
-    is None and writes each float as the indenting encoder does
-    (``float.__repr__``, or NaN, Infinity, -Infinity); the line breaks
-    go in through its item separator.
-    """
-    if not values:
-        return "[]"
-    sep = "\n" + indent + "  "
-    if isinstance(values[0], list):
-        body = ("," + sep).join(_json_list(v, indent + "  ") for v in values)
-    else:
-        body = json.dumps(values, separators=("," + sep, ": "))[1:-1]
-    return "[" + sep + body + "\n" + indent + "]"
-
-
 def _json_text(doc: dict) -> str:
     """``json.dumps(doc, indent=2)``, with the float lists written by json's C encoder.
 
     json's indenting encoder is pure Python and visits every float; a
-    result document is mostly floats, so its eigenvalues and vector
-    columns are laid out by ``_json_list`` into a stub of the rest.
+    result document is mostly floats, so its eigenvalues and its vector
+    columns are each written by one call of the C encoder into a stub of
+    the rest. That encoder runs whenever ``indent`` is None and writes each
+    float as the indenting one does (``float.__repr__``, or NaN, Infinity,
+    -Infinity); the line breaks go in through its item separator, and the
+    brackets between columns by ``str.replace``, which no float's text can
+    meet. A document without eigenvalues is all json.dumps's; the CLI never
+    writes an empty column (one entry per dimension, and d >= 1).
     """
-    if "eigenvalues" not in doc:
+    if not doc.get("eigenvalues"):
         return json.dumps(doc, indent=2)
     stub = json.dumps({**doc, "eigenvalues": "@lams", "vectors": "@cols"}, indent=2)
-    return stub.replace('"@lams"', _json_list(doc["eigenvalues"], "  "), 1).replace(
-        '"@cols"', _json_list(doc["vectors"], "  "), 1
+    lams = json.dumps(doc["eigenvalues"], separators=(",\n    ", ": "))
+    cols = json.dumps(doc["vectors"], separators=(",\n      ", ": "))
+    cols = cols[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+    return stub.replace('"@lams"', "[\n    " + lams[1:-1] + "\n  ]", 1).replace(
+        '"@cols"', "[\n    [\n      " + cols + "\n    ]\n  ]", 1
     )
 
 

@@ -1,34 +1,32 @@
 """Pure-Python compute kernels.
 
-These are the reference implementations of the package's hot loops: dense
-matrix multiplication, two symmetric eigensolvers, the cyclic Jacobi
-iteration and a Householder-tridiagonal solver (``tridiag_eigh``), and the
-inverse Cholesky factor of a metric (``cholesky_inverse``).
-``genspectra.kernels`` swaps in the compiled twins, written by hand in C,
-when they are available; both backends perform the same operations in the
-same order, using only + - * / and sqrt, so results agree to the last bit
-on IEEE-754 hardware. The one exception is which NaN a sum keeps where two
-NaNs meet in it (its sign and payload): IEEE-754 leaves that open, and the
-two backends may differ there.
+The reference implementations of the package's hot loops: dense matrix
+multiplication, the cyclic Jacobi iteration and a Householder-tridiagonal
+eigensolver (``tridiag_eigh``), and the inverse Cholesky factor of a
+metric. ``genspectra.kernels`` swaps in the compiled twins, written by hand
+in C, when they are available; both backends perform the same operations
+in the same order, using only + - * / and sqrt, so results agree to the
+last bit on IEEE-754 hardware, except in which NaN a sum keeps where two
+NaNs meet in it (sign and payload), which IEEE-754 leaves open.
 
-``matmul`` evaluates its products and sums with numpy, one block of the
-inner dimension at a time: ``np.einsum`` with no summed index forms a
-block's products, laid out k outermost and the longer output axis
-innermost, and the terms of each entry are added strictly in the order of
-the compiled loop: ``_sums_down`` reduces the outer axis of a C-ordered
-block one slice after another (observed numpy behaviour, guarded by tests;
-see ``_sums_down``). ``jacobi_eigh`` runs its sweeps
-of rotations on Python lists at every d, one loop like the C twin's.
+``matmul`` forms one block of the inner dimension's products at a time
+with numpy, and every entry's terms are added in the compiled loop's order
+by ``_sums_down``, which reduces the outer axis of a C-ordered block one
+slice after another (observed numpy behaviour, guarded by tests).
+``jacobi_eigh`` runs its sweeps on Python lists, one loop like the C twin's.
 
-``tridiag_eigh`` adds its sums in the C loops' order with ``_sums_down``
-(a row sum of an exactly symmetric block as its column sum); it runs the
-root-free QL iteration on Python floats, and the inverse iteration, on an
-unpivoted LDL' of each shifted T, as numpy operations across all shifts
-at once; the C twin runs the same arithmetic one shift at a time.
+``tridiag_eigh`` adds its sums in the C loops' order too (a row sum of an
+exactly symmetric block as its column sum); it runs the root-free QL
+iteration on Python floats, and the inverse iteration, on an unpivoted
+LDL' of each shifted T, as numpy operations across all shifts at once,
+where the C twin takes one shift at a time. Its step loops write with
+``out=`` into work arrays that each call allocates once, so concurrent
+calls share none; the Householder update subtracts u + u' with u = v q',
+the C loop's v q' + q v' exactly; and the start vectors of inverse
+iteration, a pure function of d, are kept read-only for each d.
 
 The eigensolvers do no scaling of their own: they take ``eigen.eig_sym``'s
 input, scaled by a power of two so that its largest entry lies in [0.5, 1).
-
 ``cholesky_inverse`` is one elementwise numpy rank-1 update per column;
 every entry it reads goes through the same operations in the C twin.
 """
@@ -56,14 +54,12 @@ def _sums_down(terms: np.ndarray, start: float, out: np.ndarray | None = None) -
     """``start + terms[0] + terms[1] + ...`` along axis 0, added left to right.
 
     numpy reduces the outer axis of a C-ordered array one slice at a time,
-    out = out + terms[k], vectorised across the entries of a slice; it
-    would sum an axis that runs along memory pairwise instead, so other
-    layouts are made C-ordered first, and slices of a single entry are
-    accumulated. That slice-by-slice order is how numpy behaves (seen with
-    numpy 2.4), not something its documentation promises;
-    ``test_sums_down_adds_from_start_one_slice_after_another`` and
-    ``test_matmul_outer_axis_sums_match_loop_bit_for_bit`` fail if a numpy
-    release changes it.
+    out = out + terms[k]; it would sum an axis that runs along memory
+    pairwise, so other layouts are made C-ordered first, and slices of a
+    single entry are accumulated. That order is how numpy 2.4 behaves, not
+    a documented promise; ``test_sums_down_adds_from_start_one_slice_after_another``
+    and ``test_matmul_outer_axis_sums_match_loop_bit_for_bit`` fail if it
+    changes.
 
     ``start`` is 0.0 for the C loops' sums that start at 0.0, and -0.0 for
     those that start at their first term (-0.0 + x is x for every x). The
@@ -85,24 +81,22 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     ``out[i, j]`` is ``0.0 + a[i, 0] * b[0, j] + a[i, 1] * b[1, j] + ...``
     added left to right, with the terms where ``a[i, k] == 0.0`` left out:
-    the operations of the compiled loop, in its order. A block of k copies
-    its rows of a' and of b to contiguous form and forms its terms with
-    ``np.einsum`` as one C-ordered array, k outermost and the longer of the
-    two output axes innermost: (K, m, n), or (K, n, m) when n < m, whose
-    sums come back transposed. A product of at most ``_EINSUM_MIN_TERMS``
-    terms is one block, which a broadcast multiply forms as (K, m, n), and
-    so is each block of a product with one row or one column (m = 1 or
-    n = 1), where numpy's loop already runs along the long axis.
-    ``_sums_down`` adds the terms along k onto the running sums, one k
-    after another; ``@``, ``np.dot`` and ``np.sum`` would add in another
-    order.
+    the compiled loop's operations, in its order. A block of k copies its
+    rows of a' and of b to contiguous form and forms its terms with
+    ``np.einsum`` as one C-ordered array, k outermost and the longer output
+    axis innermost: (K, m, n), or (K, n, m) when n < m, whose sums come
+    back transposed. A product of at most ``_EINSUM_MIN_TERMS`` terms is
+    one block, formed (K, m, n) by a broadcast multiply, as is each block
+    of a product with one row or one column. ``_sums_down`` adds the terms
+    along k onto the running sums; ``@``, ``np.dot`` and ``np.sum`` would
+    add in another order.
 
-    einsum writes each term as 0.0 + a[i, k] * b[k, j], which is the
-    product except that -0.0 comes out as +0.0; no sum can tell, since
-    every sum starts at +0.0. Where two NaNs meet in a sum, which one
-    comes out (its sign and payload) is not specified and may differ from
-    the compiled loop's; an entry is NaN exactly where the loop's is, and
-    every other entry has the loop's bits.
+    A zero term, +-0.0 (einsum writes 0.0 + a[i, k] * b[k, j], so +0.0),
+    cannot change a sum, which starts at +0.0 and so is never -0.0: the
+    terms of a zero a[i, k] are masked out only against an inf or nan in
+    b. Where two NaNs meet in a sum, which one comes out (sign and payload)
+    may differ from the loop's; an entry is NaN exactly where the loop's
+    is, and every other entry has the loop's bits.
 
     Shapes must already be compatible; the caller validates them.
     """
@@ -116,9 +110,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # One small block, k outermost in C order, so that the sums run
         # along it slice by slice.
         terms = np.multiply(at[:, :, None], b[:, None, :], order="C")
-        if np.count_nonzero(at) < at.size:
-            # The loop skips these terms; 0.0 * inf or 0.0 * nan would
-            # turn its sum into nan.
+        if np.count_nonzero(at) < at.size and not np.isfinite(b).all():
+            # The loop skips these terms: 0.0 * inf or nan would be nan.
             terms[at == 0.0] = 0.0
         return _sums_down(terms, 0.0)
     thin = m == 1 or n == 1
@@ -128,14 +121,15 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k0 in range(0, inner, step):
         if thin:
             ak = at[k0:k0 + step]
-            terms = np.multiply(ak[:, :, None], b[k0:k0 + step, None, :], order="C")
+            bk = b[k0:k0 + step]
+            terms = np.multiply(ak[:, :, None], bk[:, None, :], order="C")
         else:
             ak = np.ascontiguousarray(at[k0:k0 + step])
             bk = np.ascontiguousarray(b[k0:k0 + step])
             # k outermost, as above, and the long axis innermost, where
             # numpy's loops run.
             terms = np.einsum("ki,kj->kji" if flip else "ki,kj->kij", ak, bk, order="C")
-        if np.count_nonzero(ak) < ak.size:
+        if np.count_nonzero(ak) < ak.size and not np.isfinite(bk).all():
             (terms.transpose(0, 2, 1) if flip else terms)[ak == 0.0] = 0.0
         if sums is not None:
             np.add(sums, terms[0], out=terms[0])
@@ -261,21 +255,18 @@ def cholesky_inverse(b: np.ndarray) -> np.ndarray | None:
 # Unit roundoff of float64: the QL deflation test and the floor on the
 # pivots of inverse iteration are this times a norm of T.
 _EPS = 2.0 ** -52
-
 # A column whose entries below the subdiagonal have squares summing to less
 # than this (entries under 2**-450 of the largest one) is taken as reduced:
-# dropping them is far below roundoff, and it keeps the reflector's h in
-# the normal range.
+# that is far below roundoff, and keeps the reflector's h in the normal range.
 _NEGLIGIBLE = 2.0 ** -900
-
 # Eigenvalues of T closer than this times ||T||_1 form one cluster, whose
-# inverse-iteration vectors are orthogonalised against each other (the
-# rule of LAPACK dstein).
+# inverse-iteration vectors are orthogonalised (the rule of LAPACK dstein).
 _CLUSTER_GAP = 1e-3
-
 # Within a cluster, consecutive shifts of inverse iteration are at least
 # this times eps ||T||_1 apart.
 _SHIFT_SPREAD = 10.0
+# The start vectors for the largest n asked for yet (``_start_vectors``).
+_STARTS = np.empty((0, 0))
 
 
 def tridiag_eigh(a: np.ndarray, rel_tol: float, max_iter: int):
@@ -285,16 +276,13 @@ def tridiag_eigh(a: np.ndarray, rel_tol: float, max_iter: int):
     the columns what the C twin sums along the rows), is reduced to
     T = Q' A Q by d - 2 Householder reflections. The eigenvalues of T come
     from the root-free QL iteration with Wilkinson shifts, at most
-    ``max_iter`` steps per eigenvalue (``_ql_eigenvalues``); its
-    eigenvectors from inverse iteration with every eigenvalue as a shift,
-    on an unpivoted LDL' of T - shift I (``_factor_shifted``), until each
-    residual ||T z - lambda z|| is at most ``rel_tol`` times the Frobenius
-    norm of the input, within ``max_iter`` steps (``_inverse_iteration``).
-    The reflectors then carry the vectors back.
+    ``max_iter`` steps per eigenvalue; its eigenvectors from inverse
+    iteration with every eigenvalue as a shift, until each residual
+    ||T z - lambda z|| is at most ``rel_tol`` times the Frobenius norm of
+    the input, within ``max_iter`` steps. The reflectors carry them back.
 
-    Returns ``(w, v, iterations, converged)`` as ``jacobi_eigh`` does: ``w``
-    ascending, the columns of ``v`` the eigenvectors in the same order, and
-    ``iterations`` the QL steps plus the inverse-iteration steps.
+    Returns ``(w, v, iterations, converged)`` as ``jacobi_eigh`` does, ``w``
+    ascending and ``iterations`` the QL plus the inverse-iteration steps;
     ``converged`` is False when either loop ran out of steps.
     """
     m = np.array(a, dtype=np.float64)  # a copy: _householder reduces it in place
@@ -317,17 +305,19 @@ def _householder(m: np.ndarray):
     Step k takes x = m[k+1:, k] and, unless its entries below the first are
     negligible, the reflector P = I - v v' / h with v = x - g e_1,
     g = -sign(x_0) ||x|| and h = ||x||^2 - x_0 g, which maps x to g e_1.
-    The trailing block becomes P M P = M - v q' - q v' with p = M v / h and
-    q = p - (v'p / 2h) v. Returns the diagonal and subdiagonal of T and the
+    The trailing block becomes P M P = M - (u + u') with p = M v / h,
+    q = p - (v'p / 2h) v and u = v q': the C loop's v q' + q v' exactly,
+    as v_j q_i = q_i v_j. Returns the diagonal and subdiagonal of T and the
     reflectors (k, v, h), acting on indices k + 1 .. d - 1.
     """
     d = m.shape[0]
     off = np.zeros(max(d - 1, 0))
     reflectors = []
+    work = np.empty((2, d * d + d))  # each step's u, u + u', p and q, C-ordered
     for k in range(d - 2):
         x = m[k + 1:, k].copy()
         x0 = float(x[0])
-        t = float(_sums_down(x[1:] * x[1:], -0.0))
+        t = np.add.accumulate(np.square(x[1:])).item(-1)  # x_1^2 + x_2^2 + ...
         if not t >= _NEGLIGIBLE:
             off[k] = x0
             continue
@@ -335,13 +325,17 @@ def _householder(m: np.ndarray):
         g = -math.sqrt(sigma) if x0 >= 0.0 else math.sqrt(sigma)
         h = sigma - x0 * g
         x[0] = x0 - g
-        block = m[k + 1:, k + 1:]
-        # Down the columns of the symmetric block: the C loop's sums along
-        # its rows, term by term, from the first term.
-        p = _sums_down(block * x[:, None], -0.0) / h
-        half = float(_sums_down(x * p, -0.0)) / (h + h)
-        q = p - half * x
-        block -= np.multiply.outer(x, q) + np.multiply.outer(q, x)
+        s = d - k - 1
+        u, uu = work[:, :s * s].reshape(2, s, s)
+        p, q = work[:, d * d:d * d + s]
+        xc, block = x[:, None], m[k + 1:, k + 1:]
+        # The C loop's row sums from the first term, down the symmetric block
+        np.add.reduce(np.multiply(block, xc, out=u), axis=0, out=p, initial=-0.0)
+        p /= h
+        half = np.add.accumulate(np.multiply(x, p, out=q), out=q).item(-1) / (h + h)
+        np.subtract(p, np.multiply(x, half, out=q), out=q)
+        np.multiply(xc, q, out=u)
+        block -= np.add(u, u.T, out=uu)
         off[k] = g
         reflectors.append((k, x, h))
     if d >= 2:
@@ -350,11 +344,8 @@ def _householder(m: np.ndarray):
 
 
 def _pythag(a: float, b: float) -> float:
-    """sqrt(a^2 + b^2) without overflow, from + - * / and sqrt only.
-
-    (``math.hypot`` rounds differently from C's ``hypot``.) The QL shift
-    takes it once per step.
-    """
+    """sqrt(a^2 + b^2) without overflow, from + - * / and sqrt only (``math.hypot``
+    rounds differently from C's ``hypot``): once per QL step, for the shift."""
     absa, absb = abs(a), abs(b)
     if absa > absb:
         r = absb / absa
@@ -370,15 +361,14 @@ def _ql_eigenvalues(dg: list, e: list, max_iter: int):
 
     The Pal-Walker-Kahan form (LAPACK ``dsterf``; Parlett, *The Symmetric
     Eigenvalue Problem*, section 8.15): each step works on the squared
-    subdiagonal e^2, so its rotation loop takes no square root; only the
-    shift does. e[m] counts as zero once e[m]^2 <= eps^2 |dg[m] dg[m + 1]|,
-    or once e[m]^2 <= (eps tst1)^2 with tst1 = max_i |dg[i]| + |e[i]| +
-    |e[i - 1]|, the norm of T that EISPACK ``tql1`` tests against. The
-    second test, a perturbation of T by at most eps ||T||, deflates inside
-    a cluster of eigenvalues near zero, where both diagonals are
-    ~eps ||T|| and the first would ask for |e[m]| below eps^2 ||T||.
-    Returns (eigenvalues, steps, converged); not converged when one
-    eigenvalue takes more than ``max_iter`` steps.
+    subdiagonal e^2, so only its shift takes a square root. e[m] counts as
+    zero once e[m]^2 <= eps^2 |dg[m] dg[m + 1]|, or once e[m]^2 <=
+    (eps tst1)^2 with tst1 = max_i |dg[i]| + |e[i]| + |e[i - 1]|, EISPACK
+    ``tql1``'s norm of T. The second test, a perturbation of T by at most
+    eps ||T||, deflates inside a cluster of eigenvalues near zero, where
+    both diagonals are ~eps ||T|| and the first would ask for |e[m]| below
+    eps^2 ||T||. Returns (eigenvalues, steps, converged); not converged
+    when one eigenvalue takes more than ``max_iter`` steps.
     """
     n = len(dg)
     e = e + [0.0]
@@ -388,12 +378,13 @@ def _ql_eigenvalues(dg: list, e: list, max_iter: int):
     floor2 = e_floor * e_floor
     eps2 = _EPS * _EPS
     e2 = [x * x for x in e]
+    sqrt, pythag, last = math.sqrt, _pythag, n - 1
     steps = 0
     for l in range(n):
         it = 0
         while True:
             m = l
-            while m < n - 1 and e2[m] > eps2 * abs(dg[m] * dg[m + 1]) and e2[m] > floor2:
+            while m < last and e2[m] > eps2 * abs(dg[m] * dg[m + 1]) and e2[m] > floor2:
                 m += 1
             if m == l:
                 break
@@ -402,21 +393,26 @@ def _ql_eigenvalues(dg: list, e: list, max_iter: int):
             it += 1
             steps += 1
             p = dg[l]
-            rte = math.sqrt(e2[l])
+            rte = sqrt(e2[l])
             sigma = (dg[l + 1] - p) / (2.0 * rte)
-            r = _pythag(sigma, 1.0)
+            r = pythag(sigma, 1.0)
             sigma = p - rte / (sigma + (r if sigma >= 0.0 else -r))
-            c = 1.0
-            s = 0.0
-            gamma = dg[m] - sigma
-            p = gamma * gamma
-            # e2[i] > 0.0 here, so r > 0.0; c underflows to 0.0 only where
-            # gamma^2 is negligible next to e2[i]
-            for i in range(m - 1, l - 1, -1):
+            # i = m - 1 from c = 1.0 and s = 0.0; e2[i] > 0.0, so r > 0.0, and c
+            # underflows only where gamma^2 << e2[i], giving p = oldc * bb.
+            oldgam = dg[m] - sigma
+            p = oldgam * oldgam
+            bb = e2[m - 1]
+            r = p + bb
+            c = p / r
+            s = bb / r
+            alpha = dg[m - 1]
+            gamma = c * (alpha - sigma) - s * oldgam
+            dg[m] = oldgam + (alpha - gamma)
+            p = gamma * gamma / c if c != 0.0 else bb
+            for i in range(m - 2, l - 1, -1):
                 bb = e2[i]
                 r = p + bb
-                if i != m - 1:
-                    e2[i + 1] = s * r
+                e2[i + 1] = s * r
                 oldc = c
                 c = p / r
                 s = bb / r
@@ -436,17 +432,23 @@ def _start_vectors(n: int) -> np.ndarray:
 
     Entry (r, j) is an odd integer in (-2^21, 2^21) from a 32-bit integer
     hash of (r + 1, j + 1), divided by 2^21: no random state, and the same
-    bits in every backend.
+    bits in every backend. It does not depend on n, so every n reads the
+    leading block of one shared read-only array, made again for a larger n.
     """
-    r = np.arange(1, n + 1, dtype=np.uint64)[:, None]
-    j = np.arange(1, n + 1, dtype=np.uint64)[None, :]
-    low = np.uint64(0xFFFFFFFF)
-    x = (r * np.uint64(0x9E3779B1) + j * np.uint64(0x85EBCA6B)) & low
-    x ^= x >> np.uint64(16)
-    x = (x * np.uint64(0x45D9F3B)) & low
-    x ^= x >> np.uint64(16)
-    odd = (x >> np.uint64(11)).astype(np.int64) * 2 - ((1 << 21) - 1)
-    return odd / float(1 << 21)
+    global _STARTS
+    starts = _STARTS
+    if starts.shape[0] < n:
+        r = np.arange(1, n + 1, dtype=np.uint64)[:, None]
+        j = np.arange(1, n + 1, dtype=np.uint64)[None, :]
+        low = np.uint64(0xFFFFFFFF)
+        x = (r * np.uint64(0x9E3779B1) + j * np.uint64(0x85EBCA6B)) & low
+        x ^= x >> np.uint64(16)
+        x = (x * np.uint64(0x45D9F3B)) & low
+        x ^= x >> np.uint64(16)
+        starts = ((x >> np.uint64(11)).astype(np.int64) * 2 - ((1 << 21) - 1)) / float(1 << 21)
+        starts.flags.writeable = False
+        _STARTS = starts
+    return starts[:n, :n]
 
 
 def _factor_shifted(dg: np.ndarray, e: np.ndarray, lam: np.ndarray, tiny: float):
@@ -458,37 +460,34 @@ def _factor_shifted(dg: np.ndarray, e: np.ndarray, lam: np.ndarray, tiny: float)
     2004). A pivot smaller than ``tiny`` in magnitude becomes ``tiny``
     with its sign before l_i divides by it, so the factors stay finite
     even where lam_j is an eigenvalue of a leading block; a NaN pivot
-    fails the compare and passes through. Row i of each returned array
-    holds that row for all shifts: the pivots and the multipliers.
+    fails the compare and passes through: copysign(max(|d_i|, tiny), d_i)
+    leaves it, and every pivot not below ``tiny``, as it is. Returns the
+    pivots, row i for all shifts, and the list of the multipliers' rows.
     """
-    n = dg.shape[0]
     piv = dg[:, None] - lam
-    mult = np.empty((max(n - 1, 0), lam.shape[0]))
-    for i in range(n):
-        di = piv[i]
-        np.copysign(tiny, di, out=di, where=np.abs(di) < tiny)
-        if i < n - 1:
-            li = np.divide(e[i], di, out=mult[i])
-            piv[i + 1] -= li * e[i]
-    return piv, mult
+    pivs, es = list(piv), e.tolist()
+    mults = list(np.empty((len(es), lam.shape[0])))
+    scratch = np.empty_like(lam)
+    for i, di in enumerate(pivs):
+        np.copysign(np.maximum(np.abs(di, out=scratch), tiny, out=scratch), di, out=di)
+        if i < len(es):
+            li = np.divide(es[i], di, out=mults[i])
+            np.subtract(pivs[i + 1], np.multiply(li, es[i], out=scratch), out=pivs[i + 1])
+    return piv, mults
 
 
-def _solve_shifted(factors, z: np.ndarray) -> np.ndarray:
-    """Solve (T - lam_j I) y_j = z_j for every column j from its LDL'.
-
-    Forward, u_(i+1) = z_(i+1) - l_i u_i; backward,
-    y_i = u_i / d_i - l_i y_(i+1).
-    """
-    piv, mult = factors
-    y = z.copy()
-    n = y.shape[0]
-    for i in range(n - 1):
-        y[i + 1] -= mult[i] * y[i]
+def _solve_shifted(factors, y: np.ndarray) -> None:
+    """Solve (T - lam_j I) x_j = y_j for every column j from its LDL', x into y:
+    forward, u_(i+1) = y_(i+1) - l_i u_i; backward, x_i = u_i / d_i - l_i x_(i+1)."""
+    piv, mults = factors
+    rows = list(y)
+    scratch = np.empty_like(rows[0])
+    for yi, yn, li in zip(rows, rows[1:], mults):
+        np.subtract(yn, np.multiply(li, yi, out=scratch), out=yn)
     # every u_i / d_i at once: the forward pass has left each u_i final
     y /= piv
-    for i in range(n - 2, -1, -1):
-        y[i] -= mult[i] * y[i + 1]
-    return y
+    for yi, yn, li in zip(rows[-2::-1], rows[:0:-1], mults[::-1]):
+        np.subtract(yi, np.multiply(li, yn, out=scratch), out=yi)
 
 
 def _orthonormalise(y: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> None:
@@ -496,8 +495,7 @@ def _orthonormalise(y: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> Non
 
     Cluster c holds columns starts[c] .. starts[c] + sizes[c] - 1. Its k-th
     column loses its components along the k - 1 before it, one after
-    another, and is then scaled to unit length; k-th columns of all
-    clusters are treated together.
+    another, and is scaled to unit length, with the k-th of every cluster.
     """
     for k in range(int(sizes.max())):
         cols = starts[sizes > k] + k
@@ -519,17 +517,15 @@ def _residual_norms(dg: np.ndarray, e: np.ndarray, lam: np.ndarray, z: np.ndarra
 def _inverse_iteration(dg: np.ndarray, e: np.ndarray, w: np.ndarray, thresh: float, max_iter: int):
     """Eigenvectors of the tridiagonal (dg, e) for its ascending eigenvalues w.
 
-    Every eigenvalue is a shift, and the start vectors are
-    ``_start_vectors``. Eigenvalues with gaps of at most
-    ``_CLUSTER_GAP * ||T||_1`` form clusters; within one, each shift is
-    kept at least ``_SHIFT_SPREAD * eps * ||T||_1`` above the one before,
-    so that equal eigenvalues still get distinct solves (as LAPACK dstein
-    does). A step solves (T - s_j I) y_j = z_j for all j and orthonormalises
-    within the clusters. The loop stops after two steps in a row whose
-    residuals ||T z_j - w_j z_j|| are all at most ``thresh``: one step from
-    the start vectors leaves components along the other eigenvectors of
-    order eps ||T|| / gap, and the next removes them. Returns (z, steps,
-    converged).
+    Every eigenvalue is a shift, from ``_start_vectors``. Eigenvalues with
+    gaps of at most ``_CLUSTER_GAP * ||T||_1`` form clusters; within one,
+    each shift is kept ``_SHIFT_SPREAD * eps * ||T||_1`` or more above the
+    one before, so equal eigenvalues get distinct solves (as in LAPACK
+    dstein). A step solves (T - s_j I) y_j = z_j for all j and
+    orthonormalises within the clusters, until two steps in a row leave
+    every residual ||T z_j - w_j z_j|| within ``thresh``: one step leaves
+    components of order eps ||T|| / gap along the other eigenvectors, and
+    the next removes them. Returns (z, steps, converged).
     """
     n = dg.shape[0]
     row_sums = np.abs(dg)
@@ -544,10 +540,10 @@ def _inverse_iteration(dg: np.ndarray, e: np.ndarray, w: np.ndarray, thresh: flo
         if shifts[j] - shifts[j - 1] < spread:
             shifts[j] = shifts[j - 1] + spread
     factors = _factor_shifted(dg, e, np.array(shifts), _EPS * norm_1)
-    z = _start_vectors(n)
+    z = _start_vectors(n).copy()
     passed = False
     for step in range(1, max_iter + 1):
-        z = _solve_shifted(factors, z)
+        _solve_shifted(factors, z)
         _orthonormalise(z, starts, sizes)
         if (_residual_norms(dg, e, w, z) <= thresh).all():
             if passed:
@@ -560,8 +556,12 @@ def _inverse_iteration(dg: np.ndarray, e: np.ndarray, w: np.ndarray, thresh: flo
 
 def _back_transform(reflectors, z: np.ndarray) -> np.ndarray:
     """Q z for Q = P_0 P_1 ..., applying the reflectors last to first, in place."""
+    work = np.empty(z.size + z.shape[1])
+    f = work[z.size:]
     for k, v, h in reversed(reflectors):
-        block = z[k + 1:]
-        f = _sums_down(v[:, None] * block, -0.0) / h
-        block -= np.multiply.outer(v, f)
+        block, vc = z[k + 1:], v[:, None]
+        terms = work[:block.size].reshape(block.shape)
+        np.add.reduce(np.multiply(vc, block, out=terms), axis=0, out=f, initial=-0.0)
+        f /= h
+        block -= np.multiply(vc, f, out=terms)
     return z

@@ -3,6 +3,7 @@
 import ast
 import functools
 import importlib
+import math
 import subprocess
 import sys
 import sysconfig
@@ -141,6 +142,24 @@ def test_matmul_matches_loop_bit_for_bit():
         b = rng.standard_normal((k, n)) * 0.1
         for x, y in [(a, b), _with_zeros(rng, a, b)]:
             assert _same_bits(pykernels.matmul(x, y), _loop_matmul(x, y)), (m, k, n)
+
+
+def test_matmul_triangular_operands_match_loop_bit_for_bit():
+    # The quick route's L^-1 and FDA's W = L^-T: the zero half of a takes
+    # no mask against a finite b, and is masked against inf and nan in b.
+    rng = np.random.RandomState(61)
+    for d in (3, 9, 16, 56, 72):
+        low = np.tril(rng.standard_normal((d, d)))
+        b = rng.standard_normal((d, d))
+        special = b.copy()
+        special[d // 2, ::3] = np.inf
+        special[-1, 1 % d] = np.nan
+        for x in (low, low.T, np.asfortranarray(low)):
+            for y in (b, special, b[:, :1], special[:, :2]):
+                got, want = pykernels.matmul(x, y), _loop_matmul(np.ascontiguousarray(x), y)
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan), d
+                assert _same_bits(got[~nan], want[~nan]), d
 
 
 def test_matmul_skips_zero_terms_against_inf_and_nan():
@@ -715,6 +734,127 @@ def test_tridiag_step_counts_on_random_matrices(d, ql_steps):
     diag, off, _ = pykernels._householder(a.copy())
     assert pykernels._ql_eigenvalues(diag.tolist(), off.tolist(), MAX_SWEEPS)[1:] == (ql_steps, True)
     assert pykernels.tridiag_eigh(a, JACOBI_REL_TOL, MAX_SWEEPS)[2:] == (ql_steps + 2, True)
+
+
+def _householder_loops(a):
+    """The C twin's Householder reduction on Python floats: p by sums along
+    the rows, and the update row[j] - (v_i q_j + q_i v_j)."""
+    m = a.tolist()
+    d = len(m)
+    off = [0.0] * max(d - 1, 0)
+    reflectors = []
+    for k in range(d - 2):
+        s = d - k - 1
+        v = [m[k + 1 + i][k] for i in range(s)]
+        x0 = v[0]
+        t = v[1] * v[1]
+        for i in range(2, s):
+            t += v[i] * v[i]
+        if not t >= pykernels._NEGLIGIBLE:
+            off[k] = x0
+            continue
+        sigma = x0 * x0 + t
+        g = -math.sqrt(sigma) if x0 >= 0.0 else math.sqrt(sigma)
+        h = sigma - x0 * g
+        v[0] = x0 - g
+        p = []
+        for i in range(s):
+            row = m[k + 1 + i]
+            acc = row[k + 1] * v[0]
+            for j in range(1, s):
+                acc += row[k + 1 + j] * v[j]
+            p.append(acc / h)
+        vp = v[0] * p[0]
+        for i in range(1, s):
+            vp += v[i] * p[i]
+        half = vp / (h + h)
+        q = [p[i] - half * v[i] for i in range(s)]
+        for i in range(s):
+            row = m[k + 1 + i]
+            for j in range(s):
+                row[k + 1 + j] = row[k + 1 + j] - (v[i] * q[j] + q[i] * v[j])
+        off[k] = g
+        reflectors.append((k, v, h))
+    if d >= 2:
+        off[d - 2] = m[d - 1][d - 2]
+    return [m[i][i] for i in range(d)], off, reflectors
+
+
+def _factor_one_shift(dg, e, shift, tiny):
+    """The C twin's LDL' of T - shift I on Python floats: pivots, multipliers."""
+    n = len(dg)
+    piv = [x - shift for x in dg]
+    mult = [0.0] * (n - 1)
+    for i in range(n):
+        if abs(piv[i]) < tiny:
+            piv[i] = math.copysign(tiny, piv[i])
+        if i + 1 < n:
+            mult[i] = e[i] / piv[i]
+            piv[i + 1] = piv[i + 1] - mult[i] * e[i]
+    return piv, mult
+
+
+def _solve_one_shift(piv, mult, y):
+    """The C twin's solve of (T - shift I) x = y from its LDL', on Python floats."""
+    n = len(y)
+    y = list(y)
+    for i in range(n - 1):
+        y[i + 1] = y[i + 1] - mult[i] * y[i]
+    y[n - 1] = y[n - 1] / piv[n - 1]
+    for i in range(n - 2, -1, -1):
+        y[i] = y[i] / piv[i] - mult[i] * y[i + 1]
+    return y
+
+
+def test_start_vectors_are_the_c_hash_at_every_n(monkeypatch):
+    # The C twin's start_entry on Python ints. One read-only array serves
+    # every n: a smaller n after a larger one reads its leading block, and
+    # a larger one makes it again.
+    def entry(r, j):
+        x = ((r + 1) * 0x9E3779B1 + (j + 1) * 0x85EBCA6B) & 0xFFFFFFFF
+        x ^= x >> 16
+        x = (x * 0x45D9F3B) & 0xFFFFFFFF
+        x ^= x >> 16
+        return ((x >> 11) * 2 - ((1 << 21) - 1)) / float(1 << 21)
+
+    monkeypatch.setattr(pykernels, "_STARTS", np.empty((0, 0)))
+    for n in (40, 1, 9, 57):
+        z = pykernels._start_vectors(n)
+        assert not z.flags.writeable
+        assert _same_bits(z, [[entry(r, j) for j in range(n)] for r in range(n)]), n
+    assert pykernels._STARTS.shape == (57, 57)
+
+
+@pytest.mark.parametrize("d", [9, 13, 40, 48, 56, 128])
+def test_tridiag_steps_match_scalar_loops_bit_for_bit(d):
+    # The numpy step loops against the C twin's scalar ones, without a C
+    # compiler: the Householder reduction with its u + u' update, and the
+    # LDL' of every shift with its solve. d = 128 is the rank-32 input,
+    # whose 96 zero eigenvalues leave columns taken as reduced.
+    rng = np.random.RandomState(6000 + d)
+    a = low_rank_psd(128, 32, 0) if d == 128 else random_sym(rng, d).array
+    diag, off, reflectors = pykernels._householder(a.copy())
+    want_diag, want_off, want_reflectors = _householder_loops(a)
+    assert _same_bits(diag, want_diag) and _same_bits(off, want_off)
+    assert [k for k, _, _ in reflectors] == [k for k, _, _ in want_reflectors]
+    for (_, v, h), (_, want_v, want_h) in zip(reflectors, want_reflectors):
+        assert _same_bits(v, want_v) and _same_bits(h, want_h)
+    w, _, converged = pykernels._ql_eigenvalues(diag.tolist(), off.tolist(), MAX_SWEEPS)
+    assert converged
+    # Every eigenvalue, and the first diagonal entry, whose first pivot is
+    # exactly 0.0 until the floor lifts it to tiny.
+    shifts = np.array(sorted(w) + [diag[0]])
+    tiny = pykernels._EPS * float(np.abs(diag).max())
+    piv, mults = pykernels._factor_shifted(diag, off, shifts, tiny)
+    z = rng.standard_normal((d, shifts.size))
+    y = z.copy()
+    pykernels._solve_shifted((piv, mults), y)
+    mults = np.array(mults)
+    for j, shift in enumerate(shifts.tolist()):
+        want_piv, want_mult = _factor_one_shift(diag.tolist(), off.tolist(), shift, tiny)
+        assert _same_bits(piv[:, j], want_piv) and _same_bits(mults[:, j], want_mult), j
+        assert _same_bits(y[:, j], _solve_one_shift(want_piv, want_mult, z[:, j].tolist())), j
+    assert piv[0, -1] == tiny
 
 
 @pytest.mark.parametrize("d", list(range(2, 13)) + [19, 20, 21, 33, 48, 64])
