@@ -25,6 +25,10 @@ by a direct call: ``pencil._dense_diagnostics`` on S or (S_B, S_W), and
 ``pencil._diagnostics`` on KSPCA's F (F'Phi) and ||F'F||_F = ||F F'||_F,
 as F F' is never formed.
 
+Both labeled fits split the samples by one index of class positions.
+S, S_W and S_B = D D' are Grams from ``kernels.matmul``, exactly
+symmetric, so ``SymMatrix`` stores them as they are.
+
 Data matrices are d x n with one sample per column.
 """
 
@@ -176,8 +180,7 @@ class EmbeddingModel:
 def covariance(x: Matrix) -> SymMatrix:
     """Centered second-moment matrix S = Xc Xc' (no 1/n normalization)."""
     xc = x.array - x.array.mean(axis=1).reshape(-1, 1)
-    prod = kernels.matmul(xc, xc.T)
-    return SymMatrix((prod + prod.T) / 2.0)
+    return SymMatrix(kernels.matmul(xc, xc.T))
 
 
 def pca_fit(x: Matrix, p: int) -> EmbeddingModel:
@@ -224,27 +227,25 @@ def scatter_matrices(ds: LabeledDataset) -> ScatterPair:
     """
     if ds.labels is None:
         raise MissingLabels("scatter matrices need class labels")
-    classes = sorted(set(ds.labels))
+    classes, index = _class_index(ds.labels)
     if len(classes) < 2:
         raise SingleClass(f"need at least 2 classes, got {len(classes)}")
     xa = ds.x.array
     d = ds.d
     mu_t = xa.mean(axis=1)
-    s_b = np.zeros((d, d))
     s_w = np.zeros((d, d))
     offsets = np.empty((d, len(classes)))
-    for j, cls in enumerate(classes):
-        idx = [i for i, lab in enumerate(ds.labels) if lab == cls]
+    # each class's samples in ascending order, as the columns of xa
+    members = np.split(np.argsort(index, kind="stable"), np.cumsum(np.bincount(index))[:-1])
+    for j, idx in enumerate(members):
         block = xa[:, idx]
         mu_j = block.mean(axis=1)
-        dmu = mu_j - mu_t
-        offsets[:, j] = dmu
-        s_b += dmu.reshape(-1, 1) * dmu.reshape(1, -1)
+        offsets[:, j] = mu_j - mu_t
         dev = block - mu_j.reshape(-1, 1)
         s_w += kernels.matmul(dev, dev.T)
     return ScatterPair(
-        s_b=SymMatrix((s_b + s_b.T) / 2.0),
-        s_w=SymMatrix((s_w + s_w.T) / 2.0),
+        s_b=SymMatrix(kernels.matmul(offsets, offsets.T)),
+        s_w=SymMatrix(s_w),
         offsets=Matrix(offsets),
     )
 
@@ -387,8 +388,7 @@ def kspca_fit(
     k_x = SymMatrix(kernel_matrix(ds.x, ds.x, kx).array)
     # K_c = R R': the delta kernel's K_c is I (the class values are
     # distinct), so R = I; any other from eig(K_c) without its null set.
-    # np.unique would import numpy.ma, ~1 MB, on the first fit
-    classes = sorted(set(ds.labels))
+    classes, index = _class_index(ds.labels)
     if ky.kind == "delta":
         r = np.eye(len(classes))
     else:
@@ -407,7 +407,7 @@ def kspca_fit(
         )
     # G = H Y R: Y R is the row of R of each sample's class, and the
     # centering acts on the sample index, the rows of Y R
-    yr = r[[classes.index(v) for v in ds.labels]]
+    yr = r[index]
     g = yr - yr.mean(axis=0)
     factor = kernels.matmul(k_x.array, g)
     phi, lams, white = _fit_pairs(factor, k_x, p, epsilon, preimage=g)
@@ -437,6 +437,15 @@ def kspca_transform(model: EmbeddingModel, x_new: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _class_index(labels) -> tuple[list[int], np.ndarray]:
+    """The sorted class values, and each sample's position among them."""
+    # np.unique would import numpy.ma, ~1 MB, on the first fit; a dict
+    # also takes labels beyond int64
+    classes = sorted(set(labels))
+    position = {v: j for j, v in enumerate(classes)}
+    return classes, np.array([position[v] for v in labels], dtype=np.intp)
 
 
 def _model(method, phi, lams, diagnostics, **fields) -> EmbeddingModel:

@@ -6,6 +6,10 @@ request) with residual diagnostics. The diagnostics come from the solve
 or fit itself, measured against the pencil it solved; this module only
 gates and formats them.
 
+Every CSV becomes one float64 table (``_table``), and a dataset takes its
+labels from that table, going back to the file only to quote a
+fractional label.
+
 Commands: eig, geig, pca, fda, kspca, rayleigh. Exit codes: 0 on
 success, 1 for input or configuration problems, 2 when the numerics fail
 on structurally valid input.
@@ -161,21 +165,30 @@ def _parse_float_cell(cell: str, lineno: int, col: int) -> float:
     return val
 
 
+def _table(path: str) -> tuple[list[str] | None, np.ndarray]:
+    """(header or None, float64 table) of a CSV: ``_fast_table`` where it
+    applies, else the csv module's non-blank data rows, each cell located."""
+    fast = _fast_table(path)
+    if fast is not None:
+        return fast
+    header, data_rows = _located_rows(path)
+    table = np.array(
+        [
+            [_parse_float_cell(cell, lineno, j) for j, cell in enumerate(cells)]
+            for lineno, cells in data_rows
+        ],
+        dtype=np.float64,
+    )
+    return header, table
+
+
 def parse_matrix_csv(path: str) -> Matrix:
     """Read a rectangular numeric CSV into a Matrix (rows = file rows).
 
     A first row containing any non-numeric cell is treated as a header
     and skipped. Errors carry the offending row/column location.
     """
-    fast = _fast_table(path)
-    if fast is not None:
-        return Matrix(fast[1])
-    _, data_rows = _located_rows(path)
-    entries = [
-        [_parse_float_cell(cell, lineno, j) for j, cell in enumerate(cells)]
-        for lineno, cells in data_rows
-    ]
-    return Matrix(entries)
+    return Matrix(_table(path)[1])
 
 
 def parse_labeled_csv(path: str, label_column: str = "label") -> LabeledDataset:
@@ -186,40 +199,21 @@ def parse_labeled_csv(path: str, label_column: str = "label") -> LabeledDataset:
     integer class ids; the remaining columns become the d x n data
     matrix, transposed so samples sit in columns.
     """
-    fast = _fast_table(path)
-    if fast is not None:
-        header, table = fast
-        label_idx = _label_index(header, table.shape[1], label_column)
-        labels = table[:, label_idx].tolist()
-        # The located parser reports a fractional label with its row, and
-        # a file without feature columns.
-        if table.shape[1] > 1 and all(v == int(v) for v in labels):
-            x = Matrix(np.delete(table, label_idx, axis=1).T)
-            return LabeledDataset(x=x, labels=tuple(int(v) for v in labels))
-
-    header, data_rows = _located_rows(path)
-    label_idx = _label_index(header, len(data_rows[0][1]), label_column)
-    labels = []
-    feature_rows = []
-    for lineno, cells in data_rows:
-        val = _parse_float_cell(cells[label_idx], lineno, label_idx)
-        if val != int(val):
-            raise NonNumericCell(
-                f"row {lineno} column {label_idx + 1}: label {cells[label_idx]!r} "
-                "is not an integer class id"
-            )
-        labels.append(int(val))
-        feature_rows.append(
-            [
-                _parse_float_cell(cell, lineno, j)
-                for j, cell in enumerate(cells)
-                if j != label_idx
-            ]
+    header, table = _table(path)
+    label_idx = _label_index(header, table.shape[1], label_column)
+    labels = table[:, label_idx]
+    fractional = np.flatnonzero(labels != np.floor(labels))
+    if fractional.size:
+        # the table's rows are the csv module's data rows: name the row
+        # and quote the cell as the file writes it
+        lineno, cells = _located_rows(path)[1][fractional[0]]
+        raise NonNumericCell(
+            f"row {lineno} column {label_idx + 1}: label {cells[label_idx]!r} "
+            "is not an integer class id"
         )
-    if not feature_rows or not feature_rows[0]:
+    if table.shape[1] == 1:
         raise EmptyFile(f"{path} has no feature columns besides the label")
-    x = Matrix(np.array(feature_rows, dtype=np.float64).T)
-    return LabeledDataset(x=x, labels=tuple(labels))
+    return LabeledDataset(Matrix(np.delete(table, label_idx, 1).T), labels.tolist())
 
 
 def _label_index(header: list[str] | None, width: int, label_column: str) -> int:

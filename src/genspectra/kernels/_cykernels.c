@@ -332,19 +332,16 @@ householder(double *m, Py_ssize_t d, double *dg, double *off, double *vs, double
         dg[i] = m[i * d + i];
 }
 
-/* sqrt(a^2 + b^2) without overflow (pykernels._pythag); the QL shift's. */
+/* sqrt(sigma^2 + 1) without overflow (pykernels._hypot1); the QL shift's. */
 static double
-pythag(double a, double b)
+hypot1(double sigma)
 {
-    double absa = fabs(a), absb = fabs(b), r;
-    if (absa > absb) {
-        r = absb / absa;
-        return absa * sqrt(1.0 + r * r);
+    double a = fabs(sigma), r;
+    if (a > 1.0) {
+        r = 1.0 / a;
+        return a * sqrt(1.0 + r * r);
     }
-    if (absb == 0.0)
-        return 0.0;
-    r = absa / absb;
-    return absb * sqrt(1.0 + r * r);
+    return sqrt(1.0 + a * a);
 }
 
 /* Root-free (Pal-Walker-Kahan) QL with Wilkinson shifts on (dg, e),
@@ -380,7 +377,7 @@ ql_eigenvalues(double *dg, double *e, Py_ssize_t n, int max_iter, long *steps)
             double p = dg[l];
             double rte = sqrt(e[l]);
             double sigma = (dg[l + 1] - p) / (2.0 * rte);
-            double r = pythag(sigma, 1.0);
+            double r = hypot1(sigma);
             sigma = p - rte / (sigma + (sigma >= 0.0 ? r : -r));
             double c = 1.0, s = 0.0;
             double gamma = dg[m] - sigma;

@@ -343,17 +343,14 @@ def _householder(m: np.ndarray):
     return m.diagonal().copy(), off, reflectors
 
 
-def _pythag(a: float, b: float) -> float:
-    """sqrt(a^2 + b^2) without overflow, from + - * / and sqrt only (``math.hypot``
+def _hypot1(sigma: float) -> float:
+    """sqrt(sigma^2 + 1) without overflow, from + * / and sqrt only (``math.hypot``
     rounds differently from C's ``hypot``): once per QL step, for the shift."""
-    absa, absb = abs(a), abs(b)
-    if absa > absb:
-        r = absb / absa
-        return absa * math.sqrt(1.0 + r * r)
-    if absb == 0.0:
-        return 0.0
-    r = absa / absb
-    return absb * math.sqrt(1.0 + r * r)
+    a = abs(sigma)
+    if a > 1.0:
+        r = 1.0 / a
+        return a * math.sqrt(1.0 + r * r)
+    return math.sqrt(1.0 + a * a)
 
 
 def _ql_eigenvalues(dg: list, e: list, max_iter: int):
@@ -378,7 +375,7 @@ def _ql_eigenvalues(dg: list, e: list, max_iter: int):
     floor2 = e_floor * e_floor
     eps2 = _EPS * _EPS
     e2 = [x * x for x in e]
-    sqrt, pythag, last = math.sqrt, _pythag, n - 1
+    sqrt, hypot1, last = math.sqrt, _hypot1, n - 1
     steps = 0
     for l in range(n):
         it = 0
@@ -395,7 +392,7 @@ def _ql_eigenvalues(dg: list, e: list, max_iter: int):
             p = dg[l]
             rte = sqrt(e2[l])
             sigma = (dg[l + 1] - p) / (2.0 * rte)
-            r = pythag(sigma, 1.0)
+            r = hypot1(sigma)
             sigma = p - rte / (sigma + (r if sigma >= 0.0 else -r))
             # i = m - 1 from c = 1.0 and s = 0.0; e2[i] > 0.0, so r > 0.0, and c
             # underflows only where gamma^2 << e2[i], giving p = oldc * bb.

@@ -63,7 +63,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConvergenceFailure, DimensionMismatch, IndefiniteB, SingularAfterRegularization
-from .eigen import EigenDecomposition, _Metric, _column_signs, eig_sym
+from .eigen import EigenDecomposition, _Metric, _column_signs, eig_sym, spectral_reconstruct
 from .linalg import (
     SINGULAR_TOL,
     Matrix,
@@ -175,12 +175,8 @@ class WhiteningIntermediates:
         eps > 0 it is the nearby nonsingular metric in which the returned
         eigenvectors are exactly orthonormal.
         """
-        phi_b = self.phi_b.array
-        factors = np.array(
-            [(math.sqrt(max(lb, 0.0)) + self.epsilon_used) ** 2 for lb in self.lambda_b]
-        )
-        rec = kernels.matmul(phi_b * factors, phi_b.T)
-        return SymMatrix((rec + rec.T) / 2.0)
+        factors = [(math.sqrt(max(lb, 0.0)) + self.epsilon_used) ** 2 for lb in self.lambda_b]
+        return spectral_reconstruct(EigenDecomposition(self.phi_b, tuple(factors), "descending"))
 
 
 @dataclass(frozen=True)

@@ -143,8 +143,7 @@ def solve_form3_4(x: Matrix, p: int, b: SymMatrix | None = None) -> tuple[Matrix
     if not 1 <= p <= x.rows:
         raise DimensionMismatch(f"p must lie in [1, {x.rows}], got {p}")
     xa = x.array
-    prod = kernels.matmul(xa, xa.T)
-    q = QuadraticForm(SymMatrix((prod + prod.T) / 2.0), b)
+    q = QuadraticForm(SymMatrix(kernels.matmul(xa, xa.T)), b)
     return _extremal_pairs(q.a, q.b, p, "maximize")
 
 

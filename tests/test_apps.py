@@ -18,6 +18,7 @@ from genspectra import (
     Matrix,
     MissingLabels,
     Pencil,
+    ScatterPair,
     SingleClass,
     SymMatrix,
     Vector,
@@ -253,6 +254,11 @@ def test_scatter_requires_labels_and_two_classes():
 def test_labeled_dataset_validates_label_count():
     with pytest.raises(DimensionMismatch):
         LabeledDataset(Matrix(np.eye(2)), labels=(1, 2, 3))
+
+
+def test_scatter_pair_validates_dims():
+    with pytest.raises(DimensionMismatch, match="scatter dims differ: 2 and 3"):
+        ScatterPair(SymMatrix(np.eye(2)), SymMatrix(np.eye(3)))
 
 
 def test_labeled_dataset_rejects_non_integer_labels():

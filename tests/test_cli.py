@@ -346,6 +346,18 @@ def test_fast_and_located_paths_agree_on_awkward_labeled_files(case, tmp_path):
     assert _verdict(fast) == (error.__name__ if error else "accepted")
 
 
+def test_located_labeled_read_reports_a_malformed_cell_first(tmp_path):
+    # Every cell is parsed before the label column is chosen or a label
+    # checked: in a file with several faults, the malformed cell is the
+    # one reported, on either path.
+    faults = _write(tmp_path / "d.csv", "x,label\n1,0.5\n2,1\n3,oops\n")
+    for label_column in ("label", "missing", "7"):
+        fast, located = _both_paths(parse_labeled_csv, faults, label_column)
+        assert fast == located == (
+            "NonNumericCell", "row 4 column 2: 'oops' is not a finite number"
+        )
+
+
 def test_plain_numeric_files_skip_the_csv_module(tmp_path, monkeypatch):
     def no_csv(path):
         raise AssertionError(f"{path} went through the csv module")
@@ -805,6 +817,12 @@ def test_rayleigh_zero_vector_exits_1(sym2, tmp_path, capsys):
     u = _write(tmp_path / "u.csv", "0,0\n")
     assert main(["rayleigh", sym2, u]) == 1
     assert "ZeroVector" in capsys.readouterr().err
+
+
+def test_rayleigh_matrix_as_vector_exits_1(sym2, tmp_path, capsys):
+    u = _write(tmp_path / "u.csv", "1,0\n0,1\n")
+    assert main(["rayleigh", sym2, u]) == 1
+    assert "single row or column, got 2x2" in capsys.readouterr().err
 
 
 def test_rayleigh_csv_format(sym2, tmp_path, capsys):

@@ -497,6 +497,10 @@ def test_eigvec_for_is_the_same_at_every_scale(k):
 def test_eigvec_for_rejects_non_eigenvalue():
     with pytest.raises(NoNullSpace):
         eigvec_for(SymMatrix([[3.0, 0.0], [0.0, 1.0]]), 100.0)
+    # 1.05 is within lam_tol of the eigenvalue 1, but its null-space
+    # candidate e_1 misses by (1 - 1.05) e_1
+    with pytest.raises(NoNullSpace, match="has residual 5.000e-02"):
+        eigvec_for(SymMatrix([[1.0, 0.0], [0.0, 2.0]]), 1.05, lam_tol=0.1)
 
 
 # ---------------------------------------------------------------------------

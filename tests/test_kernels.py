@@ -400,6 +400,24 @@ def test_matmul_tiles_keep_the_loop_bits(cykernels):
             assert _same_bits(got[~nan], want[~nan]), (m, k, n)
 
 
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_matmul_grams_are_bit_symmetric(backend, request):
+    # SymMatrix stores a Gram X X' as it is: out[i, j] and out[j, i] add
+    # the same products in the same order, with the same zero terms left
+    # out, in the broadcast, einsum and blocked layouts alike.
+    matmul = pykernels.matmul if backend == "python" else request.getfixturevalue("cykernels").matmul
+    rng = np.random.RandomState(67)
+    shapes = [(m, k) for m in (2, 3, 7, 12) for k in (1, 5, 40, 4000)]  # wide
+    shapes += [(m, k) for m in (20, 72, 300) for k in (1, 2, 9)]  # tall
+    for (m, k) in shapes:
+        x = rng.standard_normal((m, k)) * 10.0 ** rng.randint(-3, 4, size=(m, 1))
+        x[rng.random_sample(x.shape) < 0.2] = 0.0
+        x[rng.random_sample(x.shape) < 0.1] = -0.0
+        for y in (x, np.asfortranarray(x)):
+            gram = matmul(y, y.T)
+            assert _same_bits(gram, gram.T), (m, k)
+
+
 # ---------------------------------------------------------------------------
 # jacobi_eigh
 # ---------------------------------------------------------------------------

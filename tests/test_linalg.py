@@ -152,6 +152,8 @@ def test_vector_norm_and_validation():
         Vector([[1.0, 2.0]])
     with pytest.raises(NonFiniteEntry):
         Vector([float("nan")])
+    with pytest.raises(DimensionMismatch):
+        Vector([])
 
 
 def test_vector_norm_neither_overflows_nor_underflows():
@@ -251,6 +253,11 @@ def test_determinant_requires_square():
         determinant(Matrix([[1.0, 2.0]]))
 
 
+def test_determinant_of_singular_matrix_is_exactly_zero():
+    # elimination leaves a pivot of exactly 0.0
+    assert determinant(Matrix([[1.0, 2.0], [2.0, 4.0]])) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # inverse
 # ---------------------------------------------------------------------------
@@ -272,6 +279,8 @@ def test_inverse_spd_residual():
 def test_inverse_of_singular_matrix_raises():
     with pytest.raises(SingularMatrix):
         inverse(Matrix([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(DimensionMismatch):
+        inverse(Matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
 
 
 @pytest.mark.parametrize("d", [2, 10, 50])
@@ -303,6 +312,10 @@ def test_inverse_of_sym_matrix_stays_symmetric():
 
 def test_centering_small_cases():
     assert np.array_equal(centering_matrix(1).array, [[0.0]])
+    with pytest.raises(DimensionMismatch):
+        centering_matrix(0)
+    with pytest.raises(DimensionMismatch):
+        identity(0)
     assert np.allclose(
         centering_matrix(2).array, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15
     )

@@ -334,6 +334,9 @@ def test_quick_singular_b_generic_a_residual_is_honest():
 def test_quick_epsilon_zero_on_singular_b_raises():
     with pytest.raises(SingularAfterRegularization):
         solve_quick_dirty(Pencil(identity(2), _diag(1, 0)), epsilon=0.0)
+    # -1e-5 is within the indefiniteness tolerance, and eps lifts it to 0
+    with pytest.raises(SingularAfterRegularization, match=r"B \+ eps\*I is still singular"):
+        solve_quick_dirty(Pencil(identity(3), _diag(1, 0, -1e-5)), epsilon=1e-5)
 
 
 def test_quick_indefinite_b_real_spectrum():

@@ -94,6 +94,8 @@ def test_quotient_error_paths():
         rayleigh_quotient(Vector([1.0, 1.0]), a, _diag(1, -1))
     with pytest.raises(DimensionMismatch):
         rayleigh_quotient(Vector([1.0, 1.0, 1.0]), a)
+    with pytest.raises(DimensionMismatch):
+        rayleigh_quotient(Vector([1.0, 1.0]), a, identity(3))
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +148,13 @@ def test_form1_min_equals_max_of_negated():
 def test_quadratic_form_validates_direction():
     with pytest.raises(ValueError):
         QuadraticForm(identity(2), direction="upward")
+
+
+def test_quadratic_form_validates_dims():
+    with pytest.raises(DimensionMismatch, match="share a dimension, got 2 and 3"):
+        QuadraticForm(identity(2), identity(3))
+    with pytest.raises(DimensionMismatch, match="subspace_dim"):
+        QuadraticForm(identity(2), subspace_dim=3)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +257,10 @@ def test_reconstruction_objective_rejects_skewed_basis():
     x = Matrix(np.eye(2))
     with pytest.raises(NonOrthonormalBasis):
         reconstruction_objective(x, Matrix([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(DimensionMismatch):
+        reconstruction_objective(x, Matrix(np.eye(3)))
+    with pytest.raises(DimensionMismatch):
+        solve_form3_4(x, p=0)
 
 
 def test_form3_4_equivalence_with_form2_on_gram_matrix():

@@ -30,6 +30,7 @@ import io
 import os
 import sys
 import tempfile
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -75,8 +76,10 @@ def digests(cli_main, workloads, seeds) -> dict[str, tuple[str, list[tuple[int, 
     return got
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def arguments(description: str, argv=None) -> tuple[argparse.Namespace, types.ModuleType]:
+    """The command line shared with ``tools/workload_lines.py``, and
+    ``genspectra.cli`` imported from its SRC_ROOT."""
+    p = argparse.ArgumentParser(description=description)
     p.add_argument("src_root", type=Path, help="root of the checkout whose src/genspectra runs")
     p.add_argument("--seeds", type=int, nargs="+", default=DEFAULT_SEEDS)
     p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
@@ -88,13 +91,23 @@ def main(argv=None) -> int:
 
     if Path(genspectra.cli.__file__).resolve().parent.parent != src:
         p.error(f"genspectra was imported from {genspectra.cli.__file__}, not from {src}")
+    return args, genspectra.cli
+
+
+def digests_in_temp_dir(cli_main, workloads, seeds):
+    """``digests``, with the inputs written under a temporary directory."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="response-digest-") as work:
         os.chdir(work)
         try:
-            got = digests(genspectra.cli.main, args.workloads, args.seeds)
+            return digests(cli_main, workloads, seeds)
         finally:
             os.chdir(home)
+
+
+def main(argv=None) -> int:
+    args, cli = arguments(__doc__.splitlines()[0], argv)
+    got = digests_in_temp_dir(cli.main, args.workloads, args.seeds)
     for name, (digest, each) in got.items():
         print(name, digest)
         for seed, rid, one in each:
