@@ -10,6 +10,10 @@ Every CSV becomes one float64 table (``_table``), and a dataset takes its
 labels from that table, going back to the file only to quote a
 fractional label.
 
+A command line that names its command first is parsed by that command's
+parser alone; any other, and one that leaves arguments unrecognized, by
+the top-level parser, so help texts and usage errors are argparse's own.
+
 Commands: eig, geig, pca, fda, kspca, rayleigh. Exit codes: 0 on
 success, 1 for input or configuration problems, 2 when the numerics fail
 on structurally valid input.
@@ -104,8 +108,8 @@ def _fast_table(path: str) -> tuple[list[str] | None, np.ndarray] | None:
     header whose width is not the table's.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8-sig")
     except UnicodeDecodeError:  # its position would differ from the csv reader's
         return None
     if '"' in text or "\r" in text:
@@ -400,6 +404,13 @@ def _doc_to_csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ``json.dumps(x, **kw)`` is ``JSONEncoder(**kw).encode(x)``, and an encoder
+# keeps nothing from one call to the next, so each is built once.
+_INDENTED = json.JSONEncoder(indent=2)
+_LAMS = json.JSONEncoder(separators=(",\n    ", ": "))
+_COLS = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
 def _json_text(doc: dict) -> str:
     """``json.dumps(doc, indent=2)``, with the float lists written by json's C encoder.
 
@@ -410,14 +421,14 @@ def _json_text(doc: dict) -> str:
     float as the indenting one does (``float.__repr__``, or NaN, Infinity,
     -Infinity); the line breaks go in through its item separator, and the
     brackets between columns by ``str.replace``, which no float's text can
-    meet. A document without eigenvalues is all json.dumps's; the CLI never
-    writes an empty column (one entry per dimension, and d >= 1).
+    meet. A document without eigenvalues is the indenting encoder's; the
+    CLI never writes an empty column (one entry per dimension, and d >= 1).
     """
     if not doc.get("eigenvalues"):
-        return json.dumps(doc, indent=2)
-    stub = json.dumps({**doc, "eigenvalues": "@lams", "vectors": "@cols"}, indent=2)
-    lams = json.dumps(doc["eigenvalues"], separators=(",\n    ", ": "))
-    cols = json.dumps(doc["vectors"], separators=(",\n      ", ": "))
+        return _INDENTED.encode(doc)
+    stub = _INDENTED.encode({**doc, "eigenvalues": "@lams", "vectors": "@cols"})
+    lams = _LAMS.encode(doc["eigenvalues"])
+    cols = _COLS.encode(doc["vectors"])
     cols = cols[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
     return stub.replace('"@lams"', "[\n    " + lams[1:-1] + "\n  ]", 1).replace(
         '"@cols"', "[\n    [\n      " + cols + "\n    ]\n  ]", 1
@@ -563,6 +574,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="optional CSV file holding the metric B")
     p_ray.set_defaults(run=_run_rayleigh)
 
+    parser.commands = sub.choices  # each command's name to its parser, for _parse
     return parser
 
 
@@ -571,9 +583,29 @@ def make_parser() -> argparse.ArgumentParser:
 _parser = functools.lru_cache(maxsize=None)(make_parser)
 
 
+def _parse(argv) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, by the named command's parser alone.
+
+    The top-level parser's only work on such an argv is to hand the rest
+    of it to that parser, so the namespace is the same. An argv that names
+    no command first, or leaves arguments unrecognized, goes through the
+    top-level parser, so that its help and usage errors stay its own.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     """Run one command line; returns the process exit code."""
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         start = time.perf_counter()
         doc = args.run(args)

@@ -159,13 +159,22 @@ def check_stationarity(
     resid = am - lam * bm
     # back in u's units: (A - lam B) u = 2^e (A - lam B) m, u'Bu = 4^e m'Bm
     return StationarityReport(
-        residual=float(np.ldexp(math.sqrt(float(np.dot(resid, resid))), e)),
+        residual=_ldexp(math.sqrt(float(np.dot(resid, resid))), e),
         multiplier=lam,
-        constraint_violation=abs(float(np.ldexp(den, 2 * e)) - 1.0),
+        constraint_violation=abs(_ldexp(den, 2 * e) - 1.0),
     )
 
 
 # ---------------------------------------------------------------------------
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x * 2^e, or an infinity of x's sign where that is above the float
+    range; no warning either way."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _quotient(

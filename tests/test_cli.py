@@ -358,6 +358,17 @@ def test_located_labeled_read_reports_a_malformed_cell_first(tmp_path):
         )
 
 
+@pytest.mark.parametrize("text, header", [("a,b\n1,2\n3,4\n", ["a", "b"]), ("1,2\n3,4\n", None)])
+def test_fast_table_drops_a_leading_bom(text, header, tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    got_header, table = cli._fast_table(str(path))
+    assert got_header == header
+    assert table.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    fast, located = _both_paths(parse_matrix_csv, str(path))
+    assert fast == located
+
+
 def test_plain_numeric_files_skip_the_csv_module(tmp_path, monkeypatch):
     def no_csv(path):
         raise AssertionError(f"{path} went through the csv module")
@@ -967,6 +978,54 @@ def test_invalid_flag_value_exits_1(sym2):
     with pytest.raises(SystemExit) as exc:
         main(["pca", "-p", "0", sym2])
     assert exc.value.code == 1
+
+
+_COMMAND_LINES = [
+    ["eig", "m.csv"],
+    ["eig", "--order", "asc", "m.csv", "--sym-tol", "1e-6"],
+    ["eig", "m.csv", "--order=asc", "--sym-tol=0", "--resid-tol", "1e-9", "--timing",
+     "--output", "out.json", "--format", "csv"],
+    ["eig", "--", "m.csv"],
+    ["geig", "--method", "quick_dirty", "a.csv", "b.csv", "--epsilon=1e-3"],
+    ["geig", "a.csv", "--resid-tol=1", "b.csv", "--format=json"],
+    ["pca", "-p", "2", "x.csv"],
+    ["pca", "x.csv", "-p3", "--format=csv", "--output=-"],
+    ["fda", "d.csv", "--label-column", "0", "--epsilon", "0", "--timing"],
+    ["kspca", "--kernel=linear", "d.csv", "-p", "2", "--gamma", "0.5", "--degree", "2",
+     "--coef0", "0", "--kernel-y", "rbf", "--label-column=y"],
+    ["rayleigh", "a.csv", "u.csv", "--b", "b.csv", "--order", "desc"],
+    ["rayleigh", "--b=b.csv", "a.csv", "u.csv", "--output", "r.json"],
+]
+
+
+@pytest.mark.parametrize("argv", _COMMAND_LINES, ids=" ".join)
+def test_a_command_line_is_parsed_by_its_command_alone(argv, monkeypatch):
+    whole = cli._parser().parse_args(argv)
+
+    def top_level(argv=None, namespace=None):
+        raise AssertionError(f"{argv} went through the top-level parser")
+
+    monkeypatch.setattr(cli._parser(), "parse_args", top_level)
+    assert vars(cli._parse(argv)) == vars(whole)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["-h"], ["nope"], ["eig", "-h"], ["geig", "a.csv"],
+        ["geig", "a.csv", "b.csv", "--bogus"], ["eig", "m.csv", "extra"],
+        ["geig", "--method", "x", "a.csv", "b.csv"],
+    ],
+    ids=repr,
+)
+def test_help_and_usage_errors_are_the_top_level_parsers(argv, capsys):
+    def outcome(run):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        got = capsys.readouterr()
+        return exc.value.code, got.out, got.err
+
+    assert outcome(main) == outcome(cli._parser().parse_args)
 
 
 def test_reused_parser_answers_like_a_fresh_process(sym2, fda_csv, tmp_path, capsys, monkeypatch):

@@ -73,6 +73,11 @@ def test_quotient_scale_invariance():
         for k in (-540, -300):
             u_k = Vector(np.ldexp(u.array, k))
             assert check_stationarity(u_k, a, metric).residual == math.ldexp(res, k) > 0.0
+        # u'Bu = 2^1030 m'Bm is above the float range: an inf, with no warning
+        u_k = Vector(np.ldexp(u.array, 515))
+        report = check_stationarity(u_k, a, metric)
+        assert report.constraint_violation == math.inf
+        assert report.residual == math.ldexp(res, 515)
 
 
 def test_quotient_bounded_by_extreme_eigenvalues():
