@@ -129,7 +129,7 @@ class KernelSpec:
             raise ValueError(f"kernel kind must be one of {_KERNEL_KINDS}, got {self.kind!r}")
         if self.gamma is not None and not 0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if not (self.degree >= 1 and self.degree == int(self.degree)):
+        if not (1 <= self.degree < np.inf and self.degree == int(self.degree)):
             raise ValueError(f"degree must be a positive integer, got {self.degree}")
         if not 0 <= self.coef0 < np.inf:
             raise ValueError(f"coef0 must be nonnegative and finite, got {self.coef0}")

@@ -75,7 +75,6 @@ from .linalg import (
     Vector,
     _pow2_scaled,
     _pow2_unscaled,
-    _row_reduce,
     frobenius_norm,
 )
 
@@ -249,7 +248,7 @@ def eigvec_for(a: SymMatrix, lam: float, lam_tol: float = 1e-6) -> Vector:
     if v is None:
         raise NoNullSpace(f"{lam!r} is not an eigenvalue within tolerance {lam_tol}")
     resid = frobenius_norm(np.array([sum(m[i][j] * v[j] for j in range(d)) for i in range(d)]))
-    if resid > 1e-6 * frobenius_norm(arr):
+    if not resid <= 1e-6 * frobenius_norm(arr):  # a NaN residual fails too
         raise NoNullSpace(
             f"null-space candidate has residual {resid:.3e}, "
             f"so {lam!r} is not an eigenvalue"
@@ -339,13 +338,13 @@ def _null_vector(m: list, rank_tol: float) -> list[float] | None:
     """A unit null vector of a square matrix via row reduction, or None.
 
     Pivots with magnitude at or below ``rank_tol`` count as zero
-    (``linalg._row_reduce``). The vector is the echelon-form one of the
+    (``_row_reduce``). The vector is the echelon-form one of the
     first free column, unit length with its largest-magnitude entry
     positive; None where no column is free.
     """
     n = len(m)
     a = [row[:] for row in m]
-    pivots = _row_reduce(a, rank_tol, n)
+    pivots = _row_reduce(a, rank_tol)
     pivot_cols = {c for _, c in pivots}
     free = next((c for c in range(n) if c not in pivot_cols), None)
     if free is None:
@@ -355,6 +354,43 @@ def _null_vector(m: list, rank_tol: float) -> list[float] | None:
     for pr, pc in pivots:
         x[pc] = -a[pr][free]
     return _unit_positive(x)
+
+
+def _row_reduce(rows: list, tol: float) -> list[tuple[int, int]]:
+    """Reduce the square ``rows`` in place to reduced echelon form, by
+    Gauss-Jordan elimination; the (row, column) of each pivot.
+
+    Partial pivoting takes the largest-magnitude entry at or below the
+    current row, the earliest row on ties; a column whose largest is at or
+    below ``tol`` has no pivot and is skipped, so the number of pivots is
+    the numerical rank.
+    """
+    n = len(rows)
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(n):
+        if r == n:
+            break
+        piv = max(range(r, n), key=lambda i: abs(rows[i][c]))
+        if abs(rows[piv][c]) <= tol:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+        inv_p = 1.0 / rows[r][c]
+        row_r = rows[r]
+        for j in range(n):
+            row_r[j] *= inv_p
+        row_r[c] = 1.0
+        for i in range(n):
+            if i != r and rows[i][c] != 0.0:
+                f = rows[i][c]
+                row_i = rows[i]
+                for j in range(n):
+                    row_i[j] -= f * row_r[j]
+                row_i[c] = 0.0
+        pivots.append((r, c))
+        r += 1
+    return pivots
 
 
 def _unit_positive(x: list[float]) -> list[float]:

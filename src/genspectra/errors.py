@@ -3,9 +3,9 @@
 Two branches matter for callers:
 
 * ``InputError`` covers everything the caller could have prevented:
-  malformed files, dimension mismatches, non-symmetric input, singular
-  matrices handed to ``inverse``, and so on. The command line maps these
-  to exit code 1.
+  malformed files, dimension mismatches, non-symmetric input, a shift
+  that is not an eigenvalue, and so on. The command line maps these to
+  exit code 1.
 * ``NumericalError`` covers failures of the numerics themselves even
   though the input was structurally valid (an iteration that will not
   converge, an indefinite metric, a matrix still singular after
@@ -39,10 +39,6 @@ class NonFiniteEntry(InputError):
 
 class NotSymmetric(InputError):
     """Matrix fails the symmetry check required by the operation."""
-
-
-class SingularMatrix(InputError):
-    """Determinant is within tolerance of zero; no inverse exists."""
 
 
 class UnsupportedDimension(InputError):

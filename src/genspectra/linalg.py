@@ -1,8 +1,8 @@
 """Dense real matrices and vectors, plus the shared matrix predicates.
 
 numpy arrays are used as storage and for elementwise arithmetic only.
-Everything with cubic cost (products, determinants, inverses) is written
-out explicitly, either here or in :mod:`genspectra.kernels`.
+Everything with cubic cost (products, determinants) is written out
+explicitly, either here or in :mod:`genspectra.kernels`.
 
 Conventions used throughout the package:
 
@@ -25,7 +25,6 @@ from .errors import (
     EigenvalueOverflow,
     NonFiniteEntry,
     NotSymmetric,
-    SingularMatrix,
 )
 
 # Relative asymmetry accepted by SymMatrix: max |M - M'| over
@@ -37,8 +36,6 @@ SYM_TOL = 1e-9
 # symmetric matrix is numerically singular when an eigenvalue lies in
 # [-INDEFINITE_TOL, SINGULAR_TOL] * max|eigenvalue|, and indefinite when its
 # smallest eigenvalue lies below -INDEFINITE_TOL * max|eigenvalue|.
-# ``inverse`` rejects an elimination pivot of magnitude at or below
-# SINGULAR_TOL * max|entry|.
 SINGULAR_TOL = 1e-12
 INDEFINITE_TOL = 1e-9
 
@@ -198,13 +195,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(kernels.matmul(a.array, b.array))
 
 
-def matvec(a: Matrix, v: Vector) -> Vector:
-    """Matrix-vector product ``A v``."""
-    if a.cols != v.dim:
-        raise DimensionMismatch(f"cannot apply {a.shape} to vector of dim {v.dim}")
-    return Vector(kernels.matmul(a.array, v.array.reshape(-1, 1)).ravel())
-
-
 def transpose(a: Matrix) -> Matrix:
     return Matrix(a.array.T)
 
@@ -213,10 +203,6 @@ def trace(a: Matrix) -> float:
     if a.rows != a.cols:
         raise DimensionMismatch(f"trace needs a square matrix, got {a.shape}")
     return float(np.sum(np.diag(a.array)))
-
-
-def frobenius_norm_sq(a: Matrix) -> float:
-    return float(np.sum(a.array * a.array))
 
 
 def _pow2_scaled(x):
@@ -255,33 +241,12 @@ def dot(u: Vector, v: Vector) -> float:
     return float(np.dot(u.array, v.array))
 
 
+# No caller in the package; kept while perfbench/tracer.py binds it by name.
 def determinant(a: Matrix) -> float:
     """Determinant via LU with partial pivoting."""
     if a.rows != a.cols:
         raise DimensionMismatch(f"determinant needs a square matrix, got {a.shape}")
     return _lu_det(a.array.tolist())
-
-
-def inverse(a: Matrix) -> Matrix:
-    """Inverse by Gauss-Jordan elimination of [A | I] with partial pivoting
-    (``_row_reduce``).
-
-    Raises ``SingularMatrix``, naming the numerical rank, when fewer than n
-    pivots clear ``SINGULAR_TOL * max|entry|``, a test that gives the same
-    verdict for ``s * a`` at every scale s. A symmetric input yields a
-    ``SymMatrix`` result.
-    """
-    if a.rows != a.cols:
-        raise DimensionMismatch(f"inverse needs a square matrix, got {a.shape}")
-    n, tol = a.rows, SINGULAR_TOL * float(np.max(np.abs(a.array)))
-    aug = [row + [1.0 if j == i else 0.0 for j in range(n)] for i, row in enumerate(a.array.tolist())]
-    rank = len(_row_reduce(aug, tol, n))
-    if rank < n:
-        raise SingularMatrix(f"numerical rank {rank} of {n}: pivots within {tol:.3e} of zero")
-    arr = np.array([row[n:] for row in aug], dtype=np.float64)
-    if isinstance(a, SymMatrix):
-        return SymMatrix((arr + arr.T) / 2.0)
-    return Matrix(arr)
 
 
 def identity(n: int) -> SymMatrix:
@@ -295,18 +260,6 @@ def centering_matrix(n: int) -> SymMatrix:
     if n < 1:
         raise DimensionMismatch("centering matrix needs n >= 1")
     return SymMatrix(np.eye(n) - 1.0 / n)
-
-
-def is_psd(a: SymMatrix, tol: float = INDEFINITE_TOL) -> bool:
-    """True when the smallest eigenvalue is at least ``-tol * max|eigenvalue|``.
-
-    ``tol`` is relative to the largest eigenvalue magnitude, so ``s * a``
-    gets the same answer as ``a`` for every s > 0.
-    """
-    from .eigen import eig_sym  # deferred to avoid an import cycle
-
-    lams = eig_sym(a).eigenvalues
-    return min(lams) >= -tol * max(abs(x) for x in lams)
 
 
 def definiteness(eigenvalues) -> tuple[bool, bool]:
@@ -361,40 +314,3 @@ def _lu_det(m: list) -> float:
                     row_r[c] -= f * row_k[c]
                 row_r[k] = 0.0
     return det
-
-
-def _row_reduce(rows: list, tol: float, cols: int) -> list[tuple[int, int]]:
-    """Reduce ``rows`` in place to reduced echelon form on its first ``cols``
-    columns, by Gauss-Jordan elimination; the (row, column) of each pivot.
-
-    Partial pivoting takes the largest-magnitude entry at or below the
-    current row, the earliest row on ties; a column whose largest is at or
-    below ``tol`` has no pivot and is skipped, so the number of pivots is
-    the numerical rank. Each row operation runs along the whole row.
-    """
-    n, width = len(rows), len(rows[0])
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        if r == n:
-            break
-        piv = max(range(r, n), key=lambda i: abs(rows[i][c]))
-        if abs(rows[piv][c]) <= tol:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        inv_p = 1.0 / rows[r][c]
-        row_r = rows[r]
-        for j in range(width):
-            row_r[j] *= inv_p
-        row_r[c] = 1.0
-        for i in range(n):
-            if i != r and rows[i][c] != 0.0:
-                f = rows[i][c]
-                row_i = rows[i]
-                for j in range(width):
-                    row_i[j] -= f * row_r[j]
-                row_i[c] = 0.0
-        pivots.append((r, c))
-        r += 1
-    return pivots

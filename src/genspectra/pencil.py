@@ -344,11 +344,12 @@ def _preimage_pairs(
 
 
 def _regularization(b: SymMatrix, epsilon: float | None) -> float:
-    """The eps that regularizes a singular B: ``epsilon``, else the default."""
+    """The eps that regularizes a singular B: ``epsilon``, else the default;
+    one that is not positive and finite raises ``SingularAfterRegularization``."""
     eps = epsilon if epsilon is not None else default_epsilon(b)
-    if eps <= 0.0:
+    if not 0.0 < eps < math.inf:
         raise SingularAfterRegularization(
-            "B is singular and the regularization strength is not positive"
+            f"B is singular and the regularization strength {eps!r} is not positive and finite"
         )
     return eps
 

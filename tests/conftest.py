@@ -24,7 +24,7 @@ from genspectra.pencil import _breve_pairs
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CYKERNELS_MODULE = "genspectra.kernels._cykernels"
 
-# Units of B (or of a matrix to invert) that the scale-invariance tests sweep.
+# Units of B that the scale-invariance tests sweep.
 SCALES = [1e-6, 1e-3, 1e-2, 1.0, 1e3, 1e6]
 
 # Exponents k of the units 2^k that the exact-scaling tests sweep: far enough

@@ -593,6 +593,8 @@ def test_kernel_spec_validation():
         KernelSpec(kind="polynomial", degree=0)
     with pytest.raises(ValueError):
         KernelSpec(kind="polynomial", degree=1.5)
+    with pytest.raises(ValueError, match="degree must be a positive integer"):
+        KernelSpec(kind="polynomial", degree=math.inf)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             KernelSpec(kind="rbf", gamma=bad)

@@ -501,6 +501,10 @@ def test_eigvec_for_rejects_non_eigenvalue():
     # candidate e_1 misses by (1 - 1.05) e_1
     with pytest.raises(NoNullSpace, match="has residual 5.000e-02"):
         eigvec_for(SymMatrix([[1.0, 0.0], [0.0, 2.0]]), 1.05, lam_tol=0.1)
+    # an infinite shift makes the residual NaN, which no bound accepts
+    for lam in (math.inf, -math.inf):
+        with pytest.raises(NoNullSpace, match="has residual nan"):
+            eigvec_for(SymMatrix([[2.0, 1.0], [1.0, 3.0]]), lam)
 
 
 # ---------------------------------------------------------------------------

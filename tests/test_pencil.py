@@ -243,6 +243,11 @@ def test_default_epsilon_scales_with_b():
 def test_rigorous_explicit_epsilon_zero_on_singular_b_raises():
     with pytest.raises(SingularAfterRegularization):
         solve_rigorous(Pencil(_diag(1, 1), _diag(1, 0)), epsilon=0.0)
+    # an infinite eps whitened B's null direction to W = 0, for eigenvalues
+    # (0, 0) and residual 0; nan failed inside the solve
+    for eps in (math.inf, math.nan):
+        with pytest.raises(SingularAfterRegularization, match=f"strength {eps!r} is not positive"):
+            solve_rigorous(Pencil(SymMatrix([[2.0, 1.0], [1.0, 3.0]]), _diag(1, 0)), epsilon=eps)
 
 
 def test_rigorous_indefinite_b_rejected():
@@ -334,6 +339,9 @@ def test_quick_singular_b_generic_a_residual_is_honest():
 def test_quick_epsilon_zero_on_singular_b_raises():
     with pytest.raises(SingularAfterRegularization):
         solve_quick_dirty(Pencil(identity(2), _diag(1, 0)), epsilon=0.0)
+    for eps in (math.inf, math.nan):
+        with pytest.raises(SingularAfterRegularization, match=f"strength {eps!r} is not positive"):
+            solve_quick_dirty(Pencil(SymMatrix([[2.0, 1.0], [1.0, 3.0]]), _diag(1, 0)), epsilon=eps)
     # -1e-5 is within the indefiniteness tolerance, and eps lifts it to 0
     with pytest.raises(SingularAfterRegularization, match=r"B \+ eps\*I is still singular"):
         solve_quick_dirty(Pencil(identity(3), _diag(1, 0, -1e-5)), epsilon=1e-5)
