@@ -26,8 +26,8 @@ by a direct call: ``pencil._dense_diagnostics`` on S or (S_B, S_W), and
 as F F' is never formed.
 
 Both labeled fits split the samples by one index of class positions.
-S, S_W and S_B = D D' are Grams from ``kernels.matmul``, exactly
-symmetric, so ``SymMatrix`` stores them as they are.
+S, S_W, S_B = D D' and K(X, X) are exactly symmetric. The builders wrap
+them with no copy (``Matrix._wrap``), and the fits read their arrays.
 
 Data matrices are d x n with one sample per column.
 """
@@ -61,10 +61,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         if self.labels is not None:
-            bad = [v for v in self.labels if not _integral(v)]
-            if bad:
-                raise InputError(f"labels must be integer class ids, got {bad[0]!r}")
-            object.__setattr__(self, "labels", tuple(int(v) for v in self.labels))
+            object.__setattr__(self, "labels", _class_ids(self.labels))
             if len(self.labels) != self.x.cols:
                 raise DimensionMismatch(
                     f"{len(self.labels)} labels for {self.x.cols} samples"
@@ -79,13 +76,22 @@ class LabeledDataset:
         return self.x.rows
 
 
-def _integral(v) -> bool:
-    """True when the label v equals int(v); False for NaN and +-inf, which
-    int() rejects."""
-    try:
-        return v == int(v)
-    except (ValueError, OverflowError):
-        return False
+def _class_ids(labels) -> tuple[int, ...]:
+    """``labels`` as ints: in one pass for a 1-D float or int array of integers
+    below 2^63 in magnitude, else label by label, raising ``InputError`` on
+    the first that is not one (a fraction, or NaN and +-inf, which int() rejects)."""
+    if isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype.kind in "fi":
+        if (np.abs(labels) < 2.0**63).all() and (labels == np.floor(labels)).all():  # NaN fails
+            return tuple(labels.astype(np.int64).tolist())
+    ids = []
+    for v in labels:
+        try:
+            ids.append(int(v))
+        except (ValueError, OverflowError):
+            ids.append(None)
+        if v != ids[-1]:
+            raise InputError(f"labels must be integer class ids, got {v!r}")
+    return tuple(ids)
 
 
 @dataclass(frozen=True)
@@ -180,7 +186,7 @@ class EmbeddingModel:
 def covariance(x: Matrix) -> SymMatrix:
     """Centered second-moment matrix S = Xc Xc' (no 1/n normalization)."""
     xc = x.array - x.array.mean(axis=1).reshape(-1, 1)
-    return SymMatrix(kernels.matmul(xc, xc.T))
+    return SymMatrix._wrap(kernels.matmul(xc, xc.T))
 
 
 def pca_fit(x: Matrix, p: int) -> EmbeddingModel:
@@ -210,7 +216,7 @@ def pca_transform(model: EmbeddingModel, x_new: Matrix) -> Matrix:
             f"data has {x_new.rows} features, model was fit on {model.projection.rows}"
         )
     centered = x_new.array - model.mean.array.reshape(-1, 1)
-    return Matrix(kernels.matmul(model.projection.array.T, centered))
+    return Matrix._wrap(kernels.matmul(model.projection.array.T, centered))
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +250,9 @@ def scatter_matrices(ds: LabeledDataset) -> ScatterPair:
         dev = block - mu_j.reshape(-1, 1)
         s_w += kernels.matmul(dev, dev.T)
     return ScatterPair(
-        s_b=SymMatrix(kernels.matmul(offsets, offsets.T)),
-        s_w=SymMatrix(s_w),
-        offsets=Matrix(offsets),
+        s_b=SymMatrix._wrap(kernels.matmul(offsets, offsets.T)),
+        s_w=SymMatrix._wrap(s_w),
+        offsets=Matrix._wrap(offsets),
     )
 
 
@@ -286,7 +292,7 @@ def fda_fit(ds: LabeledDataset, p: int, epsilon: float | None = None) -> Embeddi
             stacklevel=2,
         )
     pair = scatter_matrices(ds)
-    phi, lams, white = _fit_pairs(pair.offsets.array, pair.s_w, p, epsilon)
+    phi, lams, white = _fit_pairs(pair.offsets.array, pair.s_w.array, p, epsilon)
     phi, lams = phi[:, :p], lams[:p]
     return _model(
         "fda", phi, lams, _dense_diagnostics(pair.s_b.array, pair.s_w.array, phi, lams),
@@ -313,10 +319,10 @@ def kernel_matrix(x1: Matrix, x2: Matrix, spec: KernelSpec) -> Matrix:
     a1 = x1.array
     a2 = x2.array
     if spec.kind == "linear":
-        return Matrix(kernels.matmul(a1.T, a2))
+        return Matrix._wrap(kernels.matmul(a1.T, a2))
     if spec.kind == "polynomial":
         gram = kernels.matmul(a1.T, a2)
-        return Matrix((gram + spec.coef0) ** spec.degree)
+        return Matrix._wrap((gram + spec.coef0) ** spec.degree)
     if spec.kind == "rbf":
         gamma = spec.gamma if spec.gamma is not None else 1.0 / x1.rows
         centre = a1.mean(axis=1).reshape(-1, 1)
@@ -325,12 +331,12 @@ def kernel_matrix(x1: Matrix, x2: Matrix, spec: KernelSpec) -> Matrix:
         sq1 = np.sum(a1 * a1, axis=0).reshape(-1, 1)
         sq2 = np.sum(a2 * a2, axis=0).reshape(1, -1)
         dist_sq = np.maximum(sq1 + sq2 - 2.0 * gram, 0.0)
-        return Matrix(np.exp(-gamma * dist_sq))
+        return Matrix._wrap(np.exp(-gamma * dist_sq))
     # delta: exact column equality, one row at a time so memory stays O(d n)
     eq = np.empty((x1.cols, x2.cols))
     for i in range(x1.cols):
         eq[i] = np.all(a2 == a1[:, i : i + 1], axis=0)
-    return Matrix(eq)
+    return Matrix._wrap(eq)
 
 
 def kspca_fit(
@@ -385,14 +391,14 @@ def kspca_fit(
     kx = kx if kx is not None else KernelSpec(kind="rbf")
     ky = ky if ky is not None else KernelSpec(kind="delta")
 
-    k_x = SymMatrix(kernel_matrix(ds.x, ds.x, kx).array)
+    k_x = kernel_matrix(ds.x, ds.x, kx).array
     # K_c = R R': the delta kernel's K_c is I (the class values are
     # distinct), so R = I; any other from eig(K_c) without its null set.
     classes, index = _class_index(ds.labels)
     if ky.kind == "delta":
         r = np.eye(len(classes))
     else:
-        row = Matrix(np.array(classes, dtype=np.float64).reshape(1, -1))
+        row = Matrix._wrap(np.array(classes, dtype=np.float64).reshape(1, -1))
         dec = eig_sym(kernel_matrix(row, row, ky), order="descending")
         null = null_eigenvalues(dec.eigenvalues)
         keep = [i for i in range(len(classes)) if i not in null]
@@ -409,13 +415,13 @@ def kspca_fit(
     # centering acts on the sample index, the rows of Y R
     yr = r[index]
     g = yr - yr.mean(axis=0)
-    factor = kernels.matmul(k_x.array, g)
+    factor = kernels.matmul(k_x, g)
     phi, lams, white = _fit_pairs(factor, k_x, p, epsilon, preimage=g)
     phi, lams = phi[:, :p], lams[:p]
     a_phi = kernels.matmul(factor, kernels.matmul(factor.T, phi))
     a_norm = frobenius_norm(kernels.matmul(factor.T, factor))
     return _model(
-        "kspca", phi, lams, _diagnostics(a_phi, a_norm, k_x.array, phi, lams),
+        "kspca", phi, lams, _diagnostics(a_phi, a_norm, k_x, phi, lams),
         kernel_x=kx,
         kernel_y=ky,
         training_x=ds.x,
@@ -433,7 +439,7 @@ def kspca_transform(model: EmbeddingModel, x_new: Matrix) -> Matrix:
             f"data has {x_new.rows} features, model was fit on {model.training_x.rows}"
         )
     k_new = kernel_matrix(model.training_x, x_new, model.kernel_x)
-    return Matrix(kernels.matmul(model.projection.array.T, k_new.array))
+    return Matrix._wrap(kernels.matmul(model.projection.array.T, k_new.array))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +460,7 @@ def _model(method, phi, lams, diagnostics, **fields) -> EmbeddingModel:
     residual, b_orth = diagnostics
     return EmbeddingModel(
         method=method,
-        projection=Matrix(phi),
+        projection=Matrix._wrap(phi),
         eigenvalues=tuple(lams),
         residual=residual,
         b_orthonormality=b_orth,

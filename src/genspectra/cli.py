@@ -46,7 +46,7 @@ from .errors import (
     UnreadableFile,
 )
 from .linalg import SYM_TOL, Matrix, SymMatrix, Vector
-from .pencil import Pencil, _dense_diagnostics, solve_quick_dirty, solve_rigorous
+from .pencil import Pencil, _dense_diagnostics, _rigorous, solve_quick_dirty
 from .rayleigh import check_stationarity
 
 _ORDER_MAP = {"desc": "descending", "asc": "ascending"}
@@ -217,7 +217,7 @@ def parse_labeled_csv(path: str, label_column: str = "label") -> LabeledDataset:
         )
     if table.shape[1] == 1:
         raise EmptyFile(f"{path} has no feature columns besides the label")
-    return LabeledDataset(Matrix(np.delete(table, label_idx, 1).T), labels.tolist())
+    return LabeledDataset(Matrix(np.delete(table, label_idx, 1).T), labels)
 
 
 def _label_index(header: list[str] | None, width: int, label_column: str) -> int:
@@ -311,7 +311,7 @@ def _fit_doc(args, command, model, method, dims):
 
 
 def _run_eig(args: argparse.Namespace) -> dict:
-    a = SymMatrix(parse_matrix_csv(args.matrix).array, sym_tol=args.sym_tol)
+    a = SymMatrix(parse_matrix_csv(args.matrix), sym_tol=args.sym_tol)
     dec = eig_sym(a, order=_ORDER_MAP[args.order])
     phi = dec.phi.array
     residual, b_orth = _dense_diagnostics(a.array, None, phi, dec.eigenvalues)
@@ -321,14 +321,14 @@ def _run_eig(args: argparse.Namespace) -> dict:
 
 
 def _run_geig(args: argparse.Namespace) -> dict:
-    a = SymMatrix(parse_matrix_csv(args.a).array, sym_tol=args.sym_tol)
-    b = SymMatrix(parse_matrix_csv(args.b).array, sym_tol=args.sym_tol)
+    a = SymMatrix(parse_matrix_csv(args.a), sym_tol=args.sym_tol)
+    b = SymMatrix(parse_matrix_csv(args.b), sym_tol=args.sym_tol)
     pencil = Pencil(a, b)
     order = _ORDER_MAP[args.order]
     if args.method == "quick_dirty":
         sol = solve_quick_dirty(pencil, epsilon=args.epsilon, order=order)
-    else:
-        sol, _ = solve_rigorous(pencil, epsilon=args.epsilon, order=order)
+    else:  # solve_rigorous without the intermediates it would also build
+        sol = _rigorous(pencil, args.epsilon, order)[0]
     return _eigen_doc(
         args, "geig", sol.eigenvalues, sol.phi.array, sol.residual,
         sol.b_orthonormality, sol.method, sol.epsilon_used, [pencil.dim],
@@ -336,7 +336,7 @@ def _run_geig(args: argparse.Namespace) -> dict:
 
 
 def _run_pca(args: argparse.Namespace) -> dict:
-    x = Matrix(parse_matrix_csv(args.data).array.T)
+    x = parse_matrix_csv(args.data).T
     return _fit_doc(args, "pca", pca_fit(x, args.p), "jacobi", [x.rows, x.cols])
 
 
@@ -355,11 +355,9 @@ def _run_kspca(args: argparse.Namespace) -> dict:
 
 
 def _run_rayleigh(args: argparse.Namespace) -> dict:
-    a = SymMatrix(parse_matrix_csv(args.a).array, sym_tol=args.sym_tol)
+    a = SymMatrix(parse_matrix_csv(args.a), sym_tol=args.sym_tol)
     u = _parse_vector_csv(args.u)
-    b = None
-    if args.b is not None:
-        b = SymMatrix(parse_matrix_csv(args.b).array, sym_tol=args.sym_tol)
+    b = None if args.b is None else SymMatrix(parse_matrix_csv(args.b), sym_tol=args.sym_tol)
     report = check_stationarity(u, a, b)
     return {
         "command": "rayleigh",
@@ -375,13 +373,11 @@ def _run_rayleigh(args: argparse.Namespace) -> dict:
 
 def _parse_vector_csv(path: str) -> Vector:
     m = parse_matrix_csv(path)
-    if m.rows == 1:
-        return Vector(m.array[0, :])
-    if m.cols == 1:
-        return Vector(m.array[:, 0])
-    raise DimensionMismatch(
-        f"vector file must be a single row or column, got {m.rows}x{m.cols}"
-    )
+    if 1 not in m.shape:
+        raise DimensionMismatch(
+            f"vector file must be a single row or column, got {m.rows}x{m.cols}"
+        )
+    return Vector(m.array.ravel())
 
 
 # ---------------------------------------------------------------------------

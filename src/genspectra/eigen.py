@@ -17,22 +17,22 @@ The production path, ``eig_sym``, runs one of two kernels of
   of 7 runs).
 
 The one exception is a graded metric: eig(B) in the whitening of
-:mod:`genspectra.pencil` (passed as ``_Metric``) stays on Jacobi at every d
-when B's diagonal is graded. Jacobi finds the small eigenvalues of a graded
-positive definite B = DHD (D = diag(b_ii)^1/2, H with unit diagonal) to
-high relative accuracy, an error of eps * kappa(H) (Demmel & Veselic, SIAM
-J. Matrix Anal. Appl. 1992); the tridiagonal path only to eps * ||B||, a
-relative error of eps * kappa(B) on lambda_min; and the whitening divides
-by sqrt(lambda_B). Since kappa(B) <= kappa(H) * max b_ii / min b_ii, a B
-whose diagonal is positive and spans a ratio of at most ``_GRADED_RATIO``
-loses at most that factor on the tridiagonal path, and takes it from
-d = 9 up. The test reads B's diagonal only, costs O(d) before any
-decomposition and gives B and s*B the same kernel. Any other B, with a
-wider ratio or a zero or negative diagonal entry, stays on Jacobi. On
-B = DHD (H = I + GG'/d, D log-spaced over 10^+-3, condition ~1e12;
-d = 16, 24, 32, three seeds each) the smallest eigenvalue of B comes out
-with a relative error of 2e-16 to 2e-15 by Jacobi and 4e-8 to 4e-6 by the
-tridiagonal path.
+:mod:`genspectra.pencil` (``eig_sym(b, _metric=True)``) stays on Jacobi at
+every d when B's diagonal is graded. Jacobi finds the small eigenvalues of
+a graded positive definite B = DHD (D = diag(b_ii)^1/2, H with unit
+diagonal) to high relative accuracy, an error of eps * kappa(H) (Demmel &
+Veselic, SIAM J. Matrix Anal. Appl. 1992); the tridiagonal path only to
+eps * ||B||, a relative error of eps * kappa(B) on lambda_min; and the
+whitening divides by sqrt(lambda_B). Since kappa(B) <= kappa(H) *
+max b_ii / min b_ii, a B whose diagonal is positive and spans a ratio of
+at most ``_GRADED_RATIO`` loses at most that factor on the tridiagonal
+path, and takes it from d = 9 up. The test reads B's diagonal only, costs
+O(d) before any decomposition and gives B and s*B the same kernel. Any
+other B, with a wider ratio or a zero or negative diagonal entry, stays
+on Jacobi. On B = DHD (H = I + GG'/d, D log-spaced over 10^+-3,
+condition ~1e12; d = 16, 24, 32, three seeds each) the smallest
+eigenvalue of B comes out with a relative error of 2e-16 to 2e-15 by
+Jacobi and 4e-8 to 4e-6 by the tridiagonal path.
 
 Every solve keeps its numbers in range by one rule, ``linalg._pow2_scaled``:
 its input scaled by 2^-e to a largest entry in [0.5, 1), and the
@@ -114,25 +114,6 @@ class EigenDecomposition:
     order: str
 
 
-class _Metric(SymMatrix):
-    """A metric B, which ``eig_sym`` keeps on Jacobi at every d when its
-    diagonal is graded (``_graded``).
-
-    The whitening's 1 / sqrt(lambda_B) needs the small eigenvalues of B to
-    relative accuracy. On B = DHD, Jacobi's relative error on them is
-    eps * kappa(H), the tridiagonal kernel's eps * kappa(B), and
-    kappa(B) <= kappa(H) * max b_ii / min b_ii; so an ungraded B loses at
-    most ``_GRADED_RATIO`` on the tridiagonal kernel (see the module
-    docstring). :mod:`genspectra.pencil` wraps B in it; the wrapper shares
-    B's validated, read-only storage.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, b: SymMatrix):
-        self._data = b.array
-
-
 def _graded(b: np.ndarray) -> bool:
     """True unless min b_ii > 0 and max b_ii <= ``_GRADED_RATIO`` * min b_ii.
 
@@ -145,7 +126,7 @@ def _graded(b: np.ndarray) -> bool:
     return not (lo > 0.0 and diag.max() <= _GRADED_RATIO * lo)
 
 
-def eig_sym(a: SymMatrix, order: str = "descending") -> EigenDecomposition:
+def eig_sym(a: SymMatrix, order: str = "descending", *, _metric=False) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix.
 
     Below d = 9 by cyclic Jacobi, from d = 9 up through a
@@ -154,11 +135,12 @@ def eig_sym(a: SymMatrix, order: str = "descending") -> EigenDecomposition:
     ratio above ``_GRADED_RATIO``. On any other B the tridiagonal kernel's
     error, eps * kappa(B), is within that ratio of Jacobi's relative bound
     eps * kappa(H), B = DHD, since kappa(B) <= kappa(H) * max b_ii / min b_ii
-    (see the module docstring). ``JACOBI_REL_TOL`` and ``MAX_SWEEPS`` bound
-    Jacobi's off-diagonal norm and its sweeps, or the tridiagonal kernel's
-    residuals and its steps; ``ConvergenceFailure`` is raised when the
-    kernel runs out of them, and ``EigenvalueOverflow`` when an
-    eigenvalue is above the float range (a 2 x 2 all-ones matrix times
+    (see the module docstring). ``_metric`` marks such a B; the whitening
+    of :mod:`genspectra.pencil` passes it. ``JACOBI_REL_TOL`` and
+    ``MAX_SWEEPS`` bound Jacobi's off-diagonal norm and its sweeps, or the
+    tridiagonal kernel's residuals and its steps; ``ConvergenceFailure`` is
+    raised when the kernel runs out of them, and ``EigenvalueOverflow`` when
+    an eigenvalue is above the float range (a 2 x 2 all-ones matrix times
     1.7e308, say).
 
     Eigenvectors come back orthonormal with a deterministic sign: the
@@ -170,9 +152,9 @@ def eig_sym(a: SymMatrix, order: str = "descending") -> EigenDecomposition:
     if order not in _ORDERS:
         raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
     if not isinstance(a, SymMatrix):
-        a = SymMatrix(a.array if isinstance(a, Matrix) else a)
+        a = SymMatrix(a)
 
-    if a.dim < _TRIDIAG_MIN_DIM or (isinstance(a, _Metric) and _graded(a.array)):
+    if a.dim < _TRIDIAG_MIN_DIM or (_metric and _graded(a.array)):
         name, kernel = "Jacobi iteration", kernels.jacobi_eigh
     else:
         name, kernel = "tridiagonal eigensolver", kernels.tridiag_eigh
@@ -189,7 +171,7 @@ def eig_sym(a: SymMatrix, order: str = "descending") -> EigenDecomposition:
     w = w[idx]
     v = v[:, idx]
     v = v * _column_signs(v)
-    return EigenDecomposition(phi=Matrix(v), eigenvalues=tuple(float(x) for x in w), order=order)
+    return EigenDecomposition(phi=Matrix._wrap(v), eigenvalues=tuple(w.tolist()), order=order)
 
 
 def spectral_reconstruct(dec: EigenDecomposition) -> SymMatrix:
@@ -197,7 +179,7 @@ def spectral_reconstruct(dec: EigenDecomposition) -> SymMatrix:
     phi = dec.phi.array
     scaled = phi * np.asarray(dec.eigenvalues, dtype=np.float64)
     rec = kernels.matmul(scaled, phi.T)
-    return SymMatrix((rec + rec.T) / 2.0)
+    return SymMatrix._wrap((rec + rec.T) / 2.0)
 
 
 def char_poly_eig(a: SymMatrix) -> list[float]:

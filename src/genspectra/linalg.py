@@ -10,6 +10,9 @@ Conventions used throughout the package:
 * ``SymMatrix`` symmetrizes its input to ``(M + M') / 2`` after checking
   that the asymmetry is within tolerance, so downstream code can rely on
   exact symmetry;
+* inputs are validated once, by the CLI's readers and the public functions;
+  private functions pass arrays, and a public one wraps its result once, by
+  ``Matrix._wrap`` (no copy; finiteness tested, as a product can overflow);
 * data matrices place one sample per column.
 """
 
@@ -49,8 +52,14 @@ def _as_2d(entries) -> np.ndarray:
         raise DimensionMismatch(f"matrix needs 2 dimensions, got {arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionMismatch("matrix needs at least one row and one column")
+    return _finite(arr)
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only once its entries test finite."""
     if not np.isfinite(arr).all():
         raise NonFiniteEntry("matrix entries must be finite")
+    arr.setflags(write=False)
     return arr
 
 
@@ -60,9 +69,15 @@ class Matrix:
     __slots__ = ("_data",)
 
     def __init__(self, entries):
-        arr = _as_2d(entries)
-        arr.setflags(write=False)
-        self._data = arr
+        self._data = _as_2d(entries)
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray):
+        """``cls`` on a float64 array formed in the package, ``_finite`` and
+        not copied; a ``SymMatrix`` takes it as exactly symmetric."""
+        out = cls.__new__(cls)
+        out._data = _finite(arr)
+        return out
 
     @property
     def rows(self) -> int:
@@ -108,18 +123,21 @@ class SymMatrix(Matrix):
     input, a mirrored -0.0 / +0.0 pair included, fails construction with
     ``NotSymmetric`` when the asymmetry exceeds ``sym_tol * max|entry|``.
     That is measured on ``_pow2_scaled(M)``, so no difference overflows and
-    2^k M gets the verdict of M.
+    2^k M gets the verdict of M. A NaN or negative ``sym_tol`` raises
+    ``ValueError``. A ``Matrix`` is finite already: only its symmetry is
+    tested, and its storage shared where that passes bitwise.
     """
 
     __slots__ = ()
 
     def __init__(self, entries, sym_tol: float = SYM_TOL):
-        arr = _as_2d(entries)
+        if not sym_tol >= 0.0:  # NaN too, which no comparison would reject later
+            raise ValueError(f"sym_tol must be a nonnegative number, got {sym_tol!r}")
+        arr = entries.array if isinstance(entries, Matrix) else _as_2d(entries)
         if arr.shape[0] != arr.shape[1]:
             raise NotSymmetric(f"symmetric matrix must be square, got {arr.shape}")
         bits = arr.view(np.int64)
         if np.array_equal(bits, bits.T):
-            arr.setflags(write=False)
             self._data = arr
             return
         m, e = _pow2_scaled(arr)
@@ -192,11 +210,13 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product through the active kernel backend."""
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return Matrix(kernels.matmul(a.array, b.array))
+    return Matrix._wrap(kernels.matmul(a.array, b.array))
 
 
 def transpose(a: Matrix) -> Matrix:
-    return Matrix(a.array.T)
+    out = Matrix.__new__(Matrix)  # a view of A's read-only, finite storage
+    out._data = a.array.T
+    return out
 
 
 def trace(a: Matrix) -> float:

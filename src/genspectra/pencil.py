@@ -25,14 +25,14 @@ Where the quick route takes the Cholesky factor the routes share no
 factorization of B, so each checks the other there; on any other B they
 share the eigendecomposition of B. Where B is decomposed, that
 decomposition is the only one of B, by the tridiagonal kernel from d = 9
-up unless B's diagonal is graded, and by Jacobi otherwise (``eigen._Metric``,
-for relative accuracy on a graded B), and both routes read off it whether
-B is singular or indefinite, relative to its largest eigenvalue magnitude
-(``linalg.definiteness``), so B and s*B get the same verdict for every
-s > 0; the whitening factors; and, for ``deflated``, B's null
-eigenvectors. The quick route takes the Cholesky factor only where that
-verdict would be "definite and nonsingular" with a margin of 1000
-(``CHOLESKY_MAX_CONDITION``, tested by ``_cholesky_whitening``). Both
+up unless B's diagonal is graded, and by Jacobi otherwise (``eig_sym``'s
+``_metric``, for relative accuracy on a graded B), and both routes read
+off it whether B is singular or indefinite, relative to its largest
+eigenvalue magnitude (``linalg.definiteness``), so B and s*B get the same
+verdict for every s > 0; the whitening factors; and, for ``deflated``,
+B's null eigenvectors. The quick route takes the Cholesky factor only
+where that verdict would be "definite and nonsingular" with a margin of
+1000 (``CHOLESKY_MAX_CONDITION``, tested by ``_cholesky_whitening``). Both
 report their residual and B-orthonormality against the original,
 unregularized pencil.
 
@@ -63,7 +63,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConvergenceFailure, DimensionMismatch, IndefiniteB, SingularAfterRegularization
-from .eigen import EigenDecomposition, _Metric, _column_signs, eig_sym, spectral_reconstruct
+from .eigen import EigenDecomposition, _column_signs, eig_sym, spectral_reconstruct
 from .linalg import (
     SINGULAR_TOL,
     Matrix,
@@ -101,10 +101,9 @@ class Pencil:
     b: SymMatrix
 
     def __post_init__(self):
-        if not isinstance(self.a, SymMatrix):
-            object.__setattr__(self, "a", SymMatrix(self.a.array if isinstance(self.a, Matrix) else self.a))
-        if not isinstance(self.b, SymMatrix):
-            object.__setattr__(self, "b", SymMatrix(self.b.array if isinstance(self.b, Matrix) else self.b))
+        for name in ("a", "b"):
+            if not isinstance(getattr(self, name), SymMatrix):
+                object.__setattr__(self, name, SymMatrix(getattr(self, name)))
         if self.a.dim != self.b.dim:
             raise DimensionMismatch(
                 f"pencil matrices must share a dimension, got {self.a.dim} and {self.b.dim}"
@@ -195,7 +194,7 @@ class _Whitening:
 
 def default_epsilon(b: SymMatrix) -> float:
     """Regularization strength for a singular B: 1e-5, scaled up with B."""
-    return DEFAULT_EPSILON * max(1.0, float(np.max(np.abs(b.array))))
+    return _regularization(b.array, None)
 
 
 # ---------------------------------------------------------------------------
@@ -223,32 +222,32 @@ def solve_rigorous(
     give different eigenvalues (1/eps^2 here against 1/eps there for
     A = I, B = 0).
     """
-    white = _whitening(p.b, epsilon)
-    phi, a_breve, phi_a, lams = _whiten_core(p.a, white.w, order)
-    inter = WhiteningIntermediates(
-        phi_b=white.eig_b.phi,
-        lambda_b=white.eig_b.eigenvalues,
-        phi_b_breve=Matrix(white.w),
-        a_breve=a_breve,
-        phi_a=Matrix(phi_a),
-        lambda_a=lams,
-        epsilon_used=white.eps,
+    sol, white, a_breve, phi_a = _rigorous(p, epsilon, order)
+    return sol, WhiteningIntermediates(
+        white.eig_b.phi, white.eig_b.eigenvalues, Matrix._wrap(white.w),
+        SymMatrix._wrap(a_breve), Matrix._wrap(phi_a), sol.eigenvalues, white.eps,
     )
-    return _solution(p, phi, lams, "rigorous", white), inter
 
 
-def _whitening(b: SymMatrix, epsilon: float | None) -> _Whitening:
+def _rigorous(p: Pencil, epsilon: float | None, order: str):
+    """``solve_rigorous``'s solution, ``_Whitening`` record, A_breve and Phi_A."""
+    white = _whitening(p.b.array, epsilon)
+    phi, a_breve, phi_a, lams = _whiten_core(p.a.array, white.w, order)
+    return _solution(p, phi, lams, "rigorous", white), white, a_breve, phi_a
+
+
+def _whitening(b: np.ndarray, epsilon: float | None) -> _Whitening:
     """The ``"whitening"`` record: W = Phi_B (Lambda_B^1/2 + eps I)^-1, the
     eps it needs and eig(B).
 
     W divides by sqrt(lambda_B), which needs B's small eigenvalues to
-    relative accuracy: ``eigen._Metric`` keeps eig(B) on Jacobi where B's
-    diagonal is graded, and lets it take the tridiagonal kernel from d = 9
-    up where the diagonal bounds the loss (``eigen.eig_sym``).
+    relative accuracy: ``eig_sym(..., _metric=True)`` keeps eig(B) on Jacobi
+    where B's diagonal is graded, and lets it take the tridiagonal kernel
+    from d = 9 up where the diagonal bounds the loss.
     Raises ``IndefiniteB`` on an indefinite B; eps is 0.0 unless B is
     singular (``linalg.definiteness``).
     """
-    eig_b = eig_sym(_Metric(b), order="descending")
+    eig_b = eig_sym(SymMatrix._wrap(b), order="descending", _metric=True)
     indefinite, singular = definiteness(eig_b.eigenvalues)
     if indefinite:
         raise IndefiniteB(
@@ -280,7 +279,7 @@ def _cholesky_whitening(b: np.ndarray) -> np.ndarray | None:
 
 def _fit_pairs(
     factor: np.ndarray,
-    b: SymMatrix,
+    b: np.ndarray,
     k: int,
     epsilon: float | None,
     preimage: np.ndarray | None = None,
@@ -305,7 +304,7 @@ def _fit_pairs(
     found = None if preimage is None else _preimage_pairs(preimage, factor, k)
     if found is not None:
         return found + (_Whitening(None, "gram"),)
-    w = _cholesky_whitening(b.array)
+    w = _cholesky_whitening(b)
     white = _whitening(b, epsilon) if w is None else _Whitening(w, "cholesky")
     wf = kernels.matmul(white.w.T, factor)
     if preimage is None and k <= factor.shape[1]:
@@ -334,7 +333,7 @@ def _preimage_pairs(
     if k > factor.shape[1]:
         return None
     m = kernels.matmul(g.T, factor)
-    eig_m = eig_sym(SymMatrix((m + m.T) / 2.0), order="descending")
+    eig_m = eig_sym(SymMatrix._wrap((m + m.T) / 2.0), order="descending")
     lams = eig_m.eigenvalues[:k]
     if not lams[-1] > SINGULAR_TOL * lams[0]:
         return None
@@ -343,10 +342,10 @@ def _preimage_pairs(
     return phi * _column_signs(phi), lams
 
 
-def _regularization(b: SymMatrix, epsilon: float | None) -> float:
+def _regularization(b: np.ndarray, epsilon: float | None) -> float:
     """The eps that regularizes a singular B: ``epsilon``, else the default;
     one that is not positive and finite raises ``SingularAfterRegularization``."""
-    eps = epsilon if epsilon is not None else default_epsilon(b)
+    eps = DEFAULT_EPSILON * max(1.0, float(np.max(np.abs(b)))) if epsilon is None else epsilon
     if not 0.0 < eps < math.inf:
         raise SingularAfterRegularization(
             f"B is singular and the regularization strength {eps!r} is not positive and finite"
@@ -355,28 +354,27 @@ def _regularization(b: SymMatrix, epsilon: float | None) -> float:
 
 
 def _whiten_core(
-    a: SymMatrix, breve: np.ndarray, order: str
-) -> tuple[np.ndarray, SymMatrix, np.ndarray, tuple[float, ...]]:
+    a: np.ndarray, breve: np.ndarray, order: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, ...]]:
     """Congruence with a whitening matrix W = ``breve``, then eig(A_breve).
 
     W whitens the metric, W' B W = I, so A_breve = W' A W has the
     eigenvalues of the pencil. Returns what ``_breve_pairs`` returns for it.
     """
-    return _breve_pairs(kernels.matmul(breve.T, kernels.matmul(a.array, breve)), breve, order)
+    return _breve_pairs(kernels.matmul(breve.T, kernels.matmul(a, breve)), breve, order)
 
 
 def _breve_pairs(
     a_breve_raw: np.ndarray, breve: np.ndarray, order: str
-) -> tuple[np.ndarray, SymMatrix, np.ndarray, tuple[float, ...]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, ...]]:
     """Phi, A_breve, Phi_A and Lambda_A from eig(A_breve), A_breve the
     symmetrized ``a_breve_raw``, for the whitening W = ``breve``.
 
     Phi == W @ Phi_A exactly: the canonical signs of Phi's columns are
     applied to Phi_A's as well.
     """
-    a_breve = SymMatrix((a_breve_raw + a_breve_raw.T) / 2.0)
-
-    eig_a = eig_sym(a_breve, order=order)
+    a_breve = (a_breve_raw + a_breve_raw.T) / 2.0
+    eig_a = eig_sym(SymMatrix._wrap(a_breve), order=order)
     phi_a = eig_a.phi.array
     phi = kernels.matmul(breve, phi_a)
     signs = _column_signs(phi)
@@ -441,9 +439,9 @@ def solve_quick_dirty(
     w = _cholesky_whitening(p.b.array)
     white = _Whitening(w, "cholesky")
     if w is None:
-        eig_b = eig_sym(_Metric(p.b), order="descending")
+        eig_b = eig_sym(p.b, order="descending", _metric=True)
         _, singular = definiteness(eig_b.eigenvalues)
-        eps_used = _regularization(p.b, epsilon) if singular else 0.0
+        eps_used = _regularization(p.b.array, epsilon) if singular else 0.0
         lam_reg = [x + eps_used for x in eig_b.eigenvalues]
         indefinite, singular = definiteness(lam_reg)
         if singular:
@@ -461,7 +459,7 @@ def solve_quick_dirty(
             w = eig_b.phi.array * np.array(factors, dtype=np.float64)
             white = _Whitening(w, "whitening", eps_used, eig_b)
     if white.w is not None:
-        phi, _, _, lams = _whiten_core(p.a, white.w, order)
+        phi, _, _, lams = _whiten_core(p.a.array, white.w, order)
     if d <= 4:  # the unit-length contract of the small-d quick route
         phi = phi / np.sqrt(np.sum(phi * phi, axis=0))
     return _solution(p, phi, lams, "quick_dirty", white)
@@ -511,7 +509,7 @@ def _definite_pairs(
         c, s, breve = _definite_angle(a_s, b_s, x)
         n, strategy = c * b_s - s * a_s, "cholesky-rotated"
     rotated = strategy == "cholesky-rotated"
-    phi, _, _, nus = _whiten_core(SymMatrix(n), breve, "descending")
+    phi, _, _, nus = _whiten_core(n, breve, "descending")
     nus = np.array(nus)
     num, mus = (c - s * nus, s + c * nus) if rotated else (c, nus)
     size = np.abs(mus)
@@ -577,7 +575,7 @@ def _definite_angle(
         breve = _cholesky_whitening(m)
         if breve is not None:
             return c, s, breve
-        eig_m = eig_sym(SymMatrix(m), order="descending")
+        eig_m = eig_sym(SymMatrix._wrap(m), order="descending")
         definite = definite or definiteness(eig_m.eigenvalues) == (False, False)
         x = eig_m.phi.array[:, -1]
     if definite:
@@ -608,7 +606,7 @@ def _solution(p, phi, lams, method, whitening: _Whitening) -> GenEigenSolution:
     a_arr = p.a.array
     residual, b_orth = _dense_diagnostics(a_arr, p.b.array, phi, lams)
     return GenEigenSolution(
-        phi=Matrix(phi),
+        phi=Matrix._wrap(phi),
         eigenvalues=tuple(lams),
         method=method,
         epsilon_used=whitening.eps,

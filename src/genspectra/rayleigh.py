@@ -143,7 +143,7 @@ def solve_form3_4(x: Matrix, p: int, b: SymMatrix | None = None) -> tuple[Matrix
     if not 1 <= p <= x.rows:
         raise DimensionMismatch(f"p must lie in [1, {x.rows}], got {p}")
     xa = x.array
-    q = QuadraticForm(SymMatrix(kernels.matmul(xa, xa.T)), b)
+    q = QuadraticForm(SymMatrix._wrap(kernels.matmul(xa, xa.T)), b)
     return _extremal_pairs(q.a, q.b, p, "maximize")
 
 
@@ -207,12 +207,9 @@ def _extremal_pairs(
     order = "descending" if direction == "maximize" else "ascending"
     if b is None:
         dec = eig_sym(a, order=order)
-        phi = dec.phi.array[:, :p]
-        lams = list(dec.eigenvalues[:p])
+        phi, lams = dec.phi.array, dec.eigenvalues
     else:
         # the whitening route of solve_rigorous, without the diagnostics
         # the frame would not report
-        phi, _, _, lams = _whiten_core(a, _whitening(b, None).w, order)
-        phi = phi[:, :p]
-        lams = list(lams[:p])
-    return Matrix(phi), lams
+        phi, _, _, lams = _whiten_core(a.array, _whitening(b.array, None).w, order)
+    return Matrix._wrap(phi[:, :p]), list(lams[:p])

@@ -31,4 +31,14 @@ def test_a_checkout_against_itself_answers_and_calls_alike():
     )
     won = re.fullmatch(r"small-pencils: cycles won: parent (\d), change (\d) of 1", lines[4])
     assert won and int(won[1]) + int(won[2]) <= 1
-    assert len(lines) == 5
+    # the three requests that moved most each way, by seed and request id
+    moved = {}
+    for line, label in zip(lines[5:7], ("largest", "smallest")):
+        head = f"small-pencils: {label} change/parent of per-request minima: "
+        assert line.startswith(head), line
+        moved[label] = [item.rsplit(" ", 1) for item in line[len(head):].split(", ")]
+        assert len(moved[label]) == 3
+        assert all(re.fullmatch(r"1 \S+", rid) and float(r) > 0 for rid, r in moved[label])
+    ratios = [float(r) for _, r in moved["largest"] + moved["smallest"][::-1]]
+    assert ratios == sorted(ratios, reverse=True)
+    assert len(lines) == 7

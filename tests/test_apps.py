@@ -273,6 +273,44 @@ def test_labeled_dataset_rejects_non_integer_labels():
     assert ds.labels == (0, 3)
 
 
+LABELS = {
+    "floats": ([0.0, 1.0, -2.0], (0, 1, -2)),
+    "ints": ([0, 1, -2], (0, 1, -2)),
+    "numpy scalars": ([np.float64(3.0), np.int64(-1), np.int32(2)], (3, -1, 2)),
+    "2**70": ([2**70, 1, 0], (2**70, 1, 0)),
+    "1e20": ([1e20, 1.0, 0.0], (10**20, 1, 0)),
+    "NaN": ([0.0, float("nan"), 1.0], "nan"),
+    "inf": ([0.0, float("inf"), 1.0], "inf"),
+    "-inf": ([0.0, -float("inf"), 1.0], "-inf"),
+    "1.5": ([0.0, 1.5, 1.0], "1.5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABELS))
+def test_labeled_dataset_converts_label_arrays_as_it_converts_labels(name):
+    # A float64 or int64 label array converts in one pass, yet every input
+    # gives the tuple of Python ints, or the message, of the label-by-label
+    # check: that message quotes the element as it came, so an array's
+    # element is quoted as a numpy scalar and a list's as it stands.
+    labels, want = LABELS[name]
+    x = Matrix(np.eye(3))
+    arrays = [np.array(labels, dtype=np.float64)]
+    if all(isinstance(v, int) and abs(v) < 2**63 for v in labels):
+        arrays.append(np.array(labels, dtype=np.int64))
+    for given in [labels, tuple(labels)] + arrays:
+        if isinstance(want, tuple):
+            got = LabeledDataset(x, labels=given).labels
+            assert got == want and all(type(v) is int for v in got), (name, given)
+        else:
+            bad = given[1]
+            assert repr(bad) in (want, f"np.float64({want})")
+            message = f"^labels must be integer class ids, got {re.escape(repr(bad))}$"
+            with pytest.raises(InputError, match=message):
+                LabeledDataset(x, labels=given)
+    with pytest.raises(DimensionMismatch, match="^2 labels for 3 samples$"):
+        LabeledDataset(x, labels=np.array([0.0, 1.0]))
+
+
 # ---------------------------------------------------------------------------
 # FDA
 # ---------------------------------------------------------------------------
@@ -837,7 +875,7 @@ def _assert_cholesky_pairs(model, fit_pencils, p, factored):
     through the c x c M = G'F of G = W W'F (``factored``) or the full
     A_breve, the Gram of W'F."""
     (b, factor, _), = fit_pencils
-    w = kernels.cholesky_inverse(b.array).T
+    w = kernels.cholesky_inverse(b).T
     if factored:
         phi, lams = _preimage_pairs(kernels.matmul(w, kernels.matmul(w.T, factor)), factor, p)
     else:
@@ -971,7 +1009,7 @@ def test_kspca_cholesky_path_matches_the_whitening_path(n, eigen_inputs, factori
         _assert_gram_pairs(model, ds, kx, delta, p, factorizations, eigen_inputs)
         _assert_matches_full(model, phi, inter, p)
         factorizations.clear()
-        chol_phi, chol_lams, white = _fit_pairs(factor, pen.b, p, None)
+        chol_phi, chol_lams, white = _fit_pairs(factor, pen.b.array, p, None)
         assert white.kind == "cholesky" and factorizations == [n]
         chol = types.SimpleNamespace(projection=Matrix(chol_phi), eigenvalues=chol_lams, epsilon_used=white.eps)
         _assert_matches_full(chol, phi, inter, p)
@@ -992,7 +1030,7 @@ def test_kspca_repeated_sample_takes_the_whitening(eigen_inputs, fit_pencils):
     (b, factor, preimage), = fit_pencils
     assert preimage is not None
     white = _whitening(b, None)
-    assert white.eps == default_epsilon(b) > 0.0
+    assert white.eps == default_epsilon(SymMatrix(b)) > 0.0
     assert model.strategy == "whitening" and model.epsilon_used == white.eps
     phi, lams = gram_fallback(white.w, factor)
     assert np.array_equal(model.projection.array, phi[:, :3])
@@ -1105,8 +1143,8 @@ def _assert_fallback(model, inter, p, eigen_inputs, fit_pencils):
     """The fit whitened in full with W = L^-T: B factored and never
     decomposed, then the n x n A_breve decomposed once."""
     (b, _, _), = fit_pencils
-    n = b.dim
-    b_kernel = _pow2_scaled(b.array)[0]
+    n = b.shape[0]
+    b_kernel = _pow2_scaled(b)[0]
     assert not any(np.array_equal(m, b_kernel) for _, m in eigen_inputs)
     assert [k for k in kernel_calls(eigen_inputs) if k[1] == n] == [(ungraded_kernel(n), n)]
     _assert_cholesky_pairs(model, fit_pencils, p, factored=False)

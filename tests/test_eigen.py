@@ -181,13 +181,13 @@ def test_metric_grading_rule_picks_the_kernel_at_every_scale(eigen_inputs):
     cases["ratio r just below the tridiagonal dimension"] = (base[:eigen._TRIDIAG_MIN_DIM - 1], "jacobi_eigh")
     for name, (diag, kernel) in cases.items():
         b = _metric_with_diagonal(rng, diag)
-        ref = eig_sym(eigen._Metric(b)).eigenvalues
+        ref = eig_sym(b, _metric=True).eigenvalues
         for k in range(-20, 21):
             eigen_inputs.clear()
-            got = eig_sym(eigen._Metric(SymMatrix(b.array * 4.0**k))).eigenvalues
+            got = eig_sym(SymMatrix(b.array * 4.0**k), _metric=True).eigenvalues
             assert kernel_calls(eigen_inputs) == [(kernel, len(diag))], (name, k)
             assert got == tuple(x * 4.0**k for x in ref), (name, k)
-        # the same matrix outside the metric wrapper follows the dimension alone
+        # the same matrix, not marked as a metric, follows the dimension alone
         eigen_inputs.clear()
         eig_sym(b)
         assert kernel_calls(eigen_inputs) == [(ungraded_kernel(len(diag)), len(diag))], name
@@ -206,7 +206,7 @@ def test_ungraded_metric_keeps_lambda_min_within_its_condition(d, eigen_inputs):
     b = SymMatrix((b + b.T) / 2.0)
     diag = np.diagonal(b.array)
     assert 0.0 < diag.min() and diag.max() <= eigen._GRADED_RATIO * diag.min()
-    got = min(eig_sym(eigen._Metric(b)).eigenvalues)
+    got = min(eig_sym(b, _metric=True).eigenvalues)
     assert kernel_calls(eigen_inputs) == [("tridiag_eigh", d)]
     ref = np.linalg.eigvalsh(b.array)
     kappa = ref[-1] / ref[0]
@@ -230,7 +230,7 @@ def _scale_cases() -> dict:
     cases = {f"d={d}": random_sym(rng, d, scale=3.0) for d in (3, 12, 20, 33)}
     g = rng.standard_normal((20, 20))
     scale = np.logspace(-2.0, 2.0, 20)
-    cases["graded metric"] = eigen._Metric(SymMatrix(scale[:, None] * (np.eye(20) + g @ g.T / 20) * scale))
+    cases["graded metric"] = SymMatrix(scale[:, None] * (np.eye(20) + g @ g.T / 20) * scale)
     # d = 8 is drawn after d = 3 on a stream of its own, so the cases above
     # keep their matrices; Jacobi leaves it a residual of 1.24e-13 max|A|
     rng = np.random.RandomState(19)
@@ -245,7 +245,7 @@ def _eig_sym_at_scales() -> dict:
     for name, a in _scale_cases().items():
         for s in [2.0**k for k in POW2_EXPS] + [1e200, 1e-200]:
             b = SymMatrix(a.array * s)
-            got[name, s] = eig_sym(eigen._Metric(b) if isinstance(a, eigen._Metric) else b)
+            got[name, s] = eig_sym(b, _metric=name == "graded metric")
     return got
 
 

@@ -1,5 +1,8 @@
 """Dense matrix container and primitive operations."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +62,21 @@ def test_matrix_rejects_non_finite():
         Matrix([[float("inf")]])
 
 
+def test_wrap_keeps_the_array_and_the_finiteness_test():
+    # the package wraps what it formed without a copy, read-only from then on
+    arr = np.array([[1.0, 2.0], [2.0, 5.0]])
+    for cls in (Matrix, SymMatrix):
+        m = cls._wrap(arr)
+        assert type(m) is cls and m.array is arr and not arr.flags.writeable
+    # an overflowed product fails as the constructor fails on it
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NonFiniteEntry, match="^matrix entries must be finite$"):
+            Matrix._wrap(np.array([[1.0, bad]]))
+    # a transpose is a view of the validated storage
+    m = Matrix([[1.0, 2.0, 3.0]])
+    assert np.shares_memory(m.T.array, m.array) and not m.T.array.flags.writeable
+
+
 def test_sym_matrix_symmetrizes_small_asymmetry():
     s = SymMatrix([[1.0, 2.0 + 1e-12], [2.0, 3.0]])
     assert s.array[0, 1] == s.array[1, 0]
@@ -115,6 +133,33 @@ def test_sym_matrix_asymmetry_is_relative_to_the_largest_entry():
     # arr - arr.T overflowed to inf here, with a RuntimeWarning
     with pytest.raises(NotSymmetric):
         SymMatrix([[0.0, 1.7e308], [-1.7e308, 0.0]])
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_sym_matrix_rejects_a_nan_or_negative_tolerance(tol):
+    # NaN accepted any asymmetry, since asym > nan * top is False; -1.0
+    # rejected any asymmetric input but accepted an exactly symmetric one
+    message = re.escape(f"sym_tol must be a nonnegative number, got {tol!r}")
+    for entries in ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [2.0, 4.0]]):
+        with pytest.raises(ValueError, match=message):
+            SymMatrix(entries, sym_tol=tol)
+    # inf accepts any asymmetry, and 0 none
+    assert SymMatrix([[1.0, 2.0], [3.0, 4.0]], sym_tol=math.inf).array.tolist() == [
+        [1.0, 2.5], [2.5, 4.0]
+    ]
+    with pytest.raises(NotSymmetric):
+        SymMatrix([[1.0, 2.0], [2.0 + 4e-16, 4.0]], sym_tol=0.0)
+
+
+def test_sym_matrix_of_a_matrix_tests_its_symmetry_alone():
+    m = Matrix([[2.0, 1.0], [1.0, 3.0]])
+    s = SymMatrix(m)
+    assert np.shares_memory(s.array, m.array) and not s.array.flags.writeable
+    near = [[1.0, 2.0 + 1e-12], [2.0, 3.0]]
+    assert np.array_equal(SymMatrix(Matrix(near)).array, SymMatrix(near).array)
+    for entries in ([[1.0, 2.0], [5.0, 3.0]], [[1.0, 2.0, 3.0]]):
+        with pytest.raises(NotSymmetric):
+            SymMatrix(Matrix(entries))
 
 
 SYMMETRY_VERDICTS = {

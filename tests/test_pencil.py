@@ -1205,7 +1205,7 @@ def test_factored_pairs_match_the_full_whitening(c, singular, eigen_inputs):
     assert (inter.epsilon_used > 0.0) == singular
     for k in range(1, c):
         eigen_inputs.clear()
-        phi, lams, white = _fit_pairs(f, pen.b, k, None)
+        phi, lams, white = _fit_pairs(f, pen.b.array, k, None)
         if singular:
             # eig(B), then the c x c Gram; no n x n A_breve
             assert white.kind == "whitening"
@@ -1231,7 +1231,7 @@ def test_factored_pairs_match_the_full_whitening(c, singular, eigen_inputs):
 def test_factored_pairs_decline_what_f_does_not_determine():
     rng = np.random.RandomState(620)
     n = 10
-    breve = _whitening(random_spd(rng, n), None).w
+    breve = _whitening(random_spd(rng, n).array, None).w
     f = rng.standard_normal((n, 3))
     assert _preimage_pairs(_preimage(breve, f), f, 3) is not None
     assert _preimage_pairs(_preimage(breve, f), f, 4) is None  # wider than F
@@ -1247,11 +1247,11 @@ def test_factored_fallback_decomposes_b_once(singular, eigen_inputs):
     rng = np.random.RandomState(630 + singular)
     n, c = 11, 3
     pen, f = _low_rank_pencil(rng, n, c, singular)
-    full = _whitening(pen.b, None) if singular else None
+    full = _whitening(pen.b.array, None) if singular else None
     w = full.w if singular else _cholesky_w(pen.b)
     for factor, k in ((f, c + 1), (f[:, [0, 0, 1]], c), (f[:, :1], 2)):
         eigen_inputs.clear()
-        phi, lams, white = _fit_pairs(factor, pen.b, k, None)
+        phi, lams, white = _fit_pairs(factor, pen.b.array, k, None)
         # B decomposed once where it fails the gate, and not at all where it
         # passes; the kernel gets B as eig_sym normalises it
         b_kernel = _pow2_scaled(pen.b.array)[0]
@@ -1268,7 +1268,7 @@ def test_factored_fallback_decomposes_b_once(singular, eigen_inputs):
         assert white.kind == ("whitening" if singular else "cholesky")
         # which is W' F F' W up to roundoff
         a = factor @ factor.T
-        _, _, _, dense_lams = _whiten_core(SymMatrix((a + a.T) / 2.0), w, "descending")
+        _, _, _, dense_lams = _whiten_core((a + a.T) / 2.0, w, "descending")
         assert np.abs(np.array(lams) - dense_lams).max() <= 1e-12 * dense_lams[0]
 
 
@@ -1283,11 +1283,11 @@ def test_fits_whitening_decomposes_b_past_the_cholesky_gate(c, eigen_inputs):
     f = rng.standard_normal((n, c))
     a = f @ f.T
     pen = Pencil(SymMatrix((a + a.T) / 2.0), SymMatrix((b + b.T) / 2.0))
-    want = _whitening(pen.b, None)
+    want = _whitening(pen.b.array, None)
     assert want.eps == 0.0 and not any(definiteness(want.eig_b.eigenvalues))
     for k in (c, c + 1):
         eigen_inputs.clear()
-        phi, lams, white = _fit_pairs(f, pen.b, k, None)
+        phi, lams, white = _fit_pairs(f, pen.b.array, k, None)
         assert white.kind == "whitening" and white.eps == want.eps
         assert kernel_calls(eigen_inputs)[0] == ("jacobi_eigh", n)
         if k > c:  # F narrower than k: the n x n A_breve
@@ -1310,7 +1310,7 @@ def test_fits_cholesky_path_matches_the_whitening_path(n, eigen_inputs):
         a = factor @ factor.T
         sol, inter = solve_rigorous(Pencil(SymMatrix((a + a.T) / 2.0), b))
         eigen_inputs.clear()
-        phi, lams, white = _fit_pairs(factor, b, k, None)
+        phi, lams, white = _fit_pairs(factor, b.array, k, None)
         assert white.kind == "cholesky" and white.eps == 0.0
         b_kernel = _pow2_scaled(b.array)[0]
         assert not any(np.array_equal(m, b_kernel) for _, m in eigen_inputs)

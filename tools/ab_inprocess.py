@@ -16,7 +16,10 @@ workload:
 * runs ``--cycles`` timed cycles, each a pass of every request on one side
   and then on the other, alternating which side goes first, and prints
   each side's sum of per-request minimum times and how many cycles each
-  side's pass was the faster.
+  side's pass was the faster;
+* names the three requests whose minimum moved most each way: the largest
+  and the smallest change/parent ratios of per-request minima, each by
+  seed and request id.
 
     python3 tools/ab_inprocess.py /path/to/parent . --workloads kernel-fit \\
         --cycles 60 --backend python
@@ -128,6 +131,10 @@ def compare(mains: dict, name: str, seeds, cycles: int) -> bool:
               f"change {ms['change']:.3f} ms ({ms['change'] / ms['parent'] - 1.0:+.1%})")
         print(f"{name}: cycles won: parent {won['parent']}, change {won['change']} "
               f"of {cycles}")
+        ratios = sorted((c / p, rid) for p, c, rid in zip(best["parent"], best["change"], rids))
+        for label, most in (("largest", ratios[::-1][:3]), ("smallest", ratios[:3])):
+            print(f"{name}: {label} change/parent of per-request minima: "
+                  + ", ".join(f"{rid} {r:.3f}" for r, rid in most))
     return not differ
 
 
