@@ -388,13 +388,16 @@ def kspca_fit(
     n = ds.n
     if not 1 <= p <= n:
         raise DimensionMismatch(f"p must lie in [1, {n}], got {p}")
+    # one class makes H K_y H = 0: every direction has eigenvalue 0
+    classes, index = _class_index(ds.labels)
+    if len(classes) < 2:
+        raise SingleClass(f"need at least 2 classes, got {len(classes)}")
     kx = kx if kx is not None else KernelSpec(kind="rbf")
     ky = ky if ky is not None else KernelSpec(kind="delta")
 
     k_x = kernel_matrix(ds.x, ds.x, kx).array
     # K_c = R R': the delta kernel's K_c is I (the class values are
     # distinct), so R = I; any other from eig(K_c) without its null set.
-    classes, index = _class_index(ds.labels)
     if ky.kind == "delta":
         r = np.eye(len(classes))
     else:

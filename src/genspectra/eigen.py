@@ -5,8 +5,9 @@ The production path, ``eig_sym``, runs one of two kernels of
 
 * below d = 9, a cyclic-by-row Jacobi iteration, which returns the full
   eigenvector matrix as the accumulated product of rotations. Each sweep
-  visits the off-diagonal pairs in row order, one rotation at a time.
-  Both kernels run the sweeps as one loop at every d, on Python lists in
+  visits the off-diagonal pairs in row order, rotating each with
+  |a_pq| > eps sqrt(|a_pp a_qq|), until a sweep rotates none. Both kernels
+  run the sweeps as one loop at every d, on Python lists in
   the pure-Python one and on arrays in the C one;
 * from d = 9 up, Householder reduction to a tridiagonal T, root-free QL
   with Wilkinson shifts for T's eigenvalues, inverse iteration on an
@@ -32,7 +33,9 @@ other B, with a wider ratio or a zero or negative diagonal entry, stays
 on Jacobi. On B = DHD (H = I + GG'/d, D log-spaced over 10^+-3,
 condition ~1e12; d = 16, 24, 32, three seeds each) the smallest
 eigenvalue of B comes out with a relative error of 2e-16 to 2e-15 by
-Jacobi and 4e-8 to 4e-6 by the tridiagonal path.
+Jacobi and 4e-8 to 4e-6 by the tridiagonal path. Jacobi's per-pair rule
+keeps that accuracy; the normwise ||off(B)||_F <= 1e-12 ||B||_F it replaced
+left errors of up to 1.2e-6 at d = 6 (table in the README's *Backends*).
 
 Every solve keeps its numbers in range by one rule, ``linalg._pow2_scaled``:
 its input scaled by 2^-e to a largest entry in [0.5, 1), and the
@@ -78,13 +81,14 @@ from .linalg import (
     frobenius_norm,
 )
 
-# Jacobi stops once the off-diagonal norm falls below
-# JACOBI_REL_TOL * ||A||_F, or fails after MAX_SWEEPS sweeps. The
-# tridiagonal kernel takes the same two numbers as its bound on the
-# residuals ||T z - lambda z|| and its cap on QL steps per eigenvalue and on
-# inverse-iteration steps.
+# The tridiagonal kernel's bound on its residuals ||T z - lambda z||,
+# relative to ||A||_F (perfbench/probe.py imports it by this name), and the
+# cap on its steps and on Jacobi's rotating sweeps.
 JACOBI_REL_TOL = 1e-12
 MAX_SWEEPS = 100
+
+# Jacobi skips a pair (p, q) with |a_pq| <= _JACOBI_PAIR_TOL sqrt(|a_pp a_qq|).
+_JACOBI_PAIR_TOL = 2.0 ** -52
 
 # eig_sym takes the tridiagonal kernel from this dimension up. On random
 # symmetric matrices it costs less than Jacobi from d = 9 in pure Python
@@ -126,6 +130,12 @@ def _graded(b: np.ndarray) -> bool:
     return not (lo > 0.0 and diag.max() <= _GRADED_RATIO * lo)
 
 
+def _check_order(order: str) -> None:
+    """Raise ``ValueError`` unless ``order`` is one of ``_ORDERS``."""
+    if order not in _ORDERS:
+        raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
+
+
 def eig_sym(a: SymMatrix, order: str = "descending", *, _metric=False) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix.
 
@@ -136,12 +146,12 @@ def eig_sym(a: SymMatrix, order: str = "descending", *, _metric=False) -> EigenD
     error, eps * kappa(B), is within that ratio of Jacobi's relative bound
     eps * kappa(H), B = DHD, since kappa(B) <= kappa(H) * max b_ii / min b_ii
     (see the module docstring). ``_metric`` marks such a B; the whitening
-    of :mod:`genspectra.pencil` passes it. ``JACOBI_REL_TOL`` and
-    ``MAX_SWEEPS`` bound Jacobi's off-diagonal norm and its sweeps, or the
-    tridiagonal kernel's residuals and its steps; ``ConvergenceFailure`` is
-    raised when the kernel runs out of them, and ``EigenvalueOverflow`` when
-    an eigenvalue is above the float range (a 2 x 2 all-ones matrix times
-    1.7e308, say).
+    of :mod:`genspectra.pencil` passes it. Jacobi stops after a sweep that
+    rotates no pair; ``MAX_SWEEPS`` caps its sweeps and the tridiagonal
+    kernel's steps, whose residuals ``JACOBI_REL_TOL`` bounds.
+    ``ConvergenceFailure`` is raised when the kernel runs out of them, and
+    ``EigenvalueOverflow`` when an eigenvalue is above the float range (a
+    2 x 2 all-ones matrix times 1.7e308, say).
 
     Eigenvectors come back orthonormal with a deterministic sign: the
     largest-magnitude entry of each column is positive (first such entry
@@ -149,17 +159,16 @@ def eig_sym(a: SymMatrix, order: str = "descending", *, _metric=False) -> EigenD
     order (Jacobi's rotation order, the tridiagonal kernel's ascending
     one), so results are reproducible bit for bit.
     """
-    if order not in _ORDERS:
-        raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
+    _check_order(order)
     if not isinstance(a, SymMatrix):
         a = SymMatrix(a)
 
     if a.dim < _TRIDIAG_MIN_DIM or (_metric and _graded(a.array)):
-        name, kernel = "Jacobi iteration", kernels.jacobi_eigh
+        name, kernel, tol = "Jacobi iteration", kernels.jacobi_eigh, _JACOBI_PAIR_TOL
     else:
-        name, kernel = "tridiagonal eigensolver", kernels.tridiag_eigh
+        name, kernel, tol = "tridiagonal eigensolver", kernels.tridiag_eigh, JACOBI_REL_TOL
     m, e = _pow2_scaled(a.array)
-    w, v, iterations, converged = kernel(m, JACOBI_REL_TOL, MAX_SWEEPS)
+    w, v, iterations, converged = kernel(m, tol, MAX_SWEEPS)
     if not converged:
         raise ConvergenceFailure(
             f"{name} did not reach tolerance after {iterations} iterations (dim {a.dim})"

@@ -176,21 +176,12 @@ tangent(double app, double aqq, double apq)
     return -1.0 / (-tau + sqrt(1.0 + tau * tau));
 }
 
-static double
-offdiag_norm(const double *m, Py_ssize_t d)
-{
-    double acc = 0.0;
-    for (Py_ssize_t i = 0; i < d - 1; i++)
-        for (Py_ssize_t j = i + 1; j < d; j++)
-            acc += m[i * d + j] * m[i * d + j];
-    return sqrt(2.0 * acc);
-}
-
 PyDoc_STRVAR(jacobi_doc,
 "jacobi_eigh($module, a, rel_tol, max_sweeps)\n--\n\n"
 "Cyclic-by-row Jacobi iteration on a symmetric matrix.\n\n"
-"Same contract as the pure-Python version: returns\n"
-"``(w, v, sweeps, converged)``.");
+"Same contract as the pure-Python version: rotates a pair unless\n"
+"|a_pq| <= rel_tol * sqrt(|a_pp a_qq|), ends after a sweep that rotates\n"
+"nothing, and returns ``(w, v, sweeps, converged)``.");
 
 static PyObject *
 jacobi_eigh(PyObject *module, PyObject *args, PyObject *kwargs)
@@ -217,23 +208,19 @@ jacobi_eigh(PyObject *module, PyObject *args, PyObject *kwargs)
     /* v holds V transposed, from the identity, until it is flipped at the end. */
     double *m = mb.buf, *v = vb.buf, *w = wb.buf;
 
-    double acc = 0.0;
-    for (Py_ssize_t i = 0; i < d * d; i++)
-        acc += m[i] * m[i];
-    double thresh = rel_tol * sqrt(acc);
-
-    int sweeps = 0;
-    int converged = offdiag_norm(m, d) <= thresh;
-    while (!converged && sweeps < max_sweeps) {
-        sweeps++;
+    int sweeps = 0, pending;
+    for (;;) {
+        pending = 0;
         for (Py_ssize_t p = 0; p < d - 1; p++) {
             double *mp = m + p * d, *vp = v + p * d;
             for (Py_ssize_t q = p + 1; q < d; q++) {
-                double apq = mp[q];
-                if (apq == 0.0)
-                    continue;
                 double *mq = m + q * d, *vq = v + q * d;
-                double app = mp[p], aqq = mq[q];
+                double apq = mp[q], app = mp[p], aqq = mq[q];
+                if (!(fabs(apq) > rel_tol * sqrt(fabs(app * aqq))))
+                    continue;
+                pending = 1;
+                if (sweeps == max_sweeps)
+                    break;
                 double t = tangent(app, aqq, apq);
                 double c = 1.0 / sqrt(1.0 + t * t), s = t * c;
                 for (Py_ssize_t j = 0; j < d; j++) {
@@ -254,7 +241,9 @@ jacobi_eigh(PyObject *module, PyObject *args, PyObject *kwargs)
                 mq[p] = 0.0;
             }
         }
-        converged = offdiag_norm(m, d) <= thresh;
+        if (!pending || sweeps == max_sweeps)
+            break;
+        sweeps++;
     }
     for (Py_ssize_t i = 0; i < d; i++) {
         w[i] = m[i * d + i];
@@ -264,7 +253,7 @@ jacobi_eigh(PyObject *module, PyObject *args, PyObject *kwargs)
             v[j * d + i] = vij;
         }
     }
-    res = Py_BuildValue("(OOiO)", wobj, vobj, sweeps, converged ? Py_True : Py_False);
+    res = Py_BuildValue("(OOiO)", wobj, vobj, sweeps, pending ? Py_False : Py_True);
 done:
     release(mobj, &mb);
     release(vobj, &vb);

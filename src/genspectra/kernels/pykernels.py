@@ -144,13 +144,14 @@ def jacobi_eigh(a: np.ndarray, rel_tol: float, max_sweeps: int):
     """Cyclic-by-row Jacobi iteration on a symmetric matrix.
 
     A sweep visits the off-diagonal pairs (p, q), p < q, in row order
-    (Golub & Van Loan, section 8.5), skipping a pair whose a_pq is 0.0.
+    (Golub & Van Loan, section 8.5), rotating each with |a_pq| > ``rel_tol``
+    * sqrt(|a_pp a_qq|) (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 1992).
     Each rotation rotates rows p and q of M and of V transposed, writes the
     new entries of M into columns p and q too, so M stays exactly
-    symmetric, and then sets the rotated 2x2 block exactly. The sweep loop
-    stops once the off-diagonal Frobenius norm drops below ``rel_tol``
-    times the Frobenius norm of the input. The sweeps run on Python lists,
-    M by rows and V by columns.
+    symmetric, and then sets the rotated 2x2 block exactly. The run ends
+    after a sweep that rotates nothing, or unconverged at a pair left to
+    rotate after ``max_sweeps`` rotating sweeps; ``sweeps`` counts those.
+    The sweeps run on Python lists, M by rows and V by columns.
 
     Returns ``(w, v, sweeps, converged)`` where ``w`` holds the (unsorted)
     diagonal after the final sweep and the columns of ``v`` are the
@@ -158,30 +159,29 @@ def jacobi_eigh(a: np.ndarray, rel_tol: float, max_sweeps: int):
     """
     a = np.asarray(a, dtype=np.float64)
     d = a.shape[0]
-    acc = 0.0
-    for x in a.ravel().tolist():
-        acc += x * x
-    thresh = rel_tol * math.sqrt(acc)
     m = a.tolist()
     # Rows of V transposed, so that V's column-pair updates run along rows
     # in the same loop as the row-pair updates of M.
     vt = np.eye(d).tolist()
     cols = range(d)
     sweeps = 0
-    converged = _offdiag_norm(m, d) <= thresh
-    while not converged and sweeps < max_sweeps:
-        sweeps += 1
+    while True:
+        pending = False
         for p in range(d - 1):
             mp, vp = m[p], vt[p]
             for q in range(p + 1, d):
                 apq = mp[q]
-                if apq == 0.0:
-                    continue
                 mq, vq = m[q], vt[q]
                 app, aqq = mp[p], mq[q]
+                # an underflowing product only makes the test stricter
+                if not abs(apq) > rel_tol * math.sqrt(abs(app * aqq)):
+                    continue
+                pending = True
+                if sweeps == max_sweeps:
+                    break
                 # t = tan of the angle that zeroes apq, the smaller root of
-                # t^2 + 2 tau t - 1; apq denormal-tiny next to the diagonal
-                # gap makes tau infinite, and the rotation the identity
+                # t^2 + 2 tau t - 1; a tiny apq beside a zero a_pp a_qq makes
+                # tau infinite, and the rotation the identity, which zeroes apq
                 tau = (aqq - app) / (2.0 * apq)
                 if math.isinf(tau):
                     t = 0.0
@@ -210,18 +210,11 @@ def jacobi_eigh(a: np.ndarray, rel_tol: float, max_sweeps: int):
                 mq[q] = aqq + t * apq
                 mp[q] = 0.0
                 mq[p] = 0.0
-        converged = _offdiag_norm(m, d) <= thresh
+        if not pending or sweeps == max_sweeps:
+            break
+        sweeps += 1
     w = np.array([m[i][i] for i in range(d)], dtype=np.float64)
-    return w, np.array(vt, dtype=np.float64).reshape(d, d).T.copy(), sweeps, converged
-
-
-def _offdiag_norm(m: list, d: int) -> float:
-    acc = 0.0
-    for i in range(d - 1):
-        row = m[i]
-        for j in range(i + 1, d):
-            acc += row[j] * row[j]
-    return math.sqrt(2.0 * acc)
+    return w, np.array(vt, dtype=np.float64).reshape(d, d).T.copy(), sweeps, not pending
 
 
 def cholesky_inverse(b: np.ndarray) -> np.ndarray | None:

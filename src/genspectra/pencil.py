@@ -63,7 +63,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConvergenceFailure, DimensionMismatch, IndefiniteB, SingularAfterRegularization
-from .eigen import EigenDecomposition, _column_signs, eig_sym, spectral_reconstruct
+from .eigen import EigenDecomposition, _check_order, _column_signs, eig_sym, spectral_reconstruct
 from .linalg import (
     SINGULAR_TOL,
     Matrix,
@@ -222,6 +222,7 @@ def solve_rigorous(
     give different eigenvalues (1/eps^2 here against 1/eps there for
     A = I, B = 0).
     """
+    _check_order(order)
     sol, white, a_breve, phi_a = _rigorous(p, epsilon, order)
     return sol, WhiteningIntermediates(
         white.eig_b.phi, white.eig_b.eigenvalues, Matrix._wrap(white.w),
@@ -435,6 +436,7 @@ def solve_quick_dirty(
     and on ``"cholesky-rotated"`` M-orthonormal for the scaled pair's M.
     Every branch reports through one ``_Whitening`` record and one exit.
     """
+    _check_order(order)
     d = p.dim
     w = _cholesky_whitening(p.b.array)
     white = _Whitening(w, "cholesky")

@@ -801,6 +801,20 @@ def test_kspca_error_paths():
         )
 
 
+@pytest.mark.parametrize(
+    "ky", [None, KernelSpec(kind="rbf"), KernelSpec(kind="linear")], ids=["delta", "rbf", "linear"]
+)
+def test_kspca_single_class_raises_before_any_kernel_matrix(ky, monkeypatch):
+    # one class makes H K_y H = 0 for every label kernel, as fda's S_B = 0
+    def no_kernel_matrix(*args):
+        raise AssertionError("kernel_matrix called")
+
+    monkeypatch.setattr(apps, "kernel_matrix", no_kernel_matrix)
+    ds = LabeledDataset(Matrix([[1.0, 1.0, 2.0]]), labels=(0, 0, 0))
+    with pytest.raises(SingleClass, match="need at least 2 classes, got 1"):
+        kspca_fit(ds, p=1, ky=ky)
+
+
 # ---------------------------------------------------------------------------
 # low-rank numerators: S_B = D D' and K_x H K_y H K_x = F F'
 # ---------------------------------------------------------------------------

@@ -920,6 +920,13 @@ def test_kspca_label_column_by_index_on_a_headerless_file(kspca_csv, tmp_path, c
     assert by_index["vectors"] == by_name["vectors"]
 
 
+def test_kspca_single_class_exits_1(tmp_path, capsys):
+    path = _write(tmp_path / "d.csv", "1.0,0\n1.0,0\n2.0,0\n")
+    assert main(["kspca", "-p", "1", "--label-column", "1", path]) == 1
+    captured = capsys.readouterr()
+    assert "SingleClass" in captured.err and captured.out == ""
+
+
 def test_rayleigh_metric_flag_reaches_the_check(tmp_path, capsys):
     a = _write(tmp_path / "a.csv", "3,1,0\n1,2,0.5\n0,0.5,1\n")
     b = _write(tmp_path / "b.csv", "2,0.25,0\n0.25,1,0\n0,0,0.5\n")

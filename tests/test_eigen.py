@@ -1,5 +1,6 @@
 """Symmetric eigendecomposition: Jacobi path, closed-form roots, null spaces."""
 
+import functools
 import math
 
 import numpy as np
@@ -211,6 +212,41 @@ def test_ungraded_metric_keeps_lambda_min_within_its_condition(d, eigen_inputs):
     ref = np.linalg.eigvalsh(b.array)
     kappa = ref[-1] / ref[0]
     assert abs(got - ref[0]) <= d * (np.finfo(float).eps / 2.0) * kappa * ref[0]
+
+
+def _graded_metric(d: int, g: int, seed: int) -> np.ndarray:
+    """B = D M D with M = K K'/d + I and D = 10^linspace(0, g, d) permuted:
+    condition ~10^(2g), while M, B's relative condition, stays small."""
+    rng = np.random.RandomState(10 * d + seed)
+    k = rng.standard_normal((d, d))
+    m = k @ k.T / d + np.eye(d)
+    scale = rng.permutation(10.0 ** np.linspace(0, g, d))
+    b = scale[:, None] * m * scale
+    return (b + b.T) / 2.0
+
+
+@functools.cache
+def _graded_reference(d: int, g: int, seed: int) -> np.ndarray:
+    """The ascending eigenvalues of ``_graded_metric`` by mpmath at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        w = mpmath.eigsy(mpmath.matrix(_graded_metric(d, g, seed).tolist()), eigvals_only=True)
+    return np.sort([float(x) for x in w])
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+@pytest.mark.parametrize("d, g", [(6, 6), (6, 8), (12, 6), (12, 8)])
+def test_graded_metric_eigenvalues_to_relative_accuracy(backend, d, g, request, monkeypatch):
+    # Jacobi's per-pair rule keeps every eigenvalue of a graded metric,
+    # the smallest ~10^-2g of the largest, to a relative error of
+    # eps * kappa(M) (Demmel & Veselic); a normwise stopping test at
+    # 1e-12 ||B||_F left up to 1.2e-6 here
+    module = pykernels if backend == "python" else request.getfixturevalue("cykernels")
+    monkeypatch.setattr(kernels, "jacobi_eigh", module.jacobi_eigh)
+    for seed in range(3):
+        ref = _graded_reference(d, g, seed)
+        got = np.sort(eig_sym(SymMatrix(_graded_metric(d, g, seed)), _metric=True).eigenvalues)
+        assert (np.abs(got - ref) <= 1e-14 * ref).all(), (seed, (np.abs(got - ref) / ref).max())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

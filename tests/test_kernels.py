@@ -468,6 +468,29 @@ def test_jacobi_unconverged_flag_when_sweeps_exhausted():
     assert not converged
 
 
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_jacobi_rotates_a_pair_unless_negligible_against_its_own_diagonal(backend, request):
+    module = pykernels if backend == "python" else request.getfixturevalue("cykernels")
+    eps = np.finfo(float).eps
+    # below eps * sqrt(a_pp a_qq): skipped, no sweep counted
+    w, v, sweeps, converged = module.jacobi_eigh(np.array([[1.0, 1e-17], [1e-17, 2.0]]), eps, 100)
+    assert (list(w), sweeps, converged) == ([1.0, 2.0], 0, True) and (v == np.eye(2)).all()
+    # graded: 1e-15 is far below any normwise tolerance, but not against
+    # sqrt(1e-20 * 1), and rotating it moves lambda_min by 1e-10 relative
+    w, _, sweeps, converged = module.jacobi_eigh(np.array([[1e-20, 1e-15], [1e-15, 1.0]]), eps, 100)
+    assert converged and sweeps == 1
+    assert abs(min(w) - (1e-20 - 1e-30)) <= 2 * eps * 1e-20
+    # a_pp = 0 passes every a_pq; a denormal one makes tau infinite, and the
+    # identity rotation sets it to 0.0, which ends the run
+    w, v, sweeps, converged = module.jacobi_eigh(np.array([[0.0, 5e-324], [5e-324, 1.0]]), eps, 100)
+    assert (list(w), sweeps, converged) == ([0.0, 1.0], 1, True) and (v == np.eye(2)).all()
+    # a pair still to rotate after max_sweeps rotating sweeps: unconverged
+    a = np.array([[1.0, 0.5, 0.25], [0.5, 2.0, 0.5], [0.25, 0.5, 3.0]])
+    assert module.jacobi_eigh(a, eps, 0)[2:] == (0, False)
+    assert module.jacobi_eigh(a, eps, 1)[2:] == (1, False)
+    assert module.jacobi_eigh(a, eps, 100)[3]
+
+
 # Odd and even sizes on both sides of d = 9 (``eigen._TRIDIAG_MIN_DIM``),
 # from where eig_sym sends only a graded metric B to Jacobi.
 _JACOBI_DIMS = list(range(1, 18)) + [24]
@@ -877,21 +900,25 @@ def test_tridiag_steps_match_scalar_loops_bit_for_bit(d):
 
 @pytest.mark.parametrize("d", list(range(2, 13)) + [19, 20, 21, 33, 48, 64])
 def test_jacobi_convergence_claim_holds(d):
-    # When the kernel reports convergence, the off-diagonal norm of V'AV,
-    # recomputed in numpy, is below rel_tol * ||A||_F up to a roundoff slack
-    # of d * eps * ||A||_F.
+    # When the kernel reports convergence, every pair (p, q) of V'AV,
+    # recomputed in numpy, is within rel_tol * sqrt(|b_pp b_qq|) up to a
+    # roundoff slack of d * eps * ||A||_F. At rel_tol = eps, eig_sym's
+    # tolerance, the off-diagonal norm is within that slack too.
+    eps = np.finfo(float).eps
     rng = np.random.RandomState(2000 + d)
     a = random_sym(rng, d).array
-    norm_a = np.linalg.norm(a)
-    for rel_tol, max_sweeps in [(1e-4, 100), (1e-8, 100), (JACOBI_REL_TOL, 100), (JACOBI_REL_TOL, 2)]:
+    slack = d * eps * np.linalg.norm(a)
+    for rel_tol, max_sweeps in [(1e-4, 100), (1e-8, 100), (JACOBI_REL_TOL, 100), (eps, 100), (eps, 2)]:
         w, v, sweeps, converged = pykernels.jacobi_eigh(a, rel_tol, max_sweeps)
         if not converged:
             assert sweeps == max_sweeps
             continue
         b = v.T @ a @ v
-        off = np.linalg.norm(b - np.diag(np.diag(b)))
-        assert off <= rel_tol * norm_a + d * np.finfo(float).eps * norm_a, (rel_tol, off)
-        if rel_tol == JACOBI_REL_TOL:
+        diag = np.abs(np.diag(b))
+        off = np.abs(b - np.diag(np.diag(b)))
+        assert (off <= rel_tol * np.sqrt(np.outer(diag, diag)) + slack).all(), (rel_tol, off.max())
+        if rel_tol == eps:
+            assert np.linalg.norm(off) <= slack, np.linalg.norm(off)
             lam = np.linalg.eigvalsh(a)
             assert np.abs(np.sort(w) - lam).max() <= 1e-13 * np.abs(lam).max()
 

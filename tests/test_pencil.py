@@ -110,6 +110,18 @@ def test_quick_ascending_order():
     assert sol.eigenvalues == pytest.approx([1.0, 4.0], abs=1e-10)
 
 
+@pytest.mark.parametrize("solve", [solve_quick_dirty, solve_rigorous])
+@pytest.mark.parametrize("b", [(1, 1, 2), (1, -1, 2)], ids=["spd-b", "indefinite-b"])
+def test_both_routes_reject_an_unknown_order_before_any_factorization(
+    solve, b, factorizations, eigen_inputs
+):
+    # The indefinite B once reached the quick route's "cholesky-a" sort,
+    # which took any order but "descending" as ascending.
+    with pytest.raises(ValueError, match=r"order must be one of \('descending', 'ascending'\), got 'bogus'"):
+        solve(Pencil(_diag(2, 3, 1), _diag(*b)), order="bogus")
+    assert factorizations == [] and eigen_inputs == []
+
+
 # ---------------------------------------------------------------------------
 # rigorous: worked examples
 # ---------------------------------------------------------------------------
@@ -884,7 +896,7 @@ def test_arc_search_names_an_arc_left_open_at_its_cap():
     # definite by construction, cond(F) = 1e6: every definite metric lies in
     # an arc too narrow for the search, which stops at ARC_MAX_STEPS with
     # the arc still open and says so rather than call the pair not definite
-    for seed, width in ((5, "1.4e-08"), (8, "6.0e-08")):
+    for seed, width in ((5, "1.4e-08"), (8, "4.6e-09")):
         a, b = definite_pencil(4, 1e6, seed)
         with pytest.raises(IndefiniteB, match=UNRESOLVED) as err:
             solve_quick_dirty(Pencil(SymMatrix(a), SymMatrix(b)))

@@ -5,8 +5,10 @@ For each workload and seed, runs the benchmark once in each checkout,
 untraced, as the benchmark's own command (``BENCHMARK.json``'s
 ``command`` with ``--workload W --seed N --seconds S --trace 0``, in the
 checkout's root), and alternates which side runs first from one seed to
-the next. Both checkouts must hold the same ``perfbench/`` and
-``BENCHMARK.json``, so that both sides are measured by the same code:
+the next. The seeds must be even in number, so that each side runs first
+as often as the other (a second run tends to read lower). Both checkouts
+must hold the same ``perfbench/`` and ``BENCHMARK.json``, so that both
+sides are measured by the same code:
 
     python3 tools/bench_pairs.py /path/to/parent . --workloads small-pencils \\
         --seeds 11 12 13 14 15 16 17 18 19 20 --claim small-pencils/solves_per_s
@@ -106,12 +108,15 @@ def main(argv=None) -> int:
     p.add_argument("--workloads", nargs="+", default=None,
                    help="workloads to run (default: every one in BENCHMARK.json)")
     p.add_argument("--seeds", type=int, nargs="+", default=list(range(11, 21)),
-                   help="one pair per seed (default 11-20)")
+                   help="one pair per seed, an even number of them (default 11-20)")
     p.add_argument("--seconds", type=float, default=None,
                    help="--seconds of each run (default: BENCHMARK.json's run_seconds)")
     p.add_argument("--claim", default=None, metavar="WORKLOAD/METRIC",
                    help="the gain to judge by the pairs rule")
     args = p.parse_args(argv)
+    if len(args.seeds) % 2:
+        p.error(f"--seeds takes an even number of seeds, so that each side runs first "
+                f"as often as the other; got {len(args.seeds)}")
 
     roots = [args.parent_root.resolve(), args.change_root.resolve()]
     if _benchmark_files(roots[0]) != _benchmark_files(roots[1]):
